@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, determinism, format parity, overrides."""
 
+import hashlib
 import os
 import re
 
@@ -111,6 +112,28 @@ def test_threaded_run_matches_serial():
     finally:
         del os.environ["WARPCHECK_THREADS"]
     assert to_json_bytes(serial) == to_json_bytes(threaded)
+
+
+# sha256 of the JSON report for every builtin, --checks all, seed 42, at a
+# point count per target that keeps the whole test to a few seconds.  A
+# refactor must leave these bytes unchanged; never update a digest to fit.
+GOLDEN_DIGESTS = {
+    ("e1", 3): "daf0f6886aba43590748a37f79227b893f9a9d3d592f1e3be3145c6e97460c84",
+    ("e2", 16): "5c7c5585ca7a24e19398c380f58539c421803c2112a001f214290424bc810acb",
+    ("e3", 16): "62c77a0de88302ce9d0b4cd6170b814d845c28a64b6a0e6d61d693001c4b7926",
+    ("e4", 3): "dee489d42e34e5562abf4804133e7ea26c9f42bd0c1512a8f43e5a8ac9abe3e4",
+    ("e5", 3): "b65cf3cfcd1b50ae345ebfc309d6a7cd06c69d88451333d668ab086f62004560",
+    ("e6", 3): "9c80b2055db5627901dbe8be5280550fc1d28f91338b931879cfee1e88e3583a",
+    ("e7", 8): "55c61c57ef207bd22bdf6c3e20d5f9a6756f8339652e458ddc8bac7206db7e8f",
+    ("s2-warped", 16): "e08a6b15b0805b360be9a0a7f890712ba0b6f142932fbe2da0f3ff2b9cb79dc9",
+    ("sasakian-r5", 8): "14989f5b611e196e14fe39a50999abccd36423258d23a28ce637eb5f25fea016",
+}
+
+
+def test_report_bytes_match_golden_digests():
+    for (name, points), digest in GOLDEN_DIGESTS.items():
+        _, doc, _ = run(RunConfig(target=name, points=points, seed=42))
+        assert hashlib.sha256(to_json_bytes(doc)).hexdigest() == digest, name
 
 
 def test_text_and_json_carry_the_same_numbers():
