@@ -23,7 +23,7 @@ from .ineq import (InequalityResult, d2_umbilical_implies_geodesic,
                    dt_minimality_check, generalized_inequality, main_inequality,
                    nearly_kahler_inequality, scalar_decomposition_residual,
                    space_form_inequality)
-from .jets import DomainBox, ExcludedBall, Jet3, fd_partial, jet_arith, jet_const, jet_var
+from .jets import DomainBox, ExcludedBall, Jet3, fd_partial, jet_const, jet_var
 from .report import CheckRecord, CheckReport
 from .riemann import (Curvature4, MetricField, OrthoFrame, christoffel, curvature,
                       grad_norm_sq, gradient, laplacian, orthonormal_frame,
@@ -47,7 +47,7 @@ __all__ = [
     "DegeneratePlaneError", "ImmersionDegenerateError", "InvalidWarpingError",
     "InvalidNormalError", "ConfigurationError", "ParseError",
     # jets and DSL
-    "Jet3", "DomainBox", "ExcludedBall", "jet_const", "jet_var", "jet_arith",
+    "Jet3", "DomainBox", "ExcludedBall", "jet_const", "jet_var",
     "fd_partial", "parse", "eval_expr", "pretty",
     # intrinsic geometry
     "MetricField", "OrthoFrame", "Curvature4", "christoffel", "curvature",

@@ -12,12 +12,13 @@ for direct consequences of the construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from importlib import resources
 import numpy as np
 
 from .config import BuiltConfig, load_config_text
 from .errors import ConfigurationError
-from .report import CheckReport
+from .report import CheckReport, nan_max
 from .sampling import halton_points
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          validate_almost_contact)
@@ -134,17 +135,16 @@ def load_builtin(name: str) -> LoadedExample:
 # ---------------------------------------------------------------------------
 
 
-def _gate_points(subject, n: int, seed: int) -> list[np.ndarray]:
-    domain = getattr(subject, "domain", None)
-    if domain is None and isinstance(subject, WarpedMetric):
-        domain = subject.assembled.domain
-    if domain is None and isinstance(subject, AlmostContactStructure):
-        domain = subject.metric.domain
-    if domain is None and isinstance(subject, AlmostComplexStructure):
-        domain = subject.metric.domain
-    if domain is None:
-        raise ConfigurationError("subject has no domain to sample")
-    return halton_points(domain, n, seed)
+def sample_points(subject, n: int, seed: int) -> list[np.ndarray]:
+    """Halton points in the subject's domain box; warped metrics and
+    structures sample their metric's box."""
+    if isinstance(subject, WarpedMetric):
+        subject = subject.assembled
+    elif isinstance(subject, (AlmostComplexStructure, AlmostContactStructure)):
+        subject = subject.metric
+    if getattr(subject, "domain", None) is None:
+        raise ConfigurationError("subject declares no domain box to sample")
+    return halton_points(subject.domain, n, seed)
 
 
 def validate(loaded: LoadedExample, n_points: int = GATE_POINTS,
@@ -154,23 +154,21 @@ def validate(loaded: LoadedExample, n_points: int = GATE_POINTS,
     subject = loaded.subject
     rep = CheckReport()
     kind = loaded.spec.kind
+    points = sample_points(subject, n_points, seed)
 
     if kind == "metric":
-        points = _gate_points(subject, n_points, seed)
         subject.validate_at(points)
-        worst = max(subject.symmetry_residual(x) for x in points)
+        worst = reduce(nan_max, (subject.symmetry_residual(x) for x in points))
         rep.add("gate-metric", "metric-validity", worst, 1e-10, len(points))
         return rep
 
     if kind == "warped":
-        points = _gate_points(subject, n_points, seed)
         subject.validate_at(points)  # raises on f <= 0 or indefinite blocks
         rep.add("gate-warping-positive", "warping-positivity", 0.0, 1.0,
                 len(points), passed=True, note="positivity verified pointwise")
         return rep
 
     if kind == "structure":
-        points = _gate_points(subject, n_points, seed)
         if isinstance(subject, AlmostContactStructure):
             rep.merge(validate_almost_contact(subject, points, tol=1e-9))
         else:
@@ -179,7 +177,6 @@ def validate(loaded: LoadedExample, n_points: int = GATE_POINTS,
 
     # immersion
     im: Immersion = subject
-    points = _gate_points(im, n_points, seed)
     rank_ok = True
     try:
         for x in points:

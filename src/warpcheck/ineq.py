@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .jets import Point, as_point
-from .report import CheckReport
-from .riemann import curvature_components, frame_curvature, scalar_curvature
+from .report import CheckReport, fold, nan_max
 from .structures import AlmostComplexStructure, SpaceFormModel, model_curvature
-from .subman import (Immersion, InducedMetric, SFFData, second_fundamental_form,
-                     warped_geometry)
-from .warped import leaf_scalars
+from .subman import Immersion, SFFData, second_fundamental_form, warped_geometry
 
 SLACK_TOL_FLAT = 1e-8    # jet-exact flat ambients
 SLACK_TOL_MODEL = 1e-6   # closed-form model ambients
@@ -138,8 +136,7 @@ def ambient_curvature_sums(im: Immersion, sff: SFFData,
     cols = sff.tangent_ambient
     plane = np.zeros((n, n))
     if model is None:
-        r4 = curvature_components(im.ambient, sff.ambient_point)
-        rf = frame_curvature(r4, cols)
+        rf = sff.ambient_frame_curvature
         for i in range(n):
             for j in range(n):
                 plane[i, j] = rf[i, j, j, i]
@@ -179,9 +176,9 @@ def scalar_decomposition_residual(im: Immersion, x: Point,
     geom = warped_geometry(im)
     sff = sff or second_fundamental_form(im, x)
     n1, n = geom.n1, sff.n
-    tau = scalar_curvature(InducedMetric(im), x)
+    tau = sff.induced.scalar_curvature()
     sums = ambient_curvature_sums(im, sff)
-    sc = leaf_scalars(geom, x)
+    sc = sff.warped.scalars
     rhs = (geom.n2 * sc.lap_f / sc.f_value
            + _block_products(sff.coeffs, list(range(n1)))
            + _block_products(sff.coeffs, list(range(n1, n)))
@@ -194,65 +191,70 @@ def scalar_decomposition_residual(im: Immersion, x: Point,
 # ---------------------------------------------------------------------------
 
 
+def leaf_mean_curvature(sff: SFFData) -> dict[str, float]:
+    """Value of :func:`dt_minimality_check` at one point."""
+    return {"leaf-mean-curvature": sff.vec_norm(sff.mean_leaf)}
+
+
 def dt_minimality_check(im: Immersion, points: Sequence[Point],
-                        tol: float = 1e-8) -> CheckReport:
+                        tol: float = 1e-8, worst: dict | None = None) -> CheckReport:
     """Worst leaf-block partial mean curvature over the sample.
 
     For contact ambients the declared leaf block contains the Reeb direction;
     for complex ambients it is the invariant block itself.
+    ``worst``: the per-point values already folded, from a caller's walk.
     """
     if im.warped is None:
         raise ConfigurationError("leaf-minimality check needs a warped declaration")
-    worst = 0.0
-    for x in points:
-        sff = second_fundamental_form(im, x)
-        worst = max(worst, sff.vec_norm(sff.mean_leaf))
+    worst = worst or fold(leaf_mean_curvature(second_fundamental_form(im, x))
+                          for x in points)
     rep = CheckReport()
-    rep.add("leaf-mean-curvature", "leaf-partial-mean-curvature", worst, tol,
-            len(points))
+    rep.add("leaf-mean-curvature", "leaf-partial-mean-curvature",
+            worst["leaf-mean-curvature"], tol, len(points))
     return rep
 
 
+def fiber_lemma_residuals(sff: SFFData, tol: float) -> dict:
+    """Values of :func:`d2_umbilical_implies_geodesic` at one point; the
+    conclusion only where both hypotheses hold."""
+    n1 = sff.n1
+    hyp_min = sff.vec_norm(sff.mean_fiber)
+    hyp_umb = reduce(nan_max, sff.umbilicity(sff.mean_fiber, n1))
+    tested = hyp_min < tol and hyp_umb < tol
+    conc = math.sqrt(float(np.sum(sff.coeffs[:, n1:, n1:] ** 2)))
+    return {"fiber-minimal-hypothesis": hyp_min, "fiber-umbilical-hypothesis": hyp_umb,
+            "fiber-geodesic-conclusion": [conc] if tested else [],
+            "fiber-lemma-tested": bool(tested)}
+
+
 def d2_umbilical_implies_geodesic(im: Immersion, points: Sequence[Point],
-                                  tol: float = 1e-7) -> CheckReport:
+                                  tol: float = 1e-7,
+                                  worst: dict | None = None) -> CheckReport:
     """Instantiates the fiber lemma: fiber-minimal plus fiber umbilical (in
     the ambient) forces the fiber self-pairings of the form to vanish.
 
     Hypothesis residuals and the conclusion residual are reported; the
     implication record only gates points where both hypotheses hold.
+    ``worst``: the per-point values already folded, from a caller's walk.
     """
     if im.warped is None:
         raise ConfigurationError("fiber lemma check needs a warped declaration")
-    n1 = im.warped.n1
-    worst_min = worst_umb = worst_conc = 0.0
-    tested = 0
-    implication_ok = True
-    for x in points:
-        sff = second_fundamental_form(im, x)
-        n = sff.n
-        h2 = sff.mean_fiber
-        hyp_min = sff.vec_norm(h2)
-        hyp_umb = max(sff.vec_norm(sff.h_frame[i, j] - (1.0 if i == j else 0.0) * h2)
-                      for i in range(n1, n) for j in range(n1, n))
-        conc = math.sqrt(float(np.sum(sff.coeffs[:, n1:, n1:] ** 2)))
-        worst_min = max(worst_min, hyp_min)
-        worst_umb = max(worst_umb, hyp_umb)
-        if hyp_min < tol and hyp_umb < tol:
-            tested += 1
-            worst_conc = max(worst_conc, conc)
-            implication_ok = implication_ok and conc < tol
+    worst = worst or fold(fiber_lemma_residuals(second_fundamental_form(im, x), tol)
+                          for x in points)
+    tested = worst["fiber-lemma-tested"]
+    worst_conc = worst.get("fiber-geodesic-conclusion", 0.0)
     rep = CheckReport()
     rep.add("fiber-minimal-hypothesis", "fiber-partial-mean-curvature",
-            worst_min, tol, len(points), passed=True,
+            worst["fiber-minimal-hypothesis"], tol, len(points), passed=True,
             note="hypothesis residual, not a gate")
     rep.add("fiber-umbilical-hypothesis", "fiber-umbilicity",
-            worst_umb, tol, len(points), passed=True,
+            worst["fiber-umbilical-hypothesis"], tol, len(points), passed=True,
             note="hypothesis residual, not a gate")
     note = f"implication tested at {tested}/{len(points)} points"
     if tested == 0:
         note += " (hypotheses fail everywhere; vacuous)"
     rep.add("fiber-geodesic-conclusion", "fiber-lemma-conclusion",
-            worst_conc, tol, tested, passed=implication_ok, note=note)
+            worst_conc, tol, tested, passed=tested == 0 or worst_conc < tol, note=note)
     return rep
 
 
@@ -261,11 +263,11 @@ def d2_umbilical_implies_geodesic(im: Immersion, points: Sequence[Point],
 # ---------------------------------------------------------------------------
 
 
-def _kahler_gate(im: Immersion, x_amb: np.ndarray, tol: float = 1e-6) -> float:
+def _kahler_gate(im: Immersion, x_amb: np.ndarray, tensors, tol: float = 1e-6) -> float:
     if not isinstance(im.structure, AlmostComplexStructure):
         raise ConfigurationError(
             "main inequality needs a complex ambient structure or a curvature model")
-    resid = im.structure.parallel_residual(x_amb)
+    resid = im.structure.parallel_residual(x_amb, tensors)
     if resid > tol:
         raise ConfigurationError(
             f"ambient structure is not parallel at {x_amb} (residual {resid:.3e})")
@@ -273,7 +275,8 @@ def _kahler_gate(im: Immersion, x_amb: np.ndarray, tol: float = 1e-6) -> float:
 
 
 def main_inequality(im: Immersion, x: Point, tol: float = SLACK_TOL_FLAT,
-                    model: SpaceFormModel | None = None) -> InequalityResult:
+                    model: SpaceFormModel | None = None,
+                    sff: SFFData | None = None) -> InequalityResult:
     """Half the squared form norm against the curvature-sum bound, with
     equality diagnostics.
 
@@ -281,21 +284,18 @@ def main_inequality(im: Immersion, x: Point, tol: float = SLACK_TOL_FLAT,
     or a closed-form curvature model must be supplied for the ambient chart.
     """
     geom = warped_geometry(im)
-    sff = second_fundamental_form(im, x)
+    sff = sff or second_fundamental_form(im, x)
     if model is None:
-        _kahler_gate(im, sff.ambient_point)
+        _kahler_gate(im, sff.ambient_point, sff.tensors)
     sums = ambient_curvature_sums(im, sff, model=model)
-    sc = leaf_scalars(geom, x)
+    sc = sff.warped.scalars
 
     lhs = 0.5 * sff.h_norm_sq()
     rhs = (sums["tangent"] - sums["leaf"] - sums["fiber"]
            - geom.n2 * sc.lap_f / sc.f_value)
 
-    n1, n = geom.n1, sff.n
-    diagnostics = _equality_diag(sff, n1)
-    fiber_umb = max(sff.vec_norm(sff.h_frame[i, j]
-                                 - (1.0 if i == j else 0.0) * sff.mean_fiber)
-                    for i in range(n1, n) for j in range(n1, n))
+    diagnostics = _equality_diag(sff, geom.n1)
+    fiber_umb = reduce(nan_max, sff.umbilicity(sff.mean_fiber, geom.n1))
     # factor-level characterization alongside the two vanishing conditions
     diagnostics["leaf_geodesic_residual"] = diagnostics["leaf_form_norm"]
     diagnostics["fiber_umbilical_residual"] = fiber_umb
@@ -318,8 +318,8 @@ class SpaceFormBounds:
 
 
 def space_form_inequality(im: Immersion, x: Point, c: float = 0.0,
-                          tol: float = SLACK_TOL_FLAT,
-                          dp_s: float | None = None) -> SpaceFormBounds:
+                          tol: float = SLACK_TOL_FLAT, dp_s: float | None = None,
+                          sff: SFFData | None = None) -> SpaceFormBounds:
     """Specializations of the main bound to a complex space form of constant c.
 
     The reduction bound matches the main inequality evaluated with the
@@ -327,8 +327,8 @@ def space_form_inequality(im: Immersion, x: Point, c: float = 0.0,
     fidelity but carry notes (their curvature coefficient differs for c != 0,
     and the corollary form has free parameters)."""
     geom = warped_geometry(im)
-    sff = second_fundamental_form(im, x)
-    sc = leaf_scalars(geom, x)
+    sff = sff or second_fundamental_form(im, x)
+    sc = sff.warped.scalars
     n1, n2 = geom.n1, geom.n2
     half_sq = 0.5 * sff.h_norm_sq()
     diag = _equality_diag(sff, n1)
@@ -354,7 +354,7 @@ def nearly_kahler_inequality(im: Immersion, x: Point, c: float, s: float,
     """Variant bound with free constants, on the full squared form norm."""
     geom = warped_geometry(im)
     sff = second_fundamental_form(im, x)
-    sc = leaf_scalars(geom, x)
+    sc = sff.warped.scalars
     return _result(x, sff.h_norm_sq(),
                    nearly_kahler_rhs(c, s, geom.n2, sc.lap_lnf), tol,
                    _equality_diag(sff, geom.n1),
@@ -367,7 +367,7 @@ def generalized_inequality(im: Immersion, x: Point, c_rk: float, gamma: float,
     squared form norm; gamma = 0 recovers the complex-space-form bound."""
     geom = warped_geometry(im)
     sff = second_fundamental_form(im, x)
-    sc = leaf_scalars(geom, x)
+    sc = sff.warped.scalars
     return _result(x, sff.h_norm_sq(),
                    generalized_rhs(c_rk, gamma, geom.n1, geom.n2,
                                    sc.grad_lnf_sq, sc.lap_lnf), tol,

@@ -203,7 +203,10 @@ def cos(u: Jet3) -> Jet3:
 
 
 def exp(u: Jet3) -> Jet3:
-    e = math.exp(u.value)
+    try:
+        e = math.exp(u.value)
+    except OverflowError:
+        raise JetDomainError("exp", u.value) from None
     return _lift(u, e, e, e, e)
 
 
@@ -244,37 +247,11 @@ def _pow_const(u: Jet3, c: float) -> Jet3:
         e = c - k
         if v == 0.0 and e < 0:
             raise JetDomainError("pow", v)
-        f.append(ck * v**e)
+        try:
+            f.append(ck * v**e)
+        except OverflowError:
+            raise JetDomainError("pow", v) from None
     return _lift(u, f[0], f[1], f[2], f[3])
-
-
-_UNARY = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "sqrt": sqrt}
-
-
-def jet_arith(op: str, *args: Jet3) -> Jet3:
-    """Dispatch jet arithmetic by operation name.
-
-    Binary ops: '+', '-', '*', '/', 'pow'.  Unary: 'neg', 'sin', 'cos',
-    'exp', 'ln', 'sqrt'.
-    """
-    if op in _UNARY:
-        (a,) = args
-        return _UNARY[op](a)
-    if op == "neg":
-        (a,) = args
-        return -a
-    a, b = args
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "pow":
-        return a**b
-    raise ValueError(f"unknown jet operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

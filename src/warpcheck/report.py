@@ -8,7 +8,9 @@ output bytes are identical across platforms and runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass
@@ -41,8 +43,10 @@ class CheckReport:
             points: int = 0, note: str = "", passed: bool | None = None) -> CheckRecord:
         if passed is None:
             passed = worst <= tol
+        # a non-finite worst value fails even an informational record
         rec = CheckRecord(name=name, anchor=anchor, worst=float(worst), tol=float(tol),
-                          passed=bool(passed), points=points, note=note)
+                          passed=bool(passed) and math.isfinite(worst),
+                          points=points, note=note)
         self.records.append(rec)
         return rec
 
@@ -60,8 +64,26 @@ class CheckReport:
     def passed(self) -> bool:
         return all(rec.passed for rec in self.records)
 
-    def worst_of(self, name: str) -> float:
-        return self[name].worst
+
+def nan_max(a: float, b: float) -> float:
+    """max(a, b), except that a NaN in either argument is the result
+    (max() keeps a when b is NaN, which would hide a bad point)."""
+    return a if a != a or b <= a else b
+
+
+def fold(per_point: Iterable[dict]) -> dict:
+    """Fold per-point value dicts into the worst value per key through
+    :func:`nan_max`.  A list folds each of its values; True/False values
+    are counted instead."""
+    worst: dict = {}
+    for values in per_point:
+        for key, v in values.items():
+            if isinstance(v, bool):
+                worst[key] = worst.get(key, 0) + v
+                continue
+            for u in v if isinstance(v, list) else [v]:
+                worst[key] = nan_max(worst[key], u) if key in worst else u
+    return worst
 
 
 # ---------------------------------------------------------------------------

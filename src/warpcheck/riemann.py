@@ -1,10 +1,11 @@
 """Intrinsic Riemannian geometry of a chart-level metric field.
 
-Everything here is a pure function of (metric source, point).  A metric
-source is any object exposing ``dim`` and ``derivs(x) -> (g, dg, d2g)``
-where ``dg[k,i,j]`` and ``d2g[k,l,i,j]`` are first and second coordinate
-partials of the matrix entries; :class:`MetricField` evaluates expression
-entries as jets, and induced metrics of immersions provide the same surface.
+Everything here is a pure function of (metric source, point), computed once
+per point by a :class:`MetricPoint`.  A metric source is any object exposing
+``dim`` and ``derivs(x) -> (g, dg, d2g)`` where ``dg[k,i,j]`` and
+``d2g[k,l,i,j]`` are first and second coordinate partials of the matrix
+entries (frames also read ``value(x)``); :class:`MetricField` evaluates
+expression entries as jets, and induced metrics provide the same surface.
 
 Index conventions, fixed once for the whole package:
 
@@ -19,7 +20,9 @@ Index conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ from . import expr as dsl
 from .errors import (DegenerateMetricError, DegeneratePlaneError,
                      DependentSeedsError)
 from .jets import DomainBox, Jet3, Point, as_point, jet_var
+from .report import nan_max
 
 GS_PIVOT_THRESHOLD = 1e-12
 PLANE_GRAM_THRESHOLD = 1e-12
@@ -108,7 +112,7 @@ class MetricField:
         for x in points:
             if self.symmetry_residual(x) > 1e-10:
                 raise DegenerateMetricError(f"metric not symmetric at {x}")
-            metric_value_checked(self, x)
+            _checked(self.value(x), x)
 
 
 @dataclass
@@ -129,25 +133,20 @@ class SlicedMetric:
     def dim(self) -> int:
         return len(self.axes)
 
-    def _full(self, x_sub: Point) -> np.ndarray:
+    def derivs(self, x_sub: Point):
         full = np.array(self.anchor, dtype=float)
         full[list(self.axes)] = x_sub
-        return full
-
-    def derivs(self, x_sub: Point):
-        g, dg, d2g = self.base.derivs(self._full(x_sub))
-        ix = list(self.axes)
-        return (g[np.ix_(ix, ix)], dg[np.ix_(ix, ix, ix)],
-                d2g[np.ix_(ix, ix, ix, ix)])
-
-    def value(self, x_sub: Point) -> np.ndarray:
-        ix = list(self.axes)
-        return self.base.value(self._full(x_sub))[np.ix_(ix, ix)]
+        return _block(self.base.derivs(full), self.axes)
 
 
-def metric_value_checked(g_like, x: Point) -> np.ndarray:
-    """Metric matrix at x, verified positive definite (all leading minors > 0)."""
-    g = g_like.value(x)
+def _block(derivs, axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ix = list(axes)
+    g, dg, d2g = derivs
+    return g[np.ix_(ix, ix)], dg[np.ix_(ix, ix, ix)], d2g[np.ix_(ix, ix, ix, ix)]
+
+
+def _checked(g: np.ndarray, x) -> np.ndarray:
+    """g itself, after verifying it is positive definite (all leading minors > 0)."""
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -161,48 +160,98 @@ def metric_value_checked(g_like, x: Point) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class MetricPoint:
+    """A metric source at one chart point; each field is computed on first use.
+
+    Everything derives from one ``derivs`` evaluation except ``value``, the
+    matrix frames are built from: an induced metric's J^T g J rounds
+    differently from its jets.  Callers holding either may set it.
+    """
+
+    def __init__(self, metric, x: Point):
+        self.metric = metric
+        self.x = as_point(x)
+
+    @cached_property
+    def derivs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.metric.derivs(self.x)
+
+    @cached_property
+    def value(self) -> np.ndarray:
+        if isinstance(self.metric, MetricField):
+            return self.derivs[0]
+        return self.metric.value(self.x)
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return np.linalg.inv(_checked(self.derivs[0], self.x))
+
+    @cached_property
+    def lowered(self) -> np.ndarray:
+        """Christoffel symbols of the first kind, Gamma_kij."""
+        dg = self.derivs[1]
+        return 0.5 * (np.einsum("ijk->kij", dg) + np.einsum("jik->kij", dg) - dg)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Levi-Civita connection coefficients Gamma[k,i,j]."""
+        return np.einsum("kl,lij->kij", self.ginv, self.lowered)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """Covariant curvature R[i,j,k,l] = g(R(d_i,d_j)d_k, d_l) in chart coordinates."""
+        g, dg, d2g = self.derivs
+        ginv, low, gamma = self.ginv, self.lowered, self.gamma
+
+        # d_m Gamma^l_ij = d_m(g^lk) Gamma_kij + g^lk d_m Gamma_kij
+        dginv = -np.einsum("la,mab,bk->mlk", ginv, dg, ginv)
+        dlow = 0.5 * (np.einsum("mijk->mkij", d2g) + np.einsum("mjik->mkij", d2g)
+                      - np.einsum("mkij->mkij", d2g))
+        dgamma = (np.einsum("mlk,kij->mlij", dginv, low)
+                  + np.einsum("lk,mkij->mlij", ginv, dlow))
+
+        # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
+        r_up = (np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
+                + np.einsum("lim,mjk->lkij", gamma, gamma)
+                - np.einsum("ljm,mik->lkij", gamma, gamma))
+        return np.einsum("lm,mkij->ijkl", g, r_up)
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Columns orthonormal for ``value``: Gram-Schmidt over the coordinate directions."""
+        return gram_schmidt(_checked(self.value, self.x), np.eye(self.metric.dim))
+
+    def scalar_curvature(self) -> float:
+        """Sum of sectional curvatures over orthonormal frame pairs."""
+        rf = frame_curvature(self.curvature, self.frame)
+        n = self.metric.dim
+        total = 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                total += rf[i, j, j, i]
+        return float(total)
+
+    def laplacian(self, psi: Jet3) -> float:
+        """Geometer's-sign Laplacian of a jet: minus the metric trace of its Hessian."""
+        return float(np.einsum("ij,kij,k->", self.ginv, self.gamma, psi.d1)
+                     - np.einsum("ij,ij->", self.ginv, psi.d2))
+
+    def block(self, axes) -> "MetricPoint":
+        """Record of a coordinate block, sliced from this record's jets."""
+        axes = tuple(axes)
+        sub = MetricPoint(SlicedMetric(self.metric, axes, self.x), self.x[list(axes)])
+        sub.derivs = _block(self.derivs, axes)
+        return sub
+
+
 def christoffel(g_like, x: Point) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma[k,i,j] at x."""
-    g, dg, _ = g_like.derivs(x)
-    return _christoffel_from(g, dg, x)
-
-
-def _inverse_checked(g: np.ndarray, x) -> np.ndarray:
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise DegenerateMetricError(
-            f"metric not positive definite at {np.asarray(x)}") from None
-    return np.linalg.inv(g)
-
-
-def _christoffel_from(g: np.ndarray, dg: np.ndarray, x) -> np.ndarray:
-    ginv = _inverse_checked(g, x)
-    low = 0.5 * (np.einsum("ijk->kij", dg) + np.einsum("jik->kij", dg)
-                 - np.einsum("kij->kij", dg))
-    return np.einsum("kl,lij->kij", ginv, low)
+    return MetricPoint(g_like, x).gamma
 
 
 def curvature_components(g_like, x: Point) -> np.ndarray:
     """Covariant curvature R[i,j,k,l] = g(R(d_i,d_j)d_k, d_l) in chart coordinates."""
-    g, dg, d2g = g_like.derivs(x)
-    ginv = _inverse_checked(g, x)
-
-    low = 0.5 * (np.einsum("ijk->kij", dg) + np.einsum("jik->kij", dg) - dg)
-    gamma = np.einsum("kl,lij->kij", ginv, low)
-
-    # d_m Gamma^l_ij = d_m(g^lk) Gamma_kij + g^lk d_m Gamma_kij
-    dginv = -np.einsum("la,mab,bk->mlk", ginv, dg, ginv)
-    dlow = 0.5 * (np.einsum("mijk->mkij", d2g) + np.einsum("mjik->mkij", d2g)
-                  - np.einsum("mkij->mkij", d2g))
-    dgamma = (np.einsum("mlk,kij->mlij", dginv, low)
-              + np.einsum("lk,mkij->mlij", ginv, dlow))
-
-    # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    r_up = (np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
-            + np.einsum("lim,mjk->lkij", gamma, gamma)
-            - np.einsum("ljm,mik->lkij", gamma, gamma))
-    return np.einsum("lm,mkij->ijkl", g, r_up)
+    return MetricPoint(g_like, x).curvature
 
 
 @dataclass
@@ -224,7 +273,7 @@ class Curvature4:
         }
 
     def max_symmetry_residual(self) -> float:
-        return max(self.symmetry_residuals().values())
+        return reduce(nan_max, self.symmetry_residuals().values())
 
 
 def curvature(g_like, x: Point) -> Curvature4:
@@ -236,15 +285,15 @@ def sectional(g_like, x: Point, X, Y) -> float:
     """Sectional curvature of span(X, Y); invariant under GL(2) changes of the pair."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    g = g_like.value(x)
+    p = MetricPoint(g_like, x)
+    g = p.value
     gxx = X @ g @ X
     gyy = Y @ g @ Y
     gxy = X @ g @ Y
     den = gxx * gyy - gxy * gxy
     if den <= PLANE_GRAM_THRESHOLD:
         raise DegeneratePlaneError(f"vectors do not span a 2-plane at {x}")
-    r4 = curvature_components(g_like, x)
-    num = np.einsum("ijkl,i,j,k,l->", r4, X, Y, Y, X)
+    num = np.einsum("ijkl,i,j,k,l->", p.curvature, X, Y, Y, X)
     return float(num / den)
 
 
@@ -255,15 +304,7 @@ def frame_curvature(r4: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 def scalar_curvature(g_like, x: Point) -> float:
     """Sum of sectional curvatures over orthonormal frame pairs (frame independent)."""
-    frame = orthonormal_frame(g_like, x)
-    r4 = curvature_components(g_like, x)
-    rf = frame_curvature(r4, frame.columns)
-    n = g_like.dim
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += rf[i, j, j, i]
-    return float(total)
+    return MetricPoint(g_like, x).scalar_curvature()
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +321,12 @@ def _psi_jet(g_like, psi, x: Point, params) -> Jet3:
 def gradient(g_like, psi, x: Point, params: Sequence[float] = ()) -> np.ndarray:
     """Gradient vector: the metric dual of d(psi), so g(grad psi, X) = X psi."""
     j = _psi_jet(g_like, psi, x, params)
-    g, _, _ = g_like.derivs(x)
-    return _inverse_checked(g, x) @ j.d1
+    return MetricPoint(g_like, x).ginv @ j.d1
 
 
 def grad_norm_sq(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
     j = _psi_jet(g_like, psi, x, params)
-    g, _, _ = g_like.derivs(x)
-    return float(j.d1 @ _inverse_checked(g, x) @ j.d1)
+    return float(j.d1 @ MetricPoint(g_like, x).ginv @ j.d1)
 
 
 def laplacian(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
@@ -296,12 +335,7 @@ def laplacian(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
     Flat chart: lap(x1^2) = -2.
     """
     j = _psi_jet(g_like, psi, x, params)
-    g, dg, _ = g_like.derivs(x)
-    ginv = _inverse_checked(g, x)
-    low = 0.5 * (np.einsum("ijk->kij", dg) + np.einsum("jik->kij", dg) - dg)
-    gamma = np.einsum("kl,lij->kij", ginv, low)
-    return float(np.einsum("ij,kij,k->", ginv, gamma, j.d1)
-                 - np.einsum("ij,ij->", ginv, j.d2))
+    return MetricPoint(g_like, x).laplacian(j)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +359,18 @@ class OrthoFrame:
         return float(np.max(np.abs(gram - np.eye(self.k))))
 
 
+def gram_schmidt_step(g: np.ndarray, basis, seed: np.ndarray,
+                      threshold: float) -> np.ndarray | None:
+    """The seed made g-orthonormal to the orthonormal basis vectors (twice, for
+    float stability); None when its residual norm is below the threshold."""
+    v = seed.astype(float).copy()
+    for _ in range(2):
+        for u in basis:
+            v -= (u @ g @ v) * u
+    nrm = math.sqrt(max(v @ g @ v, 0.0))
+    return None if nrm < threshold else v / nrm
+
+
 def gram_schmidt(g: np.ndarray, seeds: np.ndarray,
                  threshold: float = GS_PIVOT_THRESHOLD) -> np.ndarray:
     """Modified Gram-Schmidt against inner product g, preserving seed order.
@@ -335,22 +381,18 @@ def gram_schmidt(g: np.ndarray, seeds: np.ndarray,
     n, k = seeds.shape
     cols = np.zeros((n, 0))
     for j in range(k):
-        v = seeds[:, j].astype(float).copy()
-        for _ in range(2):  # re-orthogonalize once for float stability
-            for i in range(cols.shape[1]):
-                v -= (cols[:, i] @ g @ v) * cols[:, i]
-        nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
-        if nrm < threshold:
+        v = gram_schmidt_step(g, cols.T, seeds[:, j], threshold)
+        if v is None:
             raise DependentSeedsError(f"seed {j} is dependent on earlier seeds")
-        cols = np.column_stack([cols, v / nrm])
+        cols = np.column_stack([cols, v])
     return cols
 
 
 def orthonormal_frame(g_like, x: Point, seeds: np.ndarray | None = None) -> OrthoFrame:
     """Frame of the whole tangent space at x, Gram-Schmidt over the seeds
     (coordinate directions by default)."""
-    x = as_point(x)
-    g = metric_value_checked(g_like, x)
+    p = MetricPoint(g_like, x)
     if seeds is None:
-        seeds = np.eye(g_like.dim)
-    return OrthoFrame(np.array(x), gram_schmidt(g, np.asarray(seeds, dtype=float)))
+        return OrthoFrame(np.array(p.x), p.frame)
+    cols = gram_schmidt(_checked(p.value, p.x), np.asarray(seeds, dtype=float))
+    return OrthoFrame(np.array(p.x), cols)

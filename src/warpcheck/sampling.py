@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .jets import DomainBox
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -27,7 +28,7 @@ def radical_inverse(index: int, base: int) -> float:
 
 def halton_point(index: int, dim: int) -> np.ndarray:
     if dim > len(_PRIMES):
-        raise ValueError(f"halton sampler supports dim <= {len(_PRIMES)}")
+        raise ConfigurationError(f"halton sampler supports dim <= {len(_PRIMES)}")
     return np.array([radical_inverse(index, _PRIMES[k]) for k in range(dim)])
 
 
@@ -44,7 +45,7 @@ def halton_points(box: DomainBox, n: int, seed: int = 0) -> list[np.ndarray]:
         index += 1
         guard += 1
         if guard > 1000 * max(n, 1):
-            raise RuntimeError("excluded regions reject nearly all samples")
+            raise ConfigurationError("excluded regions reject nearly all samples")
         if box.contains(x):
             out.append(x)
     return out

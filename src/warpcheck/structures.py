@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,11 +20,11 @@ import numpy as np
 from . import expr as dsl
 from .errors import ConfigurationError, DegeneratePlaneError
 from .jets import Point, as_point, jet_var
-from .report import CheckReport
-from .riemann import MetricField, christoffel
+from .report import CheckReport, fold
+from .riemann import MetricField, MetricPoint
 
 
-def _eval_matrix(entries, x: Point, params, dim: int):
+def _eval_matrix(entries, x: Point, params):
     """Values and first derivatives of a matrix of expressions.
 
     Returns (V, D) with V[i,j] the value and D[k,i,j] the k-th partial.
@@ -42,16 +43,16 @@ def _eval_matrix(entries, x: Point, params, dim: int):
     return v, d
 
 
-def _eval_vector(entries, x: Point, params):
-    x = as_point(x)
-    seeds = [jet_var(i, x) for i in range(x.shape[0])]
-    v = np.empty(len(entries))
-    d = np.empty((x.shape[0], len(entries)))
-    for i, e in enumerate(entries):
-        jet = dsl.eval_jets(e, seeds, params)
-        v[i] = jet.value
-        d[:, i] = jet.d1
-    return v, d
+class _Structure:
+    """What almost complex and almost contact structures share."""
+
+    @property
+    def dim(self) -> int:
+        return self.metric.dim
+
+    def at(self, x: Point, metric: MetricPoint | None = None) -> "StructureTensors":
+        """The structure's tensors at x, sharing the metric's record if given."""
+        return StructureTensors(self, x, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,7 @@ def _eval_vector(entries, x: Point, params):
 
 
 @dataclass
-class AlmostComplexStructure:
+class AlmostComplexStructure(_Structure):
     """(1,1) tensor field J on an even-dimensional chart metric."""
 
     metric: MetricField
@@ -68,44 +69,43 @@ class AlmostComplexStructure:
     params: tuple[float, ...] = ()
     name: str = ""
 
-    @property
-    def dim(self) -> int:
-        return self.metric.dim
-
-    def j_value(self, x: Point) -> np.ndarray:
-        v, _ = _eval_matrix(self.j_entries, x, self.params, self.dim)
-        return v
-
-    def square_residual(self, x: Point) -> float:
-        j = self.j_value(x)
+    def square_residual(self, x: Point, tensors=None) -> float:
+        j = (tensors or self.at(x)).op[0]
         return float(np.max(np.abs(j @ j + np.eye(self.dim))))
 
-    def compatibility_residual(self, x: Point) -> float:
-        j = self.j_value(x)
-        g = self.metric.value(x)
+    def compatibility_residual(self, x: Point, tensors=None) -> float:
+        t = tensors or self.at(x)
+        j, g = t.op[0], t.metric.value
         return float(np.max(np.abs(j.T @ g @ j - g)))
 
-    def parallel_residual(self, x: Point) -> float:
+    def parallel_residual(self, x: Point, tensors=None) -> float:
         """Max component of the covariant derivative of J (zero iff Kahler at x)."""
-        j, dj = _eval_matrix(self.j_entries, x, self.params, self.dim)
-        gam = christoffel(self.metric, x)
+        t = tensors or self.at(x)
+        j, dj = t.op
+        gam = t.metric.gamma
         # (nabla_i J)^k_j = d_i J^k_j + Gamma^k_im J^m_j - Gamma^m_ij J^k_m
         nj = (dj + np.einsum("kim,mj->ikj", gam, j)
               - np.einsum("mij,km->ikj", gam, j))
         return float(np.max(np.abs(nj)))
 
-    def validate(self, points: Sequence[Point], tol: float = 1e-10,
-                 require_kahler: bool = False) -> CheckReport:
-        rep = CheckReport()
-        sq = max(self.square_residual(x) for x in points)
-        comp = max(self.compatibility_residual(x) for x in points)
-        rep.add("complex-square", "almost-complex-square", sq, tol, len(points))
-        rep.add("complex-compatibility", "almost-complex-compatibility", comp, tol,
-                len(points))
+    def residuals(self, t: "StructureTensors", require_kahler: bool) -> dict[str, float]:
+        """Per-point values of the records :meth:`validate` reports."""
+        out = {"complex-square": self.square_residual(t.x, t),
+               "complex-compatibility": self.compatibility_residual(t.x, t)}
         if require_kahler:
-            par = max(self.parallel_residual(x) for x in points)
-            rep.add("kahler-parallel", "kahler-parallel-structure", par, 1e-8,
-                    len(points))
+            out["kahler-parallel"] = self.parallel_residual(t.x, t)
+        return out
+
+    def validate(self, points: Sequence[Point], tol: float = 1e-10,
+                 require_kahler: bool = False, worst: dict | None = None) -> CheckReport:
+        """``worst``: the per-point values already folded, from a caller's walk."""
+        worst = worst or fold(self.residuals(self.at(x), require_kahler) for x in points)
+        rep = CheckReport()
+        for key, anchor, t in (("complex-square", "almost-complex-square", tol),
+                               ("complex-compatibility", "almost-complex-compatibility", tol),
+                               ("kahler-parallel", "kahler-parallel-structure", 1e-8)):
+            if key in worst:
+                rep.add(key, anchor, worst[key], t, len(points))
         return rep
 
 
@@ -115,7 +115,7 @@ class AlmostComplexStructure:
 
 
 @dataclass
-class AlmostContactStructure:
+class AlmostContactStructure(_Structure):
     """(phi, xi, eta, g) on an odd-dimensional chart metric."""
 
     metric: MetricField
@@ -125,53 +125,80 @@ class AlmostContactStructure:
     params: tuple[float, ...] = ()
     name: str = ""
 
-    @property
-    def dim(self) -> int:
-        return self.metric.dim
-
     def tensors_at(self, x: Point):
-        phi, _ = _eval_matrix(self.phi_entries, x, self.params, self.dim)
-        xi, _ = _eval_vector(self.xi_entries, x, self.params)
-        eta, _ = _eval_vector(self.eta_entries, x, self.params)
-        return phi, xi, eta
+        t = self.at(x)
+        return t.op[0], t.xi, t.eta[0]
 
-    def identity_residuals(self, x: Point) -> dict[str, float]:
+    def identity_residuals(self, x: Point, tensors=None) -> dict[str, float]:
         """The six defining identities of an almost contact metric structure."""
         n = self.dim
-        phi, xi, eta = self.tensors_at(x)
-        g = self.metric.value(x)
-        return {
-            "phi_square": float(np.max(np.abs(phi @ phi + np.eye(n) - np.outer(xi, eta)))),
-            "phi_of_reeb": float(np.max(np.abs(phi @ xi))),
-            "dual_form_kills_phi": float(np.max(np.abs(eta @ phi))),
-            "dual_pairing": abs(float(eta @ xi) - 1.0),
-            "dual_is_metric_dual": float(np.max(np.abs(eta - g @ xi))),
-            "phi_compatibility": float(np.max(np.abs(phi.T @ g @ phi - (g - np.outer(eta, eta))))),
-        }
+        t = tensors or self.at(x)
+        phi, xi, eta, g = t.op[0], t.xi, t.eta[0], t.metric.value
+        return dict(zip(CONTACT_IDENTITIES, (
+            float(np.max(np.abs(phi @ phi + np.eye(n) - np.outer(xi, eta)))),
+            float(np.max(np.abs(phi @ xi))),
+            float(np.max(np.abs(eta @ phi))),
+            abs(float(eta @ xi) - 1.0),
+            float(np.max(np.abs(eta - g @ xi))),
+            float(np.max(np.abs(phi.T @ g @ phi - (g - np.outer(eta, eta))))),
+        )))
+
+
+CONTACT_IDENTITIES = ("phi_square", "phi_of_reeb", "dual_form_kills_phi",
+                      "dual_pairing", "dual_is_metric_dual", "phi_compatibility")
+
+
+class StructureTensors:
+    """A structure's tensors at one chart point, each evaluated on first use,
+    with the record of its metric there (shared when one is passed in)."""
+
+    def __init__(self, s, x: Point, metric: MetricPoint | None = None):
+        self.s = s
+        self.x = as_point(x)
+        self.metric = metric or MetricPoint(s.metric, self.x)
+
+    @cached_property
+    def op(self) -> tuple[np.ndarray, np.ndarray]:
+        """J or phi and its first partials D[k,i,j]."""
+        s = self.s
+        entries = s.j_entries if isinstance(s, AlmostComplexStructure) else s.phi_entries
+        return _eval_matrix(entries, self.x, s.params)
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        return _eval_matrix([self.s.xi_entries], self.x, self.s.params)[0][0]
+
+    @cached_property
+    def eta(self) -> tuple[np.ndarray, np.ndarray]:
+        """eta and its first partials D[k,i]."""
+        v, d = _eval_matrix([self.s.eta_entries], self.x, self.s.params)
+        return v[0], d[:, 0]
 
 
 def validate_almost_contact(s: AlmostContactStructure, points: Sequence[Point],
-                            tol: float = 1e-10) -> CheckReport:
-    """Max residual of each defining identity over the sample points."""
+                            tol: float = 1e-10, worst: dict | None = None) -> CheckReport:
+    """Max residual of each defining identity over the sample points.
+
+    ``worst``: the per-point values already folded, from a caller's walk.
+    """
     if s.dim % 2 == 0:
         raise ConfigurationError("almost contact structures need odd dimension")
-    worst: dict[str, float] = {}
-    for x in points:
-        for key, val in s.identity_residuals(x).items():
-            worst[key] = max(worst.get(key, 0.0), val)
+    worst = worst or fold(s.identity_residuals(x) for x in points)
     rep = CheckReport()
-    for key, val in worst.items():
-        rep.add(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}", val, tol,
-                len(points))
+    for key in CONTACT_IDENTITIES:
+        rep.add(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}", worst[key],
+                tol, len(points))
     return rep
 
 
-def covariant_phi_derivative(s: AlmostContactStructure, X, Y, x: Point) -> np.ndarray:
+def covariant_phi_derivative(s: AlmostContactStructure, X, Y, x: Point,
+                             tensors=None) -> np.ndarray:
     """(nabla_X phi)Y for vectors at x (constant coordinate extensions)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    phi, dphi = _eval_matrix(s.phi_entries, x, s.params, s.dim)
-    gam = christoffel(s.metric, x)
+    t = tensors or s.at(x)
+    phi, dphi = t.op
+    gam = t.metric.gamma
     term = np.einsum("i,ikm,m->k", X, dphi, Y)
     term += np.einsum("kim,i,mj,j->k", gam, X, phi, Y)
     term -= np.einsum("km,mij,i,j->k", phi, gam, X, Y)
@@ -182,15 +209,15 @@ CLASS_NAMES = ("sasakian", "kenmotsu", "cosymplectic", "nearly_cosymplectic")
 
 
 def structure_class_residual(s: AlmostContactStructure, klass: str, X, Y,
-                             x: Point) -> float:
+                             x: Point, tensors=None) -> float:
     """Metric norm of the defect of the class-defining covariant-derivative law."""
     if klass not in CLASS_NAMES:
         raise ConfigurationError(f"unknown structure class {klass!r}")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    g = s.metric.value(x)
-    phi, xi, eta = s.tensors_at(x)
-    lhs = covariant_phi_derivative(s, X, Y, x)
+    t = tensors or s.at(x)
+    phi, xi, eta, g = t.op[0], t.xi, t.eta[0], t.metric.value
+    lhs = covariant_phi_derivative(s, X, Y, x, t)
     if klass == "sasakian":
         rhs = -(X @ g @ Y) * xi + (eta @ Y) * X
     elif klass == "kenmotsu":
@@ -198,19 +225,20 @@ def structure_class_residual(s: AlmostContactStructure, klass: str, X, Y,
     elif klass == "cosymplectic":
         rhs = np.zeros(s.dim)
     else:  # nearly cosymplectic: symmetrized derivative vanishes
-        lhs = lhs + covariant_phi_derivative(s, Y, X, x)
+        lhs = lhs + covariant_phi_derivative(s, Y, X, x, t)
         rhs = np.zeros(s.dim)
     diff = lhs - rhs
     return float(math.sqrt(max(diff @ g @ diff, 0.0)))
 
 
-def _exterior_d_eta(s: AlmostContactStructure, X, Y, x: Point) -> float:
+def _exterior_d_eta(t: StructureTensors, X, Y) -> float:
     """d(eta)(X, Y) = X eta(Y) - Y eta(X) for constant-extended X, Y."""
-    _, deta = _eval_vector(s.eta_entries, x, s.params)
+    deta = t.eta[1]
     return float(np.einsum("i,ij,j->", X, deta, Y) - np.einsum("i,ij,j->", Y, deta, X))
 
 
-def nijenhuis_normality_residual(s: AlmostContactStructure, X, Y, x: Point) -> float:
+def nijenhuis_normality_residual(s: AlmostContactStructure, X, Y, x: Point,
+                                 tensors=None) -> float:
     """Metric norm of the normality defect [phi, phi](X, Y) + d(eta)(X, Y) xi.
 
     Convention note: with the halved exterior derivative
@@ -225,9 +253,8 @@ def nijenhuis_normality_residual(s: AlmostContactStructure, X, Y, x: Point) -> f
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    phi, dphi = _eval_matrix(s.phi_entries, x, s.params, s.dim)
-    _, xi, _ = s.tensors_at(x)
-    g = s.metric.value(x)
+    t = tensors or s.at(x)
+    (phi, dphi), xi, g = t.op, t.xi, t.metric.value
 
     fx = phi @ X
     fy = phi @ Y
@@ -238,17 +265,17 @@ def nijenhuis_normality_residual(s: AlmostContactStructure, X, Y, x: Point) -> f
     nij = (bracket_fxfy
            - phi @ np.einsum("k,ki->i", X, dfy)
            + phi @ np.einsum("k,ki->i", Y, dfx))
-    vec = nij + _exterior_d_eta(s, X, Y, x) * xi
+    vec = nij + _exterior_d_eta(t, X, Y) * xi
     return float(math.sqrt(max(vec @ g @ vec, 0.0)))
 
 
-def fundamental_form_residual(s: AlmostContactStructure, X, Y, x: Point) -> float:
+def fundamental_form_residual(s: AlmostContactStructure, X, Y, x: Point,
+                              tensors=None) -> float:
     """|Phi(X,Y) - d(eta)(X,Y)/2| with Phi(X,Y) = g(phi X, Y) (contact metric law)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    phi, _, _ = s.tensors_at(x)
-    g = s.metric.value(x)
-    return abs(float((phi @ X) @ g @ Y) - 0.5 * _exterior_d_eta(s, X, Y, x))
+    t = tensors or s.at(x)
+    return abs(float((t.op[0] @ X) @ t.metric.value @ Y) - 0.5 * _exterior_d_eta(t, X, Y))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -21,12 +22,12 @@ from . import expr as dsl
 from .errors import (ConfigurationError, ImmersionDegenerateError,
                      InvalidNormalError)
 from .jets import DomainBox, Jet3, Point, as_point, differentiate, jet_var
-from .report import CheckReport
-from .riemann import (MetricField, SlicedMetric, christoffel,
-                      curvature_components, frame_curvature, gram_schmidt,
-                      metric_value_checked, scalar_curvature)
-from .structures import AlmostComplexStructure, AlmostContactStructure
-from .warped import WarpedGeometry
+from .report import CheckReport, fold, nan_max
+from .riemann import (MetricField, MetricPoint, frame_curvature, gram_schmidt,
+                      gram_schmidt_step)
+from .structures import (AlmostComplexStructure, AlmostContactStructure,
+                         StructureTensors)
+from .warped import WarpedGeometry, WarpedPoint
 
 RANK_THRESHOLD = 1e-8
 NORMAL_COMPLETION_THRESHOLD = 1e-8
@@ -72,13 +73,7 @@ class Immersion:
         return [dsl.eval_jets(c, seeds, self.params) for c in self.components]
 
     def map_point(self, x: Point) -> np.ndarray:
-        x = as_point(x)
-        return np.array([dsl.eval_expr(c, x, self.params).value
-                         for c in self.components])
-
-    def jacobian(self, x: Point) -> np.ndarray:
-        jets_ = self.component_jets(x)
-        return np.array([j.d1 for j in jets_])  # shape (m, n)
+        return np.array([p.value for p in self.component_jets(x)])
 
 
 @dataclass
@@ -114,25 +109,12 @@ class InducedMetric:
                 out[j][i] = acc
         return out
 
-    def derivs(self, x: Point):
-        n = self.dim
-        jets_ = self.entry_jets(x)
-        g = np.empty((n, n))
-        dg = np.empty((n, n, n))
-        d2g = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                jet = jets_[i][j]
-                g[i, j] = jet.value
-                dg[:, i, j] = jet.d1
-                d2g[:, :, i, j] = jet.d2
-        return g, dg, d2g
+    derivs = MetricField.derivs  # the same packing of entry_jets
 
     def value(self, x: Point) -> np.ndarray:
-        im = self.im
-        jac = im.jacobian(x)
-        g_amb = im.ambient.value(im.map_point(x))
-        return jac.T @ g_amb @ jac
+        phi = self.im.component_jets(x)
+        jac = np.array([p.d1 for p in phi])
+        return jac.T @ self.im.ambient.value(np.array([p.value for p in phi])) @ jac
 
 
 def induced_metric(im: Immersion) -> InducedMetric:
@@ -154,6 +136,11 @@ class SFFData:
     ``normal_frame`` columns are ambient vectors.  ``h_coord`` holds the
     normal-valued form on coordinate fields, ``h_frame`` on the orthonormal
     tangent frame; ``coeffs[r, i, j]`` are its components in the normal frame.
+
+    It is also the record every check at the point shares: the ambient and
+    induced metric records, the structure tensors and the warped split,
+    each filled on first use, so a caller that needs only the form builds
+    nothing more.
     """
 
     point: np.ndarray
@@ -168,10 +155,21 @@ class SFFData:
     h_frame: np.ndarray            # (n, n, m), h on the orthonormal frame
     coeffs: np.ndarray             # (m-n, n, n)
     mean: np.ndarray               # (m,)
+    im: Immersion
+    d_full: np.ndarray             # (n, n, m), ambient derivative of the coordinate frame
+    ambient: MetricPoint           # ambient metric at ambient_point
+    induced: MetricPoint           # induced metric at point
     n1: int | None = None
     mean_leaf: np.ndarray | None = None   # partial mean over the leaf block
     mean_fiber: np.ndarray | None = None  # partial mean over the fiber block
     nu_start: int | None = None    # normal-frame index where the invariant complement starts
+    tensors: StructureTensors | None = None  # ambient structure at ambient_point
+    warped: WarpedPoint | None = None        # warped split of the induced metric
+
+    @cached_property
+    def ambient_frame_curvature(self) -> np.ndarray:
+        """Ambient curvature tensor contracted into the tangent frame."""
+        return frame_curvature(self.ambient.curvature, self.tangent_ambient)
 
     @property
     def n(self) -> int:
@@ -185,6 +183,12 @@ class SFFData:
 
     def vec_norm(self, v: np.ndarray) -> float:
         return float(math.sqrt(max(v @ self.g_ambient @ v, 0.0)))
+
+    def umbilicity(self, mean: np.ndarray, start: int = 0) -> list[float]:
+        """Norms of h(e_i, e_j) - delta_ij mean over the frame from index start on."""
+        n = self.n
+        return [self.vec_norm(self.h_frame[i, j] - (1.0 if i == j else 0.0) * mean)
+                for i in range(start, n) for j in range(start, n)]
 
     def h_on(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """h evaluated on sub-chart coordinate vectors."""
@@ -208,35 +212,18 @@ def _complete_normal_frame(g_amb: np.ndarray, tangent_cols: np.ndarray,
     Returns the normal columns and the count taken from priority seeds.
     """
     accepted = tangent_cols.copy()
-    normals: list[np.ndarray] = []
+    priority = [] if priority_seeds is None else list(priority_seeds.T)
     n_priority = 0
-
-    def try_seed(seed: np.ndarray) -> bool:
-        nonlocal accepted
-        v = seed.astype(float).copy()
-        for _ in range(2):
-            for i in range(accepted.shape[1]):
-                u = accepted[:, i]
-                v -= (u @ g_amb @ v) * u
-        nrm = math.sqrt(max(v @ g_amb @ v, 0.0))
-        if nrm < NORMAL_COMPLETION_THRESHOLD:
-            return False
-        v /= nrm
-        accepted = np.column_stack([accepted, v])
-        normals.append(v)
-        return True
-
-    if priority_seeds is not None:
-        for j in range(priority_seeds.shape[1]):
-            if try_seed(priority_seeds[:, j]):
-                n_priority += 1
-    for j in range(m):
-        if len(normals) == m - tangent_cols.shape[1]:
+    for j, seed in enumerate(priority + list(np.eye(m))):
+        if j >= len(priority) and accepted.shape[1] == m:
             break
-        try_seed(np.eye(m)[:, j])
-    if len(normals) != m - tangent_cols.shape[1]:
+        v = gram_schmidt_step(g_amb, accepted.T, seed, NORMAL_COMPLETION_THRESHOLD)
+        if v is not None:
+            accepted = np.column_stack([accepted, v])
+            n_priority += j < len(priority)
+    if accepted.shape[1] != m:
         raise ImmersionDegenerateError("could not complete normal frame")
-    return np.column_stack(normals) if normals else np.zeros((m, 0)), n_priority
+    return np.ascontiguousarray(accepted[:, tangent_cols.shape[1]:]), n_priority
 
 
 def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
@@ -249,7 +236,9 @@ def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
     jac = np.array([p.d1 for p in phi])              # (m, n)
     d2phi = np.array([p.d2 for p in phi])            # (m, n, n)
 
-    g_amb = metric_value_checked(im.ambient, y)
+    amb = MetricPoint(im.ambient, y)
+    gam = amb.gamma                # verifies the ambient metric is positive definite
+    g_amb = amb.value
     g_ind = jac.T @ g_amb @ jac
     eigs = np.linalg.eigvalsh(g_ind)
     if eigs[0] <= RANK_THRESHOLD**2:
@@ -257,10 +246,11 @@ def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
             f"immersion differential near rank-deficient at {x} "
             f"(smallest singular value {math.sqrt(max(eigs[0], 0.0)):.3e})")
 
-    tangent_frame = gram_schmidt(g_ind, np.eye(n))
+    induced = MetricPoint(InducedMetric(im), x)
+    induced.value = g_ind
+    tangent_frame = induced.frame
     tangent_amb = jac @ tangent_frame                # (m, n), ambient-orthonormal
 
-    gam = christoffel(im.ambient, y)
     # full ambient derivative of the coordinate frame: D[i,j,:] in ambient coords
     d_full = np.einsum("kij->ijk", d2phi) + np.einsum(
         "klm,li,mj->ijk", gam, jac, jac)
@@ -269,13 +259,13 @@ def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
     h_coord = d_full - np.einsum("ija,ka->ijk", tang_comp, tangent_amb)
     h_frame = np.einsum("pqk,pi,qj->ijk", h_coord, tangent_frame, tangent_frame)
 
+    s = im.structure
+    tensors = None if s is None else s.at(y, amb if s.metric is im.ambient else None)
     priority = None
-    if isinstance(im.structure, AlmostContactStructure) and im.warped is not None:
+    if isinstance(s, AlmostContactStructure) and im.warped is not None:
         # image of the fiber (anti-invariant) frame under phi comes first, so
         # the invariant complement of the normal bundle sits after it
-        phi_mat, _, _ = im.structure.tensors_at(y)
-        fiber_amb = tangent_amb[:, im.warped.n1:]
-        priority = phi_mat @ fiber_amb
+        priority = tensors.op[0] @ tangent_amb[:, im.warped.n1:]
     normal_frame, n_priority = _complete_normal_frame(g_amb, tangent_amb, priority, m)
 
     coeffs = np.einsum("ijk,km,mr->rij", h_frame, g_amb, normal_frame)
@@ -292,9 +282,10 @@ def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
         point=np.array(x), ambient_point=y, g_induced=g_ind, g_ambient=g_amb,
         jacobian=jac, tangent_frame=tangent_frame, tangent_ambient=tangent_amb,
         normal_frame=normal_frame, h_coord=h_coord, h_frame=h_frame,
-        coeffs=coeffs, mean=mean, n1=n1, mean_leaf=mean_leaf,
-        mean_fiber=mean_fiber,
-        nu_start=n_priority if priority is not None else None,
+        coeffs=coeffs, mean=mean, im=im, d_full=d_full, ambient=amb,
+        induced=induced, n1=n1, mean_leaf=mean_leaf, mean_fiber=mean_fiber,
+        nu_start=n_priority if priority is not None else None, tensors=tensors,
+        warped=None if decl is None else WarpedPoint(warped_geometry(im), x, induced),
     )
 
 
@@ -319,12 +310,7 @@ def shape_operator(im: Immersion, x: Point, zeta: np.ndarray,
         raise InvalidNormalError(
             f"vector has tangential component {np.max(np.abs(tang)):.3e}")
 
-    phi_jets = im.component_jets(x)
-    d2phi = np.array([p.d2 for p in phi_jets])
-    gam = christoffel(im.ambient, sff.ambient_point)
-    d_full = np.einsum("kij->ijk", d2phi) + np.einsum(
-        "klm,li,mj->ijk", gam, sff.jacobian, sff.jacobian)
-    b = np.einsum("ijk,km,m->ij", d_full, sff.g_ambient, zeta)
+    b = np.einsum("ijk,km,m->ij", sff.d_full, sff.g_ambient, zeta)
     a = np.linalg.solve(sff.g_induced, b)
 
     lhs = sff.g_induced @ a   # g(A d_p, d_q) as a matrix
@@ -337,20 +323,13 @@ def shape_operator(im: Immersion, x: Point, zeta: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def ambient_frame_curvature(im: Immersion, sff: SFFData) -> np.ndarray:
-    """Ambient curvature tensor contracted into the tangent frame."""
-    r4 = curvature_components(im.ambient, sff.ambient_point)
-    return frame_curvature(r4, sff.tangent_ambient)
-
-
 def gauss_residual_tensor(im: Immersion, x: Point,
                           sff: SFFData | None = None) -> np.ndarray:
     """Pointwise defect tensor of the curvature relation between the induced
     and ambient metrics, over the orthonormal tangent frame."""
     sff = sff or second_fundamental_form(im, x)
-    r_ind = frame_curvature(curvature_components(InducedMetric(im), x),
-                            sff.tangent_frame)
-    r_amb = ambient_frame_curvature(im, sff)
+    r_ind = frame_curvature(sff.induced.curvature, sff.tangent_frame)
+    r_amb = sff.ambient_frame_curvature
     c = sff.coeffs
     h_term = np.einsum("ril,rjk->ijkl", c, c) - np.einsum("rik,rjl->ijkl", c, c)
     return r_ind - r_amb - h_term
@@ -370,8 +349,8 @@ def scalar_identity_residual(im: Immersion, x: Point,
     curvature against the ambient tangent-plane sum plus mean-curvature and
     form-norm terms."""
     sff = sff or second_fundamental_form(im, x)
-    tau = scalar_curvature(InducedMetric(im), x)
-    r_amb = ambient_frame_curvature(im, sff)
+    tau = sff.induced.scalar_curvature()
+    r_amb = sff.ambient_frame_curvature
     n = sff.n
     tau_amb = sum(r_amb[i, j, j, i] for i in range(n) for j in range(i + 1, n))
     lhs = 2.0 * tau
@@ -409,6 +388,19 @@ def relative_null_space(im: Immersion, x: Point,
 # ---------------------------------------------------------------------------
 
 
+# residual key, ClassificationFlags predicate, report name
+PREDICATES = (
+    ("geodesic", "totally_geodesic", "totally-geodesic"),
+    ("umbilical", "totally_umbilical", "totally-umbilical"),
+    ("minimal", "minimal", "minimal"),
+    ("mixed_geodesic", "mixed_totally_geodesic", "mixed-totally-geodesic"),
+    ("d1_geodesic", "d1_totally_geodesic", "leaf-totally-geodesic"),
+    ("d1_minimal", "d1_minimal", "leaf-minimal"),
+    ("d2_minimal", "d2_minimal", "fiber-minimal"),
+    ("d2_umbilical", "d2_totally_umbilical", "fiber-totally-umbilical"),
+)
+
+
 @dataclass
 class ClassificationFlags:
     """Worst-case residuals over the sample and the derived predicates.
@@ -428,54 +420,35 @@ class ClassificationFlags:
     d2_totally_umbilical: bool | None = None
 
 
-def classify(im: Immersion, points: Sequence[Point],
-             tol: float = CLASSIFY_TOL) -> ClassificationFlags:
+def classification_residuals(sff: SFFData) -> dict:
+    """Defining residuals of the predicates at one point; the block-split
+    ones only under a warped declaration."""
+    n, n1 = sff.n, sff.n1
+    h_norms = np.array([[sff.vec_norm(sff.h_frame[i, j])
+                         for j in range(n)] for i in range(n)])
+    out = {"geodesic": float(h_norms.max()),
+           "umbilical": sff.umbilicity(sff.mean),
+           "minimal": sff.mean_norm()}
+    if n1 is not None:
+        out.update(
+            mixed_geodesic=float(h_norms[:n1, n1:].max()) if n1 < n else 0.0,
+            d1_geodesic=float(h_norms[:n1, :n1].max()),
+            d1_minimal=sff.vec_norm(sff.mean_leaf),
+            d2_minimal=sff.vec_norm(sff.mean_fiber),
+            d2_umbilical=sff.umbilicity(sff.mean_fiber, n1))
+    return out
+
+
+def classify(im: Immersion, points: Sequence[Point], tol: float = CLASSIFY_TOL,
+             worst: dict | None = None) -> ClassificationFlags:
     """Each predicate holds iff its defining residual stays below tol at all
-    sampled points."""
-    decl = im.warped
-    keys = ["geodesic", "umbilical", "minimal"]
-    if decl is not None:
-        keys += ["mixed_geodesic", "d1_geodesic", "d1_minimal", "d2_minimal",
-                 "d2_umbilical"]
-    worst = {k: 0.0 for k in keys}
-
-    for x in points:
-        sff = second_fundamental_form(im, x)
-        n = sff.n
-        h_norms = np.array([[sff.vec_norm(sff.h_frame[i, j])
-                             for j in range(n)] for i in range(n)])
-        worst["geodesic"] = max(worst["geodesic"], float(h_norms.max()))
-        umb = max(sff.vec_norm(sff.h_frame[i, j] - (1.0 if i == j else 0.0) * sff.mean)
-                  for i in range(n) for j in range(n))
-        worst["umbilical"] = max(worst["umbilical"], umb)
-        worst["minimal"] = max(worst["minimal"], sff.mean_norm())
-        if decl is not None:
-            n1 = decl.n1
-            worst["mixed_geodesic"] = max(
-                worst["mixed_geodesic"],
-                float(h_norms[:n1, n1:].max()) if n1 < n else 0.0)
-            worst["d1_geodesic"] = max(worst["d1_geodesic"],
-                                       float(h_norms[:n1, :n1].max()))
-            worst["d1_minimal"] = max(worst["d1_minimal"],
-                                      sff.vec_norm(sff.mean_leaf))
-            worst["d2_minimal"] = max(worst["d2_minimal"],
-                                      sff.vec_norm(sff.mean_fiber))
-            umb2 = max(sff.vec_norm(sff.h_frame[i, j]
-                                    - (1.0 if i == j else 0.0) * sff.mean_fiber)
-                       for i in range(n1, n) for j in range(n1, n))
-            worst["d2_umbilical"] = max(worst["d2_umbilical"], umb2)
-
-    flags = ClassificationFlags(residuals=worst, tol=tol,
-                                totally_geodesic=worst["geodesic"] < tol,
-                                totally_umbilical=worst["umbilical"] < tol,
-                                minimal=worst["minimal"] < tol)
-    if decl is not None:
-        flags.mixed_totally_geodesic = worst["mixed_geodesic"] < tol
-        flags.d1_totally_geodesic = worst["d1_geodesic"] < tol
-        flags.d1_minimal = worst["d1_minimal"] < tol
-        flags.d2_minimal = worst["d2_minimal"] < tol
-        flags.d2_totally_umbilical = worst["d2_umbilical"] < tol
-    return flags
+    sampled points.  ``worst``: the values already folded, from a
+    caller's walk."""
+    worst = worst or fold(classification_residuals(second_fundamental_form(im, x))
+                          for x in points)
+    present = [(key, attr) for key, attr, _ in PREDICATES if key in worst]
+    return ClassificationFlags(residuals={key: worst[key] for key, _ in present}, tol=tol,
+                               **{attr: worst[key] < tol for key, attr in present})
 
 
 # ---------------------------------------------------------------------------
@@ -489,34 +462,32 @@ def warped_geometry(im: Immersion) -> WarpedGeometry:
     decl = im.warped
     if decl is None:
         raise ConfigurationError("immersion has no warped declaration")
-    ind = InducedMetric(im)
-    leaf_axes = tuple(range(decl.n1))
-    return WarpedGeometry(
-        metric=ind, n1=decl.n1, n2=decl.n2, f=decl.f, params=im.params,
-        leaf_factory=lambda x: SlicedMetric(ind, axes=leaf_axes,
-                                            anchor=as_point(x)))
+    return WarpedGeometry(metric=InducedMetric(im), n1=decl.n1, n2=decl.n2, f=decl.f,
+                          params=im.params)
+
+
+def warped_block_defect(im: Immersion, x: Point, g: np.ndarray) -> float:
+    """Isometric-immersion sanity for warped declarations at one point, from
+    the induced metric matrix g there: it must be block diagonal with fiber
+    block equal to f^2 times the declared fiber metric (identity when none
+    is declared)."""
+    decl = im.warped
+    x = as_point(x)
+    n1 = decl.n1
+    off = float(np.max(np.abs(g[:n1, n1:]))) if n1 < im.dim else 0.0
+    f_val = dsl.eval_expr(decl.f, x[:n1], im.params).value
+    g2 = (decl.g2.value(x[n1:]) if decl.g2 is not None
+          else np.eye(decl.n2))
+    return nan_max(off, float(np.max(np.abs(g[n1:, n1:] - f_val**2 * g2))))
 
 
 def warped_block_residual(im: Immersion, points: Sequence[Point]) -> float:
-    """Isometric-immersion sanity for warped declarations: the induced metric
-    must be block diagonal with fiber block equal to f^2 times the declared
-    fiber metric (identity when none is declared)."""
-    decl = im.warped
-    if decl is None:
+    """Worst :func:`warped_block_defect` over the points."""
+    if im.warped is None:
         raise ConfigurationError("immersion has no warped declaration")
     ind = InducedMetric(im)
-    worst = 0.0
-    for x in points:
-        x = as_point(x)
-        g = ind.value(x)
-        n1 = decl.n1
-        off = float(np.max(np.abs(g[:n1, n1:]))) if n1 < im.dim else 0.0
-        f_val = dsl.eval_expr(decl.f, x[:n1], im.params).value
-        g2 = (decl.g2.value(x[n1:]) if decl.g2 is not None
-              else np.eye(decl.n2))
-        fiber = float(np.max(np.abs(g[n1:, n1:] - f_val**2 * g2)))
-        worst = max(worst, off, fiber)
-    return worst
+    return fold({"block": warped_block_defect(im, x, ind.value(x))}
+                for x in points)["block"]
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +504,64 @@ def tangency_coefficients(sff: SFFData, v_amb: np.ndarray) -> tuple[np.ndarray, 
     return c, float(math.sqrt(max(resid @ sff.g_ambient @ resid, 0.0)))
 
 
+def contact_cr_residuals(sff: SFFData) -> dict:
+    """Residuals of :func:`contact_cr_checks` at one point, keyed by record
+    name; only the Reeb tangency where the Reeb field is not tangent."""
+    decl = sff.im.warped
+    n1, n = decl.n1, sff.n
+    phi_mat = sff.tensors.op[0]
+    xi_sub, xi_resid = tangency_coefficients(sff, sff.tensors.xi)
+    if xi_resid > 1e-8:
+        return {"cr-reeb-tangency": xi_resid, "cr-reeb-not-tangent": True}
+
+    # frame of the leaf block with the Reeb direction first
+    seeds = np.zeros((n, n1 + 1))
+    seeds[:, 0] = xi_sub
+    seeds[:n1, 1:] = np.eye(n1)
+    cols: list[np.ndarray] = []
+    for seed in seeds.T:
+        v = gram_schmidt_step(sff.g_induced, cols, seed, 1e-8)
+        if v is not None and len(cols) < n1:
+            cols.append(v)
+    if len(cols) != n1:
+        raise ConfigurationError("could not build the leaf frame")
+    leaf_cols = np.column_stack(cols)
+    xi_hat, dt_cols = leaf_cols[:, 0], leaf_cols[:, 1:]
+
+    fiber_cols = np.zeros((n, decl.n2))
+    fiber_cols[n1:, :] = np.eye(decl.n2)
+    fiber_cols = gram_schmidt(sff.g_induced, fiber_cols)
+    fiber_images = [phi_mat @ (sff.jacobian @ z) for z in fiber_cols.T]
+
+    nu_cols = sff.normal_frame[:, sff.nu_start:] if sff.nu_start is not None \
+        else sff.normal_frame
+    invariance, flips = [], []
+    for X in dt_cols.T:
+        phix_sub, r = tangency_coefficients(sff, phi_mat @ (sff.jacobian @ X))
+        invariance.append(r)
+        h_sum = sff.h_on(X, X) + sff.h_on(phix_sub, phix_sub)
+        flips += [abs(float(h_sum @ sff.g_ambient @ zeta)) for zeta in nu_cols.T]
+    return {
+        "cr-reeb-tangency": xi_resid,
+        # invariance of the leaf block (minus Reeb), anti-invariance of the fiber
+        "cr-leaf-invariance": invariance,
+        "cr-fiber-anti-invariance": [
+            float(np.max(np.abs(np.einsum("k,km,ma->a", v, sff.g_ambient,
+                                          sff.tangent_ambient))))
+            for v in fiber_images],
+        # (a) pairings with the Reeb direction vanish
+        "cr-form-on-reeb-pairs": [sff.vec_norm(sff.h_on(xi_hat, xi_hat))]
+        + [sff.vec_norm(sff.h_on(X, xi_hat)) for X in dt_cols.T],
+        # (b) leaf self-pairings against the image of the fiber block
+        "cr-leaf-vs-fiber-image": [abs(float(sff.h_on(X, X) @ sff.g_ambient @ fz))
+                                   for X in dt_cols.T for fz in fiber_images],
+        # (c) sign flip against the invariant complement of the normal bundle
+        "cr-invariant-flip": flips,
+    }
+
+
 def contact_cr_checks(im: Immersion, points: Sequence[Point],
-                      tol: float = 1e-7) -> CheckReport:
+                      tol: float = 1e-7, worst: dict | None = None) -> CheckReport:
     """Residual suite for contact CR-warped immersions.
 
     Gate: the Reeb field must be tangent at every sample (recorded as a
@@ -543,149 +570,52 @@ def contact_cr_checks(im: Immersion, points: Sequence[Point],
     anti-invariant.  Post-gate residuals: the form kills Reeb pairings, leaf
     self-pairings have no components along the image of the fiber block, and
     leaf self-pairings flip sign under the structure tensor against the
-    invariant normal complement.
+    invariant normal complement.  ``worst``: the per-point values already
+    folded, from a caller's walk.
     """
     if not isinstance(im.structure, AlmostContactStructure):
         raise ConfigurationError("contact CR checks need an almost contact ambient")
-    decl = im.warped
-    if decl is None:
+    if im.warped is None:
         raise ConfigurationError("contact CR checks need a warped declaration")
-
-    worst = {
-        "reeb_tangency": 0.0,
-        "leaf_block_invariance": 0.0,
-        "fiber_block_anti_invariance": 0.0,
-        "form_on_reeb_pairs": 0.0,        # h(X, xi) and h(xi, xi)
-        "leaf_pairs_vs_fiber_image": 0.0,  # g(h(X,X), phi Z)
-        "invariant_complement_flip": 0.0,  # g(h(X,X), zeta) + g(h(phi X, phi X), zeta)
-    }
-    precondition_failed = False
-    n1, n = decl.n1, im.dim
-
-    for x in points:
-        sff = second_fundamental_form(im, x)
-        phi_mat, xi_vec, _ = im.structure.tensors_at(sff.ambient_point)
-
-        xi_sub, xi_resid = tangency_coefficients(sff, xi_vec)
-        worst["reeb_tangency"] = max(worst["reeb_tangency"], xi_resid)
-        if xi_resid > 1e-8:
-            precondition_failed = True
-            continue
-
-        # frame of the leaf block with the Reeb direction first
-        seeds = np.zeros((n, n1 + 1))
-        seeds[:, 0] = xi_sub
-        seeds[:n1, 1:] = np.eye(n1)
-        leaf_cols = _schmidt_skip(sff.g_induced, seeds, want=n1)
-        xi_hat, dt_cols = leaf_cols[:, 0], leaf_cols[:, 1:]
-
-        fiber_cols = np.zeros((n, decl.n2))
-        fiber_cols[n1:, :] = np.eye(decl.n2)
-        fiber_cols = gram_schmidt(sff.g_induced, fiber_cols)
-
-        # invariance of the leaf block (minus Reeb), anti-invariance of the fiber
-        for a in range(dt_cols.shape[1]):
-            v_amb = phi_mat @ (sff.jacobian @ dt_cols[:, a])
-            _, r = tangency_coefficients(sff, v_amb)
-            worst["leaf_block_invariance"] = max(worst["leaf_block_invariance"], r)
-        for b in range(fiber_cols.shape[1]):
-            v_amb = phi_mat @ (sff.jacobian @ fiber_cols[:, b])
-            tang = np.einsum("k,km,ma->a", v_amb, sff.g_ambient,
-                             sff.tangent_ambient)
-            worst["fiber_block_anti_invariance"] = max(
-                worst["fiber_block_anti_invariance"], float(np.max(np.abs(tang))))
-
-        # (a) pairings with the Reeb direction vanish
-        r_reeb = sff.vec_norm(sff.h_on(xi_hat, xi_hat))
-        for a in range(dt_cols.shape[1]):
-            r_reeb = max(r_reeb, sff.vec_norm(sff.h_on(dt_cols[:, a], xi_hat)))
-        worst["form_on_reeb_pairs"] = max(worst["form_on_reeb_pairs"], r_reeb)
-
-        # (b) leaf self-pairings against the image of the fiber block
-        for a in range(dt_cols.shape[1]):
-            h_xx = sff.h_on(dt_cols[:, a], dt_cols[:, a])
-            for b in range(fiber_cols.shape[1]):
-                fz = phi_mat @ (sff.jacobian @ fiber_cols[:, b])
-                val = abs(float(h_xx @ sff.g_ambient @ fz))
-                worst["leaf_pairs_vs_fiber_image"] = max(
-                    worst["leaf_pairs_vs_fiber_image"], val)
-
-        # (c) sign flip against the invariant complement of the normal bundle
-        nu_cols = sff.normal_frame[:, sff.nu_start:] if sff.nu_start is not None \
-            else sff.normal_frame
-        for a in range(dt_cols.shape[1]):
-            X = dt_cols[:, a]
-            phix_amb = phi_mat @ (sff.jacobian @ X)
-            phix_sub, _ = tangency_coefficients(sff, phix_amb)
-            h_xx = sff.h_on(X, X)
-            h_pp = sff.h_on(phix_sub, phix_sub)
-            for r_i in range(nu_cols.shape[1]):
-                zeta = nu_cols[:, r_i]
-                val = abs(float((h_xx + h_pp) @ sff.g_ambient @ zeta))
-                worst["invariant_complement_flip"] = max(
-                    worst["invariant_complement_flip"], val)
-
+    worst = worst or fold(contact_cr_residuals(second_fundamental_form(im, x))
+                          for x in points)
     rep = CheckReport()
     rep.add("cr-reeb-tangency", "contact-cr-reeb-tangency",
-            worst["reeb_tangency"], 1e-8, len(points),
-            note="precondition failed at some points" if precondition_failed else "")
-    rep.add("cr-leaf-invariance", "contact-cr-leaf-invariance",
-            worst["leaf_block_invariance"], tol, len(points))
-    rep.add("cr-fiber-anti-invariance", "contact-cr-fiber-anti-invariance",
-            worst["fiber_block_anti_invariance"], tol, len(points))
-    rep.add("cr-form-on-reeb-pairs", "contact-cr-form-on-reeb-pairs",
-            worst["form_on_reeb_pairs"], tol, len(points))
-    rep.add("cr-leaf-vs-fiber-image", "contact-cr-leaf-vs-fiber-image",
-            worst["leaf_pairs_vs_fiber_image"], tol, len(points))
-    rep.add("cr-invariant-flip", "contact-cr-invariant-flip",
-            worst["invariant_complement_flip"], tol, len(points))
+            worst["cr-reeb-tangency"], 1e-8, len(points),
+            note="precondition failed at some points" if worst.get("cr-reeb-not-tangent")
+            else "")
+    for name in ("cr-leaf-invariance", "cr-fiber-anti-invariance", "cr-form-on-reeb-pairs",
+                 "cr-leaf-vs-fiber-image", "cr-invariant-flip"):
+        rep.add(name, f"contact-{name}", worst.get(name, 0.0), tol, len(points))
     return rep
 
 
-def complex_cr_residuals(im: Immersion, points: Sequence[Point]) -> dict[str, float]:
+def complex_cr_defects(sff: SFFData) -> dict:
+    """Residuals of :func:`complex_cr_residuals` at one point."""
+    n1 = sff.im.warped.n1
+    j_mat, tang, g = sff.tensors.op[0], sff.tangent_ambient, sff.g_ambient
+    leaf_cols = tang[:, :n1]
+    return {
+        "leaf_invariance": [sff.vec_norm(v - leaf_cols @ (leaf_cols.T @ g @ v))
+                            for v in (j_mat @ u for u in leaf_cols.T)],
+        "fiber_anti_invariance": [float(np.max(np.abs(tang.T @ g @ (j_mat @ u))))
+                                  for u in tang[:, n1:].T],
+    }
+
+
+def complex_cr_residuals(im: Immersion, points: Sequence[Point],
+                         worst: dict | None = None) -> dict[str, float]:
     """CR gate for complex ambients: the leaf block must be invariant under
     the structure tensor and the fiber block anti-invariant.
 
     Returns worst-case residuals; both near zero certify a CR-warped product,
     which is the hypothesis under which leaf-minimality is a theorem.
+    ``worst``: the per-point values already folded, from a caller's walk.
     """
     if not isinstance(im.structure, AlmostComplexStructure):
         raise ConfigurationError("complex CR gate needs a complex ambient structure")
-    decl = im.warped
-    if decl is None:
+    if im.warped is None:
         raise ConfigurationError("complex CR gate needs a warped declaration")
-    worst_leaf = worst_fiber = 0.0
-    for x in points:
-        sff = second_fundamental_form(im, x)
-        j_mat = im.structure.j_value(sff.ambient_point)
-        leaf_cols = sff.tangent_ambient[:, : decl.n1]
-        fiber_cols = sff.tangent_ambient[:, decl.n1:]
-        for a in range(leaf_cols.shape[1]):
-            v = j_mat @ leaf_cols[:, a]
-            coeff = leaf_cols.T @ sff.g_ambient @ v
-            resid = v - leaf_cols @ coeff
-            worst_leaf = max(worst_leaf, sff.vec_norm(resid))
-        for b in range(fiber_cols.shape[1]):
-            v = j_mat @ fiber_cols[:, b]
-            tang = sff.tangent_ambient.T @ sff.g_ambient @ v
-            worst_fiber = max(worst_fiber, float(np.max(np.abs(tang))))
-    return {"leaf_invariance": worst_leaf, "fiber_anti_invariance": worst_fiber}
-
-
-def _schmidt_skip(g: np.ndarray, seeds: np.ndarray, want: int) -> np.ndarray:
-    """Gram-Schmidt that silently skips dependent seeds, keeping `want` columns."""
-    cols: list[np.ndarray] = []
-    for j in range(seeds.shape[1]):
-        v = seeds[:, j].astype(float).copy()
-        for _ in range(2):
-            for u in cols:
-                v -= (u @ g @ v) * u
-        nrm = math.sqrt(max(v @ g @ v, 0.0))
-        if nrm < 1e-8:
-            continue
-        cols.append(v / nrm)
-        if len(cols) == want:
-            break
-    if len(cols) != want:
-        raise ConfigurationError("could not build the requested frame")
-    return np.column_stack(cols)
+    worst = worst or fold(complex_cr_defects(second_fundamental_form(im, x))
+                          for x in points)
+    return {k: worst.get(k, 0.0) for k in ("leaf_invariance", "fiber_anti_invariance")}

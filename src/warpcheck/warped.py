@@ -14,7 +14,8 @@ respectively).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -22,22 +23,7 @@ from . import expr as dsl
 from . import jets
 from .errors import InvalidWarpingError
 from .jets import DomainBox, ExcludedBall, Point, as_point
-from .riemann import (MetricField, christoffel, curvature_components,
-                      frame_curvature, laplacian, orthonormal_frame)
-
-
-def _expr_is_constant(e) -> bool:
-    if isinstance(e, dsl.Var):
-        return False
-    if isinstance(e, (dsl.Num, dsl.Param)):
-        return True
-    if isinstance(e, dsl.Neg):
-        return _expr_is_constant(e.arg)
-    if isinstance(e, dsl.BinOp):
-        return _expr_is_constant(e.left) and _expr_is_constant(e.right)
-    if isinstance(e, dsl.Call):
-        return _expr_is_constant(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+from .riemann import MetricField, MetricPoint, frame_curvature, orthonormal_frame
 
 
 def _expr_max_var(e) -> int:
@@ -85,12 +71,11 @@ class WarpedMetric:
     @property
     def is_trivial(self) -> bool:
         """Trivial warped product: constant warping function."""
-        return _expr_is_constant(self.f)
+        return _expr_max_var(self.f) < 0
 
     def geometry(self) -> "WarpedGeometry":
         return WarpedGeometry(metric=self.assembled, n1=self.n1, n2=self.n2,
-                              f=self.f, params=self.assembled.params,
-                              leaf_factory=lambda x: self.g1)
+                              f=self.f, params=self.assembled.params, leaf=self.g1)
 
     def validate_at(self, points: Sequence[Point]) -> None:
         self.assembled.validate_at(points)
@@ -155,8 +140,8 @@ def assemble(g1: MetricField, g2: MetricField, f,
 class WarpedGeometry:
     """What the identity checks need: the total metric, the block split and f.
 
-    ``leaf_factory(x)`` returns a metric source of dimension n1 evaluable at
-    leaf points; for induced metrics it freezes the fiber coordinates of x.
+    ``leaf`` is the leaf factor's metric; None means the leading n1 x n1
+    block of the total metric at the point (how induced metrics are split).
     """
 
     metric: object
@@ -164,7 +149,7 @@ class WarpedGeometry:
     n2: int
     f: object
     params: tuple
-    leaf_factory: Callable[[Point], object]
+    leaf: MetricField | None = None
 
 
 @dataclass(frozen=True)
@@ -182,23 +167,41 @@ def _as_geometry(w) -> WarpedGeometry:
     return w.geometry() if isinstance(w, WarpedMetric) else w
 
 
-def leaf_scalars(geom: WarpedGeometry | WarpedMetric, x: Point) -> LeafScalars:
-    geom = _as_geometry(geom)
-    x = as_point(x)
-    x_leaf = x[: geom.n1]
-    leaf = geom.leaf_factory(x)
-    f_jet = dsl.eval_expr(geom.f, x_leaf, geom.params)
+class WarpedPoint:
+    """A warped split at one point: the total metric's record, the leaf
+    factor's record and the leaf scalars, each built on first use."""
+
+    def __init__(self, geom: WarpedGeometry | WarpedMetric, x: Point,
+                 total: MetricPoint | None = None):
+        self.geom = _as_geometry(geom)
+        self.x = as_point(x)
+        self.total = total or MetricPoint(self.geom.metric, self.x)
+
+    @cached_property
+    def leaf(self) -> MetricPoint:
+        if self.geom.leaf is None:
+            return self.total.block(range(self.geom.n1))
+        return MetricPoint(self.geom.leaf, self.x[: self.geom.n1])
+
+    @cached_property
+    def scalars(self) -> LeafScalars:
+        return leaf_scalars(self.geom, self.x, self)
+
+
+def leaf_scalars(geom: WarpedGeometry | WarpedMetric, x: Point,
+                 at: WarpedPoint | None = None) -> LeafScalars:
+    p = at or WarpedPoint(geom, x)
+    f_jet = dsl.eval_expr(p.geom.f, p.x[: p.geom.n1], p.geom.params)
     if f_jet.value <= 0.0:
-        raise InvalidWarpingError(f"warping function {f_jet.value} <= 0 at {x}")
+        raise InvalidWarpingError(f"warping function {f_jet.value} <= 0 at {p.x}")
     lnf_jet = jets.ln(f_jet)
-    g_leaf, _, _ = leaf.derivs(x_leaf)
-    ginv = np.linalg.inv(g_leaf)
+    leaf = p.leaf
     return LeafScalars(
         f_value=f_jet.value,
-        lap_f=laplacian(leaf, f_jet, x_leaf),
-        grad_f=ginv @ f_jet.d1,
-        grad_lnf_sq=float(lnf_jet.d1 @ ginv @ lnf_jet.d1),
-        lap_lnf=laplacian(leaf, lnf_jet, x_leaf),
+        lap_f=leaf.laplacian(f_jet),
+        grad_f=leaf.ginv @ f_jet.d1,
+        grad_lnf_sq=float(lnf_jet.d1 @ leaf.ginv @ lnf_jet.d1),
+        lap_lnf=leaf.laplacian(lnf_jet),
     )
 
 
@@ -218,13 +221,12 @@ def adapted_block_residual(columns: np.ndarray, n1: int) -> float:
     return float(max(a, b))
 
 
-def mixed_sectional_sum(geom: WarpedGeometry | WarpedMetric, x: Point) -> float:
+def mixed_sectional_sum(geom: WarpedGeometry | WarpedMetric, x: Point,
+                        at: WarpedPoint | None = None) -> float:
     """Sum of sectional curvatures over all mixed leaf/fiber frame planes."""
-    geom = _as_geometry(geom)
-    frame = adapted_frame(geom, x)
-    r4 = curvature_components(geom.metric, x)
-    rf = frame_curvature(r4, frame.columns)
-    n, n1 = geom.n1 + geom.n2, geom.n1
+    p = at or WarpedPoint(geom, x)
+    rf = frame_curvature(p.total.curvature, p.total.frame)
+    n, n1 = p.geom.n1 + p.geom.n2, p.geom.n1
     total = 0.0
     for a in range(n1):
         for big_a in range(n1, n):
@@ -232,31 +234,30 @@ def mixed_sectional_sum(geom: WarpedGeometry | WarpedMetric, x: Point) -> float:
     return float(total)
 
 
-def warping_identity_residual(geom: WarpedGeometry | WarpedMetric,
-                              x: Point) -> dict[str, float]:
+def warping_identity_residual(geom: WarpedGeometry | WarpedMetric, x: Point,
+                              at: WarpedPoint | None = None) -> dict[str, float]:
     """Both sides of the mixed-sectional identity and their difference."""
-    geom = _as_geometry(geom)
-    lhs = mixed_sectional_sum(geom, x)
-    sc = leaf_scalars(geom, x)
-    rhs = geom.n2 * sc.lap_f / sc.f_value
+    p = at or WarpedPoint(geom, x)
+    lhs = mixed_sectional_sum(geom, x, p)
+    sc = p.scalars
+    rhs = p.geom.n2 * sc.lap_f / sc.f_value
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 
-def block_second_form_residuals(geom: WarpedGeometry | WarpedMetric,
-                                x: Point) -> dict[str, float]:
+def block_second_form_residuals(geom: WarpedGeometry | WarpedMetric, x: Point,
+                                at: WarpedPoint | None = None) -> dict[str, float]:
     """Intrinsic second fundamental forms of the blocks inside the product.
 
     Leaves must be totally geodesic: the fiber components Gamma[A,a,b] of the
     assembled connection vanish.  Fibers must be totally umbilical with shape
     term -(g(Z,W)/f) grad f: Gamma[a,A,B] equals -(g_AB/f) (grad_leaf f)^a.
     """
-    geom = _as_geometry(geom)
-    x = as_point(x)
-    n1 = geom.n1
-    n = n1 + geom.n2
-    gam = christoffel(geom.metric, x)
-    g, _, _ = geom.metric.derivs(x)
-    sc = leaf_scalars(geom, x)
+    p = at or WarpedPoint(geom, x)
+    n1 = p.geom.n1
+    n = n1 + p.geom.n2
+    gam = p.total.gamma
+    g = p.total.derivs[0]
+    sc = p.scalars
 
     leaf_geodesic = float(np.max(np.abs(gam[n1:n, :n1, :n1])))
     expected = -np.einsum("AB,a->aAB", g[n1:, n1:], sc.grad_f) / sc.f_value
