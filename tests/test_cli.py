@@ -184,6 +184,15 @@ GOLDEN_DIGESTS = {
     ("e7", 8): "55c61c57ef207bd22bdf6c3e20d5f9a6756f8339652e458ddc8bac7206db7e8f",
     ("s2-warped", 16): "e08a6b15b0805b360be9a0a7f890712ba0b6f142932fbe2da0f3ff2b9cb79dc9",
     ("sasakian-r5", 8): "14989f5b611e196e14fe39a50999abccd36423258d23a28ce637eb5f25fea016",
+    # point counts that span several evaluation blocks and end in a partial one
+    ("e2", 70): "faeff3edf3ec9f3f034cb86088131a2f9fd3c1e4a048364b3b657e3f45ec272d",
+    ("e3", 70): "1c8cd7770c95d757014ff1a298604a3e198d418dc1c8d565acd11945ac3d539b",
+    ("e7", 70): "ee7a0fe61e631bd7bb6190eb65a728818c4c24302777d84fb168f77d9ceab3bd",
+    ("s2-warped", 70): "3b7cf19efbcaa2274c12922d5aa2bb7a93e85938cfed9232837a1330debc1a84",
+    ("e5", 35): "1956383c8e9a7301271bb3eb5e50d74e5375bf3ecbbd81a2a186d431b1e6acc2",
+    ("e6", 35): "2a801d989a637c9cde05a5c4322015601053c491c482f6078504bb6729e62556",
+    ("e1", 35): "825b3c897df96ce976611e9047ffdd9caa11b07419b294c83d2aa6cefd444d50",
+    ("sasakian-r5", 35): "8fa5eda41ac3bbcde0f3d6a2d078391d8ade7ff0654cbce3339bf15e68e913ca",
 }
 
 
