@@ -26,17 +26,18 @@ from .ineq import (d2_umbilical_implies_geodesic, dt_minimality_check,
                    fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
                    main_inequality, scalar_decomposition_residual,
                    space_form_inequality, space_form_rhs)
+from .jets import per_block
 from .report import CheckReport, fold, format_number, nan_max, to_json_bytes
-from .riemann import Curvature4, MetricField, MetricPoint
-from .structures import (AlmostComplexStructure, AlmostContactStructure,
+from .riemann import Curvature4, MetricBlock, MetricField
+from .structures import (AlmostComplexStructure, AlmostContactStructure, StructureBlock,
                          fundamental_form_residual, nijenhuis_normality_residual,
                          structure_class_residual, validate_almost_contact)
-from .subman import (PREDICATES, Immersion, classification_residuals, classify,
-                     complex_cr_defects, complex_cr_residuals, contact_cr_checks,
+from .subman import (PREDICATES, Immersion, ImmersionBlock, classification_residuals,
+                     classify, complex_cr_defects, complex_cr_residuals, contact_cr_checks,
                      contact_cr_residuals, gauss_residual_max,
                      scalar_identity_residual, second_fundamental_form,
                      shape_operator, warped_block_defect)
-from .warped import (WarpedMetric, WarpedPoint, block_second_form_residuals,
+from .warped import (WarpedBlock, WarpedMetric, WarpedPoint, block_second_form_residuals,
                      warping_identity_residual)
 
 CHECK_GROUPS = ("structure", "identities", "classify", "inequalities")
@@ -93,9 +94,9 @@ def _add(rep: CheckReport, worst: dict, n: int, *specs) -> None:
 def _metric_checks(g: MetricField, rc: RunConfig, rep: CheckReport):
     points = sample_points(g, rc.points, rc.seed)
     g.validate_at(points)
-    worst = fold({"curvature-symmetries":
-                  Curvature4(p.x, p.curvature).max_symmetry_residual()}
-                 for p in (MetricPoint(g, x) for x in points))
+    worst = fold(per_block(points, lambda block: (
+        {"curvature-symmetries": Curvature4(p.x, p.curvature).max_symmetry_residual()}
+        for p in MetricBlock(g, block))))
     _add(rep, worst, len(points), ("curvature-symmetries", "curvature-tensor-symmetries",
                                    rc.tol("curvature-symmetry")))
 
@@ -135,7 +136,8 @@ def _structure_report(s, klass: str | None, points, worst: dict, rc: RunConfig,
 
 def _structure_checks(s, klass: str | None, rc: RunConfig, rep: CheckReport):
     points = sample_points(s, rc.points, rc.seed)
-    worst = fold(map(_structure_step(s, klass), map(s.at, points)))
+    step = _structure_step(s, klass)
+    worst = fold(per_block(points, lambda block: map(step, StructureBlock(s, block))))
     _structure_report(s, klass, points, worst, rc, rep)
 
 
@@ -152,7 +154,7 @@ def _warped_checks(w: WarpedMetric, rc: RunConfig, rep: CheckReport):
                 "curvature-symmetries":
                     Curvature4(p.x, p.total.curvature).max_symmetry_residual()}
 
-    worst = fold(step(WarpedPoint(geom, x)) for x in points)
+    worst = fold(per_block(points, lambda block: map(step, WarpedBlock(geom, block))))
     _add(rep, worst, len(points),
          ("warped-identity", "warped-mixed-sectional-identity", rc.tol("warped-identity")),
          ("leaf-geodesic", "warped-leaf-geodesic", rc.tol("warped-block")),
@@ -168,7 +170,7 @@ def _identity_values(im: Immersion, sff) -> dict:
            "shape-duality": [0.0] + [shape_operator(im, x, zeta, sff)[1]
                                      for zeta in sff.normal_frame.T]}
     if im.warped is not None:
-        out["warped-block-form"] = warped_block_defect(im, x, sff.g_induced)
+        out["warped-block-form"] = warped_block_defect(im, x, sff.g_induced, sff.warped)
         out["warped-identity"] = warping_identity_residual(
             sff.warped.geom, x, sff.warped)["residual"]
         out["scalar-split"] = scalar_decomposition_residual(im, x, sff)
@@ -207,11 +209,18 @@ def _immersion_checks(im: Immersion, groups, rc: RunConfig, rep: CheckReport):
             # validate the ambient structure where the immersion lives
             structure_step = _structure_step(s, None)
             steps.insert(0, lambda sff: structure_step(sff.tensors))
-        # one record per point, shared by every step and dropped once folded
-        worst = fold({k: v for step in steps for k, v in step(sff).items()}
-                     for sff in (second_fundamental_form(im, x) for x in points))
+        # one record per point, shared by every step and dropped once folded;
+        # a block's jets are evaluated together and dropped with the block
+        def walk(block):
+            ib = ImmersionBlock(im, block)
+            for b, x in enumerate(block):
+                sff = second_fundamental_form(im, x, ib, b)
+                yield {k: v for step in steps for k, v in step(sff).items()}
+        worst = fold(per_block(points, walk))
     elif structure:
-        worst = fold(_structure_step(s, None)(s.at(im.map_point(x))) for x in points)
+        step = _structure_step(s, None)
+        worst = fold(per_block(points, lambda block: map(
+            step, StructureBlock(s, im.map_point(block)))))
 
     if structure:
         _structure_report(s, None, points, worst, rc, rep)

@@ -10,11 +10,14 @@ class JetDomainError(WarpcheckError):
     log/sqrt of a non-positive value, ...)."""
 
     def __init__(self, op: str, value: float, pos: int | None = None):
+        super().__init__(op, value, pos)
         self.op = op
-        self.value = value
-        self.pos = pos  # byte offset into the source expression, when known
-        at = f" at offset {pos}" if pos is not None else ""
-        super().__init__(f"domain error in '{op}' (argument value {value!r}){at}")
+        self.value = float(value)
+        self.pos = pos  # byte offset into the source expression, attached when known
+
+    def __str__(self) -> str:
+        at = f" at offset {self.pos}" if self.pos is not None else ""
+        return f"domain error in '{self.op}' (argument value {self.value!r}){at}"
 
 
 class DegenerateMetricError(WarpcheckError):

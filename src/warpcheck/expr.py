@@ -30,9 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
+import numpy as np
+
 from . import jets
 from .errors import JetDomainError, WarpcheckError
-from .jets import Jet3, Point, jet_const, jet_var
+from .jets import Jet3, Point, coordinate_jets, jet_const
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
@@ -271,7 +273,9 @@ def eval_jets(e: Expr, bindings: Sequence[Jet3], params: Sequence[float] = ()) -
 
     ``bindings[i]`` is the jet of variable ``x<i+1>``.  Binding variables to
     jets over another chart realizes composition, e.g. pulling an ambient
-    field back through an immersion.
+    field back through an immersion.  Bindings over a block of points walk
+    the tree once for the whole block; a domain error is then the one the
+    first failing point raises on its own.
     """
     dim = bindings[0].dim
     try:
@@ -279,6 +283,9 @@ def eval_jets(e: Expr, bindings: Sequence[Jet3], params: Sequence[float] = ()) -
     except JetDomainError as err:
         if err.pos is None:
             err.pos = getattr(e, "pos", None)
+        batch = np.broadcast_shapes(*(b.batch for b in bindings))
+        for k in np.ndindex(batch) if batch else ():
+            eval_jets(e, [b.at(k) for b in bindings], params)
         raise
 
 
@@ -321,13 +328,35 @@ def _eval(e: Expr, bindings, params, dim: int) -> Jet3:
 
 def eval_expr(e: Expr, x: Point, params: Sequence[float] = ()) -> Jet3:
     """Jet of the denoted function at chart point x."""
-    x = jets.as_point(x)
-    seeds = [jet_var(i, x) for i in range(x.shape[0])]
-    return eval_jets(e, seeds, params)
+    return eval_jets(e, coordinate_jets(jets.as_point(x)), params)
 
 
 def eval_value(e: Expr, x: Point, params: Sequence[float] = ()) -> float:
     return eval_expr(e, x, params).value
+
+
+def matrix_jets(entries, bindings: Sequence[Jet3], params: Sequence[float] = (),
+                symmetric: bool = False):
+    """(indices, jet) for each entry of a matrix of expressions, row by row,
+    one evaluation per entry; ``symmetric`` evaluates the upper triangle and
+    places each jet at (i, j) and (j, i)."""
+    for i, row in enumerate(entries):
+        for j in range(i if symmetric else 0, len(row)):
+            yield {(i, j), (j, i)} if symmetric else {(i, j)}, \
+                eval_jets(row[j], bindings, params)
+
+
+def eval_matrix(entries, x, params: Sequence[float] = (), order: int = 2,
+                symmetric: bool = False) -> list[np.ndarray]:
+    """Values and partials ``[V, D1, ..., D_order]`` of a matrix of
+    expressions at chart points x, one point (dim,) or a block (B, dim).
+
+    ``V[..., i, j]`` is entry (i, j) and ``Dk[..., a1..ak, i, j]`` its k-th
+    partials; each entry is packed as soon as it is evaluated.
+    """
+    x = jets.as_point(x, block=True)
+    return jets.pack(matrix_jets(entries, coordinate_jets(x), params, symmetric),
+                     x.shape[:-1], x.shape[-1], (len(entries), len(entries[0])), order)
 
 
 # ---------------------------------------------------------------------------

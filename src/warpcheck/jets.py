@@ -10,32 +10,52 @@ without truncation error beyond float round-off.
 Order 3 is the minimum that supports intrinsic curvature of an induced
 metric: curvature needs two derivatives of the metric, and an induced metric
 already consumes one derivative of the immersion.
+
+Slots are batch-leading: ``value`` has a batch shape, ``d1`` that shape plus
+``(dim,)``, ``d2`` plus ``(dim, dim)`` and ``d3`` plus ``(dim, dim, dim)``.
+Batch shape ``()`` is a single point; a block of B chart points has batch
+shape ``(B,)``, and every operation broadcasts over the leading axes, so an
+expression tree is walked once for the whole block (vectorised Taylor
+propagation, Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).  A
+block gives each point exactly the bits a single-point evaluation gives it:
+array operations are elementwise and keep the single-point order of
+operations, while the unary coefficients f0..f3 (of ``/``, ``exp``, ``ln``,
+``sqrt``, ``sin``, ``cos`` and constant powers) and every branch on a value
+(domain checks, the constant-exponent test of ``**``) are evaluated point by
+point with ``math`` on Python floats, because ``np.exp``, ``np.log`` and
+``np.power`` round differently from ``math`` in the last bit.  Callers walk
+their sample points in blocks of ``BLOCK_POINTS`` (:func:`per_block`), which
+bounds the memory a block's jets and packed derivative arrays hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import JetDomainError
+from .errors import JetDomainError, WarpcheckError
 
 # Smallest normal double: values below this in a denominator, log or root
 # would overflow derivative slots, so they are domain errors, not inputs.
 _TINY = 2.2250738585072014e-308
 
+# Sample points evaluated together; bounds the memory of a block's jets.
+BLOCK_POINTS = 32
+
 # A chart point is just a float vector; no wrapper class.
 Point = np.ndarray
 
 
-def as_point(coords) -> Point:
-    """Coerce to a finite 1-d float array."""
+def as_point(coords, block: bool = False) -> Point:
+    """Coerce to a finite float array: one point (dim,), or with ``block``
+    also a block of points (..., dim)."""
     x = np.asarray(coords, dtype=float)
-    if x.ndim != 1:
+    if x.ndim != 1 and not (block and x.ndim > 1):
         raise ValueError(f"point must be 1-dimensional, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("point has non-finite coordinates")
     return x
 
@@ -45,24 +65,55 @@ def as_point(coords) -> Point:
 # ---------------------------------------------------------------------------
 
 
+def _leads(v):
+    """v shaped to broadcast against 1, 2 and 3 trailing derivative axes."""
+    if isinstance(v, np.ndarray) and v.ndim:
+        return v[..., None], v[..., None, None], v[..., None, None, None]
+    return v, v, v
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer product over the last axis: out[..., i, j] = a[..., i] b[..., j]."""
+    return a[..., :, None] * b[..., None, :]
+
+
 def _sym_outer(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Symmetrized outer product: out[i,j,k] = m[i,j]v[k] + m[i,k]v[j] + m[j,k]v[i]."""
-    t = np.multiply.outer(m, v)
-    return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
+    t = m[..., None] * v[..., None, None, :]
+    u = t.swapaxes(-1, -2)  # u[..., i, j, k] = t[..., i, k, j]
+    return t + u + u.swapaxes(-2, -3)
+
+
+def _zeros(shape) -> np.ndarray:
+    return np.broadcast_to(0.0, shape)
 
 
 @dataclass
 class Jet3:
-    """Value plus symmetric derivative tensors of orders 1..3 at a point.
+    """Value plus symmetric derivative tensors of orders 1..3, at one point
+    or at every point of a block (batch-leading slots).
 
     Instances are treated as immutable; every operation returns a new jet.
     """
 
     dim: int
-    value: float
-    d1: np.ndarray  # shape (dim,)
-    d2: np.ndarray  # shape (dim, dim), symmetric
-    d3: np.ndarray  # shape (dim, dim, dim), fully symmetric
+    value: float | np.ndarray  # batch shape
+    d1: np.ndarray  # batch + (dim,)
+    d2: np.ndarray  # batch + (dim, dim), symmetric
+    d3: np.ndarray  # batch + (dim, dim, dim), fully symmetric
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        return np.shape(self.value)
+
+    def at(self, k) -> "Jet3":
+        """The jet at point (or boolean mask) k of its block, with its own
+        arrays; a jet with batch shape () is the same at every point."""
+        if not self.batch:
+            return self
+        v = self.value[k]
+        return Jet3(self.dim, float(v) if np.ndim(v) == 0 else v, self.d1[k].copy(),
+                    self.d2[k].copy(), self.d3[k].copy())
 
     # -- arithmetic -------------------------------------------------------
 
@@ -91,11 +142,13 @@ class Jet3:
 
     def __mul__(self, other) -> "Jet3":
         o = self._coerce(other)
+        s1, s2, s3 = _leads(self.value)
+        o1, o2, o3 = _leads(o.value)
         v = self.value * o.value
-        d1 = self.d1 * o.value + self.value * o.d1
-        d2 = (self.d2 * o.value + self.value * o.d2
-              + np.outer(self.d1, o.d1) + np.outer(o.d1, self.d1))
-        d3 = (self.d3 * o.value + self.value * o.d3
+        d1 = self.d1 * o1 + s1 * o.d1
+        d2 = (self.d2 * o2 + s2 * o.d2
+              + _outer(self.d1, o.d1) + _outer(o.d1, self.d1))
+        d3 = (self.d3 * o3 + s3 * o.d3
               + _sym_outer(self.d2, o.d1) + _sym_outer(o.d2, self.d1))
         return Jet3(self.dim, v, d1, d2, d3)
 
@@ -103,53 +156,65 @@ class Jet3:
 
     def __truediv__(self, other) -> "Jet3":
         o = self._coerce(other)
-        if abs(o.value) < _TINY:
-            raise JetDomainError("/", o.value)
-        u = o.value
-        recip = _lift(o, 1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4)
-        return self * recip
+        return self * _lift(o, *_coefficients("/", _recip, o.value))
 
     def __rtruediv__(self, other) -> "Jet3":
         return self._coerce(other) / self
 
     def __pow__(self, other) -> "Jet3":
-        if isinstance(other, Jet3) and not other.is_constant():
+        if not isinstance(other, Jet3):
+            return _pow_const(self, float(other))
+        const = other.is_constant()
+        if np.all(const):
+            return _pow_const(self, other.value)
+        if not np.any(const):
             # general exponent: f^g = exp(g ln f), needs f > 0
-            if self.value <= 0.0:
-                raise JetDomainError("pow", self.value)
+            _coefficients("pow", _positive, self.value)
             return exp(other * ln(self))
-        c = other.value if isinstance(other, Jet3) else float(other)
-        return _pow_const(self, c)
+        # the exponent is constant at some points of the block only: each
+        # point takes its own branch, and the parts are put back in order
+        batch = np.broadcast_shapes(self.batch, other.batch)
+        out = [np.empty(batch + (self.dim,) * k) for k in range(4)]
+        try:
+            for mask in (const, ~const):
+                part = self.at(mask) ** other.at(mask)
+                for slot, arr in zip(out, (part.value, part.d1, part.d2, part.d3)):
+                    slot[mask] = arr
+        except JetDomainError:
+            for k in np.ndindex(batch):  # the first failing point raises alone
+                self.at(k) ** other.at(k)
+            raise
+        return Jet3(self.dim, *out)
 
-    def is_constant(self, tol: float = 0.0) -> bool:
-        return (np.all(np.abs(self.d1) <= tol) and np.all(np.abs(self.d2) <= tol)
-                and np.all(np.abs(self.d3) <= tol))
+    def is_constant(self, tol: float = 0.0):
+        """Whether every derivative vanishes, per point of the batch."""
+        return (np.all(np.abs(self.d1) <= tol, axis=-1)
+                & np.all(np.abs(self.d2) <= tol, axis=(-2, -1))
+                & np.all(np.abs(self.d3) <= tol, axis=(-3, -2, -1)))
 
     # -- inspection -------------------------------------------------------
 
-    def partial(self, multi_index: Sequence[int]) -> float:
+    def partial(self, multi_index: Sequence[int]):
         """Partial derivative for a multi-index given as axis indices (len <= 3)."""
         order = len(multi_index)
+        if order > 3:
+            raise ValueError("jet order is 3; multi-index too long")
         if order == 0:
             return self.value
-        if order == 1:
-            return float(self.d1[multi_index[0]])
-        if order == 2:
-            return float(self.d2[multi_index[0], multi_index[1]])
-        if order == 3:
-            return float(self.d3[multi_index[0], multi_index[1], multi_index[2]])
-        raise ValueError("jet order is 3; multi-index too long")
+        return (self.d1, self.d2, self.d3)[order - 1][(..., *multi_index)]
 
     def symmetry_residual(self) -> float:
         """Max deviation of d2/d3 from index symmetry (exactly 0 for jet-built values)."""
-        r = np.max(np.abs(self.d2 - self.d2.T))
+        r = np.max(np.abs(self.d2 - np.swapaxes(self.d2, -1, -2)))
+        lead = tuple(range(len(self.batch)))
         for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            r = max(r, np.max(np.abs(self.d3 - self.d3.transpose(perm))))
+            axes = lead + tuple(a + len(lead) for a in perm)
+            r = max(r, np.max(np.abs(self.d3 - self.d3.transpose(axes))))
         return float(r)
 
 
 def jet_const(c: float, dim: int) -> Jet3:
-    """Constant jet: value c, all derivatives zero."""
+    """Constant jet: value c, all derivatives zero (batch shape ())."""
     if dim <= 0:
         raise ValueError(f"dim must be positive, got {dim}")
     return Jet3(dim, float(c), np.zeros(dim), np.zeros((dim, dim)),
@@ -157,14 +222,22 @@ def jet_const(c: float, dim: int) -> Jet3:
 
 
 def jet_var(i: int, x: Point) -> Jet3:
-    """Jet of the i-th coordinate function at x."""
-    x = as_point(x)
-    dim = x.shape[0]
+    """Jet of the i-th coordinate function at x, one point (dim,) or a
+    block of points (..., dim)."""
+    x = as_point(x, block=True)
+    dim = x.shape[-1]
     if not 0 <= i < dim:
         raise IndexError(f"variable index {i} out of range for dim {dim}")
-    d1 = np.zeros(dim)
-    d1[i] = 1.0
-    return Jet3(dim, float(x[i]), d1, np.zeros((dim, dim)), np.zeros((dim, dim, dim)))
+    d1 = np.zeros(x.shape)
+    d1[..., i] = 1.0
+    return Jet3(dim, x[..., i], d1, _zeros(x.shape + (dim,)),
+                _zeros(x.shape + (dim, dim)))
+
+
+def coordinate_jets(x: Point) -> list[Jet3]:
+    """Jets of all coordinate functions at x (one point or a block)."""
+    x = as_point(x, block=True)
+    return [jet_var(i, x) for i in range(x.shape[-1])]
 
 
 def differentiate(j: Jet3, i: int) -> Jet3:
@@ -173,8 +246,49 @@ def differentiate(j: Jet3, i: int) -> Jet3:
     The result's third-order slot is unknown and stored as zero: consumers
     must not rely on d3 of a differentiated jet.
     """
-    return Jet3(j.dim, float(j.d1[i]), j.d2[i].copy(), j.d3[i].copy(),
-                np.zeros((j.dim,) * 3))
+    return Jet3(j.dim, j.d1[..., i], j.d2[..., i, :], j.d3[..., i, :, :],
+                _zeros(j.d3.shape))
+
+
+def pack(items: Iterable[tuple[Iterable[tuple[int, ...]], Jet3]], batch: tuple[int, ...],
+         dim: int, shape: tuple[int, ...], order: int) -> list[np.ndarray]:
+    """Values and partials of a tensor of jets: ``[V, D1, ..., D_order]``.
+
+    ``V[..., i, j]`` is the value at index (i, j) and ``Dk[..., a1..ak, i, j]``
+    its k-th partials, batch axes first.  ``items`` yields (indices, jet)
+    pairs; each jet is stored at every index it lists as soon as it arrives,
+    so a tensor's entries are never all alive as jets at once.
+    """
+    out = [np.empty(batch + (dim,) * k + shape) for k in range(order + 1)]
+    for indices, jet in items:
+        slots = (jet.value, jet.d1, jet.d2, jet.d3)
+        for idx in indices:
+            for k, arr in enumerate(out):
+                arr[(...,) + (slice(None),) * k + idx] = slots[k]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Blocks of sample points
+# ---------------------------------------------------------------------------
+
+
+def per_block(points, fn: Callable[[np.ndarray], Iterable]) -> Iterator:
+    """The per-point results of ``fn(block)`` over consecutive blocks of at
+    most BLOCK_POINTS points, each a (B, dim) array, in point order.
+
+    When a block raises a WarpcheckError its points run again one at a time,
+    so the first failing point raises exactly what it raises on its own.
+    """
+    for start in range(0, len(points), BLOCK_POINTS):
+        block = np.array(points[start:start + BLOCK_POINTS], dtype=float)
+        try:
+            results = list(fn(block))
+        except WarpcheckError:
+            for k in range(len(block)):
+                list(fn(block[k:k + 1]))
+            raise
+        yield from results
 
 
 # ---------------------------------------------------------------------------
@@ -182,57 +296,89 @@ def differentiate(j: Jet3, i: int) -> Jet3:
 # ---------------------------------------------------------------------------
 
 
-def _lift(u: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
+def _lift(u: Jet3, f0, f1, f2, f3) -> Jet3:
     """Compose a scalar function (given by derivatives at u.value) with jet u."""
     u1, u2, u3 = u.d1, u.d2, u.d3
-    d1 = f1 * u1
-    d2 = f2 * np.outer(u1, u1) + f1 * u2
-    d3 = (f3 * np.multiply.outer(np.outer(u1, u1), u1)
-          + f2 * _sym_outer(u2, u1) + f1 * u3)
+    a1, a2, a3 = _leads(f1)
+    _, b2, b3 = _leads(f2)
+    c3 = _leads(f3)[2]
+    uu = _outer(u1, u1)
+    d1 = a1 * u1
+    d2 = b2 * uu + a2 * u2
+    d3 = (c3 * (uu[..., None] * u1[..., None, None, :])
+          + b3 * _sym_outer(u2, u1) + a3 * u3)
     return Jet3(u.dim, f0, d1, d2, d3)
 
 
-def sin(u: Jet3) -> Jet3:
-    s, c = math.sin(u.value), math.cos(u.value)
-    return _lift(u, s, c, -s, -c)
+def _coefficients(op: str, fn, *values):
+    """``fn`` at each point's values, in point order, on Python floats.
+
+    One point gives fn's floats; a block gives one array per result.  An
+    over- or underflow (a Python ArithmeticError) or a math domain error in
+    fn is a JetDomainError naming the point's first value.
+    """
+    batch = np.broadcast_shapes(*map(np.shape, values))
+    if not batch:
+        return _at_point(op, fn, [float(v) for v in values])
+    columns = [np.broadcast_to(v, batch).ravel().tolist() for v in values]
+    rows = [_at_point(op, fn, args) for args in zip(*columns)]
+    return tuple(np.array(c).reshape(batch) for c in zip(*rows))
 
 
-def cos(u: Jet3) -> Jet3:
-    s, c = math.sin(u.value), math.cos(u.value)
-    return _lift(u, c, -s, -c, s)
-
-
-def exp(u: Jet3) -> Jet3:
+def _at_point(op: str, fn, args):
     try:
-        e = math.exp(u.value)
-    except OverflowError:
-        raise JetDomainError("exp", u.value) from None
-    return _lift(u, e, e, e, e)
+        return fn(*args)
+    except (ArithmeticError, ValueError):
+        raise JetDomainError(op, args[0]) from None
 
 
-def ln(u: Jet3) -> Jet3:
-    v = u.value
+def _recip(u: float):
+    if abs(u) < _TINY:
+        raise JetDomainError("/", u)
+    return 1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4
+
+
+def _positive(v: float):
+    if v <= 0.0:
+        raise JetDomainError("pow", v)
+    return ()
+
+
+def _sin(v: float):
+    s, c = math.sin(v), math.cos(v)
+    return s, c, -s, -c
+
+
+def _cos(v: float):
+    s, c = math.sin(v), math.cos(v)
+    return c, -s, -c, s
+
+
+def _exp(v: float):
+    e = math.exp(v)
+    return e, e, e, e
+
+
+def _ln(v: float):
     if v < _TINY:
         raise JetDomainError("ln", v)
-    return _lift(u, math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+    return math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3
 
 
-def sqrt(u: Jet3) -> Jet3:
-    v = u.value
+def _sqrt(v: float):
     if v < _TINY:
         raise JetDomainError("sqrt", v)
     s = math.sqrt(v)
-    return _lift(u, s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
+    return s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v)
 
 
-def _pow_const(u: Jet3, c: float) -> Jet3:
-    """u**c for a constant real exponent.
+def _pow(v: float, c: float):
+    """Coefficients of u**c for a constant real exponent.
 
     Integer exponents work for any base (including zero base with c >= 0);
     non-integer exponents require a positive base.
     """
-    v = u.value
-    is_int = float(c).is_integer()
+    is_int = c.is_integer()
     if not is_int and v <= 0.0:
         raise JetDomainError("pow", v)
     if is_int and c < 0 and v == 0.0:
@@ -247,11 +393,33 @@ def _pow_const(u: Jet3, c: float) -> Jet3:
         e = c - k
         if v == 0.0 and e < 0:
             raise JetDomainError("pow", v)
-        try:
-            f.append(ck * v**e)
-        except OverflowError:
-            raise JetDomainError("pow", v) from None
-    return _lift(u, f[0], f[1], f[2], f[3])
+        f.append(ck * v**e)
+    return f
+
+
+def sin(u: Jet3) -> Jet3:
+    return _lift(u, *_coefficients("sin", _sin, u.value))
+
+
+def cos(u: Jet3) -> Jet3:
+    return _lift(u, *_coefficients("cos", _cos, u.value))
+
+
+def exp(u: Jet3) -> Jet3:
+    return _lift(u, *_coefficients("exp", _exp, u.value))
+
+
+def ln(u: Jet3) -> Jet3:
+    return _lift(u, *_coefficients("ln", _ln, u.value))
+
+
+def sqrt(u: Jet3) -> Jet3:
+    return _lift(u, *_coefficients("sqrt", _sqrt, u.value))
+
+
+def _pow_const(u: Jet3, c) -> Jet3:
+    """u**c for an exponent constant at each point (c may vary by point)."""
+    return _lift(u, *_coefficients("pow", _pow, u.value, c))
 
 
 # ---------------------------------------------------------------------------

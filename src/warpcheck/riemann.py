@@ -4,8 +4,11 @@ Everything here is a pure function of (metric source, point), computed once
 per point by a :class:`MetricPoint`.  A metric source is any object exposing
 ``dim`` and ``derivs(x) -> (g, dg, d2g)`` where ``dg[k,i,j]`` and
 ``d2g[k,l,i,j]`` are first and second coordinate partials of the matrix
-entries (frames also read ``value(x)``); :class:`MetricField` evaluates
-expression entries as jets, and induced metrics provide the same surface.
+entries (frames also read ``value(x)``); x may be a block of points (B, dim),
+and then every array gains a leading block axis.  :class:`MetricField`
+evaluates expression entries as jets, and induced metrics provide the same
+surface.  A :class:`MetricBlock` evaluates a source at a block of points once
+and hands each point's slice to its :class:`MetricPoint`.
 
 Index conventions, fixed once for the whole package:
 
@@ -30,7 +33,7 @@ import numpy as np
 from . import expr as dsl
 from .errors import (DegenerateMetricError, DegeneratePlaneError,
                      DependentSeedsError)
-from .jets import DomainBox, Jet3, Point, as_point, jet_var
+from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, pack, per_block
 from .report import nan_max
 
 GS_PIVOT_THRESHOLD = 1e-12
@@ -65,54 +68,42 @@ class MetricField:
         entries = [[dsl.parse(s, n, n_params or len(params)) for s in row] for row in rows]
         return cls(n, entries, domain=domain, params=tuple(params), name=name)
 
+    def _indexed_jets(self, x: Point):
+        return dsl.matrix_jets(self.entries, coordinate_jets(x), self.params, symmetric=True)
+
     def entry_jets(self, x: Point) -> list[list[Jet3]]:
-        x = as_point(x)
-        seeds = [jet_var(i, x) for i in range(self.dim)]
         out: list[list[Jet3]] = [[None] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                jet = dsl.eval_jets(self.entries[i][j], seeds, self.params)
+        for indices, jet in self._indexed_jets(x):
+            for i, j in indices:
                 out[i][j] = jet
-                out[j][i] = jet
         return out
 
     def derivs(self, x: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(g, dg, d2g) at one point x (dim,) or at a block of points (B, dim),
+        the block axis first."""
+        x = as_point(x, block=True)
         n = self.dim
-        jets_ = self.entry_jets(x)
-        g = np.empty((n, n))
-        dg = np.empty((n, n, n))
-        d2g = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                jet = jets_[i][j]
-                g[i, j] = jet.value
-                dg[:, i, j] = jet.d1
-                d2g[:, :, i, j] = jet.d2
-        return g, dg, d2g
+        return tuple(pack(self._indexed_jets(x), x.shape[:-1], n, (n, n), 2))
 
     def value(self, x: Point) -> np.ndarray:
-        n = self.dim
-        x = as_point(x)
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = dsl.eval_expr(self.entries[i][j], x, self.params).value
-                g[i, j] = g[j, i] = v
-        return g
+        return dsl.eval_matrix(self.entries, x, self.params, order=0, symmetric=True)[0]
 
-    def symmetry_residual(self, x: Point) -> float:
-        g = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                g[i, j] = dsl.eval_expr(self.entries[i][j], x, self.params).value
-        return float(np.max(np.abs(g - g.T)))
+    def symmetry_residual(self, x: Point):
+        g = dsl.eval_matrix(self.entries, x, self.params, order=0)[0]
+        return np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1))
 
     def validate_at(self, points: Sequence[Point]) -> None:
         """Check symmetry and positive definiteness at the given sample points."""
-        for x in points:
-            if self.symmetry_residual(x) > 1e-10:
-                raise DegenerateMetricError(f"metric not symmetric at {x}")
-            _checked(self.value(x), x)
+        upper = np.triu(np.ones((self.dim, self.dim), dtype=bool))
+
+        def check(block):
+            for x, g in zip(block, dsl.eval_matrix(self.entries, block, self.params,
+                                                   order=0)[0]):
+                if np.max(np.abs(g - g.T)) > 1e-10:
+                    raise DegenerateMetricError(f"metric not symmetric at {x}")
+                _checked(np.where(upper, g, g.T), x)
+            return ()
+        list(per_block(points, check))
 
 
 @dataclass
@@ -134,15 +125,18 @@ class SlicedMetric:
         return len(self.axes)
 
     def derivs(self, x_sub: Point):
-        full = np.array(self.anchor, dtype=float)
-        full[list(self.axes)] = x_sub
+        x_sub = as_point(x_sub, block=True)
+        full = np.empty(x_sub.shape[:-1] + np.shape(self.anchor))
+        full[...] = self.anchor
+        full[..., list(self.axes)] = x_sub
         return _block(self.base.derivs(full), self.axes)
 
 
 def _block(derivs, axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ix = list(axes)
     g, dg, d2g = derivs
-    return g[np.ix_(ix, ix)], dg[np.ix_(ix, ix, ix)], d2g[np.ix_(ix, ix, ix, ix)]
+    return (g[(...,) + np.ix_(ix, ix)], dg[(...,) + np.ix_(ix, ix, ix)],
+            d2g[(...,) + np.ix_(ix, ix, ix, ix)])
 
 
 def _checked(g: np.ndarray, x) -> np.ndarray:
@@ -160,21 +154,45 @@ def _checked(g: np.ndarray, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class MetricPoint:
-    """A metric source at one chart point; each field is computed on first use.
+class MetricBlock:
+    """A metric source over a block of chart points (B, dim): ``derivs`` at
+    all of them, evaluated together on first use and read per point by the
+    block's :class:`MetricPoint` records."""
 
-    Everything derives from one ``derivs`` evaluation except ``value``, the
-    matrix frames are built from: an induced metric's J^T g J rounds
-    differently from its jets.  Callers holding either may set it.
-    """
-
-    def __init__(self, metric, x: Point):
+    def __init__(self, metric, points: np.ndarray):
         self.metric = metric
-        self.x = as_point(x)
+        self.points = points
 
     @cached_property
     def derivs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.metric.derivs(self.x)
+        return self.metric.derivs(self.points)
+
+    def __getitem__(self, b: int) -> "MetricPoint":
+        return MetricPoint(self.metric, self.points[b], self, b)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.points)))
+
+
+class MetricPoint:
+    """A metric source at one chart point; each field is computed on first use.
+
+    Everything derives from one ``derivs`` evaluation, this point's slice of
+    its block's (a block of one point when none is given), except ``value``,
+    the matrix frames are built from: an induced metric's J^T g J rounds
+    differently from its jets.  Callers holding either may set it.
+    """
+
+    def __init__(self, metric, x: Point, block: MetricBlock | None = None,
+                 index: int = 0):
+        self.metric = metric
+        self.x = as_point(x)
+        self._block = block if block is not None else MetricBlock(metric, self.x[None])
+        self._index = index
+
+    @cached_property
+    def derivs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(a[self._index].copy() for a in self._block.derivs)
 
     @cached_property
     def value(self) -> np.ndarray:

@@ -19,28 +19,9 @@ import numpy as np
 
 from . import expr as dsl
 from .errors import ConfigurationError, DegeneratePlaneError
-from .jets import Point, as_point, jet_var
+from .jets import Point, as_point
 from .report import CheckReport, fold
-from .riemann import MetricField, MetricPoint
-
-
-def _eval_matrix(entries, x: Point, params):
-    """Values and first derivatives of a matrix of expressions.
-
-    Returns (V, D) with V[i,j] the value and D[k,i,j] the k-th partial.
-    """
-    x = as_point(x)
-    seeds = [jet_var(i, x) for i in range(x.shape[0])]
-    n_rows = len(entries)
-    n_cols = len(entries[0])
-    v = np.empty((n_rows, n_cols))
-    d = np.empty((x.shape[0], n_rows, n_cols))
-    for i in range(n_rows):
-        for j in range(n_cols):
-            jet = dsl.eval_jets(entries[i][j], seeds, params)
-            v[i, j] = jet.value
-            d[:, i, j] = jet.d1
-    return v, d
+from .riemann import MetricBlock, MetricField, MetricPoint
 
 
 class _Structure:
@@ -148,30 +129,63 @@ CONTACT_IDENTITIES = ("phi_square", "phi_of_reeb", "dual_form_kills_phi",
                       "dual_pairing", "dual_is_metric_dual", "phi_compatibility")
 
 
-class StructureTensors:
-    """A structure's tensors at one chart point, each evaluated on first use,
-    with the record of its metric there (shared when one is passed in)."""
+class StructureBlock:
+    """A structure's tensors at a block of chart points (B, dim), each
+    evaluated for all of them on first use and read per point by the
+    block's :class:`StructureTensors` records."""
 
-    def __init__(self, s, x: Point, metric: MetricPoint | None = None):
+    def __init__(self, s, points: np.ndarray, metric: MetricBlock | None = None):
+        self.s = s
+        self.points = points
+        self.metric = metric or MetricBlock(s.metric, points)
+
+    @cached_property
+    def op(self) -> list[np.ndarray]:
+        s = self.s
+        entries = s.j_entries if isinstance(s, AlmostComplexStructure) else s.phi_entries
+        return dsl.eval_matrix(entries, self.points, s.params, order=1)
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        return dsl.eval_matrix([self.s.xi_entries], self.points, self.s.params, order=0)[0]
+
+    @cached_property
+    def eta(self) -> list[np.ndarray]:
+        return dsl.eval_matrix([self.s.eta_entries], self.points, self.s.params, order=1)
+
+    def __getitem__(self, b: int) -> "StructureTensors":
+        return StructureTensors(self.s, self.points[b], self.metric[b], self, b)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.points)))
+
+
+class StructureTensors:
+    """A structure's tensors at one chart point, each evaluated on first use
+    (this point's slice of its block's, a block of one point when none is
+    given), with the record of its metric there (shared when one is passed in)."""
+
+    def __init__(self, s, x: Point, metric: MetricPoint | None = None,
+                 block: StructureBlock | None = None, index: int = 0):
         self.s = s
         self.x = as_point(x)
-        self.metric = metric or MetricPoint(s.metric, self.x)
+        self._block = block if block is not None else StructureBlock(s, self.x[None])
+        self._index = index
+        self.metric = metric or self._block.metric[index]
 
     @cached_property
     def op(self) -> tuple[np.ndarray, np.ndarray]:
         """J or phi and its first partials D[k,i,j]."""
-        s = self.s
-        entries = s.j_entries if isinstance(s, AlmostComplexStructure) else s.phi_entries
-        return _eval_matrix(entries, self.x, s.params)
+        return tuple(a[self._index].copy() for a in self._block.op)
 
     @cached_property
     def xi(self) -> np.ndarray:
-        return _eval_matrix([self.s.xi_entries], self.x, self.s.params)[0][0]
+        return self._block.xi[self._index].copy()[0]
 
     @cached_property
     def eta(self) -> tuple[np.ndarray, np.ndarray]:
         """eta and its first partials D[k,i]."""
-        v, d = _eval_matrix([self.s.eta_entries], self.x, self.s.params)
+        v, d = (a[self._index].copy() for a in self._block.eta)
         return v[0], d[:, 0]
 
 

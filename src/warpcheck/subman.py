@@ -21,13 +21,13 @@ import numpy as np
 from . import expr as dsl
 from .errors import (ConfigurationError, ImmersionDegenerateError,
                      InvalidNormalError)
-from .jets import DomainBox, Jet3, Point, as_point, differentiate, jet_var
+from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, differentiate
 from .report import CheckReport, fold, nan_max
-from .riemann import (MetricField, MetricPoint, frame_curvature, gram_schmidt,
-                      gram_schmidt_step)
+from .riemann import (MetricBlock, MetricField, MetricPoint, frame_curvature,
+                      gram_schmidt, gram_schmidt_step)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
-                         StructureTensors)
-from .warped import WarpedGeometry, WarpedPoint
+                         StructureBlock, StructureTensors)
+from .warped import WarpedBlock, WarpedGeometry, WarpedPoint
 
 RANK_THRESHOLD = 1e-8
 NORMAL_COMPLETION_THRESHOLD = 1e-8
@@ -68,12 +68,13 @@ class Immersion:
         return self.ambient.dim
 
     def component_jets(self, x: Point) -> list[Jet3]:
-        x = as_point(x)
-        seeds = [jet_var(i, x) for i in range(self.dim)]
+        """Jets of the components at one point or at a block of points."""
+        seeds = coordinate_jets(x)
         return [dsl.eval_jets(c, seeds, self.params) for c in self.components]
 
     def map_point(self, x: Point) -> np.ndarray:
-        return np.array([p.value for p in self.component_jets(x)])
+        """Image of one point (ambient_dim,) or of a block (B, ambient_dim)."""
+        return dsl.eval_matrix([self.components], x, self.params, order=0)[0][..., 0, :]
 
 
 @dataclass
@@ -86,18 +87,16 @@ class InducedMetric:
     def dim(self) -> int:
         return self.im.dim
 
-    def entry_jets(self, x: Point) -> list[list[Jet3]]:
+    def _indexed_jets(self, x: Point):
         im = self.im
         n, m = im.dim, im.ambient_dim
         phi = im.component_jets(x)
         dphi = [[differentiate(phi[k], i) for i in range(n)] for k in range(m)]
         amb = [[None] * m for _ in range(m)]
-        for k in range(m):
-            for l in range(k, m):
-                amb[k][l] = dsl.eval_jets(im.ambient.entries[k][l], phi,
-                                          im.ambient.params)
-                amb[l][k] = amb[k][l]
-        out = [[None] * n for _ in range(n)]
+        for indices, jet in dsl.matrix_jets(im.ambient.entries, phi, im.ambient.params,
+                                            symmetric=True):
+            for k, l in indices:
+                amb[k][l] = jet
         for i in range(n):
             for j in range(i, n):
                 acc = None
@@ -105,16 +104,17 @@ class InducedMetric:
                     for l in range(m):
                         term = amb[k][l] * dphi[k][i] * dphi[l][j]
                         acc = term if acc is None else acc + term
-                out[i][j] = acc
-                out[j][i] = acc
-        return out
+                yield {(i, j), (j, i)}, acc
 
-    derivs = MetricField.derivs  # the same packing of entry_jets
+    # the same listing and packing of the entries
+    entry_jets = MetricField.entry_jets
+    derivs = MetricField.derivs
 
     def value(self, x: Point) -> np.ndarray:
-        phi = self.im.component_jets(x)
-        jac = np.array([p.d1 for p in phi])
-        return jac.T @ self.im.ambient.value(np.array([p.value for p in phi])) @ jac
+        im = self.im
+        y, d1 = dsl.eval_matrix([im.components], x, im.params, order=1)
+        jac = np.ascontiguousarray(np.swapaxes(d1[..., 0, :], -1, -2))  # (..., m, n)
+        return np.swapaxes(jac, -1, -2) @ im.ambient.value(y[..., 0, :]) @ jac
 
 
 def induced_metric(im: Immersion) -> InducedMetric:
@@ -226,17 +226,55 @@ def _complete_normal_frame(g_amb: np.ndarray, tangent_cols: np.ndarray,
     return np.ascontiguousarray(accepted[:, tangent_cols.shape[1]:]), n_priority
 
 
-def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
-    """Second fundamental form via the ambient covariant derivative of the
-    pushed-forward coordinate frame, projected to the normal space."""
-    x = as_point(x)
-    n, m = im.dim, im.ambient_dim
-    phi = im.component_jets(x)
-    y = np.array([p.value for p in phi])
-    jac = np.array([p.d1 for p in phi])              # (m, n)
-    d2phi = np.array([p.d2 for p in phi])            # (m, n, n)
+class ImmersionBlock:
+    """An immersion over a block of sub-chart points (B, dim): the component
+    values and partials, and the ambient, induced, structure and warped
+    blocks, each evaluated for all points on first use and read per point by
+    :func:`second_fundamental_form`."""
 
-    amb = MetricPoint(im.ambient, y)
+    def __init__(self, im: Immersion, points: np.ndarray):
+        self.im = im
+        self.points = points
+
+    @cached_property
+    def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Image points (B, m), Jacobians (B, m, n) and second partials (B, m, n, n)."""
+        y, d1, d2 = dsl.eval_matrix([self.im.components], self.points, self.im.params)
+        return (y[..., 0, :], np.moveaxis(d1[..., 0, :], -1, -2),
+                np.moveaxis(d2[..., 0, :], -1, -3))
+
+    @cached_property
+    def ambient(self) -> MetricBlock:
+        return MetricBlock(self.im.ambient, self.components[0])
+
+    @cached_property
+    def induced(self) -> MetricBlock:
+        return MetricBlock(InducedMetric(self.im), self.points)
+
+    @cached_property
+    def tensors(self) -> StructureBlock:
+        s = self.im.structure
+        return StructureBlock(s, self.components[0],
+                              self.ambient if s.metric is self.im.ambient else None)
+
+    @cached_property
+    def warped(self) -> WarpedBlock:
+        return WarpedBlock(warped_geometry(self.im), self.points, self.induced)
+
+
+def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | None = None,
+                            index: int = 0) -> SFFData:
+    """Second fundamental form via the ambient covariant derivative of the
+    pushed-forward coordinate frame, projected to the normal space.
+
+    ``block``: the ImmersionBlock x is point ``index`` of, whose evaluations
+    it reads (a block of one point when none is given)."""
+    x = as_point(x)
+    block = block if block is not None else ImmersionBlock(im, x[None])
+    n, m = im.dim, im.ambient_dim
+    y, jac, d2phi = (a[index].copy() for a in block.components)  # (m,), (m, n), (m, n, n)
+
+    amb = block.ambient[index]
     gam = amb.gamma                # verifies the ambient metric is positive definite
     g_amb = amb.value
     g_ind = jac.T @ g_amb @ jac
@@ -246,7 +284,7 @@ def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
             f"immersion differential near rank-deficient at {x} "
             f"(smallest singular value {math.sqrt(max(eigs[0], 0.0)):.3e})")
 
-    induced = MetricPoint(InducedMetric(im), x)
+    induced = block.induced[index]
     induced.value = g_ind
     tangent_frame = induced.frame
     tangent_amb = jac @ tangent_frame                # (m, n), ambient-orthonormal
@@ -260,7 +298,8 @@ def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
     h_frame = np.einsum("pqk,pi,qj->ijk", h_coord, tangent_frame, tangent_frame)
 
     s = im.structure
-    tensors = None if s is None else s.at(y, amb if s.metric is im.ambient else None)
+    tensors = None if s is None else StructureTensors(
+        s, y, amb if s.metric is im.ambient else None, block.tensors, index)
     priority = None
     if isinstance(s, AlmostContactStructure) and im.warped is not None:
         # image of the fiber (anti-invariant) frame under phi comes first, so
@@ -285,7 +324,8 @@ def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
         coeffs=coeffs, mean=mean, im=im, d_full=d_full, ambient=amb,
         induced=induced, n1=n1, mean_leaf=mean_leaf, mean_fiber=mean_fiber,
         nu_start=n_priority if priority is not None else None, tensors=tensors,
-        warped=None if decl is None else WarpedPoint(warped_geometry(im), x, induced),
+        warped=None if decl is None else WarpedPoint(block.warped.geom, x, induced,
+                                                     block.warped, index),
     )
 
 
@@ -463,22 +503,20 @@ def warped_geometry(im: Immersion) -> WarpedGeometry:
     if decl is None:
         raise ConfigurationError("immersion has no warped declaration")
     return WarpedGeometry(metric=InducedMetric(im), n1=decl.n1, n2=decl.n2, f=decl.f,
-                          params=im.params)
+                          params=im.params, fiber=decl.g2)
 
 
-def warped_block_defect(im: Immersion, x: Point, g: np.ndarray) -> float:
+def warped_block_defect(im: Immersion, x: Point, g: np.ndarray,
+                        at: WarpedPoint | None = None) -> float:
     """Isometric-immersion sanity for warped declarations at one point, from
     the induced metric matrix g there: it must be block diagonal with fiber
     block equal to f^2 times the declared fiber metric (identity when none
-    is declared)."""
-    decl = im.warped
-    x = as_point(x)
-    n1 = decl.n1
+    is declared).  ``at``: the point's warped split, which holds f and the
+    fiber metric there."""
+    p = at or WarpedPoint(warped_geometry(im), x)
+    n1 = im.warped.n1
     off = float(np.max(np.abs(g[:n1, n1:]))) if n1 < im.dim else 0.0
-    f_val = dsl.eval_expr(decl.f, x[:n1], im.params).value
-    g2 = (decl.g2.value(x[n1:]) if decl.g2 is not None
-          else np.eye(decl.n2))
-    return nan_max(off, float(np.max(np.abs(g[n1:, n1:] - f_val**2 * g2))))
+    return nan_max(off, float(np.max(np.abs(g[n1:, n1:] - p.f.value**2 * p.fiber))))
 
 
 def warped_block_residual(im: Immersion, points: Sequence[Point]) -> float:

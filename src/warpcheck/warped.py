@@ -22,8 +22,9 @@ import numpy as np
 from . import expr as dsl
 from . import jets
 from .errors import InvalidWarpingError
-from .jets import DomainBox, ExcludedBall, Point, as_point
-from .riemann import MetricField, MetricPoint, frame_curvature, orthonormal_frame
+from .jets import DomainBox, ExcludedBall, Jet3, Point, as_point, coordinate_jets, per_block
+from .riemann import (MetricBlock, MetricField, MetricPoint, frame_curvature,
+                      orthonormal_frame)
 
 
 def _expr_max_var(e) -> int:
@@ -75,15 +76,20 @@ class WarpedMetric:
 
     def geometry(self) -> "WarpedGeometry":
         return WarpedGeometry(metric=self.assembled, n1=self.n1, n2=self.n2,
-                              f=self.f, params=self.assembled.params, leaf=self.g1)
+                              f=self.f, params=self.assembled.params, leaf=self.g1,
+                              fiber=self.g2)
 
     def validate_at(self, points: Sequence[Point]) -> None:
         self.assembled.validate_at(points)
-        for x in points:
-            f_val = dsl.eval_expr(self.f, as_point(x)[: self.n1],
-                                  self.assembled.params).value
-            if f_val <= 0.0:
-                raise InvalidWarpingError(f"warping function {f_val} <= 0 at {x}")
+
+        def check(block):
+            f = dsl.eval_matrix([[self.f]], block[:, : self.n1], self.assembled.params,
+                                order=0)[0]
+            for x, f_val in zip(block, f[:, 0, 0].tolist()):
+                if f_val <= 0.0:
+                    raise InvalidWarpingError(f"warping function {f_val} <= 0 at {x}")
+            return ()
+        list(per_block(points, check))
 
 
 def _product_domain(d1: DomainBox | None, d2: DomainBox | None,
@@ -142,6 +148,7 @@ class WarpedGeometry:
 
     ``leaf`` is the leaf factor's metric; None means the leading n1 x n1
     block of the total metric at the point (how induced metrics are split).
+    ``fiber`` is the declared fiber metric; None means the identity.
     """
 
     metric: object
@@ -150,6 +157,7 @@ class WarpedGeometry:
     f: object
     params: tuple
     leaf: MetricField | None = None
+    fiber: MetricField | None = None
 
 
 @dataclass(frozen=True)
@@ -167,21 +175,82 @@ def _as_geometry(w) -> WarpedGeometry:
     return w.geometry() if isinstance(w, WarpedMetric) else w
 
 
+class WarpedBlock:
+    """A warped split over a block of chart points (B, dim): the total
+    metric's block, the leaf factor's block, the warping function's jets and
+    the fiber metric, each evaluated for all points on first use and read per
+    point by the block's :class:`WarpedPoint` records."""
+
+    def __init__(self, geom: WarpedGeometry | WarpedMetric, points: np.ndarray,
+                 total: MetricBlock | None = None):
+        self.geom = _as_geometry(geom)
+        self.points = points
+        self.total = total or MetricBlock(self.geom.metric, points)
+
+    @cached_property
+    def leaf(self) -> MetricBlock:
+        return MetricBlock(self.geom.leaf, self.points[:, : self.geom.n1])
+
+    @cached_property
+    def f(self) -> Jet3:
+        """Jets of the warping function at the leaf coordinates."""
+        g = self.geom
+        return dsl.eval_jets(g.f, coordinate_jets(self.points[:, : g.n1]), g.params)
+
+    @cached_property
+    def lnf(self) -> Jet3:
+        """Jets of ln f; f <= 0 at any point of the block is a domain error."""
+        return jets.ln(self.f)
+
+    @cached_property
+    def fiber(self) -> np.ndarray:
+        """Values of the declared fiber metric at the fiber coordinates."""
+        return self.geom.fiber.value(self.points[:, self.geom.n1:])
+
+    def __getitem__(self, b: int) -> "WarpedPoint":
+        return WarpedPoint(self.geom, self.points[b], self.total[b], self, b)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.points)))
+
+
 class WarpedPoint:
     """A warped split at one point: the total metric's record, the leaf
-    factor's record and the leaf scalars, each built on first use."""
+    factor's record, the warping function's jet and the leaf scalars, each
+    built on first use (from this point's slice of its block's, a block of
+    one point when none is given)."""
 
     def __init__(self, geom: WarpedGeometry | WarpedMetric, x: Point,
-                 total: MetricPoint | None = None):
+                 total: MetricPoint | None = None, block: WarpedBlock | None = None,
+                 index: int = 0):
         self.geom = _as_geometry(geom)
         self.x = as_point(x)
-        self.total = total or MetricPoint(self.geom.metric, self.x)
+        self._block = block if block is not None else WarpedBlock(self.geom, self.x[None])
+        self._index = index
+        self.total = total or self._block.total[index]
 
     @cached_property
     def leaf(self) -> MetricPoint:
         if self.geom.leaf is None:
             return self.total.block(range(self.geom.n1))
-        return MetricPoint(self.geom.leaf, self.x[: self.geom.n1])
+        return self._block.leaf[self._index]
+
+    @cached_property
+    def f(self) -> Jet3:
+        """Jet of the warping function at the leaf coordinates."""
+        return self._block.f.at(self._index)
+
+    @cached_property
+    def lnf(self) -> Jet3:
+        """Jet of ln f at the leaf coordinates."""
+        return self._block.lnf.at(self._index)
+
+    @cached_property
+    def fiber(self) -> np.ndarray:
+        """The declared fiber metric at the fiber coordinates."""
+        if self.geom.fiber is None:
+            return np.eye(self.geom.n2)
+        return self._block.fiber[self._index].copy()
 
     @cached_property
     def scalars(self) -> LeafScalars:
@@ -191,10 +260,10 @@ class WarpedPoint:
 def leaf_scalars(geom: WarpedGeometry | WarpedMetric, x: Point,
                  at: WarpedPoint | None = None) -> LeafScalars:
     p = at or WarpedPoint(geom, x)
-    f_jet = dsl.eval_expr(p.geom.f, p.x[: p.geom.n1], p.geom.params)
+    f_jet = p.f
     if f_jet.value <= 0.0:
         raise InvalidWarpingError(f"warping function {f_jet.value} <= 0 at {p.x}")
-    lnf_jet = jets.ln(f_jet)
+    lnf_jet = p.lnf
     leaf = p.leaf
     return LeafScalars(
         f_value=f_jet.value,

@@ -77,7 +77,16 @@ def _metric_cfg(tmp_path, dim, row_last, lo, hi, extra=""):
 def test_float_overflow_exits_2(tmp_path, capsys):
     cfg = _metric_cfg(tmp_path, 2, "exp(700*x1)", (-1, 0), (1.5, 1))
     assert main(["--target", cfg]) == 2
-    assert "domain error in 'exp'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "domain error in 'exp'" in err and "at offset 0" in err
+
+
+def test_tiny_divisor_exits_2(tmp_path, capsys):
+    # 1/x1 at x1 ~ 1e-100 is finite, but its third-derivative coefficient
+    # -6/x1^4 underflows to a division by zero
+    cfg = _metric_cfg(tmp_path, 2, "1 + 1/x1", (1e-100, 0), (2e-100, 1))
+    assert main(["--target", cfg]) == 2
+    assert "domain error in '/'" in capsys.readouterr().err
 
 
 def test_sampling_errors_exit_2(tmp_path, capsys):
@@ -115,9 +124,9 @@ def test_one_geometry_record_per_point(monkeypatch):
         calls["derivs"] += 1
         return derivs(self, x)
 
-    def counted_sff(im, x):
+    def counted_sff(im, x, *block):
         calls["sff"] += 1
-        return sff(im, x)
+        return sff(im, x, *block)
 
     monkeypatch.setattr(subman.InducedMetric, "derivs", counted_derivs)
     for mod in [m for name, m in sys.modules.items() if name.startswith("warpcheck.")]:

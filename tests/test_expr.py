@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from warpcheck.errors import JetDomainError
 from warpcheck.expr import (BinOp, Call, Neg, Num, Param, ParseError, Var,
-                            eval_expr, eval_value, parse, pretty, shift_vars)
+                            eval_expr, eval_jets, eval_value, parse, pretty, shift_vars)
+from warpcheck.jets import coordinate_jets
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -178,3 +179,76 @@ def test_parse_is_total(junk):
         parse(junk, dim=2, n_params=1)
     except ParseError as err:
         assert 0 <= err.offset <= len(junk)
+
+
+# ---------------------------------------------------------------------------
+# Block evaluation equals point-by-point evaluation
+# ---------------------------------------------------------------------------
+
+# coordinates that make sub-expressions vanish or hit domain edges
+_COORDS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1e-200, 1e200]),
+                    st.floats(min_value=-3.0, max_value=3.0))
+
+
+def _evaluate(e, x, params):
+    try:
+        return eval_jets(e, coordinate_jets(x), params), None
+    except JetDomainError as err:
+        return None, err
+
+
+def _assert_block_matches_points(e, block, params):
+    """The block's slots equal the stacked single-point slots, bit for bit,
+    and a block fails iff some point fails alone, with that first point's
+    error."""
+    with np.errstate(all="ignore"):
+        got, err = _evaluate(e, block, params)
+        singles = [_evaluate(e, x, params) for x in block]
+    first = next((e for _, e in singles if e is not None), None)
+    if first is not None or err is not None:
+        assert err is not None and first is not None
+        assert (err.op, err.pos) == (first.op, first.pos)
+        np.testing.assert_array_equal(err.value, first.value)
+        return
+    batch = (len(block),)
+    for slot in ("value", "d1", "d2", "d3"):
+        want = np.stack([np.asarray(getattr(j, slot)) for j, _ in singles])
+        have = np.broadcast_to(getattr(got, slot), batch + want.shape[1:])
+        np.testing.assert_array_equal(have, want, err_msg=slot)
+
+
+@given(_asts(), st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1, max_size=6),
+       st.tuples(_COORDS, _COORDS))
+@settings(max_examples=300, deadline=None)
+def test_block_evaluation_equals_points(ast, coords, params):
+    e = parse(pretty(ast), dim=3, n_params=2)  # real source offsets
+    _assert_block_matches_points(e, np.array(coords), params)
+
+
+def test_block_power_branches_per_point():
+    # x2^4 and x2^4 - 1 are constant (all partials vanish) at x2 = 0 only,
+    # so the points of one block take different branches of '^'
+    block = np.array([[2.0, 0.0], [2.0, 0.7], [0.5, 0.0], [3.0, -1.2]])
+    for src in ("x1 ^ (x2*x2*x2*x2)", "(x1 - 1) ^ (x2^4 + x1)", "x1 ^ (x2^4 - 1)"):
+        _assert_block_matches_points(parse(src, dim=2), block, ())
+    # the failing point that comes first names the error, whichever branch
+    # fails: base 0 with a constant negative exponent, or a negative base
+    # with a varying exponent
+    e = parse("(x1 - 1) ^ (x2^4 - 1)", dim=2)
+    for block in ([[1.0, 0.0], [0.5, 0.3]], [[0.5, 0.3], [1.0, 0.0]]):
+        block = np.array(block)
+        with pytest.raises(JetDomainError) as ei:
+            eval_jets(e, coordinate_jets(block))
+        assert ei.value.value == block[0, 0] - 1.0
+        _assert_block_matches_points(e, block, ())
+
+
+def test_block_error_names_first_failing_point():
+    # the block meets ln(-1) of the second point before sqrt(-1) of the
+    # first, but the first point fails on its own, so its error is raised
+    e = parse("ln(x1) + sqrt(x2)", dim=2)
+    block = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(JetDomainError) as ei:
+        eval_jets(e, coordinate_jets(block))
+    assert (ei.value.op, ei.value.value, ei.value.pos) == ("sqrt", -1.0, 9)
+    _assert_block_matches_points(e, block, ())

@@ -117,6 +117,19 @@ def test_float_overflow_is_a_domain_error():
         jet_var(0, np.array([1e200])) ** 3
 
 
+def test_coefficient_underflow_is_a_domain_error():
+    # the derivative coefficients -6/u^4, 0.375/(s v^2) and 2/v^3 underflow
+    # to a division by zero for arguments still above the smallest normal
+    with pytest.raises(JetDomainError):
+        jet_const(1.0, 1) / jet_var(0, np.array([1e-100]))
+    with pytest.raises(JetDomainError):
+        jets.sqrt(jet_var(0, np.array([1e-200])))
+    with pytest.raises(JetDomainError):
+        jets.ln(jet_var(0, np.array([1e-160])))
+    with pytest.raises(JetDomainError):
+        jets.ln(jet_var(0, np.array([1e200])))
+
+
 def test_integer_power_at_zero_base():
     # x^2 at x=0: value 0, f'=0, f''=2, f'''=0
     j = jet_var(0, np.array([0.0])) ** 2

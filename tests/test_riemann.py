@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from warpcheck.errors import (DegenerateMetricError, DegeneratePlaneError,
-                              DependentSeedsError)
+                              DependentSeedsError, JetDomainError)
 from warpcheck.expr import parse
 from warpcheck.jets import fd_partial
 from warpcheck.riemann import (MetricField, SlicedMetric, christoffel,
@@ -304,3 +304,14 @@ def test_sliced_metric_restricts_block():
     assert dg.shape == (1, 1, 1) and d2g.shape == (1, 1, 1, 1)
     # Laplacian of f(x1)=x1^2 on the 1-d leaf: -2
     assert laplacian(leaf, parse("x1^2", dim=1), np.array([0.5])) == -2.0
+
+
+def test_validation_reports_the_first_failing_point():
+    # both points sit in one evaluation block: the first is not positive
+    # definite, the second is outside the domain of ln; the first point's
+    # error is the one raised, as in a point-by-point walk
+    g = MetricField.from_strings([["x1", "0"], ["0", "ln(x1 + 0.9)"]])
+    with pytest.raises(DegenerateMetricError):
+        g.validate_at([np.array([-0.5, 0.0]), np.array([-0.95, 0.0])])
+    with pytest.raises(JetDomainError):
+        g.validate_at([np.array([-0.95, 0.0]), np.array([-0.5, 0.0])])
