@@ -202,6 +202,11 @@ GOLDEN_DIGESTS = {
     ("e6", 35): "2a801d989a637c9cde05a5c4322015601053c491c482f6078504bb6729e62556",
     ("e1", 35): "825b3c897df96ce976611e9047ffdd9caa11b07419b294c83d2aa6cefd444d50",
     ("sasakian-r5", 35): "8fa5eda41ac3bbcde0f3d6a2d078391d8ade7ff0654cbce3339bf15e68e913ca",
+    # a full block followed by a block of one point
+    ("e1", 33): "560855ccc3aaf911aae789b54ba44f5a3b97613328faa264f525c306f2a758e8",
+    ("e2", 33): "984bbf05bd7a3c8d30dfe8a46a2704e165e9a8b09ce89337421865914a6239f5",
+    ("e3", 33): "a558abaf6a972cf3417dbf8c10fef201d9dc1835530b059c95ebb877974183e9",
+    ("s2-warped", 33): "9a7d8c0b4e391757767f5e072872177b30bf36591a02e71f39a991d2d58edc6a",
 }
 
 
