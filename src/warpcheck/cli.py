@@ -37,7 +37,7 @@ from .subman import (PREDICATES, Immersion, ImmersionBlock, classification_resid
                      contact_cr_residuals, gauss_residual_max,
                      scalar_identity_residual, second_fundamental_form,
                      shape_operator, warped_block_defect)
-from .warped import (WarpedBlock, WarpedMetric, WarpedPoint, block_second_form_residuals,
+from .warped import (WarpedBlock, WarpedMetric, block_second_form_residuals,
                      warping_identity_residual)
 
 CHECK_GROUPS = ("structure", "identities", "classify", "inequalities")
@@ -94,9 +94,12 @@ def _add(rep: CheckReport, worst: dict, n: int, *specs) -> None:
 def _metric_checks(g: MetricField, rc: RunConfig, rep: CheckReport):
     points = sample_points(g, rc.points, rc.seed)
     g.validate_at(points)
-    worst = fold(per_block(points, lambda block: (
-        {"curvature-symmetries": Curvature4(p.x, p.curvature).max_symmetry_residual()}
-        for p in MetricBlock(g, block))))
+
+    def walk(block):
+        symmetries = Curvature4(block, MetricBlock(g, block).curvature).max_symmetry_residual()
+        return ({"curvature-symmetries": r} for r in symmetries.tolist())
+
+    worst = fold(per_block(points, walk))
     _add(rep, worst, len(points), ("curvature-symmetries", "curvature-tensor-symmetries",
                                    rc.tol("curvature-symmetry")))
 
@@ -146,15 +149,17 @@ def _warped_checks(w: WarpedMetric, rc: RunConfig, rep: CheckReport):
     w.validate_at(points)
     geom = w.geometry()
 
-    def step(p: WarpedPoint) -> dict[str, float]:
-        blocks = block_second_form_residuals(geom, p.x, p)
-        return {"warped-identity": warping_identity_residual(geom, p.x, p)["residual"],
-                "leaf-geodesic": blocks["leaf_geodesic"],
-                "fiber-umbilical-shape": blocks["fiber_umbilical_shape"],
-                "curvature-symmetries":
-                    Curvature4(p.x, p.total.curvature).max_symmetry_residual()}
+    def walk(block):
+        wb = WarpedBlock(geom, block)
+        symmetries = Curvature4(block, wb.total.curvature).max_symmetry_residual()
+        for p, sym in zip(wb, symmetries.tolist()):
+            blocks = block_second_form_residuals(geom, p.x, p)
+            yield {"warped-identity": warping_identity_residual(geom, p.x, p)["residual"],
+                   "leaf-geodesic": blocks["leaf_geodesic"],
+                   "fiber-umbilical-shape": blocks["fiber_umbilical_shape"],
+                   "curvature-symmetries": sym}
 
-    worst = fold(per_block(points, lambda block: map(step, WarpedBlock(geom, block))))
+    worst = fold(per_block(points, walk))
     _add(rep, worst, len(points),
          ("warped-identity", "warped-mixed-sectional-identity", rc.tol("warped-identity")),
          ("leaf-geodesic", "warped-leaf-geodesic", rc.tol("warped-block")),

@@ -36,6 +36,10 @@ class ImmersionDegenerateError(WarpcheckError):
     """Immersion differential drops rank at the evaluation point."""
 
 
+class NonFiniteImageError(WarpcheckError):
+    """Immersion maps a sample point to non-finite ambient coordinates."""
+
+
 class InvalidWarpingError(WarpcheckError):
     """Warping function is non-positive at a sampled point."""
 

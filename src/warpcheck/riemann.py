@@ -1,14 +1,31 @@
 """Intrinsic Riemannian geometry of a chart-level metric field.
 
-Everything here is a pure function of (metric source, point), computed once
-per point by a :class:`MetricPoint`.  A metric source is any object exposing
-``dim`` and ``derivs(x) -> (g, dg, d2g)`` where ``dg[k,i,j]`` and
-``d2g[k,l,i,j]`` are first and second coordinate partials of the matrix
-entries (frames also read ``value(x)``); x may be a block of points (B, dim),
-and then every array gains a leading block axis.  :class:`MetricField`
-evaluates expression entries as jets, and induced metrics provide the same
-surface.  A :class:`MetricBlock` evaluates a source at a block of points once
-and hands each point's slice to its :class:`MetricPoint`.
+Everything here is a pure function of (metric source, point).  A metric
+source is any object exposing ``dim`` and ``derivs(x) -> (g, dg, d2g)``
+where ``dg[k,i,j]`` and ``d2g[k,l,i,j]`` are first and second coordinate
+partials of the matrix entries (frames also read ``value(x)``); x may be a
+block of points (B, dim), and then every array gains a leading block axis.
+:class:`MetricField` evaluates expression entries as jets, and induced
+metrics provide the same surface.
+
+The block is the unit of geometry.  A :class:`MetricBlock` holds a source
+at a block of points and computes each field (the derivatives, the inverse
+metric with its positive-definiteness check, the connection, the curvature)
+once for the whole block, on first use, as batch-leading arrays.  A
+:class:`MetricPoint` is one point of a block (a lone point is a block of
+one) and returns views of the block's fields, with no formulas of its own.
+A block gives each point exactly the bits a block of one gives it, under two
+rules:
+
+* Layout is part of the bits.  A batched einsum is the single-point
+  subscript string with ``...`` prefixed on each operand, and records return
+  views, not copies: a view has the single-point output's strides, while a
+  C-ordered copy would make a per-point einsum downstream (a frame
+  contraction of the curvature) sum in another order.
+* Contractions to a scalar stay per point (the Laplacian's traces, the
+  scalar curvature's sum): batched, ``"ij,kij,k->"`` sums in another order.
+  Elementwise arithmetic followed by a max is exact, so check values of
+  that form (the curvature symmetry residuals) are taken per block.
 
 Index conventions, fixed once for the whole package:
 
@@ -34,7 +51,6 @@ from . import expr as dsl
 from .errors import (DegenerateMetricError, DegeneratePlaneError,
                      DependentSeedsError)
 from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, pack, per_block
-from .report import nan_max
 
 GS_PIVOT_THRESHOLD = 1e-12
 PLANE_GRAM_THRESHOLD = 1e-12
@@ -97,11 +113,14 @@ class MetricField:
         upper = np.triu(np.ones((self.dim, self.dim), dtype=bool))
 
         def check(block):
-            for x, g in zip(block, dsl.eval_matrix(self.entries, block, self.params,
-                                                   order=0)[0]):
-                if np.max(np.abs(g - g.T)) > 1e-10:
-                    raise DegenerateMetricError(f"metric not symmetric at {x}")
-                _checked(np.where(upper, g, g.T), x)
+            g = dsl.eval_matrix(self.entries, block, self.params, order=0)[0]
+            gt = np.swapaxes(g, -1, -2)
+            asym = np.max(np.abs(g - gt), axis=(-2, -1)) > 1e-10
+            k = int(np.argmax(asym)) if asym.any() else len(block)
+            # the points before the first asymmetric one must be positive definite
+            _checked(np.where(upper, g, gt)[:k], block[:k])
+            if k < len(block):
+                raise DegenerateMetricError(f"metric not symmetric at {block[k]}")
             return ()
         list(per_block(points, check))
 
@@ -133,19 +152,29 @@ class SlicedMetric:
 
 
 def _block(derivs, axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-block entries and directions, C-ordered like a single point's arrays
+    (indexing a block puts its block axis last in memory)."""
     ix = list(axes)
     g, dg, d2g = derivs
-    return (g[(...,) + np.ix_(ix, ix)], dg[(...,) + np.ix_(ix, ix, ix)],
-            d2g[(...,) + np.ix_(ix, ix, ix, ix)])
+    return tuple(np.ascontiguousarray(a) for a in (
+        g[(...,) + np.ix_(ix, ix)], dg[(...,) + np.ix_(ix, ix, ix)],
+        d2g[(...,) + np.ix_(ix, ix, ix, ix)]))
 
 
 def _checked(g: np.ndarray, x) -> np.ndarray:
-    """g itself, after verifying it is positive definite (all leading minors > 0)."""
+    """g itself, after verifying it is positive definite (all leading minors
+    > 0) at one point x or at each point of a block; the first point where it
+    is not raises."""
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise DegenerateMetricError(
-            f"metric not positive definite at {np.asarray(x)}") from None
+        n = g.shape[-1]
+        for gk, xk in zip(g.reshape(-1, n, n), np.reshape(x, (-1, np.shape(x)[-1]))):
+            try:
+                np.linalg.cholesky(gk)
+            except np.linalg.LinAlgError:
+                raise DegenerateMetricError(
+                    f"metric not positive definite at {np.asarray(xk)}") from None
     return g
 
 
@@ -155,17 +184,65 @@ def _checked(g: np.ndarray, x) -> np.ndarray:
 
 
 class MetricBlock:
-    """A metric source over a block of chart points (B, dim): ``derivs`` at
-    all of them, evaluated together on first use and read per point by the
-    block's :class:`MetricPoint` records."""
+    """A metric source over a block of chart points (B, dim).
 
-    def __init__(self, metric, points: np.ndarray):
+    ``derivs`` and every field derived from it (``ginv``, ``lowered``,
+    ``gamma``, ``curvature``) are computed on first use for the whole block
+    at once, as batch-leading arrays (B, ...), and read per point by the
+    block's :class:`MetricPoint` records as views.  ``derivs``: a function
+    returning the block's (g, dg, d2g) when the caller already holds what
+    they are made from (the source's ``derivs`` at the points by default).
+    """
+
+    def __init__(self, metric, points: np.ndarray, derivs=None):
         self.metric = metric
         self.points = points
+        self._derivs = derivs or (lambda: metric.derivs(points))
 
     @cached_property
     def derivs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.metric.derivs(self.points)
+        return self._derivs()
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        """Inverse metrics, after checking that each is positive definite."""
+        return np.linalg.inv(_checked(self.derivs[0], self.points))
+
+    @cached_property
+    def lowered(self) -> np.ndarray:
+        """Christoffel symbols of the first kind, Gamma_kij."""
+        dg = self.derivs[1]
+        return 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg) - dg)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Levi-Civita connection coefficients Gamma[k,i,j]."""
+        return np.einsum("...kl,...lij->...kij", self.ginv, self.lowered)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """Covariant curvature R[i,j,k,l] = g(R(d_i,d_j)d_k, d_l) in chart coordinates."""
+        g, dg, d2g = self.derivs
+        ginv, low, gamma = self.ginv, self.lowered, self.gamma
+
+        # d_m Gamma^l_ij = d_m(g^lk) Gamma_kij + g^lk d_m Gamma_kij
+        dginv = -np.einsum("...la,...mab,...bk->...mlk", ginv, dg, ginv)
+        dlow = 0.5 * (np.einsum("...mijk->...mkij", d2g) + np.einsum("...mjik->...mkij", d2g)
+                      - d2g)
+        dgamma = (np.einsum("...mlk,...kij->...mlij", dginv, low)
+                  + np.einsum("...lk,...mkij->...mlij", ginv, dlow))
+
+        # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
+        r_up = (np.einsum("...iljk->...lkij", dgamma) - np.einsum("...jlik->...lkij", dgamma)
+                + np.einsum("...lim,...mjk->...lkij", gamma, gamma)
+                - np.einsum("...ljm,...mik->...lkij", gamma, gamma))
+        return np.einsum("...lm,...mkij->...ijkl", g, r_up)
+
+    def block(self, axes) -> "MetricBlock":
+        """The block of a coordinate sub-chart, sliced from this block's derivatives."""
+        axes = tuple(axes)
+        return MetricBlock(SlicedMetric(self.metric, axes, self.points),
+                           self.points[:, list(axes)], lambda: _block(self.derivs, axes))
 
     def __getitem__(self, b: int) -> "MetricPoint":
         return MetricPoint(self.metric, self.points[b], self, b)
@@ -175,12 +252,12 @@ class MetricBlock:
 
 
 class MetricPoint:
-    """A metric source at one chart point; each field is computed on first use.
+    """A metric source at one chart point: views of its block's fields at
+    this point (a block of one point when none is given).
 
-    Everything derives from one ``derivs`` evaluation, this point's slice of
-    its block's (a block of one point when none is given), except ``value``,
-    the matrix frames are built from: an induced metric's J^T g J rounds
-    differently from its jets.  Callers holding either may set it.
+    ``value`` is the matrix frames are built from: ``derivs[0]``, except for
+    an induced metric, whose J^T g J rounds differently from its jets.
+    Callers holding either may set it.
     """
 
     def __init__(self, metric, x: Point, block: MetricBlock | None = None,
@@ -192,7 +269,7 @@ class MetricPoint:
 
     @cached_property
     def derivs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(a[self._index].copy() for a in self._block.derivs)
+        return tuple(a[self._index] for a in self._block.derivs)
 
     @cached_property
     def value(self) -> np.ndarray:
@@ -200,44 +277,34 @@ class MetricPoint:
             return self.derivs[0]
         return self.metric.value(self.x)
 
-    @cached_property
+    @property
     def ginv(self) -> np.ndarray:
-        return np.linalg.inv(_checked(self.derivs[0], self.x))
+        return self._block.ginv[self._index]
 
-    @cached_property
+    @property
     def lowered(self) -> np.ndarray:
         """Christoffel symbols of the first kind, Gamma_kij."""
-        dg = self.derivs[1]
-        return 0.5 * (np.einsum("ijk->kij", dg) + np.einsum("jik->kij", dg) - dg)
+        return self._block.lowered[self._index]
 
-    @cached_property
+    @property
     def gamma(self) -> np.ndarray:
         """Levi-Civita connection coefficients Gamma[k,i,j]."""
-        return np.einsum("kl,lij->kij", self.ginv, self.lowered)
+        return self._block.gamma[self._index]
 
-    @cached_property
+    @property
     def curvature(self) -> np.ndarray:
         """Covariant curvature R[i,j,k,l] = g(R(d_i,d_j)d_k, d_l) in chart coordinates."""
-        g, dg, d2g = self.derivs
-        ginv, low, gamma = self.ginv, self.lowered, self.gamma
-
-        # d_m Gamma^l_ij = d_m(g^lk) Gamma_kij + g^lk d_m Gamma_kij
-        dginv = -np.einsum("la,mab,bk->mlk", ginv, dg, ginv)
-        dlow = 0.5 * (np.einsum("mijk->mkij", d2g) + np.einsum("mjik->mkij", d2g)
-                      - np.einsum("mkij->mkij", d2g))
-        dgamma = (np.einsum("mlk,kij->mlij", dginv, low)
-                  + np.einsum("lk,mkij->mlij", ginv, dlow))
-
-        # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-        r_up = (np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
-                + np.einsum("lim,mjk->lkij", gamma, gamma)
-                - np.einsum("ljm,mik->lkij", gamma, gamma))
-        return np.einsum("lm,mkij->ijkl", g, r_up)
+        return self._block.curvature[self._index]
 
     @cached_property
     def frame(self) -> np.ndarray:
         """Columns orthonormal for ``value``: Gram-Schmidt over the coordinate directions."""
-        return gram_schmidt(_checked(self.value, self.x), np.eye(self.metric.dim))
+        g = self.value
+        if isinstance(self.metric, MetricField) and g is self.derivs[0]:
+            self._block.ginv  # checks that the block's metrics are positive definite
+        else:
+            _checked(g, self.x)
+        return gram_schmidt(g, np.eye(self.metric.dim))
 
     def scalar_curvature(self) -> float:
         """Sum of sectional curvatures over orthonormal frame pairs."""
@@ -254,13 +321,6 @@ class MetricPoint:
         return float(np.einsum("ij,kij,k->", self.ginv, self.gamma, psi.d1)
                      - np.einsum("ij,ij->", self.ginv, psi.d2))
 
-    def block(self, axes) -> "MetricPoint":
-        """Record of a coordinate block, sliced from this record's jets."""
-        axes = tuple(axes)
-        sub = MetricPoint(SlicedMetric(self.metric, axes, self.x), self.x[list(axes)])
-        sub.derivs = _block(self.derivs, axes)
-        return sub
-
 
 def christoffel(g_like, x: Point) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma[k,i,j] at x."""
@@ -274,24 +334,36 @@ def curvature_components(g_like, x: Point) -> np.ndarray:
 
 @dataclass
 class Curvature4:
-    """Fully covariant curvature tensor at a point, in a tagged basis."""
+    """Fully covariant curvature tensor at a point, or at each point of a
+    block (batch-leading ``comp``), in a tagged basis."""
 
     point: np.ndarray
-    comp: np.ndarray  # shape (n, n, n, n)
+    comp: np.ndarray  # shape (..., n, n, n, n)
     basis: str = "coordinate"  # or "frame"
 
-    def symmetry_residuals(self) -> dict[str, float]:
+    def symmetry_residuals(self) -> dict:
+        """Worst violation of each symmetry: a float at a point, an array (B,)
+        over a block."""
         r = self.comp
+        lead = tuple(range(r.ndim - 4))
+
+        def perm(*axes):
+            return r.transpose(lead + tuple(len(lead) + a for a in axes))
+
+        def worst(t):
+            m = np.max(np.abs(t), axis=(-4, -3, -2, -1))
+            return m if lead else float(m)
         return {
-            "antisymmetry_first_pair": float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
-            "antisymmetry_second_pair": float(np.max(np.abs(r + r.transpose(0, 1, 3, 2)))),
-            "pair_symmetry": float(np.max(np.abs(r - r.transpose(2, 3, 0, 1)))),
-            "first_bianchi": float(np.max(np.abs(
-                r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)))),
+            "antisymmetry_first_pair": worst(r + perm(1, 0, 2, 3)),
+            "antisymmetry_second_pair": worst(r + perm(0, 1, 3, 2)),
+            "pair_symmetry": worst(r - perm(2, 3, 0, 1)),
+            "first_bianchi": worst(r + perm(1, 2, 0, 3) + perm(2, 0, 1, 3)),
         }
 
-    def max_symmetry_residual(self) -> float:
-        return reduce(nan_max, self.symmetry_residuals().values())
+    def max_symmetry_residual(self):
+        """The worst of :meth:`symmetry_residuals`, a NaN in any of them winning."""
+        m = reduce(np.maximum, self.symmetry_residuals().values())
+        return m if np.ndim(m) else float(m)
 
 
 def curvature(g_like, x: Point) -> Curvature4:

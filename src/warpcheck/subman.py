@@ -20,8 +20,8 @@ import numpy as np
 
 from . import expr as dsl
 from .errors import (ConfigurationError, ImmersionDegenerateError,
-                     InvalidNormalError)
-from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, differentiate
+                     InvalidNormalError, NonFiniteImageError)
+from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, differentiate, pack
 from .report import CheckReport, fold, nan_max
 from .riemann import (MetricBlock, MetricField, MetricPoint, frame_curvature,
                       gram_schmidt, gram_schmidt_step)
@@ -74,7 +74,19 @@ class Immersion:
 
     def map_point(self, x: Point) -> np.ndarray:
         """Image of one point (ambient_dim,) or of a block (B, ambient_dim)."""
-        return dsl.eval_matrix([self.components], x, self.params, order=0)[0][..., 0, :]
+        y = dsl.eval_matrix([self.components], x, self.params, order=0)[0][..., 0, :]
+        return _finite_images(y, x)
+
+
+def _finite_images(y: np.ndarray, x) -> np.ndarray:
+    """Image points y of the sample points x, after checking they are finite;
+    the first sample point whose image is not raises."""
+    bad = ~np.isfinite(y).all(axis=-1)
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonFiniteImageError(
+            f"immersion image not finite at {np.asarray(x)[k]}: {y[k]}")
+    return y
 
 
 @dataclass
@@ -87,10 +99,10 @@ class InducedMetric:
     def dim(self) -> int:
         return self.im.dim
 
-    def _indexed_jets(self, x: Point):
+    def _indexed_jets(self, x: Point, phi: list[Jet3] | None = None):
         im = self.im
         n, m = im.dim, im.ambient_dim
-        phi = im.component_jets(x)
+        phi = phi or im.component_jets(x)
         dphi = [[differentiate(phi[k], i) for i in range(n)] for k in range(m)]
         amb = [[None] * m for _ in range(m)]
         for indices, jet in dsl.matrix_jets(im.ambient.entries, phi, im.ambient.params,
@@ -106,15 +118,23 @@ class InducedMetric:
                         acc = term if acc is None else acc + term
                 yield {(i, j), (j, i)}, acc
 
-    # the same listing and packing of the entries
+    # the same listing of the entries
     entry_jets = MetricField.entry_jets
-    derivs = MetricField.derivs
+
+    def derivs(self, x: Point, phi: list[Jet3] | None = None):
+        """(g, dg, d2g) at one point or a block of points, as
+        :meth:`MetricField.derivs`.  ``phi``: the immersion's component jets
+        at x, when the caller holds them."""
+        x = as_point(x, block=True)
+        n = self.dim
+        return tuple(pack(self._indexed_jets(x, phi), x.shape[:-1], n, (n, n), 2))
 
     def value(self, x: Point) -> np.ndarray:
         im = self.im
         y, d1 = dsl.eval_matrix([im.components], x, im.params, order=1)
         jac = np.ascontiguousarray(np.swapaxes(d1[..., 0, :], -1, -2))  # (..., m, n)
-        return np.swapaxes(jac, -1, -2) @ im.ambient.value(y[..., 0, :]) @ jac
+        g = im.ambient.value(_finite_images(y[..., 0, :], x))
+        return np.swapaxes(jac, -1, -2) @ g @ jac
 
 
 def induced_metric(im: Immersion) -> InducedMetric:
@@ -237,10 +257,16 @@ class ImmersionBlock:
         self.points = points
 
     @cached_property
+    def component_jets(self) -> list[Jet3]:
+        """Jets of the components; the form and the induced metric both read them."""
+        return self.im.component_jets(self.points)
+
+    @cached_property
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Image points (B, m), Jacobians (B, m, n) and second partials (B, m, n, n)."""
-        y, d1, d2 = dsl.eval_matrix([self.im.components], self.points, self.im.params)
-        return (y[..., 0, :], np.moveaxis(d1[..., 0, :], -1, -2),
+        y, d1, d2 = pack((({(0, k)}, jet) for k, jet in enumerate(self.component_jets)),
+                         self.points.shape[:-1], self.im.dim, (1, self.im.ambient_dim), 2)
+        return (_finite_images(y[..., 0, :], self.points), np.moveaxis(d1[..., 0, :], -1, -2),
                 np.moveaxis(d2[..., 0, :], -1, -3))
 
     @cached_property
@@ -249,7 +275,10 @@ class ImmersionBlock:
 
     @cached_property
     def induced(self) -> MetricBlock:
-        return MetricBlock(InducedMetric(self.im), self.points)
+        # the derivatives close over the jets, not over self: a reference
+        # cycle would keep every block alive until the next garbage collection
+        metric, points, phi = InducedMetric(self.im), self.points, self.component_jets
+        return MetricBlock(metric, points, lambda: metric.derivs(points, phi))
 
     @cached_property
     def tensors(self) -> StructureBlock:

@@ -189,7 +189,10 @@ class WarpedBlock:
 
     @cached_property
     def leaf(self) -> MetricBlock:
-        return MetricBlock(self.geom.leaf, self.points[:, : self.geom.n1])
+        n1 = self.geom.n1
+        if self.geom.leaf is None:
+            return self.total.block(range(n1))
+        return MetricBlock(self.geom.leaf, self.points[:, :n1])
 
     @cached_property
     def f(self) -> Jet3:
@@ -231,8 +234,6 @@ class WarpedPoint:
 
     @cached_property
     def leaf(self) -> MetricPoint:
-        if self.geom.leaf is None:
-            return self.total.block(range(self.geom.n1))
         return self._block.leaf[self._index]
 
     @cached_property

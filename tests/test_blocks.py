@@ -1,0 +1,103 @@
+"""A block of sample points gives each point exactly what a block of one
+point gives it: every MetricBlock field, bit for bit and with the same
+memory layout (a per-point einsum downstream sums in an order that depends
+on the strides of its operands).  Also: a block raises the error of its
+first failing point, as the point-by-point walk does."""
+
+import numpy as np
+import pytest
+
+from warpcheck.errors import DegenerateMetricError
+from warpcheck.gallery import builtin_names, load_builtin, sample_points
+from warpcheck.riemann import MetricBlock, MetricField, MetricPoint
+from warpcheck.structures import AlmostComplexStructure, AlmostContactStructure
+from warpcheck.subman import Immersion, ImmersionBlock
+from warpcheck.warped import WarpedBlock, WarpedMetric
+
+FIELDS = ("ginv", "lowered", "gamma", "curvature")
+
+# blocks of 1, 3 and 32 points, and the partial block a walk over 35 points ends in
+BLOCKS = ((0, 1), (0, 3), (0, 32), (32, 35))
+
+
+def metric_blocks(subject, points: np.ndarray) -> dict[str, MetricBlock]:
+    """Every metric block a check walk builds for the subject at the points."""
+    if isinstance(subject, Immersion):
+        ib = ImmersionBlock(subject, points)
+        out = {"ambient": ib.ambient, "induced": ib.induced}
+        if subject.warped is not None:
+            out["sliced-leaf"] = ib.warped.leaf
+        return out
+    if isinstance(subject, WarpedMetric):
+        wb = WarpedBlock(subject, points)
+        return {"total": wb.total, "leaf": wb.leaf}
+    if isinstance(subject, (AlmostComplexStructure, AlmostContactStructure)):
+        return {"structure-metric": MetricBlock(subject.metric, points)}
+    return {"metric": MetricBlock(subject, points)}
+
+
+def layout(a: np.ndarray) -> tuple[int, ...]:
+    """Strides of the axes longer than 1 (a stride over one element is free)."""
+    return tuple(s for s, n in zip(a.strides, a.shape) if n > 1)
+
+
+def assert_same(a: np.ndarray, b: np.ndarray, what: str):
+    np.testing.assert_array_equal(a, b, err_msg=what)
+    assert layout(a) == layout(b), (what, a.strides, b.strides)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_block_fields_equal_blocks_of_one(name):
+    subject = load_builtin(name).subject
+    points = np.array(sample_points(subject, 35, 42))
+    alone = [metric_blocks(subject, points[k:k + 1]) for k in range(len(points))]
+    for start, stop in BLOCKS:
+        blocks = metric_blocks(subject, points[start:stop])
+        for source, block in blocks.items():
+            for b in range(stop - start):
+                one, at = alone[start + b][source][0], block[b]
+                what = f"{name} {source} block {start}:{stop} point {b}"
+                for k in range(3):
+                    assert_same(at.derivs[k], one.derivs[k], f"{what} derivs[{k}]")
+                for field in FIELDS:
+                    assert_same(getattr(at, field), getattr(one, field), f"{what} {field}")
+                    # records are views of their block's arrays, not copies
+                    assert np.shares_memory(getattr(at, field), getattr(block, field)), \
+                        f"{what} {field}"
+
+
+# not positive definite where x1 <= 0
+INDEFINITE = MetricField.from_strings([["1", "0"], ["0", "x1"]])
+POINTS = np.array([[1.0, 0.0], [0.5, 0.1], [-0.25, 0.2], [-0.5, 0.3], [2.0, 0.0]])
+
+
+def error_of(fn) -> str:
+    with pytest.raises(DegenerateMetricError) as err:
+        fn()
+    return str(err.value)
+
+
+def test_block_raises_the_first_failing_points_error():
+    walk = error_of(lambda: [MetricPoint(INDEFINITE, x).ginv for x in POINTS])
+    assert "[-0.25" in walk
+    assert error_of(lambda: MetricBlock(INDEFINITE, POINTS).ginv) == walk
+    assert error_of(lambda: MetricBlock(INDEFINITE, POINTS).curvature) == walk
+    assert error_of(lambda: INDEFINITE.validate_at(list(POINTS))) == walk
+    # a frame of a chart metric is checked by its block's inverse
+    assert error_of(lambda: MetricBlock(INDEFINITE, POINTS)[4].frame) == walk
+
+
+def test_validation_order_of_symmetry_and_definiteness():
+    # asymmetric where x2 != 0, not positive definite where x1 <= 0
+    g = MetricField.from_strings([["1", "x2"], ["0", "x1"]])
+    fine, asym, indefinite, both = [1.0, 0.0], [1.0, 0.5], [-1.0, 0.0], [-1.0, 0.5]
+
+    def walk(points):
+        return error_of(lambda: [g.validate_at([x]) for x in points])
+
+    for points, first in (([fine, indefinite, asym], "not positive definite"),
+                          ([fine, asym, indefinite], "not symmetric"),
+                          ([fine, both, indefinite], "not symmetric")):
+        points = np.array(points)
+        assert first in walk(points)
+        assert error_of(lambda: g.validate_at(list(points))) == walk(points)

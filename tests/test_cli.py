@@ -1,18 +1,22 @@
 """CLI behavior: exit codes, determinism, format parity, overrides."""
 
+import gc
 import hashlib
 import math
 import re
 import sys
+from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from warpcheck import subman
+from warpcheck import cli, expr, subman
 from warpcheck.cli import (DEFAULT_TOLS, RunConfig, main, parse_args, render_text,
                            run)
 from warpcheck.errors import WarpcheckError
-from warpcheck.report import fold, format_number, nan_max, to_json_bytes
+from warpcheck.gallery import load_builtin
+from warpcheck.report import CheckReport, fold, format_number, nan_max, to_json_bytes
 
 BAD_CFG = '[metric m]\ndim = 1\nrow_1 = "x1 +"\n\n[subject]\nkind = metric\ntarget = m\n'
 
@@ -99,6 +103,46 @@ def test_sampling_errors_exit_2(tmp_path, capsys):
     assert "reject nearly all samples" in capsys.readouterr().err
 
 
+def test_overflowing_immersion_image_exits_2(tmp_path, capsys):
+    # the first component overflows to inf at every sample point
+    text = resources.files("warpcheck").joinpath("data", "e3_round_s2.cfg").read_text()
+    p = tmp_path / "e3_overflow.cfg"
+    p.write_text(text.replace('"sin(x1)*cos(x2)"', '"sin(x1)*cos(x2)*1e200*1e200"'))
+    for checks in ("all", "classify"):
+        assert main(["--target", str(p), "--points", "4", "--checks", checks]) == 2
+        assert "immersion image not finite at [" in capsys.readouterr().err
+
+
+def test_immersion_components_evaluated_once_per_block(monkeypatch):
+    im = load_builtin("e6").subject
+    counts = Counter()
+    eval_jets = expr.eval_jets
+
+    def counted(e, bindings, params=()):
+        counts[id(e)] += 1
+        return eval_jets(e, bindings, params)
+
+    monkeypatch.setattr(expr, "eval_jets", counted)
+    rep = CheckReport()
+    cli._immersion_checks(im, cli.CHECK_GROUPS, RunConfig(target="e6", points=3), rep)
+    assert rep.passed
+    assert [counts[id(c)] for c in im.components] == [1] * len(im.components)
+
+
+def test_a_run_leaves_no_reference_cycles():
+    # a cycle through a block's cached fields would keep every block of a
+    # walk alive until the next garbage collection, raising peak memory
+    run(RunConfig(target="e6", points=3))
+    gc.collect()
+    gc.disable()
+    try:
+        for target in ("e6", "s2-warped"):
+            run(RunConfig(target=target, points=3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_reducer_keeps_nan():
     assert math.isnan(nan_max(1.0, math.nan)) and math.isnan(nan_max(math.nan, 1.0))
     assert nan_max(1.0, 2.0) == 2.0 and nan_max(2.0, 1.0) == 2.0
@@ -120,9 +164,9 @@ def test_one_geometry_record_per_point(monkeypatch):
     calls = {"derivs": 0, "sff": 0}
     derivs, sff = subman.InducedMetric.derivs, subman.second_fundamental_form
 
-    def counted_derivs(self, x):
+    def counted_derivs(self, x, *phi):
         calls["derivs"] += 1
-        return derivs(self, x)
+        return derivs(self, x, *phi)
 
     def counted_sff(im, x, *block):
         calls["sff"] += 1
