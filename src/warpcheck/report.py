@@ -105,18 +105,13 @@ def format_number(x) -> str:
     return format(v, ".17g")
 
 
+# JSON string escapes: quote, backslash and every control character below 0x20
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\",
+            **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 def to_json(obj, indent: int = 0) -> str:

@@ -143,12 +143,19 @@ class SlicedMetric:
     def dim(self) -> int:
         return len(self.axes)
 
-    def derivs(self, x_sub: Point):
+    def _full(self, x_sub: Point) -> np.ndarray:
         x_sub = as_point(x_sub, block=True)
         full = np.empty(x_sub.shape[:-1] + np.shape(self.anchor))
         full[...] = self.anchor
         full[..., list(self.axes)] = x_sub
-        return _block(self.base.derivs(full), self.axes)
+        return full
+
+    def derivs(self, x_sub: Point):
+        return _block(self.base.derivs(self._full(x_sub)), self.axes)
+
+    def value(self, x_sub: Point) -> np.ndarray:
+        ix = list(self.axes)
+        return self.base.value(self._full(x_sub))[(...,) + np.ix_(ix, ix)]
 
 
 def _block(derivs, axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -388,7 +395,13 @@ def sectional(g_like, x: Point, X, Y) -> float:
 
 
 def frame_curvature(r4: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Contract a coordinate curvature tensor into a frame given by columns."""
+    """Contract a coordinate curvature tensor into a frame given by columns.
+
+    A zero tensor (a flat chart's) contracts to zeros without the einsum:
+    with finite columns each of its products is +-0, and its sum, which
+    starts from +0.0, is +0.0, the bits returned here."""
+    if not r4.any() and np.isfinite(columns).all():
+        return np.zeros((columns.shape[1],) * 4)
     return np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, columns, columns, columns, columns)
 
 

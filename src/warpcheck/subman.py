@@ -21,7 +21,8 @@ import numpy as np
 from . import expr as dsl
 from .errors import (ConfigurationError, ImmersionDegenerateError,
                      InvalidNormalError, NonFiniteImageError)
-from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, differentiate, pack
+from .jets import (DomainBox, Jet3, Point, as_point, coordinate_jets, differentiate,
+                   jet_const, pack)
 from .report import CheckReport, fold, nan_max
 from .riemann import (MetricBlock, MetricField, MetricPoint, frame_curvature,
                       gram_schmidt, gram_schmidt_step)
@@ -89,6 +90,19 @@ def _finite_images(y: np.ndarray, x) -> np.ndarray:
     return y
 
 
+def _finite_partials(phi: list[Jet3], x) -> None:
+    """Check that the partials (slots d1-d3) of the component jets phi at
+    the sample points x are finite; the first point where one is not raises."""
+    bad = np.zeros(np.shape(x)[:-1], dtype=bool)
+    for jet in phi:
+        for order, d in enumerate((jet.d1, jet.d2, jet.d3), 1):
+            bad |= ~np.isfinite(d).all(axis=tuple(range(-order, 0)))
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonFiniteImageError(
+            f"immersion derivatives not finite at {np.asarray(x)[k]}")
+
+
 @dataclass
 class InducedMetric:
     """Pullback of the ambient metric through the immersion (metric source)."""
@@ -100,22 +114,34 @@ class InducedMetric:
         return self.im.dim
 
     def _indexed_jets(self, x: Point, phi: list[Jet3] | None = None):
+        """g_ij = sum_kl amb_kl dphi^k_i dphi^l_j, summed in k, l order.
+
+        An ambient entry that is a literal 0 or 1 is structural: its term is
+        dropped, or formed without the factor, and the entry is not
+        evaluated.  With finite partials this changes at most the sign of a
+        zero (0 * inf would have been NaN, hence the check)."""
         im = self.im
         n, m = im.dim, im.ambient_dim
         phi = phi or im.component_jets(x)
+        _finite_partials(phi, x)
         dphi = [[differentiate(phi[k], i) for i in range(n)] for k in range(m)]
-        amb = [[None] * m for _ in range(m)]
-        for indices, jet in dsl.matrix_jets(im.ambient.entries, phi, im.ambient.params,
-                                            symmetric=True):
-            for k, l in indices:
-                amb[k][l] = jet
+        amb = {}  # (k, l) -> jet, or None for a literal 1; a literal 0 is absent
+        for k, row in enumerate(im.ambient.entries):
+            for l in range(k, m):
+                e = row[l]
+                if not (isinstance(e, dsl.Num) and e.value in (0.0, 1.0)):
+                    amb[k, l] = amb[l, k] = dsl.eval_jets(e, phi, im.ambient.params)
+                elif e.value:
+                    amb[k, l] = amb[l, k] = None
+        # an all-zero ambient keeps one zero term, so its entries are zeros still
+        terms = ([(k, l, amb[k, l]) for k in range(m) for l in range(m) if (k, l) in amb]
+                 or [(0, 0, jet_const(0.0, n))])
         for i in range(n):
             for j in range(i, n):
                 acc = None
-                for k in range(m):
-                    for l in range(m):
-                        term = amb[k][l] * dphi[k][i] * dphi[l][j]
-                        acc = term if acc is None else acc + term
+                for k, l, a in terms:
+                    term = (dphi[k][i] if a is None else a * dphi[k][i]) * dphi[l][j]
+                    acc = term if acc is None else acc + term
                 yield {(i, j), (j, i)}, acc
 
     # the same listing of the entries

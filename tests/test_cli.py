@@ -10,12 +10,14 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from warpcheck import cli, expr, subman
+from warpcheck import cli, expr, report, subman
 from warpcheck.cli import (DEFAULT_TOLS, RunConfig, main, parse_args, render_text,
                            run)
 from warpcheck.errors import WarpcheckError
-from warpcheck.gallery import load_builtin
+from warpcheck.gallery import load_builtin, sample_points
 from warpcheck.report import CheckReport, fold, format_number, nan_max, to_json_bytes
 
 BAD_CFG = '[metric m]\ndim = 1\nrow_1 = "x1 +"\n\n[subject]\nkind = metric\ntarget = m\n'
@@ -111,6 +113,20 @@ def test_overflowing_immersion_image_exits_2(tmp_path, capsys):
     for checks in ("all", "classify"):
         assert main(["--target", str(p), "--points", "4", "--checks", checks]) == 2
         assert "immersion image not finite at [" in capsys.readouterr().err
+
+
+def test_non_finite_immersion_derivatives_exit_2(tmp_path, capsys):
+    # the third component's second partials overflow to inf at every sample
+    # point; the induced metric skips literal-0 ambient terms, so no 0 * inf
+    # turns them into a NaN that would only fail a record
+    text = resources.files("warpcheck").joinpath("data", "e3_round_s2.cfg").read_text()
+    p = tmp_path / "e3_overflow.cfg"
+    p.write_text(text.replace('"cos(x1)"', '"cos(x1) + 1e-300*sin(1e300*x2)"'))
+    first = sample_points(cli._resolve(str(p))[0].subject, 1, 42)[0]
+    for points in ("2", "33"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["--target", str(p), "--points", points]) == 2
+        assert f"immersion derivatives not finite at {first}" in capsys.readouterr().err
 
 
 def test_immersion_components_evaluated_once_per_block(monkeypatch):
@@ -289,6 +305,32 @@ def test_seed_changes_sample_but_not_verdict():
 # ---------------------------------------------------------------------------
 # Report serialization details
 # ---------------------------------------------------------------------------
+
+
+def _escape_loop(s: str) -> str:
+    """The per-character escape loop, the reference for the translate table."""
+    out = []
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+@given(st.text(st.one_of(st.sampled_from('"\\' + "".join(map(chr, range(0x21)))),
+                         st.characters())))
+def test_escape_matches_the_character_loop(s):
+    assert report._escape(s) == _escape_loop(s)
+
+
+def test_escape_covers_every_control_character():
+    controls = "".join(map(chr, range(0x20)))
+    assert report._escape(controls + '"\\\x7fé') == _escape_loop(controls + '"\\\x7fé')
 
 
 def test_number_format_17_digits():

@@ -10,9 +10,11 @@ from warpcheck.errors import (DegenerateMetricError, DegeneratePlaneError,
                               DependentSeedsError, JetDomainError)
 from warpcheck.expr import parse
 from warpcheck.jets import fd_partial
+from warpcheck.gallery import load_builtin
 from warpcheck.riemann import (MetricField, SlicedMetric, christoffel,
-                               curvature, grad_norm_sq, gradient, laplacian,
-                               orthonormal_frame, scalar_curvature, sectional)
+                               curvature, frame_curvature, grad_norm_sq, gradient,
+                               gram_schmidt, laplacian, orthonormal_frame,
+                               scalar_curvature, sectional)
 
 # ---------------------------------------------------------------------------
 # Fixture metrics
@@ -158,7 +160,6 @@ def test_scalar_curvature_frame_independent():
     g = random_analytic_metric(5, dim=3)
     x = np.array([0.4, 0.9, 0.6])
     r4 = curvature(g, x).comp
-    from warpcheck.riemann import frame_curvature, gram_schmidt
     gm = g.value(x)
     tau = []
     for seeds in (np.eye(3), np.eye(3)[:, ::-1]):
@@ -166,6 +167,24 @@ def test_scalar_curvature_frame_independent():
         rf = frame_curvature(r4, cols)
         tau.append(sum(rf[i, j, j, i] for i in range(3) for j in range(i + 1, 3)))
     assert abs(tau[0] - tau[1]) < 1e-10
+
+
+def test_frame_curvature_of_a_zero_tensor_matches_the_einsum():
+    # the zero tensor's shortcut returns the einsum's bits, signs of zeros included
+    rng = np.random.default_rng(11)
+    for n, k in ((2, 2), (4, 3), (6, 3)):
+        r4 = np.where(rng.random((n,) * 4) < 0.5, -0.0, 0.0)
+        cols = rng.standard_normal((n, k))
+        for c in (cols, -cols):
+            ref = np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, c, c, c, c)
+            got = frame_curvature(r4, c)
+            npt.assert_array_equal(got, ref)
+            assert (np.signbit(got) == np.signbit(ref)).all()
+        cols[1, 0] = np.nan
+        got = frame_curvature(r4, cols)
+        assert np.isnan(got).any()
+        npt.assert_array_equal(got, np.einsum("ijkl,ia,jb,kc,ld->abcd",
+                                              r4, cols, cols, cols, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +323,16 @@ def test_sliced_metric_restricts_block():
     assert dg.shape == (1, 1, 1) and d2g.shape == (1, 1, 1, 1)
     # Laplacian of f(x1)=x1^2 on the 1-d leaf: -2
     assert laplacian(leaf, parse("x1^2", dim=1), np.array([0.5])) == -2.0
+
+
+def test_sliced_metric_frame_is_gram_schmidt_of_its_block():
+    # a sliced record's value is the base value's in-block entries
+    g = load_builtin("e2").subject.assembled
+    for axes, x in (((0,), [0.5]), ((1,), [0.3]), ((0, 1), [0.3, 0.7])):
+        leaf = SlicedMetric(g, axes, np.array([0.5, 0.2]))
+        x = np.array(x)
+        npt.assert_array_equal(orthonormal_frame(leaf, x).columns,
+                               gram_schmidt(leaf.derivs(x)[0], np.eye(len(axes))))
 
 
 def test_validation_reports_the_first_failing_point():

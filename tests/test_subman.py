@@ -12,8 +12,10 @@ from helpers import (box_points, chen_cr_immersion, cylinder_immersion,
 
 from warpcheck.errors import (ConfigurationError, ImmersionDegenerateError,
                               InvalidNormalError)
-from warpcheck.expr import parse
-from warpcheck.riemann import scalar_curvature
+from warpcheck.expr import matrix_jets, parse
+from warpcheck.gallery import load_builtin, sample_points
+from warpcheck.jets import Jet3, differentiate, pack
+from warpcheck.riemann import MetricField, scalar_curvature
 from warpcheck.subman import (Immersion, classify, contact_cr_checks,
                               gauss_residual, gauss_residual_max, induced_metric,
                               relative_null_space, scalar_identity_residual,
@@ -32,6 +34,63 @@ def test_identity_immersion_induces_flat_metric():
     g, dg, d2g = induced_metric(im).derivs(np.array([0.3, 0.7]))
     npt.assert_allclose(g, np.eye(2))
     assert not dg.any() and not d2g.any()
+
+
+def full_product_jets(im, phi):
+    """The induced metric's entries summed over every m^2 ambient term, each
+    ambient entry evaluated: the reference for the skipped literal 0/1 terms."""
+    n, m = im.dim, im.ambient_dim
+    dphi = [[differentiate(phi[k], i) for i in range(n)] for k in range(m)]
+    amb = [[None] * m for _ in range(m)]
+    for indices, jet in matrix_jets(im.ambient.entries, phi, im.ambient.params,
+                                    symmetric=True):
+        for k, l in indices:
+            amb[k][l] = jet
+    for i in range(n):
+        for j in range(i, n):
+            acc = None
+            for k in range(m):
+                for l in range(m):
+                    term = amb[k][l] * dphi[k][i] * dphi[l][j]
+                    acc = term if acc is None else acc + term
+            yield {(i, j), (j, i)}, acc
+
+
+@pytest.mark.parametrize("name", ["e1", "e3", "e4", "e5", "e6", "e7"])
+def test_induced_derivs_equal_the_full_product(name):
+    im = load_builtin(name).subject
+    points = np.array(sample_points(im, 33, 42))
+    for count in (1, 3, 33):
+        x = points[:count]
+        phi = im.component_jets(x)
+        ref = pack(full_product_jets(im, phi), (count,), im.dim, (im.dim,) * 2, 2)
+        for k, got in enumerate(induced_metric(im).derivs(x, phi)):
+            npt.assert_array_equal(got, ref[k], err_msg=f"{name} {count} derivs[{k}]")
+            # where the bits differ, both are zeros of opposite sign
+            differ = got.view(np.int64) != ref[k].view(np.int64)
+            assert not got[differ].any(), (name, count, k)
+
+
+@pytest.mark.parametrize("name, products", [("e6", 36), ("e1", 24)])
+def test_literal_ambient_entries_form_no_products(name, products, monkeypatch):
+    # flat ambients: 432 and 192 products when every m^2 term is formed
+    im = load_builtin(name).subject
+    x = np.array(sample_points(im, 3, 42))
+    phi = im.component_jets(x)
+    calls = []
+    mul = Jet3.__mul__
+    monkeypatch.setattr(Jet3, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    induced_metric(im).derivs(x, phi)
+    assert len(calls) == products
+
+
+def test_zero_ambient_induces_zeros():
+    im = Immersion(dim=1, components=[parse("x1", 1), parse("x1^2", 1)],
+                   ambient=MetricField.from_strings([["0", "0"], ["0", "0"]]))
+    x = np.array([[0.3], [0.7]])
+    for got, ref in zip(induced_metric(im).derivs(x),
+                        pack(full_product_jets(im, im.component_jets(x)), (2,), 1, (1, 1), 2)):
+        npt.assert_array_equal(got, ref)
 
 
 def test_circle_induces_unit_line_metric():

@@ -13,7 +13,7 @@ from warpcheck.report import to_json_bytes
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from tracer import JET_OPS, Tracer  # noqa: E402
 
-RUNS = (("e3", 40), ("e6", 3), ("s2-warped", 40))
+RUNS = (("e3", 40), ("e5", 3), ("e6", 3), ("s2-warped", 40))
 
 
 def _reports() -> list[bytes]:
