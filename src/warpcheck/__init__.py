@@ -29,13 +29,13 @@ from .riemann import (Curvature4, MetricField, OrthoFrame, christoffel, curvatur
                       grad_norm_sq, gradient, laplacian, orthonormal_frame,
                       scalar_curvature, sectional)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
-                         SpaceFormModel, complex_space_form,
-                         cosymplectic_space_form, generalized_complex_space_form,
+                         SpaceFormModel, complex_space_form, cosymplectic_space_form,
+                         fold_tensors, generalized_complex_space_form,
                          kenmotsu_space_form, model_curvature, phi_sectional,
                          sasakian_space_form, structure_class_residual,
                          validate_almost_contact)
 from .subman import (Immersion, SFFData, WarpedDecl, classify, contact_cr_checks,
-                     gauss_residual, gauss_residual_max, induced_metric,
+                     fold_sff, gauss_residual, gauss_residual_max, induced_metric,
                      relative_null_space, scalar_identity_residual,
                      second_fundamental_form, shape_operator)
 from .warped import WarpedMetric, assemble, mixed_sectional_sum, warping_identity_residual
@@ -59,9 +59,9 @@ __all__ = [
     "AlmostComplexStructure", "AlmostContactStructure", "SpaceFormModel",
     "complex_space_form", "generalized_complex_space_form", "sasakian_space_form",
     "kenmotsu_space_form", "cosymplectic_space_form", "model_curvature",
-    "phi_sectional", "structure_class_residual", "validate_almost_contact",
+    "phi_sectional", "structure_class_residual", "validate_almost_contact", "fold_tensors",
     # submanifolds
-    "Immersion", "WarpedDecl", "SFFData", "induced_metric",
+    "Immersion", "WarpedDecl", "SFFData", "induced_metric", "fold_sff",
     "second_fundamental_form", "shape_operator", "gauss_residual",
     "gauss_residual_max", "scalar_identity_residual", "relative_null_space",
     "classify", "contact_cr_checks",

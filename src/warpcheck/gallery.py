@@ -17,12 +17,13 @@ from importlib import resources
 import numpy as np
 
 from .config import BuiltConfig, load_config_text
-from .errors import ConfigurationError
+from .errors import ConfigurationError, WarpcheckError
 from .report import CheckReport, nan_max
 from .sampling import halton_points
-from .structures import (AlmostComplexStructure, AlmostContactStructure,
+from .structures import (AlmostComplexStructure, AlmostContactStructure, fold_tensors,
                          validate_almost_contact)
-from .subman import Immersion, second_fundamental_form, warped_block_residual
+from .subman import (Immersion, contact_cr_checks, contact_cr_residuals, fold_sff,
+                     warped_block_defect)
 from .warped import WarpedMetric
 
 GATE_POINTS = 16
@@ -155,42 +156,48 @@ def validate(loaded: LoadedExample, n_points: int = GATE_POINTS,
     rep = CheckReport()
     kind = loaded.spec.kind
     points = sample_points(subject, n_points, seed)
+    n = len(points)
 
     if kind == "metric":
         subject.validate_at(points)
         worst = reduce(nan_max, (subject.symmetry_residual(x) for x in points))
-        rep.add("gate-metric", "metric-validity", worst, 1e-10, len(points))
+        rep.add("gate-metric", "metric-validity", worst, 1e-10, n)
         return rep
 
     if kind == "warped":
         subject.validate_at(points)  # raises on f <= 0 or indefinite blocks
-        rep.add("gate-warping-positive", "warping-positivity", 0.0, 1.0,
-                len(points), passed=True, note="positivity verified pointwise")
+        rep.add("gate-warping-positive", "warping-positivity", 0.0, 1.0, n,
+                passed=True, note="positivity verified pointwise")
         return rep
 
     if kind == "structure":
         if isinstance(subject, AlmostContactStructure):
-            rep.merge(validate_almost_contact(subject, points, tol=1e-9))
+            worst = fold_tensors(subject, points, lambda t: subject.identity_residuals(t.x, t))
+            rep.merge(validate_almost_contact(subject, worst, n, tol=1e-9))
         else:
-            rep.merge(subject.validate(points))
+            worst = fold_tensors(subject, points, lambda t: subject.residuals(t, False))
+            rep.merge(subject.validate(worst, n))
         return rep
 
-    # immersion
+    # immersion: one walk gives the rank gate and the values of the others
     im: Immersion = subject
-    rank_ok = True
+    steps = []
+    if im.warped is not None:
+        steps.append(lambda sff: {"gate-warped-block": warped_block_defect(
+            im, sff.point, sff.g_induced, sff.warped)})
+        if isinstance(im.structure, AlmostContactStructure):
+            steps.append(contact_cr_residuals)
     try:
-        for x in points:
-            second_fundamental_form(im, x)
-    except Exception:  # rank or definiteness failure
-        rank_ok = False
-    rep.add("gate-rank", "immersion-rank", 0.0 if rank_ok else 1.0, 0.5,
-            len(points), passed=rank_ok)
+        worst = fold_sff(im, points, *steps)
+    except WarpcheckError:  # rank or definiteness failure
+        rep.add("gate-rank", "immersion-rank", 1.0, 0.5, n, passed=False)
+        return rep
+    rep.add("gate-rank", "immersion-rank", 0.0, 0.5, n, passed=True)
     if im.warped is not None:
         rep.add("gate-warped-block", "induced-warped-block-form",
-                warped_block_residual(im, points), 1e-8, len(points))
-    if isinstance(im.structure, AlmostContactStructure) and im.warped is not None:
-        from .subman import contact_cr_checks
-        cr = contact_cr_checks(im, points)
+                worst["gate-warped-block"], 1e-8, n)
+    if "cr-reeb-tangency" in worst:
+        cr = contact_cr_checks(worst, n)
         for rec_name in ("cr-reeb-tangency", "cr-leaf-invariance",
                          "cr-fiber-anti-invariance"):
             rep.records.append(cr[rec_name])

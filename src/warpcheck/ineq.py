@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .jets import Point, as_point
-from .report import CheckReport, fold, nan_max
+from .report import CheckReport, nan_max
 from .structures import AlmostComplexStructure, SpaceFormModel, model_curvature
 from .subman import Immersion, SFFData, second_fundamental_form, warped_geometry
 
@@ -193,30 +193,29 @@ def scalar_decomposition_residual(im: Immersion, x: Point,
 
 def leaf_mean_curvature(sff: SFFData) -> dict[str, float]:
     """Value of :func:`dt_minimality_check` at one point."""
+    if sff.im.warped is None:
+        raise ConfigurationError("leaf-minimality check needs a warped declaration")
     return {"leaf-mean-curvature": sff.vec_norm(sff.mean_leaf)}
 
 
-def dt_minimality_check(im: Immersion, points: Sequence[Point],
-                        tol: float = 1e-8, worst: dict | None = None) -> CheckReport:
-    """Worst leaf-block partial mean curvature over the sample.
+def dt_minimality_check(worst: dict, n: int, tol: float = 1e-8) -> CheckReport:
+    """Worst leaf-block partial mean curvature over the n sample points;
+    ``worst``: :func:`leaf_mean_curvature` folded over them.
 
     For contact ambients the declared leaf block contains the Reeb direction;
     for complex ambients it is the invariant block itself.
-    ``worst``: the per-point values already folded, from a caller's walk.
     """
-    if im.warped is None:
-        raise ConfigurationError("leaf-minimality check needs a warped declaration")
-    worst = worst or fold(leaf_mean_curvature(second_fundamental_form(im, x))
-                          for x in points)
     rep = CheckReport()
     rep.add("leaf-mean-curvature", "leaf-partial-mean-curvature",
-            worst["leaf-mean-curvature"], tol, len(points))
+            worst["leaf-mean-curvature"], tol, n)
     return rep
 
 
 def fiber_lemma_residuals(sff: SFFData, tol: float) -> dict:
     """Values of :func:`d2_umbilical_implies_geodesic` at one point; the
     conclusion only where both hypotheses hold."""
+    if sff.im.warped is None:
+        raise ConfigurationError("fiber lemma check needs a warped declaration")
     n1 = sff.n1
     hyp_min = sff.vec_norm(sff.mean_fiber)
     hyp_umb = reduce(nan_max, sff.umbilicity(sff.mean_fiber, n1))
@@ -227,30 +226,25 @@ def fiber_lemma_residuals(sff: SFFData, tol: float) -> dict:
             "fiber-lemma-tested": bool(tested)}
 
 
-def d2_umbilical_implies_geodesic(im: Immersion, points: Sequence[Point],
-                                  tol: float = 1e-7,
-                                  worst: dict | None = None) -> CheckReport:
+def d2_umbilical_implies_geodesic(worst: dict, n: int, tol: float = 1e-7) -> CheckReport:
     """Instantiates the fiber lemma: fiber-minimal plus fiber umbilical (in
     the ambient) forces the fiber self-pairings of the form to vanish.
 
     Hypothesis residuals and the conclusion residual are reported; the
     implication record only gates points where both hypotheses hold.
-    ``worst``: the per-point values already folded, from a caller's walk.
+    ``worst``: :func:`fiber_lemma_residuals` at the same tol, folded over the
+    n sample points.
     """
-    if im.warped is None:
-        raise ConfigurationError("fiber lemma check needs a warped declaration")
-    worst = worst or fold(fiber_lemma_residuals(second_fundamental_form(im, x), tol)
-                          for x in points)
     tested = worst["fiber-lemma-tested"]
     worst_conc = worst.get("fiber-geodesic-conclusion", 0.0)
     rep = CheckReport()
     rep.add("fiber-minimal-hypothesis", "fiber-partial-mean-curvature",
-            worst["fiber-minimal-hypothesis"], tol, len(points), passed=True,
+            worst["fiber-minimal-hypothesis"], tol, n, passed=True,
             note="hypothesis residual, not a gate")
     rep.add("fiber-umbilical-hypothesis", "fiber-umbilicity",
-            worst["fiber-umbilical-hypothesis"], tol, len(points), passed=True,
+            worst["fiber-umbilical-hypothesis"], tol, n, passed=True,
             note="hypothesis residual, not a gate")
-    note = f"implication tested at {tested}/{len(points)} points"
+    note = f"implication tested at {tested}/{n} points"
     if tested == 0:
         note += " (hypotheses fail everywhere; vacuous)"
     rep.add("fiber-geodesic-conclusion", "fiber-lemma-conclusion",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as dsl
 from .errors import ConfigurationError, DegeneratePlaneError
-from .jets import Point, as_point
+from .jets import Point, as_point, per_block
 from .report import CheckReport, fold
 from .riemann import MetricBlock, MetricField, MetricPoint
 
@@ -77,16 +77,14 @@ class AlmostComplexStructure(_Structure):
             out["kahler-parallel"] = self.parallel_residual(t.x, t)
         return out
 
-    def validate(self, points: Sequence[Point], tol: float = 1e-10,
-                 require_kahler: bool = False, worst: dict | None = None) -> CheckReport:
-        """``worst``: the per-point values already folded, from a caller's walk."""
-        worst = worst or fold(self.residuals(self.at(x), require_kahler) for x in points)
+    def validate(self, worst: dict, n: int, tol: float = 1e-10) -> CheckReport:
+        """``worst``: :meth:`residuals` folded over the n sample points."""
         rep = CheckReport()
         for key, anchor, t in (("complex-square", "almost-complex-square", tol),
                                ("complex-compatibility", "almost-complex-compatibility", tol),
                                ("kahler-parallel", "kahler-parallel-structure", 1e-8)):
             if key in worst:
-                rep.add(key, anchor, worst[key], t, len(points))
+                rep.add(key, anchor, worst[key], t, n)
         return rep
 
 
@@ -189,19 +187,23 @@ class StructureTensors:
         return v[0], d[:, 0]
 
 
-def validate_almost_contact(s: AlmostContactStructure, points: Sequence[Point],
-                            tol: float = 1e-10, worst: dict | None = None) -> CheckReport:
-    """Max residual of each defining identity over the sample points.
+def fold_tensors(s, points: Sequence[Point], step) -> dict:
+    """step's per-point values folded over the points by :func:`report.fold`,
+    each block of points read through one StructureBlock."""
+    return fold(per_block(points, lambda block: map(step, StructureBlock(s, block))))
 
-    ``worst``: the per-point values already folded, from a caller's walk.
-    """
+
+def validate_almost_contact(s: AlmostContactStructure, worst: dict, n: int,
+                            tol: float = 1e-10) -> CheckReport:
+    """Max residual of each defining identity over the n sample points;
+    ``worst``: :meth:`~AlmostContactStructure.identity_residuals` folded
+    over them."""
     if s.dim % 2 == 0:
         raise ConfigurationError("almost contact structures need odd dimension")
-    worst = worst or fold(s.identity_residuals(x) for x in points)
     rep = CheckReport()
     for key in CONTACT_IDENTITIES:
         rep.add(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}", worst[key],
-                tol, len(points))
+                tol, n)
     return rep
 
 

@@ -22,7 +22,7 @@ from . import expr as dsl
 from .errors import (ConfigurationError, ImmersionDegenerateError,
                      InvalidNormalError, NonFiniteImageError)
 from .jets import (DomainBox, Jet3, Point, as_point, coordinate_jets, differentiate,
-                   jet_const, pack)
+                   jet_const, pack, per_block)
 from .report import CheckReport, fold, nan_max
 from .riemann import (MetricBlock, MetricField, MetricPoint, frame_curvature,
                       gram_schmidt, gram_schmidt_step)
@@ -69,9 +69,22 @@ class Immersion:
         return self.ambient.dim
 
     def component_jets(self, x: Point) -> list[Jet3]:
-        """Jets of the components at one point or at a block of points."""
+        """Jets of the components at one point or at a block of points.  The
+        first sample point whose image, then whose partials (slots d1-d3),
+        are not finite raises."""
         seeds = coordinate_jets(x)
-        return [dsl.eval_jets(c, seeds, self.params) for c in self.components]
+        phi = [dsl.eval_jets(c, seeds, self.params) for c in self.components]
+        batch = np.shape(x)[:-1]
+        _finite_images(np.stack([np.broadcast_to(j.value, batch) for j in phi], -1), x)
+        bad = np.zeros(batch, dtype=bool)
+        for jet in phi:
+            for order, d in enumerate((jet.d1, jet.d2, jet.d3), 1):
+                bad |= ~np.isfinite(d).all(axis=tuple(range(-order, 0)))
+        if bad.any():
+            k = np.unravel_index(np.argmax(bad), bad.shape)
+            raise NonFiniteImageError(
+                f"immersion derivatives not finite at {np.asarray(x)[k]}")
+        return phi
 
     def map_point(self, x: Point) -> np.ndarray:
         """Image of one point (ambient_dim,) or of a block (B, ambient_dim)."""
@@ -90,19 +103,6 @@ def _finite_images(y: np.ndarray, x) -> np.ndarray:
     return y
 
 
-def _finite_partials(phi: list[Jet3], x) -> None:
-    """Check that the partials (slots d1-d3) of the component jets phi at
-    the sample points x are finite; the first point where one is not raises."""
-    bad = np.zeros(np.shape(x)[:-1], dtype=bool)
-    for jet in phi:
-        for order, d in enumerate((jet.d1, jet.d2, jet.d3), 1):
-            bad |= ~np.isfinite(d).all(axis=tuple(range(-order, 0)))
-    if bad.any():
-        k = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NonFiniteImageError(
-            f"immersion derivatives not finite at {np.asarray(x)[k]}")
-
-
 @dataclass
 class InducedMetric:
     """Pullback of the ambient metric through the immersion (metric source)."""
@@ -118,12 +118,11 @@ class InducedMetric:
 
         An ambient entry that is a literal 0 or 1 is structural: its term is
         dropped, or formed without the factor, and the entry is not
-        evaluated.  With finite partials this changes at most the sign of a
-        zero (0 * inf would have been NaN, hence the check)."""
+        evaluated.  The component jets' partials are finite, so this changes
+        at most the sign of a zero (0 * inf would have been NaN)."""
         im = self.im
         n, m = im.dim, im.ambient_dim
         phi = phi or im.component_jets(x)
-        _finite_partials(phi, x)
         dphi = [[differentiate(phi[k], i) for i in range(n)] for k in range(m)]
         amb = {}  # (k, l) -> jet, or None for a literal 1; a literal 0 is absent
         for k, row in enumerate(im.ambient.entries):
@@ -292,8 +291,7 @@ class ImmersionBlock:
         """Image points (B, m), Jacobians (B, m, n) and second partials (B, m, n, n)."""
         y, d1, d2 = pack((({(0, k)}, jet) for k, jet in enumerate(self.component_jets)),
                          self.points.shape[:-1], self.im.dim, (1, self.im.ambient_dim), 2)
-        return (_finite_images(y[..., 0, :], self.points), np.moveaxis(d1[..., 0, :], -1, -2),
-                np.moveaxis(d2[..., 0, :], -1, -3))
+        return y[..., 0, :], np.moveaxis(d1[..., 0, :], -1, -2), np.moveaxis(d2[..., 0, :], -1, -3)
 
     @cached_property
     def ambient(self) -> MetricBlock:
@@ -382,6 +380,19 @@ def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | Non
         warped=None if decl is None else WarpedPoint(block.warped.geom, x, induced,
                                                      block.warped, index),
     )
+
+
+def fold_sff(im: Immersion, points: Sequence[Point], *steps) -> dict:
+    """The steps' per-point values, merged and folded over the points by
+    :func:`report.fold`.  Each block of points is one ImmersionBlock, whose
+    jets are evaluated together, and each point one SFFData that every step
+    reads; both are dropped once their values are folded."""
+    def walk(block):
+        ib = ImmersionBlock(im, block)
+        for b, x in enumerate(block):
+            sff = second_fundamental_form(im, x, ib, b)
+            yield {k: v for step in steps for k, v in step(sff).items()}
+    return fold(per_block(points, walk))
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +545,9 @@ def classification_residuals(sff: SFFData) -> dict:
     return out
 
 
-def classify(im: Immersion, points: Sequence[Point], tol: float = CLASSIFY_TOL,
-             worst: dict | None = None) -> ClassificationFlags:
+def classify(worst: dict, tol: float = CLASSIFY_TOL) -> ClassificationFlags:
     """Each predicate holds iff its defining residual stays below tol at all
-    sampled points.  ``worst``: the values already folded, from a
-    caller's walk."""
-    worst = worst or fold(classification_residuals(second_fundamental_form(im, x))
-                          for x in points)
+    sampled points; ``worst``: :func:`classification_residuals` folded."""
     present = [(key, attr) for key, attr, _ in PREDICATES if key in worst]
     return ClassificationFlags(residuals={key: worst[key] for key, _ in present}, tol=tol,
                                **{attr: worst[key] < tol for key, attr in present})
@@ -574,15 +581,6 @@ def warped_block_defect(im: Immersion, x: Point, g: np.ndarray,
     return nan_max(off, float(np.max(np.abs(g[n1:, n1:] - p.f.value**2 * p.fiber))))
 
 
-def warped_block_residual(im: Immersion, points: Sequence[Point]) -> float:
-    """Worst :func:`warped_block_defect` over the points."""
-    if im.warped is None:
-        raise ConfigurationError("immersion has no warped declaration")
-    ind = InducedMetric(im)
-    return fold({"block": warped_block_defect(im, x, ind.value(x))}
-                for x in points)["block"]
-
-
 # ---------------------------------------------------------------------------
 # Contact CR checks
 # ---------------------------------------------------------------------------
@@ -601,6 +599,10 @@ def contact_cr_residuals(sff: SFFData) -> dict:
     """Residuals of :func:`contact_cr_checks` at one point, keyed by record
     name; only the Reeb tangency where the Reeb field is not tangent."""
     decl = sff.im.warped
+    if not isinstance(sff.im.structure, AlmostContactStructure):
+        raise ConfigurationError("contact CR checks need an almost contact ambient")
+    if decl is None:
+        raise ConfigurationError("contact CR checks need a warped declaration")
     n1, n = decl.n1, sff.n
     phi_mat = sff.tensors.op[0]
     xi_sub, xi_resid = tangency_coefficients(sff, sff.tensors.xi)
@@ -653,8 +655,7 @@ def contact_cr_residuals(sff: SFFData) -> dict:
     }
 
 
-def contact_cr_checks(im: Immersion, points: Sequence[Point],
-                      tol: float = 1e-7, worst: dict | None = None) -> CheckReport:
+def contact_cr_checks(worst: dict, n: int, tol: float = 1e-7) -> CheckReport:
     """Residual suite for contact CR-warped immersions.
 
     Gate: the Reeb field must be tangent at every sample (recorded as a
@@ -663,28 +664,28 @@ def contact_cr_checks(im: Immersion, points: Sequence[Point],
     anti-invariant.  Post-gate residuals: the form kills Reeb pairings, leaf
     self-pairings have no components along the image of the fiber block, and
     leaf self-pairings flip sign under the structure tensor against the
-    invariant normal complement.  ``worst``: the per-point values already
-    folded, from a caller's walk.
+    invariant normal complement.  ``worst``: :func:`contact_cr_residuals`
+    folded over the n sample points.
     """
-    if not isinstance(im.structure, AlmostContactStructure):
-        raise ConfigurationError("contact CR checks need an almost contact ambient")
-    if im.warped is None:
-        raise ConfigurationError("contact CR checks need a warped declaration")
-    worst = worst or fold(contact_cr_residuals(second_fundamental_form(im, x))
-                          for x in points)
     rep = CheckReport()
     rep.add("cr-reeb-tangency", "contact-cr-reeb-tangency",
-            worst["cr-reeb-tangency"], 1e-8, len(points),
+            worst["cr-reeb-tangency"], 1e-8, n,
             note="precondition failed at some points" if worst.get("cr-reeb-not-tangent")
             else "")
     for name in ("cr-leaf-invariance", "cr-fiber-anti-invariance", "cr-form-on-reeb-pairs",
                  "cr-leaf-vs-fiber-image", "cr-invariant-flip"):
-        rep.add(name, f"contact-{name}", worst.get(name, 0.0), tol, len(points))
+        rep.add(name, f"contact-{name}", worst.get(name, 0.0), tol, n)
     return rep
 
 
 def complex_cr_defects(sff: SFFData) -> dict:
-    """Residuals of :func:`complex_cr_residuals` at one point."""
+    """CR gate for complex ambients at one point: leaf block invariant under
+    the structure tensor, fiber block anti-invariant.  Both near zero at every
+    point certify a CR-warped product, where leaf-minimality is a theorem."""
+    if not isinstance(sff.im.structure, AlmostComplexStructure):
+        raise ConfigurationError("complex CR gate needs a complex ambient structure")
+    if sff.im.warped is None:
+        raise ConfigurationError("complex CR gate needs a warped declaration")
     n1 = sff.im.warped.n1
     j_mat, tang, g = sff.tensors.op[0], sff.tangent_ambient, sff.g_ambient
     leaf_cols = tang[:, :n1]
@@ -695,20 +696,3 @@ def complex_cr_defects(sff: SFFData) -> dict:
                                   for u in tang[:, n1:].T],
     }
 
-
-def complex_cr_residuals(im: Immersion, points: Sequence[Point],
-                         worst: dict | None = None) -> dict[str, float]:
-    """CR gate for complex ambients: the leaf block must be invariant under
-    the structure tensor and the fiber block anti-invariant.
-
-    Returns worst-case residuals; both near zero certify a CR-warped product,
-    which is the hypothesis under which leaf-minimality is a theorem.
-    ``worst``: the per-point values already folded, from a caller's walk.
-    """
-    if not isinstance(im.structure, AlmostComplexStructure):
-        raise ConfigurationError("complex CR gate needs a complex ambient structure")
-    if im.warped is None:
-        raise ConfigurationError("complex CR gate needs a warped declaration")
-    worst = worst or fold(complex_cr_defects(second_fundamental_form(im, x))
-                          for x in points)
-    return {k: worst.get(k, 0.0) for k in ("leaf_invariance", "fiber_anti_invariance")}

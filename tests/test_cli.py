@@ -3,17 +3,20 @@
 import gc
 import hashlib
 import math
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from importlib import resources
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from warpcheck import cli, expr, report, subman
+from warpcheck import cli, expr, ineq, report, structures, subman
 from warpcheck.cli import (DEFAULT_TOLS, RunConfig, main, parse_args, render_text,
                            run)
 from warpcheck.errors import WarpcheckError
@@ -115,18 +118,32 @@ def test_overflowing_immersion_image_exits_2(tmp_path, capsys):
         assert "immersion image not finite at [" in capsys.readouterr().err
 
 
-def test_non_finite_immersion_derivatives_exit_2(tmp_path, capsys):
-    # the third component's second partials overflow to inf at every sample
-    # point; the induced metric skips literal-0 ambient terms, so no 0 * inf
-    # turns them into a NaN that would only fail a record
+def _overflowing_partials(tmp_path):
+    """e3 with a third component whose second partials overflow to inf at
+    every sample point, and the first sample point at seed 42."""
     text = resources.files("warpcheck").joinpath("data", "e3_round_s2.cfg").read_text()
     p = tmp_path / "e3_overflow.cfg"
     p.write_text(text.replace('"cos(x1)"', '"cos(x1) + 1e-300*sin(1e300*x2)"'))
-    first = sample_points(cli._resolve(str(p))[0].subject, 1, 42)[0]
-    for points in ("2", "33"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["--target", str(p), "--points", points]) == 2
+    return str(p), sample_points(cli._resolve(str(p))[0].subject, 1, 42)[0]
+
+
+def test_non_finite_immersion_derivatives_exit_2(tmp_path, capsys):
+    # the induced metric skips literal-0 ambient terms, and classify reads no
+    # induced metric, so no 0 * inf or NaN may only fail a record instead
+    p, first = _overflowing_partials(tmp_path)
+    for checks, points in (("all", "2"), ("all", "33"), ("classify", "2")):
+        assert main(["--target", p, "--points", points, "--checks", checks]) == 2
         assert f"immersion derivatives not finite at {first}" in capsys.readouterr().err
+
+
+def test_overflow_prints_only_the_error_line(tmp_path):
+    # numpy's overflow warnings on the way to the error stay out of stderr
+    p, first = _overflowing_partials(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "warpcheck", "--target", p, "--points", "2"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == f"configuration error: immersion derivatives not finite at {first}\n"
 
 
 def test_immersion_components_evaluated_once_per_block(monkeypatch):
@@ -143,6 +160,41 @@ def test_immersion_components_evaluated_once_per_block(monkeypatch):
     cli._immersion_checks(im, cli.CHECK_GROUPS, RunConfig(target="e6", points=3), rep)
     assert rep.passed
     assert [counts[id(c)] for c in im.components] == [1] * len(im.components)
+
+
+@pytest.mark.parametrize("target", ["e5", "e6"])
+def test_library_checks_give_the_cli_records(target):
+    # a library caller folds the same walk as the CLI into the same records
+    code, doc, _ = run(RunConfig(target=target, points=33, seed=42))
+    cli_records = {rec["name"]: rec for rec in doc["checks"]}
+    im = load_builtin(target).subject
+    s, points, cr = im.structure, sample_points(im, 33, 42), DEFAULT_TOLS["cr"]
+    n = len(points)
+    contact = isinstance(s, structures.AlmostContactStructure)
+    worst = subman.fold_sff(
+        im, points, subman.classification_residuals, ineq.leaf_mean_curvature,
+        partial(ineq.fiber_lemma_residuals, tol=cr),
+        subman.contact_cr_residuals if contact else subman.complex_cr_defects,
+        (lambda sff: s.identity_residuals(sff.point, sff.tensors)) if contact
+        else (lambda sff: s.residuals(sff.tensors, True)))
+    rep = ineq.d2_umbilical_implies_geodesic(worst, n, cr)
+    if contact:
+        rep.merge(subman.contact_cr_checks(worst, n, cr))
+        rep.merge(ineq.dt_minimality_check(worst, n, cr))
+        rep.merge(structures.validate_almost_contact(s, worst, n, DEFAULT_TOLS["structure"]))
+    else:
+        rep.merge(s.validate(worst, n))
+        # e6 fails the CR gate, so the CLI reports leaf minimality as information
+        gate = nan_max(worst["leaf_invariance"], worst["fiber_anti_invariance"])
+        assert gate == cli_records["cr-invariance-gate"]["worst"] >= cr
+        leaf = ineq.dt_minimality_check(worst, n)["leaf-mean-curvature"]
+        assert leaf.worst == cli_records["leaf-mean-curvature"]["worst"]
+    assert code == 0 and len(rep.records) >= 6
+    for rec in rep.records:
+        assert rec.as_dict() == cli_records[rec.name]
+    flags = subman.classify(worst, DEFAULT_TOLS["classify"])
+    for key, _, name in subman.PREDICATES:
+        assert flags.residuals[key] == cli_records[f"flag-{name}"]["worst"]
 
 
 def test_a_run_leaves_no_reference_cycles():

@@ -1,16 +1,20 @@
 """Gallery round-trip: every builtin loads from its config, passes its gate,
 and agrees with the directly-built fixtures."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from helpers import (box_points, chen_cr_immersion, sasakian_cr_immersion,
+from helpers import (box_points, chen_cr_immersion, flat_metric, sasakian_cr_immersion,
                      standard_sasakian_r5)
 
 from warpcheck.config import load_config_text, parse_config_text
 from warpcheck.errors import ConfigurationError
-from warpcheck.gallery import BUILTINS, builtin_names, load_builtin, validate
-from warpcheck.subman import induced_metric
+from warpcheck.expr import parse
+from warpcheck.gallery import BUILTINS, LoadedExample, builtin_names, load_builtin, validate
+from warpcheck.jets import DomainBox
+from warpcheck.subman import Immersion, WarpedDecl, induced_metric
 
 # ---------------------------------------------------------------------------
 # Config reader
@@ -136,3 +140,13 @@ def test_expected_entries_have_sources():
         for key, val in spec.expected.items():
             assert isinstance(val, tuple) and len(val) == 2, (spec.name, key)
             assert val[1] in ("hand", "numerical", "definition")
+
+
+def test_rank_failure_reports_only_the_rank_gate():
+    # the other gates read the walk the rank failure stopped
+    im = Immersion(dim=2, components=[parse("x1", 2), parse("x1", 2)],
+                   ambient=flat_metric(2), warped=WarpedDecl(1, 1, parse("1", 1)),
+                   domain=DomainBox((0.0, 0.0), (1.0, 1.0)), name="collapsed")
+    loaded = LoadedExample(BUILTINS["e4"], SimpleNamespace(subject=im))
+    rep = validate(loaded)
+    assert [(r.name, r.passed) for r in rep.records] == [("gate-rank", False)]

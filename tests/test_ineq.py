@@ -2,6 +2,7 @@
 specializations, block-minimality results and the scalar split."""
 
 import math
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -12,12 +13,13 @@ from helpers import (box_points, chen_cr_immersion, perturbed_chen_immersion,
 
 from warpcheck.errors import ConfigurationError
 from warpcheck.ineq import (d2_umbilical_implies_geodesic, dt_minimality_check,
-                            generalized_inequality, generalized_rhs,
+                            fiber_lemma_residuals, generalized_inequality,
+                            generalized_rhs, leaf_mean_curvature,
                             main_inequality, nearly_kahler_rhs,
                             scalar_decomposition_residual, space_form_inequality,
                             space_form_rhs, space_form_rhs_printed)
 from warpcheck.structures import complex_space_form
-from warpcheck.subman import warped_geometry
+from warpcheck.subman import fold_sff, warped_geometry
 from warpcheck.warped import leaf_scalars
 
 # ---------------------------------------------------------------------------
@@ -46,14 +48,17 @@ def test_scalar_decomposition_trivial_product_exact():
 
 def test_fiber_lemma_on_chen_cr():
     im = chen_cr_immersion()
-    rep = d2_umbilical_implies_geodesic(im, box_points(im.domain, 4, seed=23))
+    points = box_points(im.domain, 4, seed=23)
+    rep = d2_umbilical_implies_geodesic(
+        fold_sff(im, points, partial(fiber_lemma_residuals, tol=1e-7)), len(points))
     assert rep["fiber-geodesic-conclusion"].passed
     assert "4/4" in rep["fiber-geodesic-conclusion"].note
 
 
 def test_fiber_lemma_vacuous_on_geodesic_plane():
     im = trivial_product_immersion()
-    rep = d2_umbilical_implies_geodesic(im, [np.array([0.1, 0.4])])
+    rep = d2_umbilical_implies_geodesic(
+        fold_sff(im, [np.array([0.1, 0.4])], partial(fiber_lemma_residuals, tol=1e-7)), 1)
     assert rep["fiber-geodesic-conclusion"].passed
     assert rep["fiber-minimal-hypothesis"].worst < 1e-14
 
@@ -61,33 +66,38 @@ def test_fiber_lemma_vacuous_on_geodesic_plane():
 def test_fiber_lemma_hypothesis_fails_on_torus():
     im = torus_immersion()
     points = [np.array([0.5, 1.0]), np.array([2.5, 3.0]), np.array([0.9, 5.0])]
-    rep = d2_umbilical_implies_geodesic(im, points)
+    rep = d2_umbilical_implies_geodesic(
+        fold_sff(im, points, partial(fiber_lemma_residuals, tol=1e-7)), len(points))
     assert rep["fiber-minimal-hypothesis"].worst > 0.1
     assert "0/3" in rep["fiber-geodesic-conclusion"].note
 
 
 def test_leaf_minimality_chen_cr():
     im = chen_cr_immersion()
-    rep = dt_minimality_check(im, box_points(im.domain, 4, seed=25))
+    points = box_points(im.domain, 4, seed=25)
+    rep = dt_minimality_check(fold_sff(im, points, leaf_mean_curvature), len(points))
     assert rep["leaf-mean-curvature"].worst < 1e-8
 
 
 def test_leaf_minimality_sasakian_cr():
     im = sasakian_cr_immersion()
-    rep = dt_minimality_check(im, box_points(im.domain, 4, seed=27), tol=1e-7)
+    points = box_points(im.domain, 4, seed=27)
+    rep = dt_minimality_check(fold_sff(im, points, leaf_mean_curvature), len(points),
+                              tol=1e-7)
     assert rep["leaf-mean-curvature"].worst < 1e-7
 
 
 def test_leaf_minimality_trivial_plane():
     im = trivial_product_immersion()
-    rep = dt_minimality_check(im, [np.array([0.2, 0.2])])
+    rep = dt_minimality_check(fold_sff(im, [np.array([0.2, 0.2])], leaf_mean_curvature), 1)
     assert rep["leaf-mean-curvature"].worst < 1e-14
 
 
 def test_leaf_minimality_needs_declaration():
     from helpers import sphere_immersion
     with pytest.raises(ConfigurationError):
-        dt_minimality_check(sphere_immersion(), [np.array([1.0, 1.0])])
+        dt_minimality_check(
+            fold_sff(sphere_immersion(), [np.array([1.0, 1.0])], leaf_mean_curvature), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from warpcheck.structures import (AlmostComplexStructure, AlmostContactStructure
                                   model_curvature, model_sectional,
                                   model_symmetry_residual, nijenhuis_normality_residual,
                                   phi_sectional, sasakian_space_form,
-                                  structure_class_residual, validate_almost_contact)
+                                  fold_tensors, structure_class_residual,
+                                  validate_almost_contact)
 
 # ---------------------------------------------------------------------------
 # Fixtures
@@ -22,6 +23,11 @@ from warpcheck.structures import (AlmostComplexStructure, AlmostContactStructure
 
 
 from helpers import standard_sasakian_r5
+
+
+def identities(t):
+    """The defining identities of the point's almost contact structure."""
+    return t.s.identity_residuals(t.x, t)
 
 
 def _parse_rows(rows, dim):
@@ -52,7 +58,9 @@ def sample_points(seed=0, n=8, dim=5, scale=1.0):
 
 def test_standard_sasakian_satisfies_all_identities():
     s = standard_sasakian_r5()
-    rep = validate_almost_contact(s, sample_points(1), tol=1e-9)
+    points = sample_points(1)
+    rep = validate_almost_contact(s, fold_tensors(s, points, identities), len(points),
+                                  tol=1e-9)
     assert rep.passed, [(r.name, r.worst) for r in rep.records]
 
 
@@ -61,7 +69,7 @@ def test_degenerate_structure_fails_pairing():
         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     zero3 = _parse_rows([["0"] * 3] * 3, 3)
     s = AlmostContactStructure(metric, zero3, [parse("0", 3)] * 3, [parse("0", 3)] * 3)
-    rep = validate_almost_contact(s, [np.zeros(3)])
+    rep = validate_almost_contact(s, fold_tensors(s, [np.zeros(3)], identities), 1)
     assert not rep["contact-dual_pairing"].passed
 
 
@@ -77,7 +85,7 @@ def test_even_dimension_rejected():
     s = AlmostContactStructure(metric, _parse_rows([["0", "0"]] * 2, 2),
                                [parse("0", 2)] * 2, [parse("0", 2)] * 2)
     with pytest.raises(ConfigurationError):
-        validate_almost_contact(s, [np.zeros(2)])
+        validate_almost_contact(s, fold_tensors(s, [np.zeros(2)], identities), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +111,9 @@ def test_standard_structure_is_not_cosymplectic():
 
 def test_constant_phi_flat_metric_is_cosymplectic():
     s = trivial_cosymplectic_r3()
-    rep = validate_almost_contact(s, sample_points(6, n=4, dim=3), tol=1e-10)
+    points = sample_points(6, n=4, dim=3)
+    rep = validate_almost_contact(s, fold_tensors(s, points, identities), len(points),
+                                  tol=1e-10)
     assert rep.passed
     rng = np.random.default_rng(7)
     X, Y = rng.standard_normal((2, 3))
@@ -277,6 +287,8 @@ def test_flat_kahler_structure_validates():
     j_rows = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
               ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
     acs = AlmostComplexStructure(metric, _parse_rows(j_rows, 4))
-    rep = acs.validate(sample_points(33, n=4, dim=4), require_kahler=True)
+    points = sample_points(33, n=4, dim=4)
+    rep = acs.validate(fold_tensors(acs, points, lambda t: acs.residuals(t, True)),
+                       len(points))
     assert rep.passed
     assert acs.parallel_residual(np.zeros(4)) == 0.0

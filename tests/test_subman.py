@@ -13,14 +13,15 @@ from helpers import (box_points, chen_cr_immersion, cylinder_immersion,
 from warpcheck.errors import (ConfigurationError, ImmersionDegenerateError,
                               InvalidNormalError)
 from warpcheck.expr import matrix_jets, parse
-from warpcheck.gallery import load_builtin, sample_points
+from warpcheck.gallery import load_builtin, sample_points, validate
 from warpcheck.jets import Jet3, differentiate, pack
 from warpcheck.riemann import MetricField, scalar_curvature
-from warpcheck.subman import (Immersion, classify, contact_cr_checks,
+from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals, classify,
+                              contact_cr_checks, contact_cr_residuals, fold_sff,
                               gauss_residual, gauss_residual_max, induced_metric,
                               relative_null_space, scalar_identity_residual,
                               second_fundamental_form, shape_operator,
-                              warped_block_residual, warped_geometry)
+                              warped_block_defect, warped_geometry)
 from warpcheck.warped import warping_identity_residual
 
 # ---------------------------------------------------------------------------
@@ -106,7 +107,12 @@ def test_chen_cr_induces_warped_block_metric():
     g = induced_metric(im).value(x)
     want = np.diag([1.0, 1.0, 1.0])  # r^2 = 0.36 + 0.64 = 1
     npt.assert_allclose(g, want, atol=1e-14)
-    assert warped_block_residual(im, [x, np.array([1.2, -0.3, 0.9])]) < 1e-12
+    assert fold_sff(im, [x, np.array([1.2, -0.3, 0.9])], block_form)["block"] < 1e-12
+
+
+def block_form(sff):
+    """The warped block-form defect of the induced metric at the point."""
+    return {"block": warped_block_defect(sff.im, sff.point, sff.g_induced, sff.warped)}
 
 
 def test_rank_deficiency_detected():
@@ -304,7 +310,7 @@ def test_full_dimensional_immersion_has_empty_normal_bundle():
     assert sff.mean_norm() < 1e-12         # projection residue only
     basis = relative_null_space(im, x)
     assert basis.shape == (2, 2)
-    flags = classify(im, [x])
+    flags = classify(fold_sff(im, [x], classification_residuals))
     assert flags.totally_geodesic and flags.minimal
 
 
@@ -343,13 +349,15 @@ def test_classify_affine_plane():
                    components=[parse("x1", 2), parse("x2", 2),
                                parse("x1 + 2*x2", 2)],
                    ambient=flat_metric(3))
-    flags = classify(im, [np.array([0.0, 0.0]), np.array([0.5, -0.5])])
+    flags = classify(fold_sff(im, [np.array([0.0, 0.0]), np.array([0.5, -0.5])],
+                              classification_residuals))
     assert flags.totally_geodesic and flags.minimal and flags.totally_umbilical
     assert flags.d1_minimal is None  # no block declaration
 
 
 def test_classify_sphere_umbilical_not_minimal():
-    flags = classify(sphere_immersion(), [np.array([1.0, 1.0]), np.array([0.7, 2.0])])
+    flags = classify(fold_sff(sphere_immersion(), [np.array([1.0, 1.0]), np.array([0.7, 2.0])],
+                              classification_residuals))
     assert flags.totally_umbilical
     assert not flags.minimal
     assert not flags.totally_geodesic
@@ -357,7 +365,7 @@ def test_classify_sphere_umbilical_not_minimal():
 
 def test_classify_chen_cr():
     im = chen_cr_immersion()
-    flags = classify(im, box_points(im.domain, 4, seed=9))
+    flags = classify(fold_sff(im, box_points(im.domain, 4, seed=9), classification_residuals))
     assert flags.d1_minimal and flags.minimal and flags.d2_minimal
     assert flags.d1_totally_geodesic
     assert not flags.mixed_totally_geodesic
@@ -366,7 +374,7 @@ def test_classify_chen_cr():
 
 def test_classify_torus_fiber_not_minimal():
     im = torus_immersion()
-    flags = classify(im, box_points(im.domain, 4, seed=11))
+    flags = classify(fold_sff(im, box_points(im.domain, 4, seed=11), classification_residuals))
     assert flags.d2_minimal is False
     assert flags.residuals["d2_minimal"] > 0.1
     assert flags.d2_totally_umbilical  # one-dimensional fiber is trivially umbilical
@@ -374,8 +382,8 @@ def test_classify_torus_fiber_not_minimal():
 
 def test_classify_stable_under_refinement():
     im = sphere_immersion()
-    few = classify(im, box_points(im.domain, 2, seed=13))
-    many = classify(im, box_points(im.domain, 8, seed=13))
+    few = classify(fold_sff(im, box_points(im.domain, 2, seed=13), classification_residuals))
+    many = classify(fold_sff(im, box_points(im.domain, 8, seed=13), classification_residuals))
     assert few.totally_umbilical == many.totally_umbilical
     assert few.minimal == many.minimal
 
@@ -408,13 +416,14 @@ def test_warped_geometry_requires_declaration():
 
 def test_sasakian_cr_suite_passes():
     im = sasakian_cr_immersion()
-    rep = contact_cr_checks(im, box_points(im.domain, 4, seed=17))
+    points = box_points(im.domain, 4, seed=17)
+    rep = contact_cr_checks(fold_sff(im, points, contact_cr_residuals), len(points))
     assert rep.passed, [(r.name, r.worst) for r in rep.records]
 
 
 def test_sasakian_cr_warped_block_form():
     im = sasakian_cr_immersion()
-    assert warped_block_residual(im, box_points(im.domain, 4, seed=19)) < 1e-10
+    assert fold_sff(im, box_points(im.domain, 4, seed=19), block_form)["block"] < 1e-10
 
 
 def test_totally_geodesic_reeb_tangent_submanifold():
@@ -427,7 +436,7 @@ def test_totally_geodesic_reeb_tangent_submanifold():
                    warped=None, name="reeb-plane")
     # no warped declaration: the suite refuses to run
     with pytest.raises(ConfigurationError):
-        contact_cr_checks(im, [np.array([0.2, 0.3])])
+        contact_cr_checks(fold_sff(im, [np.array([0.2, 0.3])], contact_cr_residuals), 1)
 
 
 def test_reeb_not_tangent_reported():
@@ -439,6 +448,37 @@ def test_reeb_not_tangent_reported():
                    ambient=s.metric, structure=s,
                    warped=WarpedDecl(n1=1, n2=1, f=parse("1", 1)),
                    name="no-reeb")
-    rep = contact_cr_checks(im, [np.array([0.4, 0.2])])
+    rep = contact_cr_checks(fold_sff(im, [np.array([0.4, 0.2])], contact_cr_residuals), 1)
     assert not rep["cr-reeb-tangency"].passed
     assert "precondition" in rep["cr-reeb-tangency"].note
+
+
+# ---------------------------------------------------------------------------
+# One walk per sample
+# ---------------------------------------------------------------------------
+
+
+def count_blocks(monkeypatch) -> list:
+    """Sizes of the ImmersionBlocks built from here on, in order."""
+    sizes, init = [], ImmersionBlock.__init__
+
+    def counted(self, im, points):
+        sizes.append(len(points))
+        init(self, im, points)
+    monkeypatch.setattr(ImmersionBlock, "__init__", counted)
+    return sizes
+
+
+def test_fold_sff_builds_one_block_per_32_points(monkeypatch):
+    sizes = count_blocks(monkeypatch)
+    im = load_builtin("e5").subject
+    worst = fold_sff(im, sample_points(im, 40, 42), classification_residuals,
+                     contact_cr_residuals)
+    assert sizes == [32, 8]
+    assert {"minimal", "cr-reeb-tangency"} <= set(worst)
+
+
+def test_gallery_gate_walks_its_sample_once(monkeypatch):
+    sizes = count_blocks(monkeypatch)
+    assert validate(load_builtin("e5")).passed
+    assert sizes == [16]
