@@ -35,7 +35,7 @@ from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          sasakian_space_form, structure_class_residual,
                          validate_almost_contact)
 from .subman import (Immersion, SFFData, WarpedDecl, classify, contact_cr_checks,
-                     fold_sff, gauss_residual, gauss_residual_max, induced_metric,
+                     fold_sff, gauss_residual_max, induced_metric,
                      relative_null_space, scalar_identity_residual,
                      second_fundamental_form, shape_operator)
 from .warped import WarpedMetric, assemble, mixed_sectional_sum, warping_identity_residual
@@ -62,8 +62,8 @@ __all__ = [
     "phi_sectional", "structure_class_residual", "validate_almost_contact", "fold_tensors",
     # submanifolds
     "Immersion", "WarpedDecl", "SFFData", "induced_metric", "fold_sff",
-    "second_fundamental_form", "shape_operator", "gauss_residual",
-    "gauss_residual_max", "scalar_identity_residual", "relative_null_space",
+    "second_fundamental_form", "shape_operator", "gauss_residual_max",
+    "scalar_identity_residual", "relative_null_space",
     "classify", "contact_cr_checks",
     # inequalities
     "InequalityResult", "main_inequality", "space_form_inequality",

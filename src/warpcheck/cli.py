@@ -12,7 +12,6 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +71,11 @@ class RunConfig:
     def __post_init__(self):
         if self.points < 1:
             raise WarpcheckError("points must be >= 1")
+        if self.seed < 0:
+            raise WarpcheckError("seed must be >= 0")
         for name, val in self.tols.items():
-            if val <= 0:
-                raise WarpcheckError(f"tolerance {name!r} must be positive")
+            if not 0 < val < math.inf:
+                raise WarpcheckError(f"tolerance {name!r} must be positive and finite")
 
     def tol(self, name: str) -> float:
         return self.tols.get(name, DEFAULT_TOLS[name])
@@ -111,15 +112,16 @@ def _structure_step(s, klass: str | None):
     n = s.dim
     pairs = [(np.eye(n)[:, i], np.eye(n)[:, j])
              for i in range(n) for j in range(i + 1, n)]
-    laws = {"normality": partial(nijenhuis_normality_residual, s),
-            "fundamental-form": partial(fundamental_form_residual, s)}
+    laws = {"normality": nijenhuis_normality_residual,
+            "fundamental-form": fundamental_form_residual}
     if klass:
-        laws = {f"class-{klass}": partial(structure_class_residual, s, klass), **laws}
+        laws = {f"class-{klass}": lambda t, X, Y: structure_class_residual(t, klass, X, Y),
+                **laws}
 
     def step(t):
-        out = s.identity_residuals(t.x, t)
+        out = s.identity_residuals(t)
         for key, law in laws.items():
-            out[key] = [law(X, Y, t.x, t) for X, Y in pairs]
+            out[key] = [law(t, X, Y) for X, Y in pairs]
         return out
     return step
 
@@ -152,8 +154,8 @@ def _warped_checks(w: WarpedMetric, rc: RunConfig, rep: CheckReport):
         wb = WarpedBlock(geom, block)
         symmetries = Curvature4(block, wb.total.curvature).max_symmetry_residual()
         for p, sym in zip(wb, symmetries.tolist()):
-            blocks = block_second_form_residuals(geom, p.x, p)
-            yield {"warped-identity": warping_identity_residual(geom, p.x, p)["residual"],
+            blocks = block_second_form_residuals(p)
+            yield {"warped-identity": warping_identity_residual(p)["residual"],
                    "leaf-geodesic": blocks["leaf_geodesic"],
                    "fiber-umbilical-shape": blocks["fiber_umbilical_shape"],
                    "curvature-symmetries": sym}
@@ -167,31 +169,29 @@ def _warped_checks(w: WarpedMetric, rc: RunConfig, rep: CheckReport):
           rc.tol("curvature-symmetry")))
 
 
-def _identity_values(im: Immersion, sff) -> dict:
-    x = sff.point
-    out = {"gauss-equation": gauss_residual_max(im, x, sff),
-           "scalar-identity": scalar_identity_residual(im, x, sff),
-           "shape-duality": [0.0] + [shape_operator(im, x, zeta, sff)[1]
+def _identity_values(sff) -> dict:
+    out = {"gauss-equation": gauss_residual_max(sff),
+           "scalar-identity": scalar_identity_residual(sff),
+           "shape-duality": [0.0] + [shape_operator(sff, zeta)[1]
                                      for zeta in sff.normal_frame.T]}
-    if im.warped is not None:
-        out["warped-block-form"] = warped_block_defect(im, x, sff.g_induced, sff.warped)
-        out["warped-identity"] = warping_identity_residual(
-            sff.warped.geom, x, sff.warped)["residual"]
-        out["scalar-split"] = scalar_decomposition_residual(im, x, sff)
+    if sff.warped is not None:
+        out["warped-block-form"] = warped_block_defect(sff)
+        out["warped-identity"] = warping_identity_residual(sff.warped)["residual"]
+        out["scalar-split"] = scalar_decomposition_residual(sff)
     return out
 
 
-def _inequality_values(im: Immersion, sff, rc: RunConfig) -> dict:
-    x, out = sff.point, {}
-    if isinstance(im.structure, AlmostComplexStructure):
-        res = main_inequality(im, x, tol=rc.tol("slack"), sff=sff)
+def _inequality_values(sff, rc: RunConfig) -> dict:
+    s, out = sff.im.structure, {}
+    if isinstance(s, AlmostComplexStructure):
+        res = main_inequality(sff, tol=rc.tol("slack"))
         out = {"negative-slack": -res.slack, "equality": bool(res.equality),
                "equality-diagnostics": [res.diagnostics[k] for k in
                                         ("leaf_form_norm", "fiber_form_norm", "mean_norm")],
                "space-form-consistency": abs(
-                   space_form_inequality(im, x, c=0.0, sff=sff).reduction.rhs - res.rhs),
+                   space_form_inequality(sff, c=0.0).reduction.rhs - res.rhs),
                **complex_cr_defects(sff)}
-    elif isinstance(im.structure, AlmostContactStructure):
+    elif isinstance(s, AlmostContactStructure):
         out = contact_cr_residuals(sff)
     return {**out, **leaf_mean_curvature(sff), **fiber_lemma_residuals(sff, rc.tol("cr"))}
 
@@ -201,11 +201,11 @@ def _immersion_checks(im: Immersion, groups, rc: RunConfig, rep: CheckReport):
     n, s = len(points), im.structure
     steps = []
     if "identities" in groups:
-        steps.append(lambda sff: _identity_values(im, sff))
+        steps.append(_identity_values)
     if "classify" in groups:
         steps.append(classification_residuals)
     if "inequalities" in groups and im.warped is not None:
-        steps.append(lambda sff: _inequality_values(im, sff, rc))
+        steps.append(lambda sff: _inequality_values(sff, rc))
     structure = "structure" in groups and s is not None
     worst = {}
     if steps:
@@ -431,7 +431,11 @@ def main(argv=None) -> int:
 
     payload = to_json_bytes(doc) if rc.fmt == "json" else text.encode()
     if rc.out:
-        Path(rc.out).write_bytes(payload)
+        try:
+            Path(rc.out).write_bytes(payload)
+        except OSError as err:
+            print(f"output error: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload.decode())
     return code

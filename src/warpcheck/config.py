@@ -48,6 +48,7 @@ x1..xn of the owning chart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -199,6 +200,16 @@ def _numbers(sec: Section, key: str) -> list[float]:
     return [v for _, v in _want(sec, key, ("num",))]
 
 
+def _integers(sec: Section, key: str, lo: int, hi: int | None = None) -> list[int]:
+    """The key's numbers, each an integer of at least lo (and at most hi)."""
+    vals = _numbers(sec, key)
+    if not all(v.is_integer() and lo <= v and (hi is None or v <= hi) for v in vals):
+        bound = f">= {lo}" if hi is None else f"from {lo} to {hi}"
+        raise ConfigurationError(
+            f"[{sec.kind} {sec.name}] key {key!r}: integers {bound} expected")
+    return [int(v) for v in vals]
+
+
 def _word(sec: Section, key: str) -> str:
     items = _want(sec, key, ("word",))
     if len(items) != 1:
@@ -229,23 +240,33 @@ def _domain(sec: Section, dim: int) -> DomainBox | None:
         return None
     lo = _numbers(sec, "domain_lo")
     hi = _numbers(sec, "domain_hi")
+    where = f"[{sec.kind} {sec.name}]"
     if len(lo) != dim or len(hi) != dim:
-        raise ConfigurationError(
-            f"[{sec.kind} {sec.name}]: domain bounds must have {dim} entries")
+        raise ConfigurationError(f"{where}: domain bounds must have {dim} entries")
+    if not all(a < b and math.isfinite(b - a) for a, b in zip(lo, hi)):
+        raise ConfigurationError(f"{where}: domain_lo must lie below domain_hi, "
+                                 f"a finite distance apart, on every axis")
     balls = ()
     if "exclude_center" in sec.values:
-        center = tuple(_numbers(sec, "exclude_center"))
+        center = _numbers(sec, "exclude_center")
         radius = _numbers(sec, "exclude_radius")[0]
+        if not 0 < radius < math.inf:
+            raise ConfigurationError(f"{where}: exclude_radius must be positive and finite")
         if "exclude_axes" in sec.values:
-            axes = tuple(int(a) - 1 for a in _numbers(sec, "exclude_axes"))
+            axes = _integers(sec, "exclude_axes", 1, dim)
         else:
-            axes = tuple(range(len(center)))
-        balls = (ExcludedBall(center=center, radius=radius, axes=axes),)
+            axes = list(range(1, len(center) + 1))
+        if len(center) != len(axes) or len(center) > dim \
+                or not all(map(math.isfinite, center)):
+            raise ConfigurationError(f"{where}: exclude_center needs one finite entry per "
+                                     f"excluded axis, at most {dim}")
+        balls = (ExcludedBall(center=tuple(center), radius=radius,
+                              axes=tuple(a - 1 for a in axes)),)
     return DomainBox(lo=tuple(lo), hi=tuple(hi), balls=balls)
 
 
 def _build_metric(sec: Section) -> MetricField:
-    dim = int(_numbers(sec, "dim")[0])
+    dim = _integers(sec, "dim", 1)[0]
     rows = []
     for i in range(1, dim + 1):
         row = _expr_items(sec, f"row_{i}", dim)
@@ -283,7 +304,7 @@ def _build_warped(sec: Section, metrics: dict[str, MetricField]) -> WarpedMetric
 
 
 def _build_immersion(sec: Section, metrics, structures) -> Immersion:
-    dim = int(_numbers(sec, "dim")[0])
+    dim = _integers(sec, "dim", 1)[0]
     ambient = metrics.get(_word(sec, "ambient"))
     if ambient is None:
         raise ConfigurationError(f"[immersion {sec.name}]: unknown ambient metric")
@@ -298,8 +319,8 @@ def _build_immersion(sec: Section, metrics, structures) -> Immersion:
             raise ConfigurationError(f"[immersion {sec.name}]: unknown structure")
     warped = None
     if "warp_n1" in sec.values:
-        n1 = int(_numbers(sec, "warp_n1")[0])
-        n2 = int(_numbers(sec, "warp_n2")[0])
+        n1 = _integers(sec, "warp_n1", 1)[0]
+        n2 = _integers(sec, "warp_n2", 1)[0]
         if n1 + n2 != dim:
             raise ConfigurationError(
                 f"[immersion {sec.name}]: warp blocks must fill the chart")

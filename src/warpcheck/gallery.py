@@ -172,7 +172,7 @@ def validate(loaded: LoadedExample, n_points: int = GATE_POINTS,
 
     if kind == "structure":
         if isinstance(subject, AlmostContactStructure):
-            worst = fold_tensors(subject, points, lambda t: subject.identity_residuals(t.x, t))
+            worst = fold_tensors(subject, points, subject.identity_residuals)
             rep.merge(validate_almost_contact(subject, worst, n, tol=1e-9))
         else:
             worst = fold_tensors(subject, points, lambda t: subject.residuals(t, False))
@@ -183,8 +183,7 @@ def validate(loaded: LoadedExample, n_points: int = GATE_POINTS,
     im: Immersion = subject
     steps = []
     if im.warped is not None:
-        steps.append(lambda sff: {"gate-warped-block": warped_block_defect(
-            im, sff.point, sff.g_induced, sff.warped)})
+        steps.append(lambda sff: {"gate-warped-block": warped_block_defect(sff)})
         if isinstance(im.structure, AlmostContactStructure):
             steps.append(contact_cr_residuals)
     try:

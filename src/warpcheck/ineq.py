@@ -22,10 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .jets import Point, as_point
 from .report import CheckReport, nan_max
 from .structures import AlmostComplexStructure, SpaceFormModel, model_curvature
-from .subman import Immersion, SFFData, second_fundamental_form, warped_geometry
+from .subman import SFFData, warped_split
 
 SLACK_TOL_FLAT = 1e-8    # jet-exact flat ambients
 SLACK_TOL_MODEL = 1e-6   # closed-form model ambients
@@ -91,8 +90,9 @@ class InequalityResult:
     note: str = ""
 
 
-def _equality_diag(sff: SFFData, n1: int) -> dict[str, float]:
+def _equality_diag(sff: SFFData) -> dict[str, float]:
     """The three equality-case residuals shared by every bound evaluator."""
+    n1 = sff.n1
     return {
         "leaf_form_norm": math.sqrt(float(np.sum(sff.coeffs[:, :n1, :n1] ** 2))),
         "fiber_form_norm": math.sqrt(float(np.sum(sff.coeffs[:, n1:, n1:] ** 2))),
@@ -100,7 +100,7 @@ def _equality_diag(sff: SFFData, n1: int) -> dict[str, float]:
     }
 
 
-def _result(x, lhs: float, rhs: float, tol: float,
+def _result(sff: SFFData, lhs: float, rhs: float, tol: float,
             diagnostics: dict[str, float] | None = None,
             note: str = "") -> InequalityResult:
     slack = lhs - rhs
@@ -108,7 +108,7 @@ def _result(x, lhs: float, rhs: float, tol: float,
     eq_keys = ("leaf_form_norm", "fiber_form_norm", "mean_norm")
     equality = abs(slack) < tol and all(
         diagnostics.get(k, 0.0) < tol for k in eq_keys)
-    return InequalityResult(point=np.array(as_point(x)), lhs=lhs, rhs=rhs,
+    return InequalityResult(point=sff.point.copy(), lhs=lhs, rhs=rhs,
                             slack=slack, tol=tol, passed=slack >= -tol,
                             equality=equality, diagnostics=diagnostics, note=note)
 
@@ -122,7 +122,7 @@ def _pair_sum(k: np.ndarray, idx: Sequence[int]) -> float:
     return float(sum(k[i, j] for pos, i in enumerate(idx) for j in idx[pos + 1:]))
 
 
-def ambient_curvature_sums(im: Immersion, sff: SFFData,
+def ambient_curvature_sums(sff: SFFData,
                            model: SpaceFormModel | None = None) -> dict[str, float]:
     """Scalar-curvature sums of the ambient over the whole tangent frame and
     each declared block; from the chart curvature, or from a closed-form
@@ -141,7 +141,7 @@ def ambient_curvature_sums(im: Immersion, sff: SFFData,
             for j in range(n):
                 plane[i, j] = rf[i, j, j, i]
     else:
-        if model.dim != im.ambient_dim:
+        if model.dim != sff.im.ambient_dim:
             raise ConfigurationError("model dimension does not match the ambient chart")
         for i in range(n):
             for j in range(i + 1, n):
@@ -169,17 +169,15 @@ def _block_products(coeffs: np.ndarray, idx: Sequence[int]) -> float:
     return total
 
 
-def scalar_decomposition_residual(im: Immersion, x: Point,
-                                  sff: SFFData | None = None) -> float:
+def scalar_decomposition_residual(sff: SFFData) -> float:
     """Defect of the split of the intrinsic scalar curvature into the warped
     Laplacian term, per-block form products and ambient block sums."""
-    geom = warped_geometry(im)
-    sff = sff or second_fundamental_form(im, x)
-    n1, n = geom.n1, sff.n
+    p = warped_split(sff)
+    n1, n = p.geom.n1, sff.n
     tau = sff.induced.scalar_curvature()
-    sums = ambient_curvature_sums(im, sff)
-    sc = sff.warped.scalars
-    rhs = (geom.n2 * sc.lap_f / sc.f_value
+    sums = ambient_curvature_sums(sff)
+    sc = p.scalars
+    rhs = (p.geom.n2 * sc.lap_f / sc.f_value
            + _block_products(sff.coeffs, list(range(n1)))
            + _block_products(sff.coeffs, list(range(n1, n)))
            + sums["leaf"] + sums["fiber"])
@@ -257,44 +255,42 @@ def d2_umbilical_implies_geodesic(worst: dict, n: int, tol: float = 1e-7) -> Che
 # ---------------------------------------------------------------------------
 
 
-def _kahler_gate(im: Immersion, x_amb: np.ndarray, tensors, tol: float = 1e-6) -> float:
-    if not isinstance(im.structure, AlmostComplexStructure):
+def _kahler_gate(sff: SFFData, tol: float = 1e-6) -> None:
+    s = sff.im.structure
+    if not isinstance(s, AlmostComplexStructure):
         raise ConfigurationError(
             "main inequality needs a complex ambient structure or a curvature model")
-    resid = im.structure.parallel_residual(x_amb, tensors)
+    resid = s.parallel_residual(sff.tensors)
     if resid > tol:
         raise ConfigurationError(
-            f"ambient structure is not parallel at {x_amb} (residual {resid:.3e})")
-    return resid
+            f"ambient structure is not parallel at {sff.ambient_point} (residual {resid:.3e})")
 
 
-def main_inequality(im: Immersion, x: Point, tol: float = SLACK_TOL_FLAT,
-                    model: SpaceFormModel | None = None,
-                    sff: SFFData | None = None) -> InequalityResult:
+def main_inequality(sff: SFFData, tol: float = SLACK_TOL_FLAT,
+                    model: SpaceFormModel | None = None) -> InequalityResult:
     """Half the squared form norm against the curvature-sum bound, with
     equality diagnostics.
 
     The ambient must carry a parallel complex structure (checked pointwise),
     or a closed-form curvature model must be supplied for the ambient chart.
     """
-    geom = warped_geometry(im)
-    sff = sff or second_fundamental_form(im, x)
+    p = warped_split(sff)
     if model is None:
-        _kahler_gate(im, sff.ambient_point, sff.tensors)
-    sums = ambient_curvature_sums(im, sff, model=model)
-    sc = sff.warped.scalars
+        _kahler_gate(sff)
+    sums = ambient_curvature_sums(sff, model=model)
+    sc = p.scalars
 
     lhs = 0.5 * sff.h_norm_sq()
     rhs = (sums["tangent"] - sums["leaf"] - sums["fiber"]
-           - geom.n2 * sc.lap_f / sc.f_value)
+           - p.geom.n2 * sc.lap_f / sc.f_value)
 
-    diagnostics = _equality_diag(sff, geom.n1)
-    fiber_umb = reduce(nan_max, sff.umbilicity(sff.mean_fiber, geom.n1))
+    diagnostics = _equality_diag(sff)
+    fiber_umb = reduce(nan_max, sff.umbilicity(sff.mean_fiber, sff.n1))
     # factor-level characterization alongside the two vanishing conditions
     diagnostics["leaf_geodesic_residual"] = diagnostics["leaf_form_norm"]
     diagnostics["fiber_umbilical_residual"] = fiber_umb
     diagnostics["leaf_mean_norm"] = sff.vec_norm(sff.mean_leaf)
-    return _result(x, lhs, rhs, tol, diagnostics)
+    return _result(sff, lhs, rhs, tol, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -311,58 +307,53 @@ class SpaceFormBounds:
     dp_printed: InequalityResult | None  # corollary form, needs the free s
 
 
-def space_form_inequality(im: Immersion, x: Point, c: float = 0.0,
-                          tol: float = SLACK_TOL_FLAT, dp_s: float | None = None,
-                          sff: SFFData | None = None) -> SpaceFormBounds:
+def space_form_inequality(sff: SFFData, c: float = 0.0, tol: float = SLACK_TOL_FLAT,
+                          dp_s: float | None = None) -> SpaceFormBounds:
     """Specializations of the main bound to a complex space form of constant c.
 
     The reduction bound matches the main inequality evaluated with the
     corresponding curvature model; the as-printed variants are reported for
     fidelity but carry notes (their curvature coefficient differs for c != 0,
     and the corollary form has free parameters)."""
-    geom = warped_geometry(im)
-    sff = sff or second_fundamental_form(im, x)
-    sc = sff.warped.scalars
-    n1, n2 = geom.n1, geom.n2
+    p = warped_split(sff)
+    sc = p.scalars
+    n1, n2 = p.geom.n1, p.geom.n2
     half_sq = 0.5 * sff.h_norm_sq()
-    diag = _equality_diag(sff, n1)
-    reduction = _result(x, half_sq,
+    diag = _equality_diag(sff)
+    reduction = _result(sff, half_sq,
                         space_form_rhs(c, n1, n2, sc.grad_lnf_sq, sc.lap_lnf),
                         tol, dict(diag))
-    printed = _result(x, half_sq,
+    printed = _result(sff, half_sq,
                       space_form_rhs_printed(c, n1, n2, sc.grad_lnf_sq, sc.lap_lnf),
                       tol, dict(diag),
                       note="as-printed; curvature coefficient doubled relative "
                            "to the frame-sum reduction")
     dp = None
     if dp_s is not None:
-        dp = _result(x, sff.h_norm_sq(),
+        dp = _result(sff, sff.h_norm_sq(),
                      dp_rhs_printed(c, dp_s, n2, sc.grad_lnf_sq, sc.lap_lnf),
                      tol, dict(diag),
                      note="as-printed; free parameters, excluded from acceptance")
     return SpaceFormBounds(reduction=reduction, printed=printed, dp_printed=dp)
 
 
-def nearly_kahler_inequality(im: Immersion, x: Point, c: float, s: float,
+def nearly_kahler_inequality(sff: SFFData, c: float, s: float,
                              tol: float = SLACK_TOL_MODEL) -> InequalityResult:
     """Variant bound with free constants, on the full squared form norm."""
-    geom = warped_geometry(im)
-    sff = second_fundamental_form(im, x)
-    sc = sff.warped.scalars
-    return _result(x, sff.h_norm_sq(),
-                   nearly_kahler_rhs(c, s, geom.n2, sc.lap_lnf), tol,
-                   _equality_diag(sff, geom.n1),
+    p = warped_split(sff)
+    return _result(sff, sff.h_norm_sq(),
+                   nearly_kahler_rhs(c, s, p.geom.n2, p.scalars.lap_lnf), tol,
+                   _equality_diag(sff),
                    note="variant bound with caller-supplied constants")
 
 
-def generalized_inequality(im: Immersion, x: Point, c_rk: float, gamma: float,
+def generalized_inequality(sff: SFFData, c_rk: float, gamma: float,
                            tol: float = SLACK_TOL_MODEL) -> InequalityResult:
     """Two-parameter generalized-complex-space-form bound on the full
     squared form norm; gamma = 0 recovers the complex-space-form bound."""
-    geom = warped_geometry(im)
-    sff = second_fundamental_form(im, x)
-    sc = sff.warped.scalars
-    return _result(x, sff.h_norm_sq(),
-                   generalized_rhs(c_rk, gamma, geom.n1, geom.n2,
+    p = warped_split(sff)
+    sc = p.scalars
+    return _result(sff, sff.h_norm_sq(),
+                   generalized_rhs(c_rk, gamma, p.geom.n1, p.geom.n2,
                                    sc.grad_lnf_sq, sc.lap_lnf), tol,
-                   _equality_diag(sff, geom.n1))
+                   _equality_diag(sff))

@@ -31,9 +31,9 @@ class _Structure:
     def dim(self) -> int:
         return self.metric.dim
 
-    def at(self, x: Point, metric: MetricPoint | None = None) -> "StructureTensors":
-        """The structure's tensors at x, sharing the metric's record if given."""
-        return StructureTensors(self, x, metric)
+    def at(self, x: Point) -> "StructureTensors":
+        """The structure's tensors at x: the record its per-point checks take."""
+        return StructureTensors(self, x)
 
 
 # ---------------------------------------------------------------------------
@@ -50,18 +50,16 @@ class AlmostComplexStructure(_Structure):
     params: tuple[float, ...] = ()
     name: str = ""
 
-    def square_residual(self, x: Point, tensors=None) -> float:
-        j = (tensors or self.at(x)).op[0]
+    def square_residual(self, t: "StructureTensors") -> float:
+        j = t.op[0]
         return float(np.max(np.abs(j @ j + np.eye(self.dim))))
 
-    def compatibility_residual(self, x: Point, tensors=None) -> float:
-        t = tensors or self.at(x)
+    def compatibility_residual(self, t: "StructureTensors") -> float:
         j, g = t.op[0], t.metric.value
         return float(np.max(np.abs(j.T @ g @ j - g)))
 
-    def parallel_residual(self, x: Point, tensors=None) -> float:
-        """Max component of the covariant derivative of J (zero iff Kahler at x)."""
-        t = tensors or self.at(x)
+    def parallel_residual(self, t: "StructureTensors") -> float:
+        """Max component of the covariant derivative of J (zero iff Kahler at t.x)."""
         j, dj = t.op
         gam = t.metric.gamma
         # (nabla_i J)^k_j = d_i J^k_j + Gamma^k_im J^m_j - Gamma^m_ij J^k_m
@@ -71,10 +69,10 @@ class AlmostComplexStructure(_Structure):
 
     def residuals(self, t: "StructureTensors", require_kahler: bool) -> dict[str, float]:
         """Per-point values of the records :meth:`validate` reports."""
-        out = {"complex-square": self.square_residual(t.x, t),
-               "complex-compatibility": self.compatibility_residual(t.x, t)}
+        out = {"complex-square": self.square_residual(t),
+               "complex-compatibility": self.compatibility_residual(t)}
         if require_kahler:
-            out["kahler-parallel"] = self.parallel_residual(t.x, t)
+            out["kahler-parallel"] = self.parallel_residual(t)
         return out
 
     def validate(self, worst: dict, n: int, tol: float = 1e-10) -> CheckReport:
@@ -104,14 +102,9 @@ class AlmostContactStructure(_Structure):
     params: tuple[float, ...] = ()
     name: str = ""
 
-    def tensors_at(self, x: Point):
-        t = self.at(x)
-        return t.op[0], t.xi, t.eta[0]
-
-    def identity_residuals(self, x: Point, tensors=None) -> dict[str, float]:
+    def identity_residuals(self, t: "StructureTensors") -> dict[str, float]:
         """The six defining identities of an almost contact metric structure."""
         n = self.dim
-        t = tensors or self.at(x)
         phi, xi, eta, g = t.op[0], t.xi, t.eta[0], t.metric.value
         return dict(zip(CONTACT_IDENTITIES, (
             float(np.max(np.abs(phi @ phi + np.eye(n) - np.outer(xi, eta)))),
@@ -207,12 +200,10 @@ def validate_almost_contact(s: AlmostContactStructure, worst: dict, n: int,
     return rep
 
 
-def covariant_phi_derivative(s: AlmostContactStructure, X, Y, x: Point,
-                             tensors=None) -> np.ndarray:
-    """(nabla_X phi)Y for vectors at x (constant coordinate extensions)."""
+def covariant_phi_derivative(t: StructureTensors, X, Y) -> np.ndarray:
+    """(nabla_X phi)Y for vectors at t.x (constant coordinate extensions)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    t = tensors or s.at(x)
     phi, dphi = t.op
     gam = t.metric.gamma
     term = np.einsum("i,ikm,m->k", X, dphi, Y)
@@ -224,25 +215,23 @@ def covariant_phi_derivative(s: AlmostContactStructure, X, Y, x: Point,
 CLASS_NAMES = ("sasakian", "kenmotsu", "cosymplectic", "nearly_cosymplectic")
 
 
-def structure_class_residual(s: AlmostContactStructure, klass: str, X, Y,
-                             x: Point, tensors=None) -> float:
+def structure_class_residual(t: StructureTensors, klass: str, X, Y) -> float:
     """Metric norm of the defect of the class-defining covariant-derivative law."""
     if klass not in CLASS_NAMES:
         raise ConfigurationError(f"unknown structure class {klass!r}")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    t = tensors or s.at(x)
     phi, xi, eta, g = t.op[0], t.xi, t.eta[0], t.metric.value
-    lhs = covariant_phi_derivative(s, X, Y, x, t)
+    lhs = covariant_phi_derivative(t, X, Y)
     if klass == "sasakian":
         rhs = -(X @ g @ Y) * xi + (eta @ Y) * X
     elif klass == "kenmotsu":
         rhs = ((phi @ X) @ g @ Y) * xi - (eta @ Y) * (phi @ X)
     elif klass == "cosymplectic":
-        rhs = np.zeros(s.dim)
+        rhs = np.zeros(t.s.dim)
     else:  # nearly cosymplectic: symmetrized derivative vanishes
-        lhs = lhs + covariant_phi_derivative(s, Y, X, x, t)
-        rhs = np.zeros(s.dim)
+        lhs = lhs + covariant_phi_derivative(t, Y, X)
+        rhs = np.zeros(t.s.dim)
     diff = lhs - rhs
     return float(math.sqrt(max(diff @ g @ diff, 0.0)))
 
@@ -253,8 +242,7 @@ def _exterior_d_eta(t: StructureTensors, X, Y) -> float:
     return float(np.einsum("i,ij,j->", X, deta, Y) - np.einsum("i,ij,j->", Y, deta, X))
 
 
-def nijenhuis_normality_residual(s: AlmostContactStructure, X, Y, x: Point,
-                                 tensors=None) -> float:
+def nijenhuis_normality_residual(t: StructureTensors, X, Y) -> float:
     """Metric norm of the normality defect [phi, phi](X, Y) + d(eta)(X, Y) xi.
 
     Convention note: with the halved exterior derivative
@@ -269,7 +257,6 @@ def nijenhuis_normality_residual(s: AlmostContactStructure, X, Y, x: Point,
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    t = tensors or s.at(x)
     (phi, dphi), xi, g = t.op, t.xi, t.metric.value
 
     fx = phi @ X
@@ -285,12 +272,10 @@ def nijenhuis_normality_residual(s: AlmostContactStructure, X, Y, x: Point,
     return float(math.sqrt(max(vec @ g @ vec, 0.0)))
 
 
-def fundamental_form_residual(s: AlmostContactStructure, X, Y, x: Point,
-                              tensors=None) -> float:
+def fundamental_form_residual(t: StructureTensors, X, Y) -> float:
     """|Phi(X,Y) - d(eta)(X,Y)/2| with Phi(X,Y) = g(phi X, Y) (contact metric law)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    t = tensors or s.at(x)
     return abs(float((t.op[0] @ X) @ t.metric.value @ Y) - 0.5 * _exterior_d_eta(t, X, Y))
 
 

@@ -400,8 +400,7 @@ def fold_sff(im: Immersion, points: Sequence[Point], *steps) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def shape_operator(im: Immersion, x: Point, zeta: np.ndarray,
-                   sff: SFFData | None = None) -> tuple[np.ndarray, float]:
+def shape_operator(sff: SFFData, zeta: np.ndarray) -> tuple[np.ndarray, float]:
     """Shape operator of a normal vector in the coordinate basis, plus the
     duality residual against the projected second fundamental form.
 
@@ -409,7 +408,6 @@ def shape_operator(im: Immersion, x: Point, zeta: np.ndarray,
     (pairing with a normal kills tangential parts), so the residual is a
     genuine consistency check of the normal projection, not a tautology.
     """
-    sff = sff or second_fundamental_form(im, x)
     zeta = np.asarray(zeta, dtype=float)
     tang = np.einsum("k,km,ma->a", zeta, sff.g_ambient, sff.tangent_ambient)
     if np.max(np.abs(tang)) > 1e-8 * max(sff.vec_norm(zeta), 1e-300):
@@ -429,11 +427,9 @@ def shape_operator(im: Immersion, x: Point, zeta: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def gauss_residual_tensor(im: Immersion, x: Point,
-                          sff: SFFData | None = None) -> np.ndarray:
+def gauss_residual_tensor(sff: SFFData) -> np.ndarray:
     """Pointwise defect tensor of the curvature relation between the induced
     and ambient metrics, over the orthonormal tangent frame."""
-    sff = sff or second_fundamental_form(im, x)
     r_ind = frame_curvature(sff.induced.curvature, sff.tangent_frame)
     r_amb = sff.ambient_frame_curvature
     c = sff.coeffs
@@ -441,20 +437,14 @@ def gauss_residual_tensor(im: Immersion, x: Point,
     return r_ind - r_amb - h_term
 
 
-def gauss_residual(im: Immersion, x: Point, i: int, j: int, k: int, l: int) -> float:
-    return float(abs(gauss_residual_tensor(im, x)[i, j, k, l]))
+def gauss_residual_max(sff: SFFData) -> float:
+    return float(np.max(np.abs(gauss_residual_tensor(sff))))
 
 
-def gauss_residual_max(im: Immersion, x: Point, sff: SFFData | None = None) -> float:
-    return float(np.max(np.abs(gauss_residual_tensor(im, x, sff))))
-
-
-def scalar_identity_residual(im: Immersion, x: Point,
-                             sff: SFFData | None = None) -> float:
+def scalar_identity_residual(sff: SFFData) -> float:
     """Defect of the traced curvature relation: twice the intrinsic scalar
     curvature against the ambient tangent-plane sum plus mean-curvature and
     form-norm terms."""
-    sff = sff or second_fundamental_form(im, x)
     tau = sff.induced.scalar_curvature()
     r_amb = sff.ambient_frame_curvature
     n = sff.n
@@ -469,14 +459,13 @@ def scalar_identity_residual(im: Immersion, x: Point,
 # ---------------------------------------------------------------------------
 
 
-def relative_null_space(im: Immersion, x: Point,
+def relative_null_space(sff: SFFData,
                         threshold: float = NULL_SPACE_THRESHOLD) -> np.ndarray:
-    """Basis (sub-chart columns) of the kernel of X -> h(X, .) at x.
+    """Basis (sub-chart columns) of the kernel of X -> h(X, .) at the point.
 
     Rank is revealed by the SVD of the stacked coefficient matrix; singular
     directions below the threshold span the null space.
     """
-    sff = second_fundamental_form(im, x)
     n = sff.n
     mat = sff.coeffs.transpose(0, 2, 1).reshape(-1, n)  # rows (r, j), columns i
     if mat.shape[0] == 0:
@@ -568,16 +557,21 @@ def warped_geometry(im: Immersion) -> WarpedGeometry:
                           params=im.params, fiber=decl.g2)
 
 
-def warped_block_defect(im: Immersion, x: Point, g: np.ndarray,
-                        at: WarpedPoint | None = None) -> float:
-    """Isometric-immersion sanity for warped declarations at one point, from
-    the induced metric matrix g there: it must be block diagonal with fiber
-    block equal to f^2 times the declared fiber metric (identity when none
-    is declared).  ``at``: the point's warped split, which holds f and the
-    fiber metric there."""
-    p = at or WarpedPoint(warped_geometry(im), x)
-    n1 = im.warped.n1
-    off = float(np.max(np.abs(g[:n1, n1:]))) if n1 < im.dim else 0.0
+def warped_split(sff: SFFData) -> WarpedPoint:
+    """The point's warped split, which an immersion without a warped
+    declaration lacks."""
+    if sff.warped is None:
+        raise ConfigurationError("immersion has no warped declaration")
+    return sff.warped
+
+
+def warped_block_defect(sff: SFFData) -> float:
+    """Isometric-immersion sanity for warped declarations at one point: the
+    induced metric must be block diagonal with fiber block equal to f^2
+    times the declared fiber metric (identity when none is declared)."""
+    p, g = warped_split(sff), sff.g_induced
+    n1 = p.geom.n1
+    off = float(np.max(np.abs(g[:n1, n1:]))) if n1 < sff.n else 0.0
     return nan_max(off, float(np.max(np.abs(g[n1:, n1:] - p.f.value**2 * p.fiber))))
 
 

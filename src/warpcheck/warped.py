@@ -255,12 +255,10 @@ class WarpedPoint:
 
     @cached_property
     def scalars(self) -> LeafScalars:
-        return leaf_scalars(self.geom, self.x, self)
+        return leaf_scalars(self)
 
 
-def leaf_scalars(geom: WarpedGeometry | WarpedMetric, x: Point,
-                 at: WarpedPoint | None = None) -> LeafScalars:
-    p = at or WarpedPoint(geom, x)
+def leaf_scalars(p: WarpedPoint) -> LeafScalars:
     f_jet = p.f
     if f_jet.value <= 0.0:
         raise InvalidWarpingError(f"warping function {f_jet.value} <= 0 at {p.x}")
@@ -291,10 +289,8 @@ def adapted_block_residual(columns: np.ndarray, n1: int) -> float:
     return float(max(a, b))
 
 
-def mixed_sectional_sum(geom: WarpedGeometry | WarpedMetric, x: Point,
-                        at: WarpedPoint | None = None) -> float:
+def mixed_sectional_sum(p: WarpedPoint) -> float:
     """Sum of sectional curvatures over all mixed leaf/fiber frame planes."""
-    p = at or WarpedPoint(geom, x)
     rf = frame_curvature(p.total.curvature, p.total.frame)
     n, n1 = p.geom.n1 + p.geom.n2, p.geom.n1
     total = 0.0
@@ -304,25 +300,21 @@ def mixed_sectional_sum(geom: WarpedGeometry | WarpedMetric, x: Point,
     return float(total)
 
 
-def warping_identity_residual(geom: WarpedGeometry | WarpedMetric, x: Point,
-                              at: WarpedPoint | None = None) -> dict[str, float]:
+def warping_identity_residual(p: WarpedPoint) -> dict[str, float]:
     """Both sides of the mixed-sectional identity and their difference."""
-    p = at or WarpedPoint(geom, x)
-    lhs = mixed_sectional_sum(geom, x, p)
+    lhs = mixed_sectional_sum(p)
     sc = p.scalars
     rhs = p.geom.n2 * sc.lap_f / sc.f_value
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 
-def block_second_form_residuals(geom: WarpedGeometry | WarpedMetric, x: Point,
-                                at: WarpedPoint | None = None) -> dict[str, float]:
+def block_second_form_residuals(p: WarpedPoint) -> dict[str, float]:
     """Intrinsic second fundamental forms of the blocks inside the product.
 
     Leaves must be totally geodesic: the fiber components Gamma[A,a,b] of the
     assembled connection vanish.  Fibers must be totally umbilical with shape
     term -(g(Z,W)/f) grad f: Gamma[a,A,B] equals -(g_AB/f) (grad_leaf f)^a.
     """
-    p = at or WarpedPoint(geom, x)
     n1 = p.geom.n1
     n = n1 + p.geom.n2
     gam = p.total.gamma

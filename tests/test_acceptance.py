@@ -30,7 +30,7 @@ from warpcheck.structures import (cosymplectic_space_form, kenmotsu_space_form,
 from warpcheck.subman import (contact_cr_checks, fold_sff, gauss_residual_max,
                               induced_metric, second_fundamental_form,
                               warped_geometry)
-from warpcheck.warped import warping_identity_residual
+from warpcheck.warped import WarpedPoint, warping_identity_residual
 
 
 def _gated(name):
@@ -64,7 +64,7 @@ def test_criterion_1_gauss_equation():
     for name in ("e1", "e3", "e4", "e6", "e7"):
         im = _gated(name).subject
         for x in _points(im):
-            worst = max(worst, gauss_residual_max(im, x))
+            worst = max(worst, gauss_residual_max(second_fundamental_form(im, x)))
     elapsed = time.time() - t0
     ok = worst < 1e-7 and elapsed < 30.0
     _report("criterion 1 (curvature relation, 5 immersions x 64 points)", ok,
@@ -83,13 +83,13 @@ def test_criterion_2_warped_identity():
     im = _gated("e1").subject
     geom = warped_geometry(im)
     for x in _points(im, n=16):
-        worst = max(worst, warping_identity_residual(geom, x)["residual"])
+        worst = max(worst, warping_identity_residual(WarpedPoint(geom, x))["residual"])
 
     for name, expected in (("e2", -1.0), ("s2-warped", 1.0)):
         w = _gated(name).subject
         geom = w.geometry()
         for x in _points(w, n=16):
-            r = warping_identity_residual(geom, x)
+            r = warping_identity_residual(WarpedPoint(geom, x))
             worst = max(worst, r["residual"])
             worst_side = max(abs(r["lhs"] - expected), abs(r["rhs"] - expected))
             details.append(worst_side)
@@ -111,7 +111,7 @@ def test_criterion_3_scalar_decomposition():
     for name in ("e1", "e4"):
         im = _gated(name).subject
         for x in _points(im):
-            worst = max(worst, scalar_decomposition_residual(im, x))
+            worst = max(worst, scalar_decomposition_residual(second_fundamental_form(im, x)))
     ok = worst < 1e-7
     _report("criterion 3 (scalar split on e1 and e4, 64 points each)", ok,
             f"worst residual {worst:.3e} (tol 1e-7)")
@@ -145,7 +145,7 @@ def test_criterion_5_main_inequality():
     im1 = _gated("e1").subject
     worst_slack = worst_diag = 0.0
     for x in _points(im1):
-        r = main_inequality(im1, x)
+        r = main_inequality(second_fundamental_form(im1, x))
         worst_slack = max(worst_slack, abs(r.slack))
         worst_diag = max(worst_diag, r.diagnostics["leaf_form_norm"],
                          r.diagnostics["fiber_form_norm"],
@@ -153,10 +153,12 @@ def test_criterion_5_main_inequality():
         assert r.equality
 
     im6 = _gated("e6").subject
-    min_slack6 = min(main_inequality(im6, x).slack for x in _points(im6))
+    min_slack6 = min(main_inequality(second_fundamental_form(im6, x)).slack
+                     for x in _points(im6))
 
     im4 = _gated("e4").subject
-    worst4 = max(abs(main_inequality(im4, x).slack) for x in _points(im4))
+    worst4 = max(abs(main_inequality(second_fundamental_form(im4, x)).slack)
+                 for x in _points(im4))
 
     ok = worst_slack < 1e-8 and worst_diag < 1e-8 and min_slack6 > 1e-3 \
         and worst4 <= 1e-10
@@ -177,7 +179,7 @@ def test_criterion_6_space_form_at_zero_constant():
     values = {}
     for (u, v), want in (((0.3, 0.4), 4.0), ((0.6, 0.8), 1.0), ((1.2, 1.6), 0.25)):
         x = np.array([u, v, 0.7])
-        b = space_form_inequality(im, x, c=0.0).reduction
+        b = space_form_inequality(second_fundamental_form(im, x), c=0.0).reduction
         worst = max(worst, abs(b.lhs - want), abs(b.rhs - want))
         values[want] = (b.lhs, b.rhs)
     ok = worst < 1e-8
@@ -233,16 +235,17 @@ def test_criterion_7_space_form_models():
 def test_criterion_8_contact_suite():
     s = _gated("sasakian-r5").subject
     points = halton_points(s.metric.domain, 64, 42)
-    contact = fold_tensors(s, points, lambda t: s.identity_residuals(t.x, t))
+    contact = fold_tensors(s, points, s.identity_residuals)
     worst = max(r.worst for r in validate_almost_contact(s, contact, len(points)).records)
     n = s.dim
     pairs = [(np.eye(n)[:, i], np.eye(n)[:, j])
              for i in range(n) for j in range(i + 1, n)]
     for x in points:
+        t = s.at(x)
         for X, Y in pairs:
-            worst = max(worst, structure_class_residual(s, "sasakian", X, Y, x),
-                        nijenhuis_normality_residual(s, X, Y, x),
-                        fundamental_form_residual(s, X, Y, x))
+            worst = max(worst, structure_class_residual(t, "sasakian", X, Y),
+                        nijenhuis_normality_residual(t, X, Y),
+                        fundamental_form_residual(t, X, Y))
     ok = worst < 1e-8
     _report("criterion 8 (contact identities, class law, normality, form law)",
             ok, f"worst residual {worst:.3e} (tol 1e-8) at 64 points")

@@ -67,8 +67,41 @@ def test_unknown_check_group_exits_2(capsys):
 
 
 def test_bad_tolerance_exits_2(capsys):
-    assert main(["--target", "e4", "--tol", "gauss=abc"]) == 2
-    assert main(["--target", "e4", "--tol", "nope=1"]) == 2
+    for tol in ("gauss=abc", "nope=1", "gauss=nan", "gauss=inf"):
+        assert main(["--target", "e4", "--tol", tol]) == 2
+        assert capsys.readouterr().err.count("\n") == 1, tol
+
+
+@pytest.mark.parametrize("target,seed,points", [("e3", "-5", "4"), ("e1", "-1", "2")])
+def test_negative_seed_exits_2(target, seed, points, capsys):
+    # Halton indices start at seed + 1; the random reduction check needs seed >= 0
+    assert main(["--target", target, "--seed", seed, "--points", points]) == 2
+    assert capsys.readouterr().err == "configuration error: seed must be >= 0\n"
+
+
+E3_BALL = 'domain_hi = 3.0415926, 6.1831853\nexclude_center = 1, 1\nexclude_radius = 0.1\n'
+
+
+@pytest.mark.parametrize("old,new", [
+    ("domain_hi = 3.0415926", "domain_hi = 0.05"),
+    ("domain_hi = 3.0415926", "domain_hi = inf"),
+    ("exclude_radius = 0.1", "exclude_radius = -1"),
+    ("exclude_radius = 0.1", "exclude_radius = 0.1\nexclude_axes = 1, 7"),
+    ("exclude_center = 1, 1", "exclude_center = 1, 1, 1"),
+    ("exclude_radius = 0.1", "exclude_radius = 0.1\nexclude_axes = 0, 1"),
+    ("dim = 2", "dim = 2.7"),
+    ("exclude_radius = 0.1", 'exclude_radius = 0.1\nwarp_n1 = 1.5\nwarp_n2 = 1.5\n'
+                             'warp_f = "1"'),
+], ids=["empty-interval", "infinite-bound", "negative-radius", "axis-out-of-range",
+        "long-center", "zero-based-axes", "fractional-dim", "fractional-warp-blocks"])
+def test_malformed_domain_exits_2(tmp_path, capsys, old, new):
+    text = resources.files("warpcheck").joinpath("data", "e3_round_s2.cfg").read_text()
+    text = text.replace("domain_hi = 3.0415926, 6.1831853\n", E3_BALL)
+    p = tmp_path / "e3_domain.cfg"
+    p.write_text(text.replace(old, new, 1))
+    assert main(["--target", str(p), "--points", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[immersion round_s2]" in err, err
 
 
 def _metric_cfg(tmp_path, dim, row_last, lo, hi, extra=""):
@@ -175,7 +208,7 @@ def test_library_checks_give_the_cli_records(target):
         im, points, subman.classification_residuals, ineq.leaf_mean_curvature,
         partial(ineq.fiber_lemma_residuals, tol=cr),
         subman.contact_cr_residuals if contact else subman.complex_cr_defects,
-        (lambda sff: s.identity_residuals(sff.point, sff.tensors)) if contact
+        (lambda sff: s.identity_residuals(sff.tensors)) if contact
         else (lambda sff: s.residuals(sff.tensors, True)))
     rep = ineq.d2_umbilical_implies_geodesic(worst, n, cr)
     if contact:
@@ -335,6 +368,14 @@ def test_text_and_json_carry_the_same_numbers():
         assert m, rec["name"]
         assert m.group(1) == format_number(rec["worst"])
         assert m.group(2) == format_number(rec["tol"])
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    assert main(["--target", "e2", "--points", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("output error:") and str(out) in captured.err
 
 
 def test_output_file_writing(tmp_path, capsys):

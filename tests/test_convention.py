@@ -1,0 +1,51 @@
+"""Per-point checks take their point's record (SFFData, StructureTensors or
+WarpedPoint) and nothing that the record already holds."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from warpcheck import ineq, structures, subman, warped
+from warpcheck.errors import ConfigurationError
+from warpcheck.gallery import load_builtin
+from warpcheck.subman import second_fundamental_form
+
+RECORD_NAMES = {"sff", "at", "tensors"}
+
+
+def _public_callables(mod):
+    for name, obj in vars(mod).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for meth_name, meth in vars(obj).items():
+                if inspect.isfunction(meth) and not meth_name.startswith("_"):
+                    yield f"{name}.{meth_name}", meth
+
+
+@pytest.mark.parametrize("mod", [structures, subman, ineq, warped],
+                         ids=lambda m: m.__name__)
+def test_no_optional_record_parameters(mod):
+    found = [(name, p.name) for name, fn in _public_callables(mod)
+             for p in inspect.signature(fn).parameters.values()
+             if p.name in RECORD_NAMES and p.default is not inspect.Parameter.empty]
+    assert found == []
+
+
+@pytest.mark.parametrize("check", [
+    ineq.main_inequality,
+    ineq.space_form_inequality,
+    ineq.scalar_decomposition_residual,
+    subman.warped_block_defect,
+    lambda sff: ineq.nearly_kahler_inequality(sff, 1.0, 1.0),
+    lambda sff: ineq.generalized_inequality(sff, 1.0, 0.5),
+], ids=["main", "space-form", "scalar-split", "warped-block", "nearly-kahler",
+        "generalized"])
+def test_checks_needing_a_warped_split_reject_an_immersion_without_one(check):
+    sff = second_fundamental_form(load_builtin("e3").subject, np.array([1.0, 2.0]))
+    assert sff.warped is None
+    with pytest.raises(ConfigurationError, match="immersion has no warped declaration"):
+        check(sff)

@@ -127,11 +127,10 @@ def test_gallery_sasakian_structure_matches_fixture():
     s_cfg = loaded.subject
     s_direct = standard_sasakian_r5()
     x = np.array([0.3, -0.2, 0.5, 0.1, 0.4])
-    phi_a, xi_a, eta_a = s_cfg.tensors_at(x)
-    phi_b, xi_b, eta_b = s_direct.tensors_at(x)
-    npt.assert_allclose(phi_a, phi_b)
-    npt.assert_allclose(xi_a, xi_b)
-    npt.assert_allclose(eta_a, eta_b)
+    t_a, t_b = s_cfg.at(x), s_direct.at(x)
+    npt.assert_allclose(t_a.op[0], t_b.op[0])
+    npt.assert_allclose(t_a.xi, t_b.xi)
+    npt.assert_allclose(t_a.eta[0], t_b.eta[0])
     assert loaded.config.expected_class["std_sasakian"] == "sasakian"
 
 

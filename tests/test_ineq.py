@@ -19,8 +19,8 @@ from warpcheck.ineq import (d2_umbilical_implies_geodesic, dt_minimality_check,
                             scalar_decomposition_residual, space_form_inequality,
                             space_form_rhs, space_form_rhs_printed)
 from warpcheck.structures import complex_space_form
-from warpcheck.subman import fold_sff, warped_geometry
-from warpcheck.warped import leaf_scalars
+from warpcheck.subman import fold_sff, second_fundamental_form, warped_geometry
+from warpcheck.warped import WarpedPoint, leaf_scalars
 
 # ---------------------------------------------------------------------------
 # Scalar-curvature decomposition
@@ -33,12 +33,14 @@ from warpcheck.warped import leaf_scalars
 def test_scalar_decomposition_residual_small(builder):
     im = builder()
     for x in box_points(im.domain, 4, seed=21):
-        assert scalar_decomposition_residual(im, x) < 1e-7, (im.name, x)
+        assert scalar_decomposition_residual(second_fundamental_form(im, x)) < 1e-7, \
+            (im.name, x)
 
 
 def test_scalar_decomposition_trivial_product_exact():
     im = trivial_product_immersion()
-    assert scalar_decomposition_residual(im, np.array([0.3, -0.2])) < 1e-14
+    assert scalar_decomposition_residual(
+        second_fundamental_form(im, np.array([0.3, -0.2]))) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +110,7 @@ def test_leaf_minimality_needs_declaration():
 def test_main_inequality_equality_on_chen_cr():
     im = chen_cr_immersion()
     for x in box_points(im.domain, 5, seed=29):
-        r = main_inequality(im, x)
+        r = main_inequality(second_fundamental_form(im, x))
         rr = float(np.hypot(x[0], x[1]))
         npt.assert_allclose(r.lhs, 1.0 / rr**2, rtol=1e-10)
         assert abs(r.slack) < 1e-8
@@ -119,7 +121,8 @@ def test_main_inequality_equality_on_chen_cr():
 
 
 def test_main_inequality_trivial_product_exact_zero():
-    r = main_inequality(trivial_product_immersion(), np.array([0.4, 0.9]))
+    r = main_inequality(second_fundamental_form(trivial_product_immersion(),
+                                                np.array([0.4, 0.9])))
     assert r.lhs == 0.0 and r.rhs == 0.0 and r.slack == 0.0
     assert r.equality and r.passed
 
@@ -127,7 +130,7 @@ def test_main_inequality_trivial_product_exact_zero():
 def test_main_inequality_strict_on_perturbed():
     im = perturbed_chen_immersion()
     for x in box_points(im.domain, 6, seed=31):
-        r = main_inequality(im, x)
+        r = main_inequality(second_fundamental_form(im, x))
         assert r.slack > 1e-3, (x, r.slack)
         assert not r.equality
 
@@ -135,14 +138,15 @@ def test_main_inequality_strict_on_perturbed():
 def test_main_inequality_requires_complex_ambient():
     im = sasakian_cr_immersion()
     with pytest.raises(ConfigurationError):
-        main_inequality(im, np.array([1.0, 1.0, 0.0, 0.5]))
+        main_inequality(second_fundamental_form(im, np.array([1.0, 1.0, 0.0, 0.5])))
 
 
 def test_main_inequality_model_path_matches_flat():
     im = chen_cr_immersion()
     x = np.array([0.7, -0.5, 0.9])
-    direct = main_inequality(im, x)
-    modeled = main_inequality(im, x, model=complex_space_form(0.0, 4))
+    sff = second_fundamental_form(im, x)
+    direct = main_inequality(sff)
+    modeled = main_inequality(sff, model=complex_space_form(0.0, 4))
     npt.assert_allclose(modeled.rhs, direct.rhs, atol=1e-12)
 
 
@@ -150,10 +154,10 @@ def test_model_curvature_sum_matches_reduction_count():
     # frame summation of the space-form model must shift the bound by c*n1*n2/4
     im = chen_cr_immersion()
     x = np.array([0.7, -0.5, 0.9])
-    base = main_inequality(im, x).rhs
+    sff = second_fundamental_form(im, x)
+    base = main_inequality(sff).rhs
     for c in (1.0, -2.5, 4.0):
-        shifted = main_inequality(im, x, model=complex_space_form(c, 4),
-                                  tol=1e-6).rhs
+        shifted = main_inequality(sff, model=complex_space_form(c, 4), tol=1e-6).rhs
         npt.assert_allclose(shifted - base, c * 2 * 1 / 4.0, atol=1e-10)
 
 
@@ -166,7 +170,7 @@ def test_space_form_equality_on_chen_cr_at_flat_constant():
     im = chen_cr_immersion()
     for u, v in [(0.3, 0.4), (0.6, 0.8), (1.2, 1.6)]:
         x = np.array([u, v, 0.7])
-        b = space_form_inequality(im, x, c=0.0)
+        b = space_form_inequality(second_fundamental_form(im, x), c=0.0)
         r2 = u * u + v * v
         npt.assert_allclose(b.reduction.lhs, 1.0 / r2, rtol=1e-11)
         npt.assert_allclose(b.reduction.rhs, 1.0 / r2, rtol=1e-11)
@@ -179,21 +183,23 @@ def test_space_form_equality_on_chen_cr_at_flat_constant():
 def test_space_form_mirrors_main_inequality_at_zero_constant():
     im = chen_cr_immersion()
     x = np.array([0.9, 0.2, 1.1])
-    b = space_form_inequality(im, x, c=0.0)
-    m = main_inequality(im, x)
+    sff = second_fundamental_form(im, x)
+    b = space_form_inequality(sff, c=0.0)
+    m = main_inequality(sff)
     npt.assert_allclose(b.reduction.rhs, m.rhs, atol=1e-8)
 
 
 def test_dp_variant_is_annotated_and_optional():
     im = chen_cr_immersion()
     x = np.array([0.5, 0.5, 0.3])
-    b = space_form_inequality(im, x, c=0.0)
+    sff = second_fundamental_form(im, x)
+    b = space_form_inequality(sff, c=0.0)
     assert b.dp_printed is None
-    b = space_form_inequality(im, x, c=0.0, dp_s=1.0)
+    b = space_form_inequality(sff, c=0.0, dp_s=1.0)
     assert b.dp_printed is not None
     assert "as-printed" in b.dp_printed.note
     geom = warped_geometry(im)
-    sc = leaf_scalars(geom, x)
+    sc = leaf_scalars(WarpedPoint(geom, x))
     want = 2.0 * 1 * (sc.grad_lnf_sq - sc.lap_lnf + 1.5 * 1.0 + 1.0)
     npt.assert_allclose(b.dp_printed.rhs, want, rtol=1e-12)
 
@@ -227,8 +233,8 @@ def test_generalized_inequality_formula_values():
     im = chen_cr_immersion()
     x = np.array([0.8, 0.1, 0.6])
     geom = warped_geometry(im)
-    sc = leaf_scalars(geom, x)
-    r = generalized_inequality(im, x, c_rk=4.0, gamma=1.0)
+    sc = leaf_scalars(WarpedPoint(geom, x))
+    r = generalized_inequality(second_fundamental_form(im, x), c_rk=4.0, gamma=1.0)
     want = 2.0 * (sc.grad_lnf_sq - sc.lap_lnf + 3.5)
     npt.assert_allclose(r.rhs, want, rtol=1e-13)
 
@@ -236,7 +242,8 @@ def test_generalized_inequality_formula_values():
 def test_generalized_equality_at_zero_parameters_on_chen_cr():
     im = chen_cr_immersion()
     x = np.array([0.6, 0.8, 0.4])
-    r = generalized_inequality(im, x, c_rk=0.0, gamma=0.0, tol=1e-8)
+    r = generalized_inequality(second_fundamental_form(im, x), c_rk=0.0, gamma=0.0,
+                               tol=1e-8)
     assert abs(r.slack) < 1e-8
 
 
@@ -255,7 +262,7 @@ def test_equality_characterization_directions():
              (perturbed_chen_immersion(), False)]
     for im, expect_equal in cases:
         for x in box_points(im.domain, 3, seed=41):
-            r = main_inequality(im, x, tol=tol)
+            r = main_inequality(second_fundamental_form(im, x), tol=tol)
             diag_ok = (r.diagnostics["leaf_form_norm"] < tol
                        and r.diagnostics["fiber_form_norm"] < tol
                        and r.diagnostics["mean_norm"] < tol)
@@ -283,7 +290,7 @@ def test_rhs_invariant_under_leaf_reparametrization():
     base = chen_cr_immersion()
     x = np.array([0.6, 0.8, 0.9])
     x_swapped = np.array([0.8, 0.6, 0.9])
-    r1 = main_inequality(base, x)
-    r2 = main_inequality(swapped, x_swapped)
+    r1 = main_inequality(second_fundamental_form(base, x))
+    r2 = main_inequality(second_fundamental_form(swapped, x_swapped))
     npt.assert_allclose(r1.rhs, r2.rhs, atol=1e-10)
     npt.assert_allclose(r1.lhs, r2.lhs, atol=1e-10)

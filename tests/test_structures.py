@@ -27,7 +27,7 @@ from helpers import standard_sasakian_r5
 
 def identities(t):
     """The defining identities of the point's almost contact structure."""
-    return t.s.identity_residuals(t.x, t)
+    return t.s.identity_residuals(t)
 
 
 def _parse_rows(rows, dim):
@@ -76,7 +76,7 @@ def test_degenerate_structure_fails_pairing():
 def test_perturbed_phi_reports_its_magnitude():
     s = standard_sasakian_r5()
     s.phi_entries[0][1] = parse("1e-3", 5)
-    worst = max(max(s.identity_residuals(x).values()) for x in sample_points(2, n=4))
+    worst = max(max(s.identity_residuals(s.at(x)).values()) for x in sample_points(2, n=4))
     assert 1e-4 < worst < 1e-2
 
 
@@ -98,7 +98,7 @@ def test_standard_structure_is_sasakian_class():
     rng = np.random.default_rng(3)
     for x in sample_points(4, n=4):
         X, Y = rng.standard_normal((2, 5))
-        assert structure_class_residual(s, "sasakian", X, Y, x) < 1e-8
+        assert structure_class_residual(s.at(x), "sasakian", X, Y) < 1e-8
 
 
 def test_standard_structure_is_not_cosymplectic():
@@ -106,7 +106,7 @@ def test_standard_structure_is_not_cosymplectic():
     rng = np.random.default_rng(5)
     x = np.array([0.3, -0.4, 0.2, 0.5, 0.1])
     X, Y = rng.standard_normal((2, 5))
-    assert structure_class_residual(s, "cosymplectic", X, Y, x) > 0.1
+    assert structure_class_residual(s.at(x), "cosymplectic", X, Y) > 0.1
 
 
 def test_constant_phi_flat_metric_is_cosymplectic():
@@ -117,9 +117,9 @@ def test_constant_phi_flat_metric_is_cosymplectic():
     assert rep.passed
     rng = np.random.default_rng(7)
     X, Y = rng.standard_normal((2, 3))
-    assert structure_class_residual(s, "cosymplectic", X, Y, np.zeros(3)) == 0.0
+    assert structure_class_residual(s.at(np.zeros(3)), "cosymplectic", X, Y) == 0.0
     # cosymplectic implies nearly cosymplectic
-    assert structure_class_residual(s, "nearly_cosymplectic", X, Y, np.zeros(3)) == 0.0
+    assert structure_class_residual(s.at(np.zeros(3)), "nearly_cosymplectic", X, Y) == 0.0
 
 
 def test_sasakian_structure_fails_other_class_laws():
@@ -127,15 +127,15 @@ def test_sasakian_structure_fails_other_class_laws():
     rng = np.random.default_rng(8)
     x = np.array([0.1, 0.4, -0.3, 0.2, 0.6])
     X, Y = rng.standard_normal((2, 5))
-    assert structure_class_residual(s, "kenmotsu", X, Y, x) > 0.1
+    assert structure_class_residual(s.at(x), "kenmotsu", X, Y) > 0.1
     # the symmetrized law also fails: the defect is -2g(X,Y)xi + eta(Y)X + eta(X)Y
-    assert structure_class_residual(s, "nearly_cosymplectic", X, Y, x) > 0.1
+    assert structure_class_residual(s.at(x), "nearly_cosymplectic", X, Y) > 0.1
 
 
 def test_unknown_class_rejected():
     with pytest.raises(ConfigurationError):
-        structure_class_residual(standard_sasakian_r5(), "nope",
-                                 np.zeros(5), np.zeros(5), np.zeros(5))
+        structure_class_residual(standard_sasakian_r5().at(np.zeros(5)), "nope",
+                                 np.zeros(5), np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_standard_sasakian_is_normal():
     rng = np.random.default_rng(9)
     for x in sample_points(10, n=4):
         X, Y = rng.standard_normal((2, 5))
-        assert nijenhuis_normality_residual(s, X, Y, x) < 1e-8
+        assert nijenhuis_normality_residual(s.at(x), X, Y) < 1e-8
 
 
 def test_standard_sasakian_contact_metric_law():
@@ -156,7 +156,7 @@ def test_standard_sasakian_contact_metric_law():
     rng = np.random.default_rng(11)
     for x in sample_points(12, n=4):
         X, Y = rng.standard_normal((2, 5))
-        assert fundamental_form_residual(s, X, Y, x) < 1e-8
+        assert fundamental_form_residual(s.at(x), X, Y) < 1e-8
 
 
 def test_contact_form_with_wrong_phi_breaks_normality():
@@ -172,7 +172,7 @@ def test_contact_form_with_wrong_phi_breaks_normality():
     s.phi_entries = _parse_rows(wrong_phi, 5)
     X = np.array([1.0, 0, 0, 0, 0])
     Y = np.array([0, 0, 1.0, 0, 0])
-    assert nijenhuis_normality_residual(s, X, Y, np.zeros(5)) > 0.4
+    assert nijenhuis_normality_residual(s.at(np.zeros(5)), X, Y) > 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,8 @@ def test_sasakian_r5_curvature_matches_space_form_model():
     s = standard_sasakian_r5()
     for x in sample_points(29, n=3, scale=0.8):
         r4 = curvature_components(s.metric, x)
-        phi, xi, eta = s.tensors_at(x)
+        t = s.at(x)
+        phi, xi, eta = t.op[0], t.xi, t.eta[0]
         model = SpaceFormModel("sasakian", 5, -3.0, g=s.metric.value(x),
                                phi=phi, xi=xi, eta=eta)
         rng = np.random.default_rng(31)
@@ -268,7 +269,8 @@ def test_sasakian_r5_curvature_matches_space_form_model():
 def test_sasakian_r5_phi_sectional_is_minus_three():
     s = standard_sasakian_r5()
     x = np.array([0.2, -0.3, 0.4, 0.1, 0.5])
-    phi, xi, eta = s.tensors_at(x)
+    t = s.at(x)
+    phi, xi, eta = t.op[0], t.xi, t.eta[0]
     # X in the contact distribution (eta(X) = 0), plane span(X, phi X)
     X = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     assert abs(float(eta @ X)) < 1e-15
@@ -291,4 +293,4 @@ def test_flat_kahler_structure_validates():
     rep = acs.validate(fold_tensors(acs, points, lambda t: acs.residuals(t, True)),
                        len(points))
     assert rep.passed
-    assert acs.parallel_residual(np.zeros(4)) == 0.0
+    assert acs.parallel_residual(acs.at(np.zeros(4))) == 0.0

@@ -18,11 +18,11 @@ from warpcheck.jets import Jet3, differentiate, pack
 from warpcheck.riemann import MetricField, scalar_curvature
 from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals, classify,
                               contact_cr_checks, contact_cr_residuals, fold_sff,
-                              gauss_residual, gauss_residual_max, induced_metric,
+                              gauss_residual_max, gauss_residual_tensor, induced_metric,
                               relative_null_space, scalar_identity_residual,
                               second_fundamental_form, shape_operator,
                               warped_block_defect, warped_geometry)
-from warpcheck.warped import warping_identity_residual
+from warpcheck.warped import WarpedPoint, warping_identity_residual
 
 # ---------------------------------------------------------------------------
 # Induced metrics
@@ -112,7 +112,7 @@ def test_chen_cr_induces_warped_block_metric():
 
 def block_form(sff):
     """The warped block-form defect of the induced metric at the point."""
-    return {"block": warped_block_defect(sff.im, sff.point, sff.g_induced, sff.warped)}
+    return {"block": warped_block_defect(sff)}
 
 
 def test_rank_deficiency_detected():
@@ -190,7 +190,7 @@ def test_plane_shape_operator_vanishes():
                    components=[parse("x1", 2), parse("x2", 2), parse("0", 2)],
                    ambient=flat_metric(3), name="flat-plane")
     sff = second_fundamental_form(im, np.array([0.0, 0.0]))
-    a, resid = shape_operator(im, np.array([0.0, 0.0]), sff.normal_frame[:, 0], sff)
+    a, resid = shape_operator(sff, sff.normal_frame[:, 0])
     assert np.max(np.abs(a)) < 1e-14
     assert resid < 1e-14
 
@@ -199,7 +199,7 @@ def test_sphere_shape_operator_is_plus_minus_identity():
     im = sphere_immersion()
     x = np.array([1.0, 2.0])
     sff = second_fundamental_form(im, x)
-    a, resid = shape_operator(im, x, sff.normal_frame[:, 0], sff)
+    a, resid = shape_operator(sff, sff.normal_frame[:, 0])
     npt.assert_allclose(a @ a, np.eye(2), atol=1e-10)
     npt.assert_allclose(abs(np.trace(a)), 2.0, atol=1e-10)
     assert resid < 1e-10
@@ -210,7 +210,7 @@ def test_shape_operator_rejects_tangential_vector():
     x = np.array([1.0, 2.0])
     sff = second_fundamental_form(im, x)
     with pytest.raises(InvalidNormalError):
-        shape_operator(im, x, sff.tangent_ambient[:, 0], sff)
+        shape_operator(sff, sff.tangent_ambient[:, 0])
 
 
 def test_duality_residual_small_on_gallery():
@@ -218,7 +218,7 @@ def test_duality_residual_small_on_gallery():
         x = box_points(im.domain, 1, seed=3)[0]
         sff = second_fundamental_form(im, x)
         for r in range(sff.normal_frame.shape[1]):
-            a, resid = shape_operator(im, x, sff.normal_frame[:, r], sff)
+            a, resid = shape_operator(sff, sff.normal_frame[:, r])
             assert resid < 1e-10
             # self-adjoint for the induced metric
             ga = sff.g_induced @ a
@@ -234,7 +234,7 @@ def test_flat_plane_gauss_zero():
     im = Immersion(dim=2,
                    components=[parse("x1", 2), parse("x2", 2), parse("0", 2)],
                    ambient=flat_metric(3))
-    assert gauss_residual_max(im, np.array([0.2, 0.4])) < 1e-14
+    assert gauss_residual_max(second_fundamental_form(im, np.array([0.2, 0.4]))) < 1e-14
 
 
 def test_sphere_gauss_recovers_unit_curvature():
@@ -246,7 +246,7 @@ def test_sphere_gauss_recovers_unit_curvature():
     r_ind = frame_curvature(curvature_components(induced_metric(im), x),
                             sff.tangent_frame)
     npt.assert_allclose(r_ind[0, 1, 1, 0], 1.0, atol=1e-10)
-    assert gauss_residual(im, x, 0, 1, 1, 0) < 1e-10
+    assert abs(gauss_residual_tensor(sff)[0, 1, 1, 0]) < 1e-10
 
 
 @pytest.mark.parametrize("builder", [chen_cr_immersion, sphere_immersion,
@@ -256,7 +256,7 @@ def test_sphere_gauss_recovers_unit_curvature():
 def test_gauss_residual_small_on_gallery(builder):
     im = builder()
     for x in box_points(im.domain, 3, seed=5):
-        assert gauss_residual_max(im, x) < 1e-7, (im.name, x)
+        assert gauss_residual_max(second_fundamental_form(im, x)) < 1e-7, (im.name, x)
 
 
 @pytest.mark.parametrize("builder", [chen_cr_immersion, sphere_immersion,
@@ -266,7 +266,7 @@ def test_gauss_residual_small_on_gallery(builder):
 def test_scalar_identity_small_on_gallery(builder):
     im = builder()
     for x in box_points(im.domain, 3, seed=7):
-        assert scalar_identity_residual(im, x) < 1e-7, (im.name, x)
+        assert scalar_identity_residual(second_fundamental_form(im, x)) < 1e-7, (im.name, x)
 
 
 def test_sphere_scalar_identity_values():
@@ -292,8 +292,8 @@ def test_unit_s3_hypersurface_values():
     npt.assert_allclose(sff.mean_norm(), 1.0, atol=1e-10)
     npt.assert_allclose(sff.h_norm_sq(), 3.0, atol=1e-9)
     npt.assert_allclose(scalar_curvature(induced_metric(im), x), 3.0, atol=1e-9)
-    assert scalar_identity_residual(im, x, sff) < 1e-9
-    assert gauss_residual_max(im, x, sff) < 1e-9
+    assert scalar_identity_residual(sff) < 1e-9
+    assert gauss_residual_max(sff) < 1e-9
 
 
 def test_full_dimensional_immersion_has_empty_normal_bundle():
@@ -308,7 +308,7 @@ def test_full_dimensional_immersion_has_empty_normal_bundle():
     assert sff.coeffs.shape == (0, 2, 2)
     assert sff.h_norm_sq() == 0.0          # no normal directions to sum over
     assert sff.mean_norm() < 1e-12         # projection residue only
-    basis = relative_null_space(im, x)
+    basis = relative_null_space(sff)
     assert basis.shape == (2, 2)
     flags = classify(fold_sff(im, [x], classification_residuals))
     assert flags.totally_geodesic and flags.minimal
@@ -323,17 +323,19 @@ def test_null_space_full_for_geodesic_plane():
     im = Immersion(dim=2,
                    components=[parse("x1", 2), parse("x2", 2), parse("0", 2)],
                    ambient=flat_metric(3))
-    basis = relative_null_space(im, np.array([0.1, 0.2]))
+    basis = relative_null_space(second_fundamental_form(im, np.array([0.1, 0.2])))
     assert basis.shape == (2, 2)
 
 
 def test_null_space_trivial_for_sphere():
-    basis = relative_null_space(sphere_immersion(), np.array([1.0, 1.0]))
+    basis = relative_null_space(second_fundamental_form(sphere_immersion(),
+                                                       np.array([1.0, 1.0])))
     assert basis.shape == (2, 0)
 
 
 def test_null_space_is_ruling_direction_for_cylinder():
-    basis = relative_null_space(cylinder_immersion(), np.array([0.7, 0.1]))
+    basis = relative_null_space(second_fundamental_form(cylinder_immersion(),
+                                                       np.array([0.7, 0.1])))
     assert basis.shape == (2, 1)
     direction = basis[:, 0] / np.linalg.norm(basis[:, 0])
     npt.assert_allclose(np.abs(direction), [0.0, 1.0], atol=1e-10)
@@ -397,7 +399,7 @@ def test_chen_cr_mixed_sectional_identity():
     im = chen_cr_immersion()
     geom = warped_geometry(im)
     for x in box_points(im.domain, 3, seed=15):
-        r = warping_identity_residual(geom, x)
+        r = warping_identity_residual(WarpedPoint(geom, x))
         assert r["residual"] < 1e-8, x
         # both sides equal -1/r^2 for this warping
         rr = float(np.hypot(x[0], x[1]))

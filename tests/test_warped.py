@@ -9,7 +9,7 @@ import pytest
 from warpcheck.errors import InvalidWarpingError
 from warpcheck.expr import parse
 from warpcheck.riemann import MetricField, sectional
-from warpcheck.warped import (adapted_block_residual, adapted_frame, assemble,
+from warpcheck.warped import (WarpedPoint, adapted_block_residual, adapted_frame, assemble,
                               block_second_form_residuals, leaf_scalars,
                               mixed_sectional_sum, warping_identity_residual)
 
@@ -92,7 +92,7 @@ def test_sphere_presentation_sectional_is_one():
 def test_hyperbolic_identity_both_sides_minus_one():
     w = hyperbolic_plane()
     geom = w.geometry()
-    r = warping_identity_residual(geom, np.array([0.4, 0.8]))
+    r = warping_identity_residual(WarpedPoint(geom, np.array([0.4, 0.8])))
     npt.assert_allclose(r["lhs"], -1.0, atol=1e-10)
     npt.assert_allclose(r["rhs"], -1.0, atol=1e-12)
     assert r["residual"] < 1e-9
@@ -100,7 +100,7 @@ def test_hyperbolic_identity_both_sides_minus_one():
 
 def test_sphere_identity_both_sides_plus_one():
     w = sphere_presentation()
-    r = warping_identity_residual(w.geometry(), np.array([1.2, 0.5]))
+    r = warping_identity_residual(WarpedPoint(w.geometry(), np.array([1.2, 0.5])))
     npt.assert_allclose(r["lhs"], 1.0, atol=1e-10)
     npt.assert_allclose(r["rhs"], 1.0, atol=1e-12)
     assert r["residual"] < 1e-9
@@ -108,7 +108,7 @@ def test_sphere_identity_both_sides_plus_one():
 
 def test_trivial_warping_both_sides_zero():
     w = assemble(line(), line(), parse("2", dim=1))
-    r = warping_identity_residual(w.geometry(), np.array([0.3, 0.4]))
+    r = warping_identity_residual(WarpedPoint(w.geometry(), np.array([0.3, 0.4])))
     assert r["lhs"] == 0.0 and r["rhs"] == 0.0
 
 
@@ -119,7 +119,7 @@ def test_identity_on_higher_dimensional_product():
     rng = np.random.default_rng(5)
     for _ in range(4):
         x = rng.uniform(-0.5, 0.5, size=4)
-        r = warping_identity_residual(w.geometry(), x)
+        r = warping_identity_residual(WarpedPoint(w.geometry(), x))
         assert r["residual"] < 1e-8, x
 
 
@@ -135,7 +135,7 @@ def test_adapted_frame_respects_blocks():
 
 
 def test_leaf_scalars_hyperbolic():
-    sc = leaf_scalars(hyperbolic_plane().geometry(), np.array([0.5, 0.0]))
+    sc = leaf_scalars(WarpedPoint(hyperbolic_plane().geometry(), np.array([0.5, 0.0])))
     npt.assert_allclose(sc.f_value, math.exp(0.5), rtol=1e-15)
     npt.assert_allclose(sc.lap_f, -math.exp(0.5), rtol=1e-14)   # geometer's sign
     npt.assert_allclose(sc.grad_lnf_sq, 1.0, rtol=1e-14)
@@ -151,6 +151,6 @@ def test_leaves_geodesic_fibers_umbilical():
     for w in cases:
         for _ in range(3):
             x = rng.uniform(0.2, 1.0, size=w.dim)
-            res = block_second_form_residuals(w.geometry(), x)
+            res = block_second_form_residuals(WarpedPoint(w.geometry(), x))
             assert res["leaf_geodesic"] < 1e-8, (w.name, x)
             assert res["fiber_umbilical_shape"] < 1e-8, (w.name, x)
