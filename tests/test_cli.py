@@ -12,6 +12,7 @@ from functools import partial
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -359,6 +360,27 @@ def test_report_bytes_match_golden_digests():
     for (name, points), digest in GOLDEN_DIGESTS.items():
         _, doc, _ = run(RunConfig(target=name, points=points, seed=42))
         assert hashlib.sha256(to_json_bytes(doc)).hexdigest() == digest, name
+
+
+def _scalar_variant_draws(seed):
+    """The variant-reduction draws as scalar generator calls, in call order:
+    the reference for the bulk draws."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(-8, 8), int(rng.integers(1, 6)), int(rng.integers(1, 6)),
+             rng.uniform(0, 50), rng.uniform(-50, 50)) for _ in range(1000)]
+
+
+@pytest.mark.parametrize("seed", [42, 5, 0])
+@pytest.mark.parametrize("target", ["e6", "e5"])
+def test_variant_reduction_matches_the_scalar_loop(target, seed):
+    worst = 0.0
+    for c, n1, n2, grad, lap in _scalar_variant_draws(seed):
+        worst = nan_max(worst, abs(ineq.generalized_rhs(c, 0.0, n1, n2, grad, lap)
+                                   - 2.0 * ineq.space_form_rhs(c, n1, n2, grad, lap)))
+    _, doc, _ = run(RunConfig(target=target, checks=("inequalities",), points=1, seed=seed))
+    rec = next(r for r in doc["checks"] if r["name"] == "variant-reduction")
+    assert (rec["worst"], rec["points"]) == (worst, 1000)
+    assert repr(rec["worst"]) == repr(worst)
 
 
 def test_text_and_json_carry_the_same_numbers():
