@@ -235,6 +235,15 @@ def _expr_items(sec: Section, key: str, dim: int) -> list:
     return out
 
 
+def _expr_row(sec: Section, key: str, dim: int, count: int) -> list:
+    """The key's expressions in x1..x_dim, exactly count of them."""
+    items = _expr_items(sec, key, dim)
+    if len(items) != count:
+        entries = "one entry" if count == 1 else f"{count} entries"
+        raise ConfigurationError(f"[{sec.kind} {sec.name}] {key}: {entries} expected")
+    return items
+
+
 def _domain(sec: Section, dim: int) -> DomainBox | None:
     if "domain_lo" not in sec.values and "domain_hi" not in sec.values:
         return None
@@ -267,13 +276,7 @@ def _domain(sec: Section, dim: int) -> DomainBox | None:
 
 def _build_metric(sec: Section) -> MetricField:
     dim = _integers(sec, "dim", 1)[0]
-    rows = []
-    for i in range(1, dim + 1):
-        row = _expr_items(sec, f"row_{i}", dim)
-        if len(row) != dim:
-            raise ConfigurationError(
-                f"[metric {sec.name}] row_{i}: {dim} entries expected")
-        rows.append(row)
+    rows = [_expr_row(sec, f"row_{i}", dim, dim) for i in range(1, dim + 1)]
     return MetricField(dim, rows, domain=_domain(sec, dim), name=sec.name)
 
 
@@ -284,12 +287,12 @@ def _build_structure(sec: Section, metrics: dict[str, MetricField]):
         raise ConfigurationError(f"[structure {sec.name}]: unknown metric")
     dim = metric.dim
     if kind == "complex":
-        rows = [_expr_items(sec, f"j_row_{i}", dim) for i in range(1, dim + 1)]
+        rows = [_expr_row(sec, f"j_row_{i}", dim, dim) for i in range(1, dim + 1)]
         return AlmostComplexStructure(metric, rows, name=sec.name)
     if kind == "contact":
-        rows = [_expr_items(sec, f"phi_row_{i}", dim) for i in range(1, dim + 1)]
-        xi = _expr_items(sec, "xi", dim)
-        eta = _expr_items(sec, "eta", dim)
+        rows = [_expr_row(sec, f"phi_row_{i}", dim, dim) for i in range(1, dim + 1)]
+        xi = _expr_row(sec, "xi", dim, dim)
+        eta = _expr_row(sec, "eta", dim, dim)
         return AlmostContactStructure(metric, rows, xi, eta, name=sec.name)
     raise ConfigurationError(f"[structure {sec.name}]: kind must be complex or contact")
 
@@ -299,7 +302,7 @@ def _build_warped(sec: Section, metrics: dict[str, MetricField]) -> WarpedMetric
     fiber = metrics.get(_word(sec, "fiber"))
     if leaf is None or fiber is None:
         raise ConfigurationError(f"[warped {sec.name}]: unknown factor metric")
-    f = _expr_items(sec, "f", leaf.dim)[0]
+    f = _expr_row(sec, "f", leaf.dim, 1)[0]
     return assemble(leaf, fiber, f, name=sec.name)
 
 
@@ -324,7 +327,7 @@ def _build_immersion(sec: Section, metrics, structures) -> Immersion:
         if n1 + n2 != dim:
             raise ConfigurationError(
                 f"[immersion {sec.name}]: warp blocks must fill the chart")
-        f = _expr_items(sec, "warp_f", n1)[0]
+        f = _expr_row(sec, "warp_f", n1, 1)[0]
         g2 = None
         if "warp_fiber_metric" in sec.values:
             g2 = metrics.get(_word(sec, "warp_fiber_metric"))

@@ -105,6 +105,31 @@ def test_malformed_domain_exits_2(tmp_path, capsys, old, new):
     assert err.count("\n") == 1 and "[immersion round_s2]" in err, err
 
 
+@pytest.mark.parametrize("cfg,old,new,where", [
+    ("e1_chen_cr", 'j_row_1 = "0", "-1", "0", "0"', 'j_row_1 = "0", "-1", "0"',
+     "[structure kahler_c2] j_row_1: 4 entries"),
+    ("e1_chen_cr", 'j_row_1 = "0", "-1", "0", "0"', 'j_row_1 = "0", "-1", "0", "0", "0"',
+     "[structure kahler_c2] j_row_1: 4 entries"),
+    ("sasakian_r5", 'phi_row_5 = "0", "0", "-1*x3", "-1*x4", "0"',
+     'phi_row_5 = "0", "0", "-1*x3", "-1*x4"', "[structure std_sasakian] phi_row_5: 5 entries"),
+    ("sasakian_r5", 'xi = "0", "0", "0", "0", "2"', 'xi = "0", "0", "1"',
+     "[structure std_sasakian] xi: 5 entries"),
+    ("sasakian_r5", 'eta = "-0.5*x3", "-0.5*x4", "0", "0", "0.5"',
+     'eta = "-0.5*x3", "-0.5*x4", "0", "0", "0.5", "0"', "[structure std_sasakian] eta: 5 entries"),
+    ("s2_warped", 'f = "sin(x1)"', 'f = "sin(x1)", "2"', "[warped s2_warped] f: one entry"),
+    ("e1_chen_cr", 'warp_f = "sqrt(x1^2 + x2^2)"', 'warp_f = "sqrt(x1^2 + x2^2)", "1"',
+     "[immersion chen_cr] warp_f: one entry"),
+], ids=["short-j-row", "long-j-row", "short-phi-row", "short-xi", "long-eta", "two-f",
+        "two-warp-f"])
+def test_config_entry_counts_exit_2(tmp_path, capsys, cfg, old, new, where):
+    text = resources.files("warpcheck").joinpath("data", f"{cfg}.cfg").read_text()
+    assert old in text
+    p = tmp_path / f"{cfg}.cfg"
+    p.write_text(text.replace(old, new, 1))
+    assert main(["--target", str(p), "--points", "4"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {where} expected\n"
+
+
 def _metric_cfg(tmp_path, dim, row_last, lo, hi, extra=""):
     rows = "".join(f'row_{i + 1} = ' + ", ".join(
         '"1"' if j == i else '"0"' for j in range(dim)) + "\n" for i in range(dim - 1))
@@ -257,7 +282,8 @@ def test_nan_residual_fails_its_record(tmp_path):
     # at x1 ~ 352 the curvature of this metric overflows to NaN at some
     # points; max() over the points used to report a finite worst value
     cfg = _metric_cfg(tmp_path, 2, "exp(2*x1)", (350, 0), (354.7, 1))
-    code, doc, _ = run(RunConfig(target=cfg, points=16, seed=42))
+    with np.errstate(over="ignore", invalid="ignore"):  # as cli.main runs it
+        code, doc, _ = run(RunConfig(target=cfg, points=16, seed=42))
     rec = doc["checks"][0]
     assert code == 1 and math.isnan(rec["worst"]) and not rec["pass"]
 
@@ -381,6 +407,41 @@ def test_variant_reduction_matches_the_scalar_loop(target, seed):
     rec = next(r for r in doc["checks"] if r["name"] == "variant-reduction")
     assert (rec["worst"], rec["points"]) == (worst, 1000)
     assert repr(rec["worst"]) == repr(worst)
+
+
+def _assert_scalar_draws(draws, seed):
+    for got, want in zip(draws, zip(*_scalar_variant_draws(seed)), strict=True):
+        np.testing.assert_array_equal(got, np.array(want), err_msg=f"seed {seed}")
+
+
+def test_variant_draws_equal_the_scalar_calls():
+    for seed in [*range(300), 5, 7, 11, 13, 17, 42]:
+        _assert_scalar_draws(cli._variant_draws(seed), seed)
+
+
+def test_variant_draws_take_the_scalar_calls_on_a_zero_half(monkeypatch):
+    # Lemire's method rejects a 32-bit half of 0 and draws again, which the
+    # bulk draws cannot follow; no seed tried has one, so force it
+    real_rng, calls = np.random.default_rng, Counter()
+
+    class ZeroHalf:
+        def __init__(self, seed):
+            self.bit_generator, self._seed, self._rng = self, seed, real_rng(seed)
+
+        def random_raw(self, n):
+            raw = real_rng(self._seed).bit_generator.random_raw(n)
+            raw[1] &= np.uint64(0xFFFFFFFF00000000)  # the first n1's half
+            return raw
+
+        def __getattr__(self, name):  # uniform, integers
+            calls[name] += 1
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroHalf)
+    draws = cli._variant_draws(42)
+    assert calls == {"uniform": 3000, "integers": 2000}
+    monkeypatch.undo()
+    _assert_scalar_draws(draws, 42)
 
 
 def test_text_and_json_carry_the_same_numbers():
