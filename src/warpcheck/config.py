@@ -210,6 +210,13 @@ def _integers(sec: Section, key: str, lo: int, hi: int | None = None) -> list[in
     return [int(v) for v in vals]
 
 
+def _one(sec: Section, key: str, vals: list):
+    """The key's one value, read by the caller; any other count raises."""
+    if len(vals) != 1:
+        raise ConfigurationError(f"[{sec.kind} {sec.name}] {key}: one entry expected")
+    return vals[0]
+
+
 def _word(sec: Section, key: str) -> str:
     items = _want(sec, key, ("word",))
     if len(items) != 1:
@@ -258,7 +265,7 @@ def _domain(sec: Section, dim: int) -> DomainBox | None:
     balls = ()
     if "exclude_center" in sec.values:
         center = _numbers(sec, "exclude_center")
-        radius = _numbers(sec, "exclude_radius")[0]
+        radius = _one(sec, "exclude_radius", _numbers(sec, "exclude_radius"))
         if not 0 < radius < math.inf:
             raise ConfigurationError(f"{where}: exclude_radius must be positive and finite")
         if "exclude_axes" in sec.values:
@@ -275,7 +282,7 @@ def _domain(sec: Section, dim: int) -> DomainBox | None:
 
 
 def _build_metric(sec: Section) -> MetricField:
-    dim = _integers(sec, "dim", 1)[0]
+    dim = _one(sec, "dim", _integers(sec, "dim", 1))
     rows = [_expr_row(sec, f"row_{i}", dim, dim) for i in range(1, dim + 1)]
     return MetricField(dim, rows, domain=_domain(sec, dim), name=sec.name)
 
@@ -307,7 +314,7 @@ def _build_warped(sec: Section, metrics: dict[str, MetricField]) -> WarpedMetric
 
 
 def _build_immersion(sec: Section, metrics, structures) -> Immersion:
-    dim = _integers(sec, "dim", 1)[0]
+    dim = _one(sec, "dim", _integers(sec, "dim", 1))
     ambient = metrics.get(_word(sec, "ambient"))
     if ambient is None:
         raise ConfigurationError(f"[immersion {sec.name}]: unknown ambient metric")
@@ -322,8 +329,8 @@ def _build_immersion(sec: Section, metrics, structures) -> Immersion:
             raise ConfigurationError(f"[immersion {sec.name}]: unknown structure")
     warped = None
     if "warp_n1" in sec.values:
-        n1 = _integers(sec, "warp_n1", 1)[0]
-        n2 = _integers(sec, "warp_n2", 1)[0]
+        n1 = _one(sec, "warp_n1", _integers(sec, "warp_n1", 1))
+        n2 = _one(sec, "warp_n2", _integers(sec, "warp_n2", 1))
         if n1 + n2 != dim:
             raise ConfigurationError(
                 f"[immersion {sec.name}]: warp blocks must fill the chart")

@@ -264,7 +264,8 @@ class MetricPoint:
 
     ``value`` is the matrix frames are built from: ``derivs[0]``, except for
     an induced metric, whose J^T g J rounds differently from its jets.
-    Callers holding either may set it.
+    Callers holding either may set it, before ``frame`` and the fields built
+    on it are first read.
     """
 
     def __init__(self, metric, x: Point, block: MetricBlock | None = None,
@@ -313,9 +314,14 @@ class MetricPoint:
             _checked(g, self.x)
         return gram_schmidt(g, np.eye(self.metric.dim))
 
+    @cached_property
+    def curvature_in_frame(self) -> np.ndarray:
+        """The curvature contracted into ``frame``, once for every check that reads it."""
+        return frame_curvature(self.curvature, self.frame)
+
     def scalar_curvature(self) -> float:
         """Sum of sectional curvatures over orthonormal frame pairs."""
-        rf = frame_curvature(self.curvature, self.frame)
+        rf = self.curvature_in_frame
         n = self.metric.dim
         total = 0.0
         for i in range(n):

@@ -136,12 +136,15 @@ class InducedMetric:
         terms = ([(k, l, amb[k, l]) for k in range(m) for l in range(m) if (k, l) in amb]
                  or [(0, 0, jet_const(0.0, n))])
         for i in range(n):
+            acc = [None] * n  # g_ij for j >= i, each summed over the terms in order
+            for k, l, a in terms:
+                # the left factor amb_kl dphi^k_i, formed once for the whole row
+                left = dphi[k][i] if a is None else a * dphi[k][i]
+                for j in range(i, n):
+                    term = left * dphi[l][j]
+                    acc[j] = term if acc[j] is None else acc[j] + term
             for j in range(i, n):
-                acc = None
-                for k, l, a in terms:
-                    term = (dphi[k][i] if a is None else a * dphi[k][i]) * dphi[l][j]
-                    acc = term if acc is None else acc + term
-                yield {(i, j), (j, i)}, acc
+                yield {(i, j), (j, i)}, acc[j]
 
     # the same listing of the entries
     entry_jets = MetricField.entry_jets
@@ -430,7 +433,7 @@ def shape_operator(sff: SFFData, zeta: np.ndarray) -> tuple[np.ndarray, float]:
 def gauss_residual_tensor(sff: SFFData) -> np.ndarray:
     """Pointwise defect tensor of the curvature relation between the induced
     and ambient metrics, over the orthonormal tangent frame."""
-    r_ind = frame_curvature(sff.induced.curvature, sff.tangent_frame)
+    r_ind = sff.induced.curvature_in_frame
     r_amb = sff.ambient_frame_curvature
     c = sff.coeffs
     h_term = np.einsum("ril,rjk->ijkl", c, c) - np.einsum("rik,rjl->ijkl", c, c)

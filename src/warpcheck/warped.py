@@ -23,8 +23,7 @@ from . import expr as dsl
 from . import jets
 from .errors import InvalidWarpingError
 from .jets import DomainBox, ExcludedBall, Jet3, Point, as_point, coordinate_jets, per_block
-from .riemann import (MetricBlock, MetricField, MetricPoint, frame_curvature,
-                      orthonormal_frame)
+from .riemann import MetricBlock, MetricField, MetricPoint, orthonormal_frame
 
 
 def _expr_max_var(e) -> int:
@@ -291,7 +290,7 @@ def adapted_block_residual(columns: np.ndarray, n1: int) -> float:
 
 def mixed_sectional_sum(p: WarpedPoint) -> float:
     """Sum of sectional curvatures over all mixed leaf/fiber frame planes."""
-    rf = frame_curvature(p.total.curvature, p.total.frame)
+    rf = p.total.curvature_in_frame
     n, n1 = p.geom.n1 + p.geom.n2, p.geom.n1
     total = 0.0
     for a in range(n1):

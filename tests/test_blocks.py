@@ -2,17 +2,20 @@
 point gives it: every MetricBlock field, bit for bit and with the same
 memory layout (a per-point einsum downstream sums in an order that depends
 on the strides of its operands).  Also: a block raises the error of its
-first failing point, as the point-by-point walk does."""
+first failing point, as the point-by-point walk does, and a point's
+frame-contracted curvature, which several checks read, is the bits a fresh
+contraction gives and stays so after they read it."""
 
 import numpy as np
 import pytest
 
 from warpcheck.errors import DegenerateMetricError
 from warpcheck.gallery import builtin_names, load_builtin, sample_points
-from warpcheck.riemann import MetricBlock, MetricField, MetricPoint
+from warpcheck.riemann import MetricBlock, MetricField, MetricPoint, frame_curvature
 from warpcheck.structures import AlmostComplexStructure, AlmostContactStructure
-from warpcheck.subman import Immersion, ImmersionBlock
-from warpcheck.warped import WarpedBlock, WarpedMetric
+from warpcheck.subman import (Immersion, ImmersionBlock, gauss_residual_tensor,
+                              scalar_identity_residual, second_fundamental_form)
+from warpcheck.warped import WarpedBlock, WarpedMetric, mixed_sectional_sum
 
 FIELDS = ("ginv", "lowered", "gamma", "curvature")
 
@@ -101,3 +104,37 @@ def test_validation_order_of_symmetry_and_definiteness():
         points = np.array(points)
         assert first in walk(points)
         assert error_of(lambda: g.validate_at(list(points))) == walk(points)
+
+
+def warped_points(subject, points: np.ndarray):
+    """Each point's warped split as the check walk builds it, after the
+    immersion checks that read the induced curvature have run."""
+    if isinstance(subject, Immersion):
+        ib = ImmersionBlock(subject, points)
+        for b, x in enumerate(points):
+            sff = second_fundamental_form(subject, x, ib, b)
+            gauss_residual_tensor(sff)
+            scalar_identity_residual(sff)
+            assert sff.warped.total is sff.induced
+            yield sff.warped
+    else:
+        yield from WarpedBlock(subject, points)
+
+
+def assert_same_bits(a, b, what: str):
+    np.testing.assert_array_equal(a, b, err_msg=what)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b), err_msg=what)
+
+
+@pytest.mark.parametrize("name", ["e5", "e6", "e2", "s2-warped"])
+def test_curvature_in_frame_is_a_fresh_contraction(name):
+    subject = load_builtin(name).subject
+    points = np.array(sample_points(subject, 35, 42))
+    for b, wp in enumerate(warped_points(subject, points)):
+        p, what = wp.total, f"{name} point {b}"
+        tau = p.scalar_curvature()
+        fresh = frame_curvature(p.curvature, p.frame)
+        assert_same_bits(p.curvature_in_frame, fresh, what)
+        mixed_sectional_sum(wp)
+        assert_same_bits(p.curvature_in_frame, fresh, what)
+        assert_same_bits(p.scalar_curvature(), tau, what)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from warpcheck import cli, expr, ineq, report, structures, subman
+from warpcheck import cli, expr, ineq, report, riemann, structures, subman
 from warpcheck.cli import (DEFAULT_TOLS, RunConfig, main, parse_args, render_text,
                            run)
 from warpcheck.errors import WarpcheckError
@@ -121,8 +121,13 @@ def test_malformed_domain_exits_2(tmp_path, capsys, old, new):
     ("s2_warped", 'f = "sin(x1)"', 'f = "sin(x1)", "2"', "[warped s2_warped] f: one entry"),
     ("e1_chen_cr", 'warp_f = "sqrt(x1^2 + x2^2)"', 'warp_f = "sqrt(x1^2 + x2^2)", "1"',
      "[immersion chen_cr] warp_f: one entry"),
+    ("e3_round_s2", "dim = 3", "dim = 3, 4", "[metric flat_r3] dim: one entry"),
+    ("e1_chen_cr", "warp_n1 = 2", "warp_n1 = 2, 1", "[immersion chen_cr] warp_n1: one entry"),
+    ("e1_chen_cr", "warp_n2 = 1", "warp_n2 = 1, 7", "[immersion chen_cr] warp_n2: one entry"),
+    ("e1_chen_cr", "exclude_radius = 0.1", "exclude_radius = 0.1, 5",
+     "[immersion chen_cr] exclude_radius: one entry"),
 ], ids=["short-j-row", "long-j-row", "short-phi-row", "short-xi", "long-eta", "two-f",
-        "two-warp-f"])
+        "two-warp-f", "two-dims", "two-warp-n1", "two-warp-n2", "two-exclude-radii"])
 def test_config_entry_counts_exit_2(tmp_path, capsys, cfg, old, new, where):
     text = resources.files("warpcheck").joinpath("data", f"{cfg}.cfg").read_text()
     assert old in text
@@ -309,6 +314,23 @@ def test_one_geometry_record_per_point(monkeypatch):
     code, _, _ = run(RunConfig(target="e6", points=3))
     assert code == 0
     assert calls["derivs"] <= 3 and calls["sff"] <= 3, calls
+
+
+@pytest.mark.parametrize("target, per_point", [("e5", 2), ("e6", 2), ("e2", 1)])
+def test_one_frame_contraction_per_curvature_and_point(target, per_point, monkeypatch):
+    # the induced (or total) curvature once, which every check reads, and on
+    # an immersion the ambient curvature once
+    calls = []
+    contract = riemann.frame_curvature
+
+    def counted(r4, columns):
+        calls.append(1)
+        return contract(r4, columns)
+
+    monkeypatch.setattr(riemann, "frame_curvature", counted)
+    monkeypatch.setattr(subman, "frame_curvature", counted)
+    code, _, _ = run(RunConfig(target=target, checks=("all",), points=4))
+    assert code == 0 and len(calls) == 4 * per_point
 
 
 def test_failing_check_exits_1(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Per-point checks take their point's record (SFFData, StructureTensors or
 WarpedPoint) and nothing that the record already holds."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warpcheck
 from warpcheck import ineq, structures, subman, warped
 from warpcheck.errors import ConfigurationError
 from warpcheck.gallery import load_builtin
@@ -49,3 +52,26 @@ def test_checks_needing_a_warped_split_reject_an_immersion_without_one(check):
     assert sff.warped is None
     with pytest.raises(ConfigurationError, match="immersion has no warped declaration"):
         check(sff)
+
+
+def _calls(node, scope=()):
+    """(enclosing class and function names, called name) of each call in the tree."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call):
+            f = child.func
+            yield ".".join(scope), getattr(f, "id", getattr(f, "attr", None))
+        yield from _calls(child, inner)
+
+
+def test_curvature_is_contracted_into_a_frame_only_by_the_point_records():
+    # each point's two contractions are cached record fields that every check
+    # reads; a check contracting again would repeat one at every point
+    sites = {(path.stem, scope)
+             for path in Path(warpcheck.__file__).parent.glob("*.py")
+             for scope, name in _calls(ast.parse(path.read_text()))
+             if name == "frame_curvature"}
+    assert sites == {("riemann", "MetricPoint.curvature_in_frame"),
+                     ("subman", "SFFData.ambient_frame_curvature")}
