@@ -25,9 +25,8 @@ from .ineq import (InequalityResult, d2_umbilical_implies_geodesic,
                    space_form_inequality)
 from .jets import DomainBox, ExcludedBall, Jet3, fd_partial, jet_const, jet_var
 from .report import CheckRecord, CheckReport
-from .riemann import (Curvature4, MetricField, OrthoFrame, christoffel, curvature,
-                      grad_norm_sq, gradient, laplacian, orthonormal_frame,
-                      scalar_curvature, sectional)
+from .riemann import (Curvature4, MetricField, christoffel, curvature, gradient,
+                      laplacian, scalar_curvature, sectional)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          SpaceFormModel, complex_space_form, cosymplectic_space_form,
                          fold_tensors, generalized_complex_space_form,
@@ -50,9 +49,8 @@ __all__ = [
     "Jet3", "DomainBox", "ExcludedBall", "jet_const", "jet_var",
     "fd_partial", "parse", "eval_expr", "pretty",
     # intrinsic geometry
-    "MetricField", "OrthoFrame", "Curvature4", "christoffel", "curvature",
-    "sectional", "scalar_curvature", "gradient", "grad_norm_sq", "laplacian",
-    "orthonormal_frame",
+    "MetricField", "Curvature4", "christoffel", "curvature",
+    "sectional", "scalar_curvature", "gradient", "laplacian",
     # warped products
     "WarpedMetric", "assemble", "mixed_sectional_sum", "warping_identity_residual",
     # structures and models

@@ -29,7 +29,7 @@ from .jets import per_block
 from .report import CheckReport, fold, format_number, nan_max, to_json_bytes
 from .riemann import Curvature4, MetricBlock, MetricField
 from .structures import (AlmostComplexStructure, AlmostContactStructure, StructureBlock,
-                         fold_tensors, fundamental_form_residual,
+                         closed_eta_residual, fold_tensors, fundamental_form_residual,
                          nijenhuis_normality_residual, structure_class_residual,
                          validate_almost_contact)
 from .subman import (PREDICATES, Immersion, classification_residuals, classify,
@@ -105,6 +105,15 @@ def _metric_checks(g: MetricField, rc: RunConfig, rep: CheckReport):
                                    rc.tol("curvature-symmetry")))
 
 
+def _form_law(klass: str | None):
+    """(record, anchor, residual) of the law of the fundamental form Phi:
+    Phi = d(eta)/2 on a contact metric structure (Sasakian, or no class
+    declared), d(eta) = 0 on a Kenmotsu or cosymplectic one."""
+    if klass in ("kenmotsu", "cosymplectic"):
+        return "closed-eta", "closed-contact-form-law", closed_eta_residual
+    return "fundamental-form", "contact-metric-form-law", fundamental_form_residual
+
+
 def _structure_step(s, klass: str | None):
     """Per-point values of the structure records, from a StructureTensors."""
     if isinstance(s, AlmostComplexStructure):
@@ -112,8 +121,8 @@ def _structure_step(s, klass: str | None):
     n = s.dim
     pairs = [(np.eye(n)[:, i], np.eye(n)[:, j])
              for i in range(n) for j in range(i + 1, n)]
-    laws = {"normality": nijenhuis_normality_residual,
-            "fundamental-form": fundamental_form_residual}
+    form, _, form_law = _form_law(klass)
+    laws = {"normality": nijenhuis_normality_residual, form: form_law}
     if klass:
         laws = {f"class-{klass}": lambda t, X, Y: structure_class_residual(t, klass, X, Y),
                 **laws}
@@ -135,8 +144,8 @@ def _structure_report(s, klass: str | None, n: int, worst: dict, rc: RunConfig,
     rep.merge(validate_almost_contact(s, worst, n, tol))
     if klass:
         _add(rep, worst, n, (f"class-{klass}", "structure-class-law", tol))
-    _add(rep, worst, n, ("normality", "normality-defect", tol),
-         ("fundamental-form", "contact-metric-form-law", tol))
+    form, anchor, _ = _form_law(klass)
+    _add(rep, worst, n, ("normality", "normality-defect", tol), (form, anchor, tol))
 
 
 def _structure_checks(s, klass: str | None, rc: RunConfig, rep: CheckReport):

@@ -37,8 +37,6 @@ class ExampleSpec:
     name: str
     config_file: str
     kind: str  # metric | structure | warped | immersion
-    summary: str
-    gates: tuple[str, ...]
     expected: dict = field(default_factory=dict)
 
 
@@ -46,8 +44,6 @@ BUILTINS: dict[str, ExampleSpec] = {
     spec.name: spec for spec in (
         ExampleSpec(
             name="e1", config_file="e1_chen_cr.cfg", kind="immersion",
-            summary="complex plane times rotation circle in flat C^2, warping |z|",
-            gates=("metric", "rank", "warped-block"),
             expected={
                 "d1_minimal": (True, "hand"),
                 "minimal": (True, "hand"),
@@ -57,50 +53,33 @@ BUILTINS: dict[str, ExampleSpec] = {
             }),
         ExampleSpec(
             name="e2", config_file="e2_hyperbolic.cfg", kind="warped",
-            summary="hyperbolic plane as an exponentially warped line over a line",
-            gates=("metric", "warping-positive"),
             expected={"sectional": (-1.0, "hand"),
                       "warped_identity_sides": (-1.0, "hand")}),
         ExampleSpec(
             name="e3", config_file="e3_round_s2.cfg", kind="immersion",
-            summary="round unit sphere in flat 3-space",
-            gates=("metric", "rank"),
             expected={"scalar_curvature": (1.0, "hand"),
                       "mean_norm": (1.0, "hand"),
                       "form_norm_sq": (2.0, "hand")}),
         ExampleSpec(
             name="e4", config_file="e4_trivial_product.cfg", kind="immersion",
-            summary="affine plane in flat C^2, constant warping",
-            gates=("metric", "rank", "warped-block"),
             expected={"all_residuals": (0.0, "definition"),
                       "main_inequality": ("equality", "definition")}),
         ExampleSpec(
             name="e5", config_file="e5_sasakian_cr.cfg", kind="immersion",
-            summary="contact CR-warped product in the standard Sasakian 5-chart",
-            gates=("metric", "rank", "warped-block", "reeb-tangency",
-                   "leaf-invariance", "fiber-anti-invariance"),
             expected={"cr_pairing_residuals": ("< 1e-7", "numerical"),
                       "leaf_mean_curvature": ("< 1e-7", "numerical")}),
         ExampleSpec(
             name="e6", config_file="e6_perturbed_e1.cfg", kind="immersion",
-            summary="e1 with a normal bending 0.1*x1^2 in a fresh pair of flat C^3",
-            gates=("metric", "rank", "warped-block"),
             expected={"main_inequality_slack": ("> 1e-3", "numerical")}),
         ExampleSpec(
             name="e7", config_file="e7_torus.cfg", kind="immersion",
-            summary="standard torus in flat 3-space; fiber not minimal",
-            gates=("metric", "rank", "warped-block"),
             expected={"d2_minimal": (False, "hand")}),
         ExampleSpec(
             name="s2-warped", config_file="s2_warped.cfg", kind="warped",
-            summary="round sphere as a sine-warped line over a circle chart",
-            gates=("metric", "warping-positive"),
             expected={"sectional": (1.0, "hand"),
                       "warped_identity_sides": (1.0, "hand")}),
         ExampleSpec(
             name="sasakian-r5", config_file="sasakian_r5.cfg", kind="structure",
-            summary="standard Sasakian structure on the 5-chart",
-            gates=("metric", "contact-identities"),
             expected={"phi_sectional": (-3.0, "hand"),
                       "class": ("sasakian", "hand")}),
     )

@@ -27,6 +27,17 @@ rules:
   Elementwise arithmetic followed by a max is exact, so check values of
   that form (the curvature symmetry residuals) are taken per block.
 
+A frame contraction of the curvature (:func:`frame_curvature`) keeps the bits
+of ``np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, c, c, c, c)``, which stays its
+test oracle.  Each term is multiplied left to right,
+``(((r4[i,j,k,l] * c[i,a]) * c[j,b]) * c[k,c]) * c[l,d]``; each output sums
+its terms one at a time from +0.0, in the memory order of ``r4`` (l slowest,
+then i, j, k, for a block's curvature view); and the output is laid out in
+that same axis order.  Frames of three or more columns reproduce this order
+with staged broadcast products and a two-operand einsum that sums each output
+in order.  Smaller frames, where the einsum is faster, and layouts other than
+positive ``r4`` strides and row-major ``c`` run the einsum itself.
+
 Index conventions, fixed once for the whole package:
 
 * Christoffel symbols ``Gamma[k,i,j]`` carry the upper index first.
@@ -42,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -400,15 +411,38 @@ def sectional(g_like, x: Point, X, Y) -> float:
     return float(num / den)
 
 
+@cache
+def _term_rows(n: int, order: tuple[int, ...]) -> np.ndarray:
+    """The (i, j, k, l) index of each term, (4, n**4), in the memory order
+    that ``order`` (r4's axes, slowest first) gives."""
+    return np.indices((n,) * 4).transpose((0,) + tuple(1 + a for a in order)).reshape(4, -1)
+
+
 def frame_curvature(r4: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Contract a coordinate curvature tensor into a frame given by columns.
+    """Contract a coordinate curvature tensor into a frame given by columns,
+    with the bits of the 5-operand einsum (the order contract in the module
+    docstring).
 
     A zero tensor (a flat chart's) contracts to zeros without the einsum:
     with finite columns each of its products is +-0, and its sum, which
     starts from +0.0, is +0.0, the bits returned here."""
+    n, k = columns.shape
     if not r4.any() and np.isfinite(columns).all():
-        return np.zeros((columns.shape[1],) * 4)
-    return np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, columns, columns, columns, columns)
+        return np.zeros((k,) * 4)
+    staged = (k > 2 and min(r4.strides) > 0 and 0 < columns.strides[1] < columns.strides[0]
+              and r4.dtype == columns.dtype == float)
+    if not staged:
+        return np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, columns, columns, columns, columns)
+    order = tuple(sorted(range(4), key=lambda a: -r4.strides[a]))
+    ci, cj, ck, cl = columns[_term_rows(n, order)]  # each (n**4, k), term r's rows
+    # each new factor goes in front: products commute, and the grouping is kept
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is silent, as in the einsum
+        t = r4.transpose(order).reshape(-1, 1) * ci  # [r, a]
+        t = cj[:, :, None] * t[:, None]              # [r, b, a]
+        t = ck[:, :, None, None] * t[:, None]        # [r, c, b, a]
+        out = np.einsum("rx,rd->dx", t.reshape(n**4, -1), cl).reshape((k,) * 4)
+    out = out.transpose(3, 2, 1, 0).transpose(order)  # [a, b, c, d], axes in r4's order
+    return np.ascontiguousarray(out).transpose(np.argsort(order))
 
 
 def scalar_curvature(g_like, x: Point) -> float:
@@ -433,11 +467,6 @@ def gradient(g_like, psi, x: Point, params: Sequence[float] = ()) -> np.ndarray:
     return MetricPoint(g_like, x).ginv @ j.d1
 
 
-def grad_norm_sq(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
-    j = _psi_jet(g_like, psi, x, params)
-    return float(j.d1 @ MetricPoint(g_like, x).ginv @ j.d1)
-
-
 def laplacian(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
     """Geometer's-sign Laplacian: the negative of the metric trace of the Hessian.
 
@@ -450,22 +479,6 @@ def laplacian(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
 # ---------------------------------------------------------------------------
 # Orthonormal frames
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class OrthoFrame:
-    """Columns orthonormal against a metric at a base point."""
-
-    point: np.ndarray
-    columns: np.ndarray  # shape (dim, k); column i is the i-th frame vector
-
-    @property
-    def k(self) -> int:
-        return self.columns.shape[1]
-
-    def gram_residual(self, g: np.ndarray) -> float:
-        gram = self.columns.T @ g @ self.columns
-        return float(np.max(np.abs(gram - np.eye(self.k))))
 
 
 def gram_schmidt_step(g: np.ndarray, basis, seed: np.ndarray,
@@ -495,13 +508,3 @@ def gram_schmidt(g: np.ndarray, seeds: np.ndarray,
             raise DependentSeedsError(f"seed {j} is dependent on earlier seeds")
         cols = np.column_stack([cols, v])
     return cols
-
-
-def orthonormal_frame(g_like, x: Point, seeds: np.ndarray | None = None) -> OrthoFrame:
-    """Frame of the whole tangent space at x, Gram-Schmidt over the seeds
-    (coordinate directions by default)."""
-    p = MetricPoint(g_like, x)
-    if seeds is None:
-        return OrthoFrame(np.array(p.x), p.frame)
-    cols = gram_schmidt(_checked(p.value, p.x), np.asarray(seeds, dtype=float))
-    return OrthoFrame(np.array(p.x), cols)

@@ -272,6 +272,11 @@ def nijenhuis_normality_residual(t: StructureTensors, X, Y) -> float:
     return float(math.sqrt(max(vec @ g @ vec, 0.0)))
 
 
+def closed_eta_residual(t: StructureTensors, X, Y) -> float:
+    """|d(eta)(X, Y)|: the form law of Kenmotsu and cosymplectic structures."""
+    return abs(_exterior_d_eta(t, np.asarray(X, dtype=float), np.asarray(Y, dtype=float)))
+
+
 def fundamental_form_residual(t: StructureTensors, X, Y) -> float:
     """|Phi(X,Y) - d(eta)(X,Y)/2| with Phi(X,Y) = g(phi X, Y) (contact metric law)."""
     X = np.asarray(X, dtype=float)

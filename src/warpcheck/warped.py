@@ -23,7 +23,7 @@ from . import expr as dsl
 from . import jets
 from .errors import InvalidWarpingError
 from .jets import DomainBox, ExcludedBall, Jet3, Point, as_point, coordinate_jets, per_block
-from .riemann import MetricBlock, MetricField, MetricPoint, orthonormal_frame
+from .riemann import MetricBlock, MetricField, MetricPoint
 
 
 def _expr_max_var(e) -> int:
@@ -270,22 +270,6 @@ def leaf_scalars(p: WarpedPoint) -> LeafScalars:
         grad_lnf_sq=float(lnf_jet.d1 @ leaf.ginv @ lnf_jet.d1),
         lap_lnf=leaf.laplacian(lnf_jet),
     )
-
-
-def adapted_frame(geom: WarpedGeometry | WarpedMetric, x: Point):
-    """Orthonormal frame whose first n1 vectors span the leaf block.
-
-    Coordinate seeds stay inside their blocks because the metric is
-    block-diagonal, so plain Gram-Schmidt already yields an adapted frame.
-    """
-    return orthonormal_frame(_as_geometry(geom).metric, x)
-
-
-def adapted_block_residual(columns: np.ndarray, n1: int) -> float:
-    """Max magnitude of frame components leaking into the other block."""
-    a = np.max(np.abs(columns[n1:, :n1])) if columns.shape[0] > n1 else 0.0
-    b = np.max(np.abs(columns[:n1, n1:])) if columns.shape[1] > n1 else 0.0
-    return float(max(a, b))
 
 
 def mixed_sectional_sum(p: WarpedPoint) -> float:

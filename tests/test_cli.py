@@ -342,6 +342,56 @@ def test_failing_check_exits_1(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Contact structures: the form law of the declared class
+# ---------------------------------------------------------------------------
+
+
+def _contact_cfg(tmp_path, metric_diag, klass):
+    """A contact structure on the 5-chart (t, x1, y1, x2, y2) with a diagonal
+    metric, xi = d/dt, eta = dt, and phi rotating each (x, y) pair."""
+    def rows(key, entries):
+        return "".join(f"{key}_{i + 1} = " + ", ".join(f'"{e}"' for e in row) + "\n"
+                       for i, row in enumerate(entries))
+    g = [[metric_diag[i] if i == j else "0" for j in range(5)] for i in range(5)]
+    phi = [["0"] * 5 for _ in range(5)]
+    for x, y in ((1, 2), (3, 4)):
+        phi[y][x], phi[x][y] = "1", "-1"
+    p = tmp_path / f"{klass}.cfg"
+    p.write_text(f"[metric m]\ndim = 5\n{rows('row', g)}"
+                 "domain_lo = -1, -1, -1, -1, -1\ndomain_hi = 1, 1, 1, 1, 1\n\n"
+                 f"[structure s]\nkind = contact\nmetric = m\nexpected_class = {klass}\n"
+                 f"{rows('phi_row', phi)}"
+                 'xi = "1", "0", "0", "0", "0"\neta = "1", "0", "0", "0", "0"\n\n'
+                 "[subject]\nkind = structure\ntarget = s\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("klass, diag", [
+    ("kenmotsu", ["1"] + ["exp(2*x1)"] * 4),  # dt^2 + e^{2t} g_flat on R x C^2
+    ("cosymplectic", ["1"] * 5),              # flat R^5, constant phi
+])
+def test_closed_eta_classes_pass_their_form_law(tmp_path, klass, diag):
+    # d(eta) = 0 here, so the contact metric law Phi = d(eta)/2 does not hold
+    code, doc, _ = run(RunConfig(target=_contact_cfg(tmp_path, diag, klass), points=16))
+    assert code == 0, [r for r in doc["checks"] if not r["pass"]]
+    names = [r["name"] for r in doc["checks"]]
+    assert f"class-{klass}" in names and "closed-eta" in names
+    assert "fundamental-form" not in names
+
+
+def test_sasakian_structure_with_a_broken_phi_fails_the_form_law(tmp_path):
+    text = resources.files("warpcheck").joinpath("data", "sasakian_r5.cfg").read_text()
+    old = 'phi_row_5 = "0", "0", "-1*x3", "-1*x4", "0"'
+    assert old in text
+    p = tmp_path / "broken.cfg"
+    p.write_text(text.replace(old, 'phi_row_5 = "0", "0", "0", "0", "0"'))
+    code, doc, _ = run(RunConfig(target=str(p), points=16))
+    form = next(r for r in doc["checks"] if r["name"] == "fundamental-form")
+    assert code == 1 and not form["pass"]
+    assert "closed-eta" not in [r["name"] for r in doc["checks"]]
+
+
+# ---------------------------------------------------------------------------
 # RunConfig validation
 # ---------------------------------------------------------------------------
 

@@ -11,10 +11,9 @@ from warpcheck.errors import (DegenerateMetricError, DegeneratePlaneError,
 from warpcheck.expr import parse
 from warpcheck.jets import fd_partial
 from warpcheck.gallery import load_builtin
-from warpcheck.riemann import (MetricField, SlicedMetric, christoffel,
-                               curvature, frame_curvature, grad_norm_sq, gradient,
-                               gram_schmidt, laplacian, orthonormal_frame,
-                               scalar_curvature, sectional)
+from warpcheck.riemann import (MetricField, MetricPoint, SlicedMetric, christoffel,
+                               curvature, frame_curvature, gradient, gram_schmidt,
+                               laplacian, scalar_curvature, sectional)
 
 # ---------------------------------------------------------------------------
 # Fixture metrics
@@ -187,6 +186,79 @@ def test_frame_curvature_of_a_zero_tensor_matches_the_einsum():
                                               r4, cols, cols, cols, cols))
 
 
+def _assert_einsum_bits(r4, c):
+    """frame_curvature(r4, c) has the einsum's raw bits (NaN positions and
+    signs for NaNs), and the strides of its axes longer than 1.  The zero
+    tensor's shortcut returns C-ordered zeros, which read the same in any
+    layout, so its strides are not compared."""
+    got, ref = frame_curvature(r4, c), np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, c, c, c, c)
+    nan = np.isnan(ref)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+    assert (np.signbit(got) == np.signbit(ref)).all()
+    if r4.any() or not np.isfinite(c).all():
+        assert ([s for s, m in zip(got.strides, got.shape) if m > 1]
+                == [s for s, m in zip(ref.strides, ref.shape) if m > 1])
+
+
+def _r4_layouts(base, rng):
+    """base stored in C order, as a block's curvature view (l slowest, then
+    i, j, k), in a random axis order, and with negative strides."""
+    def stored(order):
+        return np.ascontiguousarray(base.transpose(order)).transpose(np.argsort(order))
+    return [base, stored((3, 0, 1, 2)), stored(tuple(rng.permutation(4))),
+            np.ascontiguousarray(base[::-1, :, ::-1])[::-1, :, ::-1]]
+
+
+def _special_values(r4, c, kind, rng):
+    """Plain draws, signed zeros, scales 1e+-300, or inf and NaN entries."""
+    if kind == 1:
+        r4 = np.where(rng.random(r4.shape) < 0.3, np.copysign(0.0, -r4), r4)
+        c = np.where(rng.random(c.shape) < 0.3, -0.0, c)
+    elif kind == 2:
+        r4, c = r4 * 10.0 ** rng.choice([300, -300]), c * 10.0 ** rng.choice([300, -300, 0])
+    elif kind == 3:
+        r4 = np.where(rng.random(r4.shape) < 0.2, 0.0, r4)
+        r4.flat[rng.integers(0, r4.size, 2)] = rng.choice([np.inf, -np.inf, np.nan], 2)
+        c[rng.integers(0, len(c)), rng.integers(0, c.shape[1])] = rng.choice(
+            [np.inf, -np.inf, np.nan])
+    return r4, c
+
+
+def test_frame_curvature_has_the_einsum_bits_on_random_inputs():
+    # every layout meets every kind of value over the shapes; column-major
+    # and negative-stride columns once a shape
+    rng = np.random.default_rng(2018)
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            for layout in range(4):
+                base, c = _special_values(rng.standard_normal((n,) * 4),
+                                          rng.standard_normal((n, k)), (layout + n + k) % 4, rng)
+                r4s = _r4_layouts(base, rng)
+                _assert_einsum_bits(r4s[layout], c)
+            _assert_einsum_bits(r4s[1], np.asfortranarray(c))
+            _assert_einsum_bits(r4s[1], np.ascontiguousarray(c[::-1])[::-1])
+
+
+def test_frame_curvature_has_the_einsum_bits_on_every_builtins_inputs(monkeypatch):
+    from warpcheck import cli, riemann, subman
+    from warpcheck.gallery import builtin_names
+    contract, seen = riemann.frame_curvature, []
+
+    def captured(r4, columns):
+        seen.append((r4, columns))
+        return contract(r4, columns)
+
+    monkeypatch.setattr(riemann, "frame_curvature", captured)
+    monkeypatch.setattr(subman, "frame_curvature", captured)
+    for name in builtin_names():
+        for points in (1, 33):
+            assert cli.run(cli.RunConfig(target=name, points=points))[0] == 0
+    assert {(c.shape, bool(r4.any())) for r4, c in seen} >= {((4, 4), True), ((5, 4), True)}
+    for r4, c in seen:
+        _assert_einsum_bits(r4, c)
+
+
 # ---------------------------------------------------------------------------
 # Gradient and Laplacian
 # ---------------------------------------------------------------------------
@@ -195,7 +267,6 @@ def test_frame_curvature_of_a_zero_tensor_matches_the_einsum():
 def test_gradient_flat():
     psi = parse("x1", dim=2)
     npt.assert_allclose(gradient(flat(2), psi, np.array([0.3, 0.4])), [1.0, 0.0])
-    assert grad_norm_sq(flat(2), psi, np.array([0.3, 0.4])) == 1.0
 
 
 def test_gradient_polar_radial():
@@ -203,15 +274,6 @@ def test_gradient_polar_radial():
     psi = parse("x1", dim=2)
     x = np.array([2.0, 0.7])
     npt.assert_allclose(gradient(g, psi, x), [1.0, 0.0])
-    npt.assert_allclose(grad_norm_sq(g, psi, x), 1.0)
-
-
-def test_grad_norm_log_radius_polar():
-    g = polar_plane()
-    psi = parse("ln(x1)", dim=2)
-    r = 1.3
-    npt.assert_allclose(grad_norm_sq(g, psi, np.array([r, 0.1])), 1.0 / r**2,
-                        rtol=1e-14)
 
 
 def test_grad_norm_equals_frame_sum():
@@ -220,10 +282,11 @@ def test_grad_norm_equals_frame_sum():
     psi = parse("sin(x1)*x2 + exp(0.2*x3)", dim=3)
     x = np.array([0.7, 0.4, 0.9])
     from warpcheck.expr import eval_expr
-    frame = orthonormal_frame(g, x)
+    frame = MetricPoint(g, x).frame
     d1 = eval_expr(psi, x).d1
-    frame_sum = sum(float(frame.columns[:, i] @ d1) ** 2 for i in range(3))
-    assert abs(grad_norm_sq(g, psi, x) - frame_sum) < 1e-10
+    frame_sum = sum(float(frame[:, i] @ d1) ** 2 for i in range(3))
+    grad = gradient(g, psi, x)
+    assert abs(grad @ g.value(x) @ grad - frame_sum) < 1e-10
 
 
 def test_laplacian_constant_zero():
@@ -277,34 +340,32 @@ def test_laplacian_matches_fd_oracle():
 
 
 def test_flat_frame_is_coordinate_frame():
-    f = orthonormal_frame(flat(3), np.zeros(3))
-    npt.assert_allclose(f.columns, np.eye(3))
+    npt.assert_allclose(MetricPoint(flat(3), np.zeros(3)).frame, np.eye(3))
 
 
 def test_polar_frame_normalizes_angular_direction():
     r = 2.5
-    f = orthonormal_frame(polar_plane(), np.array([r, 0.0]))
-    npt.assert_allclose(f.columns[:, 0], [1.0, 0.0])
-    npt.assert_allclose(f.columns[:, 1], [0.0, 1.0 / r])
+    f = MetricPoint(polar_plane(), np.array([r, 0.0])).frame
+    npt.assert_allclose(f[:, 0], [1.0, 0.0])
+    npt.assert_allclose(f[:, 1], [0.0, 1.0 / r])
 
 
 def test_diagonal_metric_frame():
     g = MetricField.from_strings([["4", "0"], ["0", "9"]])
-    f = orthonormal_frame(g, np.zeros(2))
-    npt.assert_allclose(f.columns, [[0.5, 0.0], [0.0, 1.0 / 3.0]])
+    npt.assert_allclose(MetricPoint(g, np.zeros(2)).frame, [[0.5, 0.0], [0.0, 1.0 / 3.0]])
 
 
 def test_frame_orthonormality_residual():
     g = random_analytic_metric(23, dim=4)
     x = np.array([0.2, 0.5, 0.8, 0.3])
-    f = orthonormal_frame(g, x)
-    assert f.gram_residual(g.value(x)) < 1e-10
+    f = MetricPoint(g, x).frame
+    assert np.max(np.abs(f.T @ g.value(x) @ f - np.eye(4))) < 1e-10
 
 
 def test_dependent_seeds_rejected():
     seeds = np.array([[1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(DependentSeedsError):
-        orthonormal_frame(flat(2), np.zeros(2), seeds=seeds)
+        gram_schmidt(np.eye(2), seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +392,7 @@ def test_sliced_metric_frame_is_gram_schmidt_of_its_block():
     for axes, x in (((0,), [0.5]), ((1,), [0.3]), ((0, 1), [0.3, 0.7])):
         leaf = SlicedMetric(g, axes, np.array([0.5, 0.2]))
         x = np.array(x)
-        npt.assert_array_equal(orthonormal_frame(leaf, x).columns,
+        npt.assert_array_equal(MetricPoint(leaf, x).frame,
                                gram_schmidt(leaf.derivs(x)[0], np.eye(len(axes))))
 
 

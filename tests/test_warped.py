@@ -8,9 +8,8 @@ import pytest
 
 from warpcheck.errors import InvalidWarpingError
 from warpcheck.expr import parse
-from warpcheck.riemann import MetricField, sectional
-from warpcheck.warped import (WarpedPoint, adapted_block_residual, adapted_frame, assemble,
-                              block_second_form_residuals, leaf_scalars,
+from warpcheck.riemann import MetricField, MetricPoint, sectional
+from warpcheck.warped import (WarpedPoint, assemble, block_second_form_residuals, leaf_scalars,
                               mixed_sectional_sum, warping_identity_residual)
 
 
@@ -124,9 +123,11 @@ def test_identity_on_higher_dimensional_product():
 
 
 def test_adapted_frame_respects_blocks():
+    # the total metric is block-diagonal, so Gram-Schmidt of the coordinate
+    # directions keeps its first n1 vectors in the leaf block
     w = hyperbolic_plane()
-    f = adapted_frame(w.geometry(), np.array([0.3, 0.6]))
-    assert adapted_block_residual(f.columns, w.n1) == 0.0
+    f = MetricPoint(w.geometry().metric, np.array([0.3, 0.6])).frame
+    assert not f[w.n1:, :w.n1].any() and not f[:w.n1, w.n1:].any()
 
 
 # ---------------------------------------------------------------------------
