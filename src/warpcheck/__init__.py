@@ -20,9 +20,8 @@ from .errors import (ConfigurationError, DegenerateMetricError,
 from .expr import ParseError, eval_expr, parse, pretty
 from .gallery import builtin_names, load_builtin, validate
 from .ineq import (InequalityResult, d2_umbilical_implies_geodesic,
-                   dt_minimality_check, generalized_inequality, main_inequality,
-                   nearly_kahler_inequality, scalar_decomposition_residual,
-                   space_form_inequality)
+                   dt_minimality_check, main_inequality,
+                   scalar_decomposition_residual, space_form_inequality)
 from .jets import DomainBox, ExcludedBall, Jet3, fd_partial, jet_const, jet_var
 from .report import CheckRecord, CheckReport
 from .riemann import (Curvature4, MetricField, christoffel, curvature, gradient,
@@ -65,7 +64,6 @@ __all__ = [
     "classify", "contact_cr_checks",
     # inequalities
     "InequalityResult", "main_inequality", "space_form_inequality",
-    "nearly_kahler_inequality", "generalized_inequality",
     "scalar_decomposition_residual", "dt_minimality_check",
     "d2_umbilical_implies_geodesic",
     # gallery and reports

@@ -247,7 +247,7 @@ class _Parser:
                     raise self.fail("')'")
                 self.advance()
                 return Call(name, arg, pos=t.pos)
-            if name[0] in "xp" and name[1:].isdigit():
+            if name[0] in "xp" and name[1:].isascii() and name[1:].isdigit():
                 k = int(name[1:])
                 bound = self.dim if name[0] == "x" else self.n_params
                 label = "variable" if name[0] == "x" else "parameter"

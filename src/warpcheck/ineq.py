@@ -6,10 +6,9 @@ Laplacian term, and diagnoses the equality case: leaf self-pairings of the
 form vanish, fiber self-pairings vanish, and the factors are respectively
 totally geodesic / totally umbilical with the immersion minimal.
 
-Special-case bounds (complex space form, nearly Kahler, generalized complex
-space form) are evaluated both through the curvature-sum reduction and as
-literally printed where the two differ; the as-printed variants carry an
-explanatory note and are excluded from acceptance gating.
+The complex-space-form bound is evaluated both through the curvature-sum
+reduction and as literally printed, where the two differ; the as-printed
+variant carries an explanatory note and is excluded from acceptance gating.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .structures import AlmostComplexStructure, SpaceFormModel, model_curvature
 from .subman import SFFData, warped_split
 
 SLACK_TOL_FLAT = 1e-8    # jet-exact flat ambients
-SLACK_TOL_MODEL = 1e-6   # closed-form model ambients
 
 
 # ---------------------------------------------------------------------------
@@ -48,19 +46,6 @@ def space_form_rhs_printed(c: float, n1: int, n2: int, grad_lnf_sq: float,
     """The combined special-case bound as literally printed (its curvature
     coefficient is twice the reduction value; the two agree at c = 0)."""
     return 2.0 * n1 * n2 * c / 4.0 + n2 * grad_lnf_sq - n2 * lap_lnf
-
-
-def dp_rhs_printed(c: float, s: float, n2: int, grad_lnf_sq: float,
-                   lap_lnf: float) -> float:
-    """Space-form corollary bound for the full squared form norm, verbatim,
-    with its free parameters s and the additive unit kept as displayed."""
-    return 2.0 * n2 * (grad_lnf_sq - lap_lnf + (c + 3.0) / 2.0 * s + 1.0)
-
-
-def nearly_kahler_rhs(c: float, s: float, n2: int, lap_lnf: float) -> float:
-    """Nearly-Kahler variant bound for the full squared form norm; c and s
-    are free parameters supplied by the caller."""
-    return 2.0 * n2 * ((c - 3.0) / 2.0 * s - lap_lnf)
 
 
 def generalized_rhs(c_rk: float, gamma: float, n1: int, n2: int,
@@ -302,19 +287,17 @@ def main_inequality(sff: SFFData, tol: float = SLACK_TOL_FLAT,
 class SpaceFormBounds:
     """Complex-space-form specializations at one point."""
 
-    reduction: InequalityResult          # via the curvature-sum reduction
-    printed: InequalityResult            # combined bound as printed
-    dp_printed: InequalityResult | None  # corollary form, needs the free s
+    reduction: InequalityResult  # via the curvature-sum reduction
+    printed: InequalityResult    # combined bound as printed
 
 
-def space_form_inequality(sff: SFFData, c: float = 0.0, tol: float = SLACK_TOL_FLAT,
-                          dp_s: float | None = None) -> SpaceFormBounds:
+def space_form_inequality(sff: SFFData, c: float = 0.0,
+                          tol: float = SLACK_TOL_FLAT) -> SpaceFormBounds:
     """Specializations of the main bound to a complex space form of constant c.
 
     The reduction bound matches the main inequality evaluated with the
-    corresponding curvature model; the as-printed variants are reported for
-    fidelity but carry notes (their curvature coefficient differs for c != 0,
-    and the corollary form has free parameters)."""
+    corresponding curvature model; the as-printed variant is reported for
+    fidelity but carries a note (its curvature coefficient differs for c != 0)."""
     p = warped_split(sff)
     sc = p.scalars
     n1, n2 = p.geom.n1, p.geom.n2
@@ -328,32 +311,4 @@ def space_form_inequality(sff: SFFData, c: float = 0.0, tol: float = SLACK_TOL_F
                       tol, dict(diag),
                       note="as-printed; curvature coefficient doubled relative "
                            "to the frame-sum reduction")
-    dp = None
-    if dp_s is not None:
-        dp = _result(sff, sff.h_norm_sq(),
-                     dp_rhs_printed(c, dp_s, n2, sc.grad_lnf_sq, sc.lap_lnf),
-                     tol, dict(diag),
-                     note="as-printed; free parameters, excluded from acceptance")
-    return SpaceFormBounds(reduction=reduction, printed=printed, dp_printed=dp)
-
-
-def nearly_kahler_inequality(sff: SFFData, c: float, s: float,
-                             tol: float = SLACK_TOL_MODEL) -> InequalityResult:
-    """Variant bound with free constants, on the full squared form norm."""
-    p = warped_split(sff)
-    return _result(sff, sff.h_norm_sq(),
-                   nearly_kahler_rhs(c, s, p.geom.n2, p.scalars.lap_lnf), tol,
-                   _equality_diag(sff),
-                   note="variant bound with caller-supplied constants")
-
-
-def generalized_inequality(sff: SFFData, c_rk: float, gamma: float,
-                           tol: float = SLACK_TOL_MODEL) -> InequalityResult:
-    """Two-parameter generalized-complex-space-form bound on the full
-    squared form norm; gamma = 0 recovers the complex-space-form bound."""
-    p = warped_split(sff)
-    sc = p.scalars
-    return _result(sff, sff.h_norm_sq(),
-                   generalized_rhs(c_rk, gamma, p.geom.n1, p.geom.n2,
-                                   sc.grad_lnf_sq, sc.lap_lnf), tol,
-                   _equality_diag(sff))
+    return SpaceFormBounds(reduction=reduction, printed=printed)

@@ -21,7 +21,7 @@ from warpcheck import cli, expr, ineq, report, riemann, structures, subman
 from warpcheck.cli import (DEFAULT_TOLS, RunConfig, main, parse_args, render_text,
                            run)
 from warpcheck.errors import WarpcheckError
-from warpcheck.gallery import load_builtin, sample_points
+from warpcheck.gallery import builtin_names, load_builtin, sample_points
 from warpcheck.report import CheckReport, fold, format_number, nan_max, to_json_bytes
 
 BAD_CFG = '[metric m]\ndim = 1\nrow_1 = "x1 +"\n\n[subject]\nkind = metric\ntarget = m\n'
@@ -379,6 +379,17 @@ def test_closed_eta_classes_pass_their_form_law(tmp_path, klass, diag):
     assert "fundamental-form" not in names
 
 
+def test_nearly_cosymplectic_class_has_no_form_law(tmp_path):
+    # flat R^5 with constant phi is cosymplectic, so nearly cosymplectic too;
+    # neither Phi = d(eta)/2 nor d(eta) = 0 holds across that class
+    cfg = _contact_cfg(tmp_path, ["1"] * 5, "nearly_cosymplectic")
+    code, doc, _ = run(RunConfig(target=cfg, points=16))
+    assert code == 0, [r for r in doc["checks"] if not r["pass"]]
+    names = [r["name"] for r in doc["checks"]]
+    assert "class-nearly_cosymplectic" in names and "normality" in names
+    assert "fundamental-form" not in names and "closed-eta" not in names
+
+
 def test_sasakian_structure_with_a_broken_phi_fails_the_form_law(tmp_path):
     text = resources.files("warpcheck").joinpath("data", "sasakian_r5.cfg").read_text()
     old = 'phi_row_5 = "0", "0", "-1*x3", "-1*x4", "0"'
@@ -488,33 +499,66 @@ def _assert_scalar_draws(draws, seed):
 
 
 def test_variant_draws_equal_the_scalar_calls():
-    for seed in [*range(300), 5, 7, 11, 13, 17, 42]:
+    for seed in [*range(300), 5, 7, 11, 13, 17, 42, 2**32, 2**64 + 3]:
         _assert_scalar_draws(cli._variant_draws(seed), seed)
+
+
+@pytest.mark.parametrize("seeds", [range(300), [2**32 - 1, 2**32, 2**64 + 3,
+                                                2**96 + 11, 10**30]])
+def test_pcg64_raw_has_numpy_bits(seeds):
+    # seeds of more than one 32-bit word take SeedSequence's multi-word path
+    for seed in seeds:
+        want = np.random.default_rng(seed).bit_generator.random_raw(4000)
+        got = cli._pcg64_raw(seed, 4000)
+        assert got.dtype == want.dtype and np.array_equal(got, want), seed
+
+
+@given(st.integers(0, 2**130 - 1))
+def test_pcg64_raw_has_numpy_bits_for_any_seed(seed):
+    want = np.random.default_rng(seed).bit_generator.random_raw(8)
+    np.testing.assert_array_equal(cli._pcg64_raw(seed, 8), want)
 
 
 def test_variant_draws_take_the_scalar_calls_on_a_zero_half(monkeypatch):
     # Lemire's method rejects a 32-bit half of 0 and draws again, which the
     # bulk draws cannot follow; no seed tried has one, so force it
-    real_rng, calls = np.random.default_rng, Counter()
+    real_raw, real_rng, calls = cli._pcg64_raw, np.random.default_rng, Counter()
 
-    class ZeroHalf:
+    def zero_half(seed, n):
+        raw = real_raw(seed, n)
+        raw[1] &= np.uint64(0xFFFFFFFF00000000)  # the first n1's half
+        return raw
+
+    class Counted:
         def __init__(self, seed):
-            self.bit_generator, self._seed, self._rng = self, seed, real_rng(seed)
-
-        def random_raw(self, n):
-            raw = real_rng(self._seed).bit_generator.random_raw(n)
-            raw[1] &= np.uint64(0xFFFFFFFF00000000)  # the first n1's half
-            return raw
+            self._rng = real_rng(seed)
 
         def __getattr__(self, name):  # uniform, integers
             calls[name] += 1
             return getattr(self._rng, name)
 
-    monkeypatch.setattr(np.random, "default_rng", ZeroHalf)
+    monkeypatch.setattr(cli, "_pcg64_raw", zero_half)
+    monkeypatch.setattr(np.random, "default_rng", Counted)
     draws = cli._variant_draws(42)
     assert calls == {"uniform": 3000, "integers": 2000}
     monkeypatch.undo()
     _assert_scalar_draws(draws, 42)
+
+
+_IMPORT_PROBE = """
+import sys
+from warpcheck.cli import main
+code = main(["--target", sys.argv[1], "--points", "2"])
+print(code, sorted({"numpy.random", "secrets"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("target", builtin_names())
+def test_a_builtin_run_does_not_import_numpy_random(target):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, target],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
 def test_text_and_json_carry_the_same_numbers():
@@ -590,7 +634,6 @@ def test_number_format_17_digits():
 
 
 def test_every_builtin_passes_end_to_end():
-    from warpcheck.gallery import builtin_names
     for name in builtin_names():
         code, doc, _ = run(RunConfig(target=name, points=8))
         assert code == 0, (name, [r for r in doc["checks"] if not r["pass"]])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpcheck.errors import JetDomainError
@@ -172,6 +172,7 @@ def test_pretty_print_round_trip(ast):
 
 
 @given(st.text(max_size=30))
+@example("p\u00b2")  # a non-ASCII digit: isdigit() holds, int() fails
 @settings(max_examples=300, deadline=None)
 def test_parse_is_total(junk):
     """Arbitrary input either parses or raises ParseError, nothing else."""

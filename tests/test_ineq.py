@@ -13,9 +13,8 @@ from helpers import (box_points, chen_cr_immersion, perturbed_chen_immersion,
 
 from warpcheck.errors import ConfigurationError
 from warpcheck.ineq import (d2_umbilical_implies_geodesic, dt_minimality_check,
-                            fiber_lemma_residuals, generalized_inequality,
-                            generalized_rhs, leaf_mean_curvature,
-                            main_inequality, nearly_kahler_rhs,
+                            fiber_lemma_residuals, generalized_rhs,
+                            leaf_mean_curvature, main_inequality,
                             scalar_decomposition_residual, space_form_inequality,
                             space_form_rhs, space_form_rhs_printed)
 from warpcheck.structures import complex_space_form
@@ -189,21 +188,6 @@ def test_space_form_mirrors_main_inequality_at_zero_constant():
     npt.assert_allclose(b.reduction.rhs, m.rhs, atol=1e-8)
 
 
-def test_dp_variant_is_annotated_and_optional():
-    im = chen_cr_immersion()
-    x = np.array([0.5, 0.5, 0.3])
-    sff = second_fundamental_form(im, x)
-    b = space_form_inequality(sff, c=0.0)
-    assert b.dp_printed is None
-    b = space_form_inequality(sff, c=0.0, dp_s=1.0)
-    assert b.dp_printed is not None
-    assert "as-printed" in b.dp_printed.note
-    geom = warped_geometry(im)
-    sc = leaf_scalars(WarpedPoint(geom, x))
-    want = 2.0 * 1 * (sc.grad_lnf_sq - sc.lap_lnf + 1.5 * 1.0 + 1.0)
-    npt.assert_allclose(b.dp_printed.rhs, want, rtol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Variant bounds and the reduction identity
 # ---------------------------------------------------------------------------
@@ -234,21 +218,18 @@ def test_generalized_inequality_formula_values():
     x = np.array([0.8, 0.1, 0.6])
     geom = warped_geometry(im)
     sc = leaf_scalars(WarpedPoint(geom, x))
-    r = generalized_inequality(second_fundamental_form(im, x), c_rk=4.0, gamma=1.0)
+    rhs = generalized_rhs(4.0, 1.0, geom.n1, geom.n2, sc.grad_lnf_sq, sc.lap_lnf)
     want = 2.0 * (sc.grad_lnf_sq - sc.lap_lnf + 3.5)
-    npt.assert_allclose(r.rhs, want, rtol=1e-13)
+    npt.assert_allclose(rhs, want, rtol=1e-13)
 
 
 def test_generalized_equality_at_zero_parameters_on_chen_cr():
     im = chen_cr_immersion()
     x = np.array([0.6, 0.8, 0.4])
-    r = generalized_inequality(second_fundamental_form(im, x), c_rk=0.0, gamma=0.0,
-                               tol=1e-8)
-    assert abs(r.slack) < 1e-8
-
-
-def test_nearly_kahler_rhs_formula():
-    assert nearly_kahler_rhs(5.0, 2.0, 3, 0.25) == 2.0 * 3 * (1.0 * 2.0 - 0.25)
+    geom = warped_geometry(im)
+    sc = leaf_scalars(WarpedPoint(geom, x))
+    rhs = generalized_rhs(0.0, 0.0, geom.n1, geom.n2, sc.grad_lnf_sq, sc.lap_lnf)
+    assert abs(second_fundamental_form(im, x).h_norm_sq() - rhs) < 1e-8
 
 
 # ---------------------------------------------------------------------------
