@@ -33,8 +33,7 @@ from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          sasakian_space_form, structure_class_residual,
                          validate_almost_contact)
 from .subman import (Immersion, SFFData, WarpedDecl, classify, contact_cr_checks,
-                     fold_sff, gauss_residual_max, induced_metric,
-                     relative_null_space, scalar_identity_residual,
+                     fold_sff, gauss_residual_max, induced_metric, scalar_identity_residual,
                      second_fundamental_form, shape_operator)
 from .warped import WarpedMetric, assemble, mixed_sectional_sum, warping_identity_residual
 
@@ -60,8 +59,7 @@ __all__ = [
     # submanifolds
     "Immersion", "WarpedDecl", "SFFData", "induced_metric", "fold_sff",
     "second_fundamental_form", "shape_operator", "gauss_residual_max",
-    "scalar_identity_residual", "relative_null_space",
-    "classify", "contact_cr_checks",
+    "scalar_identity_residual", "classify", "contact_cr_checks",
     # inequalities
     "InequalityResult", "main_inequality", "space_form_inequality",
     "scalar_decomposition_residual", "dt_minimality_check",

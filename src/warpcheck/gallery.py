@@ -3,15 +3,11 @@
 Built-ins ship as config files in the package data directory, in the same
 format user configs use.  Every example carries a machine-checkable
 validation gate; a gate failure is a build-breaking error, never a silent
-skip.  Expected outcomes recorded here state how each expectation was
-obtained ("hand" for closed-form computation, "numerical" for values the
-engine itself certifies through independent residual checks, "definition"
-for direct consequences of the construction).
+skip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from importlib import resources
 import numpy as np
@@ -30,84 +26,32 @@ GATE_POINTS = 16
 GATE_SEED = 7
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
-    """Roster entry: where the config lives and what the example promises."""
-
-    name: str
-    config_file: str
-    kind: str  # metric | structure | warped | immersion
-    expected: dict = field(default_factory=dict)
-
-
-BUILTINS: dict[str, ExampleSpec] = {
-    spec.name: spec for spec in (
-        ExampleSpec(
-            name="e1", config_file="e1_chen_cr.cfg", kind="immersion",
-            expected={
-                "d1_minimal": (True, "hand"),
-                "minimal": (True, "hand"),
-                "mixed_totally_geodesic": (False, "hand"),
-                "main_inequality": ("equality", "hand"),
-                "half_form_norm_sq": ("1/r^2", "hand"),
-            }),
-        ExampleSpec(
-            name="e2", config_file="e2_hyperbolic.cfg", kind="warped",
-            expected={"sectional": (-1.0, "hand"),
-                      "warped_identity_sides": (-1.0, "hand")}),
-        ExampleSpec(
-            name="e3", config_file="e3_round_s2.cfg", kind="immersion",
-            expected={"scalar_curvature": (1.0, "hand"),
-                      "mean_norm": (1.0, "hand"),
-                      "form_norm_sq": (2.0, "hand")}),
-        ExampleSpec(
-            name="e4", config_file="e4_trivial_product.cfg", kind="immersion",
-            expected={"all_residuals": (0.0, "definition"),
-                      "main_inequality": ("equality", "definition")}),
-        ExampleSpec(
-            name="e5", config_file="e5_sasakian_cr.cfg", kind="immersion",
-            expected={"cr_pairing_residuals": ("< 1e-7", "numerical"),
-                      "leaf_mean_curvature": ("< 1e-7", "numerical")}),
-        ExampleSpec(
-            name="e6", config_file="e6_perturbed_e1.cfg", kind="immersion",
-            expected={"main_inequality_slack": ("> 1e-3", "numerical")}),
-        ExampleSpec(
-            name="e7", config_file="e7_torus.cfg", kind="immersion",
-            expected={"d2_minimal": (False, "hand")}),
-        ExampleSpec(
-            name="s2-warped", config_file="s2_warped.cfg", kind="warped",
-            expected={"sectional": (1.0, "hand"),
-                      "warped_identity_sides": (1.0, "hand")}),
-        ExampleSpec(
-            name="sasakian-r5", config_file="sasakian_r5.cfg", kind="structure",
-            expected={"phi_sectional": (-3.0, "hand"),
-                      "class": ("sasakian", "hand")}),
-    )
+# builtin name -> config file in the package data directory
+BUILTINS: dict[str, str] = {
+    "e1": "e1_chen_cr.cfg",
+    "e2": "e2_hyperbolic.cfg",
+    "e3": "e3_round_s2.cfg",
+    "e4": "e4_trivial_product.cfg",
+    "e5": "e5_sasakian_cr.cfg",
+    "e6": "e6_perturbed_e1.cfg",
+    "e7": "e7_torus.cfg",
+    "s2-warped": "s2_warped.cfg",
+    "sasakian-r5": "sasakian_r5.cfg",
 }
-
-
-@dataclass
-class LoadedExample:
-    spec: ExampleSpec
-    config: BuiltConfig
-
-    @property
-    def subject(self):
-        return self.config.subject
 
 
 def builtin_names() -> list[str]:
     return sorted(BUILTINS)
 
 
-def load_builtin(name: str) -> LoadedExample:
-    spec = BUILTINS.get(name)
-    if spec is None:
+def load_builtin(name: str) -> BuiltConfig:
+    config_file = BUILTINS.get(name)
+    if config_file is None:
         raise ConfigurationError(
             f"unknown builtin {name!r}; available: {', '.join(builtin_names())}")
-    text = resources.files("warpcheck").joinpath("data", spec.config_file) \
+    text = resources.files("warpcheck").joinpath("data", config_file) \
         .read_text(encoding="utf-8")
-    return LoadedExample(spec=spec, config=load_config_text(text))
+    return load_config_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +71,13 @@ def sample_points(subject, n: int, seed: int) -> list[np.ndarray]:
     return halton_points(subject.domain, n, seed)
 
 
-def validate(loaded: LoadedExample, n_points: int = GATE_POINTS,
-             seed: int = GATE_SEED) -> CheckReport:
-    """Run the example's validation gate; every record must pass before the
-    example feeds any downstream check."""
-    subject = loaded.subject
+def validate(cfg: BuiltConfig) -> CheckReport:
+    """Run the example's validation gate, chosen by its subject kind; every
+    record must pass before the example feeds any downstream check."""
+    subject = cfg.subject
     rep = CheckReport()
-    kind = loaded.spec.kind
-    points = sample_points(subject, n_points, seed)
+    kind = cfg.subject_kind
+    points = sample_points(subject, GATE_POINTS, GATE_SEED)
     n = len(points)
 
     if kind == "metric":

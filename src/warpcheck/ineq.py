@@ -26,6 +26,7 @@ from .structures import AlmostComplexStructure, SpaceFormModel, model_curvature
 from .subman import SFFData, warped_split
 
 SLACK_TOL_FLAT = 1e-8    # jet-exact flat ambients
+KAHLER_GATE_TOL = 1e-6   # parallel-J residual a main inequality accepts
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +241,13 @@ def d2_umbilical_implies_geodesic(worst: dict, n: int, tol: float = 1e-7) -> Che
 # ---------------------------------------------------------------------------
 
 
-def _kahler_gate(sff: SFFData, tol: float = 1e-6) -> None:
+def _kahler_gate(sff: SFFData) -> None:
     s = sff.im.structure
     if not isinstance(s, AlmostComplexStructure):
         raise ConfigurationError(
             "main inequality needs a complex ambient structure or a curvature model")
     resid = s.parallel_residual(sff.tensors)
-    if resid > tol:
+    if resid > KAHLER_GATE_TOL:
         raise ConfigurationError(
             f"ambient structure is not parallel at {sff.ambient_point} (residual {resid:.3e})")
 

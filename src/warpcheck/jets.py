@@ -186,11 +186,10 @@ class Jet3:
             raise
         return Jet3(self.dim, *out)
 
-    def is_constant(self, tol: float = 0.0):
+    def is_constant(self):
         """Whether every derivative vanishes, per point of the batch."""
-        return (np.all(np.abs(self.d1) <= tol, axis=-1)
-                & np.all(np.abs(self.d2) <= tol, axis=(-2, -1))
-                & np.all(np.abs(self.d3) <= tol, axis=(-3, -2, -1)))
+        return (np.all(self.d1 == 0, axis=-1) & np.all(self.d2 == 0, axis=(-2, -1))
+                & np.all(self.d3 == 0, axis=(-3, -2, -1)))
 
     # -- inspection -------------------------------------------------------
 

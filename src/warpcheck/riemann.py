@@ -359,11 +359,9 @@ def curvature_components(g_like, x: Point) -> np.ndarray:
 @dataclass
 class Curvature4:
     """Fully covariant curvature tensor at a point, or at each point of a
-    block (batch-leading ``comp``), in a tagged basis."""
+    block (batch-leading ``comp``)."""
 
-    point: np.ndarray
     comp: np.ndarray  # shape (..., n, n, n, n)
-    basis: str = "coordinate"  # or "frame"
 
     def symmetry_residuals(self) -> dict:
         """Worst violation of each symmetry: a float at a point, an array (B,)
@@ -391,8 +389,7 @@ class Curvature4:
 
 
 def curvature(g_like, x: Point) -> Curvature4:
-    return Curvature4(np.array(as_point(x)), curvature_components(g_like, x),
-                      basis="coordinate")
+    return Curvature4(curvature_components(g_like, x))
 
 
 def sectional(g_like, x: Point, X, Y) -> float:
@@ -493,17 +490,16 @@ def gram_schmidt_step(g: np.ndarray, basis, seed: np.ndarray,
     return None if nrm < threshold else v / nrm
 
 
-def gram_schmidt(g: np.ndarray, seeds: np.ndarray,
-                 threshold: float = GS_PIVOT_THRESHOLD) -> np.ndarray:
+def gram_schmidt(g: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt against inner product g, preserving seed order.
 
-    Raises DependentSeedsError when a seed's residual norm falls below the
-    threshold.  Deterministic for fixed input.
+    Raises DependentSeedsError when a seed's residual norm falls below
+    GS_PIVOT_THRESHOLD.  Deterministic for fixed input.
     """
     n, k = seeds.shape
     cols = np.zeros((n, 0))
     for j in range(k):
-        v = gram_schmidt_step(g, cols.T, seeds[:, j], threshold)
+        v = gram_schmidt_step(g, cols.T, seeds[:, j], GS_PIVOT_THRESHOLD)
         if v is None:
             raise DependentSeedsError(f"seed {j} is dependent on earlier seeds")
         cols = np.column_stack([cols, v])

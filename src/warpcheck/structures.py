@@ -363,7 +363,7 @@ def cosymplectic_space_form(c: float, dim: int) -> SpaceFormModel:
     return SpaceFormModel("cosymplectic", dim, c)
 
 
-def model_curvature(m: SpaceFormModel, X, Y, Z, W, x: Point | None = None) -> float:
+def model_curvature(m: SpaceFormModel, X, Y, Z, W) -> float:
     """Covariant curvature value R(X, Y, Z, W) of the model at any point."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -419,7 +419,7 @@ def model_sectional(m: SpaceFormModel, X, Y) -> float:
     return model_curvature(m, X, Y, Y, X) / float(den)
 
 
-def phi_sectional(m: SpaceFormModel, X, x: Point | None = None) -> float:
+def phi_sectional(m: SpaceFormModel, X) -> float:
     """Sectional curvature of span(X, phi X); the model constant by construction."""
     X = np.asarray(X, dtype=float)
     op = m.j if m.kind in ("complex", "generalized_complex") else m.phi

@@ -32,7 +32,6 @@ from .warped import WarpedBlock, WarpedGeometry, WarpedPoint
 
 RANK_THRESHOLD = 1e-8
 NORMAL_COMPLETION_THRESHOLD = 1e-8
-NULL_SPACE_THRESHOLD = 1e-8
 CLASSIFY_TOL = 1e-7
 
 
@@ -85,11 +84,6 @@ class Immersion:
             raise NonFiniteImageError(
                 f"immersion derivatives not finite at {np.asarray(x)[k]}")
         return phi
-
-    def map_point(self, x: Point) -> np.ndarray:
-        """Image of one point (ambient_dim,) or of a block (B, ambient_dim)."""
-        y = dsl.eval_matrix([self.components], x, self.params, order=0)[0][..., 0, :]
-        return _finite_images(y, x)
 
 
 def _finite_images(y: np.ndarray, x) -> np.ndarray:
@@ -241,12 +235,6 @@ class SFFData:
     def h_on(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """h evaluated on sub-chart coordinate vectors."""
         return np.einsum("i,j,ijk->k", X, Y, self.h_coord)
-
-    def coeffs_check_residual(self) -> float:
-        """g(h(e_i, e_j), zeta_r) must reproduce coeffs[r, i, j]."""
-        back = np.einsum("ijk,km,mr->rij", self.h_frame, self.g_ambient,
-                         self.normal_frame)
-        return float(np.max(np.abs(back - self.coeffs)))
 
 
 def _complete_normal_frame(g_amb: np.ndarray, tangent_cols: np.ndarray,
@@ -455,30 +443,6 @@ def scalar_identity_residual(sff: SFFData) -> float:
     lhs = 2.0 * tau
     rhs = 2.0 * tau_amb + n**2 * sff.mean_norm() ** 2 - sff.h_norm_sq()
     return float(abs(lhs - rhs))
-
-
-# ---------------------------------------------------------------------------
-# Relative null space
-# ---------------------------------------------------------------------------
-
-
-def relative_null_space(sff: SFFData,
-                        threshold: float = NULL_SPACE_THRESHOLD) -> np.ndarray:
-    """Basis (sub-chart columns) of the kernel of X -> h(X, .) at the point.
-
-    Rank is revealed by the SVD of the stacked coefficient matrix; singular
-    directions below the threshold span the null space.
-    """
-    n = sff.n
-    mat = sff.coeffs.transpose(0, 2, 1).reshape(-1, n)  # rows (r, j), columns i
-    if mat.shape[0] == 0:
-        return sff.tangent_frame.copy()
-    _, s, vt = np.linalg.svd(mat)
-    svals = np.zeros(n)
-    svals[: len(s)] = s
-    keep = svals < threshold
-    kernel = vt[keep].T
-    return sff.tangent_frame @ kernel
 
 
 # ---------------------------------------------------------------------------

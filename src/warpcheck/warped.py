@@ -105,13 +105,11 @@ def _product_domain(d1: DomainBox | None, d2: DomainBox | None,
     return DomainBox(lo=d1.lo + d2.lo, hi=d1.hi + d2.hi, balls=tuple(balls))
 
 
-def assemble(g1: MetricField, g2: MetricField, f,
-             validate_points: Sequence[Point] = (), name: str = "") -> WarpedMetric:
+def assemble(g1: MetricField, g2: MetricField, f, name: str = "") -> WarpedMetric:
     """Build the product-chart metric with leaf block g1 and fiber block f^2 g2.
 
     ``f`` must involve only leaf coordinates; fiber entries are re-indexed
-    into the product chart.  Any supplied validation points are checked for
-    f > 0 and positive definiteness.
+    into the product chart.
     """
     n1, n2 = g1.dim, g2.dim
     if _expr_max_var(f) >= n1:
@@ -130,10 +128,7 @@ def assemble(g1: MetricField, g2: MetricField, f,
     params = tuple(g1.params) or tuple(g2.params)
     assembled = MetricField(n, entries, domain=_product_domain(g1.domain, g2.domain, n1),
                             params=params, name=name or f"warped({g1.name},{g2.name})")
-    w = WarpedMetric(g1=g1, g2=g2, f=f, assembled=assembled, name=name)
-    if len(validate_points):
-        w.validate_at(validate_points)
-    return w
+    return WarpedMetric(g1=g1, g2=g2, f=f, assembled=assembled, name=name)
 
 
 # ---------------------------------------------------------------------------

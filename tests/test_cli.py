@@ -184,20 +184,24 @@ def test_overflowing_immersion_image_exits_2(tmp_path, capsys):
         assert "immersion image not finite at [" in capsys.readouterr().err
 
 
-def _overflowing_partials(tmp_path):
-    """e3 with a third component whose second partials overflow to inf at
-    every sample point, and the first sample point at seed 42."""
-    text = resources.files("warpcheck").joinpath("data", "e3_round_s2.cfg").read_text()
-    p = tmp_path / "e3_overflow.cfg"
-    p.write_text(text.replace('"cos(x1)"', '"cos(x1) + 1e-300*sin(1e300*x2)"'))
+def _overflowing_partials(tmp_path, config="e3_round_s2.cfg", component="cos(x1)"):
+    """A builtin config whose component, plus 1e-300*sin(1e300*x2), has second
+    partials that overflow to inf at every sample point (e3's third one by
+    default), and the first sample point at seed 42."""
+    text = resources.files("warpcheck").joinpath("data", config).read_text()
+    p = tmp_path / f"overflow_{config}"
+    p.write_text(text.replace(f'"{component}"', f'"{component} + 1e-300*sin(1e300*x2)"'))
     return str(p), sample_points(cli._resolve(str(p))[0].subject, 1, 42)[0]
 
 
 def test_non_finite_immersion_derivatives_exit_2(tmp_path, capsys):
     # the induced metric skips literal-0 ambient terms, and classify reads no
-    # induced metric, so no 0 * inf or NaN may only fail a record instead
-    p, first = _overflowing_partials(tmp_path)
-    for checks, points in (("all", "2"), ("all", "33"), ("classify", "2")):
+    # induced metric, so no 0 * inf or NaN may only fail a record instead;
+    # e3 has no structure, so the structure checks alone run on e1
+    e3 = _overflowing_partials(tmp_path)
+    e1 = _overflowing_partials(tmp_path, "e1_chen_cr.cfg", "x1*cos(x3)")
+    for (p, first), checks, points in ((e3, "all", "2"), (e3, "all", "33"),
+                                       (e3, "classify", "2"), (e1, "structure", "2")):
         assert main(["--target", p, "--points", points, "--checks", checks]) == 2
         assert f"immersion derivatives not finite at {first}" in capsys.readouterr().err
 
@@ -375,18 +379,19 @@ def test_closed_eta_classes_pass_their_form_law(tmp_path, klass, diag):
     code, doc, _ = run(RunConfig(target=_contact_cfg(tmp_path, diag, klass), points=16))
     assert code == 0, [r for r in doc["checks"] if not r["pass"]]
     names = [r["name"] for r in doc["checks"]]
-    assert f"class-{klass}" in names and "closed-eta" in names
+    assert f"class-{klass}" in names and "closed-eta" in names and "normality" in names
     assert "fundamental-form" not in names
 
 
 def test_nearly_cosymplectic_class_has_no_form_law(tmp_path):
     # flat R^5 with constant phi is cosymplectic, so nearly cosymplectic too;
-    # neither Phi = d(eta)/2 nor d(eta) = 0 holds across that class
+    # neither Phi = d(eta)/2 nor d(eta) = 0 holds across that class, nor does
+    # normality: a normal nearly cosymplectic structure is cosymplectic
     cfg = _contact_cfg(tmp_path, ["1"] * 5, "nearly_cosymplectic")
     code, doc, _ = run(RunConfig(target=cfg, points=16))
     assert code == 0, [r for r in doc["checks"] if not r["pass"]]
     names = [r["name"] for r in doc["checks"]]
-    assert "class-nearly_cosymplectic" in names and "normality" in names
+    assert "class-nearly_cosymplectic" in names and "normality" not in names
     assert "fundamental-form" not in names and "closed-eta" not in names
 
 
@@ -491,6 +496,22 @@ def test_variant_reduction_matches_the_scalar_loop(target, seed):
     _, doc, _ = run(RunConfig(target=target, checks=("inequalities",), points=1, seed=seed))
     rec = next(r for r in doc["checks"] if r["name"] == "variant-reduction")
     assert (rec["worst"], rec["points"]) == (worst, 1000)
+
+
+def test_variant_gap_is_drawn_once_per_seed(monkeypatch):
+    # the record depends on --seed alone, so a second subject reuses the draws
+    real_raw, calls = cli._pcg64_raw, Counter()
+
+    def counted(seed, n):
+        calls[seed] += 1
+        return real_raw(seed, n)
+
+    cli._variant_gap.cache_clear()
+    monkeypatch.setattr(cli, "_pcg64_raw", counted)
+    for target in ("e6", "e1"):
+        code, _, _ = run(RunConfig(target=target, checks=("inequalities",), points=1))
+        assert code == 0
+    assert calls == {42: 1}
 
 
 def _assert_scalar_draws(draws, seed):

@@ -1,5 +1,6 @@
 """Per-point checks take their point's record (SFFData, StructureTensors or
-WarpedPoint) and nothing that the record already holds."""
+WarpedPoint) and nothing that the record already holds; every function and
+class the package defines is read by it or exported."""
 
 import ast
 import inspect
@@ -72,3 +73,38 @@ def test_curvature_is_contracted_into_a_frame_only_by_the_point_records():
              if name == "frame_curvature"}
     assert sites == {("riemann", "MetricPoint.curvature_in_frame"),
                      ("subman", "SFFData.ambient_frame_curvature")}
+
+
+# helpers that tests call to cross-check the library, and nothing in it does
+TEST_FACING = {"eval_value", "Jet3.partial", "MetricField.from_strings",
+               "model_symmetry_residual", "WarpedMetric.is_trivial"}
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, name) of each function and class defined in the tree,
+    dunder methods aside, which Python calls by protocol."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield prefix + child.name, child.name
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_definition_is_read_by_the_package_or_exported():
+    # code that nothing in the package reads, and no caller is offered, is
+    # dead weight; the few helpers kept for tests are named above
+    trees = [ast.parse(path.read_text())
+             for path in Path(warpcheck.__file__).parent.glob("*.py")]
+    refs = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    unread = {qual for tree in trees for qual, name in _definitions(tree)
+              if name not in refs and qual not in warpcheck.__all__}
+    assert unread == TEST_FACING

@@ -12,7 +12,7 @@ from helpers import (box_points, chen_cr_immersion, flat_metric, sasakian_cr_imm
 from warpcheck.config import load_config_text, parse_config_text
 from warpcheck.errors import ConfigurationError
 from warpcheck.expr import parse
-from warpcheck.gallery import BUILTINS, LoadedExample, builtin_names, load_builtin, validate
+from warpcheck.gallery import BUILTINS, builtin_names, load_builtin, validate
 from warpcheck.jets import DomainBox
 from warpcheck.subman import Immersion, WarpedDecl, induced_metric
 
@@ -131,14 +131,7 @@ def test_gallery_sasakian_structure_matches_fixture():
     npt.assert_allclose(t_a.op[0], t_b.op[0])
     npt.assert_allclose(t_a.xi, t_b.xi)
     npt.assert_allclose(t_a.eta[0], t_b.eta[0])
-    assert loaded.config.expected_class["std_sasakian"] == "sasakian"
-
-
-def test_expected_entries_have_sources():
-    for spec in BUILTINS.values():
-        for key, val in spec.expected.items():
-            assert isinstance(val, tuple) and len(val) == 2, (spec.name, key)
-            assert val[1] in ("hand", "numerical", "definition")
+    assert loaded.expected_class["std_sasakian"] == "sasakian"
 
 
 def test_rank_failure_reports_only_the_rank_gate():
@@ -146,6 +139,5 @@ def test_rank_failure_reports_only_the_rank_gate():
     im = Immersion(dim=2, components=[parse("x1", 2), parse("x1", 2)],
                    ambient=flat_metric(2), warped=WarpedDecl(1, 1, parse("1", 1)),
                    domain=DomainBox((0.0, 0.0), (1.0, 1.0)), name="collapsed")
-    loaded = LoadedExample(BUILTINS["e4"], SimpleNamespace(subject=im))
-    rep = validate(loaded)
+    rep = validate(SimpleNamespace(subject=im, subject_kind="immersion"))
     assert [(r.name, r.passed) for r in rep.records] == [("gate-rank", False)]
