@@ -82,7 +82,7 @@ def _equality_diag(sff: SFFData) -> dict[str, float]:
     return {
         "leaf_form_norm": math.sqrt(float(np.sum(sff.coeffs[:, :n1, :n1] ** 2))),
         "fiber_form_norm": math.sqrt(float(np.sum(sff.coeffs[:, n1:, n1:] ** 2))),
-        "mean_norm": sff.mean_norm(),
+        "mean_norm": sff.vec_norm(sff.mean),
     }
 
 

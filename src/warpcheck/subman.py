@@ -11,6 +11,7 @@ connection, both curvature paths and the second fundamental form at once.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,8 +25,8 @@ from .errors import (ConfigurationError, ImmersionDegenerateError,
 from .jets import (DomainBox, Jet3, Point, as_point, coordinate_jets, differentiate,
                    jet_const, pack, per_block)
 from .report import CheckReport, fold, nan_max
-from .riemann import (MetricBlock, MetricField, MetricPoint, frame_curvature,
-                      gram_schmidt, gram_schmidt_step)
+from .riemann import (MetricBlock, MetricField, MetricPoint, _checked, frame_curvature,
+                      gram_schmidt, gram_schmidt_step, watch)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          StructureBlock, StructureTensors)
 from .warped import WarpedBlock, WarpedGeometry, WarpedPoint
@@ -220,46 +221,50 @@ class SFFData:
     def h_norm_sq(self) -> float:
         return float(np.sum(self.coeffs**2))
 
-    def mean_norm(self) -> float:
-        return float(math.sqrt(max(self.mean @ self.g_ambient @ self.mean, 0.0)))
-
     def vec_norm(self, v: np.ndarray) -> float:
-        return float(math.sqrt(max(v @ self.g_ambient @ v, 0.0)))
+        return float(self.norms(v))
+
+    def norms(self, v: np.ndarray) -> np.ndarray:
+        """Ambient norms of the vectors along v's last axis in one stacked
+        matmul, each with the bits of its own sqrt(max(v @ g @ v, 0))."""
+        sq = (v[..., None, :] @ self.g_ambient @ v[..., :, None])[..., 0, 0]
+        return np.sqrt(np.where(0.0 > sq, 0.0, sq))  # max(sq, 0.0), a NaN kept
 
     def umbilicity(self, mean: np.ndarray, start: int = 0) -> list[float]:
         """Norms of h(e_i, e_j) - delta_ij mean over the frame from index start on."""
-        n = self.n
-        return [self.vec_norm(self.h_frame[i, j] - (1.0 if i == j else 0.0) * mean)
-                for i in range(start, n) for j in range(start, n)]
+        h = self.h_frame[start:, start:]
+        return self.norms(h - np.eye(len(h))[..., None] * mean).ravel().tolist()
 
     def h_on(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """h evaluated on sub-chart coordinate vectors."""
         return np.einsum("i,j,ijk->k", X, Y, self.h_coord)
 
 
-def _complete_normal_frame(g_amb: np.ndarray, tangent_cols: np.ndarray,
-                           priority_seeds: np.ndarray | None,
-                           m: int) -> tuple[np.ndarray, int]:
-    """Extend an ambient-orthonormal tangent frame to a full basis.
-
-    ``priority_seeds`` (used for the image of the anti-invariant block under
-    the structure tensor) are orthonormalized first, then ambient coordinate
-    seeds in index order; dependent seeds are skipped deterministically.
-    Returns the normal columns and the count taken from priority seeds.
-    """
-    accepted = tangent_cols.copy()
-    priority = [] if priority_seeds is None else list(priority_seeds.T)
-    n_priority = 0
-    for j, seed in enumerate(priority + list(np.eye(m))):
-        if j >= len(priority) and accepted.shape[1] == m:
+def _normal_frames(g_amb: np.ndarray, tangent_amb: np.ndarray, priority: np.ndarray | None):
+    """Normal frames completing ambient-orthonormal tangent frames (B, m, n),
+    and the count of columns from ``priority`` seeds (B, m, p), which every
+    point tries first; coordinate seeds follow while a point is short of m
+    columns.  Dependent seeds are skipped; a point left short raises."""
+    b, m, n = tangent_amb.shape
+    p = 0 if priority is None else priority.shape[2]
+    cols = np.zeros((b, m, m + p))  # each point's basis, column-stacked
+    cols[:, :, :n] = tangent_amb
+    counts, n_priority = np.full(b, n), np.zeros(b, dtype=int)
+    seeds = [] if priority is None else list(np.moveaxis(priority, 2, 0))
+    for j, seed in enumerate(seeds + list(np.eye(m))):
+        active = np.full(b, j < p) | (counts < m)
+        if not active.any():
             break
-        v = gram_schmidt_step(g_amb, accepted.T, seed, NORMAL_COMPLETION_THRESHOLD)
-        if v is not None:
-            accepted = np.column_stack([accepted, v])
-            n_priority += j < len(priority)
-    if accepted.shape[1] != m:
+        v, ok = gram_schmidt_step(g_amb, np.swapaxes(cols, 1, 2), counts,
+                                  np.broadcast_to(seed, (b, m)), active,
+                                  NORMAL_COMPLETION_THRESHOLD)
+        cols[ok, :, counts[ok]] = v[ok]
+        counts += ok
+        n_priority += ok & (j < p)
+    if (counts != m).any():
         raise ImmersionDegenerateError("could not complete normal frame")
-    return np.ascontiguousarray(accepted[:, tangent_cols.shape[1]:]), n_priority
+    return (np.ascontiguousarray(cols[:, :, n:m]),
+            None if priority is None else n_priority)
 
 
 class ImmersionBlock:
@@ -305,6 +310,47 @@ class ImmersionBlock:
     def warped(self) -> WarpedBlock:
         return WarpedBlock(warped_geometry(self.im), self.points, self.induced)
 
+    @cached_property
+    def frames(self) -> tuple | None:
+        """Every point's J^T g J, tangent frame, J @ frame, normal frame and
+        normal columns from priority seeds (or None), stacked, with the bits
+        each point has alone; the first point they fail at raises.  None on a
+        floating-point event (:func:`riemann.watch`)."""
+        watched, events = watch()
+        frames = self._frames(slice(None), watched)
+        return None if events else frames
+
+    def frames_at(self, index: int) -> list:
+        """Point ``index``'s slice of :attr:`frames`."""
+        frames, k = self.frames, index
+        if frames is None:
+            frames, k = self._frames(slice(index, index + 1)), 0
+        return [None if a is None else a[k] for a in frames]
+
+    def _frames(self, points: slice, watched=contextlib.nullcontext) -> tuple:
+        im, x = self.im, self.points[points]
+        jac = np.ascontiguousarray(self.components[1][points])
+        g_amb = self.ambient.derivs[0][points]
+        with watched():
+            g_ind = np.swapaxes(jac, 1, 2) @ g_amb @ jac
+            eigs = np.linalg.eigvalsh(g_ind)[:, 0]
+            low = eigs <= RANK_THRESHOLD**2
+            if low.any():
+                k = int(np.argmax(low))
+                raise ImmersionDegenerateError(
+                    f"immersion differential near rank-deficient at {x[k]} "
+                    f"(smallest singular value {math.sqrt(max(eigs[k], 0.0)):.3e})")
+            tangent = gram_schmidt(_checked(g_ind, x), np.eye(im.dim))
+            tangent_amb = jac @ tangent
+        phi = None
+        if isinstance(im.structure, AlmostContactStructure) and im.warped is not None:
+            phi = np.ascontiguousarray(self.tensors.op[0][points])
+        with watched():
+            # the image of the fiber (anti-invariant) frame under phi comes
+            # first, so the invariant complement of the normal bundle sits after it
+            priority = None if phi is None else phi @ tangent_amb[:, :, im.warped.n1:]
+            return (g_ind, tangent, tangent_amb) + _normal_frames(g_amb, tangent_amb, priority)
+
 
 def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | None = None,
                             index: int = 0) -> SFFData:
@@ -315,23 +361,15 @@ def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | Non
     it reads (a block of one point when none is given)."""
     x = as_point(x)
     block = block if block is not None else ImmersionBlock(im, x[None])
-    n, m = im.dim, im.ambient_dim
+    n = im.dim
     y, jac, d2phi = (a[index].copy() for a in block.components)  # (m,), (m, n), (m, n, n)
 
     amb = block.ambient[index]
     gam = amb.gamma                # verifies the ambient metric is positive definite
     g_amb = amb.value
-    g_ind = jac.T @ g_amb @ jac
-    eigs = np.linalg.eigvalsh(g_ind)
-    if eigs[0] <= RANK_THRESHOLD**2:
-        raise ImmersionDegenerateError(
-            f"immersion differential near rank-deficient at {x} "
-            f"(smallest singular value {math.sqrt(max(eigs[0], 0.0)):.3e})")
-
+    g_ind, tangent_frame, tangent_amb, normal_frame, n_priority = block.frames_at(index)
     induced = block.induced[index]
-    induced.value = g_ind
-    tangent_frame = induced.frame
-    tangent_amb = jac @ tangent_frame                # (m, n), ambient-orthonormal
+    induced.value, induced.frame = g_ind, tangent_frame
 
     # full ambient derivative of the coordinate frame: D[i,j,:] in ambient coords
     d_full = np.einsum("kij->ijk", d2phi) + np.einsum(
@@ -344,12 +382,6 @@ def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | Non
     s = im.structure
     tensors = None if s is None else StructureTensors(
         s, y, amb if s.metric is im.ambient else None, block.tensors, index)
-    priority = None
-    if isinstance(s, AlmostContactStructure) and im.warped is not None:
-        # image of the fiber (anti-invariant) frame under phi comes first, so
-        # the invariant complement of the normal bundle sits after it
-        priority = tensors.op[0] @ tangent_amb[:, im.warped.n1:]
-    normal_frame, n_priority = _complete_normal_frame(g_amb, tangent_amb, priority, m)
 
     coeffs = np.einsum("ijk,km,mr->rij", h_frame, g_amb, normal_frame)
     mean = np.einsum("iik->k", h_frame) / n
@@ -367,7 +399,7 @@ def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | Non
         normal_frame=normal_frame, h_coord=h_coord, h_frame=h_frame,
         coeffs=coeffs, mean=mean, im=im, d_full=d_full, ambient=amb,
         induced=induced, n1=n1, mean_leaf=mean_leaf, mean_fiber=mean_fiber,
-        nu_start=n_priority if priority is not None else None, tensors=tensors,
+        nu_start=None if n_priority is None else int(n_priority), tensors=tensors,
         warped=None if decl is None else WarpedPoint(block.warped.geom, x, induced,
                                                      block.warped, index),
     )
@@ -441,7 +473,7 @@ def scalar_identity_residual(sff: SFFData) -> float:
     n = sff.n
     tau_amb = sum(r_amb[i, j, j, i] for i in range(n) for j in range(i + 1, n))
     lhs = 2.0 * tau
-    rhs = 2.0 * tau_amb + n**2 * sff.mean_norm() ** 2 - sff.h_norm_sq()
+    rhs = 2.0 * tau_amb + n**2 * sff.vec_norm(sff.mean) ** 2 - sff.h_norm_sq()
     return float(abs(lhs - rhs))
 
 
@@ -486,17 +518,18 @@ def classification_residuals(sff: SFFData) -> dict:
     """Defining residuals of the predicates at one point; the block-split
     ones only under a warped declaration."""
     n, n1 = sff.n, sff.n1
-    h_norms = np.array([[sff.vec_norm(sff.h_frame[i, j])
-                         for j in range(n)] for i in range(n)])
+    h_norms = sff.norms(sff.h_frame)
+    means = [sff.mean] if n1 is None else [sff.mean, sff.mean_leaf, sff.mean_fiber]
+    mean_norms = sff.norms(np.stack(means)).tolist()
     out = {"geodesic": float(h_norms.max()),
            "umbilical": sff.umbilicity(sff.mean),
-           "minimal": sff.mean_norm()}
+           "minimal": mean_norms[0]}
     if n1 is not None:
         out.update(
             mixed_geodesic=float(h_norms[:n1, n1:].max()) if n1 < n else 0.0,
             d1_geodesic=float(h_norms[:n1, :n1].max()),
-            d1_minimal=sff.vec_norm(sff.mean_leaf),
-            d2_minimal=sff.vec_norm(sff.mean_fiber),
+            d1_minimal=mean_norms[1],
+            d2_minimal=mean_norms[2],
             d2_umbilical=sff.umbilicity(sff.mean_fiber, n1))
     return out
 
@@ -552,8 +585,7 @@ def tangency_coefficients(sff: SFFData, v_amb: np.ndarray) -> tuple[np.ndarray, 
     metric norm of the non-tangential remainder."""
     b = sff.jacobian.T @ sff.g_ambient @ v_amb
     c = np.linalg.solve(sff.g_induced, b)
-    resid = v_amb - sff.jacobian @ c
-    return c, float(math.sqrt(max(resid @ sff.g_ambient @ resid, 0.0)))
+    return c, sff.vec_norm(v_amb - sff.jacobian @ c)
 
 
 def contact_cr_residuals(sff: SFFData) -> dict:
@@ -574,14 +606,15 @@ def contact_cr_residuals(sff: SFFData) -> dict:
     seeds = np.zeros((n, n1 + 1))
     seeds[:, 0] = xi_sub
     seeds[:n1, 1:] = np.eye(n1)
-    cols: list[np.ndarray] = []
+    rows, count = np.zeros((1, n1, n)), np.zeros(1, dtype=int)
     for seed in seeds.T:
-        v = gram_schmidt_step(sff.g_induced, cols, seed, 1e-8)
-        if v is not None and len(cols) < n1:
-            cols.append(v)
-    if len(cols) != n1:
+        v, ok = gram_schmidt_step(sff.g_induced[None], rows, count, seed[None], count < n1, 1e-8)
+        if ok[0]:
+            rows[0, count[0]] = v[0]
+            count += 1
+    if count[0] != n1:
         raise ConfigurationError("could not build the leaf frame")
-    leaf_cols = np.column_stack(cols)
+    leaf_cols = np.ascontiguousarray(rows[0].T)
     xi_hat, dt_cols = leaf_cols[:, 0], leaf_cols[:, 1:]
 
     fiber_cols = np.zeros((n, decl.n2))

@@ -216,6 +216,73 @@ def test_overflow_prints_only_the_error_line(tmp_path):
     assert proc.stderr == f"configuration error: immersion derivatives not finite at {first}\n"
 
 
+def _surface_cfg(tmp_path, components, g33="1"):
+    """A surface in R^3 with metric diag(1, 1, g33), over [0.1, 1]^2."""
+    p = tmp_path / "surface.cfg"
+    p.write_text('[metric m]\ndim = 3\nrow_1 = "1", "0", "0"\nrow_2 = "0", "1", "0"\n'
+                 f'row_3 = "0", "0", "{g33}"\n\n[immersion s]\ndim = 2\nambient = m\n'
+                 f'components = {components}\ndomain_lo = 0.1, 0.1\n'
+                 'domain_hi = 1.0, 1.0\n\n[subject]\nkind = immersion\ntarget = s\n')
+    return str(p)
+
+
+@pytest.mark.parametrize("checks", ["classify", "all"])
+def test_a_rank_deficient_point_inside_a_run_exits_2_naming_it(tmp_path, capsys, checks):
+    # the second partial vanishes where x1 is sample point 17's, inside the
+    # first block of a 33-point run; the message names that point
+    a = sample_points(cli._resolve(_surface_cfg(tmp_path, '"x1", "x2", "0"'))[0].subject,
+                      33, 42)[17][0]
+    assert a == 0.3109375
+    p = _surface_cfg(tmp_path, f'"x1", "x2*(x1 - {a})", "x2*(x1 - {a})^2"')
+    assert main(["--target", p, "--points", "33", "--checks", checks]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: immersion differential near rank-deficient at "
+        "[0.3109375  0.32222222] (smallest singular value 0.000e+00)\n")
+
+
+def test_an_incomplete_normal_frame_exits_2(tmp_path, capsys):
+    # the only normal direction has norm 1e-10, below the completion threshold
+    p = _surface_cfg(tmp_path, '"x1", "x2", "0"', g33="1e-20")
+    assert main(["--target", p, "--points", "33", "--checks", "classify"]) == 2
+    assert capsys.readouterr().err == "configuration error: could not complete normal frame\n"
+
+
+def test_a_dependent_tangent_seed_exits_2(tmp_path, capsys):
+    # a warping function of 1e-16 leaves the fiber seed a norm below the pivot
+    text = resources.files("warpcheck").joinpath("data", "s2_warped.cfg").read_text()
+    p = tmp_path / "thin.cfg"
+    p.write_text(text.replace('f = "sin(x1)"', 'f = "1e-16*sin(x1)"'))
+    assert main(["--target", str(p), "--points", "33"]) == 2
+    assert capsys.readouterr().err == "configuration error: seed 1 is dependent on earlier seeds\n"
+
+
+def test_frames_run_one_step_per_block_and_seed(monkeypatch):
+    # each block's tangent and normal frames are built together: a step per
+    # seed over the whole block, never one per point
+    stacks = []
+    step = riemann.gram_schmidt_step
+
+    def counted(g, *rest):
+        stacks.append(len(g))
+        return step(g, *rest)
+
+    monkeypatch.setattr(riemann, "gram_schmidt_step", counted)
+    monkeypatch.setattr(subman, "gram_schmidt_step", counted)
+    code, _, _ = run(RunConfig(target="e6", checks=("classify",), points=70))
+    assert code == 0
+    # n = 3 tangent seeds, then coordinate seeds until each point has m = 6 columns
+    per_block = len(stacks) // 3
+    assert stacks == [32] * per_block + [32] * per_block + [6] * per_block
+    assert 3 + 3 <= per_block <= 3 + 6
+
+
+def test_classification_residuals_take_four_norm_calls_a_point(monkeypatch):
+    calls, norms = [], subman.SFFData.norms
+    monkeypatch.setattr(subman.SFFData, "norms", lambda self, v: calls.append(1) or norms(self, v))
+    code, _, _ = run(RunConfig(target="e6", checks=("classify",), points=70))
+    assert code == 0 and len(calls) <= 4 * 70, len(calls)
+
+
 def test_immersion_components_evaluated_once_per_block(monkeypatch):
     im = load_builtin("e6").subject
     counts = Counter()

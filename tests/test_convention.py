@@ -75,6 +75,18 @@ def test_curvature_is_contracted_into_a_frame_only_by_the_point_records():
                      ("subman", "SFFData.ambient_frame_curvature")}
 
 
+def test_frames_are_built_only_by_the_stacked_step():
+    # one Gram-Schmidt path: the step over a stack of points, which the
+    # frames of a block, the wrapper and the leaf frame of the contact
+    # suite (a stack of one) call
+    sites = {(path.stem, scope)
+             for path in Path(warpcheck.__file__).parent.glob("*.py")
+             for scope, name in _calls(ast.parse(path.read_text()))
+             if name == "gram_schmidt_step"}
+    assert sites == {("riemann", "gram_schmidt"), ("subman", "_normal_frames"),
+                     ("subman", "contact_cr_residuals")}
+
+
 # helpers that tests call to cross-check the library, and nothing in it does
 TEST_FACING = {"eval_value", "Jet3.partial", "MetricField.from_strings",
                "model_symmetry_residual", "WarpedMetric.is_trivial"}

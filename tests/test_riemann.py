@@ -11,9 +11,10 @@ from warpcheck.errors import (DegenerateMetricError, DegeneratePlaneError,
 from warpcheck.expr import parse
 from warpcheck.jets import fd_partial
 from warpcheck.gallery import load_builtin
+from warpcheck import subman
 from warpcheck.riemann import (MetricField, MetricPoint, SlicedMetric, christoffel,
                                curvature, frame_curvature, gradient, gram_schmidt,
-                               laplacian, scalar_curvature, sectional)
+                               gram_schmidt_step, laplacian, scalar_curvature, sectional)
 
 # ---------------------------------------------------------------------------
 # Fixture metrics
@@ -366,6 +367,178 @@ def test_dependent_seeds_rejected():
     seeds = np.array([[1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(DependentSeedsError):
         gram_schmidt(np.eye(2), seeds)
+
+
+def test_a_stack_raises_for_a_dependent_seed_at_any_point():
+    # the message is the one the failing point raises on its own
+    seeds = np.stack([np.eye(2), [[1.0, 2.0], [1.0, 2.0]]])
+    with pytest.raises(DependentSeedsError, match="^seed 1 is dependent on earlier seeds$"):
+        gram_schmidt(np.stack([np.eye(2), np.eye(2)]), seeds)
+
+
+# ---------------------------------------------------------------------------
+# Stacked Gram-Schmidt: each point keeps the bits of its own 1-D products
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_bits(got, ref):
+    """Raw bits of the non-NaN entries, NaN positions and sign bits agree."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    nan = np.isnan(ref)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+    assert (np.signbit(got) == np.signbit(ref)).all()
+
+
+def _stack_layouts(a):
+    """a itself, a strided view of a wider copy, and a reversed view."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    wide[..., ::2] = a
+    return [a, wide[..., ::2], np.ascontiguousarray(a[..., ::-1])[..., ::-1]]
+
+
+def test_stacked_matmul_has_the_bits_of_each_slices_products():
+    # the premise of the stacked step and of SFFData.norms: a stacked matmul
+    # runs, on each slice, the kernel of the 1-D products u @ g and
+    # (u @ g) @ v with the same strides; v nearly orthogonal to u makes the
+    # result a cancellation, where any other order or a fused multiply-add
+    # shows in the last bits
+    rng = np.random.default_rng(1411)
+    with np.errstate(all="ignore"):
+        for n in range(1, 10):
+            for kind in range(4):
+                b = int(rng.integers(1, 33))
+                g = rng.standard_normal((b, n, n))
+                u = rng.standard_normal((b, n))
+                w = rng.standard_normal((b, n))
+                v = w - (np.sum(u * w, 1) / np.sum(u * u, 1))[:, None] * u
+                if kind == 1:
+                    u = np.where(rng.random(u.shape) < 0.3, np.copysign(0.0, -u), u)
+                    v = np.where(rng.random(v.shape) < 0.3, -0.0, v)
+                elif kind == 2:
+                    g = g * 10.0 ** rng.choice([300, -300, 0])
+                    u = u * 10.0 ** rng.choice([300, -300])
+                elif kind == 3:
+                    g.flat[rng.integers(0, g.size, 2)] = rng.choice([np.inf, -np.inf, np.nan], 2)
+                    v[rng.integers(0, b), rng.integers(0, n)] = rng.choice([np.inf, np.nan])
+                for uu, vv in zip(_stack_layouts(u), _stack_layouts(v)[::-1]):
+                    for gg in (g, np.swapaxes(g, 1, 2)):
+                        ug = uu[:, None] @ gg
+                        ugv = (ug @ vv[:, :, None])[:, 0, 0]
+                        for k in range(b):
+                            _assert_same_bits(ug[k, 0], uu[k] @ gg[k])
+                            _assert_same_bits(ugv[k], uu[k] @ gg[k] @ vv[k])
+
+
+def test_a_strided_row_reads_alike_at_any_stride():
+    # a point's column-stacked basis holds its rows at a stride that grows
+    # with its columns; a stack reads them at one stride for every point
+    rng = np.random.default_rng(29)
+    for n in range(1, 10):
+        b = int(rng.integers(1, 33))
+        g = rng.standard_normal((b, n, n))
+        v = rng.standard_normal((b, n))
+        cols = rng.standard_normal((b, n, 12))
+        ref = np.swapaxes(cols[:, :, :2].copy(), 1, 2)[:, 0]
+        for k in range(3, 13):
+            u = np.swapaxes(cols[:, :, :k].copy(), 1, 2)[:, 0]
+            _assert_same_bits(u[:, None] @ g, ref[:, None] @ g)
+            _assert_same_bits(u[:, None] @ g @ v[:, :, None], ref[:, None] @ g @ v[:, :, None])
+
+
+def _scalar_step(g, basis, seed, threshold):
+    """A point-by-point step, the oracle of the stacked one."""
+    v = seed.astype(float).copy()
+    for _ in range(2):
+        for u in basis:
+            v -= (u @ g @ v) * u
+    nrm = math.sqrt(max(v @ g @ v, 0.0))
+    return None if nrm < threshold else v / nrm
+
+
+def _scalar_completion(g, tangent, priority, m, threshold):
+    """A point-by-point normal completion, the oracle of the stacked one:
+    the oracle step against a column-stacked basis, the priority seeds
+    always, then coordinate seeds while short of m columns.  Returns the
+    normal columns and how many came from priority seeds."""
+    accepted, n_priority = tangent.copy(), 0
+    for j, seed in enumerate(list(priority.T) + list(np.eye(m))):
+        if j >= priority.shape[1] and accepted.shape[1] == m:
+            break
+        v = _scalar_step(g, accepted.T, seed, threshold)
+        if v is not None:
+            accepted = np.column_stack([accepted, v])
+            n_priority += j < priority.shape[1]
+    return accepted[:, tangent.shape[1]:], n_priority
+
+
+def test_stacked_completion_has_the_bits_of_the_scalar_steps():
+    # ragged acceptance: each point's tangent frame is spanned by a random
+    # choice of coordinate axes or by random vectors, and priority seeds
+    # may repeat a tangent vector, so points skip different dependent seeds
+    # and hold bases of different lengths at each step
+    rng = np.random.default_rng(77)
+    for m in range(2, 8):
+        for n in range(1, m):
+            b, p = int(rng.integers(1, 33)), int(rng.integers(0, 3))
+            a = rng.standard_normal((b, m, m))
+            g = a @ np.swapaxes(a, 1, 2) + m * np.eye(m)
+            tangent = np.empty((b, m, n))
+            priority = rng.standard_normal((b, m, p))
+            for k in range(b):
+                seeds = (np.eye(m)[:, rng.permutation(m)[:n]] if rng.random() < 0.5
+                         else rng.standard_normal((m, n)))
+                tangent[k] = gram_schmidt(g[k], seeds)
+                for j in range(p):
+                    if rng.random() < 0.4:
+                        priority[k, :, j] = 3.0 * tangent[k, :, rng.integers(0, n)]
+            normal, n_priority = subman._normal_frames(g, tangent, priority if p else None)
+            assert (n_priority is None) == (p == 0)
+            for k in range(b):
+                ref, ref_priority = _scalar_completion(g[k], tangent[k], priority[k], m,
+                                                       subman.NORMAL_COMPLETION_THRESHOLD)
+                _assert_same_bits(normal[k], ref)
+                assert normal[k].flags.c_contiguous
+                assert p == 0 or n_priority[k] == ref_priority
+
+
+def test_stacked_frames_have_the_bits_of_the_scalar_steps():
+    # gram_schmidt over a stack against the oracle step point by point, the
+    # seeds given once for all points or per point
+    rng = np.random.default_rng(5)
+    for n in range(1, 8):
+        b = int(rng.integers(1, 33))
+        a = rng.standard_normal((b, n, n))
+        g = a @ np.swapaxes(a, 1, 2) + n * np.eye(n)
+        for seeds in (np.eye(n), rng.standard_normal((b, n, n))):
+            cols = gram_schmidt(g, seeds)
+            for k in range(b):
+                ref = np.zeros((n, 0))
+                for seed in np.broadcast_to(seeds, (b, n, n))[k].T:
+                    ref = np.column_stack([ref, _scalar_step(g[k], ref.T, seed, 1e-12)])
+                _assert_same_bits(cols[k], ref)
+                _assert_same_bits(gram_schmidt(g[k], np.broadcast_to(seeds, (b, n, n))[k]), ref)
+
+
+def test_stacked_step_accepts_a_nan_norm_and_leaves_inactive_points():
+    g = np.stack([np.eye(2), np.full((2, 2), np.nan), np.eye(2)])
+    basis = np.zeros((3, 2, 2))
+    basis[:, 0] = [1.0, 0.0]
+    seeds = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        v, ok = gram_schmidt_step(g, basis, np.array([1, 1, 1]), seeds,
+                                  np.array([True, True, True]), 1e-8)
+        assert _scalar_step(g[1], basis[1, :1], seeds[1], 1e-8) is not None
+    # a NaN norm is not below the threshold, as it was not point by point;
+    # a seed inside the basis is; an inactive point keeps its seed
+    assert ok.tolist() == [True, True, False]
+    _assert_same_bits(v[0], _scalar_step(g[0], basis[0, :1], seeds[0], 1e-8))
+    assert np.isnan(v[1]).all()
+    v, ok = gram_schmidt_step(g[::2], basis[::2], np.array([1, 0]), seeds[::2],
+                              np.array([False, True]), 1e-8)
+    assert ok.tolist() == [False, True]
+    _assert_same_bits(v[0], seeds[0])
+    _assert_same_bits(v[1], seeds[2])
 
 
 # ---------------------------------------------------------------------------

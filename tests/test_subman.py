@@ -2,6 +2,7 @@
 equations, classification and the contact CR residual suite."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -122,6 +123,48 @@ def test_rank_deficiency_detected():
         second_fundamental_form(im, np.array([0.1, 0.2]))
 
 
+def _overflowing_surface():
+    """(u, v) -> (u, uv, 1e200 (uv)^3) in flat R^3: rank-deficient at the origin,
+    and at (1, 1) finite partials whose induced metric overflows."""
+    return Immersion(dim=2, components=[parse(c, 2) for c in ("x1", "x1*x2", "1e200*(x1*x2)^3")],
+                     ambient=flat_metric(3), name="overflowing")
+
+
+def test_no_warning_comes_from_a_point_the_walk_never_reaches():
+    # the block's frames meet the overflow at (1, 1), but the walk stops at
+    # the origin; tier-1 turns any warning into an error
+    im = _overflowing_surface()
+    with pytest.raises(ImmersionDegenerateError,
+                       match=r"rank-deficient at \[0\. 0\.\] \(smallest singular value 0"):
+        fold_sff(im, np.array([[0.0, 0.0], [1.0, 1.0]]), classification_residuals)
+
+
+@pytest.mark.parametrize("points", [[[1.0, 1.0]], [[0.5, 0.0], [1.0, 1.0]]])
+def test_a_point_the_walk_reaches_warns_as_it_does_alone(points):
+    # the warnings of the point-by-point frames, in order
+    im = _overflowing_surface()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        worst = fold_sff(im, np.array(points), classification_residuals)
+    assert [str(w.message) for w in seen] == ["overflow encountered in matmul",
+                                              "invalid value encountered in matmul"]
+    assert math.isnan(worst["minimal"])
+
+
+@pytest.mark.parametrize("name", ["e1", "e3", "e5", "e6", "e7"])
+def test_block_frames_have_each_points_own_bits(name):
+    # J^T g J, the tangent frame and its image, the normal frame and the
+    # priority count of each point, against a block of that point alone
+    im = load_builtin(name).subject
+    points = np.array(sample_points(im, 32, 5))
+    block = ImmersionBlock(im, points)
+    for k in range(len(points)):
+        alone = ImmersionBlock(im, points[k:k + 1]).frames_at(0)
+        for a, b in zip(block.frames_at(k), alone, strict=True):
+            assert (a is None) == (b is None)
+            assert a is None or (a.tobytes() == b.tobytes() and a.strides == b.strides), k
+
+
 # ---------------------------------------------------------------------------
 # Second fundamental form
 # ---------------------------------------------------------------------------
@@ -134,14 +177,14 @@ def test_affine_plane_is_totally_geodesic():
                    ambient=flat_metric(3), name="plane")
     sff = second_fundamental_form(im, np.array([0.4, -0.6]))
     assert sff.h_norm_sq() < 1e-28
-    assert sff.mean_norm() < 1e-14
+    assert sff.vec_norm(sff.mean) < 1e-14
 
 
 def test_sphere_mean_curvature_is_unit():
     im = sphere_immersion()
     for x in box_points(im.domain, 4, seed=1):
         sff = second_fundamental_form(im, x)
-        npt.assert_allclose(sff.mean_norm(), 1.0, atol=1e-11)
+        npt.assert_allclose(sff.vec_norm(sff.mean), 1.0, atol=1e-11)
         npt.assert_allclose(sff.h_norm_sq(), 2.0, atol=1e-10)
 
 
@@ -274,7 +317,7 @@ def test_sphere_scalar_identity_values():
     tau = scalar_curvature(induced_metric(im), x)
     sff = second_fundamental_form(im, x)
     npt.assert_allclose(tau, 1.0, atol=1e-10)
-    npt.assert_allclose(sff.mean_norm(), 1.0, atol=1e-11)
+    npt.assert_allclose(sff.vec_norm(sff.mean), 1.0, atol=1e-11)
     npt.assert_allclose(sff.h_norm_sq(), 2.0, atol=1e-10)
 
 
@@ -287,7 +330,7 @@ def test_unit_s3_hypersurface_values():
                    ambient=flat_metric(4), name="round-s3")
     x = np.array([1.1, 0.8, 0.4])
     sff = second_fundamental_form(im, x)
-    npt.assert_allclose(sff.mean_norm(), 1.0, atol=1e-10)
+    npt.assert_allclose(sff.vec_norm(sff.mean), 1.0, atol=1e-10)
     npt.assert_allclose(sff.h_norm_sq(), 3.0, atol=1e-9)
     npt.assert_allclose(scalar_curvature(induced_metric(im), x), 3.0, atol=1e-9)
     assert scalar_identity_residual(sff) < 1e-9
@@ -305,7 +348,7 @@ def test_full_dimensional_immersion_has_empty_normal_bundle():
     assert sff.normal_frame.shape == (2, 0)
     assert sff.coeffs.shape == (0, 2, 2)
     assert sff.h_norm_sq() == 0.0          # no normal directions to sum over
-    assert sff.mean_norm() < 1e-12         # projection residue only
+    assert sff.vec_norm(sff.mean) < 1e-12         # projection residue only
     flags = classify(fold_sff(im, [x], classification_residuals))
     assert flags.totally_geodesic and flags.minimal
 
