@@ -3,16 +3,17 @@
 Everything here is a pure function of (metric source, point).  A metric
 source is any object exposing ``dim`` and ``derivs(x) -> (g, dg, d2g)``
 where ``dg[k,i,j]`` and ``d2g[k,l,i,j]`` are first and second coordinate
-partials of the matrix entries (frames also read ``value(x)``); x may be a
+partials of the matrix entries (induced frames read ``value(x)``); x may be a
 block of points (B, dim), and then every array gains a leading block axis.
 :class:`MetricField` evaluates expression entries as jets, and induced
 metrics provide the same surface.
 
 The block is the unit of geometry.  A :class:`MetricBlock` holds a source
 at a block of points and computes each field (the derivatives, the inverse
-metric with its positive-definiteness check, the connection, the curvature)
-once for the whole block, on first use, as batch-leading arrays.  A
-:class:`MetricPoint` is one point of a block (a lone point is a block of
+metric with its positive-definiteness check, the connection, the curvature,
+the frames) once for the whole block, on first use, as batch-leading arrays;
+the block of a coordinate sub-chart has no source, only sliced derivatives.
+A :class:`MetricPoint` is one point of a block (a lone point is a block of
 one) and returns views of the block's fields, with no formulas of its own.
 A block gives each point exactly the bits a block of one gives it, under two
 rules:
@@ -59,6 +60,7 @@ Index conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from typing import Sequence
@@ -136,65 +138,27 @@ class MetricField:
             asym = np.max(np.abs(g - gt), axis=(-2, -1)) > 1e-10
             k = int(np.argmax(asym)) if asym.any() else len(block)
             # the points before the first asymmetric one must be positive definite
-            _checked(np.where(upper, g, gt)[:k], block[:k])
+            _checked(np.where(upper, g, gt)[:k], block[:k], finite=True)
             if k < len(block):
                 raise DegenerateMetricError(f"metric not symmetric at {block[k]}")
             return ()
         list(per_block(points, check))
 
 
-@dataclass
-class SlicedMetric:
-    """Coordinate-block restriction of a metric source.
-
-    Evaluates the base metric at a full chart point whose off-block
-    coordinates are frozen, then keeps only in-block entries and in-block
-    derivative directions.  This is how leaf-factor operators (gradient,
-    Laplacian of the warping function) are computed on induced metrics.
-    """
-
-    base: object
-    axes: tuple[int, ...]
-    anchor: np.ndarray  # full chart point supplying the frozen coordinates
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    def _full(self, x_sub: Point) -> np.ndarray:
-        x_sub = as_point(x_sub, block=True)
-        full = np.empty(x_sub.shape[:-1] + np.shape(self.anchor))
-        full[...] = self.anchor
-        full[..., list(self.axes)] = x_sub
-        return full
-
-    def derivs(self, x_sub: Point):
-        return _block(self.base.derivs(self._full(x_sub)), self.axes)
-
-    def value(self, x_sub: Point) -> np.ndarray:
-        ix = list(self.axes)
-        return self.base.value(self._full(x_sub))[(...,) + np.ix_(ix, ix)]
-
-
-def _block(derivs, axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """In-block entries and directions, C-ordered like a single point's arrays
-    (indexing a block puts its block axis last in memory)."""
-    ix = list(axes)
-    g, dg, d2g = derivs
-    return tuple(np.ascontiguousarray(a) for a in (
-        g[(...,) + np.ix_(ix, ix)], dg[(...,) + np.ix_(ix, ix, ix)],
-        d2g[(...,) + np.ix_(ix, ix, ix, ix)]))
-
-
-def _checked(g: np.ndarray, x) -> np.ndarray:
+def _checked(g: np.ndarray, x, finite: bool = False) -> np.ndarray:
     """g itself, after verifying it is positive definite (all leading minors
-    > 0) at one point x or at each point of a block; the first point where it
-    is not raises."""
+    > 0) and, with ``finite``, finite (a Cholesky factorization lets inf and
+    NaN through), at one point x or at each of a block; the first failing point raises."""
     try:
         np.linalg.cholesky(g)
+        bad = finite and not np.isfinite(g).all()
     except np.linalg.LinAlgError:
+        bad = True
+    if bad:
         n = g.shape[-1]
         for gk, xk in zip(g.reshape(-1, n, n), np.reshape(x, (-1, np.shape(x)[-1]))):
+            if finite and not np.isfinite(gk).all():
+                raise DegenerateMetricError(f"metric not finite at {np.asarray(xk)}")
             try:
                 np.linalg.cholesky(gk)
             except np.linalg.LinAlgError:
@@ -214,15 +178,20 @@ class MetricBlock:
     ``derivs`` and every field derived from it (``ginv``, ``lowered``,
     ``gamma``, ``curvature``) are computed on first use for the whole block
     at once, as batch-leading arrays (B, ...), and read per point by the
-    block's :class:`MetricPoint` records as views.  ``derivs``: a function
-    returning the block's (g, dg, d2g) when the caller already holds what
-    they are made from (the source's ``derivs`` at the points by default).
+    block's :class:`MetricPoint` records as views; so are the frames, built
+    by :func:`stacked`.  ``derivs``: a function returning the block's (g, dg,
+    d2g) when the caller already holds what they are made from (the source's
+    ``derivs`` at the points by default).  ``metric`` is None for the block
+    of a coordinate sub-chart (:meth:`block`), which holds only derivatives.
     """
 
     def __init__(self, metric, points: np.ndarray, derivs=None):
         self.metric = metric
         self.points = points
         self._derivs = derivs or (lambda: metric.derivs(points))
+        # frames are built from derivs[0], except for an induced metric,
+        # whose own J^T g J rounds differently from its jets
+        self._own_value = not (metric is None or isinstance(metric, MetricField))
 
     @cached_property
     def derivs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,8 +199,10 @@ class MetricBlock:
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        """Inverse metrics, after checking that each is positive definite."""
-        return np.linalg.inv(_checked(self.derivs[0], self.points))
+        """Inverse metrics, after checking that each is positive definite
+        (and, for a chart metric, finite)."""
+        return np.linalg.inv(_checked(self.derivs[0], self.points,
+                                      finite=isinstance(self.metric, MetricField)))
 
     @cached_property
     def lowered(self) -> np.ndarray:
@@ -263,21 +234,32 @@ class MetricBlock:
                 - np.einsum("...ljm,...mik->...lkij", gamma, gamma))
         return np.einsum("...lm,...mkij->...ijkl", g, r_up)
 
-    @cached_property
-    def frames(self) -> np.ndarray | None:
-        """Every point's Gram-Schmidt frame over the coordinate directions, or
-        None on a floating-point event (:func:`watch`)."""
-        self.ginv  # checks that the block's metrics are positive definite
-        watched, events = watch()
+    def value_at(self, index: int) -> np.ndarray:
+        """Point ``index``'s matrix that its frame is orthonormal for."""
+        return self.frame_at(index)[0] if self._own_value else self.derivs[0][index]
+
+    def frame_at(self, index: int) -> list:
+        """Point ``index``'s value and Gram-Schmidt frame over the coordinate
+        directions, built for the whole block by :func:`stacked`."""
+        return stacked(self.__dict__, "frames", self._frames, index)
+
+    def _frames(self, points: slice, watched) -> tuple[np.ndarray, np.ndarray]:
+        x = self.points[points]
+        if not self._own_value:
+            self.ginv  # the derivatives, evaluated and checked outside the watch
         with watched():
-            frames = gram_schmidt(self.derivs[0], np.eye(self.metric.dim))
-        return None if events else frames
+            g = _checked(self.metric.value(x), x) if self._own_value else self.derivs[0][points]
+            return g, gram_schmidt(g, np.eye(g.shape[-1]))
 
     def block(self, axes) -> "MetricBlock":
-        """The block of a coordinate sub-chart, sliced from this block's derivatives."""
-        axes = tuple(axes)
-        return MetricBlock(SlicedMetric(self.metric, axes, self.points),
-                           self.points[:, list(axes)], lambda: _block(self.derivs, axes))
+        """The block of a coordinate sub-chart: no source, and the in-block
+        entries and directions of this block's derivatives, C-ordered like a
+        single point's arrays (indexing a block puts its block axis last in
+        memory)."""
+        ix = list(axes)  # each of g, dg and d2g is sliced along every chart axis
+        return MetricBlock(None, self.points[:, ix], lambda: tuple(
+            np.ascontiguousarray(a[(...,) + np.ix_(*[ix] * (a.ndim - 1))])
+            for a in self.derivs))
 
     def __getitem__(self, b: int) -> "MetricPoint":
         return MetricPoint(self.metric, self.points[b], self, b)
@@ -290,17 +272,15 @@ class MetricPoint:
     """A metric source at one chart point: views of its block's fields at
     this point (a block of one point when none is given).
 
-    ``value`` is the matrix frames are built from: ``derivs[0]``, except for
-    an induced metric, whose J^T g J rounds differently from its jets.
-    Callers holding either may set it, before ``frame`` and the fields built
-    on it are first read.
+    ``value`` is the matrix ``frame`` is orthonormal for: ``derivs[0]``,
+    except for an induced metric, whose J^T g J rounds differently from its
+    jets.  Callers holding both may set them, before the fields built on
+    ``frame`` are first read.
     """
 
     def __init__(self, metric, x: Point, block: MetricBlock | None = None,
                  index: int = 0):
-        self.metric = metric
-        self.x = as_point(x)
-        self._block = block if block is not None else MetricBlock(metric, self.x[None])
+        self._block = block if block is not None else MetricBlock(metric, as_point(x)[None])
         self._index = index
 
     @cached_property
@@ -309,9 +289,7 @@ class MetricPoint:
 
     @cached_property
     def value(self) -> np.ndarray:
-        if isinstance(self.metric, MetricField):
-            return self.derivs[0]
-        return self.metric.value(self.x)
+        return self._block.value_at(self._index)
 
     @property
     def ginv(self) -> np.ndarray:
@@ -335,12 +313,7 @@ class MetricPoint:
     @cached_property
     def frame(self) -> np.ndarray:
         """Columns orthonormal for ``value``: Gram-Schmidt over the coordinate directions."""
-        g = self.value
-        if not (isinstance(self.metric, MetricField) and g is self.derivs[0]):
-            return gram_schmidt(_checked(g, self.x), np.eye(self.metric.dim))
-        if self._block.frames is not None:
-            return self._block.frames[self._index]
-        return gram_schmidt(g, np.eye(self.metric.dim))
+        return self._block.frame_at(self._index)[1]
 
     @cached_property
     def curvature_in_frame(self) -> np.ndarray:
@@ -350,7 +323,7 @@ class MetricPoint:
     def scalar_curvature(self) -> float:
         """Sum of sectional curvatures over orthonormal frame pairs."""
         rf = self.curvature_in_frame
-        n = self.metric.dim
+        n = len(rf)
         total = 0.0
         for i in range(n):
             for j in range(i + 1, n):
@@ -498,11 +471,28 @@ def laplacian(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
 def watch():
     """A context factory, and the list in which the floating-point events that
     numpy's error state reports (a warning, say) are recorded instead while
-    it is entered.  A block whose stacked frames record one leaves each point
-    to build its own, so the event comes from a point the walk reaches."""
+    it is entered."""
     events = []
     observed = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
     return (lambda: np.errstate(call=lambda *_: events.append(1), **observed)), events
+
+
+def stacked(cache: dict, key: str, build, index: int) -> list:
+    """Point ``index``'s slices of the arrays ``build(points, watched)``
+    returns, built for the whole block once and kept in ``cache[key]``.
+    ``build`` enters ``watched()`` (:func:`watch`) around the work whose
+    floating-point events belong to single points; on an event each point
+    builds its own, unwatched, so no event comes from a point the walk never
+    reaches and a reached point warns as it does alone.  An error raises for
+    the block's first failing point (``jets.per_block`` reruns the block)."""
+    if key not in cache:
+        watched, events = watch()
+        built = build(slice(None), watched)
+        cache[key] = None if events else built
+    built, k = cache[key], index
+    if built is None:
+        built, k = build(slice(index, index + 1), contextlib.nullcontext), 0
+    return [a[k] for a in built]
 
 
 def gram_schmidt_step(g: np.ndarray, basis: np.ndarray, counts: np.ndarray,

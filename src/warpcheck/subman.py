@@ -11,7 +11,6 @@ connection, both curvature paths and the second fundamental form at once.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +25,7 @@ from .jets import (DomainBox, Jet3, Point, as_point, coordinate_jets, differenti
                    jet_const, pack, per_block)
 from .report import CheckReport, fold, nan_max
 from .riemann import (MetricBlock, MetricField, MetricPoint, _checked, frame_curvature,
-                      gram_schmidt, gram_schmidt_step, watch)
+                      gram_schmidt, gram_schmidt_step, stacked)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          StructureBlock, StructureTensors)
 from .warped import WarpedBlock, WarpedGeometry, WarpedPoint
@@ -240,31 +239,42 @@ class SFFData:
         return np.einsum("i,j,ijk->k", X, Y, self.h_coord)
 
 
-def _normal_frames(g_amb: np.ndarray, tangent_amb: np.ndarray, priority: np.ndarray | None):
+def _complete(g: np.ndarray, basis: np.ndarray, counts: np.ndarray, seeds: np.ndarray,
+              target: int, forced: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Complete each point's g-orthonormal basis rows, basis (B, K, n) with
+    counts (B,) rows filled, toward target rows from the seeds (B, n, S) or
+    (n, S), taken in order: the first ``forced`` at every point, the rest
+    while a point is short of target.  A seed whose residual norm falls
+    below NORMAL_COMPLETION_THRESHOLD is skipped.  Fills basis in place and
+    returns the new counts and how many rows came from forced seeds."""
+    b, n = len(g), g.shape[-1]
+    counts, n_forced = counts.copy(), np.zeros(b, dtype=int)
+    for j in range(seeds.shape[-1]):
+        active = np.full(b, j < forced) | (counts < target)
+        if not active.any():
+            break
+        v, ok = gram_schmidt_step(g, basis, counts, np.broadcast_to(seeds[..., j], (b, n)),
+                                  active, NORMAL_COMPLETION_THRESHOLD)
+        basis[ok, counts[ok]] = v[ok]
+        counts += ok
+        n_forced += ok & (j < forced)
+    return counts, n_forced
+
+
+def _normal_frames(g_amb: np.ndarray, tangent_amb: np.ndarray, priority: np.ndarray):
     """Normal frames completing ambient-orthonormal tangent frames (B, m, n),
     and the count of columns from ``priority`` seeds (B, m, p), which every
     point tries first; coordinate seeds follow while a point is short of m
     columns.  Dependent seeds are skipped; a point left short raises."""
     b, m, n = tangent_amb.shape
-    p = 0 if priority is None else priority.shape[2]
+    p = priority.shape[2]
     cols = np.zeros((b, m, m + p))  # each point's basis, column-stacked
     cols[:, :, :n] = tangent_amb
-    counts, n_priority = np.full(b, n), np.zeros(b, dtype=int)
-    seeds = [] if priority is None else list(np.moveaxis(priority, 2, 0))
-    for j, seed in enumerate(seeds + list(np.eye(m))):
-        active = np.full(b, j < p) | (counts < m)
-        if not active.any():
-            break
-        v, ok = gram_schmidt_step(g_amb, np.swapaxes(cols, 1, 2), counts,
-                                  np.broadcast_to(seed, (b, m)), active,
-                                  NORMAL_COMPLETION_THRESHOLD)
-        cols[ok, :, counts[ok]] = v[ok]
-        counts += ok
-        n_priority += ok & (j < p)
+    seeds = np.concatenate([priority, np.broadcast_to(np.eye(m), (b, m, m))], 2)
+    counts, n_priority = _complete(g_amb, np.swapaxes(cols, 1, 2), np.full(b, n), seeds, m, p)
     if (counts != m).any():
         raise ImmersionDegenerateError("could not complete normal frame")
-    return (np.ascontiguousarray(cols[:, :, n:m]),
-            None if priority is None else n_priority)
+    return np.ascontiguousarray(cols[:, :, n:m]), n_priority
 
 
 class ImmersionBlock:
@@ -310,24 +320,13 @@ class ImmersionBlock:
     def warped(self) -> WarpedBlock:
         return WarpedBlock(warped_geometry(self.im), self.points, self.induced)
 
-    @cached_property
-    def frames(self) -> tuple | None:
-        """Every point's J^T g J, tangent frame, J @ frame, normal frame and
-        normal columns from priority seeds (or None), stacked, with the bits
-        each point has alone; the first point they fail at raises.  None on a
-        floating-point event (:func:`riemann.watch`)."""
-        watched, events = watch()
-        frames = self._frames(slice(None), watched)
-        return None if events else frames
-
     def frames_at(self, index: int) -> list:
-        """Point ``index``'s slice of :attr:`frames`."""
-        frames, k = self.frames, index
-        if frames is None:
-            frames, k = self._frames(slice(index, index + 1)), 0
-        return [None if a is None else a[k] for a in frames]
+        """Point ``index``'s J^T g J, tangent frame, J @ frame, normal frame
+        and count of normal columns from priority seeds, built for the whole
+        block by :func:`riemann.stacked` with the bits the point has alone."""
+        return stacked(self.__dict__, "frames", self._frames, index)
 
-    def _frames(self, points: slice, watched=contextlib.nullcontext) -> tuple:
+    def _frames(self, points: slice, watched) -> tuple:
         im, x = self.im, self.points[points]
         jac = np.ascontiguousarray(self.components[1][points])
         g_amb = self.ambient.derivs[0][points]
@@ -348,7 +347,8 @@ class ImmersionBlock:
         with watched():
             # the image of the fiber (anti-invariant) frame under phi comes
             # first, so the invariant complement of the normal bundle sits after it
-            priority = None if phi is None else phi @ tangent_amb[:, :, im.warped.n1:]
+            priority = (tangent_amb[:, :, :0] if phi is None
+                        else phi @ tangent_amb[:, :, im.warped.n1:])
             return (g_ind, tangent, tangent_amb) + _normal_frames(g_amb, tangent_amb, priority)
 
 
@@ -399,7 +399,7 @@ def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | Non
         normal_frame=normal_frame, h_coord=h_coord, h_frame=h_frame,
         coeffs=coeffs, mean=mean, im=im, d_full=d_full, ambient=amb,
         induced=induced, n1=n1, mean_leaf=mean_leaf, mean_fiber=mean_fiber,
-        nu_start=None if n_priority is None else int(n_priority), tensors=tensors,
+        nu_start=int(n_priority), tensors=tensors,
         warped=None if decl is None else WarpedPoint(block.warped.geom, x, induced,
                                                      block.warped, index),
     )
@@ -603,27 +603,17 @@ def contact_cr_residuals(sff: SFFData) -> dict:
         return {"cr-reeb-tangency": xi_resid, "cr-reeb-not-tangent": True}
 
     # frame of the leaf block with the Reeb direction first
-    seeds = np.zeros((n, n1 + 1))
-    seeds[:, 0] = xi_sub
-    seeds[:n1, 1:] = np.eye(n1)
-    rows, count = np.zeros((1, n1, n)), np.zeros(1, dtype=int)
-    for seed in seeds.T:
-        v, ok = gram_schmidt_step(sff.g_induced[None], rows, count, seed[None], count < n1, 1e-8)
-        if ok[0]:
-            rows[0, count[0]] = v[0]
-            count += 1
-    if count[0] != n1:
+    rows = np.zeros((1, n1, n))
+    seeds = np.column_stack([xi_sub, np.eye(n)[:, :n1]])
+    if _complete(sff.g_induced[None], rows, np.zeros(1, dtype=int), seeds, n1)[0][0] != n1:
         raise ConfigurationError("could not build the leaf frame")
     leaf_cols = np.ascontiguousarray(rows[0].T)
     xi_hat, dt_cols = leaf_cols[:, 0], leaf_cols[:, 1:]
 
-    fiber_cols = np.zeros((n, decl.n2))
-    fiber_cols[n1:, :] = np.eye(decl.n2)
-    fiber_cols = gram_schmidt(sff.g_induced, fiber_cols)
+    fiber_cols = gram_schmidt(sff.g_induced, np.eye(n)[:, n1:])
     fiber_images = [phi_mat @ (sff.jacobian @ z) for z in fiber_cols.T]
 
-    nu_cols = sff.normal_frame[:, sff.nu_start:] if sff.nu_start is not None \
-        else sff.normal_frame
+    nu_cols = sff.normal_frame[:, sff.nu_start:]
     invariance, flips = [], []
     for X in dt_cols.T:
         phix_sub, r = tangency_coefficients(sff, phi_mat @ (sff.jacobian @ X))

@@ -6,6 +6,8 @@ first failing point, as the point-by-point walk does, and a point's
 frame-contracted curvature, which several checks read, is the bits a fresh
 contraction gives and stays so after they read it."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,43 @@ def test_validation_order_of_symmetry_and_definiteness():
         points = np.array(points)
         assert first in walk(points)
         assert error_of(lambda: g.validate_at(list(points))) == walk(points)
+
+
+# a constant matrix times x1: positive definite with finite entries, and at
+# x1 = 1 a Gram-Schmidt whose products overflow though its frame is finite
+OVERFLOWING = MetricField.from_strings([[f"{v!r}*x1" for v in row] for row in (
+    (6.9849456464312487e+307, -4.8539967972120407e+307, -3.3826706673605984e+307,
+     6.9719387576589061e+306),
+    (-4.8539967972120407e+307, 7.1922817365934204e+307, -2.9847771235298532e+306,
+     -1.7283210508996306e+307),
+    (-3.3826706673605984e+307, -2.9847771235298532e+306, 3.9540471661388324e+307,
+     -1.1449927668870360e+307),
+    (6.9719387576589061e+306, -1.7283210508996306e+307, -1.1449927668870360e+307,
+     8.0746617384980421e+307))])
+QUIET, LOUD = np.array([0.25, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def frame_and_warnings(p: MetricPoint):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        frame = p.frame
+    return frame, [str(w.message) for w in seen]
+
+
+def test_no_warning_comes_from_a_chart_metric_point_the_walk_never_reaches():
+    # the block's frames overflow at LOUD; tier-1 turns any warning into an error
+    block = MetricBlock(OVERFLOWING, np.array([QUIET, LOUD]))
+    assert_same(block[0].frame, MetricPoint(OVERFLOWING, QUIET).frame, "quiet point")
+
+
+def test_a_chart_metric_point_the_walk_reaches_warns_as_it_does_alone():
+    alone, seen = frame_and_warnings(MetricPoint(OVERFLOWING, LOUD))
+    assert seen == ["overflow encountered in matmul"] and np.isfinite(alone).all()
+    for points in ([LOUD], [QUIET, LOUD]):
+        block = MetricBlock(OVERFLOWING, np.array(points))
+        frame, block_seen = frame_and_warnings(block[len(points) - 1])
+        assert block_seen == seen
+        assert_same(frame, alone, f"{len(points)} points")
 
 
 def warped_points(subject, points: np.ndarray):

@@ -206,6 +206,43 @@ def test_non_finite_immersion_derivatives_exit_2(tmp_path, capsys):
         assert f"immersion derivatives not finite at {first}" in capsys.readouterr().err
 
 
+def _builtin_with(tmp_path, config: str, old: str, new: str) -> str:
+    p = tmp_path / config
+    p.write_text(resources.files("warpcheck").joinpath("data", config).read_text()
+                 .replace(old, new))
+    return str(p)
+
+
+@pytest.mark.parametrize("kind", ["metric", "warped", "structure", "ambient"])
+def test_a_non_finite_chart_metric_exits_2_naming_its_first_point(tmp_path, capsys, kind):
+    # 1e200*1e200 is inf, which a Cholesky factorization lets through; the
+    # parent of this check reported FAIL curvature-symmetries worst="nan"
+    inf = "1e200*1e200"
+    p = {"metric": lambda: _metric_cfg(tmp_path, 2, f"{inf}*x1", (0.1, 0.1), (1, 1)),
+         "warped": lambda: _builtin_with(tmp_path, "e2_hyperbolic.cfg", 'row_1 = "1"\ndomain_lo',
+                                         f'row_1 = "{inf}"\ndomain_lo'),
+         "structure": lambda: _builtin_with(tmp_path, "sasakian_r5.cfg", '"0", "0", "0.25", "0"',
+                                            f'"0", "0", "{inf}", "0"'),
+         "ambient": lambda: _builtin_with(tmp_path, "e3_round_s2.cfg", '"0", "0", "1"',
+                                          f'"0", "0", "{inf}"')}[kind]()
+    assert main(["--target", p, "--points", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: metric not finite at [")
+    if kind != "ambient":  # an ambient block's points are the images
+        first = sample_points(cli._resolve(p)[0].subject, 4, 42)[0]
+        assert err == f"configuration error: metric not finite at {first}\n"
+
+
+def test_a_metric_overflowing_inside_a_run_exits_2_naming_the_first_such_point(tmp_path,
+                                                                             capsys):
+    p = _metric_cfg(tmp_path, 2, "1e300*x1^(-10)", (0.1, 0.1), (1, 1))  # inf where x1 < 0.1494
+    points = sample_points(cli._resolve(p)[0].subject, 33, 42)
+    first = next(x for x in points if x[0] < 0.1494)
+    assert np.array_equal(first, points[5])
+    assert main(["--target", p, "--points", "33"]) == 2
+    assert capsys.readouterr().err == f"configuration error: metric not finite at {first}\n"
+
+
 def test_overflow_prints_only_the_error_line(tmp_path):
     # numpy's overflow warnings on the way to the error stay out of stderr
     p, first = _overflowing_partials(tmp_path)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import warpcheck
-from warpcheck import ineq, structures, subman, warped
+from warpcheck import ineq, riemann, structures, subman, warped
 from warpcheck.errors import ConfigurationError
 from warpcheck.gallery import load_builtin
 from warpcheck.subman import second_fundamental_form
@@ -64,27 +64,39 @@ def _calls(node, scope=()):
         yield from _calls(child, inner)
 
 
+def _call_sites(called: str) -> set:
+    """(module, enclosing scope) of each call of a name in the package."""
+    return {(path.stem, scope)
+            for path in Path(warpcheck.__file__).parent.glob("*.py")
+            for scope, name in _calls(ast.parse(path.read_text()))
+            if name == called}
+
+
 def test_curvature_is_contracted_into_a_frame_only_by_the_point_records():
     # each point's two contractions are cached record fields that every check
     # reads; a check contracting again would repeat one at every point
-    sites = {(path.stem, scope)
-             for path in Path(warpcheck.__file__).parent.glob("*.py")
-             for scope, name in _calls(ast.parse(path.read_text()))
-             if name == "frame_curvature"}
-    assert sites == {("riemann", "MetricPoint.curvature_in_frame"),
-                     ("subman", "SFFData.ambient_frame_curvature")}
+    assert _call_sites("frame_curvature") == {("riemann", "MetricPoint.curvature_in_frame"),
+                                              ("subman", "SFFData.ambient_frame_curvature")}
 
 
 def test_frames_are_built_only_by_the_stacked_step():
     # one Gram-Schmidt path: the step over a stack of points, which the
-    # frames of a block, the wrapper and the leaf frame of the contact
-    # suite (a stack of one) call
-    sites = {(path.stem, scope)
-             for path in Path(warpcheck.__file__).parent.glob("*.py")
-             for scope, name in _calls(ast.parse(path.read_text()))
-             if name == "gram_schmidt_step"}
-    assert sites == {("riemann", "gram_schmidt"), ("subman", "_normal_frames"),
-                     ("subman", "contact_cr_residuals")}
+    # wrapper and the one basis completion (normal frames and the contact
+    # suite's leaf frame) call
+    assert _call_sites("gram_schmidt_step") == {("riemann", "gram_schmidt"),
+                                                ("subman", "_complete")}
+
+
+def test_only_the_stacked_build_watches_for_floating_point_events():
+    assert _call_sites("watch") == {("riemann", "stacked")}
+
+
+def test_a_metric_point_builds_no_frame_of_its_own():
+    # a point's frame is its slice of its block's
+    tree = ast.parse(Path(riemann.__file__).read_text())
+    called = {name for scope, name in _calls(tree) if scope.split(".")[0] == "MetricPoint"}
+    assert "frame_at" in called
+    assert not called & {"gram_schmidt", "gram_schmidt_step"}
 
 
 # helpers that tests call to cross-check the library, and nothing in it does

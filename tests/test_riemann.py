@@ -8,11 +8,11 @@ import pytest
 
 from warpcheck.errors import (DegenerateMetricError, DegeneratePlaneError,
                               DependentSeedsError, JetDomainError)
-from warpcheck.expr import parse
+from warpcheck.expr import eval_expr, parse
 from warpcheck.jets import fd_partial
 from warpcheck.gallery import load_builtin
 from warpcheck import subman
-from warpcheck.riemann import (MetricField, MetricPoint, SlicedMetric, christoffel,
+from warpcheck.riemann import (MetricBlock, MetricField, MetricPoint, christoffel,
                                curvature, frame_curvature, gradient, gram_schmidt,
                                gram_schmidt_step, laplacian, scalar_curvature, sectional)
 
@@ -492,14 +492,110 @@ def test_stacked_completion_has_the_bits_of_the_scalar_steps():
                 for j in range(p):
                     if rng.random() < 0.4:
                         priority[k, :, j] = 3.0 * tangent[k, :, rng.integers(0, n)]
-            normal, n_priority = subman._normal_frames(g, tangent, priority if p else None)
-            assert (n_priority is None) == (p == 0)
+            normal, n_priority = subman._normal_frames(g, tangent, priority)
             for k in range(b):
                 ref, ref_priority = _scalar_completion(g[k], tangent[k], priority[k], m,
                                                        subman.NORMAL_COMPLETION_THRESHOLD)
                 _assert_same_bits(normal[k], ref)
                 assert normal[k].flags.c_contiguous
-                assert p == 0 or n_priority[k] == ref_priority
+                assert n_priority[k] == ref_priority
+
+
+def _looped_normal_completion(g_amb, tangent_amb, priority):
+    """The normal completion loop as it stood before ``subman._complete``, an
+    oracle: priority seeds at every point, then coordinate seeds while a
+    point is short of m columns, into a column-stacked basis."""
+    b, m, n = tangent_amb.shape
+    p = 0 if priority is None else priority.shape[2]
+    cols = np.zeros((b, m, m + p))
+    cols[:, :, :n] = tangent_amb
+    counts, n_priority = np.full(b, n), np.zeros(b, dtype=int)
+    seeds = [] if priority is None else list(np.moveaxis(priority, 2, 0))
+    for j, seed in enumerate(seeds + list(np.eye(m))):
+        active = np.full(b, j < p) | (counts < m)
+        if not active.any():
+            break
+        v, ok = gram_schmidt_step(g_amb, np.swapaxes(cols, 1, 2), counts,
+                                  np.broadcast_to(seed, (b, m)), active,
+                                  subman.NORMAL_COMPLETION_THRESHOLD)
+        cols[ok, :, counts[ok]] = v[ok]
+        counts += ok
+        n_priority += ok & (j < p)
+    return cols, counts, n_priority
+
+
+def _looped_leaf_completion(g, seeds, n1):
+    """The contact suite's leaf-frame loop as it stood before
+    ``subman._complete``, an oracle: one point, a row-stacked basis, each
+    seed (column) tried while the point is short of n1 rows."""
+    rows, count = np.zeros((1, n1, len(g))), np.zeros(1, dtype=int)
+    for seed in seeds.T:
+        v, ok = gram_schmidt_step(g[None], rows, count, seed[None], count < n1, 1e-8)
+        if ok[0]:
+            rows[0, count[0]] = v[0]
+            count += 1
+    return rows, count
+
+
+def _spd_stack(rng, b, m, nan_points=0):
+    a = rng.standard_normal((b, m, m))
+    g = a @ np.swapaxes(a, 1, 2) + m * np.eye(m)
+    g[rng.permutation(b)[:nan_points], rng.integers(0, m), rng.integers(0, m)] = np.nan
+    return g
+
+
+def test_completion_has_the_bits_of_the_normal_frame_loop():
+    # column-stacked bases: ragged acceptance (priority seeds that repeat a
+    # tangent vector at some points), dependent seeds and NaN norms, whose
+    # points accept every seed
+    rng = np.random.default_rng(2024)
+    with np.errstate(invalid="ignore"):
+        for m in range(2, 8):
+            for n in range(1, m):
+                b, p = int(rng.integers(1, 33)), int(rng.integers(0, 3))
+                g = _spd_stack(rng, b, m, nan_points=int(rng.integers(0, 3)))
+                tangent = rng.standard_normal((b, m, n))
+                priority = rng.standard_normal((b, m, p))
+                for k in range(b):
+                    for j in range(p):
+                        if rng.random() < 0.4:
+                            priority[k, :, j] = 3.0 * tangent[k, :, rng.integers(0, n)]
+                ref, ref_counts, ref_forced = _looped_normal_completion(
+                    g, tangent, priority if p else None)
+                cols = np.zeros((b, m, m + p))
+                cols[:, :, :n] = tangent
+                seeds = np.concatenate([priority, np.broadcast_to(np.eye(m), (b, m, m))], 2)
+                counts, forced = subman._complete(g, np.swapaxes(cols, 1, 2), np.full(b, n),
+                                                  seeds, m, p)
+                _assert_same_bits(cols, ref)
+                assert counts.tolist() == ref_counts.tolist()
+                assert forced.tolist() == ref_forced.tolist()
+
+
+def test_completion_has_the_bits_of_the_leaf_frame_loop():
+    # row-stacked bases: the loop point by point against one stacked call,
+    # with dependent seeds (a repeated or scaled earlier seed), too few
+    # independent seeds to finish, and NaN norms
+    rng = np.random.default_rng(515)
+    with np.errstate(invalid="ignore"):
+        for n in range(2, 8):
+            for n1 in range(1, n + 1):
+                b = int(rng.integers(1, 17))
+                g = _spd_stack(rng, b, n, nan_points=int(rng.integers(0, 2)))
+                seeds = rng.standard_normal((b, n, n1 + 1))
+                for k in range(b):
+                    for j in range(1, n1 + 1):
+                        if rng.random() < 0.3:
+                            seeds[k, :, j] = -2.0 * seeds[k, :, rng.integers(0, j)]
+                rows = np.zeros((b, n1, n))
+                counts, _ = subman._complete(g, rows, np.zeros(b, dtype=int), seeds, n1)
+                for k in range(b):
+                    ref, ref_count = _looped_leaf_completion(g[k], seeds[k], n1)
+                    _assert_same_bits(rows[k], ref[0])
+                    assert counts[k] == ref_count[0]
+                    one = np.zeros((1, n1, n))
+                    subman._complete(g[k:k + 1], one, np.zeros(1, dtype=int), seeds[k], n1)
+                    _assert_same_bits(one, ref)
 
 
 def test_stacked_frames_have_the_bits_of_the_scalar_steps():
@@ -542,7 +638,7 @@ def test_stacked_step_accepts_a_nan_norm_and_leaves_inactive_points():
 
 
 # ---------------------------------------------------------------------------
-# Sliced metrics
+# Sub-chart blocks
 # ---------------------------------------------------------------------------
 
 
@@ -550,23 +646,26 @@ def test_sliced_metric_restricts_block():
     g = MetricField.from_strings(
         [["1", "0", "0"], ["0", "exp(2*x1)", "0"], ["0", "0", "x1^2"]])
     anchor = np.array([0.5, 1.0, 2.0])
-    leaf = SlicedMetric(g, axes=(0,), anchor=anchor)
-    assert leaf.dim == 1
-    g0, dg, d2g = leaf.derivs(np.array([0.5]))
+    leaf = MetricBlock(g, anchor[None]).block((0,))
+    assert leaf.metric is None and leaf.points.shape == (1, 1)
+    g0, dg, d2g = leaf[0].derivs
     npt.assert_allclose(g0, [[1.0]])
     assert dg.shape == (1, 1, 1) and d2g.shape == (1, 1, 1, 1)
     # Laplacian of f(x1)=x1^2 on the 1-d leaf: -2
-    assert laplacian(leaf, parse("x1^2", dim=1), np.array([0.5])) == -2.0
+    assert leaf[0].laplacian(eval_expr(parse("x1^2", dim=1), np.array([0.5]))) == -2.0
 
 
 def test_sliced_metric_frame_is_gram_schmidt_of_its_block():
-    # a sliced record's value is the base value's in-block entries
+    # a sub-chart record's value is the in-block entries of the base block's
     g = load_builtin("e2").subject.assembled
     for axes, x in (((0,), [0.5]), ((1,), [0.3]), ((0, 1), [0.3, 0.7])):
-        leaf = SlicedMetric(g, axes, np.array([0.5, 0.2]))
-        x = np.array(x)
-        npt.assert_array_equal(MetricPoint(leaf, x).frame,
-                               gram_schmidt(leaf.derivs(x)[0], np.eye(len(axes))))
+        full = np.array([0.5, 0.2])
+        full[list(axes)] = x
+        base = MetricBlock(g, full[None])
+        leaf = base.block(axes)
+        npt.assert_array_equal(leaf[0].value, base.derivs[0][0][np.ix_(axes, axes)])
+        npt.assert_array_equal(leaf[0].frame,
+                               gram_schmidt(leaf.derivs[0][0], np.eye(len(axes))))
 
 
 def test_validation_reports_the_first_failing_point():

@@ -151,6 +151,15 @@ def test_a_point_the_walk_reaches_warns_as_it_does_alone(points):
     assert math.isnan(worst["minimal"])
 
 
+def test_a_leaf_point_holds_its_own_metric_value():
+    # the leaf block of an induced metric is a sub-chart block, with no
+    # source: a point's value is its (n1, n1) slice of the block's derivatives
+    im = load_builtin("e1").subject
+    leaf = ImmersionBlock(im, np.array(sample_points(im, 5, 42))).warped.leaf
+    assert leaf[2].value.shape == (im.warped.n1, im.warped.n1)
+    npt.assert_array_equal(leaf[2].value, leaf.derivs[0][2])
+
+
 @pytest.mark.parametrize("name", ["e1", "e3", "e5", "e6", "e7"])
 def test_block_frames_have_each_points_own_bits(name):
     # J^T g J, the tangent frame and its image, the normal frame and the
