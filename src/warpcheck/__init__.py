@@ -7,21 +7,23 @@ immersions; intrinsic invariants come from :mod:`warpcheck.riemann`, warped
 products from :mod:`warpcheck.warped`, ambient structures and space-form
 curvature models from :mod:`warpcheck.structures`, extrinsic geometry from
 :mod:`warpcheck.subman`, and the inequality evaluators from
-:mod:`warpcheck.ineq`.  Validated examples live in :mod:`warpcheck.gallery`;
-:mod:`warpcheck.cli` is the command-line front door.
+:mod:`warpcheck.ineq`.  Examples live in :mod:`warpcheck.gallery`;
+:mod:`warpcheck.cli` is the command-line front door, the one module that
+turns checked values into report records, and holds the examples'
+validation gate.
 """
 
 __version__ = "0.1.0"
 
+from .cli import validate
 from .errors import (ConfigurationError, DegenerateMetricError,
                      DegeneratePlaneError, ImmersionDegenerateError,
                      InvalidNormalError, InvalidWarpingError, JetDomainError,
                      WarpcheckError)
 from .expr import ParseError, eval_expr, parse, pretty
-from .gallery import builtin_names, load_builtin, validate
-from .ineq import (InequalityResult, d2_umbilical_implies_geodesic,
-                   dt_minimality_check, main_inequality,
-                   scalar_decomposition_residual, space_form_inequality)
+from .gallery import builtin_names, load_builtin
+from .ineq import (InequalityResult, main_inequality, scalar_decomposition_residual,
+                   space_form_inequality)
 from .jets import DomainBox, ExcludedBall, Jet3, fd_partial, jet_const, jet_var
 from .report import CheckRecord, CheckReport
 from .riemann import (Curvature4, MetricField, christoffel, curvature, gradient,
@@ -30,11 +32,10 @@ from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          SpaceFormModel, complex_space_form, cosymplectic_space_form,
                          fold_tensors, generalized_complex_space_form,
                          kenmotsu_space_form, model_curvature, phi_sectional,
-                         sasakian_space_form, structure_class_residual,
-                         validate_almost_contact)
-from .subman import (Immersion, SFFData, WarpedDecl, classify, contact_cr_checks,
-                     fold_sff, gauss_residual_max, induced_metric, scalar_identity_residual,
-                     second_fundamental_form, shape_operator)
+                         sasakian_space_form, structure_class_residual)
+from .subman import (Immersion, SFFData, WarpedDecl, fold_sff, gauss_residual_max,
+                     induced_metric, scalar_identity_residual, second_fundamental_form,
+                     shape_operator)
 from .warped import WarpedMetric, assemble, mixed_sectional_sum, warping_identity_residual
 
 __all__ = [
@@ -55,15 +56,14 @@ __all__ = [
     "AlmostComplexStructure", "AlmostContactStructure", "SpaceFormModel",
     "complex_space_form", "generalized_complex_space_form", "sasakian_space_form",
     "kenmotsu_space_form", "cosymplectic_space_form", "model_curvature",
-    "phi_sectional", "structure_class_residual", "validate_almost_contact", "fold_tensors",
+    "phi_sectional", "structure_class_residual", "fold_tensors",
     # submanifolds
     "Immersion", "WarpedDecl", "SFFData", "induced_metric", "fold_sff",
     "second_fundamental_form", "shape_operator", "gauss_residual_max",
-    "scalar_identity_residual", "classify", "contact_cr_checks",
+    "scalar_identity_residual",
     # inequalities
     "InequalityResult", "main_inequality", "space_form_inequality",
-    "scalar_decomposition_residual", "dt_minimality_check",
-    "d2_umbilical_implies_geodesic",
+    "scalar_decomposition_residual",
     # gallery and reports
     "builtin_names", "load_builtin", "validate", "CheckRecord", "CheckReport",
 ]

@@ -20,23 +20,21 @@ import numpy as np
 
 from . import __version__
 from .config import BuiltConfig, load_config
-from .errors import WarpcheckError
+from .errors import ConfigurationError, WarpcheckError
 from .expr import ParseError
 from .gallery import BUILTINS, builtin_names, load_builtin, sample_points
-from .ineq import (d2_umbilical_implies_geodesic, dt_minimality_check,
-                   fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
+from .ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
                    main_inequality, scalar_decomposition_residual, space_form_rhs)
 from .jets import per_block
 from .report import CheckReport, fold, format_number, nan_max, to_json_bytes
 from .riemann import Curvature4, MetricBlock, MetricField
-from .structures import (AlmostComplexStructure, AlmostContactStructure,
-                         closed_eta_residual, fold_tensors, fundamental_form_residual,
-                         nijenhuis_normality_residual, structure_class_residual,
-                         validate_almost_contact)
-from .subman import (PREDICATES, Immersion, ImmersionBlock, classification_residuals,
-                     classify, complex_cr_defects, contact_cr_checks, contact_cr_residuals,
-                     fold_sff, gauss_residual_max, scalar_identity_residual, shape_operator,
-                     warped_block_defect)
+from .structures import (CONTACT_IDENTITIES, AlmostComplexStructure,
+                         AlmostContactStructure, closed_eta_residual, fold_tensors,
+                         fundamental_form_residual, nijenhuis_normality_residual,
+                         structure_class_residual)
+from .subman import (Immersion, ImmersionBlock, classification_residuals,
+                     complex_cr_defects, contact_cr_residuals, fold_sff, gauss_residual_max,
+                     scalar_identity_residual, shape_operator, warped_block_defect)
 from .warped import (WarpedBlock, WarpedMetric, block_second_form_residuals,
                      warping_identity_residual)
 
@@ -93,6 +91,77 @@ def _add(rep: CheckReport, worst: dict, n: int, *specs) -> None:
         rep.add(name, anchor, worst[name], tol, n)
 
 
+def _complex_records(rep: CheckReport, worst: dict, n: int, tol: float | None = None):
+    """The records of :meth:`AlmostComplexStructure.residuals` that ``worst``
+    holds, folded over the n points, at tol or else at each one's default."""
+    for key, anchor, default in (
+            ("complex-square", "almost-complex-square", 1e-10),
+            ("complex-compatibility", "almost-complex-compatibility", 1e-10),
+            ("kahler-parallel", "kahler-parallel-structure", 1e-8)):
+        if key in worst:
+            rep.add(key, anchor, worst[key], tol or default, n)
+
+
+def _contact_records(rep: CheckReport, s: AlmostContactStructure, worst: dict, n: int,
+                     tol: float):
+    """One record per defining identity of an almost contact metric structure;
+    ``worst``: :meth:`~AlmostContactStructure.identity_residuals` folded."""
+    if s.dim % 2 == 0:
+        raise ConfigurationError("almost contact structures need odd dimension")
+    for key in CONTACT_IDENTITIES:
+        rep.add(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}", worst[key],
+                tol, n)
+
+
+# the contact CR suite after the Reeb tangency: its gate (invariance of the
+# leaf block, anti-invariance of the fiber block), then the form's laws
+CR_SUITE = ("cr-leaf-invariance", "cr-fiber-anti-invariance", "cr-form-on-reeb-pairs",
+            "cr-leaf-vs-fiber-image", "cr-invariant-flip")
+
+
+def _contact_cr_records(rep: CheckReport, worst: dict, n: int, tol: float,
+                        names=CR_SUITE):
+    """The Reeb tangency, a precondition of the suite, and the named records
+    of the contact CR suite; ``worst``: :func:`contact_cr_residuals` folded."""
+    rep.add("cr-reeb-tangency", "contact-cr-reeb-tangency", worst["cr-reeb-tangency"],
+            1e-8, n, note="precondition failed at some points"
+            if worst.get("cr-reeb-not-tangent") else "")
+    for name in names:
+        rep.add(name, f"contact-{name}", worst.get(name, 0.0), tol, n)
+
+
+# classification residual key, flag record name
+PREDICATES = (
+    ("geodesic", "totally-geodesic"),
+    ("umbilical", "totally-umbilical"),
+    ("minimal", "minimal"),
+    ("mixed_geodesic", "mixed-totally-geodesic"),
+    ("d1_geodesic", "leaf-totally-geodesic"),
+    ("d1_minimal", "leaf-minimal"),
+    ("d2_minimal", "fiber-minimal"),
+    ("d2_umbilical", "fiber-totally-umbilical"),
+)
+
+
+def _fiber_lemma_records(rep: CheckReport, worst: dict, n: int, tol: float):
+    """The fiber lemma's hypotheses, reported, and its conclusion, which gates
+    only the points where both hold; ``worst``: :func:`fiber_lemma_residuals`
+    at the same tol, folded over the n points."""
+    tested = worst["fiber-lemma-tested"]
+    conclusion = worst.get("fiber-geodesic-conclusion", 0.0)
+    rep.add("fiber-minimal-hypothesis", "fiber-partial-mean-curvature",
+            worst["fiber-minimal-hypothesis"], tol, n, passed=True,
+            note="hypothesis residual, not a gate")
+    rep.add("fiber-umbilical-hypothesis", "fiber-umbilicity",
+            worst["fiber-umbilical-hypothesis"], tol, n, passed=True,
+            note="hypothesis residual, not a gate")
+    note = f"implication tested at {tested}/{n} points"
+    if tested == 0:
+        note += " (hypotheses fail everywhere; vacuous)"
+    rep.add("fiber-geodesic-conclusion", "fiber-lemma-conclusion", conclusion, tol, tested,
+            passed=tested == 0 or conclusion < tol, note=note)
+
+
 def _metric_checks(g: MetricField, rc: RunConfig, rep: CheckReport):
     points = sample_points(g, rc.points, rc.seed)
     g.validate_at(points)
@@ -146,10 +215,10 @@ def _structure_step(s, klass: str | None):
 def _structure_report(s, klass: str | None, n: int, worst: dict, rc: RunConfig,
                       rep: CheckReport):
     if isinstance(s, AlmostComplexStructure):
-        rep.merge(s.validate(worst, n))
+        _complex_records(rep, worst, n, rc.tols.get("structure"))
         return
     tol = rc.tol("structure")
-    rep.merge(validate_almost_contact(s, worst, n, tol))
+    _contact_records(rep, s, worst, n, tol)
     if klass:
         _add(rep, worst, n, (f"class-{klass}", "structure-class-law", tol))
     _add(rep, worst, n, *((key, anchor, tol) for key, (anchor, _) in _laws(klass).items()))
@@ -250,12 +319,12 @@ def _immersion_checks(im: Immersion, groups, rc: RunConfig, rep: CheckReport):
                   rc.tol("warped-identity")),
                  ("scalar-split", "scalar-curvature-split", rc.tol("scalar-split")))
     if "classify" in groups:
-        flags = classify(worst, rc.tol("classify"))
-        for key, attr, name in PREDICATES:
-            if key in flags.residuals:
-                rep.add(f"flag-{name}", "classification-flag", flags.residuals[key],
-                        rc.tol("classify"), n, passed=True,
-                        note=f"holds: {str(getattr(flags, attr)).lower()}")
+        # a predicate holds iff its residual stays below tol at every point
+        tol = rc.tol("classify")
+        for key, name in PREDICATES:
+            if key in worst:
+                rep.add(f"flag-{name}", "classification-flag", worst[key], tol, n,
+                        passed=True, note=f"holds: {str(worst[key] < tol).lower()}")
     if "inequalities" in groups:
         _inequality_report(im, n, worst, rc, rep)
 
@@ -279,9 +348,12 @@ def _inequality_report(im: Immersion, n: int, worst: dict, rc: RunConfig,
         _add(rep, worst, n, ("space-form-consistency", "flat-space-form-reduction",
                              rc.tol("slack")))
 
+    # name, anchor and worst value of the leaf-minimality record
+    leaf = ("leaf-mean-curvature", "leaf-partial-mean-curvature",
+            worst["leaf-mean-curvature"])
     if isinstance(im.structure, AlmostContactStructure):
-        rep.merge(contact_cr_checks(worst, n, rc.tol("cr")))
-        rep.merge(dt_minimality_check(worst, n, rc.tol("cr")))
+        _contact_cr_records(rep, worst, n, rc.tol("cr"))
+        rep.add(*leaf, rc.tol("cr"), n)
     else:
         # leaf-minimality is a theorem about CR-warped products: enforce it
         # only when the machine-checked CR gate holds, report otherwise
@@ -293,13 +365,12 @@ def _inequality_report(im: Immersion, n: int, worst: dict, rc: RunConfig,
             rep.add("cr-invariance-gate", "complex-cr-invariance", gate_worst,
                     rc.tol("cr"), n, passed=True,
                     note=f"CR gate {'holds' if gate_ok else 'fails'} (informational)")
-        dt = dt_minimality_check(worst, n, rc.tol("leaf-minimality"))
-        rec = dt["leaf-mean-curvature"]
-        if not gate_ok:
-            rec.passed = math.isfinite(rec.worst)
-            rec.note = "informational: not a CR-warped product, theorem not applicable"
-        rep.records.append(rec)
-    rep.merge(d2_umbilical_implies_geodesic(worst, n, rc.tol("cr")))
+        if gate_ok:
+            rep.add(*leaf, rc.tol("leaf-minimality"), n)
+        else:
+            rep.add(*leaf, rc.tol("leaf-minimality"), n, passed=True,
+                    note="informational: not a CR-warped product, theorem not applicable")
+    _fiber_lemma_records(rep, worst, n, rc.tol("cr"))
 
     rep.add("variant-reduction", "generalized-bound-reduction", _variant_gap(rc.seed),
             rc.tol("reduction"), 1000)
@@ -379,6 +450,54 @@ def _variant_draws(seed: int) -> tuple[np.ndarray, ...]:
     u = (raw[:, [0, 2, 3]] >> 11) * 2.0**-53
     n1, n2 = 1 + ((halves * 5) >> 32).astype(np.int64)
     return -8 + 16 * u[:, 0], n1, n2, 50 * u[:, 1], -50 + 100 * u[:, 2]
+
+
+# ---------------------------------------------------------------------------
+# Validation gates
+# ---------------------------------------------------------------------------
+
+GATE_POINTS = 16
+GATE_SEED = 7
+
+
+def validate(cfg: BuiltConfig) -> CheckReport:
+    """Run the example's validation gate, chosen by its subject kind; every
+    record must pass before the example feeds any downstream check."""
+    subject, rep = cfg.subject, CheckReport()
+    points = sample_points(subject, GATE_POINTS, GATE_SEED)
+    n = len(points)
+    if isinstance(subject, MetricField):
+        subject.validate_at(points)
+        worst = functools.reduce(nan_max, (subject.symmetry_residual(x) for x in points))
+        rep.add("gate-metric", "metric-validity", worst, 1e-10, n)
+    elif isinstance(subject, WarpedMetric):
+        subject.validate_at(points)  # raises on f <= 0 or indefinite blocks
+        rep.add("gate-warping-positive", "warping-positivity", 0.0, 1.0, n,
+                passed=True, note="positivity verified pointwise")
+    elif isinstance(subject, AlmostContactStructure):
+        worst = fold_tensors(subject, points, subject.identity_residuals)
+        _contact_records(rep, subject, worst, n, 1e-9)
+    elif isinstance(subject, AlmostComplexStructure):
+        _complex_records(rep, fold_tensors(subject, points,
+                                           lambda t: subject.residuals(t, False)), n)
+    else:  # an immersion: one walk gives the rank gate and the others' values
+        steps = []
+        if subject.warped is not None:
+            steps.append(lambda sff: {"warped-block-form": warped_block_defect(sff)})
+            if isinstance(subject.structure, AlmostContactStructure):
+                steps.append(contact_cr_residuals)
+        try:
+            worst = fold_sff(subject, points, *steps)
+        except WarpcheckError:  # rank or definiteness failure
+            rep.add("gate-rank", "immersion-rank", 1.0, 0.5, n, passed=False)
+            return rep
+        rep.add("gate-rank", "immersion-rank", 0.0, 0.5, n, passed=True)
+        if subject.warped is not None:
+            rep.add("gate-warped-block", "induced-warped-block-form",
+                    worst["warped-block-form"], DEFAULT_TOLS["warped-block"], n)
+        if "cr-reeb-tangency" in worst:
+            _contact_cr_records(rep, worst, n, DEFAULT_TOLS["cr"], CR_SUITE[:2])
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .report import CheckReport, nan_max
+from .report import nan_max
 from .structures import AlmostComplexStructure, SpaceFormModel, model_curvature
 from .subman import SFFData, warped_split
 
@@ -176,28 +176,18 @@ def scalar_decomposition_residual(sff: SFFData) -> float:
 
 
 def leaf_mean_curvature(sff: SFFData) -> dict[str, float]:
-    """Value of :func:`dt_minimality_check` at one point."""
+    """Norm of the leaf block's partial mean curvature at one point; on a
+    contact ambient the declared leaf block contains the Reeb direction."""
     if sff.im.warped is None:
         raise ConfigurationError("leaf-minimality check needs a warped declaration")
     return {"leaf-mean-curvature": sff.vec_norm(sff.mean_leaf)}
 
 
-def dt_minimality_check(worst: dict, n: int, tol: float = 1e-8) -> CheckReport:
-    """Worst leaf-block partial mean curvature over the n sample points;
-    ``worst``: :func:`leaf_mean_curvature` folded over them.
-
-    For contact ambients the declared leaf block contains the Reeb direction;
-    for complex ambients it is the invariant block itself.
-    """
-    rep = CheckReport()
-    rep.add("leaf-mean-curvature", "leaf-partial-mean-curvature",
-            worst["leaf-mean-curvature"], tol, n)
-    return rep
-
-
 def fiber_lemma_residuals(sff: SFFData, tol: float) -> dict:
-    """Values of :func:`d2_umbilical_implies_geodesic` at one point; the
-    conclusion only where both hypotheses hold."""
+    """The fiber lemma's residuals at one point: fiber-minimal plus fiber
+    umbilical (in the ambient) forces the fiber self-pairings of the form to
+    vanish.  The hypotheses are tested at tol, and the conclusion is given
+    only where both hold."""
     if sff.im.warped is None:
         raise ConfigurationError("fiber lemma check needs a warped declaration")
     n1 = sff.n1
@@ -208,32 +198,6 @@ def fiber_lemma_residuals(sff: SFFData, tol: float) -> dict:
     return {"fiber-minimal-hypothesis": hyp_min, "fiber-umbilical-hypothesis": hyp_umb,
             "fiber-geodesic-conclusion": [conc] if tested else [],
             "fiber-lemma-tested": bool(tested)}
-
-
-def d2_umbilical_implies_geodesic(worst: dict, n: int, tol: float = 1e-7) -> CheckReport:
-    """Instantiates the fiber lemma: fiber-minimal plus fiber umbilical (in
-    the ambient) forces the fiber self-pairings of the form to vanish.
-
-    Hypothesis residuals and the conclusion residual are reported; the
-    implication record only gates points where both hypotheses hold.
-    ``worst``: :func:`fiber_lemma_residuals` at the same tol, folded over the
-    n sample points.
-    """
-    tested = worst["fiber-lemma-tested"]
-    worst_conc = worst.get("fiber-geodesic-conclusion", 0.0)
-    rep = CheckReport()
-    rep.add("fiber-minimal-hypothesis", "fiber-partial-mean-curvature",
-            worst["fiber-minimal-hypothesis"], tol, n, passed=True,
-            note="hypothesis residual, not a gate")
-    rep.add("fiber-umbilical-hypothesis", "fiber-umbilicity",
-            worst["fiber-umbilical-hypothesis"], tol, n, passed=True,
-            note="hypothesis residual, not a gate")
-    note = f"implication tested at {tested}/{n} points"
-    if tested == 0:
-        note += " (hypotheses fail everywhere; vacuous)"
-    rep.add("fiber-geodesic-conclusion", "fiber-lemma-conclusion",
-            worst_conc, tol, tested, passed=tested == 0 or worst_conc < tol, note=note)
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +234,7 @@ def main_inequality(sff: SFFData, tol: float = SLACK_TOL_FLAT,
     rhs = (sums["tangent"] - sums["leaf"] - sums["fiber"]
            - p.geom.n2 * sc.lap_f / sc.f_value)
 
-    diagnostics = _equality_diag(sff)
-    fiber_umb = reduce(nan_max, sff.umbilicity(sff.mean_fiber, sff.n1))
-    # factor-level characterization alongside the two vanishing conditions
-    diagnostics["leaf_geodesic_residual"] = diagnostics["leaf_form_norm"]
-    diagnostics["fiber_umbilical_residual"] = fiber_umb
-    diagnostics["leaf_mean_norm"] = sff.vec_norm(sff.mean_leaf)
-    return _result(sff, lhs, rhs, tol, diagnostics)
+    return _result(sff, lhs, rhs, tol, _equality_diag(sff))
 
 
 # ---------------------------------------------------------------------------

@@ -40,19 +40,13 @@ class CheckReport:
     records: list[CheckRecord] = field(default_factory=list)
 
     def add(self, name: str, anchor: str, worst: float, tol: float,
-            points: int = 0, note: str = "", passed: bool | None = None) -> CheckRecord:
+            points: int = 0, note: str = "", passed: bool | None = None) -> None:
         if passed is None:
             passed = worst <= tol
         # a non-finite worst value fails even an informational record
-        rec = CheckRecord(name=name, anchor=anchor, worst=float(worst), tol=float(tol),
-                          passed=bool(passed) and math.isfinite(worst),
-                          points=points, note=note)
-        self.records.append(rec)
-        return rec
-
-    def merge(self, other: "CheckReport") -> "CheckReport":
-        self.records.extend(other.records)
-        return self
+        self.records.append(CheckRecord(
+            name=name, anchor=anchor, worst=float(worst), tol=float(tol),
+            passed=bool(passed) and math.isfinite(worst), points=points, note=note))
 
     def __getitem__(self, name: str) -> CheckRecord:
         for rec in self.records:

@@ -442,7 +442,7 @@ def scalar_curvature(g_like, x: Point) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _psi_jet(g_like, psi, x: Point, params) -> Jet3:
+def _psi_jet(psi, x: Point, params) -> Jet3:
     if isinstance(psi, Jet3):
         return psi
     return dsl.eval_expr(psi, x, params)
@@ -450,7 +450,7 @@ def _psi_jet(g_like, psi, x: Point, params) -> Jet3:
 
 def gradient(g_like, psi, x: Point, params: Sequence[float] = ()) -> np.ndarray:
     """Gradient vector: the metric dual of d(psi), so g(grad psi, X) = X psi."""
-    j = _psi_jet(g_like, psi, x, params)
+    j = _psi_jet(psi, x, params)
     return MetricPoint(g_like, x).ginv @ j.d1
 
 
@@ -459,7 +459,7 @@ def laplacian(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
 
     Flat chart: lap(x1^2) = -2.
     """
-    j = _psi_jet(g_like, psi, x, params)
+    j = _psi_jet(psi, x, params)
     return MetricPoint(g_like, x).laplacian(j)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import expr as dsl
 from .errors import ConfigurationError, DegeneratePlaneError
 from .jets import Point, as_point, per_block
-from .report import CheckReport, fold
+from .report import fold
 from .riemann import MetricBlock, MetricField, MetricPoint
 
 
@@ -68,22 +68,12 @@ class AlmostComplexStructure(_Structure):
         return float(np.max(np.abs(nj)))
 
     def residuals(self, t: "StructureTensors", require_kahler: bool) -> dict[str, float]:
-        """Per-point values of the records :meth:`validate` reports."""
+        """Per-point values of the almost complex structure records."""
         out = {"complex-square": self.square_residual(t),
                "complex-compatibility": self.compatibility_residual(t)}
         if require_kahler:
             out["kahler-parallel"] = self.parallel_residual(t)
         return out
-
-    def validate(self, worst: dict, n: int, tol: float = 1e-10) -> CheckReport:
-        """``worst``: :meth:`residuals` folded over the n sample points."""
-        rep = CheckReport()
-        for key, anchor, t in (("complex-square", "almost-complex-square", tol),
-                               ("complex-compatibility", "almost-complex-compatibility", tol),
-                               ("kahler-parallel", "kahler-parallel-structure", 1e-8)):
-            if key in worst:
-                rep.add(key, anchor, worst[key], t, n)
-        return rep
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +174,6 @@ def fold_tensors(s, points: Sequence[Point], step) -> dict:
     """step's per-point values folded over the points by :func:`report.fold`,
     each block of points read through one StructureBlock."""
     return fold(per_block(points, lambda block: map(step, StructureBlock(s, block))))
-
-
-def validate_almost_contact(s: AlmostContactStructure, worst: dict, n: int,
-                            tol: float = 1e-10) -> CheckReport:
-    """Max residual of each defining identity over the n sample points;
-    ``worst``: :meth:`~AlmostContactStructure.identity_residuals` folded
-    over them."""
-    if s.dim % 2 == 0:
-        raise ConfigurationError("almost contact structures need odd dimension")
-    rep = CheckReport()
-    for key in CONTACT_IDENTITIES:
-        rep.add(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}", worst[key],
-                tol, n)
-    return rep
 
 
 def covariant_phi_derivative(t: StructureTensors, X, Y) -> np.ndarray:

@@ -23,7 +23,7 @@ from .errors import (ConfigurationError, ImmersionDegenerateError,
                      InvalidNormalError, NonFiniteImageError)
 from .jets import (DomainBox, Jet3, Point, as_point, coordinate_jets, differentiate,
                    jet_const, pack, per_block)
-from .report import CheckReport, fold, nan_max
+from .report import fold, nan_max
 from .riemann import (MetricBlock, MetricField, MetricPoint, _checked, frame_curvature,
                       gram_schmidt, gram_schmidt_step, stacked)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
@@ -32,7 +32,6 @@ from .warped import WarpedBlock, WarpedGeometry, WarpedPoint
 
 RANK_THRESHOLD = 1e-8
 NORMAL_COMPLETION_THRESHOLD = 1e-8
-CLASSIFY_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -482,38 +481,6 @@ def scalar_identity_residual(sff: SFFData) -> float:
 # ---------------------------------------------------------------------------
 
 
-# residual key, ClassificationFlags predicate, report name
-PREDICATES = (
-    ("geodesic", "totally_geodesic", "totally-geodesic"),
-    ("umbilical", "totally_umbilical", "totally-umbilical"),
-    ("minimal", "minimal", "minimal"),
-    ("mixed_geodesic", "mixed_totally_geodesic", "mixed-totally-geodesic"),
-    ("d1_geodesic", "d1_totally_geodesic", "leaf-totally-geodesic"),
-    ("d1_minimal", "d1_minimal", "leaf-minimal"),
-    ("d2_minimal", "d2_minimal", "fiber-minimal"),
-    ("d2_umbilical", "d2_totally_umbilical", "fiber-totally-umbilical"),
-)
-
-
-@dataclass
-class ClassificationFlags:
-    """Worst-case residuals over the sample and the derived predicates.
-
-    Block-split predicates are None when no warped declaration is present.
-    """
-
-    residuals: dict[str, float]
-    tol: float
-    totally_geodesic: bool = False
-    totally_umbilical: bool = False
-    minimal: bool = False
-    mixed_totally_geodesic: bool | None = None
-    d1_totally_geodesic: bool | None = None
-    d1_minimal: bool | None = None
-    d2_minimal: bool | None = None
-    d2_totally_umbilical: bool | None = None
-
-
 def classification_residuals(sff: SFFData) -> dict:
     """Defining residuals of the predicates at one point; the block-split
     ones only under a warped declaration."""
@@ -532,14 +499,6 @@ def classification_residuals(sff: SFFData) -> dict:
             d2_minimal=mean_norms[2],
             d2_umbilical=sff.umbilicity(sff.mean_fiber, n1))
     return out
-
-
-def classify(worst: dict, tol: float = CLASSIFY_TOL) -> ClassificationFlags:
-    """Each predicate holds iff its defining residual stays below tol at all
-    sampled points; ``worst``: :func:`classification_residuals` folded."""
-    present = [(key, attr) for key, attr, _ in PREDICATES if key in worst]
-    return ClassificationFlags(residuals={key: worst[key] for key, _ in present}, tol=tol,
-                               **{attr: worst[key] < tol for key, attr in present})
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +548,8 @@ def tangency_coefficients(sff: SFFData, v_amb: np.ndarray) -> tuple[np.ndarray, 
 
 
 def contact_cr_residuals(sff: SFFData) -> dict:
-    """Residuals of :func:`contact_cr_checks` at one point, keyed by record
-    name; only the Reeb tangency where the Reeb field is not tangent."""
+    """Residuals of the contact CR suite at one point, keyed by record name;
+    only the Reeb tangency where the Reeb field is not tangent."""
     decl = sff.im.warped
     if not isinstance(sff.im.structure, AlmostContactStructure):
         raise ConfigurationError("contact CR checks need an almost contact ambient")
@@ -637,29 +596,6 @@ def contact_cr_residuals(sff: SFFData) -> dict:
         # (c) sign flip against the invariant complement of the normal bundle
         "cr-invariant-flip": flips,
     }
-
-
-def contact_cr_checks(worst: dict, n: int, tol: float = 1e-7) -> CheckReport:
-    """Residual suite for contact CR-warped immersions.
-
-    Gate: the Reeb field must be tangent at every sample (recorded as a
-    precondition failure otherwise); the leaf block minus the Reeb direction
-    must be invariant under the structure tensor and the fiber block
-    anti-invariant.  Post-gate residuals: the form kills Reeb pairings, leaf
-    self-pairings have no components along the image of the fiber block, and
-    leaf self-pairings flip sign under the structure tensor against the
-    invariant normal complement.  ``worst``: :func:`contact_cr_residuals`
-    folded over the n sample points.
-    """
-    rep = CheckReport()
-    rep.add("cr-reeb-tangency", "contact-cr-reeb-tangency",
-            worst["cr-reeb-tangency"], 1e-8, n,
-            note="precondition failed at some points" if worst.get("cr-reeb-not-tangent")
-            else "")
-    for name in ("cr-leaf-invariance", "cr-fiber-anti-invariance", "cr-form-on-reeb-pairs",
-                 "cr-leaf-vs-fiber-image", "cr-invariant-flip"):
-        rep.add(name, f"contact-{name}", worst.get(name, 0.0), tol, n)
-    return rep
 
 
 def complex_cr_defects(sff: SFFData) -> dict:

@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from warpcheck.gallery import load_builtin, validate
-from warpcheck.ineq import (dt_minimality_check, generalized_rhs, leaf_mean_curvature,
-                            main_inequality, scalar_decomposition_residual,
-                            space_form_inequality, space_form_rhs)
-from warpcheck.cli import RunConfig, run
+from warpcheck.gallery import load_builtin
+from warpcheck.ineq import (generalized_rhs, leaf_mean_curvature, main_inequality,
+                            scalar_decomposition_residual, space_form_inequality,
+                            space_form_rhs)
+from warpcheck.cli import RunConfig, run, validate
 from warpcheck.jets import fd_partial
 from warpcheck.report import to_json_bytes
 from warpcheck.sampling import halton_points
@@ -26,8 +26,8 @@ from warpcheck.structures import (cosymplectic_space_form, kenmotsu_space_form,
                                   fundamental_form_residual,
                                   nijenhuis_normality_residual,
                                   structure_class_residual,
-                                  fold_tensors, validate_almost_contact)
-from warpcheck.subman import (contact_cr_checks, fold_sff, gauss_residual_max,
+                                  fold_tensors)
+from warpcheck.subman import (fold_sff, gauss_residual_max,
                               induced_metric, second_fundamental_form,
                               warped_geometry)
 from warpcheck.warped import WarpedPoint, warping_identity_residual
@@ -124,12 +124,10 @@ def test_criterion_3_scalar_decomposition():
 
 def test_criterion_4_leaf_minimality():
     im1 = _gated("e1").subject
-    r1 = dt_minimality_check(fold_sff(im1, _points(im1), leaf_mean_curvature),
-                             64)["leaf-mean-curvature"].worst
+    r1 = fold_sff(im1, _points(im1), leaf_mean_curvature)["leaf-mean-curvature"]
 
     im5 = _gated("e5").subject  # the gate is the criterion's precondition
-    r5 = dt_minimality_check(fold_sff(im5, _points(im5), leaf_mean_curvature),
-                             64)["leaf-mean-curvature"].worst
+    r5 = fold_sff(im5, _points(im5), leaf_mean_curvature)["leaf-mean-curvature"]
 
     ok = r1 < 1e-8 and r5 < 1e-7
     _report("criterion 4 (leaf partial mean curvature)", ok,
@@ -235,8 +233,7 @@ def test_criterion_7_space_form_models():
 def test_criterion_8_contact_suite():
     s = _gated("sasakian-r5").subject
     points = halton_points(s.metric.domain, 64, 42)
-    contact = fold_tensors(s, points, s.identity_residuals)
-    worst = max(r.worst for r in validate_almost_contact(s, contact, len(points)).records)
+    worst = max(fold_tensors(s, points, s.identity_residuals).values())
     n = s.dim
     pairs = [(np.eye(n)[:, i], np.eye(n)[:, j])
              for i in range(n) for j in range(i + 1, n)]

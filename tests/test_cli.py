@@ -351,24 +351,22 @@ def test_library_checks_give_the_cli_records(target):
         subman.contact_cr_residuals if contact else subman.complex_cr_defects,
         (lambda sff: s.identity_residuals(sff.tensors)) if contact
         else (lambda sff: s.residuals(sff.tensors, True)))
-    rep = ineq.d2_umbilical_implies_geodesic(worst, n, cr)
+    rep = CheckReport()
+    cli._fiber_lemma_records(rep, worst, n, cr)
     if contact:
-        rep.merge(subman.contact_cr_checks(worst, n, cr))
-        rep.merge(ineq.dt_minimality_check(worst, n, cr))
-        rep.merge(structures.validate_almost_contact(s, worst, n, DEFAULT_TOLS["structure"]))
+        cli._contact_cr_records(rep, worst, n, cr)
+        cli._contact_records(rep, s, worst, n, DEFAULT_TOLS["structure"])
     else:
-        rep.merge(s.validate(worst, n))
+        cli._complex_records(rep, worst, n)
         # e6 fails the CR gate, so the CLI reports leaf minimality as information
         gate = nan_max(worst["leaf_invariance"], worst["fiber_anti_invariance"])
         assert gate == cli_records["cr-invariance-gate"]["worst"] >= cr
-        leaf = ineq.dt_minimality_check(worst, n)["leaf-mean-curvature"]
-        assert leaf.worst == cli_records["leaf-mean-curvature"]["worst"]
+    assert worst["leaf-mean-curvature"] == cli_records["leaf-mean-curvature"]["worst"]
     assert code == 0 and len(rep.records) >= 6
     for rec in rep.records:
         assert rec.as_dict() == cli_records[rec.name]
-    flags = subman.classify(worst, DEFAULT_TOLS["classify"])
-    for key, _, name in subman.PREDICATES:
-        assert flags.residuals[key] == cli_records[f"flag-{name}"]["worst"]
+    for key, name in cli.PREDICATES:
+        assert worst[key] == cli_records[f"flag-{name}"]["worst"]
 
 
 def test_a_run_leaves_no_reference_cycles():
@@ -516,6 +514,13 @@ def test_sasakian_structure_with_a_broken_phi_fails_the_form_law(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_a_structure_tolerance_reaches_every_complex_structure_record():
+    _, doc, _ = run(RunConfig(target="e1", checks=("structure",), points=3,
+                              tols={"structure": 1e-3}))
+    assert {r["name"]: r["tol"] for r in doc["checks"]} == {
+        "complex-square": 1e-3, "complex-compatibility": 1e-3, "kahler-parallel": 1e-3}
+
+
 def test_run_config_guards():
     with pytest.raises(WarpcheckError):
         RunConfig(target="e4", points=0)
@@ -576,10 +581,47 @@ GOLDEN_DIGESTS = {
 }
 
 
+# sha256 of the JSON report for every builtin and each check group that
+# makes structure records, classification flags or the inequality suite,
+# 3 points, seed 42.  Like the digests above, never update one to fit.
+GROUP_DIGESTS = {
+    ("e1", "classify"): "d198b62025fa0638dc33761b02d950d79a8c31c30695e4b5913a7f194c0a3464",
+    ("e1", "inequalities"): "52d10b976c083bcf23a08d0230ab98417b8bd84e520a57fc15f7503cf02c03c5",
+    ("e1", "structure"): "c809e77fea204c8ce4fb05cf03c7e8c9f7bed8c015d6c1e2b738cc6836db7931",
+    ("e2", "classify"): "eaeaa86257742f0f06fbf71082fe10a78b2a83ced1e95a2a314e47b99e4a9d2c",
+    ("e2", "inequalities"): "b31787882ae49df895d0ff115f083c732e13007a7cb156ab6216f39a3c32249d",
+    ("e2", "structure"): "6f2750e0482cb9f670abb5c164eee8ee1ae26be7630fea21bc14a02c308b6e31",
+    ("e3", "classify"): "a8bbaecb80d25b8699fffe1dcf1e52990e0d2ea5f2d7f13ec707bdbc1166ff34",
+    ("e3", "inequalities"): "6910f2232c96c018f0b416dac10ec07c01ac162dbfa351b28dc0b703188d9179",
+    ("e3", "structure"): "40bcfcb7b4fef74df8953830d39150e38192a4ebcdcb96072e592ed479be1df8",
+    ("e4", "classify"): "d13203a396ef3a1b88edddffeaddb0a6a52957efa6d23383f0a33500b8c7a8fe",
+    ("e4", "inequalities"): "8049797cad77fd38f35e4400a758b20518a8cd8d65e622c85beb670fbc010a39",
+    ("e4", "structure"): "ce38ed797594a15d95e1562e73e1ae045744e625ff7de573952be082eba84360",
+    ("e5", "classify"): "6be15779862fea8831c825969ddbd3d02e0a47ecc4515b027179fed876924964",
+    ("e5", "inequalities"): "4df9734d037f0b71689b3bced3f6a0aae0284ac81c43c9114b25b79474bb48dc",
+    ("e5", "structure"): "660b77bc24c668fd7119a256f388e9cc803c606862d118873fc08148ca5f3f32",
+    ("e6", "classify"): "3db7335d646a3b22d53fcbff9d8bd62d44148f8451322ebf41639efab9522a7b",
+    ("e6", "inequalities"): "ceb004578683d9afc6cc3e53ef522c9d6df7778289b59f00647eb414b62b00e8",
+    ("e6", "structure"): "08a7bcd0e8e624ac441d31bf463ae8692b936c74b66dec706739d366c9a801de",
+    ("e7", "classify"): "6e00df51fce8cd7522686681a664bc718045dc92c54df13a230c58f683eab637",
+    ("e7", "inequalities"): "1240638e657d997ab68c6cd6248b923e46a5f43ba9aa3c5ccc66df386252182f",
+    ("e7", "structure"): "99843fb38f3848b75fa8213c6a90eb6c49eff4c4e7ade0e6b803bb08fce52d43",
+    ("s2-warped", "classify"): "2fb7e9b9b2dd00e69cebff5cf5243568e1afd84e35a0742c4573ab1bd0f46d1e",
+    ("s2-warped", "inequalities"): "5730a33f79383d8bbad8ec87382a84a0d78155eb25a3b0efa0da15ebfd1926e1",
+    ("s2-warped", "structure"): "b459783892e2502794d1c5c70d33662062e314bfdacf9575799a28c204bd728a",
+    ("sasakian-r5", "classify"): "c5d8d60ac6f58964c192505abcdffd68d6810c3e20321e4e5f51b52af87aff6d",
+    ("sasakian-r5", "inequalities"): "1d2647b352ca4ba82b6117ef6f083be7041aba1eb2fdcf50594e4ded43f89b93",
+    ("sasakian-r5", "structure"): "a2505a7f0ed8312cba963e5b894b372aeacfb803db846b7730dc9eea43fc77b6",
+}
+
+
 def test_report_bytes_match_golden_digests():
     for (name, points), digest in GOLDEN_DIGESTS.items():
         _, doc, _ = run(RunConfig(target=name, points=points, seed=42))
         assert hashlib.sha256(to_json_bytes(doc)).hexdigest() == digest, name
+    for (name, checks), digest in GROUP_DIGESTS.items():
+        _, doc, _ = run(RunConfig(target=name, checks=(checks,), points=3, seed=42))
+        assert hashlib.sha256(to_json_bytes(doc)).hexdigest() == digest, (name, checks)
 
 
 def _scalar_variant_draws(seed):

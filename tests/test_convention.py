@@ -1,6 +1,7 @@
 """Per-point checks take their point's record (SFFData, StructureTensors or
 WarpedPoint) and nothing that the record already holds; every function and
-class the package defines is read by it or exported."""
+class the package defines is read by it or exported, and every parameter by
+its function; only the command-line module makes report records."""
 
 import ast
 import inspect
@@ -64,12 +65,16 @@ def _calls(node, scope=()):
         yield from _calls(child, inner)
 
 
+def _package_trees() -> dict:
+    """The syntax tree of each package module, by module name."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in Path(warpcheck.__file__).parent.glob("*.py")}
+
+
 def _call_sites(called: str) -> set:
     """(module, enclosing scope) of each call of a name in the package."""
-    return {(path.stem, scope)
-            for path in Path(warpcheck.__file__).parent.glob("*.py")
-            for scope, name in _calls(ast.parse(path.read_text()))
-            if name == called}
+    return {(mod, scope) for mod, tree in _package_trees().items()
+            for scope, name in _calls(tree) if name == called}
 
 
 def test_curvature_is_contracted_into_a_frame_only_by_the_point_records():
@@ -119,8 +124,7 @@ def _definitions(node, prefix=""):
 def test_every_definition_is_read_by_the_package_or_exported():
     # code that nothing in the package reads, and no caller is offered, is
     # dead weight; the few helpers kept for tests are named above
-    trees = [ast.parse(path.read_text())
-             for path in Path(warpcheck.__file__).parent.glob("*.py")]
+    trees = list(_package_trees().values())
     refs = set()
     for node in (n for tree in trees for n in ast.walk(tree)):
         if isinstance(node, ast.Name):
@@ -132,3 +136,34 @@ def test_every_definition_is_read_by_the_package_or_exported():
     unread = {qual for tree in trees for qual, name in _definitions(tree)
               if name not in refs and qual not in warpcheck.__all__}
     assert unread == TEST_FACING
+
+
+def test_every_parameter_is_read_by_its_function():
+    # a parameter the body never reads makes every caller pass a value for
+    # nothing; self, cls and _-prefixed names are exempt
+    unread = []
+    for mod, tree in _package_trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            unread += [(mod, getattr(fn, "name", "<lambda>"), p) for p in params
+                       if p not in read and p not in ("self", "cls")
+                       and not p.startswith("_")]
+    assert unread == []
+
+
+def test_only_the_command_line_module_makes_report_records():
+    # one module turns folded values into records, so a field every record
+    # gains, or a tolerance, is set in one place
+    assert {mod for mod, _ in _call_sites("CheckReport")} == {"cli"}
+    assert {mod for mod, _ in _call_sites("add")} == {"cli"}
+    importers = {mod for mod, tree in _package_trees().items() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and "CheckReport" in {alias.name for alias in node.names}}
+    assert importers == {"cli", "__init__"}

@@ -1,6 +1,7 @@
 """Gallery round-trip: every builtin loads from its config, passes its gate,
 and agrees with the directly-built fixtures."""
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 from helpers import (box_points, chen_cr_immersion, flat_metric, sasakian_cr_immersion,
                      standard_sasakian_r5)
 
+from warpcheck.cli import validate
 from warpcheck.config import load_config_text, parse_config_text
 from warpcheck.errors import ConfigurationError
 from warpcheck.expr import parse
-from warpcheck.gallery import BUILTINS, builtin_names, load_builtin, validate
+from warpcheck.gallery import BUILTINS, builtin_names, load_builtin
 from warpcheck.jets import DomainBox
+from warpcheck.report import to_json_bytes
 from warpcheck.subman import Immersion, WarpedDecl, induced_metric
 
 # ---------------------------------------------------------------------------
@@ -96,11 +99,27 @@ def test_unknown_builtin():
         load_builtin("e99")
 
 
+# sha256 of each builtin's gate records as JSON; never update one to fit
+GATE_DIGESTS = {
+    "e1": "ab30a8b8c23e1dc2491299e0e4bdc0540c4bbe26a2c16b9b0d9e743d439cd559",
+    "e2": "d55dff41adb0aecb7225bd21fac0793e9da9c0172900d2f27acc71e2f1bfe326",
+    "e3": "30b652a2788d1624fe561c5f2d791bb126f28db1453a48249ad0d08727dcd6c5",
+    "e4": "43bdc46f5fb3b602cdec80e1be5f3e633f2d17f56a9c9b5ce6b3b3501f61c167",
+    "e5": "d4d56c0ebf32b05bf9d9cc4d4c21cde07748f940279bc5ee3b77f0cd3d7c592e",
+    "e6": "ab30a8b8c23e1dc2491299e0e4bdc0540c4bbe26a2c16b9b0d9e743d439cd559",
+    "e7": "ab30a8b8c23e1dc2491299e0e4bdc0540c4bbe26a2c16b9b0d9e743d439cd559",
+    "s2-warped": "d55dff41adb0aecb7225bd21fac0793e9da9c0172900d2f27acc71e2f1bfe326",
+    "sasakian-r5": "593787268c7c9dc36d7418edb71d25183bbf5b82c22649c992ee231026800f0b",
+}
+
+
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_every_builtin_passes_its_gate(name):
     loaded = load_builtin(name)
     rep = validate(loaded)
     assert rep.passed, [(r.name, r.worst) for r in rep.records]
+    records = to_json_bytes([r.as_dict() for r in rep.records])
+    assert hashlib.sha256(records).hexdigest() == GATE_DIGESTS[name]
 
 
 def test_gallery_e1_matches_direct_fixture():

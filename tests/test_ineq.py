@@ -11,12 +11,12 @@ from helpers import (box_points, chen_cr_immersion, perturbed_chen_immersion,
                      sasakian_cr_immersion, sphere_warped_immersion,
                      torus_immersion, trivial_product_immersion)
 
+from warpcheck.cli import _fiber_lemma_records
 from warpcheck.errors import ConfigurationError
-from warpcheck.ineq import (d2_umbilical_implies_geodesic, dt_minimality_check,
-                            fiber_lemma_residuals, generalized_rhs,
-                            leaf_mean_curvature, main_inequality,
-                            scalar_decomposition_residual, space_form_inequality,
-                            space_form_rhs, space_form_rhs_printed)
+from warpcheck.ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
+                            main_inequality, scalar_decomposition_residual,
+                            space_form_inequality, space_form_rhs, space_form_rhs_printed)
+from warpcheck.report import CheckReport
 from warpcheck.structures import complex_space_form
 from warpcheck.subman import fold_sff, second_fundamental_form, warped_geometry
 from warpcheck.warped import WarpedPoint, leaf_scalars
@@ -47,28 +47,30 @@ def test_scalar_decomposition_trivial_product_exact():
 # ---------------------------------------------------------------------------
 
 
+def fiber_lemma(im, points, tol=1e-7) -> CheckReport:
+    """The fiber-lemma records of the points, as the report makes them."""
+    rep = CheckReport()
+    _fiber_lemma_records(rep, fold_sff(im, points, partial(fiber_lemma_residuals, tol=tol)),
+                         len(points), tol)
+    return rep
+
+
 def test_fiber_lemma_on_chen_cr():
     im = chen_cr_immersion()
-    points = box_points(im.domain, 4, seed=23)
-    rep = d2_umbilical_implies_geodesic(
-        fold_sff(im, points, partial(fiber_lemma_residuals, tol=1e-7)), len(points))
+    rep = fiber_lemma(im, box_points(im.domain, 4, seed=23))
     assert rep["fiber-geodesic-conclusion"].passed
     assert "4/4" in rep["fiber-geodesic-conclusion"].note
 
 
 def test_fiber_lemma_vacuous_on_geodesic_plane():
-    im = trivial_product_immersion()
-    rep = d2_umbilical_implies_geodesic(
-        fold_sff(im, [np.array([0.1, 0.4])], partial(fiber_lemma_residuals, tol=1e-7)), 1)
+    rep = fiber_lemma(trivial_product_immersion(), [np.array([0.1, 0.4])])
     assert rep["fiber-geodesic-conclusion"].passed
     assert rep["fiber-minimal-hypothesis"].worst < 1e-14
 
 
 def test_fiber_lemma_hypothesis_fails_on_torus():
-    im = torus_immersion()
     points = [np.array([0.5, 1.0]), np.array([2.5, 3.0]), np.array([0.9, 5.0])]
-    rep = d2_umbilical_implies_geodesic(
-        fold_sff(im, points, partial(fiber_lemma_residuals, tol=1e-7)), len(points))
+    rep = fiber_lemma(torus_immersion(), points)
     assert rep["fiber-minimal-hypothesis"].worst > 0.1
     assert "0/3" in rep["fiber-geodesic-conclusion"].note
 
@@ -76,29 +78,25 @@ def test_fiber_lemma_hypothesis_fails_on_torus():
 def test_leaf_minimality_chen_cr():
     im = chen_cr_immersion()
     points = box_points(im.domain, 4, seed=25)
-    rep = dt_minimality_check(fold_sff(im, points, leaf_mean_curvature), len(points))
-    assert rep["leaf-mean-curvature"].worst < 1e-8
+    assert fold_sff(im, points, leaf_mean_curvature)["leaf-mean-curvature"] < 1e-8
 
 
 def test_leaf_minimality_sasakian_cr():
     im = sasakian_cr_immersion()
     points = box_points(im.domain, 4, seed=27)
-    rep = dt_minimality_check(fold_sff(im, points, leaf_mean_curvature), len(points),
-                              tol=1e-7)
-    assert rep["leaf-mean-curvature"].worst < 1e-7
+    assert fold_sff(im, points, leaf_mean_curvature)["leaf-mean-curvature"] < 1e-7
 
 
 def test_leaf_minimality_trivial_plane():
     im = trivial_product_immersion()
-    rep = dt_minimality_check(fold_sff(im, [np.array([0.2, 0.2])], leaf_mean_curvature), 1)
-    assert rep["leaf-mean-curvature"].worst < 1e-14
+    worst = fold_sff(im, [np.array([0.2, 0.2])], leaf_mean_curvature)
+    assert worst["leaf-mean-curvature"] < 1e-14
 
 
 def test_leaf_minimality_needs_declaration():
     from helpers import sphere_immersion
     with pytest.raises(ConfigurationError):
-        dt_minimality_check(
-            fold_sff(sphere_immersion(), [np.array([1.0, 1.0])], leaf_mean_curvature), 1)
+        fold_sff(sphere_immersion(), [np.array([1.0, 1.0])], leaf_mean_curvature)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from warpcheck.cli import _complex_records, _contact_records
 from warpcheck.errors import ConfigurationError, DegeneratePlaneError
 from warpcheck.expr import parse
+from warpcheck.report import CheckReport
 from warpcheck.riemann import MetricField, curvature_components, sectional
 from warpcheck.structures import (AlmostComplexStructure, AlmostContactStructure,
                                   SpaceFormModel, complex_space_form,
@@ -14,8 +16,7 @@ from warpcheck.structures import (AlmostComplexStructure, AlmostContactStructure
                                   model_curvature, model_sectional,
                                   model_symmetry_residual, nijenhuis_normality_residual,
                                   phi_sectional, sasakian_space_form,
-                                  fold_tensors, structure_class_residual,
-                                  validate_almost_contact)
+                                  fold_tensors, structure_class_residual)
 
 # ---------------------------------------------------------------------------
 # Fixtures
@@ -28,6 +29,14 @@ from helpers import standard_sasakian_r5
 def identities(t):
     """The defining identities of the point's almost contact structure."""
     return t.s.identity_residuals(t)
+
+
+def contact_records(s, points, tol=1e-10) -> CheckReport:
+    """The identity records of an almost contact structure at the points, as
+    the report makes them."""
+    rep = CheckReport()
+    _contact_records(rep, s, fold_tensors(s, points, identities), len(points), tol)
+    return rep
 
 
 def _parse_rows(rows, dim):
@@ -59,8 +68,7 @@ def sample_points(seed=0, n=8, dim=5, scale=1.0):
 def test_standard_sasakian_satisfies_all_identities():
     s = standard_sasakian_r5()
     points = sample_points(1)
-    rep = validate_almost_contact(s, fold_tensors(s, points, identities), len(points),
-                                  tol=1e-9)
+    rep = contact_records(s, points, tol=1e-9)
     assert rep.passed, [(r.name, r.worst) for r in rep.records]
 
 
@@ -69,7 +77,7 @@ def test_degenerate_structure_fails_pairing():
         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     zero3 = _parse_rows([["0"] * 3] * 3, 3)
     s = AlmostContactStructure(metric, zero3, [parse("0", 3)] * 3, [parse("0", 3)] * 3)
-    rep = validate_almost_contact(s, fold_tensors(s, [np.zeros(3)], identities), 1)
+    rep = contact_records(s, [np.zeros(3)])
     assert not rep["contact-dual_pairing"].passed
 
 
@@ -85,7 +93,7 @@ def test_even_dimension_rejected():
     s = AlmostContactStructure(metric, _parse_rows([["0", "0"]] * 2, 2),
                                [parse("0", 2)] * 2, [parse("0", 2)] * 2)
     with pytest.raises(ConfigurationError):
-        validate_almost_contact(s, fold_tensors(s, [np.zeros(2)], identities), 1)
+        contact_records(s, [np.zeros(2)])
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +120,7 @@ def test_standard_structure_is_not_cosymplectic():
 def test_constant_phi_flat_metric_is_cosymplectic():
     s = trivial_cosymplectic_r3()
     points = sample_points(6, n=4, dim=3)
-    rep = validate_almost_contact(s, fold_tensors(s, points, identities), len(points),
-                                  tol=1e-10)
-    assert rep.passed
+    assert contact_records(s, points).passed
     rng = np.random.default_rng(7)
     X, Y = rng.standard_normal((2, 3))
     assert structure_class_residual(s.at(np.zeros(3)), "cosymplectic", X, Y) == 0.0
@@ -290,7 +296,8 @@ def test_flat_kahler_structure_validates():
               ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
     acs = AlmostComplexStructure(metric, _parse_rows(j_rows, 4))
     points = sample_points(33, n=4, dim=4)
-    rep = acs.validate(fold_tensors(acs, points, lambda t: acs.residuals(t, True)),
-                       len(points))
+    rep = CheckReport()
+    _complex_records(rep, fold_tensors(acs, points, lambda t: acs.residuals(t, True)),
+                     len(points))
     assert rep.passed
     assert acs.parallel_residual(acs.at(np.zeros(4))) == 0.0

@@ -11,14 +11,16 @@ from helpers import (box_points, chen_cr_immersion, cylinder_immersion,
                      flat_metric, perturbed_chen_immersion, sasakian_cr_immersion,
                      sphere_immersion, torus_immersion, trivial_product_immersion)
 
+from warpcheck.cli import DEFAULT_TOLS, _contact_cr_records, validate
 from warpcheck.errors import (ConfigurationError, ImmersionDegenerateError,
                               InvalidNormalError)
 from warpcheck.expr import matrix_jets, parse
-from warpcheck.gallery import load_builtin, sample_points, validate
+from warpcheck.gallery import load_builtin, sample_points
 from warpcheck.jets import Jet3, differentiate, pack
+from warpcheck.report import CheckReport
 from warpcheck.riemann import MetricField, scalar_curvature
-from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals, classify,
-                              contact_cr_checks, contact_cr_residuals, fold_sff,
+from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals,
+                              contact_cr_residuals, fold_sff,
                               gauss_residual_max, gauss_residual_tensor, induced_metric,
                               scalar_identity_residual, second_fundamental_form,
                               shape_operator, warped_block_defect, warped_geometry)
@@ -358,8 +360,7 @@ def test_full_dimensional_immersion_has_empty_normal_bundle():
     assert sff.coeffs.shape == (0, 2, 2)
     assert sff.h_norm_sq() == 0.0          # no normal directions to sum over
     assert sff.vec_norm(sff.mean) < 1e-12         # projection residue only
-    flags = classify(fold_sff(im, [x], classification_residuals))
-    assert flags.totally_geodesic and flags.minimal
+    assert {"geodesic", "minimal"} <= holds(im, [x])
 
 
 # ---------------------------------------------------------------------------
@@ -367,48 +368,53 @@ def test_full_dimensional_immersion_has_empty_normal_bundle():
 # ---------------------------------------------------------------------------
 
 
+def holds(im, points) -> set:
+    """The classification predicates that hold at every point, at the
+    report's tolerance: those whose folded residual stays below it."""
+    worst = fold_sff(im, points, classification_residuals)
+    return {key for key, v in worst.items() if v < DEFAULT_TOLS["classify"]}
+
+
 def test_classify_affine_plane():
     im = Immersion(dim=2,
                    components=[parse("x1", 2), parse("x2", 2),
                                parse("x1 + 2*x2", 2)],
                    ambient=flat_metric(3))
-    flags = classify(fold_sff(im, [np.array([0.0, 0.0]), np.array([0.5, -0.5])],
-                              classification_residuals))
-    assert flags.totally_geodesic and flags.minimal and flags.totally_umbilical
-    assert flags.d1_minimal is None  # no block declaration
+    points = [np.array([0.0, 0.0]), np.array([0.5, -0.5])]
+    assert holds(im, points) == {"geodesic", "minimal", "umbilical"}  # no block split
+    assert "d1_minimal" not in fold_sff(im, points, classification_residuals)
 
 
 def test_classify_sphere_umbilical_not_minimal():
-    flags = classify(fold_sff(sphere_immersion(), [np.array([1.0, 1.0]), np.array([0.7, 2.0])],
-                              classification_residuals))
-    assert flags.totally_umbilical
-    assert not flags.minimal
-    assert not flags.totally_geodesic
+    held = holds(sphere_immersion(), [np.array([1.0, 1.0]), np.array([0.7, 2.0])])
+    assert "umbilical" in held
+    assert "minimal" not in held
+    assert "geodesic" not in held
 
 
 def test_classify_chen_cr():
     im = chen_cr_immersion()
-    flags = classify(fold_sff(im, box_points(im.domain, 4, seed=9), classification_residuals))
-    assert flags.d1_minimal and flags.minimal and flags.d2_minimal
-    assert flags.d1_totally_geodesic
-    assert not flags.mixed_totally_geodesic
-    assert not flags.totally_geodesic
+    held = holds(im, box_points(im.domain, 4, seed=9))
+    assert {"d1_minimal", "minimal", "d2_minimal"} <= held
+    assert "d1_geodesic" in held
+    assert "mixed_geodesic" not in held
+    assert "geodesic" not in held
 
 
 def test_classify_torus_fiber_not_minimal():
     im = torus_immersion()
-    flags = classify(fold_sff(im, box_points(im.domain, 4, seed=11), classification_residuals))
-    assert flags.d2_minimal is False
-    assert flags.residuals["d2_minimal"] > 0.1
-    assert flags.d2_totally_umbilical  # one-dimensional fiber is trivially umbilical
+    points = box_points(im.domain, 4, seed=11)
+    held = holds(im, points)
+    assert "d2_minimal" not in held
+    assert fold_sff(im, points, classification_residuals)["d2_minimal"] > 0.1
+    assert "d2_umbilical" in held  # one-dimensional fiber is trivially umbilical
 
 
 def test_classify_stable_under_refinement():
     im = sphere_immersion()
-    few = classify(fold_sff(im, box_points(im.domain, 2, seed=13), classification_residuals))
-    many = classify(fold_sff(im, box_points(im.domain, 8, seed=13), classification_residuals))
-    assert few.totally_umbilical == many.totally_umbilical
-    assert few.minimal == many.minimal
+    few = holds(im, box_points(im.domain, 2, seed=13))
+    many = holds(im, box_points(im.domain, 8, seed=13))
+    assert few & {"umbilical", "minimal"} == many & {"umbilical", "minimal"}
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +443,17 @@ def test_warped_geometry_requires_declaration():
 # ---------------------------------------------------------------------------
 
 
+def contact_cr(im, points) -> CheckReport:
+    """The contact CR suite's records at the points, as the report makes them."""
+    rep = CheckReport()
+    _contact_cr_records(rep, fold_sff(im, points, contact_cr_residuals), len(points),
+                        DEFAULT_TOLS["cr"])
+    return rep
+
+
 def test_sasakian_cr_suite_passes():
     im = sasakian_cr_immersion()
-    points = box_points(im.domain, 4, seed=17)
-    rep = contact_cr_checks(fold_sff(im, points, contact_cr_residuals), len(points))
+    rep = contact_cr(im, box_points(im.domain, 4, seed=17))
     assert rep.passed, [(r.name, r.worst) for r in rep.records]
 
 
@@ -459,7 +472,7 @@ def test_totally_geodesic_reeb_tangent_submanifold():
                    warped=None, name="reeb-plane")
     # no warped declaration: the suite refuses to run
     with pytest.raises(ConfigurationError):
-        contact_cr_checks(fold_sff(im, [np.array([0.2, 0.3])], contact_cr_residuals), 1)
+        contact_cr(im, [np.array([0.2, 0.3])])
 
 
 def test_reeb_not_tangent_reported():
@@ -471,7 +484,7 @@ def test_reeb_not_tangent_reported():
                    ambient=s.metric, structure=s,
                    warped=WarpedDecl(n1=1, n2=1, f=parse("1", 1)),
                    name="no-reeb")
-    rep = contact_cr_checks(fold_sff(im, [np.array([0.4, 0.2])], contact_cr_residuals), 1)
+    rep = contact_cr(im, [np.array([0.4, 0.2])])
     assert not rep["cr-reeb-tangency"].passed
     assert "precondition" in rep["cr-reeb-tangency"].note
 
