@@ -22,8 +22,7 @@ from .errors import (ConfigurationError, DegenerateMetricError,
                      WarpcheckError)
 from .expr import ParseError, eval_expr, parse, pretty
 from .gallery import builtin_names, load_builtin
-from .ineq import (InequalityResult, main_inequality, scalar_decomposition_residual,
-                   space_form_inequality)
+from .ineq import InequalityResult, main_inequality, scalar_decomposition_residual
 from .jets import DomainBox, ExcludedBall, Jet3, fd_partial, jet_const, jet_var
 from .report import CheckRecord, CheckReport
 from .riemann import (Curvature4, MetricField, christoffel, curvature, gradient,
@@ -32,7 +31,7 @@ from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          SpaceFormModel, complex_space_form, cosymplectic_space_form,
                          fold_tensors, generalized_complex_space_form,
                          kenmotsu_space_form, model_curvature, phi_sectional,
-                         sasakian_space_form, structure_class_residual)
+                         sasakian_space_form, structure_class_residuals)
 from .subman import (Immersion, SFFData, WarpedDecl, fold_sff, gauss_residual_max,
                      induced_metric, scalar_identity_residual, second_fundamental_form,
                      shape_operator)
@@ -56,14 +55,13 @@ __all__ = [
     "AlmostComplexStructure", "AlmostContactStructure", "SpaceFormModel",
     "complex_space_form", "generalized_complex_space_form", "sasakian_space_form",
     "kenmotsu_space_form", "cosymplectic_space_form", "model_curvature",
-    "phi_sectional", "structure_class_residual", "fold_tensors",
+    "phi_sectional", "structure_class_residuals", "fold_tensors",
     # submanifolds
     "Immersion", "WarpedDecl", "SFFData", "induced_metric", "fold_sff",
     "second_fundamental_form", "shape_operator", "gauss_residual_max",
     "scalar_identity_residual",
     # inequalities
-    "InequalityResult", "main_inequality", "space_form_inequality",
-    "scalar_decomposition_residual",
+    "InequalityResult", "main_inequality", "scalar_decomposition_residual",
     # gallery and reports
     "builtin_names", "load_builtin", "validate", "CheckRecord", "CheckReport",
 ]

@@ -29,9 +29,9 @@ from .jets import per_block
 from .report import CheckReport, fold, format_number, nan_max, to_json_bytes
 from .riemann import Curvature4, MetricBlock, MetricField
 from .structures import (CONTACT_IDENTITIES, AlmostComplexStructure,
-                         AlmostContactStructure, closed_eta_residual, fold_tensors,
-                         fundamental_form_residual, nijenhuis_normality_residual,
-                         structure_class_residual)
+                         AlmostContactStructure, closed_eta_residuals, fold_tensors,
+                         fundamental_form_residuals, nijenhuis_normality_residuals,
+                         structure_class_residuals)
 from .subman import (Immersion, ImmersionBlock, classification_residuals,
                      complex_cr_defects, contact_cr_residuals, fold_sff, gauss_residual_max,
                      scalar_identity_residual, shape_operator, warped_block_defect)
@@ -119,15 +119,16 @@ CR_SUITE = ("cr-leaf-invariance", "cr-fiber-anti-invariance", "cr-form-on-reeb-p
             "cr-leaf-vs-fiber-image", "cr-invariant-flip")
 
 
-def _contact_cr_records(rep: CheckReport, worst: dict, n: int, tol: float,
+def _contact_cr_records(rep: CheckReport, worst: dict, n: int, tol: float | None = None,
                         names=CR_SUITE):
     """The Reeb tangency, a precondition of the suite, and the named records
-    of the contact CR suite; ``worst``: :func:`contact_cr_residuals` folded."""
+    of the contact CR suite, at tol or else at each one's default (1e-8 for
+    the tangency); ``worst``: :func:`contact_cr_residuals` folded."""
     rep.add("cr-reeb-tangency", "contact-cr-reeb-tangency", worst["cr-reeb-tangency"],
-            1e-8, n, note="precondition failed at some points"
+            tol or 1e-8, n, note="precondition failed at some points"
             if worst.get("cr-reeb-not-tangent") else "")
     for name in names:
-        rep.add(name, f"contact-{name}", worst.get(name, 0.0), tol, n)
+        rep.add(name, f"contact-{name}", worst.get(name, 0.0), tol or DEFAULT_TOLS["cr"], n)
 
 
 # classification residual key, flag record name
@@ -185,29 +186,26 @@ def _laws(klass: str | None) -> dict:
     law holds across the class."""
     if klass == "nearly_cosymplectic":
         return {}
-    normality = {"normality": ("normality-defect", nijenhuis_normality_residual)}
+    normality = {"normality": ("normality-defect", nijenhuis_normality_residuals)}
     if klass in ("kenmotsu", "cosymplectic"):
-        return {**normality, "closed-eta": ("closed-contact-form-law", closed_eta_residual)}
+        return {**normality, "closed-eta": ("closed-contact-form-law", closed_eta_residuals)}
     return {**normality,
-            "fundamental-form": ("contact-metric-form-law", fundamental_form_residual)}
+            "fundamental-form": ("contact-metric-form-law", fundamental_form_residuals)}
 
 
 def _structure_step(s, klass: str | None):
-    """Per-point values of the structure records, from a StructureTensors."""
+    """Per-point values of the structure records, from a StructureTensors;
+    each contact law's values over the coordinate pairs (e_a, e_b), a < b."""
     if isinstance(s, AlmostComplexStructure):
         return lambda t: s.residuals(t, require_kahler=True)
-    n = s.dim
-    pairs = [(np.eye(n)[:, i], np.eye(n)[:, j])
-             for i in range(n) for j in range(i + 1, n)]
-    laws = {key: law for key, (_, law) in _laws(klass).items()}
-    if klass:
-        laws = {f"class-{klass}": lambda t, X, Y: structure_class_residual(t, klass, X, Y),
-                **laws}
+    upper = np.triu_indices(s.dim, 1)
 
     def step(t):
         out = s.identity_residuals(t)
-        for key, law in laws.items():
-            out[key] = [law(t, X, Y) for X, Y in pairs]
+        if klass:
+            out[f"class-{klass}"] = structure_class_residuals(t, klass)[upper].tolist()
+        for key, (_, law) in _laws(klass).items():
+            out[key] = law(t)[upper].tolist()
         return out
     return step
 
@@ -352,8 +350,9 @@ def _inequality_report(im: Immersion, n: int, worst: dict, rc: RunConfig,
     leaf = ("leaf-mean-curvature", "leaf-partial-mean-curvature",
             worst["leaf-mean-curvature"])
     if isinstance(im.structure, AlmostContactStructure):
-        _contact_cr_records(rep, worst, n, rc.tol("cr"))
-        rep.add(*leaf, rc.tol("cr"), n)
+        _contact_cr_records(rep, worst, n, rc.tols.get("cr"))
+        # the contact suite's default, unless leaf-minimality is given
+        rep.add(*leaf, rc.tols.get("leaf-minimality", DEFAULT_TOLS["cr"]), n)
     else:
         # leaf-minimality is a theorem about CR-warped products: enforce it
         # only when the machine-checked CR gate holds, report otherwise
@@ -496,7 +495,7 @@ def validate(cfg: BuiltConfig) -> CheckReport:
             rep.add("gate-warped-block", "induced-warped-block-form",
                     worst["warped-block-form"], DEFAULT_TOLS["warped-block"], n)
         if "cr-reeb-tangency" in worst:
-            _contact_cr_records(rep, worst, n, DEFAULT_TOLS["cr"], CR_SUITE[:2])
+            _contact_cr_records(rep, worst, n, names=CR_SUITE[:2])
     return rep
 
 

@@ -5,16 +5,12 @@ form from below by ambient tangent-plane curvature sums minus the warped
 Laplacian term, and diagnoses the equality case: leaf self-pairings of the
 form vanish, fiber self-pairings vanish, and the factors are respectively
 totally geodesic / totally umbilical with the immersion minimal.
-
-The complex-space-form bound is evaluated both through the curvature-sum
-reduction and as literally printed, where the two differ; the as-printed
-variant carries an explanatory note and is excluded from acceptance gating.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -42,13 +38,6 @@ def space_form_rhs(c: float, n1: int, n2: int, grad_lnf_sq: float,
     return c * n1 * n2 / 4.0 + n2 * grad_lnf_sq - n2 * lap_lnf
 
 
-def space_form_rhs_printed(c: float, n1: int, n2: int, grad_lnf_sq: float,
-                           lap_lnf: float) -> float:
-    """The combined special-case bound as literally printed (its curvature
-    coefficient is twice the reduction value; the two agree at c = 0)."""
-    return 2.0 * n1 * n2 * c / 4.0 + n2 * grad_lnf_sq - n2 * lap_lnf
-
-
 def generalized_rhs(c_rk: float, gamma: float, n1: int, n2: int,
                     grad_lnf_sq: float, lap_lnf: float) -> float:
     """Generalized-complex-space-form bound for the full squared form norm;
@@ -72,31 +61,7 @@ class InequalityResult:
     tol: float
     passed: bool
     equality: bool
-    diagnostics: dict[str, float] = field(default_factory=dict)
-    note: str = ""
-
-
-def _equality_diag(sff: SFFData) -> dict[str, float]:
-    """The three equality-case residuals shared by every bound evaluator."""
-    n1 = sff.n1
-    return {
-        "leaf_form_norm": math.sqrt(float(np.sum(sff.coeffs[:, :n1, :n1] ** 2))),
-        "fiber_form_norm": math.sqrt(float(np.sum(sff.coeffs[:, n1:, n1:] ** 2))),
-        "mean_norm": sff.vec_norm(sff.mean),
-    }
-
-
-def _result(sff: SFFData, lhs: float, rhs: float, tol: float,
-            diagnostics: dict[str, float] | None = None,
-            note: str = "") -> InequalityResult:
-    slack = lhs - rhs
-    diagnostics = diagnostics or {}
-    eq_keys = ("leaf_form_norm", "fiber_form_norm", "mean_norm")
-    equality = abs(slack) < tol and all(
-        diagnostics.get(k, 0.0) < tol for k in eq_keys)
-    return InequalityResult(point=sff.point.copy(), lhs=lhs, rhs=rhs,
-                            slack=slack, tol=tol, passed=slack >= -tol,
-                            equality=equality, diagnostics=diagnostics, note=note)
+    diagnostics: dict[str, float]
 
 
 # ---------------------------------------------------------------------------
@@ -234,40 +199,12 @@ def main_inequality(sff: SFFData, tol: float = SLACK_TOL_FLAT,
     rhs = (sums["tangent"] - sums["leaf"] - sums["fiber"]
            - p.geom.n2 * sc.lap_f / sc.f_value)
 
-    return _result(sff, lhs, rhs, tol, _equality_diag(sff))
-
-
-# ---------------------------------------------------------------------------
-# Special cases and variants
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SpaceFormBounds:
-    """Complex-space-form specializations at one point."""
-
-    reduction: InequalityResult  # via the curvature-sum reduction
-    printed: InequalityResult    # combined bound as printed
-
-
-def space_form_inequality(sff: SFFData, c: float = 0.0,
-                          tol: float = SLACK_TOL_FLAT) -> SpaceFormBounds:
-    """Specializations of the main bound to a complex space form of constant c.
-
-    The reduction bound matches the main inequality evaluated with the
-    corresponding curvature model; the as-printed variant is reported for
-    fidelity but carries a note (its curvature coefficient differs for c != 0)."""
-    p = warped_split(sff)
-    sc = p.scalars
-    n1, n2 = p.geom.n1, p.geom.n2
-    half_sq = 0.5 * sff.h_norm_sq()
-    diag = _equality_diag(sff)
-    reduction = _result(sff, half_sq,
-                        space_form_rhs(c, n1, n2, sc.grad_lnf_sq, sc.lap_lnf),
-                        tol, dict(diag))
-    printed = _result(sff, half_sq,
-                      space_form_rhs_printed(c, n1, n2, sc.grad_lnf_sq, sc.lap_lnf),
-                      tol, dict(diag),
-                      note="as-printed; curvature coefficient doubled relative "
-                           "to the frame-sum reduction")
-    return SpaceFormBounds(reduction=reduction, printed=printed)
+    n1, slack = sff.n1, lhs - rhs
+    diagnostics = {
+        "leaf_form_norm": math.sqrt(float(np.sum(sff.coeffs[:, :n1, :n1] ** 2))),
+        "fiber_form_norm": math.sqrt(float(np.sum(sff.coeffs[:, n1:, n1:] ** 2))),
+        "mean_norm": sff.vec_norm(sff.mean),
+    }
+    equality = abs(slack) < tol and all(v < tol for v in diagnostics.values())
+    return InequalityResult(point=sff.point.copy(), lhs=lhs, rhs=rhs, slack=slack, tol=tol,
+                            passed=slack >= -tol, equality=equality, diagnostics=diagnostics)

@@ -495,6 +495,14 @@ def stacked(cache: dict, key: str, build, index: int) -> list:
     return [a[k] for a in built]
 
 
+def metric_norms(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Norms under g of the vectors along v's last axis, in one stacked
+    matmul, each with the bits of its own sqrt(max(v @ g @ v, 0)) when v is
+    C-ordered."""
+    sq = (v[..., None, :] @ g @ v[..., :, None])[..., 0, 0]
+    return np.sqrt(np.where(0.0 > sq, 0.0, sq))  # max(sq, 0.0), a NaN kept
+
+
 def gram_schmidt_step(g: np.ndarray, basis: np.ndarray, counts: np.ndarray,
                       seeds: np.ndarray, active: np.ndarray,
                       threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -516,8 +524,7 @@ def gram_schmidt_step(g: np.ndarray, basis: np.ndarray, counts: np.ndarray,
                 u = np.ascontiguousarray(u)  # the lone column of a column stack
                 c = np.where(lone, u @ g @ col, c)
             np.subtract(row, c * u, out=row, where=kept[k])
-    sq = (row @ g @ col)[:, 0, 0]
-    nrm = np.sqrt(np.where(0.0 > sq, 0.0, sq))  # max(sq, 0.0), a NaN kept
+    nrm = metric_norms(g, v)
     ok = active & ~(nrm < threshold)
     np.divide(v, nrm[:, None], out=v, where=ok[:, None])
     return v, ok

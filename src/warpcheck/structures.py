@@ -10,7 +10,6 @@ evaluators and constancy tests need.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -21,7 +20,7 @@ from . import expr as dsl
 from .errors import ConfigurationError, DegeneratePlaneError
 from .jets import Point, as_point, per_block
 from .report import fold
-from .riemann import MetricBlock, MetricField, MetricPoint
+from .riemann import MetricBlock, MetricField, MetricPoint, metric_norms
 
 
 class _Structure:
@@ -60,12 +59,7 @@ class AlmostComplexStructure(_Structure):
 
     def parallel_residual(self, t: "StructureTensors") -> float:
         """Max component of the covariant derivative of J (zero iff Kahler at t.x)."""
-        j, dj = t.op
-        gam = t.metric.gamma
-        # (nabla_i J)^k_j = d_i J^k_j + Gamma^k_im J^m_j - Gamma^m_ij J^k_m
-        nj = (dj + np.einsum("kim,mj->ikj", gam, j)
-              - np.einsum("mij,km->ikj", gam, j))
-        return float(np.max(np.abs(nj)))
+        return float(np.max(np.abs(t.nabla)))
 
     def residuals(self, t: "StructureTensors", require_kahler: bool) -> dict[str, float]:
         """Per-point values of the almost complex structure records."""
@@ -111,9 +105,9 @@ CONTACT_IDENTITIES = ("phi_square", "phi_of_reeb", "dual_form_kills_phi",
 
 
 class StructureBlock:
-    """A structure's tensors at a block of chart points (B, dim), each
-    evaluated for all of them on first use and read per point by the
-    block's :class:`StructureTensors` records."""
+    """A structure's tensors at a block of chart points (B, dim), evaluated
+    together for all of them on first use and read per point by the block's
+    :class:`StructureTensors` records."""
 
     def __init__(self, s, points: np.ndarray, metric: MetricBlock | None = None):
         self.s = s
@@ -121,18 +115,35 @@ class StructureBlock:
         self.metric = metric or MetricBlock(s.metric, points)
 
     @cached_property
+    def _fields(self) -> list[list[np.ndarray]]:
+        """[T, its partials], and for a contact structure [xi] and [eta, its
+        partials], at every point of the block, after checking that each is
+        finite there; the first point where one is not raises."""
+        s, x = self.s, self.points
+        if isinstance(s, AlmostComplexStructure):
+            fields = [dsl.eval_matrix(s.j_entries, x, s.params, order=1)]
+        else:
+            fields = [dsl.eval_matrix(s.phi_entries, x, s.params, order=1),
+                      dsl.eval_matrix([s.xi_entries], x, s.params, order=0),
+                      dsl.eval_matrix([s.eta_entries], x, s.params, order=1)]
+        bad = np.zeros(len(x), dtype=bool)
+        for a in (a for field in fields for a in field):
+            bad |= ~np.isfinite(a.reshape(len(x), -1)).all(axis=1)
+        if bad.any():
+            raise ConfigurationError(f"structure tensors not finite at {x[np.argmax(bad)]}")
+        return fields
+
+    @property
     def op(self) -> list[np.ndarray]:
-        s = self.s
-        entries = s.j_entries if isinstance(s, AlmostComplexStructure) else s.phi_entries
-        return dsl.eval_matrix(entries, self.points, s.params, order=1)
+        return self._fields[0]
 
-    @cached_property
+    @property
     def xi(self) -> np.ndarray:
-        return dsl.eval_matrix([self.s.xi_entries], self.points, self.s.params, order=0)[0]
+        return self._fields[1][0]
 
-    @cached_property
+    @property
     def eta(self) -> list[np.ndarray]:
-        return dsl.eval_matrix([self.s.eta_entries], self.points, self.s.params, order=1)
+        return self._fields[2]
 
     def __getitem__(self, b: int) -> "StructureTensors":
         return StructureTensors(self.s, self.points[b], self.metric[b], self, b)
@@ -169,6 +180,14 @@ class StructureTensors:
         v, d = (a[self._index].copy() for a in self._block.eta)
         return v[0], d[:, 0]
 
+    @cached_property
+    def nabla(self) -> np.ndarray:
+        """The covariant derivative of J or phi at [i, k, j]:
+        (nabla_i T)^k_j = d_i T^k_j + Gamma^k_im T^m_j - Gamma^m_ij T^k_m."""
+        op, dop = self.op
+        gam = self.metric.gamma
+        return dop + np.einsum("kim,mj->ikj", gam, op) - np.einsum("mij,km->ikj", gam, op)
+
 
 def fold_tensors(s, points: Sequence[Point], step) -> dict:
     """step's per-point values folded over the points by :func:`report.fold`,
@@ -176,88 +195,78 @@ def fold_tensors(s, points: Sequence[Point], step) -> dict:
     return fold(per_block(points, lambda block: map(step, StructureBlock(s, block))))
 
 
-def covariant_phi_derivative(t: StructureTensors, X, Y) -> np.ndarray:
-    """(nabla_X phi)Y for vectors at t.x (constant coordinate extensions)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    phi, dphi = t.op
-    gam = t.metric.gamma
-    term = np.einsum("i,ikm,m->k", X, dphi, Y)
-    term += np.einsum("kim,i,mj,j->k", gam, X, phi, Y)
-    term -= np.einsum("km,mij,i,j->k", phi, gam, X, Y)
-    return term
-
-
 CLASS_NAMES = ("sasakian", "kenmotsu", "cosymplectic", "nearly_cosymplectic")
 
+# Each law below is bilinear, so it vanishes iff it vanishes on every pair of
+# coordinate directions (e_a, e_b); each returns its values over the pairs at
+# [a, b].  They are the one-pair formulas contracted with one-hot X and Y,
+# which on finite tensors selects entries exactly, so each value keeps the
+# bits of its formula as long as every sum keeps its order: a vector-matrix
+# product runs as one slice of a stacked np.matmul on C-ordered operands, and
+# a norm through riemann.metric_norms.
 
-def structure_class_residual(t: StructureTensors, klass: str, X, Y) -> float:
-    """Metric norm of the defect of the class-defining covariant-derivative law."""
+
+def _phi_g(t: StructureTensors) -> np.ndarray:
+    """Phi(e_a, e_b) = g(phi e_a, e_b) at [a, b]."""
+    return (np.ascontiguousarray(t.op[0].T)[:, None, :] @ t.metric.value)[:, 0]
+
+
+def _d_eta(t: StructureTensors) -> np.ndarray:
+    """d(eta)(e_a, e_b) = d_a eta_b - d_b eta_a at [a, b]."""
+    deta = t.eta[1]
+    return deta - deta.T
+
+
+def structure_class_residuals(t: StructureTensors, klass: str) -> np.ndarray:
+    """Metric norms of the defect of the class-defining covariant-derivative
+    law on each coordinate pair, at [a, b]."""
     if klass not in CLASS_NAMES:
         raise ConfigurationError(f"unknown structure class {klass!r}")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     phi, xi, eta, g = t.op[0], t.xi, t.eta[0], t.metric.value
-    lhs = covariant_phi_derivative(t, X, Y)
-    if klass == "sasakian":
-        rhs = -(X @ g @ Y) * xi + (eta @ Y) * X
-    elif klass == "kenmotsu":
-        rhs = ((phi @ X) @ g @ Y) * xi - (eta @ Y) * (phi @ X)
-    elif klass == "cosymplectic":
-        rhs = np.zeros(t.s.dim)
-    else:  # nearly cosymplectic: symmetrized derivative vanishes
-        lhs = lhs + covariant_phi_derivative(t, Y, X)
-        rhs = np.zeros(t.s.dim)
-    diff = lhs - rhs
-    return float(math.sqrt(max(diff @ g @ diff, 0.0)))
+    # (nabla_{e_a} phi) e_b at [a, b, k]; eta[:, None] is eta(e_b) there
+    diff = np.ascontiguousarray(t.nabla.transpose(0, 2, 1))
+    if klass == "sasakian":  # -g(X, Y) xi + eta(Y) X
+        diff = diff - (-g[:, :, None] * xi + eta[:, None] * np.eye(len(g))[:, None, :])
+    elif klass == "kenmotsu":  # g(phi X, Y) xi - eta(Y) phi X
+        diff = diff - (_phi_g(t)[:, :, None] * xi - eta[:, None] * phi.T[:, None, :])
+    elif klass == "nearly_cosymplectic":  # the symmetrized derivative vanishes
+        diff = diff + diff.transpose(1, 0, 2)
+    return metric_norms(g, diff)
 
 
-def _exterior_d_eta(t: StructureTensors, X, Y) -> float:
-    """d(eta)(X, Y) = X eta(Y) - Y eta(X) for constant-extended X, Y."""
-    deta = t.eta[1]
-    return float(np.einsum("i,ij,j->", X, deta, Y) - np.einsum("i,ij,j->", Y, deta, X))
-
-
-def nijenhuis_normality_residual(t: StructureTensors, X, Y) -> float:
-    """Metric norm of the normality defect [phi, phi](X, Y) + d(eta)(X, Y) xi.
+def nijenhuis_normality_residuals(t: StructureTensors) -> np.ndarray:
+    """Metric norms of the normality defect [phi, phi](X, Y) + d(eta)(X, Y) xi
+    on each coordinate pair, at [a, b].
 
     Convention note: with the halved exterior derivative
     d'eta(X,Y) = (X eta(Y) - Y eta(X) - eta([X,Y]))/2 common in the contact
     literature this is the usual N + 2 d'eta (x) xi; here d(eta) is the
-    unhalved convention used by :func:`fundamental_form_residual`, so the
+    unhalved convention used by :func:`fundamental_form_residuals`, so the
     correct factor is 1.  The standard Sasakian chart vanishes under this
     combination and not under the doubled one.
 
-    The combination is tensorial, so constant coordinate extensions of X and
-    Y are valid; brackets reduce to first derivatives of the phi-images.
+    The combination is tensorial, so constant coordinate extensions of the
+    coordinate fields are valid; brackets reduce to first derivatives of the
+    phi-images.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    (phi, dphi), xi, g = t.op, t.xi, t.metric.value
-
-    fx = phi @ X
-    fy = phi @ Y
-    dfx = np.einsum("kim,m->ki", dphi, X)   # dfx[k, i] = d_k (phi X)^i
-    dfy = np.einsum("kim,m->ki", dphi, Y)
-
-    bracket_fxfy = np.einsum("k,ki->i", fx, dfy) - np.einsum("k,ki->i", fy, dfx)
-    nij = (bracket_fxfy
-           - phi @ np.einsum("k,ki->i", X, dfy)
-           + phi @ np.einsum("k,ki->i", Y, dfx))
-    vec = nij + _exterior_d_eta(t, X, Y) * xi
-    return float(math.sqrt(max(vec @ g @ vec, 0.0)))
+    (phi, dphi), xi = t.op, t.xi
+    # [phi e_a, phi e_b]'s first half, (phi e_a)^k d_k (phi e_b)^i, at [a, b, i]
+    lie = np.einsum("ka,kib->abi", phi, dphi)
+    # phi d_a (phi e_b) at [a, b]
+    inner = (phi @ np.ascontiguousarray(dphi.transpose(0, 2, 1))[..., None])[..., 0]
+    swap = (1, 0, 2)
+    nij = lie - lie.transpose(swap) - inner + inner.transpose(swap)
+    return metric_norms(t.metric.value, nij + _d_eta(t)[:, :, None] * xi)
 
 
-def closed_eta_residual(t: StructureTensors, X, Y) -> float:
-    """|d(eta)(X, Y)|: the form law of Kenmotsu and cosymplectic structures."""
-    return abs(_exterior_d_eta(t, np.asarray(X, dtype=float), np.asarray(Y, dtype=float)))
+def closed_eta_residuals(t: StructureTensors) -> np.ndarray:
+    """|d(eta)(e_a, e_b)|: the form law of Kenmotsu and cosymplectic structures."""
+    return np.abs(_d_eta(t))
 
 
-def fundamental_form_residual(t: StructureTensors, X, Y) -> float:
-    """|Phi(X,Y) - d(eta)(X,Y)/2| with Phi(X,Y) = g(phi X, Y) (contact metric law)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return abs(float((t.op[0] @ X) @ t.metric.value @ Y) - 0.5 * _exterior_d_eta(t, X, Y))
+def fundamental_form_residuals(t: StructureTensors) -> np.ndarray:
+    """|Phi(e_a, e_b) - d(eta)(e_a, e_b)/2| (the contact metric law) at [a, b]."""
+    return np.abs(_phi_g(t) - 0.5 * _d_eta(t))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .jets import (DomainBox, Jet3, Point, as_point, coordinate_jets, differenti
                    jet_const, pack, per_block)
 from .report import fold, nan_max
 from .riemann import (MetricBlock, MetricField, MetricPoint, _checked, frame_curvature,
-                      gram_schmidt, gram_schmidt_step, stacked)
+                      gram_schmidt, gram_schmidt_step, metric_norms, stacked)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          StructureBlock, StructureTensors)
 from .warped import WarpedBlock, WarpedGeometry, WarpedPoint
@@ -223,10 +223,8 @@ class SFFData:
         return float(self.norms(v))
 
     def norms(self, v: np.ndarray) -> np.ndarray:
-        """Ambient norms of the vectors along v's last axis in one stacked
-        matmul, each with the bits of its own sqrt(max(v @ g @ v, 0))."""
-        sq = (v[..., None, :] @ self.g_ambient @ v[..., :, None])[..., 0, 0]
-        return np.sqrt(np.where(0.0 > sq, 0.0, sq))  # max(sq, 0.0), a NaN kept
+        """Ambient norms of the vectors along v's last axis (:func:`metric_norms`)."""
+        return metric_norms(self.g_ambient, v)
 
     def umbilicity(self, mean: np.ndarray, start: int = 0) -> list[float]:
         """Norms of h(e_i, e_j) - delta_ij mean over the frame from index start on."""

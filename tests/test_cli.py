@@ -354,7 +354,7 @@ def test_library_checks_give_the_cli_records(target):
     rep = CheckReport()
     cli._fiber_lemma_records(rep, worst, n, cr)
     if contact:
-        cli._contact_cr_records(rep, worst, n, cr)
+        cli._contact_cr_records(rep, worst, n)
         cli._contact_records(rep, s, worst, n, DEFAULT_TOLS["structure"])
     else:
         cli._complex_records(rep, worst, n)
@@ -420,6 +420,52 @@ def test_one_geometry_record_per_point(monkeypatch):
     code, _, _ = run(RunConfig(target="e6", points=3))
     assert code == 0
     assert calls["derivs"] <= 3 and calls["sff"] <= 3, calls
+
+
+def test_one_law_evaluation_per_point(monkeypatch):
+    # each contact law gives its values over every coordinate pair at once;
+    # the structure records and the main inequality's Kahler gate read one
+    # covariant derivative of J a point
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    laws = ("structure_class_residuals", "nijenhuis_normality_residuals",
+            "fundamental_form_residuals")
+    for name in laws:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    code, _, _ = run(RunConfig(target="sasakian-r5", points=3))
+    assert code == 0 and calls == {name: 3 for name in laws}, calls
+    calls.clear()
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda subscripts, *operands, **kwargs: counted(
+        subscripts, einsum)(subscripts, *operands, **kwargs))
+    code, _, _ = run(RunConfig(target="e1", points=3))
+    assert code == 0 and calls["kim,mj->ikj"] == 3, calls
+
+
+@pytest.mark.parametrize("old, new", [
+    ('phi_row_5 = "0", "0", "-1*x3"', 'phi_row_5 = "0", "0", "-1e200*1e200*x3"'),
+    ('xi = "0", "0", "0", "0", "2"', 'xi = "0", "0", "0", "0", "2*1e200*1e200"'),
+    ('eta = "-0.5*x3"', 'eta = "-0.5e300*1e300*x3"'),
+], ids=["phi", "xi", "eta"])
+def test_a_non_finite_structure_tensor_exits_2_naming_its_first_point(tmp_path, capsys,
+                                                                       old, new):
+    # one-hot pairs select entries exactly, so 0 * inf no longer turns a law's
+    # value into NaN; the parent reported FAIL class-sasakian worst="nan"
+    for config in ("sasakian_r5.cfg", "e5_sasakian_cr.cfg"):
+        p = _builtin_with(tmp_path, config, old, new)
+        assert main(["--target", p, "--points", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: structure tensors not finite at [")
+        assert err.count("\n") == 1, err
+        if config == "sasakian_r5.cfg":  # an immersion names the ambient point
+            first = sample_points(cli._resolve(p)[0].subject, 4, 42)[0]
+            assert err == f"configuration error: structure tensors not finite at {first}\n"
 
 
 @pytest.mark.parametrize("target, per_point", [("e5", 2), ("e6", 2), ("e2", 1)])
@@ -519,6 +565,19 @@ def test_a_structure_tolerance_reaches_every_complex_structure_record():
                               tols={"structure": 1e-3}))
     assert {r["name"]: r["tol"] for r in doc["checks"]} == {
         "complex-square": 1e-3, "complex-compatibility": 1e-3, "kahler-parallel": 1e-3}
+
+
+def test_contact_tolerances_reach_their_records():
+    # leaf-minimality reaches the contact leaf record (the parent gave it the
+    # cr tolerance) and cr the Reeb tangency (the parent fixed it at 1e-8)
+    tols = {"leaf-minimality": 1e-3, "cr": 1e-4}
+    for given, want in (({}, {"leaf-mean-curvature": 1e-7, "cr-reeb-tangency": 1e-8,
+                              "cr-leaf-invariance": 1e-7}),
+                        (tols, {"leaf-mean-curvature": 1e-3, "cr-reeb-tangency": 1e-4,
+                                "cr-leaf-invariance": 1e-4})):
+        _, doc, _ = run(RunConfig(target="e5", checks=("inequalities",), points=3,
+                                  tols=given))
+        assert {r["name"]: r["tol"] for r in doc["checks"] if r["name"] in want} == want
 
 
 def test_run_config_guards():
@@ -622,6 +681,116 @@ def test_report_bytes_match_golden_digests():
     for (name, checks), digest in GROUP_DIGESTS.items():
         _, doc, _ = run(RunConfig(target=name, checks=(checks,), points=3, seed=42))
         assert hashlib.sha256(to_json_bytes(doc)).hexdigest() == digest, (name, checks)
+
+
+CLASSES = ("sasakian", "kenmotsu", "cosymplectic", "nearly_cosymplectic")
+
+# a contact structure with sin, exp and sqrt in every tensor: no class law
+# holds, so each class residual carries all 17 digits of a generic value
+NON_POLYNOMIAL_CONTACT = """[metric m]
+dim = 5
+row_1 = "1 + 0.2*sin(x2)", "0.1*exp(0.3*x3)", "0", "0", "0.1*x4"
+row_2 = "0.1*exp(0.3*x3)", "exp(0.2*x1)", "0.05*sin(x5)", "0", "0"
+row_3 = "0", "0.05*sin(x5)", "sqrt(2 + x4)", "0", "0"
+row_4 = "0", "0", "0", "1 + 0.1*cos(x1)", "0"
+row_5 = "0.1*x4", "0", "0", "0", "1 + 0.1*x2^2"
+domain_lo = -1, -1, -1, -1, -1
+domain_hi = 1, 1, 1, 1, 1
+
+[structure s]
+kind = contact
+metric = m
+expected_class = sasakian
+phi_row_1 = "0", "-cos(x5)", "0.1*sin(x2)", "0", "0"
+phi_row_2 = "cos(x5)", "0", "0", "0.1*exp(0.5*x1)", "0"
+phi_row_3 = "0", "0", "0", "-sqrt(1 + 0.5*x3^2)", "0"
+phi_row_4 = "0", "0", "exp(0.1*x2)", "0", "0"
+phi_row_5 = "0.2*sin(x3)", "0", "-0.1*x1", "0", "0"
+xi = "0", "0", "0", "0.1*sin(x1)", "exp(-0.1*x2)"
+eta = "0.1*sqrt(2 + x3)", "0", "0", "0", "exp(0.1*x2)"
+
+[subject]
+kind = structure
+target = s
+"""
+
+
+def _class_law_configs(tmp_path):
+    """(file name, class) of each config whose structure records no builtin
+    reaches, written under tmp_path as the file is needed."""
+    for klass, diag in (("kenmotsu", ["1"] + ["exp(2*x1)"] * 4),
+                        ("cosymplectic", ["1"] * 5), ("nearly_cosymplectic", ["1"] * 5)):
+        yield Path(_contact_cfg(tmp_path, diag, klass)).name, klass
+    for klass in CLASSES:
+        yield Path(_builtin_with(tmp_path, "sasakian_r5.cfg", "expected_class = sasakian",
+                                 f"expected_class = {klass}")).name, klass
+        p = tmp_path / f"non_polynomial_{klass}.cfg"
+        p.write_text(NON_POLYNOMIAL_CONTACT.replace("expected_class = sasakian",
+                                                    f"expected_class = {klass}"))
+        yield p.name, klass
+
+
+# sha256 of the JSON report of --checks structure, seed 42, for each config
+# of _class_law_configs at 3 and 33 points: the closed-eta classes of
+# _contact_cfg, sasakian-r5 declared as each class (all but its own leave
+# large residuals) and NON_POLYNOMIAL_CONTACT under each class.  Like the
+# digests above, never update one to fit.
+CLASS_LAW_DIGESTS = {
+    ("kenmotsu.cfg", "kenmotsu", 3):
+        "a10577cd138ca64a448faa8722f4667dea32bfcc178c40f50772859168e56dca",
+    ("kenmotsu.cfg", "kenmotsu", 33):
+        "9568aa7938ae048cce31ce07092a40a438bdcb2f0258d85b2c21e394dbe45171",
+    ("cosymplectic.cfg", "cosymplectic", 3):
+        "4cc466ceda4cf6175d6fc71d3932f76ba3c0696fe9dd030d17713b61db3025d8",
+    ("cosymplectic.cfg", "cosymplectic", 33):
+        "a0fc767119741b1411ede619387d0196ed9a9e6213f2151204e676ff7313843b",
+    ("nearly_cosymplectic.cfg", "nearly_cosymplectic", 3):
+        "0e6e021f9ccae7ca2307c531c7bed0d28230e7ee5fa3c29a54c0e6b11cf93d3d",
+    ("nearly_cosymplectic.cfg", "nearly_cosymplectic", 33):
+        "fcc5b2a0f48ba9df54f808cef351ad66a8192c7eeaea71b6804e5707e4a87d53",
+    ("sasakian_r5.cfg", "sasakian", 3):
+        "9a393b038272125b9e6bf263ed100d70054f7f64302dbf464e2a77e4cd37215e",
+    ("sasakian_r5.cfg", "sasakian", 33):
+        "fbe3bae0a04f80853f82cdfc38491b8059d0e31ff0a6fac5911312e7bc7c4082",
+    ("sasakian_r5.cfg", "kenmotsu", 3):
+        "8da41aa5231bf39cf42ddfe4a73559ef962e27652bbd0b471e763c173f8cd2c0",
+    ("sasakian_r5.cfg", "kenmotsu", 33):
+        "3a5908f6c5d859c8b4919c947218d96b96dd5e1c8c0577bbe6db4266393aadea",
+    ("sasakian_r5.cfg", "cosymplectic", 3):
+        "d0e37a1c679d2fc09ae1565632e11800a03d55255b7ae459f90bec9044639803",
+    ("sasakian_r5.cfg", "cosymplectic", 33):
+        "4cc8b752901495c878406a89acc9589ae3cb5a7aba4b719d160dd6308704d28d",
+    ("sasakian_r5.cfg", "nearly_cosymplectic", 3):
+        "a11e00615b2cdfcf6c972d54518ada94e8de44ee6f8c8f156e461e1aa6db41f5",
+    ("sasakian_r5.cfg", "nearly_cosymplectic", 33):
+        "e22ff09ec93fb091b962934e70f2e80b1c06ef7b2c75b291c4ef56ca576a8b25",
+    ("non_polynomial_sasakian.cfg", "sasakian", 3):
+        "09ca6e6a83b6e6d800d51c49de4bfd3b1b84f77c0ca7272e84c566af313e154e",
+    ("non_polynomial_sasakian.cfg", "sasakian", 33):
+        "09eb62b5b9598c27e9b47a8eeb9d7f09209d569c47592784fb622f8a15f07768",
+    ("non_polynomial_kenmotsu.cfg", "kenmotsu", 3):
+        "bcd1d37ff35bd8901a962b76e7f3bf23cc0275eb871c3357d7e44c926bfcee6b",
+    ("non_polynomial_kenmotsu.cfg", "kenmotsu", 33):
+        "0a5b90569132e69f39f9e4d42d3bba239545707ffd76f29b5ef6137462cc34fc",
+    ("non_polynomial_cosymplectic.cfg", "cosymplectic", 3):
+        "4f8d7b3cf6e06971ff5dd57d5fe040f766eaf45e2c8daf28a272bb421f4577f4",
+    ("non_polynomial_cosymplectic.cfg", "cosymplectic", 33):
+        "9081a744c87610d4ac4fed73bff84ee4324a287464c6aa96c695152ccad515bc",
+    ("non_polynomial_nearly_cosymplectic.cfg", "nearly_cosymplectic", 3):
+        "ace8493ef365a11cfc220ca164da051485380ca305992dbc9775fe6269aa075b",
+    ("non_polynomial_nearly_cosymplectic.cfg", "nearly_cosymplectic", 33):
+        "0840f602345f4191e1ae4d395c0e05a5410d37c68b606f3ae5df95d099decbe6",
+}
+
+
+def test_class_law_report_bytes_match_their_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names its target as given
+    got = {}
+    for name, klass in _class_law_configs(tmp_path):
+        for points in (3, 33):
+            _, doc, _ = run(RunConfig(target=name, checks=("structure",), points=points))
+            got[name, klass, points] = hashlib.sha256(to_json_bytes(doc)).hexdigest()
+    assert got == CLASS_LAW_DIGESTS
 
 
 def _scalar_variant_draws(seed):

@@ -1,7 +1,8 @@
 """Per-point checks take their point's record (SFFData, StructureTensors or
-WarpedPoint) and nothing that the record already holds; every function and
-class the package defines is read by it or exported, and every parameter by
-its function; only the command-line module makes report records."""
+WarpedPoint) and nothing that the record already holds, and a structure law
+no vectors; every function and class the package defines is read by it or
+exported, and every parameter by its function; only the command-line module
+makes report records."""
 
 import ast
 import inspect
@@ -40,12 +41,20 @@ def test_no_optional_record_parameters(mod):
     assert found == []
 
 
+def test_structure_laws_take_no_vectors():
+    # a law of the point record gives its values over every coordinate pair
+    # at once; the closed-form models alone take vectors
+    found = [name for name, fn in _public_callables(structures)
+             if "t" in (params := inspect.signature(fn).parameters)
+             and params.keys() & {"X", "Y", "Z", "W"}]
+    assert found == []
+
+
 @pytest.mark.parametrize("check", [
     ineq.main_inequality,
-    ineq.space_form_inequality,
     ineq.scalar_decomposition_residual,
     subman.warped_block_defect,
-], ids=["main", "space-form", "scalar-split", "warped-block"])
+], ids=["main", "scalar-split", "warped-block"])
 def test_checks_needing_a_warped_split_reject_an_immersion_without_one(check):
     sff = second_fundamental_form(load_builtin("e3").subject, np.array([1.0, 2.0]))
     assert sff.warped is None

@@ -14,8 +14,7 @@ from helpers import (box_points, chen_cr_immersion, perturbed_chen_immersion,
 from warpcheck.cli import _fiber_lemma_records
 from warpcheck.errors import ConfigurationError
 from warpcheck.ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
-                            main_inequality, scalar_decomposition_residual,
-                            space_form_inequality, space_form_rhs, space_form_rhs_printed)
+                            main_inequality, scalar_decomposition_residual, space_form_rhs)
 from warpcheck.report import CheckReport
 from warpcheck.structures import complex_space_form
 from warpcheck.subman import fold_sff, second_fundamental_form, warped_geometry
@@ -163,27 +162,32 @@ def test_model_curvature_sum_matches_reduction_count():
 # ---------------------------------------------------------------------------
 
 
+def flat_space_form_bound(sff) -> tuple[float, float]:
+    """Half the squared form norm and the complex-space-form bound at c = 0."""
+    p = sff.warped
+    return 0.5 * sff.h_norm_sq(), space_form_rhs(0.0, p.geom.n1, p.geom.n2,
+                                                 p.scalars.grad_lnf_sq, p.scalars.lap_lnf)
+
+
 def test_space_form_equality_on_chen_cr_at_flat_constant():
     im = chen_cr_immersion()
     for u, v in [(0.3, 0.4), (0.6, 0.8), (1.2, 1.6)]:
-        x = np.array([u, v, 0.7])
-        b = space_form_inequality(second_fundamental_form(im, x), c=0.0)
+        sff = second_fundamental_form(im, np.array([u, v, 0.7]))
+        lhs, rhs = flat_space_form_bound(sff)
         r2 = u * u + v * v
-        npt.assert_allclose(b.reduction.lhs, 1.0 / r2, rtol=1e-11)
-        npt.assert_allclose(b.reduction.rhs, 1.0 / r2, rtol=1e-11)
-        assert abs(b.reduction.slack) < 1e-8
-        assert b.reduction.equality
-        # at c = 0 the printed coefficient difference disappears
-        npt.assert_allclose(b.printed.rhs, b.reduction.rhs, atol=1e-14)
+        npt.assert_allclose(lhs, 1.0 / r2, rtol=1e-11)
+        npt.assert_allclose(rhs, 1.0 / r2, rtol=1e-11)
+        assert abs(lhs - rhs) < 1e-8
+        # the equality diagnostics vanish too
+        assert main_inequality(sff).equality
 
 
 def test_space_form_mirrors_main_inequality_at_zero_constant():
     im = chen_cr_immersion()
     x = np.array([0.9, 0.2, 1.1])
     sff = second_fundamental_form(im, x)
-    b = space_form_inequality(sff, c=0.0)
     m = main_inequality(sff)
-    npt.assert_allclose(b.reduction.rhs, m.rhs, atol=1e-8)
+    npt.assert_allclose(flat_space_form_bound(sff)[1], m.rhs, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +205,6 @@ def test_generalized_reduces_to_space_form_bound():
         a = generalized_rhs(c, 0.0, n1, n2, grad, lap)
         b = 2.0 * space_form_rhs(c, n1, n2, grad, lap)
         assert abs(a - b) < 1e-12
-
-
-def test_printed_and_reduction_differ_for_nonzero_constant():
-    assert space_form_rhs_printed(2.0, 3, 2, 0.0, 0.0) == \
-        2.0 * space_form_rhs(2.0, 3, 2, 0.0, 0.0)
-    assert space_form_rhs_printed(2.0, 3, 2, 1.0, 0.0) != \
-        space_form_rhs(2.0, 3, 2, 1.0, 0.0)
 
 
 def test_generalized_inequality_formula_values():

@@ -446,8 +446,7 @@ def test_warped_geometry_requires_declaration():
 def contact_cr(im, points) -> CheckReport:
     """The contact CR suite's records at the points, as the report makes them."""
     rep = CheckReport()
-    _contact_cr_records(rep, fold_sff(im, points, contact_cr_residuals), len(points),
-                        DEFAULT_TOLS["cr"])
+    _contact_cr_records(rep, fold_sff(im, points, contact_cr_residuals), len(points))
     return rep
 
 
