@@ -231,10 +231,9 @@ def _structure_checks(s, klass: str | None, rc: RunConfig, rep: CheckReport):
 def _warped_checks(w: WarpedMetric, rc: RunConfig, rep: CheckReport):
     points = sample_points(w, rc.points, rc.seed)
     w.validate_at(points)
-    geom = w.geometry()
 
     def walk(block):
-        wb = WarpedBlock(geom, block)
+        wb = WarpedBlock(w, block)
         symmetries = Curvature4(wb.total.curvature).max_symmetry_residual()
         for p, sym in zip(wb, symmetries.tolist()):
             blocks = block_second_form_residuals(p)
@@ -528,8 +527,7 @@ def run(rc: RunConfig) -> tuple[int, dict, str]:
                 _metric_checks(subject, rc, rep)
         elif isinstance(subject, (AlmostComplexStructure, AlmostContactStructure)):
             if "structure" in groups:
-                name = cfg.subject_name
-                _structure_checks(subject, cfg.expected_class.get(name), rc, rep)
+                _structure_checks(subject, subject.klass, rc, rep)
         elif isinstance(subject, WarpedMetric):
             if "identities" in groups:
                 _warped_checks(subject, rc, rep)

@@ -18,7 +18,8 @@ Format (stability contract, no nested includes)::
     kind = complex                    # or: contact
     metric = flat_c2
     j_row_1 = "0", "-1", "0", "0"     # complex: j_row_i
-    # contact: phi_row_i, xi = ..., eta = ..., expected_class = sasakian
+    # contact: phi_row_i, xi = ..., eta = ..., and optionally
+    # expected_class = sasakian     # or kenmotsu, cosymplectic, nearly_cosymplectic
 
     [warped hyperbolic]
     leaf = line_t
@@ -43,7 +44,8 @@ Format (stability contract, no nested includes)::
 
 Values are comma-separated items: quoted expression strings, numbers, or
 bare identifiers.  Expressions use the package grammar with variables
-x1..xn of the owning chart.
+x1..xn of the owning chart.  A key that the section's builder does not read
+(a misspelt key, or an optional key whose companion is missing) is an error.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .errors import ConfigurationError
 from .expr import ParseError
 from .jets import DomainBox, ExcludedBall
 from .riemann import MetricField
-from .structures import AlmostComplexStructure, AlmostContactStructure
+from .structures import CLASS_NAMES, AlmostComplexStructure, AlmostContactStructure
 from .subman import Immersion, WarpedDecl
 from .warped import WarpedMetric, assemble
 
@@ -69,23 +71,15 @@ class Section:
     line: int
     values: dict[str, list] = field(default_factory=dict)
     lines: dict[str, int] = field(default_factory=dict)
+    read: set[str] = field(default_factory=set)  # the keys its builder looked up
 
 
 @dataclass
 class BuiltConfig:
-    metrics: dict[str, MetricField]
-    structures: dict[str, object]
-    warpeds: dict[str, WarpedMetric]
-    immersions: dict[str, Immersion]
-    subject_kind: str
-    subject_name: str
-    expected_class: dict[str, str]
+    """A loaded config: the metric, structure, warped metric or immersion
+    that its [subject] section names."""
 
-    @property
-    def subject(self):
-        pool = {"metric": self.metrics, "structure": self.structures,
-                "warped": self.warpeds, "immersion": self.immersions}[self.subject_kind]
-        return pool[self.subject_name]
+    subject: object
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +178,7 @@ def parse_config_text(text: str) -> list[Section]:
 
 
 def _want(sec: Section, key: str, kinds: tuple[str, ...] | None = None) -> list:
+    sec.read |= {key}
     if key not in sec.values:
         raise ConfigurationError(
             f"[{sec.kind} {sec.name}] (line {sec.line}): missing key {key!r}")
@@ -300,7 +295,10 @@ def _build_structure(sec: Section, metrics: dict[str, MetricField]):
         rows = [_expr_row(sec, f"phi_row_{i}", dim, dim) for i in range(1, dim + 1)]
         xi = _expr_row(sec, "xi", dim, dim)
         eta = _expr_row(sec, "eta", dim, dim)
-        return AlmostContactStructure(metric, rows, xi, eta, name=sec.name)
+        klass = _word(sec, "expected_class") if "expected_class" in sec.values else None
+        if klass not in (None, *CLASS_NAMES):
+            raise ConfigurationError(f"[structure {sec.name}]: unknown structure class {klass!r}")
+        return AlmostContactStructure(metric, rows, xi, eta, name=sec.name, klass=klass)
     raise ConfigurationError(f"[structure {sec.name}]: kind must be complex or contact")
 
 
@@ -327,6 +325,9 @@ def _build_immersion(sec: Section, metrics, structures) -> Immersion:
         structure = structures.get(_word(sec, "structure"))
         if structure is None:
             raise ConfigurationError(f"[immersion {sec.name}]: unknown structure")
+        if structure.dim != ambient.dim:
+            raise ConfigurationError(f"[immersion {sec.name}]: structure of dimension "
+                                     f"{structure.dim} on an ambient of {ambient.dim}")
     warped = None
     if "warp_n1" in sec.values:
         n1 = _one(sec, "warp_n1", _integers(sec, "warp_n1", 1))
@@ -341,6 +342,9 @@ def _build_immersion(sec: Section, metrics, structures) -> Immersion:
             if g2 is None:
                 raise ConfigurationError(
                     f"[immersion {sec.name}]: unknown fiber metric")
+            if g2.dim != n2:
+                raise ConfigurationError(f"[immersion {sec.name}]: fiber metric of "
+                                         f"dimension {g2.dim} for a fiber of {n2}")
         warped = WarpedDecl(n1=n1, n2=n2, f=f, g2=g2)
     return Immersion(dim=dim, components=comps, ambient=ambient,
                      structure=structure, warped=warped,
@@ -348,11 +352,8 @@ def _build_immersion(sec: Section, metrics, structures) -> Immersion:
 
 
 def build_config(sections: list[Section]) -> BuiltConfig:
-    metrics: dict[str, MetricField] = {}
-    structures: dict[str, object] = {}
-    warpeds: dict[str, WarpedMetric] = {}
-    immersions: dict[str, Immersion] = {}
-    expected_class: dict[str, str] = {}
+    pools: dict[str, dict] = {"metric": {}, "structure": {}, "warped": {}, "immersion": {}}
+    metrics, structures = pools["metric"], pools["structure"]
     subject_kind = subject_name = None
 
     for sec in sections:
@@ -360,31 +361,29 @@ def build_config(sections: list[Section]) -> BuiltConfig:
             metrics[sec.name] = _build_metric(sec)
         elif sec.kind == "structure":
             structures[sec.name] = _build_structure(sec, metrics)
-            if "expected_class" in sec.values:
-                expected_class[sec.name] = _word(sec, "expected_class")
         elif sec.kind == "warped":
-            warpeds[sec.name] = _build_warped(sec, metrics)
+            pools["warped"][sec.name] = _build_warped(sec, metrics)
         elif sec.kind == "immersion":
-            immersions[sec.name] = _build_immersion(sec, metrics, structures)
+            pools["immersion"][sec.name] = _build_immersion(sec, metrics, structures)
         elif sec.kind == "subject":
             subject_kind = _word(sec, "kind")
             subject_name = _word(sec, "target")
         else:
             raise ConfigurationError(
                 f"line {sec.line}: unknown section kind {sec.kind!r}")
+        unread = [key for key in sec.values if key not in sec.read]
+        if unread:
+            raise ConfigurationError(f"line {sec.lines[unread[0]]}: [{sec.kind} {sec.name}] "
+                                     f"does not read key {unread[0]!r}")
 
     if subject_kind is None:
         raise ConfigurationError("config declares no [subject] section")
-    pools = {"metric": metrics, "structure": structures, "warped": warpeds,
-             "immersion": immersions}
     if subject_kind not in pools:
         raise ConfigurationError(f"subject kind {subject_kind!r} unknown")
     if subject_name not in pools[subject_kind]:
         raise ConfigurationError(
             f"subject {subject_name!r} not found among {subject_kind} sections")
-    return BuiltConfig(metrics=metrics, structures=structures, warpeds=warpeds,
-                       immersions=immersions, subject_kind=subject_kind,
-                       subject_name=subject_name, expected_class=expected_class)
+    return BuiltConfig(pools[subject_kind][subject_name])
 
 
 def load_config(path: str | Path) -> BuiltConfig:

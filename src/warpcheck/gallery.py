@@ -14,8 +14,6 @@ import numpy as np
 from .config import BuiltConfig, load_config_text
 from .errors import ConfigurationError
 from .sampling import halton_points
-from .structures import AlmostComplexStructure, AlmostContactStructure
-from .warped import WarpedMetric
 
 
 # builtin name -> config file in the package data directory
@@ -49,10 +47,7 @@ def load_builtin(name: str) -> BuiltConfig:
 def sample_points(subject, n: int, seed: int) -> list[np.ndarray]:
     """Halton points in the subject's domain box; warped metrics and
     structures sample their metric's box."""
-    if isinstance(subject, WarpedMetric):
-        subject = subject.assembled
-    elif isinstance(subject, (AlmostComplexStructure, AlmostContactStructure)):
-        subject = subject.metric
+    subject = getattr(subject, "metric", subject)
     if getattr(subject, "domain", None) is None:
         raise ConfigurationError("subject declares no domain box to sample")
     return halton_points(subject.domain, n, seed)

@@ -54,11 +54,9 @@ def generalized_rhs(c_rk: float, gamma: float, n1: int, n2: int,
 class InequalityResult:
     """One bound evaluated at one point, with equality diagnostics."""
 
-    point: np.ndarray
     lhs: float
     rhs: float
     slack: float
-    tol: float
     passed: bool
     equality: bool
     diagnostics: dict[str, float]
@@ -206,5 +204,5 @@ def main_inequality(sff: SFFData, tol: float = SLACK_TOL_FLAT,
         "mean_norm": sff.vec_norm(sff.mean),
     }
     equality = abs(slack) < tol and all(v < tol for v in diagnostics.values())
-    return InequalityResult(point=sff.point.copy(), lhs=lhs, rhs=rhs, slack=slack, tol=tol,
-                            passed=slack >= -tol, equality=equality, diagnostics=diagnostics)
+    return InequalityResult(lhs=lhs, rhs=rhs, slack=slack, passed=slack >= -tol,
+                            equality=equality, diagnostics=diagnostics)

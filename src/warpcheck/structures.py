@@ -26,6 +26,8 @@ from .riemann import MetricBlock, MetricField, MetricPoint, metric_norms
 class _Structure:
     """What almost complex and almost contact structures share."""
 
+    klass = None  # the declared class; only a contact structure declares one
+
     @property
     def dim(self) -> int:
         return self.metric.dim
@@ -85,6 +87,7 @@ class AlmostContactStructure(_Structure):
     eta_entries: list   # dim Exprs (covector components)
     params: tuple[float, ...] = ()
     name: str = ""
+    klass: str | None = None  # declared class, one of CLASS_NAMES
 
     def identity_residuals(self, t: "StructureTensors") -> dict[str, float]:
         """The six defining identities of an almost contact metric structure."""

@@ -28,7 +28,7 @@ from .riemann import (MetricBlock, MetricField, MetricPoint, _checked, frame_cur
                       gram_schmidt, gram_schmidt_step, metric_norms, stacked)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          StructureBlock, StructureTensors)
-from .warped import WarpedBlock, WarpedGeometry, WarpedPoint
+from .warped import WarpedBlock, WarpedMetric, WarpedPoint
 
 RANK_THRESHOLD = 1e-8
 NORMAL_COMPLETION_THRESHOLD = 1e-8
@@ -184,7 +184,6 @@ class SFFData:
     nothing more.
     """
 
-    point: np.ndarray
     ambient_point: np.ndarray
     g_induced: np.ndarray          # (n, n)
     g_ambient: np.ndarray          # (m, m)
@@ -376,9 +375,7 @@ def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | Non
     h_coord = d_full - np.einsum("ija,ka->ijk", tang_comp, tangent_amb)
     h_frame = np.einsum("pqk,pi,qj->ijk", h_coord, tangent_frame, tangent_frame)
 
-    s = im.structure
-    tensors = None if s is None else StructureTensors(
-        s, y, amb if s.metric is im.ambient else None, block.tensors, index)
+    tensors = None if im.structure is None else block.tensors[index]
 
     coeffs = np.einsum("ijk,km,mr->rij", h_frame, g_amb, normal_frame)
     mean = np.einsum("iik->k", h_frame) / n
@@ -391,7 +388,7 @@ def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | Non
         mean_fiber = np.einsum("iik->k", h_frame[decl.n1:, decl.n1:]) / decl.n2
 
     return SFFData(
-        point=np.array(x), ambient_point=y, g_induced=g_ind, g_ambient=g_amb,
+        ambient_point=y, g_induced=g_ind, g_ambient=g_amb,
         jacobian=jac, tangent_frame=tangent_frame, tangent_ambient=tangent_amb,
         normal_frame=normal_frame, h_coord=h_coord, h_frame=h_frame,
         coeffs=coeffs, mean=mean, im=im, d_full=d_full, ambient=amb,
@@ -504,14 +501,14 @@ def classification_residuals(sff: SFFData) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def warped_geometry(im: Immersion) -> WarpedGeometry:
-    """Identity-check view of a warped-declared immersion: the induced metric
+def warped_geometry(im: Immersion) -> WarpedMetric:
+    """The warped split of a warped-declared immersion: the induced metric
     with the declared block split and warping function."""
     decl = im.warped
     if decl is None:
         raise ConfigurationError("immersion has no warped declaration")
-    return WarpedGeometry(metric=InducedMetric(im), n1=decl.n1, n2=decl.n2, f=decl.f,
-                          params=im.params, fiber=decl.g2)
+    return WarpedMetric(InducedMetric(im), decl.n1, decl.n2, decl.f, im.params,
+                        fiber=decl.g2)
 
 
 def warped_split(sff: SFFData) -> WarpedPoint:

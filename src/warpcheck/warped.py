@@ -48,21 +48,22 @@ def _expr_max_var(e) -> int:
 
 @dataclass
 class WarpedMetric:
-    """Block metric g1 + f^2 g2 on the product chart (leaf coords first)."""
+    """A metric split as g1 + f^2 g2 on the product chart, leaf coordinates
+    first: the total metric, the block sizes and the warping function f over
+    the leaf chart, with its parameters.
 
-    g1: MetricField
-    g2: MetricField
+    ``leaf`` is the leaf factor's metric; None means the leading n1 x n1
+    block of the total metric at the point (how induced metrics are split).
+    ``fiber`` is the declared fiber metric; None means the identity.
+    """
+
+    metric: object
+    n1: int
+    n2: int
     f: object  # Expr over the leaf chart
-    assembled: MetricField
-    name: str = ""
-
-    @property
-    def n1(self) -> int:
-        return self.g1.dim
-
-    @property
-    def n2(self) -> int:
-        return self.g2.dim
+    params: tuple
+    leaf: MetricField | None = None
+    fiber: MetricField | None = None
 
     @property
     def dim(self) -> int:
@@ -73,17 +74,11 @@ class WarpedMetric:
         """Trivial warped product: constant warping function."""
         return _expr_max_var(self.f) < 0
 
-    def geometry(self) -> "WarpedGeometry":
-        return WarpedGeometry(metric=self.assembled, n1=self.n1, n2=self.n2,
-                              f=self.f, params=self.assembled.params, leaf=self.g1,
-                              fiber=self.g2)
-
     def validate_at(self, points: Sequence[Point]) -> None:
-        self.assembled.validate_at(points)
+        self.metric.validate_at(points)
 
         def check(block):
-            f = dsl.eval_matrix([[self.f]], block[:, : self.n1], self.assembled.params,
-                                order=0)[0]
+            f = dsl.eval_matrix([[self.f]], block[:, : self.n1], self.params, order=0)[0]
             for x, f_val in zip(block, f[:, 0, 0].tolist()):
                 if f_val <= 0.0:
                     raise InvalidWarpingError(f"warping function {f_val} <= 0 at {x}")
@@ -128,30 +123,7 @@ def assemble(g1: MetricField, g2: MetricField, f, name: str = "") -> WarpedMetri
     params = tuple(g1.params) or tuple(g2.params)
     assembled = MetricField(n, entries, domain=_product_domain(g1.domain, g2.domain, n1),
                             params=params, name=name or f"warped({g1.name},{g2.name})")
-    return WarpedMetric(g1=g1, g2=g2, f=f, assembled=assembled, name=name)
-
-
-# ---------------------------------------------------------------------------
-# Warped geometry view (shared by assembled metrics and warped immersions)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WarpedGeometry:
-    """What the identity checks need: the total metric, the block split and f.
-
-    ``leaf`` is the leaf factor's metric; None means the leading n1 x n1
-    block of the total metric at the point (how induced metrics are split).
-    ``fiber`` is the declared fiber metric; None means the identity.
-    """
-
-    metric: object
-    n1: int
-    n2: int
-    f: object
-    params: tuple
-    leaf: MetricField | None = None
-    fiber: MetricField | None = None
+    return WarpedMetric(assembled, n1, n2, f, params, leaf=g1, fiber=g2)
 
 
 @dataclass(frozen=True)
@@ -165,19 +137,15 @@ class LeafScalars:
     lap_lnf: float
 
 
-def _as_geometry(w) -> WarpedGeometry:
-    return w.geometry() if isinstance(w, WarpedMetric) else w
-
-
 class WarpedBlock:
     """A warped split over a block of chart points (B, dim): the total
     metric's block, the leaf factor's block, the warping function's jets and
     the fiber metric, each evaluated for all points on first use and read per
     point by the block's :class:`WarpedPoint` records."""
 
-    def __init__(self, geom: WarpedGeometry | WarpedMetric, points: np.ndarray,
+    def __init__(self, geom: WarpedMetric, points: np.ndarray,
                  total: MetricBlock | None = None):
-        self.geom = _as_geometry(geom)
+        self.geom = geom
         self.points = points
         self.total = total or MetricBlock(self.geom.metric, points)
 
@@ -217,10 +185,10 @@ class WarpedPoint:
     built on first use (from this point's slice of its block's, a block of
     one point when none is given)."""
 
-    def __init__(self, geom: WarpedGeometry | WarpedMetric, x: Point,
+    def __init__(self, geom: WarpedMetric, x: Point,
                  total: MetricPoint | None = None, block: WarpedBlock | None = None,
                  index: int = 0):
-        self.geom = _as_geometry(geom)
+        self.geom = geom
         self.x = as_point(x)
         self._block = block if block is not None else WarpedBlock(self.geom, self.x[None])
         self._index = index

@@ -43,7 +43,7 @@ def _gated(name):
 def _points(subject, n=64, seed=42):
     domain = getattr(subject, "domain", None)
     if domain is None:
-        domain = subject.assembled.domain
+        domain = subject.metric.domain
     return halton_points(domain, n, seed)
 
 
@@ -86,9 +86,8 @@ def test_criterion_2_warped_identity():
 
     for name, expected in (("e2", -1.0), ("s2-warped", 1.0)):
         w = _gated(name).subject
-        geom = w.geometry()
         for x in _points(w, n=16):
-            r = warping_identity_residual(WarpedPoint(geom, x))
+            r = warping_identity_residual(WarpedPoint(w, x))
             worst = max(worst, r["residual"])
             worst_side = max(abs(r["lhs"] - expected), abs(r["rhs"] - expected))
             details.append(worst_side)
@@ -300,10 +299,10 @@ def test_criterion_10_oracle_concordance():
     w = _gated("e2").subject
 
     def hyp_jet(x):
-        return w.assembled.entry_jets(x)[1][1]
+        return w.metric.entry_jets(x)[1][1]
 
     def hyp_val(x):
-        return w.assembled.value(x)[1, 1]
+        return w.metric.value(x)[1, 1]
 
     spots = [np.array([0.5, 0.6, 0.3]), np.array([1.1, -0.4, 0.9]),
              np.array([-0.8, 0.9, 1.2]), np.array([0.4, 1.3, 0.6])]

@@ -137,6 +137,79 @@ def test_config_entry_counts_exit_2(tmp_path, capsys, cfg, old, new, where):
     assert capsys.readouterr().err == f"configuration error: {where} expected\n"
 
 
+def _flat_complex(dim: int) -> str:
+    """A flat metric of the dimension and the standard complex structure on it."""
+    def rows(key, m):
+        return "".join(f"{key}_{i} = " + ", ".join(f'"{int(v)}"' for v in row) + "\n"
+                       for i, row in enumerate(m, 1))
+    j = np.kron(np.eye(dim // 2), [[0, -1], [1, 0]])
+    return (f"[metric flat{dim}]\ndim = {dim}\n{rows('row', np.eye(dim))}\n"
+            f"[structure j{dim}]\nkind = complex\nmetric = flat{dim}\n{rows('j_row', j)}\n")
+
+
+@pytest.mark.parametrize("checks", ["all", "structure", "identities", "inequalities"])
+@pytest.mark.parametrize("dim", [6, 2], ids=["larger", "smaller"])
+def test_a_structure_of_another_dimension_than_the_ambient_exits_2(tmp_path, capsys, dim,
+                                                                    checks):
+    # this used to end in a numpy broadcast traceback on the groups that read
+    # the structure, and to run the other groups as if it fitted
+    head = "[immersion chen_cr]\ndim = 3\nambient = flat_c2\nstructure = "
+    p = _builtin_with(tmp_path, "e1_chen_cr.cfg", head + "kahler_c2",
+                      _flat_complex(dim) + head + f"j{dim}")
+    assert main(["--target", p, "--points", "4", "--checks", checks]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: [immersion chen_cr]: structure of dimension {dim} "
+        f"on an ambient of 4\n")
+
+
+@pytest.mark.parametrize("checks", ["all", "structure"])
+def test_a_fiber_metric_of_another_dimension_than_the_fiber_exits_2(tmp_path, capsys,
+                                                                    checks):
+    # this used to broadcast the 1 x 1 fiber block against the 4 x 4 metric
+    # and fail warped-block-form at 5.42, or pass with --checks structure
+    p = _builtin_with(tmp_path, "e1_chen_cr.cfg", "warp_fiber_metric = circle",
+                      "warp_fiber_metric = flat_c2")
+    assert main(["--target", p, "--points", "4", "--checks", checks]) == 2
+    assert capsys.readouterr().err == ("configuration error: [immersion chen_cr]: fiber "
+                                       "metric of dimension 4 for a fiber of 1\n")
+
+
+@pytest.mark.parametrize("cfg,old,new,section,key", [
+    ("sasakian_r5", "expected_class = sasakian", "expected_clas = sasakian",
+     "structure std_sasakian", "expected_clas"),
+    ("e1_chen_cr", "warp_fiber_metric = circle", "warp_fiber_metrc = circle",
+     "immersion chen_cr", "warp_fiber_metrc"),
+    ("e1_chen_cr", "exclude_center = 0, 0\n", "", "immersion chen_cr", "exclude_radius"),
+    ("e1_chen_cr", "warp_n1 = 2\n", "", "immersion chen_cr", "warp_n2"),
+    ("e1_chen_cr", "kind = complex\n", "kind = complex\nexpected_class = sasakian\n",
+     "structure kahler_c2", "expected_class"),
+    ("s2_warped", 'f = "sin(x1)"', 'f = "sin(x1)"\ndomain_lo = 0, 0',
+     "warped s2_warped", "domain_lo"),
+], ids=["misspelt-class", "misspelt-fiber", "radius-without-center", "n2-without-n1",
+        "class-on-a-complex-structure", "domain-on-a-warped-section"])
+def test_a_key_that_no_builder_reads_exits_2(tmp_path, capsys, cfg, old, new, section, key):
+    # each key used to be ignored: sasakian-r5 lost its class record and passed
+    text = resources.files("warpcheck").joinpath("data", f"{cfg}.cfg").read_text()
+    assert old in text
+    text = text.replace(old, new, 1)
+    p = tmp_path / f"{cfg}.cfg"
+    p.write_text(text)
+    # the key's last line: the s2 metrics set domain_lo too
+    line = [i for i, row in enumerate(text.splitlines(), 1) if row.startswith(key + " ")][-1]
+    assert main(["--target", str(p), "--points", "4"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: line {line}: [{section}] does not read key {key!r}\n")
+
+
+@pytest.mark.parametrize("cfg", ["e5_sasakian_cr.cfg", "sasakian_r5.cfg"])
+def test_an_unknown_contact_class_exits_2(tmp_path, capsys, cfg):
+    # an immersion does not read its structure's class, so e5 used to pass
+    p = _builtin_with(tmp_path, cfg, "expected_class = sasakian", "expected_class = sasakain")
+    assert main(["--target", p, "--points", "4"]) == 2
+    assert capsys.readouterr().err == ("configuration error: [structure std_sasakian]: "
+                                       "unknown structure class 'sasakain'\n")
+
+
 def _metric_cfg(tmp_path, dim, row_last, lo, hi, extra=""):
     rows = "".join(f'row_{i + 1} = ' + ", ".join(
         '"1"' if j == i else '"0"' for j in range(dim)) + "\n" for i in range(dim - 1))

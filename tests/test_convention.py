@@ -130,10 +130,25 @@ def _definitions(node, prefix=""):
             yield from _definitions(child, prefix)
 
 
-def test_every_definition_is_read_by_the_package_or_exported():
-    # code that nothing in the package reads, and no caller is offered, is
-    # dead weight; the few helpers kept for tests are named above
-    trees = list(_package_trees().values())
+# exports that no package module reads, each kept for callers outside it
+EXPORTED_FOR_CALLERS = {
+    "christoffel": "library entry point; the bench counts its calls a point",
+    "gradient": "library entry point for a scalar field on a chart metric",
+    "sectional": "library entry point: the sectional curvature of a plane at a point",
+    "induced_metric": "library entry point: an immersion's pullback as a metric source",
+    "validate": "test helper: the examples' validation gate, run by tests, not by a report",
+    "fd_partial": "oracle: finite differences that acceptance criterion 10 holds jets to",
+    "complex_space_form": "oracle: a closed-form curvature model to compare charts with",
+    "generalized_complex_space_form": "oracle: a closed-form curvature model",
+    "sasakian_space_form": "oracle: a closed-form curvature model",
+    "kenmotsu_space_form": "oracle: a closed-form curvature model",
+    "cosymplectic_space_form": "oracle: a closed-form curvature model",
+    "phi_sectional": "oracle: the phi-sectional curvature of a closed-form model",
+}
+
+
+def _references(trees) -> set:
+    """Every name the trees read: as a name, an attribute or an import."""
     refs = set()
     for node in (n for tree in trees for n in ast.walk(tree)):
         if isinstance(node, ast.Name):
@@ -142,9 +157,20 @@ def test_every_definition_is_read_by_the_package_or_exported():
             refs.add(node.attr)
         elif isinstance(node, ast.alias):
             refs.add(node.name)
-    unread = {qual for tree in trees for qual, name in _definitions(tree)
+    return refs
+
+
+def test_every_definition_is_read_by_the_package_or_exported():
+    # code that nothing in the package reads, and no caller is offered, is
+    # dead weight; the few helpers kept for tests are named above
+    trees = _package_trees()
+    refs = _references(trees.values())
+    unread = {qual for tree in trees.values() for qual, name in _definitions(tree)
               if name not in refs and qual not in warpcheck.__all__}
     assert unread == TEST_FACING
+    # an export that loses its last reader in the package, or gains one, shows here
+    read = _references(tree for mod, tree in trees.items() if mod != "__init__")
+    assert set(warpcheck.__all__) - read == EXPORTED_FOR_CALLERS.keys()
 
 
 def test_every_parameter_is_read_by_its_function():

@@ -2,7 +2,6 @@
 and agrees with the directly-built fixtures."""
 
 import hashlib
-from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -11,12 +10,13 @@ from helpers import (box_points, chen_cr_immersion, flat_metric, sasakian_cr_imm
                      standard_sasakian_r5)
 
 from warpcheck.cli import validate
-from warpcheck.config import load_config_text, parse_config_text
+from warpcheck.config import BuiltConfig, load_config_text, parse_config_text
 from warpcheck.errors import ConfigurationError
 from warpcheck.expr import parse
 from warpcheck.gallery import BUILTINS, builtin_names, load_builtin
 from warpcheck.jets import DomainBox
 from warpcheck.report import to_json_bytes
+from warpcheck.riemann import MetricField
 from warpcheck.subman import Immersion, WarpedDecl, induced_metric
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ target = line
 
 def test_minimal_config_parses():
     cfg = load_config_text(MINI)
-    assert cfg.subject_kind == "metric"
+    assert isinstance(cfg.subject, MetricField)
     assert cfg.subject.dim == 1
 
 
@@ -150,7 +150,7 @@ def test_gallery_sasakian_structure_matches_fixture():
     npt.assert_allclose(t_a.op[0], t_b.op[0])
     npt.assert_allclose(t_a.xi, t_b.xi)
     npt.assert_allclose(t_a.eta[0], t_b.eta[0])
-    assert loaded.expected_class["std_sasakian"] == "sasakian"
+    assert s_cfg.klass == "sasakian"
 
 
 def test_rank_failure_reports_only_the_rank_gate():
@@ -158,5 +158,5 @@ def test_rank_failure_reports_only_the_rank_gate():
     im = Immersion(dim=2, components=[parse("x1", 2), parse("x1", 2)],
                    ambient=flat_metric(2), warped=WarpedDecl(1, 1, parse("1", 1)),
                    domain=DomainBox((0.0, 0.0), (1.0, 1.0)), name="collapsed")
-    rep = validate(SimpleNamespace(subject=im, subject_kind="immersion"))
+    rep = validate(BuiltConfig(im))
     assert [(r.name, r.passed) for r in rep.records] == [("gate-rank", False)]

@@ -657,7 +657,7 @@ def test_sliced_metric_restricts_block():
 
 def test_sliced_metric_frame_is_gram_schmidt_of_its_block():
     # a sub-chart record's value is the in-block entries of the base block's
-    g = load_builtin("e2").subject.assembled
+    g = load_builtin("e2").subject.metric
     for axes, x in (((0,), [0.5]), ((1,), [0.3]), ((0, 1), [0.3, 0.7])):
         full = np.array([0.5, 0.2])
         full[list(axes)] = x

@@ -36,21 +36,21 @@ def sphere_presentation():
 def test_hyperbolic_assembly_matches_closed_form():
     w = hyperbolic_plane()
     for t in (0.0, 0.5, -0.8):
-        g = w.assembled.value(np.array([t, 0.3]))
+        g = w.metric.value(np.array([t, 0.3]))
         npt.assert_allclose(g, [[1.0, 0.0], [0.0, math.exp(2 * t)]], rtol=1e-14)
     assert not w.is_trivial
 
 
 def test_constant_warping_gives_product_metric():
     w = assemble(line(), line(), parse("1", dim=1))
-    npt.assert_allclose(w.assembled.value(np.array([2.0, 3.0])), np.eye(2))
+    npt.assert_allclose(w.metric.value(np.array([2.0, 3.0])), np.eye(2))
     assert w.is_trivial
 
 
 def test_sphere_presentation_is_round_metric():
     w = sphere_presentation()
     th = 1.1
-    g = w.assembled.value(np.array([th, 0.2]))
+    g = w.metric.value(np.array([th, 0.2]))
     npt.assert_allclose(g, [[1.0, 0.0], [0.0, math.sin(th) ** 2]], rtol=1e-14)
 
 
@@ -73,13 +73,13 @@ def test_nonpositive_warping_detected():
 def test_hyperbolic_sectional_is_minus_one():
     w = hyperbolic_plane()
     for t in (-0.5, 0.0, 0.7):
-        k = sectional(w.assembled, np.array([t, 0.1]), [1.0, 0.0], [0.0, 1.0])
+        k = sectional(w.metric, np.array([t, 0.1]), [1.0, 0.0], [0.0, 1.0])
         npt.assert_allclose(k, -1.0, atol=1e-11)
 
 
 def test_sphere_presentation_sectional_is_one():
     w = sphere_presentation()
-    k = sectional(w.assembled, np.array([0.9, 0.4]), [1.0, 0.3], [0.2, 1.0])
+    k = sectional(w.metric, np.array([0.9, 0.4]), [1.0, 0.3], [0.2, 1.0])
     npt.assert_allclose(k, 1.0, atol=1e-11)
 
 
@@ -90,8 +90,7 @@ def test_sphere_presentation_sectional_is_one():
 
 def test_hyperbolic_identity_both_sides_minus_one():
     w = hyperbolic_plane()
-    geom = w.geometry()
-    r = warping_identity_residual(WarpedPoint(geom, np.array([0.4, 0.8])))
+    r = warping_identity_residual(WarpedPoint(w, np.array([0.4, 0.8])))
     npt.assert_allclose(r["lhs"], -1.0, atol=1e-10)
     npt.assert_allclose(r["rhs"], -1.0, atol=1e-12)
     assert r["residual"] < 1e-9
@@ -99,7 +98,7 @@ def test_hyperbolic_identity_both_sides_minus_one():
 
 def test_sphere_identity_both_sides_plus_one():
     w = sphere_presentation()
-    r = warping_identity_residual(WarpedPoint(w.geometry(), np.array([1.2, 0.5])))
+    r = warping_identity_residual(WarpedPoint(w, np.array([1.2, 0.5])))
     npt.assert_allclose(r["lhs"], 1.0, atol=1e-10)
     npt.assert_allclose(r["rhs"], 1.0, atol=1e-12)
     assert r["residual"] < 1e-9
@@ -107,7 +106,7 @@ def test_sphere_identity_both_sides_plus_one():
 
 def test_trivial_warping_both_sides_zero():
     w = assemble(line(), line(), parse("2", dim=1))
-    r = warping_identity_residual(WarpedPoint(w.geometry(), np.array([0.3, 0.4])))
+    r = warping_identity_residual(WarpedPoint(w, np.array([0.3, 0.4])))
     assert r["lhs"] == 0.0 and r["rhs"] == 0.0
 
 
@@ -118,7 +117,7 @@ def test_identity_on_higher_dimensional_product():
     rng = np.random.default_rng(5)
     for _ in range(4):
         x = rng.uniform(-0.5, 0.5, size=4)
-        r = warping_identity_residual(WarpedPoint(w.geometry(), x))
+        r = warping_identity_residual(WarpedPoint(w, x))
         assert r["residual"] < 1e-8, x
 
 
@@ -126,7 +125,7 @@ def test_adapted_frame_respects_blocks():
     # the total metric is block-diagonal, so Gram-Schmidt of the coordinate
     # directions keeps its first n1 vectors in the leaf block
     w = hyperbolic_plane()
-    f = MetricPoint(w.geometry().metric, np.array([0.3, 0.6])).frame
+    f = MetricPoint(w.metric, np.array([0.3, 0.6])).frame
     assert not f[w.n1:, :w.n1].any() and not f[:w.n1, w.n1:].any()
 
 
@@ -136,7 +135,7 @@ def test_adapted_frame_respects_blocks():
 
 
 def test_leaf_scalars_hyperbolic():
-    sc = leaf_scalars(WarpedPoint(hyperbolic_plane().geometry(), np.array([0.5, 0.0])))
+    sc = leaf_scalars(WarpedPoint(hyperbolic_plane(), np.array([0.5, 0.0])))
     npt.assert_allclose(sc.f_value, math.exp(0.5), rtol=1e-15)
     npt.assert_allclose(sc.lap_f, -math.exp(0.5), rtol=1e-14)   # geometer's sign
     npt.assert_allclose(sc.grad_lnf_sq, 1.0, rtol=1e-14)
@@ -152,6 +151,6 @@ def test_leaves_geodesic_fibers_umbilical():
     for w in cases:
         for _ in range(3):
             x = rng.uniform(0.2, 1.0, size=w.dim)
-            res = block_second_form_residuals(WarpedPoint(w.geometry(), x))
-            assert res["leaf_geodesic"] < 1e-8, (w.name, x)
-            assert res["fiber_umbilical_shape"] < 1e-8, (w.name, x)
+            res = block_second_form_residuals(WarpedPoint(w, x))
+            assert res["leaf_geodesic"] < 1e-8, (w.metric.name, x)
+            assert res["fiber_umbilical_shape"] < 1e-8, (w.metric.name, x)
