@@ -355,8 +355,14 @@ def build_config(sections: list[Section]) -> BuiltConfig:
     pools: dict[str, dict] = {"metric": {}, "structure": {}, "warped": {}, "immersion": {}}
     metrics, structures = pools["metric"], pools["structure"]
     subject_kind = subject_name = None
+    first: dict[tuple[str, str], int] = {}  # (kind, name) -> line of its section
 
     for sec in sections:
+        if (sec.kind, sec.name) in first:
+            label = f"{sec.kind} {sec.name}".strip()
+            raise ConfigurationError(f"line {sec.line}: duplicate section [{label}] "
+                                     f"(first at line {first[sec.kind, sec.name]})")
+        first[sec.kind, sec.name] = sec.line
         if sec.kind == "metric":
             metrics[sec.name] = _build_metric(sec)
         elif sec.kind == "structure":

@@ -27,6 +27,7 @@ the byte offset of the offending token, never any other exception.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -268,8 +269,9 @@ def parse(text: str, dim: int, n_params: int = 0) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def eval_jets(e: Expr, bindings: Sequence[Jet3], params: Sequence[float] = ()) -> Jet3:
-    """Evaluate with jet-valued variable bindings (exact chain rule to order 3).
+def eval_jets(e: Expr, bindings: Sequence[Jet3], params: Sequence[float] = (),
+              order: int = 3) -> Jet3:
+    """Evaluate with jet-valued variable bindings (exact chain rule) to ``order``.
 
     ``bindings[i]`` is the jet of variable ``x<i+1>``.  Binding variables to
     jets over another chart realizes composition, e.g. pulling an ambient
@@ -277,53 +279,54 @@ def eval_jets(e: Expr, bindings: Sequence[Jet3], params: Sequence[float] = ()) -
     the tree once for the whole block; a domain error is then the one the
     first failing point raises on its own.
     """
-    dim = bindings[0].dim
-    try:
-        return _eval(e, bindings, params, dim)
-    except JetDomainError as err:
-        if err.pos is None:
-            err.pos = getattr(e, "pos", None)
-        batch = np.broadcast_shapes(*(b.batch for b in bindings))
-        for k in np.ndindex(batch) if batch else ():
-            eval_jets(e, [b.at(k) for b in bindings], params)
-        raise
+    return evaluator(bindings, params, order)(e)
 
 
-def _eval(e: Expr, bindings, params, dim: int) -> Jet3:
-    if isinstance(e, Num):
-        return jet_const(e.value, dim)
+def evaluator(bindings: Sequence[Jet3], params: Sequence[float] = (), order: int = 3):
+    """:func:`eval_jets` on these bindings as a function of the expression,
+    the bindings truncated to ``order`` once.  An exponent is evaluated on
+    the full bindings: ``**`` takes its branch from the exponent's d1-d3."""
+    low = [b.truncated(order) for b in bindings]
+
+    def evaluate(e: Expr) -> Jet3:
+        try:
+            return _eval(e, low, bindings, params)
+        except JetDomainError as err:
+            if err.pos is None:
+                err.pos = getattr(e, "pos", None)
+            batch = np.broadcast_shapes(*(b.batch for b in bindings))
+            for k in np.ndindex(batch) if batch else ():
+                evaluator([b.at(k) for b in bindings], params, order)(e)
+            raise
+    return evaluate
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow}
+
+
+def _eval(e: Expr, bindings, full, params) -> Jet3:
     if isinstance(e, Var):
         return bindings[e.index]
-    if isinstance(e, Param):
-        return jet_const(float(params[e.index]), dim)
+    if isinstance(e, (Num, Param)):
+        value = e.value if isinstance(e, Num) else float(params[e.index])
+        return jet_const(value, bindings[0].dim, bindings[0].order)
     if isinstance(e, Neg):
-        return -_eval(e.arg, bindings, params, dim)
+        return -_eval(e.arg, bindings, full, params)
     if isinstance(e, BinOp):
-        a = _eval(e.left, bindings, params, dim)
-        b = _eval(e.right, bindings, params, dim)
-        try:
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                return a / b
-            return a**b
-        except JetDomainError as err:
-            if err.pos is None:
-                err.pos = e.pos
-            raise
-    if isinstance(e, Call):
-        u = _eval(e.arg, bindings, params, dim)
-        try:
-            return getattr(jets, e.func)(u)
-        except JetDomainError as err:
-            if err.pos is None:
-                err.pos = e.pos
-            raise
-    raise TypeError(f"not an expression node: {e!r}")
+        fn = _BINARY[e.op]
+        args = (_eval(e.left, bindings, full, params),
+                _eval(e.right, full if e.op == "^" else bindings, full, params))
+    elif isinstance(e, Call):
+        fn, args = getattr(jets, e.func), (_eval(e.arg, bindings, full, params),)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    try:
+        return fn(*args)
+    except JetDomainError as err:
+        if err.pos is None:
+            err.pos = e.pos
+        raise
 
 
 def eval_expr(e: Expr, x: Point, params: Sequence[float] = ()) -> Jet3:
@@ -336,14 +339,14 @@ def eval_value(e: Expr, x: Point, params: Sequence[float] = ()) -> float:
 
 
 def matrix_jets(entries, bindings: Sequence[Jet3], params: Sequence[float] = (),
-                symmetric: bool = False):
+                symmetric: bool = False, order: int = 3):
     """(indices, jet) for each entry of a matrix of expressions, row by row,
-    one evaluation per entry; ``symmetric`` evaluates the upper triangle and
-    places each jet at (i, j) and (j, i)."""
+    one evaluation to ``order`` per entry; ``symmetric`` evaluates the upper
+    triangle and places each jet at (i, j) and (j, i)."""
+    evaluate = evaluator(bindings, params, order)
     for i, row in enumerate(entries):
         for j in range(i if symmetric else 0, len(row)):
-            yield {(i, j), (j, i)} if symmetric else {(i, j)}, \
-                eval_jets(row[j], bindings, params)
+            yield {(i, j), (j, i)} if symmetric else {(i, j)}, evaluate(row[j])
 
 
 def eval_matrix(entries, x, params: Sequence[float] = (), order: int = 2,
@@ -352,10 +355,10 @@ def eval_matrix(entries, x, params: Sequence[float] = (), order: int = 2,
     expressions at chart points x, one point (dim,) or a block (B, dim).
 
     ``V[..., i, j]`` is entry (i, j) and ``Dk[..., a1..ak, i, j]`` its k-th
-    partials; each entry is packed as soon as it is evaluated.
+    partials; each entry is evaluated to ``order`` and packed at once.
     """
     x = jets.as_point(x, block=True)
-    return jets.pack(matrix_jets(entries, coordinate_jets(x), params, symmetric),
+    return jets.pack(matrix_jets(entries, coordinate_jets(x), params, symmetric, order),
                      x.shape[:-1], x.shape[-1], (len(entries), len(entries[0])), order)
 
 

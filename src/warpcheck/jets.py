@@ -9,7 +9,11 @@ without truncation error beyond float round-off.
 
 Order 3 is the minimum that supports intrinsic curvature of an induced
 metric: curvature needs two derivatives of the metric, and an induced metric
-already consumes one derivative of the immersion.
+already consumes one derivative of the immersion.  Any other jet is
+evaluated only to the order its reader packs.  A slot of order k reads only
+slots of order <= k (Griewank & Walther, below, ch. 13), so the slots kept
+have a full evaluation's bits; but ``**`` takes its branch from d1-d3 of its
+exponent, so an exponent is always evaluated to order 3.
 
 Slots are batch-leading: ``value`` has a batch shape, ``d1`` that shape plus
 ``(dim,)``, ``d2`` plus ``(dim, dim)`` and ``d3`` plus ``(dim, dim, dim)``.
@@ -84,27 +88,45 @@ def _sym_outer(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return t + u + u.swapaxes(-2, -3)
 
 
-def _zeros(shape) -> np.ndarray:
-    return np.broadcast_to(0.0, shape)
-
-
 @dataclass
 class Jet3:
     """Value plus symmetric derivative tensors of orders 1..3, at one point
     or at every point of a block (batch-leading slots).
 
+    A jet evaluated to a lower order carries None for each slot above it
+    (:attr:`order`); an operation keeps a slot only when every operand has it.
     Instances are treated as immutable; every operation returns a new jet.
     """
 
     dim: int
     value: float | np.ndarray  # batch shape
-    d1: np.ndarray  # batch + (dim,)
-    d2: np.ndarray  # batch + (dim, dim), symmetric
-    d3: np.ndarray  # batch + (dim, dim, dim), fully symmetric
+    d1: np.ndarray | None = None  # batch + (dim,)
+    d2: np.ndarray | None = None  # batch + (dim, dim), symmetric
+    d3: np.ndarray | None = None  # batch + (dim, dim, dim), fully symmetric
 
     @property
     def batch(self) -> tuple[int, ...]:
         return np.shape(self.value)
+
+    @property
+    def derivs(self) -> tuple:
+        return self.d1, self.d2, self.d3
+
+    @property
+    def order(self) -> int:
+        """The highest derivative order the jet carries."""
+        return (3 if self.d3 is not None else 2 if self.d2 is not None
+                else int(self.d1 is not None))
+
+    def truncated(self, order: int) -> "Jet3":
+        """The jet's slots through ``order`` (the same arrays)."""
+        return self if order >= self.order else Jet3(self.dim, self.value, *self.derivs[:order])
+
+    def view(self, index: tuple) -> "Jet3":
+        """The jet with ``index`` applied to its batch axes only, as views."""
+        return Jet3(self.dim, np.asarray(self.value)[index],
+                    *(None if d is None else d[index + (slice(None),) * k]
+                      for k, d in enumerate(self.derivs, 1)))
 
     def at(self, k) -> "Jet3":
         """The jet at point (or boolean mask) k of its block, with its own
@@ -112,8 +134,8 @@ class Jet3:
         if not self.batch:
             return self
         v = self.value[k]
-        return Jet3(self.dim, float(v) if np.ndim(v) == 0 else v, self.d1[k].copy(),
-                    self.d2[k].copy(), self.d3[k].copy())
+        return Jet3(self.dim, float(v) if np.ndim(v) == 0 else v,
+                    *(None if d is None else d[k].copy() for d in self.derivs))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -122,17 +144,18 @@ class Jet3:
             if other.dim != self.dim:
                 raise ValueError(f"jet dims differ: {self.dim} vs {other.dim}")
             return other
-        return jet_const(float(other), self.dim)
+        return jet_const(float(other), self.dim, self.order)
 
     def __add__(self, other) -> "Jet3":
         o = self._coerce(other)
-        return Jet3(self.dim, self.value + o.value, self.d1 + o.d1,
-                    self.d2 + o.d2, self.d3 + o.d3)
+        return Jet3(self.dim, self.value + o.value,
+                    *(None if a is None or b is None else a + b
+                      for a, b in zip(self.derivs, o.derivs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet3":
-        return Jet3(self.dim, -self.value, -self.d1, -self.d2, -self.d3)
+        return Jet3(self.dim, -self.value, *(None if d is None else -d for d in self.derivs))
 
     def __sub__(self, other) -> "Jet3":
         return self + (-self._coerce(other))
@@ -142,15 +165,19 @@ class Jet3:
 
     def __mul__(self, other) -> "Jet3":
         o = self._coerce(other)
+        order = min(self.order, o.order)
         s1, s2, s3 = _leads(self.value)
         o1, o2, o3 = _leads(o.value)
-        v = self.value * o.value
-        d1 = self.d1 * o1 + s1 * o.d1
-        d2 = (self.d2 * o2 + s2 * o.d2
-              + _outer(self.d1, o.d1) + _outer(o.d1, self.d1))
-        d3 = (self.d3 * o3 + s3 * o.d3
-              + _sym_outer(self.d2, o.d1) + _sym_outer(o.d2, self.d1))
-        return Jet3(self.dim, v, d1, d2, d3)
+        d = [self.value * o.value]
+        if order >= 1:
+            d.append(self.d1 * o1 + s1 * o.d1)
+        if order >= 2:
+            d.append(self.d2 * o2 + s2 * o.d2
+                     + _outer(self.d1, o.d1) + _outer(o.d1, self.d1))
+        if order >= 3:
+            d.append(self.d3 * o3 + s3 * o.d3
+                     + _sym_outer(self.d2, o.d1) + _sym_outer(o.d2, self.d1))
+        return Jet3(self.dim, *d)
 
     __rmul__ = __mul__
 
@@ -174,11 +201,11 @@ class Jet3:
         # the exponent is constant at some points of the block only: each
         # point takes its own branch, and the parts are put back in order
         batch = np.broadcast_shapes(self.batch, other.batch)
-        out = [np.empty(batch + (self.dim,) * k) for k in range(4)]
+        out = [np.empty(batch + (self.dim,) * k) for k in range(self.order + 1)]
         try:
             for mask in (const, ~const):
                 part = self.at(mask) ** other.at(mask)
-                for slot, arr in zip(out, (part.value, part.d1, part.d2, part.d3)):
+                for slot, arr in zip(out, (part.value,) + part.derivs):
                     slot[mask] = arr
         except JetDomainError:
             for k in np.ndindex(batch):  # the first failing point raises alone
@@ -187,23 +214,25 @@ class Jet3:
         return Jet3(self.dim, *out)
 
     def is_constant(self):
-        """Whether every derivative vanishes, per point of the batch."""
+        """Whether every derivative vanishes, per point of the batch, of a jet
+        of order 3 (lower slots cannot tell)."""
         return (np.all(self.d1 == 0, axis=-1) & np.all(self.d2 == 0, axis=(-2, -1))
                 & np.all(self.d3 == 0, axis=(-3, -2, -1)))
 
     # -- inspection -------------------------------------------------------
 
     def partial(self, multi_index: Sequence[int]):
-        """Partial derivative for a multi-index given as axis indices (len <= 3)."""
+        """Partial derivative for a multi-index given as axis indices (len <= order)."""
         order = len(multi_index)
-        if order > 3:
-            raise ValueError("jet order is 3; multi-index too long")
+        if order > self.order:
+            raise ValueError(f"jet order is {self.order}; multi-index too long")
         if order == 0:
             return self.value
-        return (self.d1, self.d2, self.d3)[order - 1][(..., *multi_index)]
+        return self.derivs[order - 1][(..., *multi_index)]
 
     def symmetry_residual(self) -> float:
-        """Max deviation of d2/d3 from index symmetry (exactly 0 for jet-built values)."""
+        """Max deviation of d2/d3 from index symmetry (exactly 0 for jet-built
+        values), of a jet of order 3."""
         r = np.max(np.abs(self.d2 - np.swapaxes(self.d2, -1, -2)))
         lead = tuple(range(len(self.batch)))
         for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
@@ -212,12 +241,11 @@ class Jet3:
         return float(r)
 
 
-def jet_const(c: float, dim: int) -> Jet3:
-    """Constant jet: value c, all derivatives zero (batch shape ())."""
+def jet_const(c: float, dim: int, order: int = 3) -> Jet3:
+    """Constant jet: value c, all derivatives through ``order`` zero (batch shape ())."""
     if dim <= 0:
         raise ValueError(f"dim must be positive, got {dim}")
-    return Jet3(dim, float(c), np.zeros(dim), np.zeros((dim, dim)),
-                np.zeros((dim, dim, dim)))
+    return Jet3(dim, float(c), *(np.zeros((dim,) * k) for k in range(1, order + 1)))
 
 
 def jet_var(i: int, x: Point) -> Jet3:
@@ -229,24 +257,13 @@ def jet_var(i: int, x: Point) -> Jet3:
         raise IndexError(f"variable index {i} out of range for dim {dim}")
     d1 = np.zeros(x.shape)
     d1[..., i] = 1.0
-    return Jet3(dim, x[..., i], d1, _zeros(x.shape + (dim,)),
-                _zeros(x.shape + (dim, dim)))
+    return Jet3(dim, x[..., i], d1, *(np.broadcast_to(0.0, x.shape + (dim,) * k) for k in (1, 2)))
 
 
 def coordinate_jets(x: Point) -> list[Jet3]:
     """Jets of all coordinate functions at x (one point or a block)."""
     x = as_point(x, block=True)
     return [jet_var(i, x) for i in range(x.shape[-1])]
-
-
-def differentiate(j: Jet3, i: int) -> Jet3:
-    """Jet of the i-th partial derivative of j.
-
-    The result's third-order slot is unknown and stored as zero: consumers
-    must not rely on d3 of a differentiated jet.
-    """
-    return Jet3(j.dim, j.d1[..., i], j.d2[..., i, :], j.d3[..., i, :, :],
-                _zeros(j.d3.shape))
 
 
 def pack(items: Iterable[tuple[Iterable[tuple[int, ...]], Jet3]], batch: tuple[int, ...],
@@ -256,11 +273,14 @@ def pack(items: Iterable[tuple[Iterable[tuple[int, ...]], Jet3]], batch: tuple[i
     ``V[..., i, j]`` is the value at index (i, j) and ``Dk[..., a1..ak, i, j]``
     its k-th partials, batch axes first.  ``items`` yields (indices, jet)
     pairs; each jet is stored at every index it lists as soon as it arrives,
-    so a tensor's entries are never all alive as jets at once.
+    so a tensor's entries are never all alive as jets at once.  A jet of
+    lower order than ``order`` raises.
     """
     out = [np.empty(batch + (dim,) * k + shape) for k in range(order + 1)]
     for indices, jet in items:
-        slots = (jet.value, jet.d1, jet.d2, jet.d3)
+        if jet.order < order:
+            raise ValueError(f"cannot pack order {order} from a jet of order {jet.order}")
+        slots = (jet.value,) + jet.derivs
         for idx in indices:
             for k, arr in enumerate(out):
                 arr[(...,) + (slice(None),) * k + idx] = slots[k]
@@ -296,17 +316,22 @@ def per_block(points, fn: Callable[[np.ndarray], Iterable]) -> Iterator:
 
 
 def _lift(u: Jet3, f0, f1, f2, f3) -> Jet3:
-    """Compose a scalar function (given by derivatives at u.value) with jet u."""
-    u1, u2, u3 = u.d1, u.d2, u.d3
+    """Compose a scalar function (given by derivatives at u.value) with jet u,
+    to u's order."""
+    u1, u2, u3 = u.derivs
     a1, a2, a3 = _leads(f1)
-    _, b2, b3 = _leads(f2)
-    c3 = _leads(f3)[2]
-    uu = _outer(u1, u1)
-    d1 = a1 * u1
-    d2 = b2 * uu + a2 * u2
-    d3 = (c3 * (uu[..., None] * u1[..., None, None, :])
-          + b3 * _sym_outer(u2, u1) + a3 * u3)
-    return Jet3(u.dim, f0, d1, d2, d3)
+    d = [f0]
+    if u1 is not None:
+        d.append(a1 * u1)
+    if u2 is not None:
+        _, b2, b3 = _leads(f2)
+        uu = _outer(u1, u1)
+        d.append(b2 * uu + a2 * u2)
+    if u3 is not None:
+        c3 = _leads(f3)[2]
+        d.append(c3 * (uu[..., None] * u1[..., None, None, :])
+                 + b3 * _sym_outer(u2, u1) + a3 * u3)
+    return Jet3(u.dim, *d)
 
 
 def _coefficients(op: str, fn, *values):

@@ -105,7 +105,9 @@ class MetricField:
         return cls(n, entries, domain=domain, params=tuple(params), name=name)
 
     def _indexed_jets(self, x: Point):
-        return dsl.matrix_jets(self.entries, coordinate_jets(x), self.params, symmetric=True)
+        """The upper triangle's jets to order 2, each at (i, j) and (j, i)."""
+        return dsl.matrix_jets(self.entries, coordinate_jets(x), self.params, symmetric=True,
+                               order=2)
 
     def entry_jets(self, x: Point) -> list[list[Jet3]]:
         out: list[list[Jet3]] = [[None] * self.dim for _ in range(self.dim)]

@@ -21,8 +21,8 @@ import numpy as np
 from . import expr as dsl
 from .errors import (ConfigurationError, ImmersionDegenerateError,
                      InvalidNormalError, NonFiniteImageError)
-from .jets import (DomainBox, Jet3, Point, as_point, coordinate_jets, differentiate,
-                   jet_const, pack, per_block)
+from .jets import (DomainBox, Jet3, Point, as_point, coordinate_jets, jet_const, pack,
+                   per_block)
 from .report import fold, nan_max
 from .riemann import (MetricBlock, MetricField, MetricPoint, _checked, frame_curvature,
                       gram_schmidt, gram_schmidt_step, metric_norms, stacked)
@@ -107,7 +107,11 @@ class InducedMetric:
         return self.im.dim
 
     def _indexed_jets(self, x: Point, phi: list[Jet3] | None = None):
-        """g_ij = sum_kl amb_kl dphi^k_i dphi^l_j, summed in k, l order.
+        """g_ij = sum_kl amb_kl dphi^k_i dphi^l_j to order 2, summed in k, l
+        order, as one jet over (..., i, j): dphi^k is one jet over the
+        direction axis, as a row (..., i, 1) and a column (..., 1, j), so each
+        (i, j) gets its own scalar jet's elementwise operations.  Each upper
+        entry is listed at (i, j) and (j, i), as a view.
 
         An ambient entry that is a literal 0 or 1 is structural: its term is
         dropped, or formed without the factor, and the entry is not
@@ -116,28 +120,27 @@ class InducedMetric:
         im = self.im
         n, m = im.dim, im.ambient_dim
         phi = phi or im.component_jets(x)
-        dphi = [[differentiate(phi[k], i) for i in range(n)] for k in range(m)]
+        evaluate = dsl.evaluator(phi, im.ambient.params, 2)
         amb = {}  # (k, l) -> jet, or None for a literal 1; a literal 0 is absent
         for k, row in enumerate(im.ambient.entries):
             for l in range(k, m):
                 e = row[l]
                 if not (isinstance(e, dsl.Num) and e.value in (0.0, 1.0)):
-                    amb[k, l] = amb[l, k] = dsl.eval_jets(e, phi, im.ambient.params)
+                    amb[k, l] = amb[l, k] = evaluate(e).view((..., None, None))
                 elif e.value:
                     amb[k, l] = amb[l, k] = None
         # an all-zero ambient keeps one zero term, so its entries are zeros still
         terms = ([(k, l, amb[k, l]) for k in range(m) for l in range(m) if (k, l) in amb]
-                 or [(0, 0, jet_const(0.0, n))])
-        for i in range(n):
-            acc = [None] * n  # g_ij for j >= i, each summed over the terms in order
-            for k, l, a in terms:
-                # the left factor amb_kl dphi^k_i, formed once for the whole row
-                left = dphi[k][i] if a is None else a * dphi[k][i]
-                for j in range(i, n):
-                    term = left * dphi[l][j]
-                    acc[j] = term if acc[j] is None else acc[j] + term
-            for j in range(i, n):
-                yield {(i, j), (j, i)}, acc[j]
+                 or [(0, 0, jet_const(0.0, n, 2))])
+        dphi = [Jet3(n, p.d1, p.d2, p.d3) for p in phi]
+        rows = [d.view((..., slice(None), None)) for d in dphi]
+        cols = [d.view((..., None, slice(None))) for d in dphi]
+        g = None
+        for k, l, a in terms:
+            left = rows[k] if a is None else a * rows[k]
+            term = left * cols[l]
+            g = term if g is None else g + term
+        return (({(i, j), (j, i)}, g.view((..., i, j))) for i in range(n) for j in range(i, n))
 
     # the same listing of the entries
     entry_jets = MetricField.entry_jets

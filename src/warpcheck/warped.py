@@ -75,7 +75,9 @@ class WarpedMetric:
         return _expr_max_var(self.f) < 0
 
     def validate_at(self, points: Sequence[Point]) -> None:
-        self.metric.validate_at(points)
+        """Check the total metric, unless induced (the rank gate checks it), and f > 0."""
+        if isinstance(self.metric, MetricField):
+            self.metric.validate_at(points)
 
         def check(block):
             f = dsl.eval_matrix([[self.f]], block[:, : self.n1], self.params, order=0)[0]
@@ -158,9 +160,9 @@ class WarpedBlock:
 
     @cached_property
     def f(self) -> Jet3:
-        """Jets of the warping function at the leaf coordinates."""
+        """Jets of the warping function at the leaf coordinates, to order 2."""
         g = self.geom
-        return dsl.eval_jets(g.f, coordinate_jets(self.points[:, : g.n1]), g.params)
+        return dsl.evaluator(coordinate_jets(self.points[:, : g.n1]), g.params, 2)(g.f)
 
     @cached_property
     def lnf(self) -> Jet3:

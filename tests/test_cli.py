@@ -210,6 +210,22 @@ def test_an_unknown_contact_class_exits_2(tmp_path, capsys, cfg):
                                        "unknown structure class 'sasakain'\n")
 
 
+@pytest.mark.parametrize("extra, header", [
+    ("[metric sasakian_r5_metric]\ndim = 1\nrow_1 = \"1\"\n", "[metric sasakian_r5_metric]"),
+    ("[subject]\nkind = metric\ntarget = sasakian_r5_metric\n", "[subject]"),
+], ids=["metric", "subject"])
+def test_a_repeated_section_exits_2(tmp_path, capsys, extra, header):
+    # the second section used to replace the first: sasakian-r5 still passed
+    text = resources.files("warpcheck").joinpath("data", "sasakian_r5.cfg").read_text()
+    rows = text.splitlines()
+    p = tmp_path / "twice.cfg"
+    p.write_text(text + "\n" + extra)
+    assert main(["--target", str(p), "--points", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: line {len(rows) + 2}: duplicate section {header} "
+        f"(first at line {rows.index(header) + 1})\n")
+
+
 def _metric_cfg(tmp_path, dim, row_last, lo, hi, extra=""):
     rows = "".join(f'row_{i + 1} = ' + ", ".join(
         '"1"' if j == i else '"0"' for j in range(dim)) + "\n" for i in range(dim - 1))

@@ -9,9 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpcheck.errors import JetDomainError
-from warpcheck.expr import (BinOp, Call, Neg, Num, Param, ParseError, Var,
-                            eval_expr, eval_jets, eval_value, parse, pretty, shift_vars)
+from warpcheck.expr import (BinOp, Call, Neg, Num, Param, ParseError, Var, eval_expr,
+                            eval_jets, eval_value, matrix_jets, parse, pretty, shift_vars)
+from warpcheck.gallery import builtin_names, load_builtin, sample_points
 from warpcheck.jets import coordinate_jets
+from warpcheck.riemann import MetricField
+from warpcheck.structures import AlmostComplexStructure, AlmostContactStructure
+from warpcheck.warped import WarpedMetric
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -253,3 +257,94 @@ def test_block_error_names_first_failing_point():
         eval_jets(e, coordinate_jets(block))
     assert (ei.value.op, ei.value.value, ei.value.pos) == ("sqrt", -1.0, 9)
     _assert_block_matches_points(e, block, ())
+
+
+# ---------------------------------------------------------------------------
+# Evaluation to a lower order keeps the bits of the slots it keeps
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_slots(low, full, order, label=""):
+    """low carries exactly the slots through ``order``, each with full's bits."""
+    assert low.order == order, label
+    for k, (a, b) in enumerate(zip((low.value,) + low.derivs[:order],
+                                   (full.value,) + full.derivs)):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert a.shape == b.shape and (a.view(np.int64) == b.view(np.int64)).all(), (label, k)
+
+
+@given(_asts(), st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1, max_size=4),
+       st.tuples(_COORDS, _COORDS), st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_truncated_evaluation_keeps_the_full_slots(ast, coords, params, order):
+    e = parse(pretty(ast), dim=3, n_params=2)
+    seeds = coordinate_jets(np.array(coords))
+    with np.errstate(all="ignore"):
+        full, err = _evaluate(e, np.array(coords), params)
+        try:
+            low = eval_jets(e, seeds, params, order)
+        except JetDomainError as low_err:
+            assert err is not None and (low_err.op, low_err.pos) == (err.op, err.pos)
+            return
+    assert err is None
+    _assert_same_slots(low, full, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_an_exponent_takes_its_branch_at_full_order(order):
+    # x2^3 at x2 = 0 has value, d1 and d2 zero but d3 = 6: the exponent is
+    # not constant, so the negative base is a domain error at every order
+    e = parse("x1^(x2^3)", dim=2)
+    with pytest.raises(JetDomainError) as ei:
+        eval_jets(e, coordinate_jets(np.array([-1.0, 0.0])), order=order)
+    assert (ei.value.op, ei.value.value) == ("pow", -1.0)
+
+
+def _expression_fields(subject, x):
+    """(label, matrix of expressions, bindings, params) for each field that a
+    check evaluates at the sample points x of the subject."""
+    if isinstance(subject, MetricField):
+        return [(subject.name, subject.entries, coordinate_jets(x), subject.params)]
+    if isinstance(subject, WarpedMetric):
+        n1, leaf = subject.n1, x[:, :subject.n1]
+        fields = [("f", [[subject.f]], coordinate_jets(leaf), subject.params)]
+        fields += _expression_fields(subject.metric, x)
+        if subject.leaf is not None:
+            fields += _expression_fields(subject.leaf, leaf)
+        if subject.fiber is not None:
+            fields += _expression_fields(subject.fiber, x[:, n1:])
+        return fields
+    if isinstance(subject, AlmostComplexStructure):
+        return ([("J", subject.j_entries, coordinate_jets(x), subject.params)]
+                + _expression_fields(subject.metric, x))
+    if isinstance(subject, AlmostContactStructure):
+        return ([(label, rows, coordinate_jets(x), subject.params) for label, rows in
+                 (("phi", subject.phi_entries), ("xi", [subject.xi_entries]),
+                  ("eta", [subject.eta_entries]))]
+                + _expression_fields(subject.metric, x))
+    phi = subject.component_jets(x)  # an immersion
+    image = np.stack([np.broadcast_to(p.value, x.shape[:-1]) for p in phi], -1)
+    fields = [("ambient at the immersion", subject.ambient.entries, phi, subject.ambient.params)]
+    fields += _expression_fields(subject.ambient, image)
+    if subject.structure is not None:
+        fields += _expression_fields(subject.structure, image)
+    if subject.warped is not None:
+        decl = subject.warped
+        fields.append(("f", [[decl.f]], coordinate_jets(x[:, :decl.n1]), subject.params))
+        if decl.g2 is not None:
+            fields += _expression_fields(decl.g2, x[:, decl.n1:])
+    return fields
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_every_field_at_a_lower_order_keeps_its_full_slots(name):
+    subject = load_builtin(name).subject
+    x = np.array(sample_points(subject, 33, 42))
+    fields = _expression_fields(subject, x)
+    assert fields
+    for label, entries, bindings, params in fields:
+        full = [jet for _, jet in matrix_jets(entries, bindings, params, order=3)]
+        for order in (0, 1, 2):
+            low = [jet for _, jet in matrix_jets(entries, bindings, params, order=order)]
+            for k, (a, b) in enumerate(zip(low, full)):
+                _assert_same_slots(a, b, order, f"{name} {label} entry {k} order {order}")

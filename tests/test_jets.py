@@ -8,8 +8,8 @@ import pytest
 
 from warpcheck import jets
 from warpcheck.errors import JetDomainError
-from warpcheck.jets import (DomainBox, ExcludedBall, Jet3, differentiate,
-                            fd_partial, jet_const, jet_var)
+from warpcheck.jets import (DomainBox, ExcludedBall, Jet3, fd_partial, jet_const,
+                            jet_var, pack)
 
 # ---------------------------------------------------------------------------
 # Constructors
@@ -199,14 +199,34 @@ def test_linearity_cancellation():
         assert np.max(np.abs(z.d3)) <= 1e-13
 
 
-def test_differentiate_shifts_orders():
-    x = np.array([0.7, 0.4])
-    f = jets.sin(jet_var(0, x)) * jets.exp(jet_var(1, x))
-    df = differentiate(f, 0)
-    assert df.value == f.d1[0]
-    npt.assert_array_equal(df.d1, f.d2[0])
-    npt.assert_array_equal(df.d2, f.d3[0])
-    assert not df.d3.any()
+# ---------------------------------------------------------------------------
+# Truncated jets
+# ---------------------------------------------------------------------------
+
+
+def _sample_jet(x, order=3):
+    u, v = (j.truncated(order) for j in (jet_var(0, x), jet_var(1, x)))
+    return jets.sin(u) * jets.exp(v) / (u * u + 2.0) - v ** 3.0
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_truncated_jet_keeps_the_bits_of_its_slots(order):
+    x = np.array([[0.7, 0.4], [-1.3, 0.9], [0.2, -2.1]])
+    full, low = _sample_jet(x), _sample_jet(x, order)
+    assert low.order == order
+    assert low.derivs[order:] == (None,) * (3 - order)
+    for got, want in zip((low.value,) + low.derivs[:order], (full.value,) + full.derivs):
+        npt.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_packing_a_slot_above_a_jets_order_raises(order):
+    j = _sample_jet(np.array([[0.7, 0.4]]), order)
+    pack([({(0, 0)}, j)], (1,), 2, (1, 1), order)  # its own order packs
+    with pytest.raises(ValueError, match=f"order {order + 1} from a jet of order {order}"):
+        pack([({(0, 0)}, j)], (1,), 2, (1, 1), order + 1)
+    with pytest.raises(ValueError, match="multi-index too long"):
+        j.partial((0,) * (order + 1))
 
 
 # ---------------------------------------------------------------------------
