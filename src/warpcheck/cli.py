@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import permutations
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import BuiltConfig, load_config
-from .errors import ConfigurationError, WarpcheckError
+from .errors import WarpcheckError
 from .expr import ParseError
 from .gallery import BUILTINS, builtin_names, load_builtin, sample_points
 from .ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
@@ -28,7 +29,7 @@ from .ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
 from .jets import per_block
 from .report import CheckReport, fold, format_number, nan_max, to_json_bytes
 from .riemann import Curvature4, MetricBlock, MetricField
-from .structures import (CONTACT_IDENTITIES, AlmostComplexStructure,
+from .structures import (CLASS_NAMES, CONTACT_IDENTITIES, AlmostComplexStructure,
                          AlmostContactStructure, closed_eta_residuals, fold_tensors,
                          fundamental_form_residuals, nijenhuis_normality_residuals,
                          structure_class_residuals)
@@ -40,7 +41,8 @@ from .warped import (WarpedBlock, WarpedMetric, block_second_form_residuals,
 
 CHECK_GROUPS = ("structure", "identities", "classify", "inequalities")
 
-DEFAULT_TOLS = {
+# each --tol name and its default, which a row of ROWS may replace by its own
+TOLERANCES = {
     "structure": 1e-8,
     "curvature-symmetry": 1e-9,
     "gauss": 1e-7,
@@ -77,93 +79,173 @@ class RunConfig:
                 raise WarpcheckError(f"tolerance {name!r} must be positive and finite")
 
     def tol(self, name: str) -> float:
-        return self.tols.get(name, DEFAULT_TOLS[name])
+        return self.tols.get(name, TOLERANCES[name])
 
 
 # ---------------------------------------------------------------------------
-# Check runners per subject kind
+# The record table
 # ---------------------------------------------------------------------------
 
 
-def _add(rep: CheckReport, worst: dict, n: int, *specs) -> None:
-    """One record per (name, anchor, tol), from the worst value under name."""
-    for name, anchor, tol in specs:
-        rep.add(name, anchor, worst[name], tol, n)
+@dataclass(frozen=True)
+class Row:
+    """One report record.  A run of one of its groups ("validation": the
+    examples' gate) makes it when the fold holds ``when`` (else its key, else
+    its name), from ``value(worst)`` or else the fold's value under the key
+    (0.0 if none), at ``--tol tol``, else ``default``, else the name's default.
+    ``role``: a "gate" passes at value <= tol, a "strict" one below tol; an
+    "info" record and a "flag" always pass, a flag's note pair saying whether
+    value < tol (holds, fails); any other role names an earlier record that
+    gates this one, which is informational, with the pair's second note,
+    where that record fails.  ``kinds``: the kinds of structure (an
+    immersion's ambient one) it is for, any if empty."""
+
+    name: str
+    anchor: str
+    groups: tuple[str, ...]
+    tol: str | None  # None for a fixed tolerance, its default
+    default: float | None = None
+    key: str | None = None
+    when: str | None = None
+    role: str = "gate"
+    note: str | tuple[str, str] | Callable[[dict, int], str] = ""  # a pair: see role
+    points: int | str | None = None  # n, unless a count or the fold key of one
+    value: Callable[[dict], float] | None = None
+    kinds: tuple = ()
 
 
-def _complex_records(rep: CheckReport, worst: dict, n: int, tol: float | None = None):
-    """The records of :meth:`AlmostComplexStructure.residuals` that ``worst``
-    holds, folded over the n points, at tol or else at each one's default."""
-    for key, anchor, default in (
-            ("complex-square", "almost-complex-square", 1e-10),
-            ("complex-compatibility", "almost-complex-compatibility", 1e-10),
-            ("kahler-parallel", "kahler-parallel-structure", 1e-8)):
-        if key in worst:
-            rep.add(key, anchor, worst[key], tol or default, n)
+STRUCTURE, IDENTITIES, CLASSIFY = ("structure",), ("identities",), ("classify",)
+INEQUALITIES, VALIDATION = ("inequalities",), ("validation",)
 
+# a report's records come in the order of their rows
+ROWS = (
+    Row("gate-metric", "metric-validity", VALIDATION, None, 1e-10),
+    Row("gate-warping-positive", "warping-positivity", VALIDATION, None, 1.0,
+        note="positivity verified pointwise"),
+    Row("gate-rank", "immersion-rank", VALIDATION, None, 0.5),
+    Row("gate-warped-block", "induced-warped-block-form", VALIDATION, "warped-block",
+        key="warped-block-form"),
 
-def _contact_records(rep: CheckReport, s: AlmostContactStructure, worst: dict, n: int,
-                     tol: float):
-    """One record per defining identity of an almost contact metric structure;
-    ``worst``: :meth:`~AlmostContactStructure.identity_residuals` folded."""
-    if s.dim % 2 == 0:
-        raise ConfigurationError("almost contact structures need odd dimension")
-    for key in CONTACT_IDENTITIES:
-        rep.add(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}", worst[key],
-                tol, n)
+    Row("complex-square", "almost-complex-square", STRUCTURE + VALIDATION, "structure", 1e-10),
+    Row("complex-compatibility", "almost-complex-compatibility", STRUCTURE + VALIDATION,
+        "structure", 1e-10),
+    Row("kahler-parallel", "kahler-parallel-structure", STRUCTURE, "structure"),
+    # the defining identities of an almost contact metric structure
+    *(Row(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}",
+          STRUCTURE + VALIDATION, "structure", key=key) for key in CONTACT_IDENTITIES),
+    *(Row(f"class-{klass}", "structure-class-law", STRUCTURE, "structure")
+      for klass in CLASS_NAMES),
+    Row("normality", "normality-defect", STRUCTURE, "structure"),
+    Row("fundamental-form", "contact-metric-form-law", STRUCTURE, "structure"),
+    Row("closed-eta", "closed-contact-form-law", STRUCTURE, "structure"),
 
+    Row("gauss-equation", "gauss-curvature-relation", IDENTITIES, "gauss"),
+    Row("scalar-identity", "traced-curvature-relation", IDENTITIES, "scalar-identity"),
+    Row("shape-duality", "shape-operator-duality", IDENTITIES, "duality"),
+    Row("warped-block-form", "induced-warped-block-form", IDENTITIES, "warped-block"),
+    Row("warped-identity", "warped-mixed-sectional-identity", IDENTITIES, "warped-identity"),
+    Row("scalar-split", "scalar-curvature-split", IDENTITIES, "scalar-split"),
+    Row("leaf-geodesic", "warped-leaf-geodesic", IDENTITIES, "warped-block"),
+    Row("fiber-umbilical-shape", "warped-fiber-umbilical-shape", IDENTITIES, "warped-block"),
+    Row("curvature-symmetries", "curvature-tensor-symmetries", IDENTITIES,
+        "curvature-symmetry"),
 
-# the contact CR suite after the Reeb tangency: its gate (invariance of the
-# leaf block, anti-invariance of the fiber block), then the form's laws
-CR_SUITE = ("cr-leaf-invariance", "cr-fiber-anti-invariance", "cr-form-on-reeb-pairs",
-            "cr-leaf-vs-fiber-image", "cr-invariant-flip")
+    # a predicate holds iff its residual stays below tol at every point
+    *(Row(f"flag-{name}", "classification-flag", CLASSIFY, "classify", key=key, role="flag",
+          note=("holds: true", "holds: false")) for key, name in (
+        ("geodesic", "totally-geodesic"), ("umbilical", "totally-umbilical"),
+        ("minimal", "minimal"), ("mixed_geodesic", "mixed-totally-geodesic"),
+        ("d1_geodesic", "leaf-totally-geodesic"), ("d1_minimal", "leaf-minimal"),
+        ("d2_minimal", "fiber-minimal"), ("d2_umbilical", "fiber-totally-umbilical"))),
 
-
-def _contact_cr_records(rep: CheckReport, worst: dict, n: int, tol: float | None = None,
-                        names=CR_SUITE):
-    """The Reeb tangency, a precondition of the suite, and the named records
-    of the contact CR suite, at tol or else at each one's default (1e-8 for
-    the tangency); ``worst``: :func:`contact_cr_residuals` folded."""
-    rep.add("cr-reeb-tangency", "contact-cr-reeb-tangency", worst["cr-reeb-tangency"],
-            tol or 1e-8, n, note="precondition failed at some points"
-            if worst.get("cr-reeb-not-tangent") else "")
-    for name in names:
-        rep.add(name, f"contact-{name}", worst.get(name, 0.0), tol or DEFAULT_TOLS["cr"], n)
-
-
-# classification residual key, flag record name
-PREDICATES = (
-    ("geodesic", "totally-geodesic"),
-    ("umbilical", "totally-umbilical"),
-    ("minimal", "minimal"),
-    ("mixed_geodesic", "mixed-totally-geodesic"),
-    ("d1_geodesic", "leaf-totally-geodesic"),
-    ("d1_minimal", "leaf-minimal"),
-    ("d2_minimal", "fiber-minimal"),
-    ("d2_umbilical", "fiber-totally-umbilical"),
+    Row("inequalities", "inequality-suite", INEQUALITIES, None, 1.0, role="info", points=0,
+        note="skipped: no warped declaration"),
+    Row("main-inequality", "main-curvature-sum-bound", INEQUALITIES, "slack",
+        key="negative-slack", value=lambda w: nan_max(0.0, w["negative-slack"]),
+        note=lambda w, n: f"min slack {format_number(-w['negative-slack'])}; equality at "
+                          f"{w['equality']}/{n} points"),
+    Row("equality-diagnostics", "equality-case-diagnostics", INEQUALITIES, "slack",
+        role="info", note="informational: worst equality-condition residual"),
+    Row("space-form-consistency", "flat-space-form-reduction", INEQUALITIES, "slack"),
+    # the contact CR suite: the Reeb tangency, a precondition of the rest,
+    # its gate (invariance of the leaf block, anti-invariance of the fiber
+    # block), then the form's laws
+    Row("cr-reeb-tangency", "contact-cr-reeb-tangency", INEQUALITIES + VALIDATION, "cr", 1e-8,
+        note=lambda w, _n: "precondition failed at some points"
+        if w.get("cr-reeb-not-tangent") else ""),
+    Row("cr-leaf-invariance", "contact-cr-leaf-invariance", INEQUALITIES + VALIDATION, "cr",
+        when="cr-reeb-tangency"),
+    Row("cr-fiber-anti-invariance", "contact-cr-fiber-anti-invariance",
+        INEQUALITIES + VALIDATION, "cr", when="cr-reeb-tangency"),
+    Row("cr-form-on-reeb-pairs", "contact-cr-form-on-reeb-pairs", INEQUALITIES, "cr",
+        when="cr-reeb-tangency"),
+    Row("cr-leaf-vs-fiber-image", "contact-cr-leaf-vs-fiber-image", INEQUALITIES, "cr",
+        when="cr-reeb-tangency"),
+    Row("cr-invariant-flip", "contact-cr-invariant-flip", INEQUALITIES, "cr",
+        when="cr-reeb-tangency"),
+    Row("cr-invariance-gate", "complex-cr-invariance", INEQUALITIES, "cr",
+        when="leaf_invariance", role="flag",
+        value=lambda w: nan_max(w.get("leaf_invariance", 0.0),
+                                w.get("fiber_anti_invariance", 0.0)),
+        note=("CR gate holds (informational)", "CR gate fails (informational)")),
+    Row("leaf-mean-curvature", "leaf-partial-mean-curvature", INEQUALITIES, "leaf-minimality",
+        1e-7, kinds=("contact",)),
+    # leaf-minimality is a theorem about CR-warped products: enforce it only
+    # where the machine-checked CR gate holds, report it otherwise
+    Row("leaf-mean-curvature", "leaf-partial-mean-curvature", INEQUALITIES, "leaf-minimality",
+        role="cr-invariance-gate", kinds=("complex", None),
+        note=("", "informational: not a CR-warped product, theorem not applicable")),
+    # the fiber lemma's hypotheses, reported, and its conclusion, which gates
+    # only the points where both hold
+    Row("fiber-minimal-hypothesis", "fiber-partial-mean-curvature", INEQUALITIES, "cr",
+        role="info", note="hypothesis residual, not a gate"),
+    Row("fiber-umbilical-hypothesis", "fiber-umbilicity", INEQUALITIES, "cr",
+        role="info", note="hypothesis residual, not a gate"),
+    Row("fiber-geodesic-conclusion", "fiber-lemma-conclusion", INEQUALITIES, "cr",
+        when="fiber-lemma-tested", role="strict", points="fiber-lemma-tested",
+        note=lambda w, n: f"implication tested at {w['fiber-lemma-tested']}/{n} points"
+        + (" (hypotheses fail everywhere; vacuous)" if w["fiber-lemma-tested"] == 0 else "")),
+    Row("variant-reduction", "generalized-bound-reduction", INEQUALITIES, "reduction",
+        points=1000),
 )
 
 
-def _fiber_lemma_records(rep: CheckReport, worst: dict, n: int, tol: float):
-    """The fiber lemma's hypotheses, reported, and its conclusion, which gates
-    only the points where both hold; ``worst``: :func:`fiber_lemma_residuals`
-    at the same tol, folded over the n points."""
-    tested = worst["fiber-lemma-tested"]
-    conclusion = worst.get("fiber-geodesic-conclusion", 0.0)
-    rep.add("fiber-minimal-hypothesis", "fiber-partial-mean-curvature",
-            worst["fiber-minimal-hypothesis"], tol, n, passed=True,
-            note="hypothesis residual, not a gate")
-    rep.add("fiber-umbilical-hypothesis", "fiber-umbilicity",
-            worst["fiber-umbilical-hypothesis"], tol, n, passed=True,
-            note="hypothesis residual, not a gate")
-    note = f"implication tested at {tested}/{n} points"
-    if tested == 0:
-        note += " (hypotheses fail everywhere; vacuous)"
-    rep.add("fiber-geodesic-conclusion", "fiber-lemma-conclusion", conclusion, tol, tested,
-            passed=tested == 0 or conclusion < tol, note=note)
+def records(worst: dict, n: int, groups, tols: dict, kind: str | None = None) -> CheckReport:
+    """The records, in table order, of the rows in any of the groups, for
+    the kind of the subject's structure (an immersion's ambient one), whose
+    ``when`` key ``worst``, a fold over n points, holds; at the tolerances
+    ``tols`` overrides, else at each row's default."""
+    rep, holds = CheckReport(), {}
+    for row in ROWS:
+        key = row.key or row.name
+        if ((row.when or key) not in worst or not set(groups) & set(row.groups)
+                or row.kinds and kind not in row.kinds):
+            continue
+        value = row.value(worst) if row.value else worst.get(key, 0.0)
+        tol = tols.get(row.tol) or row.default or TOLERANCES[row.tol]
+        holds[row.name] = ok = value < tol
+        passed = None  # a gate: value <= tol
+        if row.role == "strict":
+            passed = ok
+        elif row.role in ("info", "flag"):
+            passed = True
+        elif row.role != "gate":  # gated by the named record
+            ok = holds.get(row.role, False)
+            passed = None if ok else True
+        note = (row.note[not ok] if isinstance(row.note, tuple)
+                else row.note(worst, n) if callable(row.note) else row.note)
+        points = worst[row.points] if isinstance(row.points, str) else row.points
+        rep.add(row.name, row.anchor, value, tol, n if points is None else points,
+                note=note, passed=passed)
+    return rep
 
 
-def _metric_checks(g: MetricField, rc: RunConfig, rep: CheckReport):
+# ---------------------------------------------------------------------------
+# Value folds per subject kind
+# ---------------------------------------------------------------------------
+
+
+def _metric_values(g: MetricField, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(g, rc.points, rc.seed)
     g.validate_at(points)
 
@@ -171,26 +253,22 @@ def _metric_checks(g: MetricField, rc: RunConfig, rep: CheckReport):
         symmetries = Curvature4(MetricBlock(g, block).curvature).max_symmetry_residual()
         return ({"curvature-symmetries": r} for r in symmetries.tolist())
 
-    worst = fold(per_block(points, walk))
-    _add(rep, worst, len(points), ("curvature-symmetries", "curvature-tensor-symmetries",
-                                   rc.tol("curvature-symmetry")))
+    return fold(per_block(points, walk)), len(points)
 
 
 def _laws(klass: str | None) -> dict:
-    """{record: (anchor, residual)} of the laws a contact structure of the
-    class obeys besides its class law: normality, and the law of the
-    fundamental form Phi, Phi = d(eta)/2 on a contact metric structure
-    (Sasakian, or no class declared) and d(eta) = 0 on a Kenmotsu or
-    cosymplectic one.  None on a nearly cosymplectic one: a normal nearly
-    cosymplectic structure is cosymplectic (Blair 1971), and neither form
-    law holds across the class."""
+    """{key: residual} of the laws a contact structure of the class obeys
+    besides its class law: normality, and the law of the fundamental form
+    Phi, Phi = d(eta)/2 on a contact metric structure (Sasakian, or no class
+    declared) and d(eta) = 0 on a Kenmotsu or cosymplectic one.  None on a
+    nearly cosymplectic one: a normal nearly cosymplectic structure is
+    cosymplectic (Blair 1971), and neither form law holds across the class."""
     if klass == "nearly_cosymplectic":
         return {}
-    normality = {"normality": ("normality-defect", nijenhuis_normality_residuals)}
+    normality = {"normality": nijenhuis_normality_residuals}
     if klass in ("kenmotsu", "cosymplectic"):
-        return {**normality, "closed-eta": ("closed-contact-form-law", closed_eta_residuals)}
-    return {**normality,
-            "fundamental-form": ("contact-metric-form-law", fundamental_form_residuals)}
+        return {**normality, "closed-eta": closed_eta_residuals}
+    return {**normality, "fundamental-form": fundamental_form_residuals}
 
 
 def _structure_step(s, klass: str | None):
@@ -204,31 +282,18 @@ def _structure_step(s, klass: str | None):
         out = s.identity_residuals(t)
         if klass:
             out[f"class-{klass}"] = structure_class_residuals(t, klass)[upper].tolist()
-        for key, (_, law) in _laws(klass).items():
+        for key, law in _laws(klass).items():
             out[key] = law(t)[upper].tolist()
         return out
     return step
 
 
-def _structure_report(s, klass: str | None, n: int, worst: dict, rc: RunConfig,
-                      rep: CheckReport):
-    if isinstance(s, AlmostComplexStructure):
-        _complex_records(rep, worst, n, rc.tols.get("structure"))
-        return
-    tol = rc.tol("structure")
-    _contact_records(rep, s, worst, n, tol)
-    if klass:
-        _add(rep, worst, n, (f"class-{klass}", "structure-class-law", tol))
-    _add(rep, worst, n, *((key, anchor, tol) for key, (anchor, _) in _laws(klass).items()))
-
-
-def _structure_checks(s, klass: str | None, rc: RunConfig, rep: CheckReport):
+def _structure_values(s, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(s, rc.points, rc.seed)
-    worst = fold_tensors(s, points, _structure_step(s, klass))
-    _structure_report(s, klass, len(points), worst, rc, rep)
+    return fold_tensors(s, points, _structure_step(s, s.klass)), len(points)
 
 
-def _warped_checks(w: WarpedMetric, rc: RunConfig, rep: CheckReport):
+def _warped_values(w: WarpedMetric, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(w, rc.points, rc.seed)
     w.validate_at(points)
 
@@ -242,13 +307,7 @@ def _warped_checks(w: WarpedMetric, rc: RunConfig, rep: CheckReport):
                    "fiber-umbilical-shape": blocks["fiber_umbilical_shape"],
                    "curvature-symmetries": sym}
 
-    worst = fold(per_block(points, walk))
-    _add(rep, worst, len(points),
-         ("warped-identity", "warped-mixed-sectional-identity", rc.tol("warped-identity")),
-         ("leaf-geodesic", "warped-leaf-geodesic", rc.tol("warped-block")),
-         ("fiber-umbilical-shape", "warped-fiber-umbilical-shape", rc.tol("warped-block")),
-         ("curvature-symmetries", "curvature-tensor-symmetries",
-          rc.tol("curvature-symmetry")))
+    return fold(per_block(points, walk)), len(points)
 
 
 def _identity_values(sff) -> dict:
@@ -280,9 +339,9 @@ def _inequality_values(sff, rc: RunConfig) -> dict:
     return {**out, **leaf_mean_curvature(sff), **fiber_lemma_residuals(sff, rc.tol("cr"))}
 
 
-def _immersion_checks(im: Immersion, groups, rc: RunConfig, rep: CheckReport):
+def _immersion_values(im: Immersion, groups, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(im, rc.points, rc.seed)
-    n, s = len(points), im.structure
+    s = im.structure
     steps = []
     if "identities" in groups:
         steps.append(_identity_values)
@@ -290,88 +349,23 @@ def _immersion_checks(im: Immersion, groups, rc: RunConfig, rep: CheckReport):
         steps.append(classification_residuals)
     if "inequalities" in groups and im.warped is not None:
         steps.append(lambda sff: _inequality_values(sff, rc))
-    structure = "structure" in groups and s is not None
+    # validate the ambient structure where the immersion lives
+    structure = _structure_step(s, None) if "structure" in groups and s is not None else None
     worst = {}
     if steps:
         if structure:
-            # validate the ambient structure where the immersion lives
-            structure_step = _structure_step(s, None)
-            steps.insert(0, lambda sff: structure_step(sff.tensors))
+            steps.insert(0, lambda sff: structure(sff.tensors))
         worst = fold_sff(im, points, *steps)
     elif structure:
-        step = _structure_step(s, None)
         worst = fold(per_block(points, lambda block: map(
-            step, ImmersionBlock(im, block).tensors)))
-
-    if structure:
-        _structure_report(s, None, n, worst, rc, rep)
-    if "identities" in groups:
-        _add(rep, worst, n, ("gauss-equation", "gauss-curvature-relation", rc.tol("gauss")),
-             ("scalar-identity", "traced-curvature-relation", rc.tol("scalar-identity")),
-             ("shape-duality", "shape-operator-duality", rc.tol("duality")))
-        if im.warped is not None:
-            _add(rep, worst, n,
-                 ("warped-block-form", "induced-warped-block-form", rc.tol("warped-block")),
-                 ("warped-identity", "warped-mixed-sectional-identity",
-                  rc.tol("warped-identity")),
-                 ("scalar-split", "scalar-curvature-split", rc.tol("scalar-split")))
-    if "classify" in groups:
-        # a predicate holds iff its residual stays below tol at every point
-        tol = rc.tol("classify")
-        for key, name in PREDICATES:
-            if key in worst:
-                rep.add(f"flag-{name}", "classification-flag", worst[key], tol, n,
-                        passed=True, note=f"holds: {str(worst[key] < tol).lower()}")
+            structure, ImmersionBlock(im, block).tensors)))
     if "inequalities" in groups:
-        _inequality_report(im, n, worst, rc, rep)
-
-
-def _inequality_report(im: Immersion, n: int, worst: dict, rc: RunConfig,
-                       rep: CheckReport):
-    if im.warped is None:
-        rep.add("inequalities", "inequality-suite", 0.0, 1.0, 0, passed=True,
-                note="skipped: no warped declaration")
-        return
-
-    if isinstance(im.structure, AlmostComplexStructure):
-        min_slack = -worst["negative-slack"]
-        rep.add("main-inequality", "main-curvature-sum-bound",
-                0.0 if min_slack >= 0 else -min_slack, rc.tol("slack"), n,
-                note=f"min slack {format_number(min_slack)}; equality at "
-                     f"{worst['equality']}/{n} points")
-        rep.add("equality-diagnostics", "equality-case-diagnostics",
-                worst["equality-diagnostics"], rc.tol("slack"), n, passed=True,
-                note="informational: worst equality-condition residual")
-        _add(rep, worst, n, ("space-form-consistency", "flat-space-form-reduction",
-                             rc.tol("slack")))
-
-    # name, anchor and worst value of the leaf-minimality record
-    leaf = ("leaf-mean-curvature", "leaf-partial-mean-curvature",
-            worst["leaf-mean-curvature"])
-    if isinstance(im.structure, AlmostContactStructure):
-        _contact_cr_records(rep, worst, n, rc.tols.get("cr"))
-        # the contact suite's default, unless leaf-minimality is given
-        rep.add(*leaf, rc.tols.get("leaf-minimality", DEFAULT_TOLS["cr"]), n)
-    else:
-        # leaf-minimality is a theorem about CR-warped products: enforce it
-        # only when the machine-checked CR gate holds, report otherwise
-        gate_ok = False
-        if isinstance(im.structure, AlmostComplexStructure):
-            gate_worst = nan_max(worst.get("leaf_invariance", 0.0),
-                                 worst.get("fiber_anti_invariance", 0.0))
-            gate_ok = gate_worst < rc.tol("cr")
-            rep.add("cr-invariance-gate", "complex-cr-invariance", gate_worst,
-                    rc.tol("cr"), n, passed=True,
-                    note=f"CR gate {'holds' if gate_ok else 'fails'} (informational)")
-        if gate_ok:
-            rep.add(*leaf, rc.tol("leaf-minimality"), n)
+        # the suite's skip record, or the seed's variant gap
+        if im.warped is None:
+            worst["inequalities"] = 0.0
         else:
-            rep.add(*leaf, rc.tol("leaf-minimality"), n, passed=True,
-                    note="informational: not a CR-warped product, theorem not applicable")
-    _fiber_lemma_records(rep, worst, n, rc.tol("cr"))
-
-    rep.add("variant-reduction", "generalized-bound-reduction", _variant_gap(rc.seed),
-            rc.tol("reduction"), 1000)
+            worst["variant-reduction"] = _variant_gap(rc.seed)
+    return worst, len(points)
 
 
 @functools.cache
@@ -461,23 +455,20 @@ GATE_SEED = 7
 def validate(cfg: BuiltConfig) -> CheckReport:
     """Run the example's validation gate, chosen by its subject kind; every
     record must pass before the example feeds any downstream check."""
-    subject, rep = cfg.subject, CheckReport()
+    subject, tols = cfg.subject, {}
     points = sample_points(subject, GATE_POINTS, GATE_SEED)
-    n = len(points)
     if isinstance(subject, MetricField):
         subject.validate_at(points)
-        worst = functools.reduce(nan_max, (subject.symmetry_residual(x) for x in points))
-        rep.add("gate-metric", "metric-validity", worst, 1e-10, n)
+        worst = {"gate-metric": functools.reduce(
+            nan_max, (subject.symmetry_residual(x) for x in points))}
     elif isinstance(subject, WarpedMetric):
         subject.validate_at(points)  # raises on f <= 0 or indefinite blocks
-        rep.add("gate-warping-positive", "warping-positivity", 0.0, 1.0, n,
-                passed=True, note="positivity verified pointwise")
+        worst = {"gate-warping-positive": 0.0}
     elif isinstance(subject, AlmostContactStructure):
         worst = fold_tensors(subject, points, subject.identity_residuals)
-        _contact_records(rep, subject, worst, n, 1e-9)
+        tols = {"structure": 1e-9}  # the gate holds the contact identities to 1e-9
     elif isinstance(subject, AlmostComplexStructure):
-        _complex_records(rep, fold_tensors(subject, points,
-                                           lambda t: subject.residuals(t, False)), n)
+        worst = fold_tensors(subject, points, lambda t: subject.residuals(t, False))
     else:  # an immersion: one walk gives the rank gate and the others' values
         steps = []
         if subject.warped is not None:
@@ -485,17 +476,10 @@ def validate(cfg: BuiltConfig) -> CheckReport:
             if isinstance(subject.structure, AlmostContactStructure):
                 steps.append(contact_cr_residuals)
         try:
-            worst = fold_sff(subject, points, *steps)
+            worst = {"gate-rank": 0.0, **fold_sff(subject, points, *steps)}
         except WarpcheckError:  # rank or definiteness failure
-            rep.add("gate-rank", "immersion-rank", 1.0, 0.5, n, passed=False)
-            return rep
-        rep.add("gate-rank", "immersion-rank", 0.0, 0.5, n, passed=True)
-        if subject.warped is not None:
-            rep.add("gate-warped-block", "induced-warped-block-form",
-                    worst["warped-block-form"], DEFAULT_TOLS["warped-block"], n)
-        if "cr-reeb-tangency" in worst:
-            _contact_cr_records(rep, worst, n, names=CR_SUITE[:2])
-    return rep
+            worst = {"gate-rank": 1.0}
+    return records(worst, len(points), VALIDATION, tols)
 
 
 # ---------------------------------------------------------------------------
@@ -519,22 +503,24 @@ def run(rc: RunConfig) -> tuple[int, dict, str]:
     try:
         cfg, resolved = _resolve(rc.target)
         subject = cfg.subject
-        rep = CheckReport()
         groups = CHECK_GROUPS if "all" in rc.checks else rc.checks
 
+        worst, n, kind = {}, 0, None
         if isinstance(subject, MetricField):
             if "identities" in groups:
-                _metric_checks(subject, rc, rep)
+                worst, n = _metric_values(subject, rc)
         elif isinstance(subject, (AlmostComplexStructure, AlmostContactStructure)):
             if "structure" in groups:
-                _structure_checks(subject, subject.klass, rc, rep)
+                worst, n = _structure_values(subject, rc)
         elif isinstance(subject, WarpedMetric):
             if "identities" in groups:
-                _warped_checks(subject, rc, rep)
+                worst, n = _warped_values(subject, rc)
         elif isinstance(subject, Immersion):
-            _immersion_checks(subject, groups, rc, rep)
+            worst, n = _immersion_values(subject, groups, rc)
+            kind = getattr(subject.structure, "kind", None)
         else:
             raise WarpcheckError(f"cannot check subject of type {type(subject)}")
+        rep = records(worst, n, groups, rc.tols, kind)
     except (ParseError, WarpcheckError) as err:
         return 2, {}, f"configuration error: {err}"
 
@@ -588,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42,
                    help="Halton sequence offset (default 42)")
     p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                   help="tolerance override, repeatable")
+                   help="tolerance override, repeatable; NAME is one of: "
+                        + ", ".join(TOLERANCES))
     p.add_argument("--format", dest="fmt", choices=("text", "json"),
                    default="text")
     p.add_argument("--out", default=None, help="write the report to a file")
@@ -605,8 +592,9 @@ def parse_args(argv=None) -> RunConfig:
     tols = {}
     for item in ns.tol:
         name, _, val = item.partition("=")
-        if name not in DEFAULT_TOLS:
-            raise WarpcheckError(f"unknown tolerance name {name!r}")
+        if name not in TOLERANCES:
+            raise WarpcheckError(f"unknown tolerance name {name!r}; valid names: "
+                                 f"{', '.join(TOLERANCES)}")
         try:
             tols[name] = float(val)
         except ValueError:

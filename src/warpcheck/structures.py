@@ -46,6 +46,7 @@ class _Structure:
 class AlmostComplexStructure(_Structure):
     """(1,1) tensor field J on an even-dimensional chart metric."""
 
+    kind = "complex"  # as a config's structure section names it
     metric: MetricField
     j_entries: list  # dim x dim Exprs, (J v)^i = J[i][j] v^j
     params: tuple[float, ...] = ()
@@ -81,6 +82,7 @@ class AlmostComplexStructure(_Structure):
 class AlmostContactStructure(_Structure):
     """(phi, xi, eta, g) on an odd-dimensional chart metric."""
 
+    kind = "contact"
     metric: MetricField
     phi_entries: list   # dim x dim Exprs
     xi_entries: list    # dim Exprs (vector components)
@@ -88,6 +90,10 @@ class AlmostContactStructure(_Structure):
     params: tuple[float, ...] = ()
     name: str = ""
     klass: str | None = None  # declared class, one of CLASS_NAMES
+
+    def __post_init__(self):
+        if self.dim % 2 == 0:
+            raise ConfigurationError("almost contact structures need odd dimension")
 
     def identity_residuals(self, t: "StructureTensors") -> dict[str, float]:
         """The six defining identities of an almost contact metric structure."""

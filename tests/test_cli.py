@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from warpcheck import cli, expr, ineq, report, riemann, structures, subman
-from warpcheck.cli import (DEFAULT_TOLS, RunConfig, main, parse_args, render_text,
+from warpcheck.cli import (TOLERANCES, RunConfig, main, parse_args, render_text,
                            run)
 from warpcheck.errors import WarpcheckError
 from warpcheck.gallery import builtin_names, load_builtin, sample_points
@@ -71,6 +71,15 @@ def test_bad_tolerance_exits_2(capsys):
     for tol in ("gauss=abc", "nope=1", "gauss=nan", "gauss=inf"):
         assert main(["--target", "e4", "--tol", tol]) == 2
         assert capsys.readouterr().err.count("\n") == 1, tol
+
+
+def test_an_unknown_tolerance_name_lists_the_valid_ones(capsys):
+    assert main(["--target", "e4", "--tol", "foo=1"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown tolerance name 'foo'; valid names: "
+        + ", ".join(TOLERANCE_ROUTES) + "\n")
+    assert ("NAME is one of: " + ", ".join(TOLERANCE_ROUTES)
+            in " ".join(cli.build_parser().format_help().split()))
 
 
 @pytest.mark.parametrize("target,seed,points", [("e3", "-5", "4"), ("e1", "-1", "2")])
@@ -419,8 +428,8 @@ def test_immersion_components_evaluated_once_per_block(monkeypatch):
         return eval_jets(e, bindings, params)
 
     monkeypatch.setattr(expr, "eval_jets", counted)
-    rep = CheckReport()
-    cli._immersion_checks(im, cli.CHECK_GROUPS, RunConfig(target="e6", points=3), rep)
+    worst, n = cli._immersion_values(im, cli.CHECK_GROUPS, RunConfig(target="e6", points=3))
+    rep = cli.records(worst, n, cli.CHECK_GROUPS, {}, im.structure.kind)
     assert rep.passed
     assert [counts[id(c)] for c in im.components] == [1] * len(im.components)
 
@@ -431,7 +440,7 @@ def test_library_checks_give_the_cli_records(target):
     code, doc, _ = run(RunConfig(target=target, points=33, seed=42))
     cli_records = {rec["name"]: rec for rec in doc["checks"]}
     im = load_builtin(target).subject
-    s, points, cr = im.structure, sample_points(im, 33, 42), DEFAULT_TOLS["cr"]
+    s, points, cr = im.structure, sample_points(im, 33, 42), TOLERANCES["cr"]
     n = len(points)
     contact = isinstance(s, structures.AlmostContactStructure)
     worst = subman.fold_sff(
@@ -440,13 +449,8 @@ def test_library_checks_give_the_cli_records(target):
         subman.contact_cr_residuals if contact else subman.complex_cr_defects,
         (lambda sff: s.identity_residuals(sff.tensors)) if contact
         else (lambda sff: s.residuals(sff.tensors, True)))
-    rep = CheckReport()
-    cli._fiber_lemma_records(rep, worst, n, cr)
-    if contact:
-        cli._contact_cr_records(rep, worst, n)
-        cli._contact_records(rep, s, worst, n, DEFAULT_TOLS["structure"])
-    else:
-        cli._complex_records(rep, worst, n)
+    rep = cli.records(worst, n, ("structure", "classify", "inequalities"), {}, s.kind)
+    if not contact:
         # e6 fails the CR gate, so the CLI reports leaf minimality as information
         gate = nan_max(worst["leaf_invariance"], worst["fiber_anti_invariance"])
         assert gate == cli_records["cr-invariance-gate"]["worst"] >= cr
@@ -454,8 +458,9 @@ def test_library_checks_give_the_cli_records(target):
     assert code == 0 and len(rep.records) >= 6
     for rec in rep.records:
         assert rec.as_dict() == cli_records[rec.name]
-    for key, name in cli.PREDICATES:
-        assert worst[key] == cli_records[f"flag-{name}"]["worst"]
+    for row in cli.ROWS:
+        if row.anchor == "classification-flag":
+            assert worst[row.key] == cli_records[row.name]["worst"]
 
 
 def test_a_run_leaves_no_reference_cycles():
@@ -669,6 +674,110 @@ def test_contact_tolerances_reach_their_records():
         assert {r["name"]: r["tol"] for r in doc["checks"] if r["name"] in want} == want
 
 
+CONTACT_IDENTITY_RECORDS = {"contact-phi_square", "contact-phi_of_reeb",
+                            "contact-dual_form_kills_phi", "contact-dual_pairing",
+                            "contact-dual_is_metric_dual", "contact-phi_compatibility"}
+CR_SUITE_RECORDS = {"cr-leaf-invariance", "cr-fiber-anti-invariance", "cr-form-on-reeb-pairs",
+                    "cr-leaf-vs-fiber-image", "cr-invariant-flip"}
+
+# each tolerance name and the records of the builtins' reports that carry it
+TOLERANCE_ROUTES = {
+    "structure": {"complex-square", "complex-compatibility", "kahler-parallel",
+                  *CONTACT_IDENTITY_RECORDS, "class-sasakian", "normality",
+                  "fundamental-form"},
+    "curvature-symmetry": {"curvature-symmetries"},
+    "gauss": {"gauss-equation"},
+    "scalar-identity": {"scalar-identity"},
+    "duality": {"shape-duality"},
+    "warped-identity": {"warped-identity"},
+    "warped-block": {"warped-block-form", "leaf-geodesic", "fiber-umbilical-shape"},
+    "scalar-split": {"scalar-split"},
+    "slack": {"main-inequality", "equality-diagnostics", "space-form-consistency"},
+    "leaf-minimality": {"leaf-mean-curvature"},
+    "classify": {f"flag-{name}" for name in (
+        "totally-geodesic", "totally-umbilical", "minimal", "mixed-totally-geodesic",
+        "leaf-totally-geodesic", "leaf-minimal", "fiber-minimal", "fiber-totally-umbilical")},
+    "cr": {"cr-reeb-tangency", *CR_SUITE_RECORDS, "cr-invariance-gate",
+           "fiber-minimal-hypothesis", "fiber-umbilical-hypothesis",
+           "fiber-geodesic-conclusion"},
+    "reduction": {"variant-reduction"},
+}
+
+
+@pytest.mark.parametrize("name", TOLERANCE_ROUTES)
+def test_each_tolerance_name_reaches_exactly_its_records(name):
+    # a value no default takes, set alone, shows which records read the name
+    value = 3.7e-3 + 1e-5 * list(TOLERANCE_ROUTES).index(name)
+    assert parse_args(["--target", "e1", "--tol", f"{name}={value}"]).tols == {name: value}
+    reached = set()
+    for target in builtin_names():
+        _, doc, _ = run(RunConfig(target=target, points=3, tols={name: value}))
+        reached |= {r["name"] for r in doc["checks"] if r["tol"] == value}
+    assert reached == TOLERANCE_ROUTES[name]
+
+
+def test_records_keep_their_own_default_tolerances():
+    # four records default to another value than their tolerance name does
+    tols = {}
+    for target in ("e1", "e5"):
+        _, doc, _ = run(RunConfig(target=target, points=3))
+        tols[target] = {r["name"]: r["tol"] for r in doc["checks"]}
+    assert tols["e1"]["complex-square"] == tols["e1"]["complex-compatibility"] == 1e-10
+    assert tols["e1"]["kahler-parallel"] == tols["e5"]["contact-phi_square"] == 1e-8
+    assert tols["e5"]["cr-reeb-tangency"] == 1e-8 and tols["e5"]["cr-leaf-invariance"] == 1e-7
+    assert tols["e5"]["leaf-mean-curvature"] == 1e-7
+    assert tols["e1"]["leaf-mean-curvature"] == 1e-8
+
+
+EVEN_CONTACT = """\
+[metric flat4]
+dim = 4
+row_1 = "1", "0", "0", "0"
+row_2 = "0", "1", "0", "0"
+row_3 = "0", "0", "1", "0"
+row_4 = "0", "0", "0", "1"
+domain_lo = -1, -1, -1, -1
+domain_hi = 1, 1, 1, 1
+
+[structure c4]
+kind = contact
+metric = flat4
+phi_row_1 = "0", "-1", "0", "0"
+phi_row_2 = "1", "0", "0", "0"
+phi_row_3 = "0", "0", "0", "-1"
+phi_row_4 = "0", "0", "1", "0"
+xi = "0", "0", "0", "1"
+eta = "0", "0", "0", "1"
+
+[immersion s]
+dim = 2
+ambient = flat4
+structure = c4
+components = "x1", "x2", "0", "0"
+warp_n1 = 1
+warp_n2 = 1
+warp_f = "1"
+domain_lo = 0.1, 0.1
+domain_hi = 1, 1
+
+[subject]
+"""
+
+
+@pytest.mark.parametrize("checks", ["all", *cli.CHECK_GROUPS])
+@pytest.mark.parametrize("subject", ["kind = immersion\ntarget = s\n",
+                                     "kind = structure\ntarget = c4\n"],
+                         ids=["immersion", "structure"])
+def test_an_even_dimensional_contact_structure_exits_2(tmp_path, capsys, subject, checks):
+    # this used to be refused only by the structure records: the contact CR
+    # suite ran on it, and a structure subject outside --checks structure passed
+    p = tmp_path / "even_contact.cfg"
+    p.write_text(EVEN_CONTACT + subject)
+    assert main(["--target", str(p), "--points", "3", "--checks", checks]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: almost contact structures need odd dimension\n")
+
+
 def test_run_config_guards():
     with pytest.raises(WarpcheckError):
         RunConfig(target="e4", points=0)
@@ -684,7 +793,7 @@ def test_parse_args_roundtrip():
     assert rc.points == 7 and rc.seed == 3
     assert rc.tols == {"gauss": 1e-5}
     assert rc.tol("gauss") == 1e-5
-    assert rc.tol("slack") == DEFAULT_TOLS["slack"]
+    assert rc.tol("slack") == TOLERANCES["slack"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 WarpedPoint) and nothing that the record already holds, and a structure law
 no vectors; every function and class the package defines is read by it or
 exported, and every parameter by its function; only the command-line module
-makes report records."""
+makes report records, in one loop over one table."""
 
 import ast
 import inspect
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import warpcheck
-from warpcheck import ineq, riemann, structures, subman, warped
+from warpcheck import cli, ineq, riemann, structures, subman, warped
 from warpcheck.errors import ConfigurationError
 from warpcheck.gallery import load_builtin
 from warpcheck.subman import second_fundamental_form
@@ -202,3 +202,19 @@ def test_only_the_command_line_module_makes_report_records():
                  if isinstance(node, ast.ImportFrom)
                  and "CheckReport" in {alias.name for alias in node.names}}
     assert importers == {"cli", "__init__"}
+
+
+def test_records_are_made_only_by_the_table_loop():
+    # one loop turns the rows of one table into records, so a record's name,
+    # anchor, tolerance and role are declared in one place
+    assert _call_sites("add") == {("cli", "records")}
+
+
+def test_every_tolerance_name_reaches_a_row():
+    # a --tol name that no row reads would be accepted and do nothing
+    assert set(cli.TOLERANCES) <= {row.tol for row in cli.ROWS}
+
+
+def test_every_row_tolerance_can_be_set_from_the_command_line():
+    for name in {row.tol for row in cli.ROWS} - {None}:
+        assert cli.parse_args(["--target", "e1", "--tol", f"{name}=0.5"]).tol(name) == 0.5

@@ -11,7 +11,7 @@ from helpers import (box_points, chen_cr_immersion, perturbed_chen_immersion,
                      sasakian_cr_immersion, sphere_warped_immersion,
                      torus_immersion, trivial_product_immersion)
 
-from warpcheck.cli import _fiber_lemma_records
+from warpcheck.cli import records
 from warpcheck.errors import ConfigurationError
 from warpcheck.ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
                             main_inequality, scalar_decomposition_residual, space_form_rhs)
@@ -48,10 +48,8 @@ def test_scalar_decomposition_trivial_product_exact():
 
 def fiber_lemma(im, points, tol=1e-7) -> CheckReport:
     """The fiber-lemma records of the points, as the report makes them."""
-    rep = CheckReport()
-    _fiber_lemma_records(rep, fold_sff(im, points, partial(fiber_lemma_residuals, tol=tol)),
-                         len(points), tol)
-    return rep
+    return records(fold_sff(im, points, partial(fiber_lemma_residuals, tol=tol)),
+                   len(points), ("inequalities",), {"cr": tol})
 
 
 def test_fiber_lemma_on_chen_cr():

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from warpcheck.cli import _complex_records, _contact_records
+from warpcheck.cli import records
 from warpcheck.errors import ConfigurationError, DegeneratePlaneError
 from warpcheck.expr import parse
 from warpcheck.report import CheckReport
@@ -37,9 +37,8 @@ def identities(t):
 def contact_records(s, points, tol=1e-10) -> CheckReport:
     """The identity records of an almost contact structure at the points, as
     the report makes them."""
-    rep = CheckReport()
-    _contact_records(rep, s, fold_tensors(s, points, identities), len(points), tol)
-    return rep
+    return records(fold_tensors(s, points, identities), len(points), ("structure",),
+                   {"structure": tol})
 
 
 def _parse_rows(rows, dim):
@@ -93,10 +92,9 @@ def test_perturbed_phi_reports_its_magnitude():
 
 def test_even_dimension_rejected():
     metric = MetricField.from_strings([["1", "0"], ["0", "1"]])
-    s = AlmostContactStructure(metric, _parse_rows([["0", "0"]] * 2, 2),
-                               [parse("0", 2)] * 2, [parse("0", 2)] * 2)
     with pytest.raises(ConfigurationError):
-        contact_records(s, [np.zeros(2)])
+        AlmostContactStructure(metric, _parse_rows([["0", "0"]] * 2, 2),
+                               [parse("0", 2)] * 2, [parse("0", 2)] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +352,7 @@ def test_flat_kahler_structure_validates():
               ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
     acs = AlmostComplexStructure(metric, _parse_rows(j_rows, 4))
     points = sample_points(33, n=4, dim=4)
-    rep = CheckReport()
-    _complex_records(rep, fold_tensors(acs, points, lambda t: acs.residuals(t, True)),
-                     len(points))
+    rep = records(fold_tensors(acs, points, lambda t: acs.residuals(t, True)), len(points),
+                  ("structure",), {})
     assert rep.passed
     assert acs.parallel_residual(acs.at(np.zeros(4))) == 0.0

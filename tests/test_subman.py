@@ -12,7 +12,7 @@ from helpers import (box_points, chen_cr_immersion, cylinder_immersion,
                      flat_metric, perturbed_chen_immersion, sasakian_cr_immersion,
                      sphere_immersion, torus_immersion, trivial_product_immersion)
 
-from warpcheck.cli import DEFAULT_TOLS, _contact_cr_records, validate
+from warpcheck.cli import TOLERANCES, records, validate
 from warpcheck.errors import (ConfigurationError, ImmersionDegenerateError,
                               InvalidNormalError, InvalidWarpingError)
 from warpcheck.expr import Neg, matrix_jets, parse
@@ -379,7 +379,7 @@ def holds(im, points) -> set:
     """The classification predicates that hold at every point, at the
     report's tolerance: those whose folded residual stays below it."""
     worst = fold_sff(im, points, classification_residuals)
-    return {key for key, v in worst.items() if v < DEFAULT_TOLS["classify"]}
+    return {key for key, v in worst.items() if v < TOLERANCES["classify"]}
 
 
 def test_classify_affine_plane():
@@ -461,9 +461,8 @@ def test_an_induced_split_validates_its_warping_function():
 
 def contact_cr(im, points) -> CheckReport:
     """The contact CR suite's records at the points, as the report makes them."""
-    rep = CheckReport()
-    _contact_cr_records(rep, fold_sff(im, points, contact_cr_residuals), len(points))
-    return rep
+    return records(fold_sff(im, points, contact_cr_residuals), len(points), ("inequalities",),
+                   {})
 
 
 def test_sasakian_cr_suite_passes():
