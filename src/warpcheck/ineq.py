@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .report import nan_max
 from .structures import AlmostComplexStructure, SpaceFormModel, model_curvature
-from .subman import SFFData, warped_split
+from .subman import SFFData, umbilicity, warped_split
 
 SLACK_TOL_FLAT = 1e-8    # jet-exact flat ambients
 KAHLER_GATE_TOL = 1e-6   # parallel-J residual a main inequality accepts
@@ -155,7 +155,8 @@ def fiber_lemma_residuals(sff: SFFData, tol: float) -> dict:
         raise ConfigurationError("fiber lemma check needs a warped declaration")
     n1 = sff.n1
     hyp_min = sff.vec_norm(sff.mean_fiber)
-    hyp_umb = reduce(nan_max, sff.umbilicity(sff.mean_fiber, n1))
+    hyp_umb = reduce(nan_max, umbilicity(sff.g_ambient, sff.h_frame[n1:, n1:],
+                                         sff.mean_fiber).ravel().tolist())
     tested = hyp_min < tol and hyp_umb < tol
     conc = math.sqrt(float(np.sum(sff.coeffs[:, n1:, n1:] ** 2)))
     return {"fiber-minimal-hypothesis": hyp_min, "fiber-umbilical-hypothesis": hyp_umb,

@@ -248,22 +248,25 @@ def jet_const(c: float, dim: int, order: int = 3) -> Jet3:
     return Jet3(dim, float(c), *(np.zeros((dim,) * k) for k in range(1, order + 1)))
 
 
-def jet_var(i: int, x: Point) -> Jet3:
+def jet_var(i: int, x: Point, zeros: tuple[np.ndarray, np.ndarray] | None = None) -> Jet3:
     """Jet of the i-th coordinate function at x, one point (dim,) or a
-    block of points (..., dim)."""
+    block of points (..., dim).  ``zeros``: read-only zero d2 and d3 slots
+    to share, full-shaped, as the exponent rule reads them at any order."""
     x = as_point(x, block=True)
     dim = x.shape[-1]
     if not 0 <= i < dim:
         raise IndexError(f"variable index {i} out of range for dim {dim}")
     d1 = np.zeros(x.shape)
     d1[..., i] = 1.0
-    return Jet3(dim, x[..., i], d1, *(np.broadcast_to(0.0, x.shape + (dim,) * k) for k in (1, 2)))
+    zeros = zeros or [np.broadcast_to(0.0, x.shape + (dim,) * k) for k in (1, 2)]
+    return Jet3(dim, x[..., i], d1, *zeros)
 
 
 def coordinate_jets(x: Point) -> list[Jet3]:
-    """Jets of all coordinate functions at x (one point or a block)."""
-    x = as_point(x, block=True)
-    return [jet_var(i, x) for i in range(x.shape[-1])]
+    """Jets of all coordinate functions at x (one point or a block), sharing zero slots."""
+    first = jet_var(0, x)
+    zeros = (first.d2, first.d3)
+    return [first] + [jet_var(i, x, zeros) for i in range(1, np.shape(x)[-1])]
 
 
 def pack(items: Iterable[tuple[Iterable[tuple[int, ...]], Jet3]], batch: tuple[int, ...],

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 
 @dataclass
 class CheckRecord:
@@ -66,14 +68,17 @@ def nan_max(a: float, b: float) -> float:
 
 
 def fold(per_point: Iterable[dict]) -> dict:
-    """Fold per-point value dicts into the worst value per key through
-    :func:`nan_max`.  A list folds each of its values; True/False values
-    are counted instead."""
+    """Fold value dicts into the worst value per key through :func:`nan_max`.
+    A list folds each of its values; an array folds its first NaN or else its
+    first maximum in C order, as its values one by one would; True/False
+    values and bool arrays are counted instead."""
     worst: dict = {}
     for values in per_point:
         for key, v in values.items():
-            if isinstance(v, bool):
-                worst[key] = worst.get(key, 0) + v
+            if isinstance(v, np.ndarray) and v.dtype != bool:
+                v = [v.flat[np.argmax(v)].item()] if v.size else []
+            if isinstance(v, (bool, np.ndarray)):  # a bool array counts its True values
+                worst[key] = worst.get(key, 0) + int(np.count_nonzero(v))
                 continue
             for u in v if isinstance(v, list) else [v]:
                 worst[key] = nan_max(worst[key], u) if key in worst else u

@@ -479,22 +479,28 @@ def watch():
     return (lambda: np.errstate(call=lambda *_: events.append(1), **observed)), events
 
 
-def stacked(cache: dict, key: str, build, index: int) -> list:
+def stacked(cache: dict, key: str, build, index: int | range) -> list:
     """Point ``index``'s slices of the arrays ``build(points, watched)``
-    returns, built for the whole block once and kept in ``cache[key]``.
-    ``build`` enters ``watched()`` (:func:`watch`) around the work whose
-    floating-point events belong to single points; on an event each point
-    builds its own, unwatched, so no event comes from a point the walk never
-    reaches and a reached point warns as it does alone.  An error raises for
-    the block's first failing point (``jets.per_block`` reruns the block)."""
+    returns (the whole arrays for the range of the block's points), built for
+    the whole block once and kept in ``cache[key]``.  ``build`` enters
+    ``watched()`` (:func:`watch`) around the work whose floating-point events
+    belong to single points; on an event each point builds its own,
+    unwatched, once and when first asked for, so no event comes from a point
+    the walk never reaches and a reached point warns as it does alone.  An
+    error raises for the block's first failing point (``jets.per_block``
+    reruns the block)."""
     if key not in cache:
         watched, events = watch()
         built = build(slice(None), watched)
-        cache[key] = None if events else built
-    built, k = cache[key], index
-    if built is None:
-        built, k = build(slice(index, index + 1), contextlib.nullcontext), 0
-    return [a[k] for a in built]
+        cache[key] = {} if events else built  # after an event, each point's own by index
+    built, whole = cache[key], isinstance(index, range)
+    if isinstance(built, dict):
+        for b in index if whole else [index]:
+            if b not in built:
+                built[b] = build(slice(b, b + 1), contextlib.nullcontext)
+        return ([np.concatenate(a) for a in zip(*map(built.get, index))] if whole
+                else [a[0] for a in built[index]])
+    return built if whole else [a[index] for a in built]
 
 
 def metric_norms(g: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -222,20 +222,18 @@ class SFFData:
         return float(np.sum(self.coeffs**2))
 
     def vec_norm(self, v: np.ndarray) -> float:
-        return float(self.norms(v))
-
-    def norms(self, v: np.ndarray) -> np.ndarray:
-        """Ambient norms of the vectors along v's last axis (:func:`metric_norms`)."""
-        return metric_norms(self.g_ambient, v)
-
-    def umbilicity(self, mean: np.ndarray, start: int = 0) -> list[float]:
-        """Norms of h(e_i, e_j) - delta_ij mean over the frame from index start on."""
-        h = self.h_frame[start:, start:]
-        return self.norms(h - np.eye(len(h))[..., None] * mean).ravel().tolist()
+        return float(metric_norms(self.g_ambient, v))
 
     def h_on(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """h evaluated on sub-chart coordinate vectors."""
         return np.einsum("i,j,ijk->k", X, Y, self.h_coord)
+
+
+def umbilicity(g: np.ndarray, h: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Norms under g of h(e_i, e_j) - delta_ij mean, h over a block of a
+    frame (..., k, k, m), at one point or at each of a stack."""
+    return metric_norms(g[..., None, None, :, :],
+                        h - np.eye(h.shape[-2])[..., None] * mean[..., None, None, :])
 
 
 def _complete(g: np.ndarray, basis: np.ndarray, counts: np.ndarray, seeds: np.ndarray,
@@ -278,9 +276,9 @@ def _normal_frames(g_amb: np.ndarray, tangent_amb: np.ndarray, priority: np.ndar
 
 class ImmersionBlock:
     """An immersion over a block of sub-chart points (B, dim): the component
-    values and partials, and the ambient, induced, structure and warped
-    blocks, each evaluated for all points on first use and read per point by
-    :func:`second_fundamental_form`."""
+    values and partials, the ambient, induced, structure and warped blocks,
+    the frames and the second fundamental form, each evaluated for all
+    points on first use, and read per point or whole."""
 
     def __init__(self, im: Immersion, points: np.ndarray):
         self.im = im
@@ -319,16 +317,20 @@ class ImmersionBlock:
     def warped(self) -> WarpedBlock:
         return WarpedBlock(warped_geometry(self.im), self.points, self.induced)
 
-    def frames_at(self, index: int) -> list:
-        """Point ``index``'s J^T g J, tangent frame, J @ frame, normal frame
-        and count of normal columns from priority seeds, built for the whole
-        block by :func:`riemann.stacked` with the bits the point has alone."""
+    def frames_at(self, index: int | range) -> list:
+        """Point ``index``'s (or the range of points') J^T g J, Jacobian,
+        tangent frame, J @ frame, normal frame, count of normal columns from
+        priority seeds, d_full, h_coord, h_frame, coeffs and mean rows
+        (whole, leaf, fiber), built for the whole block by
+        :func:`riemann.stacked` with the bits the point has alone."""
         return stacked(self.__dict__, "frames", self._frames, index)
 
     def _frames(self, points: slice, watched) -> tuple:
         im, x = self.im, self.points[points]
+        d2phi = np.ascontiguousarray(self.components[2][points])
         jac = np.ascontiguousarray(self.components[1][points])
         g_amb = self.ambient.derivs[0][points]
+        gam = self.ambient.gamma[points]  # verifies the ambient metric is positive definite
         with watched():
             g_ind = np.swapaxes(jac, 1, 2) @ g_amb @ jac
             eigs = np.linalg.eigvalsh(g_ind)[:, 0]
@@ -348,70 +350,65 @@ class ImmersionBlock:
             # first, so the invariant complement of the normal bundle sits after it
             priority = (tangent_amb[:, :, :0] if phi is None
                         else phi @ tangent_amb[:, :, im.warped.n1:])
-            return (g_ind, tangent, tangent_amb) + _normal_frames(g_amb, tangent_amb, priority)
+            normal, n_priority = _normal_frames(g_amb, tangent_amb, priority)
+            # full ambient derivative of the coordinate frame: D[i,j,:] in ambient coords
+            d_full = (np.einsum("bkij->bijk", d2phi)
+                      + np.einsum("bklm,bli,bmj->bijk", gam, jac, jac))
+            # normal projection: subtract ambient-orthonormal tangent components
+            tang_comp = np.einsum("bijk,bkm,bma->bija", d_full, g_amb, tangent_amb)
+            h_coord = d_full - np.einsum("bija,bka->bijk", tang_comp, tangent_amb)
+            h_frame = np.einsum("bpqk,bpi,bqj->bijk", h_coord, tangent, tangent)
+            coeffs = np.einsum("bijk,bkm,bmr->brij", h_frame, g_amb, normal)
+            # the whole, leaf and fiber traces, each over its block's count
+            n, decl = im.dim, im.warped
+            spans = [(0, n, n)] + ([] if decl is None else
+                                   [(0, decl.n1, decl.n1), (decl.n1, n, decl.n2)])
+            means = np.stack([np.einsum("biik->bk", h_frame[:, a:b, a:b]) / count
+                              for a, b, count in spans], 1)
+            return (g_ind, jac, tangent, tangent_amb, normal, n_priority,
+                    d_full, h_coord, h_frame, coeffs, means)
 
 
 def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | None = None,
                             index: int = 0) -> SFFData:
     """Second fundamental form via the ambient covariant derivative of the
-    pushed-forward coordinate frame, projected to the normal space.
-
-    ``block``: the ImmersionBlock x is point ``index`` of, whose evaluations
-    it reads (a block of one point when none is given)."""
+    pushed-forward coordinate frame, projected to the normal space: point
+    ``index``'s views of the arrays of ``block``, the ImmersionBlock x is a
+    point of (a block of one point when none is given)."""
     x = as_point(x)
     block = block if block is not None else ImmersionBlock(im, x[None])
-    n = im.dim
-    y, jac, d2phi = (a[index].copy() for a in block.components)  # (m,), (m, n), (m, n, n)
-
-    amb = block.ambient[index]
-    gam = amb.gamma                # verifies the ambient metric is positive definite
-    g_amb = amb.value
-    g_ind, tangent_frame, tangent_amb, normal_frame, n_priority = block.frames_at(index)
-    induced = block.induced[index]
+    (g_ind, jac, tangent_frame, tangent_amb, normal_frame, n_priority,
+     d_full, h_coord, h_frame, coeffs, means) = block.frames_at(index)
+    amb, induced = block.ambient[index], block.induced[index]
     induced.value, induced.frame = g_ind, tangent_frame
-
-    # full ambient derivative of the coordinate frame: D[i,j,:] in ambient coords
-    d_full = np.einsum("kij->ijk", d2phi) + np.einsum(
-        "klm,li,mj->ijk", gam, jac, jac)
-    # normal projection: subtract ambient-orthonormal tangent components
-    tang_comp = np.einsum("ijk,km,ma->ija", d_full, g_amb, tangent_amb)
-    h_coord = d_full - np.einsum("ija,ka->ijk", tang_comp, tangent_amb)
-    h_frame = np.einsum("pqk,pi,qj->ijk", h_coord, tangent_frame, tangent_frame)
-
-    tensors = None if im.structure is None else block.tensors[index]
-
-    coeffs = np.einsum("ijk,km,mr->rij", h_frame, g_amb, normal_frame)
-    mean = np.einsum("iik->k", h_frame) / n
-
     decl = im.warped
-    n1 = decl.n1 if decl is not None else None
-    mean_leaf = mean_fiber = None
-    if decl is not None:
-        mean_leaf = np.einsum("iik->k", h_frame[: decl.n1, : decl.n1]) / decl.n1
-        mean_fiber = np.einsum("iik->k", h_frame[decl.n1:, decl.n1:]) / decl.n2
-
     return SFFData(
-        ambient_point=y, g_induced=g_ind, g_ambient=g_amb,
+        ambient_point=block.components[0][index], g_induced=g_ind, g_ambient=amb.value,
         jacobian=jac, tangent_frame=tangent_frame, tangent_ambient=tangent_amb,
         normal_frame=normal_frame, h_coord=h_coord, h_frame=h_frame,
-        coeffs=coeffs, mean=mean, im=im, d_full=d_full, ambient=amb,
-        induced=induced, n1=n1, mean_leaf=mean_leaf, mean_fiber=mean_fiber,
-        nu_start=int(n_priority), tensors=tensors,
-        warped=None if decl is None else WarpedPoint(block.warped.geom, x, induced,
-                                                     block.warped, index),
-    )
+        coeffs=coeffs, mean=means[0], im=im, d_full=d_full, ambient=amb, induced=induced,
+        nu_start=int(n_priority), tensors=None if im.structure is None else block.tensors[index],
+        **{} if decl is None else dict(
+            n1=decl.n1, mean_leaf=means[1], mean_fiber=means[2],
+            warped=WarpedPoint(block.warped.geom, x, induced, block.warped, index)))
 
 
 def fold_sff(im: Immersion, points: Sequence[Point], *steps) -> dict:
-    """The steps' per-point values, merged and folded over the points by
-    :func:`report.fold`.  Each block of points is one ImmersionBlock, whose
-    jets are evaluated together, and each point one SFFData that every step
-    reads; both are dropped once their values are folded."""
+    """The steps' values, merged and folded over the points by
+    :func:`report.fold`, a block of points at a time in one ImmersionBlock.
+    Each step but a block step (marked ``block_step``) reads each point's
+    SFFData, built only for such a step; then a block step reads the block
+    and gives (B, ...) arrays.  Every point's frames are built and verified."""
+    block_steps = [step for step in steps if getattr(step, "block_step", False)]
+    point_steps = [step for step in steps if step not in block_steps]
+
     def walk(block):
         ib = ImmersionBlock(im, block)
-        for b, x in enumerate(block):
+        for b, x in enumerate(block if point_steps else ()):
             sff = second_fundamental_form(im, x, ib, b)
-            yield {k: v for step in steps for k, v in step(sff).items()}
+            yield {k: v for step in point_steps for k, v in step(sff).items()}
+        ib.frames_at(range(len(block)))  # verifies every point's frames
+        yield {k: v for step in block_steps for k, v in step(ib).items()}
     return fold(per_block(points, walk))
 
 
@@ -479,24 +476,32 @@ def scalar_identity_residual(sff: SFFData) -> float:
 # ---------------------------------------------------------------------------
 
 
-def classification_residuals(sff: SFFData) -> dict:
-    """Defining residuals of the predicates at one point; the block-split
-    ones only under a warped declaration."""
-    n, n1 = sff.n, sff.n1
-    h_norms = sff.norms(sff.h_frame)
-    means = [sff.mean] if n1 is None else [sff.mean, sff.mean_leaf, sff.mean_fiber]
-    mean_norms = sff.norms(np.stack(means)).tolist()
-    out = {"geodesic": float(h_norms.max()),
-           "umbilical": sff.umbilicity(sff.mean),
-           "minimal": mean_norms[0]}
-    if n1 is not None:
-        out.update(
-            mixed_geodesic=float(h_norms[:n1, n1:].max()) if n1 < n else 0.0,
-            d1_geodesic=float(h_norms[:n1, :n1].max()),
-            d1_minimal=mean_norms[1],
-            d2_minimal=mean_norms[2],
-            d2_umbilical=sff.umbilicity(sff.mean_fiber, n1))
-    return out
+def classification_residuals(block: ImmersionBlock) -> dict:
+    """Defining residuals of the predicates at each point of the block, as
+    (B, ...) arrays, the block-split ones only under a warped declaration;
+    built by :func:`riemann.stacked`, and a block step of :func:`fold_sff`."""
+    points = range(len(block.points))
+    n, decl = block.im.dim, block.im.warped
+    *_, h_frame, _, mean_rows = block.frames_at(points)
+
+    def build(part: slice, watched) -> list:
+        g, h, means = block.ambient.derivs[0][part], h_frame[part], mean_rows[part]
+        with watched():
+            h_norms = metric_norms(g[:, None, None], h)
+            mean_norms = metric_norms(g[:, None], means)
+            out = [h_norms.max(axis=(1, 2)), umbilicity(g, h, means[:, 0]), mean_norms[:, 0]]
+            if decl is not None:
+                n1 = decl.n1
+                out += [h_norms[:, :n1, n1:].max(axis=(1, 2)) if n1 < n else np.zeros(len(h)),
+                        h_norms[:, :n1, :n1].max(axis=(1, 2)), mean_norms[:, 1],
+                        mean_norms[:, 2], umbilicity(g, h[:, n1:, n1:], means[:, 2])]
+        return out
+    names = ("geodesic", "umbilical", "minimal") + (() if decl is None else (
+        "mixed_geodesic", "d1_geodesic", "d1_minimal", "d2_minimal", "d2_umbilical"))
+    return dict(zip(names, stacked(block.__dict__, "classes", build, points)))
+
+
+classification_residuals.block_step = True
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from warpcheck.errors import DegenerateMetricError
 from warpcheck.gallery import builtin_names, load_builtin, sample_points
 from warpcheck.riemann import MetricBlock, MetricField, MetricPoint, frame_curvature
 from warpcheck.structures import AlmostComplexStructure, AlmostContactStructure
-from warpcheck.subman import (Immersion, ImmersionBlock, gauss_residual_tensor,
-                              scalar_identity_residual, second_fundamental_form)
+from warpcheck.jets import BLOCK_POINTS
+from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals,
+                              gauss_residual_tensor, scalar_identity_residual,
+                              second_fundamental_form)
 from warpcheck.warped import WarpedBlock, WarpedMetric, mixed_sectional_sum
 
 FIELDS = ("ginv", "lowered", "gamma", "curvature")
@@ -143,6 +145,42 @@ def test_a_chart_metric_point_the_walk_reaches_warns_as_it_does_alone():
         frame, block_seen = frame_and_warnings(block[len(points) - 1])
         assert block_seen == seen
         assert_same(frame, alone, f"{len(points)} points")
+
+
+IMMERSIONS = [name for name in builtin_names()
+              if isinstance(load_builtin(name).subject, Immersion)]
+FORM = {6: "d_full", 7: "h_coord", 8: "h_frame", 9: "coeffs", 10: "means"}
+
+
+def assert_same_int64(a, b, what: str):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape, what
+    assert (a.view(np.int64) == b.view(np.int64)).all(), what
+
+
+@pytest.mark.parametrize("seed", [42, 5])
+@pytest.mark.parametrize("n", [1, 33, 70])
+@pytest.mark.parametrize("name", IMMERSIONS)
+def test_block_form_and_classes_equal_blocks_of_one(name, n, seed):
+    # the form (the means are the whole, leaf and fiber rows) and every
+    # classification value of each point of a walk's blocks, against a
+    # block of that point alone
+    im = load_builtin(name).subject
+    points = np.array(sample_points(im, n, seed))
+    for start in range(0, len(points), BLOCK_POINTS):
+        block = ImmersionBlock(im, points[start:start + BLOCK_POINTS])
+        form = block.frames_at(range(len(block.points)))
+        classes = classification_residuals(block)
+        for b in range(len(block.points)):
+            alone = ImmersionBlock(im, block.points[b:b + 1])
+            what = f"{name} {n} {seed} point {start + b}"
+            for k, field in FORM.items():
+                assert_same(form[k][b], alone.frames_at(0)[k], f"{what} {field}")
+                assert_same_int64(form[k][b], alone.frames_at(0)[k], f"{what} {field}")
+            alone_classes = classification_residuals(alone)
+            assert classes.keys() == alone_classes.keys()
+            for key, values in classes.items():
+                assert_same_int64(values[b], alone_classes[key][0], f"{what} {key}")
 
 
 def warped_points(subject, points: np.ndarray):

@@ -411,11 +411,11 @@ def test_frames_run_one_step_per_block_and_seed(monkeypatch):
     assert 3 + 3 <= per_block <= 3 + 6
 
 
-def test_classification_residuals_take_four_norm_calls_a_point(monkeypatch):
-    calls, norms = [], subman.SFFData.norms
-    monkeypatch.setattr(subman.SFFData, "norms", lambda self, v: calls.append(1) or norms(self, v))
+def test_classification_residuals_take_four_norm_calls_a_block(monkeypatch):
+    calls, norms = [], subman.metric_norms
+    monkeypatch.setattr(subman, "metric_norms", lambda g, v: calls.append(1) or norms(g, v))
     code, _, _ = run(RunConfig(target="e6", checks=("classify",), points=70))
-    assert code == 0 and len(calls) <= 4 * 70, len(calls)
+    assert code == 0 and len(calls) <= 4 * 3, len(calls)  # 70 points are 3 blocks
 
 
 def test_immersion_components_evaluated_once_per_block(monkeypatch):
@@ -483,6 +483,47 @@ def test_reducer_keeps_nan():
     worst = fold([{"a": 1.0, "b": [0.5, 3.0], "c": True},
                   {"a": math.nan, "b": [], "c": False}, {"a": 2.0, "c": True}])
     assert math.isnan(worst["a"]) and worst["b"] == 3.0 and worst["c"] == 2
+
+
+NEG_NAN = -math.nan  # a NaN told apart from math.nan by its sign bit
+FOLDED = [1.0, 2.0, -1.0, 0.0, -0.0, math.nan, NEG_NAN, math.inf]
+
+
+def _bits(worst: dict) -> dict:
+    return {k: np.float64(v).view(np.int64) if isinstance(v, float) else v
+            for k, v in worst.items()}
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, math.nan, 3.0, NEG_NAN], [NEG_NAN, 2.0, math.nan],  # the first NaN is kept
+    [-0.0, 0.0], [0.0, -0.0], [-1.0, -0.0, 0.0], [-1.0, 0.0, -0.0],  # the first of tied zeros
+    [2.0, 1.0, 2.0], [3.0, 3.0, 3.0]])
+def test_fold_of_an_array_is_the_sequential_fold(values):
+    one_by_one = fold({"k": v} for v in values)
+    for shape in ((len(values),), (1, len(values)), (len(values), 1)):
+        worst = fold([{"k": np.array(values).reshape(shape)}])
+        assert _bits(worst) == _bits(one_by_one)
+    # 0-d arrays fold as their value
+    assert _bits(fold({"k": np.array(v)} for v in values)) == _bits(one_by_one)
+
+
+@given(st.lists(st.lists(st.sampled_from(FOLDED), max_size=40), min_size=1, max_size=5),
+       st.lists(st.booleans(), min_size=5, max_size=5))
+def test_fold_of_blocks_mixed_with_lists_is_the_sequential_fold(blocks, as_list):
+    # blocks folded one after another, some as arrays (C order, 2-d where
+    # their length allows) and some as lists, against every value one by one
+    one_by_one = fold({"k": v} for block in blocks for v in block)
+    mixed = fold({"k": block if listed else np.array(block).reshape(
+        (2, -1) if len(block) % 2 == 0 else -1)} for block, listed in zip(blocks, as_list))
+    assert _bits(mixed) == _bits(one_by_one)
+
+
+def test_fold_counts_bool_arrays_as_bools():
+    flags = [np.array([True, False, True]), np.zeros((2, 2), dtype=bool), np.array(True)]
+    assert fold([{"c": flags[0]}, {"c": False}, {"c": flags[1]}, {"c": flags[2]}]) == {"c": 3}
+    assert fold([{"c": np.zeros(0, dtype=bool)}]) == {"c": 0}
+    # an empty value array folds nothing, as an empty list does
+    assert fold([{"k": np.zeros((3, 0))}, {"k": []}]) == {}
 
 
 def test_nan_residual_fails_its_record(tmp_path):

@@ -113,6 +113,14 @@ def test_a_metric_point_builds_no_frame_of_its_own():
     assert not called & {"gram_schmidt", "gram_schmidt_step"}
 
 
+def test_a_point_form_is_sliced_from_its_block():
+    # the form is built for the whole block; a point's is its views of the block's
+    tree = ast.parse(Path(subman.__file__).read_text())
+    called = {name for scope, name in _calls(tree) if scope == "second_fundamental_form"}
+    assert "frames_at" in called
+    assert not called & {"einsum", "gram_schmidt", "gram_schmidt_step"}
+
+
 # helpers that tests call to cross-check the library, and nothing in it does
 TEST_FACING = {"eval_value", "Jet3.partial", "MetricField.from_strings",
                "model_symmetry_residual", "WarpedMetric.is_trivial"}

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from warpcheck import jets
+from warpcheck import expr, jets
 from warpcheck.errors import JetDomainError
 from warpcheck.jets import (DomainBox, ExcludedBall, Jet3, fd_partial, jet_const,
                             jet_var, pack)
@@ -53,6 +53,26 @@ def test_var_jet_is_coordinate_function():
 def test_var_jet_index_out_of_range():
     with pytest.raises(IndexError):
         jet_var(2, np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("x", [[2.0, 3.0, 5.0], [[2.0, 3.0, 5.0], [-1.0, 0.5, 4.0]]])
+def test_coordinate_jets_have_full_zero_slots(x):
+    # the coordinates share one zero d2 and one zero d3, each of full shape
+    x = np.array(x)
+    seeds = jets.coordinate_jets(x)
+    for i, j in enumerate(seeds):
+        alone = jet_var(i, x)
+        npt.assert_array_equal(j.value, x[..., i])
+        npt.assert_array_equal(j.d1, alone.d1)
+        for got, k in ((j.d2, 2), (j.d3, 3)):
+            assert got.shape == x.shape[:-1] + (3,) * k and not got.any()
+            assert not got.flags.writeable
+    assert all(j.d2 is seeds[0].d2 and j.d3 is seeds[0].d3 for j in seeds)
+    # the exponent rule still reads the shared d3 of x2^3 at x2 = 0
+    point = np.array([-1.0, 0.0])
+    for at in (point, np.stack([point, [2.0, 1.0]])):
+        with pytest.raises(JetDomainError):
+            expr.eval_jets(expr.parse("x1^(x2^3)", dim=2), jets.coordinate_jets(at), order=0)
 
 
 # ---------------------------------------------------------------------------

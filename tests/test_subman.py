@@ -160,6 +160,47 @@ def test_a_point_the_walk_reaches_warns_as_it_does_alone(points):
     assert math.isnan(worst["minimal"])
 
 
+def _loud_form_surface():
+    """(u, v) -> (u, v (u - 1), 3e154 u^2 v^2) in flat R^3: rank-deficient at
+    (1, 0), and at (0, 1) and (0, 0.9) finite frames and form whose norms
+    overflow, which at (0, 0.5) and (0, 0.25) they do not."""
+    return Immersion(dim=2, components=[parse(c, 2) for c in
+                                        ("x1", "x2*(x1 - 1)", "3e154*x1^2*x2^2")],
+                     ambient=flat_metric(3), name="loud-form")
+
+
+def classes_and_warnings(im, points):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        worst = fold_sff(im, np.array(points), classification_residuals)
+    return worst, [str(w.message) for w in seen]
+
+
+def test_a_point_whose_classification_overflows_warns_as_it_does_alone():
+    im = _loud_form_surface()
+    alone, seen = classes_and_warnings(im, [[0.0, 1.0]])
+    assert seen == ["overflow encountered in matmul"] * 3 and math.isinf(alone["geodesic"])
+    assert classes_and_warnings(im, [[0.0, 0.5]])[1] == []
+    block, block_seen = classes_and_warnings(im, [[0.0, 0.5], [0.0, 1.0], [0.0, 0.25]])
+    assert block_seen == seen
+    assert block == alone
+    # two loud points warn twice, as one by one (a single stacked norm would warn once)
+    assert classes_and_warnings(im, [[0.0, 1.0], [0.0, 0.5], [0.0, 0.9]])[1] == seen * 2
+
+
+def test_no_classification_warning_comes_from_a_point_the_walk_never_reaches():
+    # the walk stops at the first point, before the overflowing norms of
+    # (0, 1): at the rank gate of (1, 0), or at a per-point step of (0, 0.5)
+    im = _loud_form_surface()
+    with pytest.raises(ImmersionDegenerateError, match=r"rank-deficient at \[1\. 0\.\]"):
+        fold_sff(im, np.array([[1.0, 0.0], [0.0, 1.0]]), classification_residuals)
+
+    def refuses(sff):
+        raise ConfigurationError(f"refused at {sff.ambient_point}")
+    with pytest.raises(ConfigurationError, match=r"refused at \[\s*0\.\s+-0\.5\s+0\.\s*\]"):
+        fold_sff(im, np.array([[0.0, 0.5], [0.0, 1.0]]), classification_residuals, refuses)
+
+
 def test_a_leaf_point_holds_its_own_metric_value():
     # the leaf block of an induced metric is a sub-chart block, with no
     # source: a point's value is its (n1, n1) slice of the block's derivatives
