@@ -32,9 +32,9 @@ from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          fold_tensors, generalized_complex_space_form,
                          kenmotsu_space_form, model_curvature, phi_sectional,
                          sasakian_space_form, structure_class_residuals)
-from .subman import (Immersion, SFFData, WarpedDecl, fold_sff, gauss_residual_max,
-                     induced_metric, scalar_identity_residual, second_fundamental_form,
-                     shape_operator)
+from .subman import (Immersion, ImmersionBlock, SFFData, WarpedDecl, fold_sff,
+                     gauss_residual_max, induced_metric, scalar_identity_residual,
+                     second_fundamental_form, shape_operator)
 from .warped import WarpedMetric, assemble, mixed_sectional_sum, warping_identity_residual
 
 __all__ = [
@@ -57,7 +57,7 @@ __all__ = [
     "kenmotsu_space_form", "cosymplectic_space_form", "model_curvature",
     "phi_sectional", "structure_class_residuals", "fold_tensors",
     # submanifolds
-    "Immersion", "WarpedDecl", "SFFData", "induced_metric", "fold_sff",
+    "Immersion", "ImmersionBlock", "WarpedDecl", "SFFData", "induced_metric", "fold_sff",
     "second_fundamental_form", "shape_operator", "gauss_residual_max",
     "scalar_identity_residual",
     # inequalities

@@ -36,7 +36,7 @@ from .structures import (CLASS_NAMES, CONTACT_IDENTITIES, AlmostComplexStructure
 from .subman import (Immersion, ImmersionBlock, classification_residuals,
                      complex_cr_defects, contact_cr_residuals, fold_sff, gauss_residual_max,
                      scalar_identity_residual, shape_operator, warped_block_defect)
-from .warped import (WarpedBlock, WarpedMetric, block_second_form_residuals,
+from .warped import (WarpedBlock, WarpedMetric, block_second_form_residuals, warping_identity,
                      warping_identity_residual)
 
 CHECK_GROUPS = ("structure", "identities", "classify", "inequalities")
@@ -310,33 +310,42 @@ def _warped_values(w: WarpedMetric, rc: RunConfig) -> tuple[dict, int]:
     return fold(per_block(points, walk)), len(points)
 
 
-def _identity_values(sff) -> dict:
-    out = {"gauss-equation": gauss_residual_max(sff),
-           "scalar-identity": scalar_identity_residual(sff),
-           "shape-duality": [0.0] + [shape_operator(sff, zeta)[1]
-                                     for zeta in sff.normal_frame.T]}
-    if sff.warped is not None:
-        out["warped-block-form"] = warped_block_defect(sff)
-        out["warped-identity"] = warping_identity_residual(sff.warped)["residual"]
-        out["scalar-split"] = scalar_decomposition_residual(sff)
+def _identity_values(block: ImmersionBlock) -> dict:
+    normal = block.frames.normal_frame
+    out = {"gauss-equation": gauss_residual_max(block),
+           "scalar-identity": scalar_identity_residual(block),
+           "shape-duality": np.stack([np.zeros(len(normal))] + [
+               shape_operator(block, normal[..., r])[1] for r in range(normal.shape[2])], 1)}
+    if block.im.warped is not None:
+        out["warped-block-form"] = warped_block_defect(block)
+        out["warped-identity"] = warping_identity(block.frame_curvatures[0], block.warped.geom,
+                                                  block.scalars)["residual"]
+        out["scalar-split"] = scalar_decomposition_residual(block)
     return out
 
 
-def _inequality_values(sff, rc: RunConfig) -> dict:
-    s, out = sff.im.structure, {}
+def _inequality_values(block: ImmersionBlock, rc: RunConfig) -> dict:
+    s, out = block.im.structure, {}
     if isinstance(s, AlmostComplexStructure):
-        res = main_inequality(sff, tol=rc.tol("slack"))
-        p = sff.warped
-        flat_rhs = space_form_rhs(0.0, p.geom.n1, p.geom.n2, p.scalars.grad_lnf_sq,
-                                  p.scalars.lap_lnf)
-        out = {"negative-slack": -res.slack, "equality": bool(res.equality),
-               "equality-diagnostics": [res.diagnostics[k] for k in
-                                        ("leaf_form_norm", "fiber_form_norm", "mean_norm")],
+        res = main_inequality(block, tol=rc.tol("slack"))
+        geom, sc = block.warped.geom, block.scalars
+        flat_rhs = space_form_rhs(0.0, geom.n1, geom.n2, sc.grad_lnf_sq, sc.lap_lnf)
+        out = {"negative-slack": -res.slack, "equality": res.equality,
+               "equality-diagnostics": np.stack(list(res.diagnostics.values()), 1),
                "space-form-consistency": abs(flat_rhs - res.rhs),
-               **complex_cr_defects(sff)}
+               **complex_cr_defects(block)}
     elif isinstance(s, AlmostContactStructure):
-        out = contact_cr_residuals(sff)
-    return {**out, **leaf_mean_curvature(sff), **fiber_lemma_residuals(sff, rc.tol("cr"))}
+        out = contact_cr_residuals(block)
+    return {**out, **leaf_mean_curvature(block), **fiber_lemma_residuals(block, rc.tol("cr"))}
+
+
+def _point_values(step):
+    """A block step from a step over each point's structure tensors: each
+    value an array over the points."""
+    def over_block(block: ImmersionBlock) -> dict:
+        values = [step(t) for t in block.structure_points]
+        return {key: np.array([v[key] for v in values]) for key in values[0]}
+    return over_block
 
 
 def _immersion_values(im: Immersion, groups, rc: RunConfig) -> tuple[dict, int]:
@@ -348,13 +357,13 @@ def _immersion_values(im: Immersion, groups, rc: RunConfig) -> tuple[dict, int]:
     if "classify" in groups:
         steps.append(classification_residuals)
     if "inequalities" in groups and im.warped is not None:
-        steps.append(lambda sff: _inequality_values(sff, rc))
+        steps.append(lambda block: _inequality_values(block, rc))
     # validate the ambient structure where the immersion lives
     structure = _structure_step(s, None) if "structure" in groups and s is not None else None
     worst = {}
     if steps:
         if structure:
-            steps.insert(0, lambda sff: structure(sff.tensors))
+            steps.insert(0, _point_values(structure))
         worst = fold_sff(im, points, *steps)
     elif structure:
         worst = fold(per_block(points, lambda block: map(
@@ -472,7 +481,7 @@ def validate(cfg: BuiltConfig) -> CheckReport:
     else:  # an immersion: one walk gives the rank gate and the others' values
         steps = []
         if subject.warped is not None:
-            steps.append(lambda sff: {"warped-block-form": warped_block_defect(sff)})
+            steps.append(lambda block: {"warped-block-form": warped_block_defect(block)})
             if isinstance(subject.structure, AlmostContactStructure):
                 steps.append(contact_cr_residuals)
         try:

@@ -9,17 +9,15 @@ totally geodesic / totally umbilical with the immersion minimal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Sequence
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .report import nan_max
-from .structures import AlmostComplexStructure, SpaceFormModel, model_curvature
-from .subman import SFFData, umbilicity, warped_split
+from .riemann import plane_sum
+from .structures import AlmostComplexStructure
+from .subman import ImmersionBlock, umbilicity
 
 SLACK_TOL_FLAT = 1e-8    # jet-exact flat ambients
 KAHLER_GATE_TOL = 1e-6   # parallel-J residual a main inequality accepts
@@ -52,14 +50,15 @@ def generalized_rhs(c_rk: float, gamma: float, n1: int, n2: int,
 
 @dataclass
 class InequalityResult:
-    """One bound evaluated at one point, with equality diagnostics."""
+    """One bound evaluated at each point of a block, with equality
+    diagnostics: each field an array over the points."""
 
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
-    equality: bool
-    diagnostics: dict[str, float]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    passed: np.ndarray
+    equality: np.ndarray
+    diagnostics: dict[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -67,40 +66,21 @@ class InequalityResult:
 # ---------------------------------------------------------------------------
 
 
-def _pair_sum(k: np.ndarray, idx: Sequence[int]) -> float:
-    return float(sum(k[i, j] for pos, i in enumerate(idx) for j in idx[pos + 1:]))
+def ambient_curvature_sums(block: ImmersionBlock) -> dict[str, np.ndarray]:
+    """Scalar-curvature sums (B,) of the ambient over the whole tangent frame
+    and each declared block, from the plane values of its curvature in the
+    frame."""
+    n, decl = block.im.dim, block.im.warped
+    n1 = n if decl is None else decl.n1
+    r_amb = block.frame_curvatures[1]
+    return {"tangent": plane_sum(r_amb, combinations(range(n), 2)),
+            "leaf": plane_sum(r_amb, combinations(range(n1), 2)),
+            "fiber": plane_sum(r_amb, combinations(range(n1, n), 2))}
 
 
-def ambient_curvature_sums(sff: SFFData,
-                           model: SpaceFormModel | None = None) -> dict[str, float]:
-    """Scalar-curvature sums of the ambient over the whole tangent frame and
-    each declared block; from the chart curvature, or from a closed-form
-    model sharing the ambient chart.
-
-    Only plane values over the orthonormal frame enter the sums, so just the
-    (i, j, j, i) contractions are evaluated.
-    """
-    n = sff.n
-    n1 = sff.n1 if sff.n1 is not None else n
-    cols = sff.tangent_ambient
-    plane = np.zeros((n, n))
-    if model is None:
-        rf = sff.ambient_frame_curvature
-        for i in range(n):
-            for j in range(n):
-                plane[i, j] = rf[i, j, j, i]
-    else:
-        if model.dim != sff.im.ambient_dim:
-            raise ConfigurationError("model dimension does not match the ambient chart")
-        for i in range(n):
-            for j in range(i + 1, n):
-                plane[i, j] = plane[j, i] = model_curvature(
-                    model, cols[:, i], cols[:, j], cols[:, j], cols[:, i])
-    return {
-        "tangent": _pair_sum(plane, list(range(n))),
-        "leaf": _pair_sum(plane, list(range(n1))),
-        "fiber": _pair_sum(plane, list(range(n1, n))),
-    }
+def _form_norms(block: ImmersionBlock, part: slice) -> np.ndarray:
+    """Norms (B,) of the form's components on a diagonal block of the frame."""
+    return np.sqrt(np.sum(block.frames.coeffs[:, :, part, part] ** 2, axis=(1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,29 +88,20 @@ def ambient_curvature_sums(sff: SFFData,
 # ---------------------------------------------------------------------------
 
 
-def _block_products(coeffs: np.ndarray, idx: Sequence[int]) -> float:
-    """sum_r sum_{a<b in idx} (h^r_aa h^r_bb - (h^r_ab)^2)."""
-    total = 0.0
-    for pos, a in enumerate(idx):
-        for b in idx[pos + 1:]:
-            total += float(np.sum(coeffs[:, a, a] * coeffs[:, b, b]
-                                  - coeffs[:, a, b] ** 2))
-    return total
+def scalar_decomposition_residual(block: ImmersionBlock) -> np.ndarray:
+    """Defect (B,) of the split of the intrinsic scalar curvature into the
+    warped Laplacian term, per-block form products and ambient block sums."""
+    geom, n = block.warped.geom, block.im.dim
+    tau = plane_sum(block.frame_curvatures[0], combinations(range(n), 2))
+    sums = ambient_curvature_sums(block)
+    sc, c = block.scalars, block.frames.coeffs
 
-
-def scalar_decomposition_residual(sff: SFFData) -> float:
-    """Defect of the split of the intrinsic scalar curvature into the warped
-    Laplacian term, per-block form products and ambient block sums."""
-    p = warped_split(sff)
-    n1, n = p.geom.n1, sff.n
-    tau = sff.induced.scalar_curvature()
-    sums = ambient_curvature_sums(sff)
-    sc = p.scalars
-    rhs = (p.geom.n2 * sc.lap_f / sc.f_value
-           + _block_products(sff.coeffs, list(range(n1)))
-           + _block_products(sff.coeffs, list(range(n1, n)))
-           + sums["leaf"] + sums["fiber"])
-    return float(abs(tau - rhs))
+    def products(idx):  # sum_r sum_{a<b in idx} (h^r_aa h^r_bb - (h^r_ab)^2), pair by pair
+        return sum((np.sum(c[:, :, a, a] * c[:, :, b, b] - c[:, :, a, b] ** 2, axis=1)
+                    for a, b in combinations(idx, 2)), 0.0)
+    rhs = (geom.n2 * sc.lap_f / sc.f_value + products(range(geom.n1))
+           + products(range(geom.n1, n)) + sums["leaf"] + sums["fiber"])
+    return abs(tau - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -138,30 +109,28 @@ def scalar_decomposition_residual(sff: SFFData) -> float:
 # ---------------------------------------------------------------------------
 
 
-def leaf_mean_curvature(sff: SFFData) -> dict[str, float]:
-    """Norm of the leaf block's partial mean curvature at one point; on a
-    contact ambient the declared leaf block contains the Reeb direction."""
-    if sff.im.warped is None:
+def leaf_mean_curvature(block: ImmersionBlock) -> dict[str, np.ndarray]:
+    """Norms (B,) of the leaf block's partial mean curvature; on a contact
+    ambient the declared leaf block contains the Reeb direction."""
+    if block.im.warped is None:
         raise ConfigurationError("leaf-minimality check needs a warped declaration")
-    return {"leaf-mean-curvature": sff.vec_norm(sff.mean_leaf)}
+    return {"leaf-mean-curvature": block.mean_norms[:, 1]}
 
 
-def fiber_lemma_residuals(sff: SFFData, tol: float) -> dict:
-    """The fiber lemma's residuals at one point: fiber-minimal plus fiber
+def fiber_lemma_residuals(block: ImmersionBlock, tol: float) -> dict:
+    """The fiber lemma's residuals over the block: fiber-minimal plus fiber
     umbilical (in the ambient) forces the fiber self-pairings of the form to
     vanish.  The hypotheses are tested at tol, and the conclusion is given
-    only where both hold."""
-    if sff.im.warped is None:
+    only at the points where both hold."""
+    if block.im.warped is None:
         raise ConfigurationError("fiber lemma check needs a warped declaration")
-    n1 = sff.n1
-    hyp_min = sff.vec_norm(sff.mean_fiber)
-    hyp_umb = reduce(nan_max, umbilicity(sff.g_ambient, sff.h_frame[n1:, n1:],
-                                         sff.mean_fiber).ravel().tolist())
-    tested = hyp_min < tol and hyp_umb < tol
-    conc = math.sqrt(float(np.sum(sff.coeffs[:, n1:, n1:] ** 2)))
+    n1, f = block.im.warped.n1, block.frames
+    hyp_min = block.mean_norms[:, 2]
+    hyp_umb = umbilicity(f.g_ambient, f.h_frame[:, n1:, n1:], f.means[:, 2])
+    tested = (hyp_min < tol) & (hyp_umb.max(axis=(1, 2)) < tol)
     return {"fiber-minimal-hypothesis": hyp_min, "fiber-umbilical-hypothesis": hyp_umb,
-            "fiber-geodesic-conclusion": [conc] if tested else [],
-            "fiber-lemma-tested": bool(tested)}
+            "fiber-geodesic-conclusion": _form_norms(block, slice(n1, None))[tested],
+            "fiber-lemma-tested": tested}
 
 
 # ---------------------------------------------------------------------------
@@ -169,41 +138,39 @@ def fiber_lemma_residuals(sff: SFFData, tol: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _kahler_gate(sff: SFFData) -> None:
-    s = sff.im.structure
+def _kahler_gate(block: ImmersionBlock) -> None:
+    s = block.im.structure
     if not isinstance(s, AlmostComplexStructure):
-        raise ConfigurationError(
-            "main inequality needs a complex ambient structure or a curvature model")
-    resid = s.parallel_residual(sff.tensors)
-    if resid > KAHLER_GATE_TOL:
-        raise ConfigurationError(
-            f"ambient structure is not parallel at {sff.ambient_point} (residual {resid:.3e})")
+        raise ConfigurationError("main inequality needs a complex ambient structure")
+    for y, t in zip(block.components[0], block.structure_points):
+        resid = s.parallel_residual(t)
+        if resid > KAHLER_GATE_TOL:
+            raise ConfigurationError(
+                f"ambient structure is not parallel at {y} (residual {resid:.3e})")
 
 
-def main_inequality(sff: SFFData, tol: float = SLACK_TOL_FLAT,
-                    model: SpaceFormModel | None = None) -> InequalityResult:
-    """Half the squared form norm against the curvature-sum bound, with
-    equality diagnostics.
+def main_inequality(block: ImmersionBlock, tol: float = SLACK_TOL_FLAT) -> InequalityResult:
+    """Half the squared form norm against the curvature-sum bound at each
+    point of the block, with equality diagnostics.
 
-    The ambient must carry a parallel complex structure (checked pointwise),
-    or a closed-form curvature model must be supplied for the ambient chart.
+    The ambient must carry a parallel complex structure, checked pointwise.
     """
-    p = warped_split(sff)
-    if model is None:
-        _kahler_gate(sff)
-    sums = ambient_curvature_sums(sff, model=model)
-    sc = p.scalars
+    geom = block.warped.geom
+    _kahler_gate(block)
+    sums = ambient_curvature_sums(block)
+    sc = block.scalars
 
-    lhs = 0.5 * sff.h_norm_sq()
-    rhs = (sums["tangent"] - sums["leaf"] - sums["fiber"]
-           - p.geom.n2 * sc.lap_f / sc.f_value)
+    lhs = 0.5 * np.sum(block.frames.coeffs**2, axis=(1, 2, 3))
+    rhs = sums["tangent"] - sums["leaf"] - sums["fiber"] - geom.n2 * sc.lap_f / sc.f_value
 
-    n1, slack = sff.n1, lhs - rhs
+    n1, slack = geom.n1, lhs - rhs
     diagnostics = {
-        "leaf_form_norm": math.sqrt(float(np.sum(sff.coeffs[:, :n1, :n1] ** 2))),
-        "fiber_form_norm": math.sqrt(float(np.sum(sff.coeffs[:, n1:, n1:] ** 2))),
-        "mean_norm": sff.vec_norm(sff.mean),
+        "leaf_form_norm": _form_norms(block, slice(None, n1)),
+        "fiber_form_norm": _form_norms(block, slice(n1, None)),
+        "mean_norm": block.mean_norms[:, 0],
     }
-    equality = abs(slack) < tol and all(v < tol for v in diagnostics.values())
+    equality = abs(slack) < tol
+    for v in diagnostics.values():
+        equality &= v < tol
     return InequalityResult(lhs=lhs, rhs=rhs, slack=slack, passed=slack >= -tol,
                             equality=equality, diagnostics=diagnostics)

@@ -23,10 +23,12 @@ rules:
   views, not copies: a view has the single-point output's strides, while a
   C-ordered copy would make a per-point einsum downstream (a frame
   contraction of the curvature) sum in another order.
-* Contractions to a scalar stay per point (the Laplacian's traces, the
-  scalar curvature's sum): batched, ``"ij,kij,k->"`` sums in another order.
-  Elementwise arithmetic followed by a max is exact, so check values of
-  that form (the curvature symmetry residuals) are taken per block.
+* A contraction to a scalar keeps its order of summation.  A sum over frame
+  planes (:func:`plane_sum`) adds its terms one at a time from 0.0, over a
+  block as the same ordered accumulation of (B,) arrays.  Batched,
+  ``"ij,kij,k->"`` sums in another order, so the Laplacian's traces stay
+  per point.  Elementwise arithmetic followed by a max is exact, so check
+  values of that form (the curvature symmetry residuals) are taken per block.
 
 A frame contraction of the curvature (:func:`frame_curvature`) keeps the bits
 of ``np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, c, c, c, c)``, which stays its
@@ -63,7 +65,8 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from typing import Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -276,8 +279,7 @@ class MetricPoint:
 
     ``value`` is the matrix ``frame`` is orthonormal for: ``derivs[0]``,
     except for an induced metric, whose J^T g J rounds differently from its
-    jets.  Callers holding both may set them, before the fields built on
-    ``frame`` are first read.
+    jets.
     """
 
     def __init__(self, metric, x: Point, block: MetricBlock | None = None,
@@ -325,12 +327,7 @@ class MetricPoint:
     def scalar_curvature(self) -> float:
         """Sum of sectional curvatures over orthonormal frame pairs."""
         rf = self.curvature_in_frame
-        n = len(rf)
-        total = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                total += rf[i, j, j, i]
-        return float(total)
+        return float(plane_sum(rf, combinations(range(len(rf)), 2)))
 
     def laplacian(self, psi: Jet3) -> float:
         """Geometer's-sign Laplacian of a jet: minus the metric trace of its Hessian."""
@@ -432,6 +429,16 @@ def frame_curvature(r4: np.ndarray, columns: np.ndarray) -> np.ndarray:
         out = np.einsum("rx,rd->dx", t.reshape(n**4, -1), cl).reshape((k,) * 4)
     out = out.transpose(3, 2, 1, 0).transpose(order)  # [a, b, c, d], axes in r4's order
     return np.ascontiguousarray(out).transpose(np.argsort(order))
+
+
+def plane_sum(rf: np.ndarray, pairs: Iterable[tuple[int, int]]):
+    """Sum of the plane values rf[..., i, j, j, i] of a frame-contracted
+    curvature over frame index pairs, at one point or at each of a block's,
+    added one at a time in the pairs' order from 0.0."""
+    total = 0.0
+    for i, j in pairs:
+        total = total + rf[..., i, j, j, i]
+    return total
 
 
 def scalar_curvature(g_like, x: Point) -> float:

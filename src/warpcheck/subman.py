@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import combinations
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,12 +24,12 @@ from .errors import (ConfigurationError, ImmersionDegenerateError,
                      InvalidNormalError, NonFiniteImageError)
 from .jets import (DomainBox, Jet3, Point, as_point, coordinate_jets, jet_const, pack,
                    per_block)
-from .report import fold, nan_max
-from .riemann import (MetricBlock, MetricField, MetricPoint, _checked, frame_curvature,
-                      gram_schmidt, gram_schmidt_step, metric_norms, stacked)
+from .report import fold
+from .riemann import (MetricBlock, MetricField, _checked, frame_curvature, gram_schmidt,
+                      gram_schmidt_step, metric_norms, plane_sum, stacked)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          StructureBlock, StructureTensors)
-from .warped import WarpedBlock, WarpedMetric, WarpedPoint
+from .warped import LeafScalars, WarpedBlock, WarpedMetric
 
 RANK_THRESHOLD = 1e-8
 NORMAL_COMPLETION_THRESHOLD = 1e-8
@@ -171,62 +172,30 @@ def induced_metric(im: Immersion) -> InducedMetric:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SFFData:
-    """Adapted frames and second-fundamental-form data at a point.
+class SFFData(NamedTuple):
+    """Adapted frames and second-fundamental-form data at a point, or at each
+    point of a block as batch-leading arrays.  ``tangent_frame`` columns are
+    sub-chart vectors orthonormal for the induced metric (leaf block first
+    when a warped split is declared); ``normal_frame`` columns are ambient
+    vectors, the invariant complement's from ``nu_start`` on.  ``h_coord``
+    holds the normal-valued form on coordinate fields, ``h_frame`` on the
+    orthonormal tangent frame; ``coeffs[r, i, j]`` are its components in the
+    normal frame.  ``means`` holds the whole, leaf and fiber mean curvature
+    vectors as rows (the whole one alone without a warped declaration)."""
 
-    ``tangent_frame`` columns are sub-chart vectors orthonormal for the
-    induced metric (leaf block first when a warped split is declared);
-    ``normal_frame`` columns are ambient vectors.  ``h_coord`` holds the
-    normal-valued form on coordinate fields, ``h_frame`` on the orthonormal
-    tangent frame; ``coeffs[r, i, j]`` are its components in the normal frame.
-
-    It is also the record every check at the point shares: the ambient and
-    induced metric records, the structure tensors and the warped split,
-    each filled on first use, so a caller that needs only the form builds
-    nothing more.
-    """
-
-    ambient_point: np.ndarray
-    g_induced: np.ndarray          # (n, n)
+    ambient_point: np.ndarray      # (m,)
     g_ambient: np.ndarray          # (m, m)
+    g_induced: np.ndarray          # (n, n), J^T g J
     jacobian: np.ndarray           # (m, n)
     tangent_frame: np.ndarray      # (n, n) columns, sub-chart coords
     tangent_ambient: np.ndarray    # (m, n) frame pushed to ambient coords
     normal_frame: np.ndarray       # (m, m-n)
-    h_coord: np.ndarray            # (n, n, m), h on coordinate fields
-    h_frame: np.ndarray            # (n, n, m), h on the orthonormal frame
-    coeffs: np.ndarray             # (m-n, n, n)
-    mean: np.ndarray               # (m,)
-    im: Immersion
+    nu_start: np.ndarray           # (), the count of normal columns from priority seeds
     d_full: np.ndarray             # (n, n, m), ambient derivative of the coordinate frame
-    ambient: MetricPoint           # ambient metric at ambient_point
-    induced: MetricPoint           # induced metric at point
-    n1: int | None = None
-    mean_leaf: np.ndarray | None = None   # partial mean over the leaf block
-    mean_fiber: np.ndarray | None = None  # partial mean over the fiber block
-    nu_start: int | None = None    # normal-frame index where the invariant complement starts
-    tensors: StructureTensors | None = None  # ambient structure at ambient_point
-    warped: WarpedPoint | None = None        # warped split of the induced metric
-
-    @cached_property
-    def ambient_frame_curvature(self) -> np.ndarray:
-        """Ambient curvature tensor contracted into the tangent frame."""
-        return frame_curvature(self.ambient.curvature, self.tangent_ambient)
-
-    @property
-    def n(self) -> int:
-        return self.tangent_frame.shape[0]
-
-    def h_norm_sq(self) -> float:
-        return float(np.sum(self.coeffs**2))
-
-    def vec_norm(self, v: np.ndarray) -> float:
-        return float(metric_norms(self.g_ambient, v))
-
-    def h_on(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """h evaluated on sub-chart coordinate vectors."""
-        return np.einsum("i,j,ijk->k", X, Y, self.h_coord)
+    h_coord: np.ndarray            # (n, n, m)
+    h_frame: np.ndarray            # (n, n, m)
+    coeffs: np.ndarray             # (m-n, n, n)
+    means: np.ndarray              # (3, m), or (1, m)
 
 
 def umbilicity(g: np.ndarray, h: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -317,13 +286,45 @@ class ImmersionBlock:
     def warped(self) -> WarpedBlock:
         return WarpedBlock(warped_geometry(self.im), self.points, self.induced)
 
-    def frames_at(self, index: int | range) -> list:
-        """Point ``index``'s (or the range of points') J^T g J, Jacobian,
-        tangent frame, J @ frame, normal frame, count of normal columns from
-        priority seeds, d_full, h_coord, h_frame, coeffs and mean rows
-        (whole, leaf, fiber), built for the whole block by
-        :func:`riemann.stacked` with the bits the point has alone."""
-        return stacked(self.__dict__, "frames", self._frames, index)
+    def frames_at(self, index: int | range) -> SFFData:
+        """Point ``index``'s frames and form (or the range of points'), built
+        for the whole block by :func:`riemann.stacked` with the bits the
+        point has alone."""
+        return SFFData._make(stacked(self.__dict__, "frames", self._frames, index))
+
+    @property
+    def frames(self) -> SFFData:
+        """The whole block's frames and form."""
+        return self.frames_at(range(len(self.points)))
+
+    @cached_property
+    def frame_curvatures(self) -> tuple[np.ndarray, np.ndarray]:
+        """The induced curvature in each point's tangent frame and the ambient
+        one in its image, (B, n, n, n, n) each, for every check that reads
+        them; a point at a time (stacked is no faster, with B times the memory)."""
+        r_ind, r_amb = self.induced.curvature, self.ambient.curvature
+        per_point = [(frame_curvature(r_ind[b], f.tangent_frame),
+                      frame_curvature(r_amb[b], f.tangent_ambient))
+                     for b, f in enumerate(map(self.frames_at, range(len(self.points))))]
+        return tuple(map(np.stack, zip(*per_point)))
+
+    @cached_property
+    def mean_norms(self) -> np.ndarray:
+        """Norms of the whole, leaf and fiber mean curvature vectors (B, 3),
+        or of the whole one (B, 1) without a warped declaration."""
+        return metric_norms(self.frames.g_ambient[:, None], self.frames.means)
+
+    @cached_property
+    def scalars(self) -> LeafScalars:
+        """The leaf scalars as arrays over the points, from each point's own
+        (the leaf Laplacians are per-point traces)."""
+        per_point = [p.scalars for p in self.warped]
+        return LeafScalars(*map(np.array, zip(*(vars(s).values() for s in per_point))))
+
+    @cached_property
+    def structure_points(self) -> list[StructureTensors]:
+        """Each point's structure tensors: the record its structure checks share."""
+        return list(self.tensors)
 
     def _frames(self, points: slice, watched) -> tuple:
         im, x = self.im, self.points[points]
@@ -365,50 +366,35 @@ class ImmersionBlock:
                                    [(0, decl.n1, decl.n1), (decl.n1, n, decl.n2)])
             means = np.stack([np.einsum("biik->bk", h_frame[:, a:b, a:b]) / count
                               for a, b, count in spans], 1)
-            return (g_ind, jac, tangent, tangent_amb, normal, n_priority,
-                    d_full, h_coord, h_frame, coeffs, means)
+            return (self.components[0][points], g_amb, g_ind, jac, tangent, tangent_amb,
+                    normal, n_priority, d_full, h_coord, h_frame, coeffs, means)
 
 
-def second_fundamental_form(im: Immersion, x: Point, block: ImmersionBlock | None = None,
-                            index: int = 0) -> SFFData:
+def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
     """Second fundamental form via the ambient covariant derivative of the
-    pushed-forward coordinate frame, projected to the normal space: point
-    ``index``'s views of the arrays of ``block``, the ImmersionBlock x is a
-    point of (a block of one point when none is given)."""
-    x = as_point(x)
-    block = block if block is not None else ImmersionBlock(im, x[None])
-    (g_ind, jac, tangent_frame, tangent_amb, normal_frame, n_priority,
-     d_full, h_coord, h_frame, coeffs, means) = block.frames_at(index)
-    amb, induced = block.ambient[index], block.induced[index]
-    induced.value, induced.frame = g_ind, tangent_frame
-    decl = im.warped
-    return SFFData(
-        ambient_point=block.components[0][index], g_induced=g_ind, g_ambient=amb.value,
-        jacobian=jac, tangent_frame=tangent_frame, tangent_ambient=tangent_amb,
-        normal_frame=normal_frame, h_coord=h_coord, h_frame=h_frame,
-        coeffs=coeffs, mean=means[0], im=im, d_full=d_full, ambient=amb, induced=induced,
-        nu_start=int(n_priority), tensors=None if im.structure is None else block.tensors[index],
-        **{} if decl is None else dict(
-            n1=decl.n1, mean_leaf=means[1], mean_fiber=means[2],
-            warped=WarpedPoint(block.warped.geom, x, induced, block.warped, index)))
+    pushed-forward coordinate frame, projected to the normal space, at one
+    point: views of the arrays of a block of the point alone."""
+    return ImmersionBlock(im, as_point(x)[None]).frames_at(0)
 
 
 def fold_sff(im: Immersion, points: Sequence[Point], *steps) -> dict:
     """The steps' values, merged and folded over the points by
-    :func:`report.fold`, a block of points at a time in one ImmersionBlock.
-    Each step but a block step (marked ``block_step``) reads each point's
-    SFFData, built only for such a step; then a block step reads the block
-    and gives (B, ...) arrays.  Every point's frames are built and verified."""
-    block_steps = [step for step in steps if getattr(step, "block_step", False)]
-    point_steps = [step for step in steps if step not in block_steps]
-
+    :func:`report.fold`, a block of points at a time in one ImmersionBlock
+    that each step reads, giving arrays whose values run over its points in
+    order.  Every point's frames are built and verified.  A block is
+    evaluated by :func:`riemann.stacked`, so after a floating-point event
+    each point is evaluated alone, in order, and warns as it does alone."""
     def walk(block):
-        ib = ImmersionBlock(im, block)
-        for b, x in enumerate(block if point_steps else ()):
-            sff = second_fundamental_form(im, x, ib, b)
-            yield {k: v for step in point_steps for k, v in step(sff).items()}
-        ib.frames_at(range(len(block)))  # verifies every point's frames
-        yield {k: v for step in block_steps for k, v in step(ib).items()}
+        names = []
+
+        def build(part: slice, watched) -> list:
+            ib = ImmersionBlock(im, block[part])
+            with watched():
+                ib.frames  # verifies every point's frames
+                values = {k: v for step in steps for k, v in step(ib).items()}
+            names[:] = values  # every build gives the same keys, in order
+            return list(values.values())
+        yield dict(zip(names, stacked({}, "checks", build, range(len(block)))))
     return fold(per_block(points, walk))
 
 
@@ -417,26 +403,22 @@ def fold_sff(im: Immersion, points: Sequence[Point], *steps) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def shape_operator(sff: SFFData, zeta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Shape operator of a normal vector in the coordinate basis, plus the
-    duality residual against the projected second fundamental form.
-
-    The operator matrix is assembled from the unprojected ambient derivative
-    (pairing with a normal kills tangential parts), so the residual is a
-    genuine consistency check of the normal projection, not a tautology.
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    tang = np.einsum("k,km,ma->a", zeta, sff.g_ambient, sff.tangent_ambient)
-    if np.max(np.abs(tang)) > 1e-8 * max(sff.vec_norm(zeta), 1e-300):
-        raise InvalidNormalError(
-            f"vector has tangential component {np.max(np.abs(tang)):.3e}")
-
-    b = np.einsum("ijk,km,m->ij", sff.d_full, sff.g_ambient, zeta)
-    a = np.linalg.solve(sff.g_induced, b)
-
-    lhs = sff.g_induced @ a   # g(A d_p, d_q) as a matrix
-    rhs = np.einsum("pqk,km,m->pq", sff.h_coord, sff.g_ambient, zeta)
-    return a, float(np.max(np.abs(lhs - rhs)))
+def shape_operator(block: ImmersionBlock, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shape operators in the coordinate basis of normal vectors zeta (B, m),
+    one a point, and their duality residuals (B,) against the projected
+    form.  The operator is assembled from the unprojected ambient derivative
+    (pairing with a normal kills tangential parts), so the residual checks
+    the normal projection, not a tautology."""
+    f = block.frames
+    g, zeta = f.g_ambient, np.asarray(zeta, dtype=float)
+    tang = np.abs(np.einsum("...k,...km,...ma->...a", zeta, g, f.tangent_ambient)).max(axis=-1)
+    bad = tang > 1e-8 * np.maximum(metric_norms(g, zeta), 1e-300)
+    if bad.any():
+        raise InvalidNormalError(f"vector has tangential component {tang[np.argmax(bad)]:.3e}")
+    b = np.einsum("...ijk,...km,...m->...ij", f.d_full, g, zeta)
+    a = np.linalg.solve(f.g_induced, b)
+    rhs = np.einsum("...pqk,...km,...m->...pq", f.h_coord, g, zeta)
+    return a, np.abs(f.g_induced @ a - rhs).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +426,31 @@ def shape_operator(sff: SFFData, zeta: np.ndarray) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def gauss_residual_tensor(sff: SFFData) -> np.ndarray:
-    """Pointwise defect tensor of the curvature relation between the induced
-    and ambient metrics, over the orthonormal tangent frame."""
-    r_ind = sff.induced.curvature_in_frame
-    r_amb = sff.ambient_frame_curvature
-    c = sff.coeffs
-    h_term = np.einsum("ril,rjk->ijkl", c, c) - np.einsum("rik,rjl->ijkl", c, c)
+def gauss_residual_tensor(block: ImmersionBlock) -> np.ndarray:
+    """Defect tensor (B, n, n, n, n) of the curvature relation between the
+    induced and ambient metrics, over each point's orthonormal tangent frame."""
+    r_ind, r_amb = block.frame_curvatures
+    c = block.frames.coeffs
+    h_term = np.einsum("...ril,...rjk->...ijkl", c, c) - np.einsum("...rik,...rjl->...ijkl", c, c)
     return r_ind - r_amb - h_term
 
 
-def gauss_residual_max(sff: SFFData) -> float:
-    return float(np.max(np.abs(gauss_residual_tensor(sff))))
+def gauss_residual_max(block: ImmersionBlock) -> np.ndarray:
+    return np.abs(gauss_residual_tensor(block)).max(axis=(1, 2, 3, 4))
 
 
-def scalar_identity_residual(sff: SFFData) -> float:
-    """Defect of the traced curvature relation: twice the intrinsic scalar
-    curvature against the ambient tangent-plane sum plus mean-curvature and
-    form-norm terms."""
-    tau = sff.induced.scalar_curvature()
-    r_amb = sff.ambient_frame_curvature
-    n = sff.n
-    tau_amb = sum(r_amb[i, j, j, i] for i in range(n) for j in range(i + 1, n))
-    lhs = 2.0 * tau
-    rhs = 2.0 * tau_amb + n**2 * sff.vec_norm(sff.mean) ** 2 - sff.h_norm_sq()
-    return float(abs(lhs - rhs))
+def scalar_identity_residual(block: ImmersionBlock) -> np.ndarray:
+    """Defect (B,) of the traced curvature relation: twice the intrinsic
+    scalar curvature against the ambient tangent-plane sum plus mean-curvature
+    and form-norm terms."""
+    r_ind, r_amb = block.frame_curvatures
+    n = block.im.dim
+    pairs = list(combinations(range(n), 2))
+    # squared as pow rounds it, as a float's ** 2 is (x * x differs in the last bit at times)
+    mean_sq = np.float_power(block.mean_norms[:, 0], 2)
+    rhs = (2.0 * plane_sum(r_amb, pairs) + n**2 * mean_sq
+           - np.sum(block.frames.coeffs**2, axis=(1, 2, 3)))
+    return abs(2.0 * plane_sum(r_ind, pairs) - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -478,30 +460,19 @@ def scalar_identity_residual(sff: SFFData) -> float:
 
 def classification_residuals(block: ImmersionBlock) -> dict:
     """Defining residuals of the predicates at each point of the block, as
-    (B, ...) arrays, the block-split ones only under a warped declaration;
-    built by :func:`riemann.stacked`, and a block step of :func:`fold_sff`."""
-    points = range(len(block.points))
+    (B, ...) arrays, the block-split ones only under a warped declaration."""
     n, decl = block.im.dim, block.im.warped
-    *_, h_frame, _, mean_rows = block.frames_at(points)
-
-    def build(part: slice, watched) -> list:
-        g, h, means = block.ambient.derivs[0][part], h_frame[part], mean_rows[part]
-        with watched():
-            h_norms = metric_norms(g[:, None, None], h)
-            mean_norms = metric_norms(g[:, None], means)
-            out = [h_norms.max(axis=(1, 2)), umbilicity(g, h, means[:, 0]), mean_norms[:, 0]]
-            if decl is not None:
-                n1 = decl.n1
-                out += [h_norms[:, :n1, n1:].max(axis=(1, 2)) if n1 < n else np.zeros(len(h)),
-                        h_norms[:, :n1, :n1].max(axis=(1, 2)), mean_norms[:, 1],
-                        mean_norms[:, 2], umbilicity(g, h[:, n1:, n1:], means[:, 2])]
-        return out
+    g, h, means = block.frames.g_ambient, block.frames.h_frame, block.frames.means
+    h_norms, mean_norms = metric_norms(g[:, None, None], h), block.mean_norms
+    out = [h_norms.max(axis=(1, 2)), umbilicity(g, h, means[:, 0]), mean_norms[:, 0]]
+    if decl is not None:
+        n1 = decl.n1
+        out += [h_norms[:, :n1, n1:].max(axis=(1, 2)) if n1 < n else np.zeros(len(h)),
+                h_norms[:, :n1, :n1].max(axis=(1, 2)), mean_norms[:, 1],
+                mean_norms[:, 2], umbilicity(g, h[:, n1:, n1:], means[:, 2])]
     names = ("geodesic", "umbilical", "minimal") + (() if decl is None else (
         "mixed_geodesic", "d1_geodesic", "d1_minimal", "d2_minimal", "d2_umbilical"))
-    return dict(zip(names, stacked(block.__dict__, "classes", build, points)))
-
-
-classification_residuals.block_step = True
+    return dict(zip(names, out))
 
 
 # ---------------------------------------------------------------------------
@@ -519,103 +490,118 @@ def warped_geometry(im: Immersion) -> WarpedMetric:
                         fiber=decl.g2)
 
 
-def warped_split(sff: SFFData) -> WarpedPoint:
-    """The point's warped split, which an immersion without a warped
-    declaration lacks."""
-    if sff.warped is None:
-        raise ConfigurationError("immersion has no warped declaration")
-    return sff.warped
-
-
-def warped_block_defect(sff: SFFData) -> float:
-    """Isometric-immersion sanity for warped declarations at one point: the
-    induced metric must be block diagonal with fiber block equal to f^2
-    times the declared fiber metric (identity when none is declared)."""
-    p, g = warped_split(sff), sff.g_induced
-    n1 = p.geom.n1
-    off = float(np.max(np.abs(g[:n1, n1:]))) if n1 < sff.n else 0.0
-    return nan_max(off, float(np.max(np.abs(g[n1:, n1:] - p.f.value**2 * p.fiber))))
+def warped_block_defect(block: ImmersionBlock) -> np.ndarray:
+    """Isometric-immersion sanity for warped declarations at each point of
+    the block: the induced metric must be block diagonal with fiber block
+    equal to f^2 times the declared fiber metric (identity when none is
+    declared)."""
+    w, g = block.warped, block.frames.g_induced
+    n1, n2 = w.geom.n1, w.geom.n2
+    off = np.abs(g[:, :n1, n1:]).max(axis=(1, 2)) if n2 else np.zeros(len(g))
+    fiber = np.eye(n2) if w.geom.fiber is None else w.fiber
+    # squared as pow rounds it, as a point's float jet value ** 2 is
+    f_sq = np.float_power(np.broadcast_to(w.f.value, len(g)), 2)[:, None, None]
+    return np.maximum(off, np.abs(g[:, n1:, n1:] - f_sq * fiber).max(axis=(1, 2)))
 
 
 # ---------------------------------------------------------------------------
-# Contact CR checks
+# CR checks
 # ---------------------------------------------------------------------------
 
 
-def tangency_coefficients(sff: SFFData, v_amb: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares sub-chart coordinates of an ambient vector and the
-    metric norm of the non-tangential remainder."""
-    b = sff.jacobian.T @ sff.g_ambient @ v_amb
-    c = np.linalg.solve(sff.g_induced, b)
-    return c, sff.vec_norm(v_amb - sff.jacobian @ c)
+def _tangency(g_ind: np.ndarray, jac: np.ndarray, g: np.ndarray,
+              v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares sub-chart coordinates (B, n) of ambient vectors v (B, m)
+    and the metric norms (B,) of their non-tangential remainders."""
+    c = np.linalg.solve(g_ind, np.swapaxes(jac, 1, 2) @ g @ v[..., None])
+    return c[..., 0], metric_norms(g, v - (jac @ c)[..., 0])
 
 
-def contact_cr_residuals(sff: SFFData) -> dict:
-    """Residuals of the contact CR suite at one point, keyed by record name;
-    only the Reeb tangency where the Reeb field is not tangent."""
-    decl = sff.im.warped
-    if not isinstance(sff.im.structure, AlmostContactStructure):
+def contact_cr_residuals(block: ImmersionBlock) -> dict:
+    """Residuals of the contact CR suite, keyed by record name: the Reeb
+    tangency at each point of the block, and the rest at the points where
+    the Reeb field is tangent."""
+    im, decl = block.im, block.im.warped
+    if not isinstance(im.structure, AlmostContactStructure):
         raise ConfigurationError("contact CR checks need an almost contact ambient")
     if decl is None:
         raise ConfigurationError("contact CR checks need a warped declaration")
-    n1, n = decl.n1, sff.n
-    phi_mat = sff.tensors.op[0]
-    xi_sub, xi_resid = tangency_coefficients(sff, sff.tensors.xi)
-    if xi_resid > 1e-8:
-        return {"cr-reeb-tangency": xi_resid, "cr-reeb-not-tangent": True}
+    n1, n = decl.n1, im.dim
+    f, t = block.frames, block.tensors
+    xi_sub, xi_resid = _tangency(f.g_induced, f.jacobian, f.g_ambient,
+                                 np.ascontiguousarray(t.xi[:, 0]))
+    on = ~(xi_resid > 1e-8)  # the rest of the suite is read where xi is tangent
+    f, phi, xi_sub = SFFData(*(a[on] for a in f)), t.op[0][on], xi_sub[on]
+    g, k = f.g_ambient, np.count_nonzero(on)
 
-    # frame of the leaf block with the Reeb direction first
-    rows = np.zeros((1, n1, n))
-    seeds = np.column_stack([xi_sub, np.eye(n)[:, :n1]])
-    if _complete(sff.g_induced[None], rows, np.zeros(1, dtype=int), seeds, n1)[0][0] != n1:
+    # each point's frame of the leaf block with the Reeb direction first
+    rows = np.zeros((k, n1, n))
+    seeds = np.concatenate([xi_sub[..., None], np.broadcast_to(np.eye(n)[:, :n1], (k, n, n1))], 2)
+    if (_complete(f.g_induced, rows, np.zeros(k, dtype=int), seeds, n1)[0] != n1).any():
         raise ConfigurationError("could not build the leaf frame")
-    leaf_cols = np.ascontiguousarray(rows[0].T)
-    xi_hat, dt_cols = leaf_cols[:, 0], leaf_cols[:, 1:]
+    leaf_cols = np.ascontiguousarray(np.swapaxes(rows, 1, 2))
+    xi_hat, dt_cols = leaf_cols[..., 0], [leaf_cols[..., a] for a in range(1, n1)]
 
-    fiber_cols = gram_schmidt(sff.g_induced, np.eye(n)[:, n1:])
-    fiber_images = [phi_mat @ (sff.jacobian @ z) for z in fiber_cols.T]
+    def image(v):  # phi J v of sub-chart vectors v (k, n), as (k, m)
+        return (phi @ (f.jacobian @ v[..., None]))[..., 0]
 
-    nu_cols = sff.normal_frame[:, sff.nu_start:]
+    def h_on(x, y):  # h on sub-chart vectors, (k, m)
+        return np.einsum("...i,...j,...ijk->...k", x, y, f.h_coord)
+
+    def pairing(u, v):  # |g(u, v)| of ambient vectors (k, m), (k,)
+        return abs((u[:, None] @ g @ v[..., None])[:, 0, 0])
+
+    def by_point(values, *shape):  # (k,) arrays in loop order, as a C-ordered (k, *shape)
+        return np.ascontiguousarray(np.moveaxis(np.reshape(values, shape + (k,)), -1, 0))
+
+    fiber_cols = gram_schmidt(f.g_induced, np.eye(n)[:, n1:])
+    fiber_images = [image(fiber_cols[..., a]) for a in range(n - n1)]
+    nu = f.normal_frame.shape[2]
     invariance, flips = [], []
-    for X in dt_cols.T:
-        phix_sub, r = tangency_coefficients(sff, phi_mat @ (sff.jacobian @ X))
+    for x in dt_cols:
+        phix_sub, r = _tangency(f.g_induced, f.jacobian, g, image(x))
         invariance.append(r)
-        h_sum = sff.h_on(X, X) + sff.h_on(phix_sub, phix_sub)
-        flips += [abs(float(h_sum @ sff.g_ambient @ zeta)) for zeta in nu_cols.T]
+        h_sum = h_on(x, x) + h_on(phix_sub, phix_sub)
+        flips += [pairing(h_sum, f.normal_frame[..., c]) for c in range(nu)]
+    flips = by_point(flips, n1 - 1, nu)
     return {
         "cr-reeb-tangency": xi_resid,
+        "cr-reeb-not-tangent": ~on,
         # invariance of the leaf block (minus Reeb), anti-invariance of the fiber
-        "cr-leaf-invariance": invariance,
-        "cr-fiber-anti-invariance": [
-            float(np.max(np.abs(np.einsum("k,km,ma->a", v, sff.g_ambient,
-                                          sff.tangent_ambient))))
-            for v in fiber_images],
+        "cr-leaf-invariance": by_point(invariance, n1 - 1),
+        "cr-fiber-anti-invariance": by_point([
+            np.abs(np.einsum("...k,...km,...ma->...a", v, g, f.tangent_ambient)).max(axis=-1)
+            for v in fiber_images], n - n1),
         # (a) pairings with the Reeb direction vanish
-        "cr-form-on-reeb-pairs": [sff.vec_norm(sff.h_on(xi_hat, xi_hat))]
-        + [sff.vec_norm(sff.h_on(X, xi_hat)) for X in dt_cols.T],
+        "cr-form-on-reeb-pairs": by_point([metric_norms(g, h_on(x, xi_hat))
+                                           for x in [xi_hat] + dt_cols], n1),
         # (b) leaf self-pairings against the image of the fiber block
-        "cr-leaf-vs-fiber-image": [abs(float(sff.h_on(X, X) @ sff.g_ambient @ fz))
-                                   for X in dt_cols.T for fz in fiber_images],
-        # (c) sign flip against the invariant complement of the normal bundle
-        "cr-invariant-flip": flips,
+        "cr-leaf-vs-fiber-image": by_point([pairing(h_on(x, x), fz) for x in dt_cols
+                                            for fz in fiber_images], n1 - 1, n - n1),
+        # (c) sign flip against the invariant complement of the normal bundle,
+        # the normal columns from nu_start on at each point
+        "cr-invariant-flip": flips[np.broadcast_to(np.arange(nu) >= f.nu_start[:, None, None],
+                                                   flips.shape)],
     }
 
 
-def complex_cr_defects(sff: SFFData) -> dict:
-    """CR gate for complex ambients at one point: leaf block invariant under
-    the structure tensor, fiber block anti-invariant.  Both near zero at every
-    point certify a CR-warped product, where leaf-minimality is a theorem."""
-    if not isinstance(sff.im.structure, AlmostComplexStructure):
+def complex_cr_defects(block: ImmersionBlock) -> dict:
+    """CR gate for complex ambients at each point of the block: leaf block
+    invariant under the structure tensor, fiber block anti-invariant.  Both
+    near zero at every point certify a CR-warped product, where
+    leaf-minimality is a theorem."""
+    if not isinstance(block.im.structure, AlmostComplexStructure):
         raise ConfigurationError("complex CR gate needs a complex ambient structure")
-    if sff.im.warped is None:
+    if block.im.warped is None:
         raise ConfigurationError("complex CR gate needs a warped declaration")
-    n1 = sff.im.warped.n1
-    j_mat, tang, g = sff.tensors.op[0], sff.tangent_ambient, sff.g_ambient
-    leaf_cols = tang[:, :n1]
+    n1 = block.im.warped.n1
+    j, tang, g = block.tensors.op[0], block.frames.tangent_ambient, block.frames.g_ambient
+    leaf_cols = tang[..., :n1]
+    images = [j @ tang[..., a, None] for a in range(tang.shape[2])]  # (B, m, 1) each
     return {
-        "leaf_invariance": [sff.vec_norm(v - leaf_cols @ (leaf_cols.T @ g @ v))
-                            for v in (j_mat @ u for u in leaf_cols.T)],
-        "fiber_anti_invariance": [float(np.max(np.abs(tang.T @ g @ (j_mat @ u))))
-                                  for u in tang[:, n1:].T],
+        "leaf_invariance": np.stack([
+            metric_norms(g, (v - leaf_cols @ (np.swapaxes(leaf_cols, 1, 2) @ g @ v))[..., 0])
+            for v in images[:n1]], 1),
+        "fiber_anti_invariance": np.stack([
+            np.abs(np.swapaxes(tang, 1, 2) @ g @ v).max(axis=(1, 2)) for v in images[n1:]], 1),
     }
-

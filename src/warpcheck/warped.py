@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import expr as dsl
 from . import jets
 from .errors import InvalidWarpingError
 from .jets import DomainBox, ExcludedBall, Jet3, Point, as_point, coordinate_jets, per_block
-from .riemann import MetricBlock, MetricField, MetricPoint
+from .riemann import MetricBlock, MetricField, MetricPoint, plane_sum
 
 
 def _expr_max_var(e) -> int:
@@ -237,22 +238,24 @@ def leaf_scalars(p: WarpedPoint) -> LeafScalars:
     )
 
 
-def mixed_sectional_sum(p: WarpedPoint) -> float:
-    """Sum of sectional curvatures over all mixed leaf/fiber frame planes."""
-    rf = p.total.curvature_in_frame
-    n, n1 = p.geom.n1 + p.geom.n2, p.geom.n1
-    total = 0.0
-    for a in range(n1):
-        for big_a in range(n1, n):
-            total += rf[a, big_a, big_a, a]
-    return float(total)
+def mixed_sectional_sum(rf: np.ndarray, geom: WarpedMetric):
+    """Sum of sectional curvatures over all mixed leaf/fiber frame planes of
+    the curvature rf in an adapted frame (leaf columns first), at one point
+    or at each of a block's (rf (B, n, n, n, n))."""
+    return plane_sum(rf, product(range(geom.n1), range(geom.n1, geom.dim)))
 
 
 def warping_identity_residual(p: WarpedPoint) -> dict[str, float]:
     """Both sides of the mixed-sectional identity and their difference."""
-    lhs = mixed_sectional_sum(p)
-    sc = p.scalars
-    rhs = p.geom.n2 * sc.lap_f / sc.f_value
+    return warping_identity(p.total.curvature_in_frame, p.geom, p.scalars)
+
+
+def warping_identity(rf: np.ndarray, geom: WarpedMetric, sc: LeafScalars) -> dict:
+    """Both sides of the mixed-sectional identity and their difference, from
+    the curvature in an adapted frame (leaf columns first) and the leaf
+    scalars, at one point or as arrays over a block's points."""
+    lhs = mixed_sectional_sum(rf, geom)
+    rhs = geom.n2 * sc.lap_f / sc.f_value
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 

@@ -10,7 +10,12 @@ from warpcheck.expr import parse
 from warpcheck.jets import DomainBox, ExcludedBall
 from warpcheck.riemann import MetricField
 from warpcheck.structures import AlmostComplexStructure, AlmostContactStructure
-from warpcheck.subman import Immersion, WarpedDecl
+from warpcheck.subman import Immersion, ImmersionBlock, WarpedDecl
+
+
+def block_at(im, *points) -> ImmersionBlock:
+    """An immersion block of the given points, in order."""
+    return ImmersionBlock(im, np.array(points, dtype=float))
 
 
 def flat_metric(dim, name="flat"):

@@ -26,9 +26,8 @@ from warpcheck.structures import (cosymplectic_space_form, kenmotsu_space_form,
                                   nijenhuis_normality_residuals,
                                   structure_class_residuals,
                                   fold_tensors)
-from warpcheck.subman import (fold_sff, gauss_residual_max,
-                              induced_metric, second_fundamental_form,
-                              warped_geometry)
+from warpcheck.subman import (ImmersionBlock, fold_sff, gauss_residual_max,
+                              induced_metric, warped_geometry)
 from warpcheck.warped import WarpedPoint, warping_identity_residual
 
 
@@ -62,8 +61,7 @@ def test_criterion_1_gauss_equation():
     worst = 0.0
     for name in ("e1", "e3", "e4", "e6", "e7"):
         im = _gated(name).subject
-        for x in _points(im):
-            worst = max(worst, gauss_residual_max(second_fundamental_form(im, x)))
+        worst = max(worst, gauss_residual_max(ImmersionBlock(im, np.array(_points(im)))).max())
     elapsed = time.time() - t0
     ok = worst < 1e-7 and elapsed < 30.0
     _report("criterion 1 (curvature relation, 5 immersions x 64 points)", ok,
@@ -108,8 +106,8 @@ def test_criterion_3_scalar_decomposition():
     worst = 0.0
     for name in ("e1", "e4"):
         im = _gated(name).subject
-        for x in _points(im):
-            worst = max(worst, scalar_decomposition_residual(second_fundamental_form(im, x)))
+        worst = max(worst,
+                    scalar_decomposition_residual(ImmersionBlock(im, np.array(_points(im)))).max())
     ok = worst < 1e-7
     _report("criterion 3 (scalar split on e1 and e4, 64 points each)", ok,
             f"worst residual {worst:.3e} (tol 1e-7)")
@@ -138,23 +136,18 @@ def test_criterion_4_leaf_minimality():
 
 
 def test_criterion_5_main_inequality():
-    im1 = _gated("e1").subject
-    worst_slack = worst_diag = 0.0
-    for x in _points(im1):
-        r = main_inequality(second_fundamental_form(im1, x))
-        worst_slack = max(worst_slack, abs(r.slack))
-        worst_diag = max(worst_diag, r.diagnostics["leaf_form_norm"],
-                         r.diagnostics["fiber_form_norm"],
-                         r.diagnostics["mean_norm"])
-        assert r.equality
+    def evaluated(name):
+        im = _gated(name).subject
+        return main_inequality(ImmersionBlock(im, np.array(_points(im))))
 
-    im6 = _gated("e6").subject
-    min_slack6 = min(main_inequality(second_fundamental_form(im6, x)).slack
-                     for x in _points(im6))
+    r = evaluated("e1")
+    worst_slack = abs(r.slack).max()
+    worst_diag = max(r.diagnostics["leaf_form_norm"].max(),
+                     r.diagnostics["fiber_form_norm"].max(), r.diagnostics["mean_norm"].max())
+    assert r.equality.all()
 
-    im4 = _gated("e4").subject
-    worst4 = max(abs(main_inequality(second_fundamental_form(im4, x)).slack)
-                 for x in _points(im4))
+    min_slack6 = evaluated("e6").slack.min()
+    worst4 = abs(evaluated("e4").slack).max()
 
     ok = worst_slack < 1e-8 and worst_diag < 1e-8 and min_slack6 > 1e-3 \
         and worst4 <= 1e-10
@@ -174,11 +167,11 @@ def test_criterion_6_space_form_at_zero_constant():
     worst = 0.0
     values = {}
     for (u, v), want in (((0.3, 0.4), 4.0), ((0.6, 0.8), 1.0), ((1.2, 1.6), 0.25)):
-        sff = second_fundamental_form(im, np.array([u, v, 0.7]))
-        p = sff.warped
-        lhs = 0.5 * sff.h_norm_sq()
-        rhs = space_form_rhs(0.0, p.geom.n1, p.geom.n2, p.scalars.grad_lnf_sq,
-                             p.scalars.lap_lnf)
+        block = ImmersionBlock(im, np.array([[u, v, 0.7]]))
+        sc = block.scalars
+        lhs = 0.5 * np.sum(block.frames.coeffs**2)
+        rhs = space_form_rhs(0.0, im.warped.n1, im.warped.n2, sc.grad_lnf_sq[0],
+                             sc.lap_lnf[0])
         worst = max(worst, abs(lhs - want), abs(rhs - want))
         values[want] = (lhs, rhs)
     ok = worst < 1e-8

@@ -7,18 +7,22 @@ frame-contracted curvature, which several checks read, is the bits a fresh
 contraction gives and stays so after they read it."""
 
 import warnings
+from functools import partial
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from warpcheck.errors import DegenerateMetricError
+from warpcheck import cli
+from warpcheck.config import load_config
+from warpcheck.errors import ConfigurationError, DegenerateMetricError
 from warpcheck.gallery import builtin_names, load_builtin, sample_points
+from warpcheck.ineq import main_inequality
 from warpcheck.riemann import MetricBlock, MetricField, MetricPoint, frame_curvature
 from warpcheck.structures import AlmostComplexStructure, AlmostContactStructure
 from warpcheck.jets import BLOCK_POINTS
-from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals,
-                              gauss_residual_tensor, scalar_identity_residual,
-                              second_fundamental_form)
+from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals, fold_sff,
+                              gauss_residual_tensor, shape_operator, warped_block_defect)
 from warpcheck.warped import WarpedBlock, WarpedMetric, mixed_sectional_sum
 
 FIELDS = ("ginv", "lowered", "gamma", "curvature")
@@ -149,7 +153,6 @@ def test_a_chart_metric_point_the_walk_reaches_warns_as_it_does_alone():
 
 IMMERSIONS = [name for name in builtin_names()
               if isinstance(load_builtin(name).subject, Immersion)]
-FORM = {6: "d_full", 7: "h_coord", 8: "h_frame", 9: "coeffs", 10: "means"}
 
 
 def assert_same_int64(a, b, what: str):
@@ -158,44 +161,89 @@ def assert_same_int64(a, b, what: str):
     assert (a.view(np.int64) == b.view(np.int64)).all(), what
 
 
+def block_steps(block: ImmersionBlock) -> dict:
+    """Every array a check walk reads or folds for the block, by name: the
+    form, the shared geometry and each block step's values."""
+    im = block.im
+    out = {f"form {k}": v for k, v in block.frames._asdict().items()}
+    out["induced in frame"], out["ambient in frame"] = block.frame_curvatures
+    out["mean norms"] = block.mean_norms
+    out["gauss tensor"] = gauss_residual_tensor(block)
+    for r in range(block.frames.normal_frame.shape[2]):
+        a, resid = shape_operator(block, block.frames.normal_frame[..., r])
+        out[f"shape operator {r}"], out[f"duality {r}"] = a, resid
+    steps = [cli._identity_values, classification_residuals]
+    if im.warped is not None:
+        out.update({f"scalars {k}": v for k, v in vars(block.scalars).items()})
+        steps.append(partial(cli._inequality_values, rc=cli.RunConfig(target=im.name)))
+        steps.append(lambda b: {"warped-block-form": warped_block_defect(b)})
+        if isinstance(im.structure, AlmostComplexStructure):
+            res = main_inequality(block)
+            out.update({f"main {k}": v for k, v in vars(res).items() if k != "diagnostics"})
+            out.update({f"main {k}": v for k, v in res.diagnostics.items()})
+    for step in steps:
+        out.update(step(block))
+    return out
+
+
 @pytest.mark.parametrize("seed", [42, 5])
 @pytest.mark.parametrize("n", [1, 33, 70])
 @pytest.mark.parametrize("name", IMMERSIONS)
 def test_block_form_and_classes_equal_blocks_of_one(name, n, seed):
-    # the form (the means are the whole, leaf and fiber rows) and every
-    # classification value of each point of a walk's blocks, against a
-    # block of that point alone
+    # the form, the geometry the checks share and every block step's values
+    # at each point of a walk's blocks, against a block of that point alone:
+    # a value over the block's points is the alone values in point order
+    # (the contact suite's values, past its Reeb tangency, and the fiber
+    # lemma's conclusion hold only chosen points' values)
     im = load_builtin(name).subject
     points = np.array(sample_points(im, n, seed))
     for start in range(0, len(points), BLOCK_POINTS):
         block = ImmersionBlock(im, points[start:start + BLOCK_POINTS])
-        form = block.frames_at(range(len(block.points)))
-        classes = classification_residuals(block)
-        for b in range(len(block.points)):
-            alone = ImmersionBlock(im, block.points[b:b + 1])
-            what = f"{name} {n} {seed} point {start + b}"
-            for k, field in FORM.items():
-                assert_same(form[k][b], alone.frames_at(0)[k], f"{what} {field}")
-                assert_same_int64(form[k][b], alone.frames_at(0)[k], f"{what} {field}")
-            alone_classes = classification_residuals(alone)
-            assert classes.keys() == alone_classes.keys()
-            for key, values in classes.items():
-                assert_same_int64(values[b], alone_classes[key][0], f"{what} {key}")
+        values = block_steps(block)
+        alone = [block_steps(ImmersionBlock(im, block.points[b:b + 1]))
+                 for b in range(len(block.points))]
+        for key, got in values.items():
+            what = f"{name} {n} {seed} block {start} {key}"
+            assert all(a.keys() == values.keys() for a in alone), what
+            want = np.concatenate([a[key] for a in alone])
+            if got.dtype == bool:
+                np.testing.assert_array_equal(got, want, err_msg=what)
+            else:
+                assert_same_int64(got, want, what)
+            if len(got) == len(block.points):
+                for b, a in enumerate(alone):
+                    assert layout(got[b]) == layout(a[key][0]), (what, b)
 
 
-def warped_points(subject, points: np.ndarray):
-    """Each point's warped split as the check walk builds it, after the
-    immersion checks that read the induced curvature have run."""
-    if isinstance(subject, Immersion):
-        ib = ImmersionBlock(subject, points)
-        for b, x in enumerate(points):
-            sff = second_fundamental_form(subject, x, ib, b)
-            gauss_residual_tensor(sff)
-            scalar_identity_residual(sff)
-            assert sff.warped.total is sff.induced
-            yield sff.warped
-    else:
-        yield from WarpedBlock(subject, points)
+def test_a_non_parallel_structure_inside_a_block_raises_as_the_walk_does(tmp_path):
+    # J depends on x1 where x1 > 1.5, so the Kahler gate fails at some points
+    # of the first block but not at its first; each point walked alone
+    # names the first failing point
+    text = resources.files("warpcheck").joinpath("data", "e1_chen_cr.cfg").read_text()
+    cfg = tmp_path / "tilted.cfg"
+    cfg.write_text(text.replace('j_row_1 = "0", "-1", "0", "0"',
+                                'j_row_1 = "0", "-1 - (x1 - 1.5) - sqrt((x1 - 1.5)^2)", "0", "0"'))
+    im = load_config(cfg).subject
+    points = sample_points(im, 33, 42)
+
+    def inequality(block):
+        return {"slack": main_inequality(block).slack}
+    walked = []
+    for k, x in enumerate(points):
+        try:
+            fold_sff(im, [x], inequality)
+        except ConfigurationError as err:
+            walked.append((k, str(err)))
+    first, message = walked[0]
+    assert 0 < first < BLOCK_POINTS
+    # the message the point-by-point walk gave before the checks read blocks
+    assert message == ("ambient structure is not parallel at "
+                       "[ 1.82860523 -0.61538795  0.31916607 -0.10741026] (residual 2.000e+00)")
+    with pytest.raises(ConfigurationError) as err:
+        fold_sff(im, points, inequality)
+    assert str(err.value) == message
+    code, _, text = cli.run(cli.RunConfig(target=str(cfg), checks=("inequalities",), points=33))
+    assert code == 2 and text == f"configuration error: {message}"
 
 
 def assert_same_bits(a, b, what: str):
@@ -205,13 +253,25 @@ def assert_same_bits(a, b, what: str):
 
 @pytest.mark.parametrize("name", ["e5", "e6", "e2", "s2-warped"])
 def test_curvature_in_frame_is_a_fresh_contraction(name):
+    # an immersion block's frame curvatures, after every check that reads
+    # them, and a warped metric point's, are the bits of a fresh contraction
     subject = load_builtin(name).subject
     points = np.array(sample_points(subject, 35, 42))
-    for b, wp in enumerate(warped_points(subject, points)):
+    if isinstance(subject, Immersion):
+        block = ImmersionBlock(subject, points)
+        block_steps(block)
+        for b in range(len(points)):
+            f = block.frames_at(b)
+            for got, r4, columns in zip(block.frame_curvatures,
+                                        (block.induced.curvature, block.ambient.curvature),
+                                        (f.tangent_frame, f.tangent_ambient)):
+                assert_same_bits(got[b], frame_curvature(r4[b], columns), f"{name} point {b}")
+        return
+    for b, wp in enumerate(WarpedBlock(subject, points)):
         p, what = wp.total, f"{name} point {b}"
         tau = p.scalar_curvature()
         fresh = frame_curvature(p.curvature, p.frame)
         assert_same_bits(p.curvature_in_frame, fresh, what)
-        mixed_sectional_sum(wp)
+        mixed_sectional_sum(p.curvature_in_frame, wp.geom)
         assert_same_bits(p.curvature_in_frame, fresh, what)
         assert_same_bits(p.scalar_curvature(), tau, what)

@@ -447,8 +447,8 @@ def test_library_checks_give_the_cli_records(target):
         im, points, subman.classification_residuals, ineq.leaf_mean_curvature,
         partial(ineq.fiber_lemma_residuals, tol=cr),
         subman.contact_cr_residuals if contact else subman.complex_cr_defects,
-        (lambda sff: s.identity_residuals(sff.tensors)) if contact
-        else (lambda sff: s.residuals(sff.tensors, True)))
+        cli._point_values(s.identity_residuals if contact else partial(s.residuals,
+                                                                      require_kahler=True)))
     rep = cli.records(worst, n, ("structure", "classify", "inequalities"), {}, s.kind)
     if not contact:
         # e6 fails the CR gate, so the CLI reports leaf minimality as information
@@ -1030,6 +1030,34 @@ def test_class_law_report_bytes_match_their_digests(tmp_path, monkeypatch):
             _, doc, _ = run(RunConfig(target=name, checks=("structure",), points=points))
             got[name, klass, points] = hashlib.sha256(to_json_bytes(doc)).hexdigest()
     assert got == CLASS_LAW_DIGESTS
+
+
+# sha256 of the JSON report of --checks inequalities, at (points, seed), for
+# e5 with its Reeb field tilted off the immersion where the ambient x5 > 0:
+# tangent at some points of a block and not at others.  Pinned from the
+# point-by-point walk; like the digests above, never update one to fit.
+MIXED_REEB_DIGESTS = {
+    (3, 42): "e57687775436fca2b73bb1b47bff56bf4a32d987a880e9a2b468fe4562ca79f0",
+    (33, 42): "248af6e285151b1f31a9dd5296578cfca29afce87a5b164fe241ee763df1e70f",
+    (70, 5): "f153b8bc3b3aab82bf23e0a96a123391c6ac0696363d5a74de47d4ecc56ead4b",
+}
+
+
+def test_a_reeb_field_tangent_at_some_points_of_a_block_keeps_its_report(tmp_path,
+                                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names its target as given
+    name = Path(_builtin_with(tmp_path, "e5_sasakian_cr.cfg", 'xi = "0", "0", "0", "0", "2"',
+                              'xi = "0", "0", "0", "0.5*(x5 + sqrt(x5^2))", "2"')).name
+    im = cli._resolve(name)[0].subject
+    points = np.array(sample_points(im, 33, 42))[:32]
+    not_tangent = subman.contact_cr_residuals(subman.ImmersionBlock(im, points))
+    assert 0 < not_tangent["cr-reeb-not-tangent"].sum() < 32
+    got = {}
+    for points, seed in MIXED_REEB_DIGESTS:
+        _, doc, _ = run(RunConfig(target=name, checks=("inequalities",), points=points,
+                                  seed=seed))
+        got[points, seed] = hashlib.sha256(to_json_bytes(doc)).hexdigest()
+    assert got == MIXED_REEB_DIGESTS
 
 
 def _scalar_variant_draws(seed):

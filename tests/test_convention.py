@@ -1,6 +1,6 @@
-"""Per-point checks take their point's record (SFFData, StructureTensors or
-WarpedPoint) and nothing that the record already holds, and a structure law
-no vectors; every function and class the package defines is read by it or
+"""Per-point checks take their point's record (StructureTensors or
+WarpedPoint), immersion checks their block, and nothing that the record
+already holds, and a structure law no vectors; every function and class the package defines is read by it or
 exported, and every parameter by its function; only the command-line module
 makes report records, in one loop over one table."""
 
@@ -15,7 +15,7 @@ import warpcheck
 from warpcheck import cli, ineq, riemann, structures, subman, warped
 from warpcheck.errors import ConfigurationError
 from warpcheck.gallery import load_builtin
-from warpcheck.subman import second_fundamental_form
+from warpcheck.subman import ImmersionBlock
 
 RECORD_NAMES = {"sff", "at", "tensors"}
 
@@ -56,10 +56,10 @@ def test_structure_laws_take_no_vectors():
     subman.warped_block_defect,
 ], ids=["main", "scalar-split", "warped-block"])
 def test_checks_needing_a_warped_split_reject_an_immersion_without_one(check):
-    sff = second_fundamental_form(load_builtin("e3").subject, np.array([1.0, 2.0]))
-    assert sff.warped is None
+    block = ImmersionBlock(load_builtin("e3").subject, np.array([[1.0, 2.0]]))
+    assert block.im.warped is None
     with pytest.raises(ConfigurationError, match="immersion has no warped declaration"):
-        check(sff)
+        check(block)
 
 
 def _calls(node, scope=()):
@@ -87,10 +87,24 @@ def _call_sites(called: str) -> set:
 
 
 def test_curvature_is_contracted_into_a_frame_only_by_the_point_records():
-    # each point's two contractions are cached record fields that every check
-    # reads; a check contracting again would repeat one at every point
+    # a metric point's contraction and an immersion block's two, each point's
+    # once, are cached fields that every check reads; a check contracting
+    # again would repeat one at every point
     assert _call_sites("frame_curvature") == {("riemann", "MetricPoint.curvature_in_frame"),
-                                              ("subman", "SFFData.ambient_frame_curvature")}
+                                              ("subman", "ImmersionBlock.frame_curvatures")}
+
+
+def test_fold_sff_has_one_step_kind():
+    # every immersion check reads the block; a point's SFFData is for
+    # inspection only, so no package function takes one
+    for mod, tree in _package_trees().items():
+        assert "block_step" not in ast.unparse(tree), mod
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                assert not [a.arg for a in args if a.arg == "sff"
+                            or "SFFData" in ast.unparse(a.annotation or ast.Constant(""))], \
+                    (mod, getattr(fn, "name", "<lambda>"))
 
 
 def test_frames_are_built_only_by_the_stacked_step():
@@ -144,6 +158,7 @@ EXPORTED_FOR_CALLERS = {
     "gradient": "library entry point for a scalar field on a chart metric",
     "sectional": "library entry point: the sectional curvature of a plane at a point",
     "induced_metric": "library entry point: an immersion's pullback as a metric source",
+    "second_fundamental_form": "library entry point: a point's frames and form, to inspect",
     "validate": "test helper: the examples' validation gate, run by tests, not by a report",
     "fd_partial": "oracle: finite differences that acceptance criterion 10 holds jets to",
     "complex_space_form": "oracle: a closed-form curvature model to compare charts with",

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import numpy.testing as npt
 import pytest
-from helpers import (box_points, chen_cr_immersion, perturbed_chen_immersion,
+from helpers import (block_at, box_points, chen_cr_immersion, perturbed_chen_immersion,
                      sasakian_cr_immersion, sphere_warped_immersion,
                      torus_immersion, trivial_product_immersion)
 
@@ -16,9 +16,10 @@ from warpcheck.errors import ConfigurationError
 from warpcheck.ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
                             main_inequality, scalar_decomposition_residual, space_form_rhs)
 from warpcheck.report import CheckReport
-from warpcheck.structures import complex_space_form
-from warpcheck.subman import fold_sff, second_fundamental_form, warped_geometry
+from warpcheck.structures import complex_space_form, model_curvature
+from warpcheck.subman import ImmersionBlock, fold_sff, warped_geometry
 from warpcheck.warped import WarpedPoint, leaf_scalars
+
 
 # ---------------------------------------------------------------------------
 # Scalar-curvature decomposition
@@ -30,15 +31,13 @@ from warpcheck.warped import WarpedPoint, leaf_scalars
                          ids=lambda b: b.__name__)
 def test_scalar_decomposition_residual_small(builder):
     im = builder()
-    for x in box_points(im.domain, 4, seed=21):
-        assert scalar_decomposition_residual(second_fundamental_form(im, x)) < 1e-7, \
-            (im.name, x)
+    residuals = scalar_decomposition_residual(block_at(im, *box_points(im.domain, 4, seed=21)))
+    assert (residuals < 1e-7).all(), (im.name, residuals)
 
 
 def test_scalar_decomposition_trivial_product_exact():
     im = trivial_product_immersion()
-    assert scalar_decomposition_residual(
-        second_fundamental_form(im, np.array([0.3, -0.2]))) < 1e-14
+    assert scalar_decomposition_residual(block_at(im, [0.3, -0.2]))[0] < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -103,55 +102,62 @@ def test_leaf_minimality_needs_declaration():
 
 def test_main_inequality_equality_on_chen_cr():
     im = chen_cr_immersion()
-    for x in box_points(im.domain, 5, seed=29):
-        r = main_inequality(second_fundamental_form(im, x))
-        rr = float(np.hypot(x[0], x[1]))
-        npt.assert_allclose(r.lhs, 1.0 / rr**2, rtol=1e-10)
-        assert abs(r.slack) < 1e-8
-        assert r.equality
-        assert r.diagnostics["leaf_form_norm"] < 1e-8
-        assert r.diagnostics["fiber_form_norm"] < 1e-8
-        assert r.diagnostics["mean_norm"] < 1e-8
+    points = np.array(box_points(im.domain, 5, seed=29))
+    r = main_inequality(block_at(im, *points))
+    npt.assert_allclose(r.lhs, 1.0 / np.hypot(points[:, 0], points[:, 1])**2, rtol=1e-10)
+    assert (abs(r.slack) < 1e-8).all()
+    assert r.equality.all()
+    assert (r.diagnostics["leaf_form_norm"] < 1e-8).all()
+    assert (r.diagnostics["fiber_form_norm"] < 1e-8).all()
+    assert (r.diagnostics["mean_norm"] < 1e-8).all()
 
 
 def test_main_inequality_trivial_product_exact_zero():
-    r = main_inequality(second_fundamental_form(trivial_product_immersion(),
-                                                np.array([0.4, 0.9])))
-    assert r.lhs == 0.0 and r.rhs == 0.0 and r.slack == 0.0
-    assert r.equality and r.passed
+    r = main_inequality(block_at(trivial_product_immersion(), [0.4, 0.9]))
+    assert r.lhs[0] == 0.0 and r.rhs[0] == 0.0 and r.slack[0] == 0.0
+    assert r.equality[0] and r.passed[0]
 
 
 def test_main_inequality_strict_on_perturbed():
     im = perturbed_chen_immersion()
-    for x in box_points(im.domain, 6, seed=31):
-        r = main_inequality(second_fundamental_form(im, x))
-        assert r.slack > 1e-3, (x, r.slack)
-        assert not r.equality
+    r = main_inequality(block_at(im, *box_points(im.domain, 6, seed=31)))
+    assert (r.slack > 1e-3).all(), r.slack
+    assert not r.equality.any()
 
 
 def test_main_inequality_requires_complex_ambient():
     im = sasakian_cr_immersion()
     with pytest.raises(ConfigurationError):
-        main_inequality(second_fundamental_form(im, np.array([1.0, 1.0, 0.0, 0.5])))
+        main_inequality(block_at(im, [1.0, 1.0, 0.0, 0.5]))
+
+
+def model_rhs(block: ImmersionBlock, model) -> float:
+    """The main inequality's bound at the block's first point, with the
+    closed-form model's plane values over the same frame columns in place of
+    the chart curvature's."""
+    n1, n = block.im.warped.n1, block.im.dim
+    cols = block.frames.tangent_ambient[0]
+
+    def pair_sum(idx):
+        return sum(model_curvature(model, cols[:, i], cols[:, j], cols[:, j], cols[:, i])
+                   for pos, i in enumerate(idx) for j in idx[pos + 1:])
+    sc = block.scalars
+    return (pair_sum(range(n)) - pair_sum(range(n1)) - pair_sum(range(n1, n))
+            - block.im.warped.n2 * sc.lap_f[0] / sc.f_value[0])
 
 
 def test_main_inequality_model_path_matches_flat():
-    im = chen_cr_immersion()
-    x = np.array([0.7, -0.5, 0.9])
-    sff = second_fundamental_form(im, x)
-    direct = main_inequality(sff)
-    modeled = main_inequality(sff, model=complex_space_form(0.0, 4))
-    npt.assert_allclose(modeled.rhs, direct.rhs, atol=1e-12)
+    block = block_at(chen_cr_immersion(), [0.7, -0.5, 0.9])
+    direct = main_inequality(block)
+    npt.assert_allclose(model_rhs(block, complex_space_form(0.0, 4)), direct.rhs[0], atol=1e-12)
 
 
 def test_model_curvature_sum_matches_reduction_count():
     # frame summation of the space-form model must shift the bound by c*n1*n2/4
-    im = chen_cr_immersion()
-    x = np.array([0.7, -0.5, 0.9])
-    sff = second_fundamental_form(im, x)
-    base = main_inequality(sff).rhs
+    block = block_at(chen_cr_immersion(), [0.7, -0.5, 0.9])
+    base = main_inequality(block).rhs[0]
     for c in (1.0, -2.5, 4.0):
-        shifted = main_inequality(sff, model=complex_space_form(c, 4), tol=1e-6).rhs
+        shifted = model_rhs(block, complex_space_form(c, 4))
         npt.assert_allclose(shifted - base, c * 2 * 1 / 4.0, atol=1e-10)
 
 
@@ -160,32 +166,32 @@ def test_model_curvature_sum_matches_reduction_count():
 # ---------------------------------------------------------------------------
 
 
-def flat_space_form_bound(sff) -> tuple[float, float]:
-    """Half the squared form norm and the complex-space-form bound at c = 0."""
-    p = sff.warped
-    return 0.5 * sff.h_norm_sq(), space_form_rhs(0.0, p.geom.n1, p.geom.n2,
-                                                 p.scalars.grad_lnf_sq, p.scalars.lap_lnf)
+def flat_space_form_bound(block) -> tuple[float, float]:
+    """Half the squared form norm and the complex-space-form bound at c = 0,
+    at the block's first point."""
+    decl, sc = block.im.warped, block.scalars
+    return 0.5 * np.sum(block.frames.coeffs[0]**2), space_form_rhs(
+        0.0, decl.n1, decl.n2, sc.grad_lnf_sq[0], sc.lap_lnf[0])
 
 
 def test_space_form_equality_on_chen_cr_at_flat_constant():
     im = chen_cr_immersion()
     for u, v in [(0.3, 0.4), (0.6, 0.8), (1.2, 1.6)]:
-        sff = second_fundamental_form(im, np.array([u, v, 0.7]))
-        lhs, rhs = flat_space_form_bound(sff)
+        block = block_at(im, [u, v, 0.7])
+        lhs, rhs = flat_space_form_bound(block)
         r2 = u * u + v * v
         npt.assert_allclose(lhs, 1.0 / r2, rtol=1e-11)
         npt.assert_allclose(rhs, 1.0 / r2, rtol=1e-11)
         assert abs(lhs - rhs) < 1e-8
         # the equality diagnostics vanish too
-        assert main_inequality(sff).equality
+        assert main_inequality(block).equality[0]
 
 
 def test_space_form_mirrors_main_inequality_at_zero_constant():
     im = chen_cr_immersion()
-    x = np.array([0.9, 0.2, 1.1])
-    sff = second_fundamental_form(im, x)
-    m = main_inequality(sff)
-    npt.assert_allclose(flat_space_form_bound(sff)[1], m.rhs, atol=1e-8)
+    block = block_at(im, [0.9, 0.2, 1.1])
+    m = main_inequality(block)
+    npt.assert_allclose(flat_space_form_bound(block)[1], m.rhs[0], atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +228,7 @@ def test_generalized_equality_at_zero_parameters_on_chen_cr():
     geom = warped_geometry(im)
     sc = leaf_scalars(WarpedPoint(geom, x))
     rhs = generalized_rhs(0.0, 0.0, geom.n1, geom.n2, sc.grad_lnf_sq, sc.lap_lnf)
-    assert abs(second_fundamental_form(im, x).h_norm_sq() - rhs) < 1e-8
+    assert abs(np.sum(block_at(im, x).frames.coeffs**2) - rhs) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +241,15 @@ def test_equality_characterization_directions():
     cases = [(chen_cr_immersion(), True), (trivial_product_immersion(), True),
              (perturbed_chen_immersion(), False)]
     for im, expect_equal in cases:
-        for x in box_points(im.domain, 3, seed=41):
-            r = main_inequality(second_fundamental_form(im, x), tol=tol)
-            diag_ok = (r.diagnostics["leaf_form_norm"] < tol
-                       and r.diagnostics["fiber_form_norm"] < tol
-                       and r.diagnostics["mean_norm"] < tol)
-            if diag_ok:
-                assert abs(r.slack) < 10 * tol
-            if abs(r.slack) < tol:
-                assert r.diagnostics["leaf_form_norm"] < 10 * tol
-                assert r.diagnostics["fiber_form_norm"] < 10 * tol
-            assert r.equality == expect_equal
+        r = main_inequality(block_at(im, *box_points(im.domain, 3, seed=41)), tol=tol)
+        diag = r.diagnostics
+        diag_ok = ((diag["leaf_form_norm"] < tol) & (diag["fiber_form_norm"] < tol)
+                   & (diag["mean_norm"] < tol))
+        assert (abs(r.slack[diag_ok]) < 10 * tol).all()
+        tight = abs(r.slack) < tol
+        assert (diag["leaf_form_norm"][tight] < 10 * tol).all()
+        assert (diag["fiber_form_norm"][tight] < 10 * tol).all()
+        assert (r.equality == expect_equal).all()
 
 
 def test_rhs_invariant_under_leaf_reparametrization():
@@ -264,7 +268,7 @@ def test_rhs_invariant_under_leaf_reparametrization():
     base = chen_cr_immersion()
     x = np.array([0.6, 0.8, 0.9])
     x_swapped = np.array([0.8, 0.6, 0.9])
-    r1 = main_inequality(second_fundamental_form(base, x))
-    r2 = main_inequality(second_fundamental_form(swapped, x_swapped))
+    r1 = main_inequality(block_at(base, x))
+    r2 = main_inequality(block_at(swapped, x_swapped))
     npt.assert_allclose(r1.rhs, r2.rhs, atol=1e-10)
     npt.assert_allclose(r1.lhs, r2.lhs, atol=1e-10)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from helpers import (box_points, chen_cr_immersion, cylinder_immersion,
+from helpers import (block_at, box_points, chen_cr_immersion, cylinder_immersion,
                      flat_metric, perturbed_chen_immersion, sasakian_cr_immersion,
                      sphere_immersion, torus_immersion, trivial_product_immersion)
 
@@ -19,7 +19,7 @@ from warpcheck.expr import Neg, matrix_jets, parse
 from warpcheck.gallery import load_builtin, sample_points
 from warpcheck.jets import Jet3, pack
 from warpcheck.report import CheckReport
-from warpcheck.riemann import MetricField, scalar_curvature
+from warpcheck.riemann import MetricField, metric_norms, scalar_curvature
 from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals,
                               contact_cr_residuals, fold_sff,
                               gauss_residual_max, gauss_residual_tensor, induced_metric,
@@ -120,9 +120,14 @@ def test_chen_cr_induces_warped_block_metric():
     assert fold_sff(im, [x, np.array([1.2, -0.3, 0.9])], block_form)["block"] < 1e-12
 
 
-def block_form(sff):
-    """The warped block-form defect of the induced metric at the point."""
-    return {"block": warped_block_defect(sff)}
+def block_form(block):
+    """The warped block-form defect of the induced metric at the block's points."""
+    return {"block": warped_block_defect(block)}
+
+
+def norm(sff, v) -> float:
+    """The ambient metric norm of an ambient vector at the form's point."""
+    return float(metric_norms(sff.g_ambient, v))
 
 
 def test_rank_deficiency_detected():
@@ -195,8 +200,8 @@ def test_no_classification_warning_comes_from_a_point_the_walk_never_reaches():
     with pytest.raises(ImmersionDegenerateError, match=r"rank-deficient at \[1\. 0\.\]"):
         fold_sff(im, np.array([[1.0, 0.0], [0.0, 1.0]]), classification_residuals)
 
-    def refuses(sff):
-        raise ConfigurationError(f"refused at {sff.ambient_point}")
+    def refuses(block):
+        raise ConfigurationError(f"refused at {block.components[0][0]}")
     with pytest.raises(ConfigurationError, match=r"refused at \[\s*0\.\s+-0\.5\s+0\.\s*\]"):
         fold_sff(im, np.array([[0.0, 0.5], [0.0, 1.0]]), classification_residuals, refuses)
 
@@ -235,23 +240,23 @@ def test_affine_plane_is_totally_geodesic():
                                parse("2*x1 + 3*x2 + 1", 2)],
                    ambient=flat_metric(3), name="plane")
     sff = second_fundamental_form(im, np.array([0.4, -0.6]))
-    assert sff.h_norm_sq() < 1e-28
-    assert sff.vec_norm(sff.mean) < 1e-14
+    assert np.sum(sff.coeffs**2) < 1e-28
+    assert norm(sff, sff.means[0]) < 1e-14
 
 
 def test_sphere_mean_curvature_is_unit():
     im = sphere_immersion()
     for x in box_points(im.domain, 4, seed=1):
         sff = second_fundamental_form(im, x)
-        npt.assert_allclose(sff.vec_norm(sff.mean), 1.0, atol=1e-11)
-        npt.assert_allclose(sff.h_norm_sq(), 2.0, atol=1e-10)
+        npt.assert_allclose(norm(sff, sff.means[0]), 1.0, atol=1e-11)
+        npt.assert_allclose(np.sum(sff.coeffs**2), 2.0, atol=1e-10)
 
 
 def test_circle_curvature_is_unit():
     im = Immersion(dim=1, components=[parse("cos(x1)", 1), parse("sin(x1)", 1)],
                    ambient=flat_metric(2), name="circle")
     sff = second_fundamental_form(im, np.array([1.1]))
-    npt.assert_allclose(sff.vec_norm(sff.h_frame[0, 0]), 1.0, atol=1e-12)
+    npt.assert_allclose(norm(sff, sff.h_frame[0, 0]), 1.0, atol=1e-12)
 
 
 def test_chen_cr_form_values():
@@ -260,12 +265,12 @@ def test_chen_cr_form_values():
     x = np.array([0.9, -0.4, 0.7])
     r = math.hypot(0.9, -0.4)
     sff = second_fundamental_form(im, x)
-    assert sff.vec_norm(sff.h_frame[0, 0]) < 1e-12
-    assert sff.vec_norm(sff.h_frame[1, 1]) < 1e-12
-    assert sff.vec_norm(sff.h_frame[2, 2]) < 1e-12
-    npt.assert_allclose(sff.h_norm_sq(), 2.0 / r**2, rtol=1e-11)
-    npt.assert_allclose(sff.vec_norm(sff.mean), 0.0, atol=1e-12)
-    npt.assert_allclose(sff.vec_norm(sff.mean_leaf), 0.0, atol=1e-12)
+    assert norm(sff, sff.h_frame[0, 0]) < 1e-12
+    assert norm(sff, sff.h_frame[1, 1]) < 1e-12
+    assert norm(sff, sff.h_frame[2, 2]) < 1e-12
+    npt.assert_allclose(np.sum(sff.coeffs**2), 2.0 / r**2, rtol=1e-11)
+    npt.assert_allclose(norm(sff, sff.means[0]), 0.0, atol=1e-12)
+    npt.assert_allclose(norm(sff, sff.means[1]), 0.0, atol=1e-12)
 
 
 def test_sff_symmetry_and_coefficients():
@@ -289,39 +294,37 @@ def test_plane_shape_operator_vanishes():
     im = Immersion(dim=2,
                    components=[parse("x1", 2), parse("x2", 2), parse("0", 2)],
                    ambient=flat_metric(3), name="flat-plane")
-    sff = second_fundamental_form(im, np.array([0.0, 0.0]))
-    a, resid = shape_operator(sff, sff.normal_frame[:, 0])
+    block = block_at(im, [0.0, 0.0])
+    a, resid = shape_operator(block, block.frames.normal_frame[..., 0])
     assert np.max(np.abs(a)) < 1e-14
-    assert resid < 1e-14
+    assert resid[0] < 1e-14
 
 
 def test_sphere_shape_operator_is_plus_minus_identity():
     im = sphere_immersion()
-    x = np.array([1.0, 2.0])
-    sff = second_fundamental_form(im, x)
-    a, resid = shape_operator(sff, sff.normal_frame[:, 0])
-    npt.assert_allclose(a @ a, np.eye(2), atol=1e-10)
-    npt.assert_allclose(abs(np.trace(a)), 2.0, atol=1e-10)
-    assert resid < 1e-10
+    block = block_at(im, [1.0, 2.0])
+    a, resid = shape_operator(block, block.frames.normal_frame[..., 0])
+    npt.assert_allclose(a[0] @ a[0], np.eye(2), atol=1e-10)
+    npt.assert_allclose(abs(np.trace(a[0])), 2.0, atol=1e-10)
+    assert resid[0] < 1e-10
 
 
 def test_shape_operator_rejects_tangential_vector():
     im = sphere_immersion()
-    x = np.array([1.0, 2.0])
-    sff = second_fundamental_form(im, x)
+    block = block_at(im, [1.0, 2.0])
     with pytest.raises(InvalidNormalError):
-        shape_operator(sff, sff.tangent_ambient[:, 0])
+        shape_operator(block, block.frames.tangent_ambient[..., 0])
 
 
 def test_duality_residual_small_on_gallery():
     for im in (chen_cr_immersion(), torus_immersion()):
-        x = box_points(im.domain, 1, seed=3)[0]
-        sff = second_fundamental_form(im, x)
-        for r in range(sff.normal_frame.shape[1]):
-            a, resid = shape_operator(sff, sff.normal_frame[:, r])
-            assert resid < 1e-10
+        block = block_at(im, box_points(im.domain, 1, seed=3)[0])
+        f = block.frames
+        for r in range(f.normal_frame.shape[2]):
+            a, resid = shape_operator(block, f.normal_frame[..., r])
+            assert resid[0] < 1e-10
             # self-adjoint for the induced metric
-            ga = sff.g_induced @ a
+            ga = f.g_induced[0] @ a[0]
             assert np.max(np.abs(ga - ga.T)) < 1e-10
 
 
@@ -334,7 +337,7 @@ def test_flat_plane_gauss_zero():
     im = Immersion(dim=2,
                    components=[parse("x1", 2), parse("x2", 2), parse("0", 2)],
                    ambient=flat_metric(3))
-    assert gauss_residual_max(second_fundamental_form(im, np.array([0.2, 0.4]))) < 1e-14
+    assert gauss_residual_max(block_at(im, [0.2, 0.4]))[0] < 1e-14
 
 
 def test_sphere_gauss_recovers_unit_curvature():
@@ -346,7 +349,7 @@ def test_sphere_gauss_recovers_unit_curvature():
     r_ind = frame_curvature(curvature_components(induced_metric(im), x),
                             sff.tangent_frame)
     npt.assert_allclose(r_ind[0, 1, 1, 0], 1.0, atol=1e-10)
-    assert abs(gauss_residual_tensor(sff)[0, 1, 1, 0]) < 1e-10
+    assert abs(gauss_residual_tensor(block_at(im, x))[0, 0, 1, 1, 0]) < 1e-10
 
 
 @pytest.mark.parametrize("builder", [chen_cr_immersion, sphere_immersion,
@@ -355,8 +358,8 @@ def test_sphere_gauss_recovers_unit_curvature():
                          ids=lambda b: b.__name__)
 def test_gauss_residual_small_on_gallery(builder):
     im = builder()
-    for x in box_points(im.domain, 3, seed=5):
-        assert gauss_residual_max(second_fundamental_form(im, x)) < 1e-7, (im.name, x)
+    residuals = gauss_residual_max(block_at(im, *box_points(im.domain, 3, seed=5)))
+    assert (residuals < 1e-7).all(), (im.name, residuals)
 
 
 @pytest.mark.parametrize("builder", [chen_cr_immersion, sphere_immersion,
@@ -365,8 +368,8 @@ def test_gauss_residual_small_on_gallery(builder):
                          ids=lambda b: b.__name__)
 def test_scalar_identity_small_on_gallery(builder):
     im = builder()
-    for x in box_points(im.domain, 3, seed=7):
-        assert scalar_identity_residual(second_fundamental_form(im, x)) < 1e-7, (im.name, x)
+    residuals = scalar_identity_residual(block_at(im, *box_points(im.domain, 3, seed=7)))
+    assert (residuals < 1e-7).all(), (im.name, residuals)
 
 
 def test_sphere_scalar_identity_values():
@@ -376,8 +379,8 @@ def test_sphere_scalar_identity_values():
     tau = scalar_curvature(induced_metric(im), x)
     sff = second_fundamental_form(im, x)
     npt.assert_allclose(tau, 1.0, atol=1e-10)
-    npt.assert_allclose(sff.vec_norm(sff.mean), 1.0, atol=1e-11)
-    npt.assert_allclose(sff.h_norm_sq(), 2.0, atol=1e-10)
+    npt.assert_allclose(norm(sff, sff.means[0]), 1.0, atol=1e-11)
+    npt.assert_allclose(np.sum(sff.coeffs**2), 2.0, atol=1e-10)
 
 
 def test_unit_s3_hypersurface_values():
@@ -389,11 +392,11 @@ def test_unit_s3_hypersurface_values():
                    ambient=flat_metric(4), name="round-s3")
     x = np.array([1.1, 0.8, 0.4])
     sff = second_fundamental_form(im, x)
-    npt.assert_allclose(sff.vec_norm(sff.mean), 1.0, atol=1e-10)
-    npt.assert_allclose(sff.h_norm_sq(), 3.0, atol=1e-9)
+    npt.assert_allclose(norm(sff, sff.means[0]), 1.0, atol=1e-10)
+    npt.assert_allclose(np.sum(sff.coeffs**2), 3.0, atol=1e-9)
     npt.assert_allclose(scalar_curvature(induced_metric(im), x), 3.0, atol=1e-9)
-    assert scalar_identity_residual(sff) < 1e-9
-    assert gauss_residual_max(sff) < 1e-9
+    assert scalar_identity_residual(block_at(im, x))[0] < 1e-9
+    assert gauss_residual_max(block_at(im, x))[0] < 1e-9
 
 
 def test_full_dimensional_immersion_has_empty_normal_bundle():
@@ -406,8 +409,8 @@ def test_full_dimensional_immersion_has_empty_normal_bundle():
     sff = second_fundamental_form(im, x)
     assert sff.normal_frame.shape == (2, 0)
     assert sff.coeffs.shape == (0, 2, 2)
-    assert sff.h_norm_sq() == 0.0          # no normal directions to sum over
-    assert sff.vec_norm(sff.mean) < 1e-12         # projection residue only
+    assert np.sum(sff.coeffs**2) == 0.0          # no normal directions to sum over
+    assert norm(sff, sff.means[0]) < 1e-12         # projection residue only
     assert {"geodesic", "minimal"} <= holds(im, [x])
 
 
