@@ -28,7 +28,7 @@ from .ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
                    main_inequality, scalar_decomposition_residual, space_form_rhs)
 from .jets import per_block
 from .report import CheckReport, fold, format_number, nan_max, to_json_bytes
-from .riemann import Curvature4, MetricBlock, MetricField
+from .riemann import Curvature4, MetricBlock, MetricField, fold_blocks
 from .structures import (CLASS_NAMES, CONTACT_IDENTITIES, AlmostComplexStructure,
                          AlmostContactStructure, closed_eta_residuals, fold_tensors,
                          fundamental_form_residuals, nijenhuis_normality_residuals,
@@ -293,21 +293,20 @@ def _structure_values(s, rc: RunConfig) -> tuple[dict, int]:
     return fold_tensors(s, points, _structure_step(s, s.klass)), len(points)
 
 
+def _warped_step(w: WarpedBlock) -> dict:
+    """The identity records' values over a warped metric's block."""
+    symmetries = Curvature4(w.total.curvature).max_symmetry_residual()
+    blocks = block_second_form_residuals(w)
+    return {"warped-identity": warping_identity_residual(w)["residual"],
+            "leaf-geodesic": blocks["leaf_geodesic"],
+            "fiber-umbilical-shape": blocks["fiber_umbilical_shape"],
+            "curvature-symmetries": symmetries}
+
+
 def _warped_values(w: WarpedMetric, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(w, rc.points, rc.seed)
     w.validate_at(points)
-
-    def walk(block):
-        wb = WarpedBlock(w, block)
-        symmetries = Curvature4(wb.total.curvature).max_symmetry_residual()
-        for p, sym in zip(wb, symmetries.tolist()):
-            blocks = block_second_form_residuals(p)
-            yield {"warped-identity": warping_identity_residual(p)["residual"],
-                   "leaf-geodesic": blocks["leaf_geodesic"],
-                   "fiber-umbilical-shape": blocks["fiber_umbilical_shape"],
-                   "curvature-symmetries": sym}
-
-    return fold(per_block(points, walk)), len(points)
+    return fold_blocks(points, lambda x: WarpedBlock(w, x), _warped_step), len(points)
 
 
 def _identity_values(block: ImmersionBlock) -> dict:

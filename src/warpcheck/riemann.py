@@ -11,8 +11,10 @@ metrics provide the same surface.
 The block is the unit of geometry.  A :class:`MetricBlock` holds a source
 at a block of points and computes each field (the derivatives, the inverse
 metric with its positive-definiteness check, the connection, the curvature,
-the frames) once for the whole block, on first use, as batch-leading arrays;
-the block of a coordinate sub-chart has no source, only sliced derivatives.
+the frames and the curvature in them) once for the whole block, on first
+use, as batch-leading arrays, and applies its operators (the Laplacian) to
+the whole block too; the block of a coordinate sub-chart has no source, only
+sliced derivatives.
 A :class:`MetricPoint` is one point of a block (a lone point is a block of
 one) and returns views of the block's fields, with no formulas of its own.
 A block gives each point exactly the bits a block of one gives it, under two
@@ -25,10 +27,14 @@ rules:
   contraction of the curvature) sum in another order.
 * A contraction to a scalar keeps its order of summation.  A sum over frame
   planes (:func:`plane_sum`) adds its terms one at a time from 0.0, over a
-  block as the same ordered accumulation of (B,) arrays.  Batched,
-  ``"ij,kij,k->"`` sums in another order, so the Laplacian's traces stay
-  per point.  Elementwise arithmetic followed by a max is exact, so check
-  values of that form (the curvature symmetry residuals) are taken per block.
+  block as the same ordered accumulation of (B,) arrays.  The Laplacian's
+  traces (:meth:`MetricBlock.laplacian`) are the batched einsums, which sum
+  as each point's ``"ij,kij,k->"`` and ``"ij,ij->"`` do, except
+  ``"ij,kij,k->"`` at n = 2: there the point's einsum adds each k's four
+  terms ``(ginv[i,j] * Gamma[k,i,j]) * d1[k]`` left to right and then
+  ``s1 + (0.0 + s0)``, which the block spells out.  Elementwise arithmetic
+  followed by a max is exact, so check values of that form (the curvature
+  symmetry residuals) are taken per block.
 
 A frame contraction of the curvature (:func:`frame_curvature`) keeps the bits
 of ``np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, c, c, c, c)``, which stays its
@@ -38,8 +44,10 @@ its terms one at a time from +0.0, in the memory order of ``r4`` (l slowest,
 then i, j, k, for a block's curvature view); and the output is laid out in
 that same axis order.  Frames of three or more columns reproduce this order
 with staged broadcast products and a two-operand einsum that sums each output
-in order.  Smaller frames, where the einsum is faster, and layouts other than
-positive ``r4`` strides and row-major ``c`` run the einsum itself.
+in order, a point at a time.  Smaller frames, where the einsum is faster,
+run the einsum itself, over a stack of points as the ``...``-prefixed
+einsum, which sums each point's outputs in that point's order; so do layouts
+other than positive ``r4`` strides and row-major ``c``.
 
 Frames are built by modified Gram-Schmidt over a stack of points at once
 (:func:`gram_schmidt_step`) with the bits of each point's own ``u @ g @ v``:
@@ -74,6 +82,7 @@ from . import expr as dsl
 from .errors import (DegenerateMetricError, DegeneratePlaneError,
                      DependentSeedsError)
 from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, pack, per_block
+from .report import fold
 
 GS_PIVOT_THRESHOLD = 1e-12
 PLANE_GRAM_THRESHOLD = 1e-12
@@ -184,10 +193,11 @@ class MetricBlock:
     ``gamma``, ``curvature``) are computed on first use for the whole block
     at once, as batch-leading arrays (B, ...), and read per point by the
     block's :class:`MetricPoint` records as views; so are the frames, built
-    by :func:`stacked`.  ``derivs``: a function returning the block's (g, dg,
-    d2g) when the caller already holds what they are made from (the source's
-    ``derivs`` at the points by default).  ``metric`` is None for the block
-    of a coordinate sub-chart (:meth:`block`), which holds only derivatives.
+    by :func:`stacked`, and the curvature contracted into them.  ``derivs``:
+    a function returning the block's (g, dg, d2g) when the caller already
+    holds what they are made from (the source's ``derivs`` at the points by
+    default).  ``metric`` is None for the block of a coordinate sub-chart
+    (:meth:`block`), which holds only derivatives.
     """
 
     def __init__(self, metric, points: np.ndarray, derivs=None):
@@ -238,6 +248,39 @@ class MetricBlock:
                 + np.einsum("...lim,...mjk->...lkij", gamma, gamma)
                 - np.einsum("...ljm,...mik->...lkij", gamma, gamma))
         return np.einsum("...lm,...mkij->...ijkl", g, r_up)
+
+    @cached_property
+    def curvature_in_frame(self) -> np.ndarray:
+        """The curvature contracted into each point's frame (B, n, n, n, n),
+        once for every check that reads it."""
+        return frame_curvature(self.curvature, self.frame_at(range(len(self.points)))[1])
+
+    def laplacian(self, psi: Jet3, points=slice(None)) -> np.ndarray:
+        """Geometer's-sign Laplacians (B,) of a jet over the block's points
+        (or over ``points`` of them, the jet's own): minus the metric trace of
+        its Hessian, each with the bits of its point's
+        ``einsum("ij,kij,k->", ginv, Gamma, d1) - einsum("ij,ij->", ginv, d2)``."""
+        ginv, gamma = self.ginv[points], self.gamma[points]
+        d1, d2 = np.broadcast_to(psi.d1, ginv.shape[:-1]), np.broadcast_to(psi.d2, ginv.shape)
+        if ginv.shape[-1] != 2:
+            first = np.einsum("...ij,...kij,...k->...", ginv, gamma, d1)
+        else:  # the point's einsum order, which the batched einsum does not keep
+            with np.errstate(invalid="ignore", over="ignore"):  # silent, as the einsum
+                t = ginv[..., None, :, :] * gamma * d1[..., None, None]
+                s0, s1 = (((t[..., k, 0, 0] + t[..., k, 0, 1]) + t[..., k, 1, 0])
+                          + t[..., k, 1, 1] for k in range(2))
+                first = s1 + (0.0 + s0)
+        return first - np.einsum("...ij,...ij->...", ginv, d2)
+
+    def dual(self, d1: np.ndarray) -> np.ndarray:
+        """The metric duals (B, n) of covectors d1 (B, n), each with the bits
+        of its point's ``ginv @ d1``."""
+        return (self.ginv @ d1[..., None])[..., 0]
+
+    def dual_norm_sq(self, d1: np.ndarray) -> np.ndarray:
+        """Squared norms (B,) of the metric duals of covectors d1 (B, n), each
+        with the bits of its point's ``d1 @ ginv @ d1`` when d1 is C-ordered."""
+        return (d1[..., None, :] @ self.ginv @ d1[..., None])[..., 0, 0]
 
     def value_at(self, index: int) -> np.ndarray:
         """Point ``index``'s matrix that its frame is orthonormal for."""
@@ -319,10 +362,10 @@ class MetricPoint:
         """Columns orthonormal for ``value``: Gram-Schmidt over the coordinate directions."""
         return self._block.frame_at(self._index)[1]
 
-    @cached_property
+    @property
     def curvature_in_frame(self) -> np.ndarray:
-        """The curvature contracted into ``frame``, once for every check that reads it."""
-        return frame_curvature(self.curvature, self.frame)
+        """The curvature contracted into ``frame``."""
+        return self._block.curvature_in_frame[self._index]
 
     def scalar_curvature(self) -> float:
         """Sum of sectional curvatures over orthonormal frame pairs."""
@@ -330,9 +373,8 @@ class MetricPoint:
         return float(plane_sum(rf, combinations(range(len(rf)), 2)))
 
     def laplacian(self, psi: Jet3) -> float:
-        """Geometer's-sign Laplacian of a jet: minus the metric trace of its Hessian."""
-        return float(np.einsum("ij,kij,k->", self.ginv, self.gamma, psi.d1)
-                     - np.einsum("ij,ij->", self.ginv, psi.d2))
+        """Geometer's-sign Laplacian of a jet at this point."""
+        return float(self._block.laplacian(psi, slice(self._index, self._index + 1))[0])
 
 
 def christoffel(g_like, x: Point) -> np.ndarray:
@@ -406,19 +448,29 @@ def _term_rows(n: int, order: tuple[int, ...]) -> np.ndarray:
 
 def frame_curvature(r4: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Contract a coordinate curvature tensor into a frame given by columns,
-    with the bits of the 5-operand einsum (the order contract in the module
-    docstring).
+    at one point (r4 (n, n, n, n), columns (n, k)) or at each of a stack
+    (r4 (B, n, n, n, n), columns (B, n, k)), with the bits of each point's
+    5-operand einsum (the order contract in the module docstring).
 
     A zero tensor (a flat chart's) contracts to zeros without the einsum:
     with finite columns each of its products is +-0, and its sum, which
     starts from +0.0, is +0.0, the bits returned here."""
-    n, k = columns.shape
+    if columns.ndim == 3 and columns.shape[-1] > 2:  # staged, a point at a time
+        return np.stack([_contraction(r, c) for r, c in zip(r4, columns)])
+    return _contraction(r4, columns)
+
+
+def _contraction(r4: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """:func:`frame_curvature` at one point, or over a stack of frames of at
+    most two columns."""
+    n, k = columns.shape[-2:]
     if not r4.any() and np.isfinite(columns).all():
-        return np.zeros((k,) * 4)
+        return np.zeros(columns.shape[:-2] + (k,) * 4)
     staged = (k > 2 and min(r4.strides) > 0 and 0 < columns.strides[1] < columns.strides[0]
               and r4.dtype == columns.dtype == float)
     if not staged:
-        return np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, columns, columns, columns, columns)
+        return np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd",
+                         r4, columns, columns, columns, columns)
     order = tuple(sorted(range(4), key=lambda a: -r4.strides[a]))
     ci, cj, ck, cl = columns[_term_rows(n, order)]  # each (n**4, k), term r's rows
     # each new factor goes in front: products commute, and the grouping is kept
@@ -508,6 +560,26 @@ def stacked(cache: dict, key: str, build, index: int | range) -> list:
         return ([np.concatenate(a) for a in zip(*map(built.get, index))] if whole
                 else [a[0] for a in built[index]])
     return built if whole else [a[index] for a in built]
+
+
+def fold_blocks(points: Sequence[Point], make, *steps) -> dict:
+    """The steps' values, merged and folded over the points by
+    :func:`report.fold`, a block of points at a time in the one object
+    ``make(block)`` that each step reads, giving arrays whose values run over
+    its points in order.  A block is evaluated by :func:`stacked`, so after a
+    floating-point event each point is evaluated alone, in order, and warns
+    as it does alone."""
+    def walk(block):
+        names = []
+
+        def build(part: slice, watched) -> list:
+            subject = make(block[part])
+            with watched():
+                values = {k: v for step in steps for k, v in step(subject).items()}
+            names[:] = values  # every build gives the same keys, in order
+            return list(values.values())
+        yield dict(zip(names, stacked({}, "checks", build, range(len(block)))))
+    return fold(per_block(points, walk))
 
 
 def metric_norms(g: np.ndarray, v: np.ndarray) -> np.ndarray:

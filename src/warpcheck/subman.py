@@ -22,11 +22,9 @@ import numpy as np
 from . import expr as dsl
 from .errors import (ConfigurationError, ImmersionDegenerateError,
                      InvalidNormalError, NonFiniteImageError)
-from .jets import (DomainBox, Jet3, Point, as_point, coordinate_jets, jet_const, pack,
-                   per_block)
-from .report import fold
-from .riemann import (MetricBlock, MetricField, _checked, frame_curvature, gram_schmidt,
-                      gram_schmidt_step, metric_norms, plane_sum, stacked)
+from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, jet_const, pack
+from .riemann import (MetricBlock, MetricField, _checked, fold_blocks, frame_curvature,
+                      gram_schmidt, gram_schmidt_step, metric_norms, plane_sum, stacked)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          StructureBlock, StructureTensors)
 from .warped import LeafScalars, WarpedBlock, WarpedMetric
@@ -301,12 +299,10 @@ class ImmersionBlock:
     def frame_curvatures(self) -> tuple[np.ndarray, np.ndarray]:
         """The induced curvature in each point's tangent frame and the ambient
         one in its image, (B, n, n, n, n) each, for every check that reads
-        them; a point at a time (stacked is no faster, with B times the memory)."""
-        r_ind, r_amb = self.induced.curvature, self.ambient.curvature
-        per_point = [(frame_curvature(r_ind[b], f.tangent_frame),
-                      frame_curvature(r_amb[b], f.tangent_ambient))
-                     for b, f in enumerate(map(self.frames_at, range(len(self.points))))]
-        return tuple(map(np.stack, zip(*per_point)))
+        them."""
+        f = self.frames
+        return (frame_curvature(self.induced.curvature, f.tangent_frame),
+                frame_curvature(self.ambient.curvature, f.tangent_ambient))
 
     @cached_property
     def mean_norms(self) -> np.ndarray:
@@ -314,12 +310,10 @@ class ImmersionBlock:
         or of the whole one (B, 1) without a warped declaration."""
         return metric_norms(self.frames.g_ambient[:, None], self.frames.means)
 
-    @cached_property
+    @property
     def scalars(self) -> LeafScalars:
-        """The leaf scalars as arrays over the points, from each point's own
-        (the leaf Laplacians are per-point traces)."""
-        per_point = [p.scalars for p in self.warped]
-        return LeafScalars(*map(np.array, zip(*(vars(s).values() for s in per_point))))
+        """The leaf scalars as arrays over the points."""
+        return self.warped.scalars
 
     @cached_property
     def structure_points(self) -> list[StructureTensors]:
@@ -378,24 +372,13 @@ def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
 
 
 def fold_sff(im: Immersion, points: Sequence[Point], *steps) -> dict:
-    """The steps' values, merged and folded over the points by
-    :func:`report.fold`, a block of points at a time in one ImmersionBlock
-    that each step reads, giving arrays whose values run over its points in
-    order.  Every point's frames are built and verified.  A block is
-    evaluated by :func:`riemann.stacked`, so after a floating-point event
-    each point is evaluated alone, in order, and warns as it does alone."""
-    def walk(block):
-        names = []
-
-        def build(part: slice, watched) -> list:
-            ib = ImmersionBlock(im, block[part])
-            with watched():
-                ib.frames  # verifies every point's frames
-                values = {k: v for step in steps for k, v in step(ib).items()}
-            names[:] = values  # every build gives the same keys, in order
-            return list(values.values())
-        yield dict(zip(names, stacked({}, "checks", build, range(len(block)))))
-    return fold(per_block(points, walk))
+    """The steps' values over the points, an ImmersionBlock at a time, by
+    :func:`riemann.fold_blocks`, after every point's frames are built and
+    verified."""
+    def frames(block: ImmersionBlock) -> dict:
+        block.frames
+        return {}
+    return fold_blocks(points, lambda x: ImmersionBlock(im, x), frames, *steps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ respectively).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import product
 from typing import Sequence
 
@@ -24,7 +24,7 @@ from . import expr as dsl
 from . import jets
 from .errors import InvalidWarpingError
 from .jets import DomainBox, ExcludedBall, Jet3, Point, as_point, coordinate_jets, per_block
-from .riemann import MetricBlock, MetricField, MetricPoint, plane_sum
+from .riemann import MetricBlock, MetricField, plane_sum
 
 
 def _expr_max_var(e) -> int:
@@ -82,11 +82,18 @@ class WarpedMetric:
 
         def check(block):
             f = dsl.eval_matrix([[self.f]], block[:, : self.n1], self.params, order=0)[0]
-            for x, f_val in zip(block, f[:, 0, 0].tolist()):
-                if f_val <= 0.0:
-                    raise InvalidWarpingError(f"warping function {f_val} <= 0 at {x}")
+            _positive(f[:, 0, 0], block)
             return ()
         list(per_block(points, check))
+
+
+def _positive(f: np.ndarray, points: np.ndarray) -> None:
+    """Raise for the first of the points whose warping function value f is
+    <= 0 (a NaN is not)."""
+    bad = f <= 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidWarpingError(f"warping function {f[k].item()} <= 0 at {points[k]}")
 
 
 def _product_domain(d1: DomainBox | None, d2: DomainBox | None,
@@ -131,20 +138,22 @@ def assemble(g1: MetricField, g2: MetricField, f, name: str = "") -> WarpedMetri
 
 @dataclass(frozen=True)
 class LeafScalars:
-    """Leaf-factor quantities entering the identities and inequalities."""
+    """Leaf-factor quantities entering the identities and inequalities, each
+    an array over a block's points (a float, or grad_f a vector, at a point)."""
 
-    f_value: float
-    lap_f: float            # geometer's sign
-    grad_f: np.ndarray      # leaf gradient vector of f
-    grad_lnf_sq: float
-    lap_lnf: float
+    f_value: np.ndarray
+    lap_f: np.ndarray          # geometer's sign
+    grad_f: np.ndarray         # leaf gradient vectors of f, (B, n1)
+    grad_lnf_sq: np.ndarray
+    lap_lnf: np.ndarray
 
 
 class WarpedBlock:
     """A warped split over a block of chart points (B, dim): the total
-    metric's block, the leaf factor's block, the warping function's jets and
-    the fiber metric, each evaluated for all points on first use and read per
-    point by the block's :class:`WarpedPoint` records."""
+    metric's block, the leaf factor's block, the warping function's jets, the
+    fiber metric and the leaf scalars, each evaluated for all points on first
+    use, and read whole by the checks or per point by the block's
+    :class:`WarpedPoint` records."""
 
     def __init__(self, geom: WarpedMetric, points: np.ndarray,
                  total: MetricBlock | None = None):
@@ -175,66 +184,58 @@ class WarpedBlock:
         """Values of the declared fiber metric at the fiber coordinates."""
         return self.geom.fiber.value(self.points[:, self.geom.n1:])
 
+    @cached_property
+    def scalars(self) -> LeafScalars:
+        return leaf_scalars(self)
+
     def __getitem__(self, b: int) -> "WarpedPoint":
-        return WarpedPoint(self.geom, self.points[b], self.total[b], self, b)
+        return WarpedPoint(self.geom, self.points[b], self, b)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.points)))
 
 
 class WarpedPoint:
-    """A warped split at one point: the total metric's record, the leaf
-    factor's record, the warping function's jet and the leaf scalars, each
-    built on first use (from this point's slice of its block's, a block of
-    one point when none is given)."""
+    """A warped split at one point of a block (a block of one point when
+    none is given): the total metric's record, and the point whose slices of
+    its block's values each warped check gives when passed the point."""
 
-    def __init__(self, geom: WarpedMetric, x: Point,
-                 total: MetricPoint | None = None, block: WarpedBlock | None = None,
+    def __init__(self, geom: WarpedMetric, x: Point, block: WarpedBlock | None = None,
                  index: int = 0):
         self.geom = geom
-        self.x = as_point(x)
-        self._block = block if block is not None else WarpedBlock(self.geom, self.x[None])
+        self._block = block if block is not None else WarpedBlock(geom, as_point(x)[None])
         self._index = index
-        self.total = total or self._block.total[index]
-
-    @cached_property
-    def leaf(self) -> MetricPoint:
-        return self._block.leaf[self._index]
-
-    @cached_property
-    def f(self) -> Jet3:
-        """Jet of the warping function at the leaf coordinates."""
-        return self._block.f.at(self._index)
-
-    @cached_property
-    def lnf(self) -> Jet3:
-        """Jet of ln f at the leaf coordinates."""
-        return self._block.lnf.at(self._index)
-
-    @cached_property
-    def fiber(self) -> np.ndarray:
-        """The declared fiber metric at the fiber coordinates."""
-        if self.geom.fiber is None:
-            return np.eye(self.geom.n2)
-        return self._block.fiber[self._index].copy()
-
-    @cached_property
-    def scalars(self) -> LeafScalars:
-        return leaf_scalars(self)
+        self.total = self._block.total[index]
 
 
-def leaf_scalars(p: WarpedPoint) -> LeafScalars:
-    f_jet = p.f
-    if f_jet.value <= 0.0:
-        raise InvalidWarpingError(f"warping function {f_jet.value} <= 0 at {p.x}")
-    lnf_jet = p.lnf
-    leaf = p.leaf
+def _also_at_a_point(check):
+    """A check of a WarpedBlock, which also takes a WarpedPoint and gives its
+    point's values of its block's."""
+    @wraps(check)
+    def values(w):
+        if isinstance(w, WarpedBlock):
+            return check(w)
+        out, b = check(w._block), w._index
+        if isinstance(out, LeafScalars):
+            return LeafScalars(**{k: v[b] for k, v in vars(out).items()})
+        return {k: v[b] for k, v in out.items()}
+    return values
+
+
+@_also_at_a_point
+def leaf_scalars(w: WarpedBlock) -> LeafScalars:
+    """The leaf scalars at each point of the block; a point where f <= 0
+    raises, the block's first."""
+    f, shape = w.f, (len(w.points), w.geom.n1)
+    f_value = np.broadcast_to(f.value, shape[:1])
+    _positive(f_value, w.points)
+    lnf, leaf = w.lnf, w.leaf
     return LeafScalars(
-        f_value=f_jet.value,
-        lap_f=leaf.laplacian(f_jet),
-        grad_f=leaf.ginv @ f_jet.d1,
-        grad_lnf_sq=float(lnf_jet.d1 @ leaf.ginv @ lnf_jet.d1),
-        lap_lnf=leaf.laplacian(lnf_jet),
+        f_value=f_value,
+        lap_f=leaf.laplacian(f),
+        grad_f=leaf.dual(np.broadcast_to(f.d1, shape)),
+        grad_lnf_sq=leaf.dual_norm_sq(np.broadcast_to(lnf.d1, shape)),
+        lap_lnf=leaf.laplacian(lnf),
     )
 
 
@@ -245,34 +246,34 @@ def mixed_sectional_sum(rf: np.ndarray, geom: WarpedMetric):
     return plane_sum(rf, product(range(geom.n1), range(geom.n1, geom.dim)))
 
 
-def warping_identity_residual(p: WarpedPoint) -> dict[str, float]:
-    """Both sides of the mixed-sectional identity and their difference."""
-    return warping_identity(p.total.curvature_in_frame, p.geom, p.scalars)
+@_also_at_a_point
+def warping_identity_residual(w: WarpedBlock) -> dict:
+    """Both sides of the mixed-sectional identity and their difference at
+    each point of the block."""
+    return warping_identity(w.total.curvature_in_frame, w.geom, w.scalars)
 
 
 def warping_identity(rf: np.ndarray, geom: WarpedMetric, sc: LeafScalars) -> dict:
     """Both sides of the mixed-sectional identity and their difference, from
     the curvature in an adapted frame (leaf columns first) and the leaf
-    scalars, at one point or as arrays over a block's points."""
+    scalars, as arrays over a block's points."""
     lhs = mixed_sectional_sum(rf, geom)
     rhs = geom.n2 * sc.lap_f / sc.f_value
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 
-def block_second_form_residuals(p: WarpedPoint) -> dict[str, float]:
-    """Intrinsic second fundamental forms of the blocks inside the product.
+@_also_at_a_point
+def block_second_form_residuals(w: WarpedBlock) -> dict:
+    """Intrinsic second fundamental forms of the blocks inside the product,
+    at each point of the block.
 
     Leaves must be totally geodesic: the fiber components Gamma[A,a,b] of the
     assembled connection vanish.  Fibers must be totally umbilical with shape
     term -(g(Z,W)/f) grad f: Gamma[a,A,B] equals -(g_AB/f) (grad_leaf f)^a.
     """
-    n1 = p.geom.n1
-    n = n1 + p.geom.n2
-    gam = p.total.gamma
-    g = p.total.derivs[0]
-    sc = p.scalars
-
-    leaf_geodesic = float(np.max(np.abs(gam[n1:n, :n1, :n1])))
-    expected = -np.einsum("AB,a->aAB", g[n1:, n1:], sc.grad_f) / sc.f_value
-    fiber_umbilic = float(np.max(np.abs(gam[:n1, n1:, n1:] - expected)))
-    return {"leaf_geodesic": leaf_geodesic, "fiber_umbilical_shape": fiber_umbilic}
+    n1 = w.geom.n1
+    gam, g, sc = w.total.gamma, w.total.derivs[0], w.scalars
+    expected = (-np.einsum("...AB,...a->...aAB", g[:, n1:, n1:], sc.grad_f)
+                / sc.f_value[:, None, None, None])
+    return {"leaf_geodesic": np.abs(gam[:, n1:, :n1, :n1]).max(axis=(1, 2, 3)),
+            "fiber_umbilical_shape": np.abs(gam[:, :n1, n1:, n1:] - expected).max(axis=(1, 2, 3))}

@@ -2,9 +2,10 @@
 point gives it: every MetricBlock field, bit for bit and with the same
 memory layout (a per-point einsum downstream sums in an order that depends
 on the strides of its operands).  Also: a block raises the error of its
-first failing point, as the point-by-point walk does, and a point's
+first failing point, as the point-by-point walk does; a point's
 frame-contracted curvature, which several checks read, is the bits a fresh
-contraction gives and stays so after they read it."""
+contraction gives and stays so after they read it; and a warped metric's
+block gives each point the values, and the warnings, of a block of one."""
 
 import warnings
 from functools import partial
@@ -14,16 +15,18 @@ import numpy as np
 import pytest
 
 from warpcheck import cli
-from warpcheck.config import load_config
-from warpcheck.errors import ConfigurationError, DegenerateMetricError
+from warpcheck.config import load_config, load_config_text
+from warpcheck.errors import ConfigurationError, DegenerateMetricError, WarpcheckError
 from warpcheck.gallery import builtin_names, load_builtin, sample_points
 from warpcheck.ineq import main_inequality
-from warpcheck.riemann import MetricBlock, MetricField, MetricPoint, frame_curvature
+from warpcheck.report import fold
+from warpcheck.riemann import MetricBlock, MetricField, MetricPoint, fold_blocks, frame_curvature
 from warpcheck.structures import AlmostComplexStructure, AlmostContactStructure
 from warpcheck.jets import BLOCK_POINTS
 from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals, fold_sff,
                               gauss_residual_tensor, shape_operator, warped_block_defect)
-from warpcheck.warped import WarpedBlock, WarpedMetric, mixed_sectional_sum
+from warpcheck.warped import (WarpedBlock, WarpedMetric, block_second_form_residuals,
+                              leaf_scalars, mixed_sectional_sum, warping_identity_residual)
 
 FIELDS = ("ginv", "lowered", "gamma", "curvature")
 
@@ -244,6 +247,156 @@ def test_a_non_parallel_structure_inside_a_block_raises_as_the_walk_does(tmp_pat
     assert str(err.value) == message
     code, _, text = cli.run(cli.RunConfig(target=str(cfg), checks=("inequalities",), points=33))
     assert code == 2 and text == f"configuration error: {message}"
+
+
+# warped metrics from config text, with a 2-dimensional leaf (the Laplacian's
+# n = 2 trace) and a 3-dimensional one under a 2-dimensional fiber (a frame
+# of five columns, contracted a point at a time)
+WARPED_TEXTS = {"leaf-2": """
+[metric leaf]
+dim = 2
+row_1 = "1 + 0.2*x2^2", "0.1*x1*x2"
+row_2 = "0.1*x1*x2", "exp(0.4*x1)"
+domain_lo = -1, -1
+domain_hi = 1, 1
+[metric fiber]
+dim = 1
+row_1 = "1"
+domain_lo = 0
+domain_hi = 1
+[warped w]
+leaf = leaf
+fiber = fiber
+f = "exp(0.3*x1 + 0.1*x2^2)"
+[subject]
+kind = warped
+target = w
+""", "leaf-3": """
+[metric leaf]
+dim = 3
+row_1 = "1 + 0.1*x2^2", "0", "0.05*x3"
+row_2 = "0", "1 + 0.2*x1^2", "0"
+row_3 = "0.05*x3", "0", "exp(0.2*x2)"
+domain_lo = -1, -1, -1
+domain_hi = 1, 1, 1
+[metric fiber]
+dim = 2
+row_1 = "1", "0"
+row_2 = "0", "1 + x1^2"
+domain_lo = 0, 0
+domain_hi = 1, 1
+[warped w]
+leaf = leaf
+fiber = fiber
+f = "2 + sin(x1)*cos(x2) + 0.3*x3"
+[subject]
+kind = warped
+target = w
+"""}
+
+
+def warped_subject(name: str) -> WarpedMetric:
+    return (load_config_text(WARPED_TEXTS[name]) if name in WARPED_TEXTS
+            else load_builtin(name)).subject
+
+
+def warped_steps(w: WarpedBlock) -> dict:
+    """Every array the warped walk reads or folds for the block, by name."""
+    out = {f"scalars {k}": v for k, v in vars(leaf_scalars(w)).items()}
+    out.update({f"block form {k}": v for k, v in block_second_form_residuals(w).items()})
+    out.update({f"identity {k}": v for k, v in warping_identity_residual(w).items()})
+    out["in frame"] = w.total.curvature_in_frame
+    out.update(cli._warped_step(w))
+    return out
+
+
+@pytest.mark.parametrize("seed", [42, 5])
+@pytest.mark.parametrize("n", [1, 33, 70])
+@pytest.mark.parametrize("name", ["e2", "s2-warped", "leaf-2", "leaf-3"])
+def test_warped_values_equal_blocks_of_one(name, n, seed):
+    # the leaf scalars, the block-form residuals, the curvature in the frame
+    # and the identity at each point of a walk's blocks, against a block of
+    # that point alone, and each point's view of its block's
+    w = warped_subject(name)
+    points = np.array(sample_points(w, n, seed))
+    for start in range(0, len(points), BLOCK_POINTS):
+        block = WarpedBlock(w, points[start:start + BLOCK_POINTS])
+        values = warped_steps(block)
+        alone = [warped_steps(WarpedBlock(w, block.points[b:b + 1]))
+                 for b in range(len(block.points))]
+        for key, got in values.items():
+            what = f"{name} {n} {seed} block {start} {key}"
+            assert_same_int64(got, np.concatenate([a[key] for a in alone]), what)
+        for b, p in enumerate(block):
+            at = {**{f"scalars {k}": v for k, v in vars(leaf_scalars(p)).items()},
+                  **{f"identity {k}": v for k, v in warping_identity_residual(p).items()},
+                  "in frame": p.total.curvature_in_frame}
+            for key, got in at.items():
+                assert_same_int64(got, values[key][b], f"{name} {n} {seed} point {b} {key}")
+
+
+# at x1 = 0, n2 lap(f) / f overflows (f = 1e-12, lap(f) = -1e297, n2 = 2),
+# and so do the curvature's derivative terms; where also the fiber metric's
+# first entry is below 1, the frame's first fiber seed is dependent (its
+# norm f * sqrt(x1) falls below the pivot threshold), so the point raises
+BRINK = load_config_text("""
+[metric line]
+dim = 1
+row_1 = "1"
+domain_lo = -1
+domain_hi = 1
+[metric plane]
+dim = 2
+row_1 = "x1", "0"
+row_2 = "0", "1"
+domain_lo = 0.5, 0
+domain_hi = 2, 1
+[warped w]
+leaf = line
+fiber = plane
+f = "1e-12 + 5e296*x1^2"
+[subject]
+kind = warped
+target = w
+""").subject
+QUIET_W, LOUD_W, LOUD_TOO_W = [1e-150, 1.0, 0.5], [0.0, 1.0, 0.5], [0.0, 1.5, 0.25]
+RAISING_W = [0.0, 0.25, 0.5]
+
+
+def warped_walk(points):
+    """The warped walk's folded values, or its error, and its warnings."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            out = fold_blocks(np.array(points), partial(WarpedBlock, BRINK), cli._warped_step)
+        except WarpcheckError as err:
+            out = str(err)
+    return out, [str(m.message) for m in seen]
+
+
+def test_a_warped_point_warns_as_it_does_alone():
+    quiet, none = warped_walk([QUIET_W])
+    assert none == [] and np.isfinite(list(quiet.values())).all()
+    loud, seen = warped_walk([LOUD_W])
+    assert "overflow encountered in divide" in seen
+    loud_too, seen_too = warped_walk([LOUD_TOO_W])
+    for points, alone, want_seen in (([QUIET_W, LOUD_W], [quiet, loud], seen),
+                                     ([LOUD_W, QUIET_W], [loud, quiet], seen),
+                                     ([LOUD_W, LOUD_TOO_W], [loud, loud_too], seen + seen_too)):
+        worst, block_seen = warped_walk(points)
+        assert block_seen == want_seen, points
+        want = fold(alone)
+        assert worst.keys() == want.keys(), points
+        assert_same_int64(list(worst.values()), list(want.values()), str(points))
+
+
+def test_no_warning_comes_from_a_warped_point_after_one_that_raises():
+    # a raising point's own events are dropped with its values
+    message, seen = warped_walk([RAISING_W])
+    assert "dependent on earlier seeds" in message and seen == []
+    assert warped_walk([RAISING_W, LOUD_W]) == (message, [])
+    assert warped_walk([QUIET_W, RAISING_W, LOUD_W]) == (message, [])
+    assert warped_walk([LOUD_W, RAISING_W]) == (message, warped_walk([LOUD_W])[1])
 
 
 def assert_same_bits(a, b, what: str):

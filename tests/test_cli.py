@@ -311,6 +311,19 @@ def _builtin_with(tmp_path, config: str, old: str, new: str) -> str:
     return str(p)
 
 
+def test_a_warping_function_first_nonpositive_in_the_second_block_exits_2(tmp_path, capsys):
+    # f <= 0 only near sample point 40 of 64 (the second block of 32); the
+    # message is the bytes that the point-by-point test gave, a Python float
+    # and the chart point
+    cfg = _builtin_with(tmp_path, "s2_warped.cfg", 'f = "sin(x1)"',
+                        'f = "(x1 - 2.4211)^2 - 0.0001"')
+    assert main(["--target", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("configuration error: warping function -9.999999983113038e-05"
+                                 " <= 0 at [2.42110041 4.18049055]\n")
+    assert main(["--target", cfg, "--points", "40"]) == 0
+
+
 @pytest.mark.parametrize("kind", ["metric", "warped", "structure", "ambient"])
 def test_a_non_finite_chart_metric_exits_2_naming_its_first_point(tmp_path, capsys, kind):
     # 1e200*1e200 is inf, which a Cholesky factorization lets through; the
@@ -606,18 +619,19 @@ def test_a_non_finite_structure_tensor_exits_2_naming_its_first_point(tmp_path, 
 @pytest.mark.parametrize("target, per_point", [("e5", 2), ("e6", 2), ("e2", 1)])
 def test_one_frame_contraction_per_curvature_and_point(target, per_point, monkeypatch):
     # the induced (or total) curvature once, which every check reads, and on
-    # an immersion the ambient curvature once
+    # an immersion the ambient curvature once: one call a curvature for the
+    # block of 4 points, which contracts each of its points once
     calls = []
     contract = riemann.frame_curvature
 
     def counted(r4, columns):
-        calls.append(1)
+        calls.append(len(columns) if columns.ndim == 3 else 1)
         return contract(r4, columns)
 
     monkeypatch.setattr(riemann, "frame_curvature", counted)
     monkeypatch.setattr(subman, "frame_curvature", counted)
     code, _, _ = run(RunConfig(target=target, checks=("all",), points=4))
-    assert code == 0 and len(calls) == 4 * per_point
+    assert code == 0 and calls == [4] * per_point
 
 
 def test_failing_check_exits_1(tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""Per-point checks take their point's record (StructureTensors or
-WarpedPoint), immersion checks their block, and nothing that the record
-already holds, and a structure law no vectors; every function and class the package defines is read by it or
-exported, and every parameter by its function; only the command-line module
-makes report records, in one loop over one table."""
+"""Per-point checks take their point's record (StructureTensors), immersion
+and warped checks their block (a WarpedPoint is a view of its block's
+values, with no formulas of its own), and nothing that the record already
+holds, and a structure law no vectors; every function and class the package
+defines is read by it or exported, and every parameter by its function; only
+the command-line module makes report records, in one loop over one table."""
 
 import ast
 import inspect
@@ -87,10 +88,11 @@ def _call_sites(called: str) -> set:
 
 
 def test_curvature_is_contracted_into_a_frame_only_by_the_point_records():
-    # a metric point's contraction and an immersion block's two, each point's
-    # once, are cached fields that every check reads; a check contracting
-    # again would repeat one at every point
-    assert _call_sites("frame_curvature") == {("riemann", "MetricPoint.curvature_in_frame"),
+    # a metric block's contraction and an immersion block's two, each over
+    # the whole block once, are cached fields that every check reads (a
+    # point's is its slice of its block's); a check contracting again would
+    # repeat one at every point
+    assert _call_sites("frame_curvature") == {("riemann", "MetricBlock.curvature_in_frame"),
                                               ("subman", "ImmersionBlock.frame_curvatures")}
 
 
@@ -127,6 +129,26 @@ def test_a_metric_point_builds_no_frame_of_its_own():
     assert not called & {"gram_schmidt", "gram_schmidt_step"}
 
 
+def test_a_warped_point_has_no_formulas_of_its_own():
+    # a warped point's values are its slices of its block's: it contracts,
+    # multiplies matrices and takes Laplacians nowhere
+    tree = ast.parse(Path(warped.__file__).read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "WarpedPoint")
+    called = {name for _, name in _calls(cls)}
+    assert not called & {"einsum", "laplacian", "matmul", "dot", "frame_curvature"}
+    assert not [node for node in ast.walk(cls) if isinstance(node, ast.BinOp | ast.AugAssign)
+                and isinstance(node.op, ast.MatMult)]
+    # and every warped check reads the block, so no package function takes a point
+    for mod, tree in _package_trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                assert not [a.arg for a in args
+                            if "WarpedPoint" in ast.unparse(a.annotation or ast.Constant(""))], \
+                    (mod, fn.name)
+
+
 def test_a_point_form_is_sliced_from_its_block():
     # the form is built for the whole block; a point's is its views of the block's
     tree = ast.parse(Path(subman.__file__).read_text())
@@ -136,7 +158,7 @@ def test_a_point_form_is_sliced_from_its_block():
 
 
 # helpers that tests call to cross-check the library, and nothing in it does
-TEST_FACING = {"eval_value", "Jet3.partial", "MetricField.from_strings",
+TEST_FACING = {"eval_value", "Jet3.partial", "MetricField.from_strings", "MetricPoint.frame",
                "model_symmetry_residual", "WarpedMetric.is_trivial"}
 
 

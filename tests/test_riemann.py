@@ -9,7 +9,7 @@ import pytest
 from warpcheck.errors import (DegenerateMetricError, DegeneratePlaneError,
                               DependentSeedsError, JetDomainError)
 from warpcheck.expr import eval_expr, parse
-from warpcheck.jets import fd_partial
+from warpcheck.jets import Jet3, fd_partial
 from warpcheck.gallery import load_builtin
 from warpcheck import subman
 from warpcheck.riemann import (MetricBlock, MetricField, MetricPoint, christoffel,
@@ -187,17 +187,18 @@ def test_frame_curvature_of_a_zero_tensor_matches_the_einsum():
                                               r4, cols, cols, cols, cols))
 
 
-def _assert_einsum_bits(r4, c):
-    """frame_curvature(r4, c) has the einsum's raw bits (NaN positions and
-    signs for NaNs), and the strides of its axes longer than 1.  The zero
-    tensor's shortcut returns C-ordered zeros, which read the same in any
-    layout, so its strides are not compared."""
-    got, ref = frame_curvature(r4, c), np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, c, c, c, c)
+def _assert_einsum_bits(r4, c, got=None, layout=True):
+    """frame_curvature(r4, c), or got, has the einsum's raw bits (NaN
+    positions and signs for NaNs), and, with ``layout``, the strides of its
+    axes longer than 1.  The zero tensor's shortcut returns C-ordered zeros,
+    which read the same in any layout, so its strides are not compared."""
+    got = frame_curvature(r4, c) if got is None else got
+    ref = np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, c, c, c, c)
     nan = np.isnan(ref)
     assert (np.isnan(got) == nan).all()
     assert got[~nan].tobytes() == ref[~nan].tobytes()
     assert (np.signbit(got) == np.signbit(ref)).all()
-    if r4.any() or not np.isfinite(c).all():
+    if layout and (r4.any() or not np.isfinite(c).all()):
         assert ([s for s, m in zip(got.strides, got.shape) if m > 1]
                 == [s for s, m in zip(ref.strides, ref.shape) if m > 1])
 
@@ -242,22 +243,38 @@ def test_frame_curvature_has_the_einsum_bits_on_random_inputs():
 
 
 def test_frame_curvature_has_the_einsum_bits_on_every_builtins_inputs(monkeypatch):
+    # the stacked calls, each point's slice against its point's einsum, and
+    # the per-point contractions inside them, layout included; the slices of
+    # a stack of frames of three or more columns are C-ordered copies
     from warpcheck import cli, riemann, subman
     from warpcheck.gallery import builtin_names
-    contract, seen = riemann.frame_curvature, []
+    stacks, points_seen = [], []
 
-    def captured(r4, columns):
-        seen.append((r4, columns))
-        return contract(r4, columns)
+    def capture(into, contract):
+        def captured(r4, columns):
+            got = contract(r4, columns)
+            into.append((r4, columns, got))
+            return got
+        return captured
 
-    monkeypatch.setattr(riemann, "frame_curvature", captured)
-    monkeypatch.setattr(subman, "frame_curvature", captured)
+    monkeypatch.setattr(riemann, "_contraction", capture(points_seen, riemann._contraction))
+    stacked = capture(stacks, riemann.frame_curvature)
+    monkeypatch.setattr(riemann, "frame_curvature", stacked)
+    monkeypatch.setattr(subman, "frame_curvature", stacked)
     for name in builtin_names():
         for points in (1, 33):
             assert cli.run(cli.RunConfig(target=name, points=points))[0] == 0
-    assert {(c.shape, bool(r4.any())) for r4, c in seen} >= {((4, 4), True), ((5, 4), True)}
-    for r4, c in seen:
-        _assert_einsum_bits(r4, c)
+    monkeypatch.undo()
+    seen = [(r4, c, got) for r4, c, got in points_seen if c.ndim == 2]
+    assert {(c.shape, bool(r4.any())) for r4, c, _ in seen} >= {((4, 4), True), ((5, 4), True)}
+    for r4, c, got in seen:
+        _assert_einsum_bits(r4, c, got)
+    assert all(c.ndim == 3 for _, c, _ in stacks)
+    assert {(len(c), c.shape[1:], bool(r4.any())) for r4, c, _ in stacks} >= {
+        (32, (2, 2), True), (1, (2, 2), True), (32, (3, 2), False), (32, (5, 4), True)}
+    for r4, c, got in stacks:
+        for b in range(len(c)):
+            _assert_einsum_bits(r4[b], c[b], got[b], layout=c.shape[2] <= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +315,76 @@ def test_laplacian_sign_convention_flat():
     # geometer's sign: lap(x1^2) = -2 on the flat line
     got = laplacian(flat(1), parse("x1^2", dim=1), np.array([0.8]))
     assert got == -2.0
+
+
+def _block_with_specials(rng, b: int, n: int, kind: int) -> MetricBlock:
+    """A metric block over b points of a random positive definite metric,
+    diagonal at kind 1 (signed zeros in the inverse), whose first partials
+    carry signed zeros (kind 1) or inf and NaN entries (kind 2)."""
+    a = rng.standard_normal((b, n, n))
+    g = np.eye(n) + 0.2 * (a @ np.swapaxes(a, 1, 2)) if kind != 1 else np.eye(n) * np.exp(a)
+    dg = rng.standard_normal((b, n, n, n))
+    dg = dg + np.swapaxes(dg, -1, -2)
+    if kind == 1:
+        dg = np.where(rng.random(dg.shape) < 0.4, np.copysign(0.0, dg), dg)
+    elif kind == 2:
+        dg.flat[rng.integers(0, dg.size, 2)] = rng.choice([np.inf, -np.inf, np.nan], 2)
+    return MetricBlock(None, np.zeros((b, n)), lambda: (g, dg, np.zeros((b, n, n, n, n))))
+
+
+def _field_partials(rng, b: int, n: int, kind: int, constant: bool):
+    """First and second partials of a field over b points, C-ordered as a
+    block's jets hand them over, or broadcast from one point's as a constant
+    field's; with signed zeros (kind 1), or inf and NaN entries (kind 2)."""
+    lead = () if constant else (b,)
+    d1, d2 = rng.standard_normal(lead + (n,)), rng.standard_normal(lead + (n, n))
+    if kind == 1:
+        d1, d2 = (np.where(rng.random(d.shape) < 0.5, np.copysign(0.0, d), d) for d in (d1, d2))
+    elif kind == 2:
+        for d in (d1, d2):
+            d.flat[rng.integers(0, d.size)] = rng.choice([np.inf, -np.inf, np.nan])
+    return np.broadcast_to(d1, (b, n)), np.broadcast_to(d2, (b, n, n))
+
+
+def _as_int64(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_block_laplacian_and_dual_terms_have_each_points_bits():
+    # against each point's own einsums and matmuls, as int64 views: random
+    # draws at n = 1..7 with signed zeros, inf and NaN, over blocks of 1, 3
+    # and 32 points, and a point of a block (a block of one, sliced)
+    rng = np.random.default_rng(2024)
+    with np.errstate(all="ignore"):
+        for n in range(1, 8):
+            for kind in range(3):
+                for b in (1, 3, 32):
+                    block = _block_with_specials(rng, b, n, kind)
+                    ginv, gamma = block.ginv, block.gamma
+                    for constant in (False, True):
+                        d1, d2 = _field_partials(rng, b, n, kind, constant)
+                        psi = Jet3(n, np.ones(b), d1, d2)
+                        lap = [np.einsum("ij,kij,k->", ginv[k], gamma[k], d1[k])
+                               - np.einsum("ij,ij->", ginv[k], d2[k]) for k in range(b)]
+                        what = (n, kind, b, constant)
+                        assert (_as_int64(block.laplacian(psi)) == _as_int64(lap)).all(), what
+                        at = [block[k].laplacian(Jet3(n, 1.0, d1[k], d2[k])) for k in range(b)]
+                        assert (_as_int64(at) == _as_int64(lap)).all(), what
+                        dual = [ginv[k] @ d1[k] for k in range(b)]
+                        assert (_as_int64(block.dual(d1)) == _as_int64(dual)).all(), what
+                        sq = [d1[k] @ ginv[k] @ d1[k] for k in range(b)]
+                        assert (_as_int64(block.dual_norm_sq(d1)) == _as_int64(sq)).all(), what
+
+
+def test_the_batched_trace_sums_in_another_order_at_n_2():
+    # why the block spells out the point's einsum at n = 2: the batched
+    # three-operand einsum differs from it in the last bits there
+    rng = np.random.default_rng(7)
+    block = _block_with_specials(rng, 32, 2, 0)
+    d1, _ = _field_partials(rng, 32, 2, 0, False)
+    point = [np.einsum("ij,kij,k->", block.ginv[k], block.gamma[k], d1[k]) for k in range(32)]
+    batched = np.einsum("...ij,...kij,...k->...", block.ginv, block.gamma, d1)
+    assert (_as_int64(batched) != _as_int64(point)).any()
 
 
 def test_log_radius_harmonic_in_plane():
