@@ -253,7 +253,7 @@ def _metric_values(g: MetricField, rc: RunConfig) -> tuple[dict, int]:
         symmetries = Curvature4(MetricBlock(g, block).curvature).max_symmetry_residual()
         return ({"curvature-symmetries": r} for r in symmetries.tolist())
 
-    return fold(per_block(points, walk)), len(points)
+    return fold(per_block(points, walk, g.dim)), len(points)
 
 
 def _laws(klass: str | None) -> dict:
@@ -306,7 +306,7 @@ def _warped_step(w: WarpedBlock) -> dict:
 def _warped_values(w: WarpedMetric, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(w, rc.points, rc.seed)
     w.validate_at(points)
-    return fold_blocks(points, lambda x: WarpedBlock(w, x), _warped_step), len(points)
+    return fold_blocks(points, w.dim, lambda x: WarpedBlock(w, x), _warped_step), len(points)
 
 
 def _identity_values(block: ImmersionBlock) -> dict:
@@ -366,7 +366,7 @@ def _immersion_values(im: Immersion, groups, rc: RunConfig) -> tuple[dict, int]:
         worst = fold_sff(im, points, *steps)
     elif structure:
         worst = fold(per_block(points, lambda block: map(
-            structure, ImmersionBlock(im, block).tensors)))
+            structure, ImmersionBlock(im, block).tensors), im.ambient_dim))
     if "inequalities" in groups:
         # the suite's skip record, or the seed's variant gap
         if im.warped is None:

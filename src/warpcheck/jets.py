@@ -24,12 +24,17 @@ propagation, Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).  A
 block gives each point exactly the bits a single-point evaluation gives it:
 array operations are elementwise and keep the single-point order of
 operations, while the unary coefficients f0..f3 (of ``/``, ``exp``, ``ln``,
-``sqrt``, ``sin``, ``cos`` and constant powers) and every branch on a value
-(domain checks, the constant-exponent test of ``**``) are evaluated point by
-point with ``math`` on Python floats, because ``np.exp``, ``np.log`` and
-``np.power`` round differently from ``math`` in the last bit.  Callers walk
-their sample points in blocks of ``BLOCK_POINTS`` (:func:`per_block`), which
-bounds the memory a block's jets and packed derivative arrays hold.
+``sqrt``, ``sin``, ``cos`` and constant powers), each only through its
+operand's order, and every branch on a value (domain checks, the
+constant-exponent test of ``**``) are evaluated point by point with
+``math`` on Python floats, because ``np.exp``, ``np.log`` and ``np.power``
+round differently from ``math`` in the last bit.  Callers walk
+their sample points in blocks (:func:`per_block`) of :func:`block_points` of
+the chart dimension n that bounds the block's arrays: at least
+``BLOCK_POINTS``, and as many as keep a block's largest n**4 array (a
+metric's second derivatives, its curvature) within ``BLOCK_ENTRIES``
+entries, so a low-dimensional chart pays a block's fixed cost once per
+sample while a 6-dimensional one keeps its 32-point blocks.
 """
 
 from __future__ import annotations
@@ -46,8 +51,11 @@ from .errors import JetDomainError, WarpcheckError
 # would overflow derivative slots, so they are domain errors, not inputs.
 _TINY = 2.2250738585072014e-308
 
-# Sample points evaluated together; bounds the memory of a block's jets.
+# A block holds at least BLOCK_POINTS sample points, and more while its
+# largest n**4 array (n the chart dimension) stays within BLOCK_ENTRIES
+# entries, those of a 32-point block of a 6-dimensional chart.
 BLOCK_POINTS = 32
+BLOCK_ENTRIES = 32 * 6**4
 
 # A chart point is just a float vector; no wrapper class.
 Point = np.ndarray
@@ -183,7 +191,7 @@ class Jet3:
 
     def __truediv__(self, other) -> "Jet3":
         o = self._coerce(other)
-        return self * _lift(o, *_coefficients("/", _recip, o.value))
+        return self * _lift(o, *_coefficients("/", _recip, o.order, o.value))
 
     def __rtruediv__(self, other) -> "Jet3":
         return self._coerce(other) / self
@@ -195,8 +203,11 @@ class Jet3:
         if np.all(const):
             return _pow_const(self, other.value)
         if not np.any(const):
-            # general exponent: f^g = exp(g ln f), needs f > 0
-            _coefficients("pow", _positive, self.value)
+            # general exponent: f^g = exp(g ln f), needs f > 0; the first
+            # point in order where f <= 0 raises
+            bad = np.asarray(self.value) <= 0.0
+            if bad.any():
+                raise JetDomainError("pow", np.ravel(self.value)[np.argmax(bad)])
             return exp(other * ln(self))
         # the exponent is constant at some points of the block only: each
         # point takes its own branch, and the parts are put back in order
@@ -295,15 +306,24 @@ def pack(items: Iterable[tuple[Iterable[tuple[int, ...]], Jet3]], batch: tuple[i
 # ---------------------------------------------------------------------------
 
 
-def per_block(points, fn: Callable[[np.ndarray], Iterable]) -> Iterator:
+def block_points(dim: int) -> int:
+    """Points a block holds on a chart whose arrays grow as dim**4 a point:
+    1 -> 41,472, 2 -> 2,592, 3 -> 512, 4 -> 162, 5 -> 66, 6 and up -> 32."""
+    return max(BLOCK_POINTS, BLOCK_ENTRIES // dim**4)
+
+
+def per_block(points, fn: Callable[[np.ndarray], Iterable], dim: int) -> Iterator:
     """The per-point results of ``fn(block)`` over consecutive blocks of at
-    most BLOCK_POINTS points, each a (B, dim) array, in point order.
+    most ``block_points(dim)`` points, each a (B, chart dim) array, in point
+    order; ``dim`` is the dimension that bounds the block's arrays (an
+    immersion's ambient one, say).
 
     When a block raises a WarpcheckError its points run again one at a time,
     so the first failing point raises exactly what it raises on its own.
     """
-    for start in range(0, len(points), BLOCK_POINTS):
-        block = np.array(points[start:start + BLOCK_POINTS], dtype=float)
+    size = block_points(dim)
+    for start in range(0, len(points), size):
+        block = np.array(points[start:start + size], dtype=float)
         try:
             results = list(fn(block))
         except WarpcheckError:
@@ -318,88 +338,108 @@ def per_block(points, fn: Callable[[np.ndarray], Iterable]) -> Iterator:
 # ---------------------------------------------------------------------------
 
 
-def _lift(u: Jet3, f0, f1, f2, f3) -> Jet3:
-    """Compose a scalar function (given by derivatives at u.value) with jet u,
-    to u's order."""
+def _lift(u: Jet3, *f) -> Jet3:
+    """Compose a scalar function, given by its derivatives f0..f_k at u.value
+    through u's order k, with jet u."""
     u1, u2, u3 = u.derivs
-    a1, a2, a3 = _leads(f1)
-    d = [f0]
+    d = [f[0]]
     if u1 is not None:
+        a1, a2, a3 = _leads(f[1])
         d.append(a1 * u1)
     if u2 is not None:
-        _, b2, b3 = _leads(f2)
+        _, b2, b3 = _leads(f[2])
         uu = _outer(u1, u1)
         d.append(b2 * uu + a2 * u2)
     if u3 is not None:
-        c3 = _leads(f3)[2]
+        c3 = _leads(f[3])[2]
         d.append(c3 * (uu[..., None] * u1[..., None, None, :])
                  + b3 * _sym_outer(u2, u1) + a3 * u3)
     return Jet3(u.dim, *d)
 
 
-def _coefficients(op: str, fn, *values):
-    """``fn`` at each point's values, in point order, on Python floats.
+def _coefficients(op: str, fn, order: int, *values):
+    """``fn(order, ...)`` at each point's values, in point order, on Python
+    floats: the coefficients f0..f_order, and none above, so a coefficient
+    past a jet's order cannot fail it.
 
-    One point gives fn's floats; a block gives one array per result.  An
-    over- or underflow (a Python ArithmeticError) or a math domain error in
-    fn is a JetDomainError naming the point's first value.
+    One point gives fn's floats; a block gives one array per coefficient.
+    An over- or underflow (a Python ArithmeticError) or a math domain error
+    in fn is a JetDomainError naming the point's first value.
     """
     batch = np.broadcast_shapes(*map(np.shape, values))
     if not batch:
-        return _at_point(op, fn, [float(v) for v in values])
+        return _at_point(op, fn, order, [float(v) for v in values])
     columns = [np.broadcast_to(v, batch).ravel().tolist() for v in values]
-    rows = [_at_point(op, fn, args) for args in zip(*columns)]
+    rows = [_at_point(op, fn, order, args) for args in zip(*columns)]
     return tuple(np.array(c).reshape(batch) for c in zip(*rows))
 
 
-def _at_point(op: str, fn, args):
+def _at_point(op: str, fn, order: int, args):
     try:
-        return fn(*args)
+        return fn(order, *args)
     except (ArithmeticError, ValueError):
         raise JetDomainError(op, args[0]) from None
 
 
-def _recip(u: float):
+# Each coefficient function gives f0..f_order, the derivatives of its
+# function at one value, and raises for a value outside its domain.
+
+
+def _recip(order: int, u: float):
     if abs(u) < _TINY:
         raise JetDomainError("/", u)
-    return 1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4
+    f = 1.0 / u,
+    if order > 0:
+        f += -1.0 / u**2,
+    if order > 1:
+        f += 2.0 / u**3,
+    if order > 2:
+        f += -6.0 / u**4,
+    return f
 
 
-def _positive(v: float):
-    if v <= 0.0:
-        raise JetDomainError("pow", v)
-    return ()
-
-
-def _sin(v: float):
+def _sin(order: int, v: float):
     s, c = math.sin(v), math.cos(v)
-    return s, c, -s, -c
+    return (s, c, -s, -c)[:order + 1]
 
 
-def _cos(v: float):
+def _cos(order: int, v: float):
     s, c = math.sin(v), math.cos(v)
-    return c, -s, -c, s
+    return (c, -s, -c, s)[:order + 1]
 
 
-def _exp(v: float):
-    e = math.exp(v)
-    return e, e, e, e
+def _exp(order: int, v: float):
+    return (math.exp(v),) * (order + 1)
 
 
-def _ln(v: float):
+def _ln(order: int, v: float):
     if v < _TINY:
         raise JetDomainError("ln", v)
-    return math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3
+    f = math.log(v),
+    if order > 0:
+        f += 1.0 / v,
+    if order > 1:
+        f += -1.0 / v**2,
+    if order > 2:
+        f += 2.0 / v**3,
+    return f
 
 
-def _sqrt(v: float):
+def _sqrt(order: int, v: float):
     if v < _TINY:
         raise JetDomainError("sqrt", v)
     s = math.sqrt(v)
-    return s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v)
+    f = s,
+    if order > 0:
+        f += 0.5 / s,
+    if order > 1:
+        f += -0.25 / (s * v),
+    if order > 2:
+        f += 0.375 / (s * v * v),
+    return f
 
 
-def _pow(v: float, c: float):
+def _pow(order: int, v: float, c: float):
     """Coefficients of u**c for a constant real exponent.
 
     Integer exponents work for any base (including zero base with c >= 0);
@@ -413,7 +453,7 @@ def _pow(v: float, c: float):
 
     coef = (1.0, c, c * (c - 1.0), c * (c - 1.0) * (c - 2.0))
     f = []
-    for k, ck in enumerate(coef):
+    for k, ck in enumerate(coef[:order + 1]):
         if ck == 0.0:
             f.append(0.0)
             continue
@@ -425,28 +465,28 @@ def _pow(v: float, c: float):
 
 
 def sin(u: Jet3) -> Jet3:
-    return _lift(u, *_coefficients("sin", _sin, u.value))
+    return _lift(u, *_coefficients("sin", _sin, u.order, u.value))
 
 
 def cos(u: Jet3) -> Jet3:
-    return _lift(u, *_coefficients("cos", _cos, u.value))
+    return _lift(u, *_coefficients("cos", _cos, u.order, u.value))
 
 
 def exp(u: Jet3) -> Jet3:
-    return _lift(u, *_coefficients("exp", _exp, u.value))
+    return _lift(u, *_coefficients("exp", _exp, u.order, u.value))
 
 
 def ln(u: Jet3) -> Jet3:
-    return _lift(u, *_coefficients("ln", _ln, u.value))
+    return _lift(u, *_coefficients("ln", _ln, u.order, u.value))
 
 
 def sqrt(u: Jet3) -> Jet3:
-    return _lift(u, *_coefficients("sqrt", _sqrt, u.value))
+    return _lift(u, *_coefficients("sqrt", _sqrt, u.order, u.value))
 
 
 def _pow_const(u: Jet3, c) -> Jet3:
     """u**c for an exponent constant at each point (c may vary by point)."""
-    return _lift(u, *_coefficients("pow", _pow, u.value, c))
+    return _lift(u, *_coefficients("pow", _pow, u.order, u.value, c))
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ class MetricField:
             if k < len(block):
                 raise DegenerateMetricError(f"metric not symmetric at {block[k]}")
             return ()
-        list(per_block(points, check))
+        list(per_block(points, check, self.dim))
 
 
 def _checked(g: np.ndarray, x, finite: bool = False) -> np.ndarray:
@@ -562,13 +562,13 @@ def stacked(cache: dict, key: str, build, index: int | range) -> list:
     return built if whole else [a[index] for a in built]
 
 
-def fold_blocks(points: Sequence[Point], make, *steps) -> dict:
+def fold_blocks(points: Sequence[Point], dim: int, make, *steps) -> dict:
     """The steps' values, merged and folded over the points by
-    :func:`report.fold`, a block of points at a time in the one object
-    ``make(block)`` that each step reads, giving arrays whose values run over
-    its points in order.  A block is evaluated by :func:`stacked`, so after a
-    floating-point event each point is evaluated alone, in order, and warns
-    as it does alone."""
+    :func:`report.fold`, a block of points at a time (``jets.per_block`` of
+    ``dim``) in the one object ``make(block)`` that each step reads, giving
+    arrays whose values run over its points in order.  A block is evaluated
+    by :func:`stacked`, so after a floating-point event each point is
+    evaluated alone, in order, and warns as it does alone."""
     def walk(block):
         names = []
 
@@ -579,7 +579,7 @@ def fold_blocks(points: Sequence[Point], make, *steps) -> dict:
             names[:] = values  # every build gives the same keys, in order
             return list(values.values())
         yield dict(zip(names, stacked({}, "checks", build, range(len(block)))))
-    return fold(per_block(points, walk))
+    return fold(per_block(points, walk, dim))
 
 
 def metric_norms(g: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -201,7 +201,7 @@ class StructureTensors:
 def fold_tensors(s, points: Sequence[Point], step) -> dict:
     """step's per-point values folded over the points by :func:`report.fold`,
     each block of points read through one StructureBlock."""
-    return fold(per_block(points, lambda block: map(step, StructureBlock(s, block))))
+    return fold(per_block(points, lambda block: map(step, StructureBlock(s, block)), s.dim))
 
 
 CLASS_NAMES = ("sasakian", "kenmotsu", "cosymplectic", "nearly_cosymplectic")

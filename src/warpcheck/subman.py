@@ -373,12 +373,13 @@ def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
 
 def fold_sff(im: Immersion, points: Sequence[Point], *steps) -> dict:
     """The steps' values over the points, an ImmersionBlock at a time, by
-    :func:`riemann.fold_blocks`, after every point's frames are built and
+    :func:`riemann.fold_blocks` (its blocks sized by the ambient dimension,
+    which bounds their arrays), after every point's frames are built and
     verified."""
     def frames(block: ImmersionBlock) -> dict:
         block.frames
         return {}
-    return fold_blocks(points, lambda x: ImmersionBlock(im, x), frames, *steps)
+    return fold_blocks(points, im.ambient_dim, lambda x: ImmersionBlock(im, x), frames, *steps)
 
 
 # ---------------------------------------------------------------------------

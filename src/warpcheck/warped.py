@@ -84,7 +84,7 @@ class WarpedMetric:
             f = dsl.eval_matrix([[self.f]], block[:, : self.n1], self.params, order=0)[0]
             _positive(f[:, 0, 0], block)
             return ()
-        list(per_block(points, check))
+        list(per_block(points, check, self.dim))
 
 
 def _positive(f: np.ndarray, points: np.ndarray) -> None:

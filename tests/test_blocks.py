@@ -14,15 +14,15 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from warpcheck import cli
+from warpcheck import cli, jets
 from warpcheck.config import load_config, load_config_text
 from warpcheck.errors import ConfigurationError, DegenerateMetricError, WarpcheckError
 from warpcheck.gallery import builtin_names, load_builtin, sample_points
 from warpcheck.ineq import main_inequality
-from warpcheck.report import fold
+from warpcheck.report import fold, to_json_bytes
 from warpcheck.riemann import MetricBlock, MetricField, MetricPoint, fold_blocks, frame_curvature
 from warpcheck.structures import AlmostComplexStructure, AlmostContactStructure
-from warpcheck.jets import BLOCK_POINTS
+from warpcheck.jets import block_points
 from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals, fold_sff,
                               gauss_residual_tensor, shape_operator, warped_block_defect)
 from warpcheck.warped import (WarpedBlock, WarpedMetric, block_second_form_residuals,
@@ -30,7 +30,8 @@ from warpcheck.warped import (WarpedBlock, WarpedMetric, block_second_form_resid
 
 FIELDS = ("ginv", "lowered", "gamma", "curvature")
 
-# blocks of 1, 3 and 32 points, and the partial block a walk over 35 points ends in
+# blocks of 1, 3 and 32 points, and the partial block a walk over 35 points
+# of a 6-dimensional chart ends in
 BLOCKS = ((0, 1), (0, 3), (0, 32), (32, 35))
 
 
@@ -200,8 +201,9 @@ def test_block_form_and_classes_equal_blocks_of_one(name, n, seed):
     # lemma's conclusion hold only chosen points' values)
     im = load_builtin(name).subject
     points = np.array(sample_points(im, n, seed))
-    for start in range(0, len(points), BLOCK_POINTS):
-        block = ImmersionBlock(im, points[start:start + BLOCK_POINTS])
+    size = block_points(im.ambient_dim)
+    for start in range(0, len(points), size):
+        block = ImmersionBlock(im, points[start:start + size])
         values = block_steps(block)
         alone = [block_steps(ImmersionBlock(im, block.points[b:b + 1]))
                  for b in range(len(block.points))]
@@ -238,7 +240,7 @@ def test_a_non_parallel_structure_inside_a_block_raises_as_the_walk_does(tmp_pat
         except ConfigurationError as err:
             walked.append((k, str(err)))
     first, message = walked[0]
-    assert 0 < first < BLOCK_POINTS
+    assert 0 < first < block_points(im.ambient_dim)
     # the message the point-by-point walk gave before the checks read blocks
     assert message == ("ambient structure is not parallel at "
                        "[ 1.82860523 -0.61538795  0.31916607 -0.10741026] (residual 2.000e+00)")
@@ -319,8 +321,9 @@ def test_warped_values_equal_blocks_of_one(name, n, seed):
     # that point alone, and each point's view of its block's
     w = warped_subject(name)
     points = np.array(sample_points(w, n, seed))
-    for start in range(0, len(points), BLOCK_POINTS):
-        block = WarpedBlock(w, points[start:start + BLOCK_POINTS])
+    size = block_points(w.dim)
+    for start in range(0, len(points), size):
+        block = WarpedBlock(w, points[start:start + size])
         values = warped_steps(block)
         alone = [warped_steps(WarpedBlock(w, block.points[b:b + 1]))
                  for b in range(len(block.points))]
@@ -368,7 +371,8 @@ def warped_walk(points):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         try:
-            out = fold_blocks(np.array(points), partial(WarpedBlock, BRINK), cli._warped_step)
+            out = fold_blocks(np.array(points), BRINK.dim, partial(WarpedBlock, BRINK),
+                              cli._warped_step)
         except WarpcheckError as err:
             out = str(err)
     return out, [str(m.message) for m in seen]
@@ -428,3 +432,84 @@ def test_curvature_in_frame_is_a_fresh_contraction(name):
         mixed_sectional_sum(p.curvature_in_frame, wp.geom)
         assert_same_bits(p.curvature_in_frame, fresh, what)
         assert_same_bits(p.scalar_curvature(), tau, what)
+
+
+# ---------------------------------------------------------------------------
+# Block sizes
+# ---------------------------------------------------------------------------
+
+
+def test_block_points_bound_a_blocks_largest_array():
+    assert [block_points(n) for n in range(1, 9)] == [41472, 2592, 512, 162, 66, 32, 32, 32]
+    for n in range(1, 6):
+        assert block_points(n) * n**4 <= jets.BLOCK_ENTRIES < (block_points(n) + 1) * n**4
+
+
+def report_grid() -> dict:
+    """(exit code, JSON bytes, text) of every builtin's run over a grid of
+    check groups, point counts and seeds."""
+    out = {}
+    for name in builtin_names():
+        for checks in (("all",), ("classify",)):
+            for points in (1, 33, 70):
+                for seed in (42, 5):
+                    code, doc, text = cli.run(cli.RunConfig(
+                        target=name, checks=checks, points=points, seed=seed))
+                    out[name, checks, points, seed] = (code, to_json_bytes(doc), text)
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, size):
+    # every point gets its own bits in any block, so blocks of one point,
+    # of seven and of the dimension's default size give the same bytes
+    default = report_grid()
+    assert {code for code, _, _ in default.values()} == {0}
+    monkeypatch.setattr(jets, "BLOCK_POINTS", size)
+    monkeypatch.setattr(jets, "BLOCK_ENTRIES", size)
+    assert {block_points(n) for n in range(1, 9)} == {size}
+    assert report_grid() == default
+
+
+def stacked_frames(name: str, points: np.ndarray) -> list:
+    """(curvature stack, frame stack) of each stacked frame contraction that
+    a walk over the builtin's block makes."""
+    subject = load_builtin(name).subject
+    if isinstance(subject, Immersion):
+        block = ImmersionBlock(subject, points)
+        f = block.frames
+        return [(block.induced.curvature, f.tangent_frame),
+                (block.ambient.curvature, f.tangent_ambient)]
+    if isinstance(subject, WarpedMetric):
+        total = WarpedBlock(subject, points).total
+        return [(total.curvature, total.frame_at(range(len(points)))[1])]
+    return []
+
+
+def test_a_stacked_frame_contraction_has_each_points_einsum_bits():
+    # a block of a low-dimensional chart holds hundreds of points; the
+    # stacked einsum over frames of at most two columns still sums each
+    # point's terms in the order of that point's own einsum
+    seen = set()
+    for name in builtin_names():
+        subject = load_builtin(name).subject
+        for r4, c in stacked_frames(name, np.array(sample_points(subject, 128, 42))):
+            if c.shape[2] > 2:
+                continue
+            got = frame_curvature(r4, c)
+            seen.add((name, c.shape[1:], bool(r4.any())))
+            for b in range(len(c)):
+                want = np.einsum("ijkl,ia,jb,kc,ld->abcd", r4[b], c[b], c[b], c[b], c[b])
+                assert_same_int64(got[b], want, f"{name} {c.shape} point {b}")
+    assert {(c, r) for _, c, r in seen} >= {((2, 2), True), ((3, 2), False), ((4, 2), False)}
+    # a whole 2-dimensional block, stored as a block's curvature (l before
+    # i, j, k) and in C order
+    rng = np.random.default_rng(5)
+    stored = rng.standard_normal((block_points(2), 2, 2, 2, 2))
+    for r4 in (stored.transpose(0, 2, 3, 4, 1), stored):
+        for k in (1, 2):
+            c = rng.standard_normal((len(r4), 2, k))
+            got = frame_curvature(r4, c)
+            for b in range(len(c)):
+                want = np.einsum("ijkl,ia,jb,kc,ld->abcd", r4[b], c[b], c[b], c[b], c[b])
+                assert_same_int64(got[b], want, f"random {r4.strides} k={k} point {b}")

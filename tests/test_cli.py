@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from warpcheck import cli, expr, ineq, report, riemann, structures, subman
+from warpcheck import cli, expr, ineq, jets, report, riemann, structures, subman
 from warpcheck.cli import (TOLERANCES, RunConfig, main, parse_args, render_text,
                            run)
 from warpcheck.errors import WarpcheckError
@@ -255,9 +255,10 @@ def test_float_overflow_exits_2(tmp_path, capsys):
 
 
 def test_tiny_divisor_exits_2(tmp_path, capsys):
-    # 1/x1 at x1 ~ 1e-100 is finite, but its third-derivative coefficient
-    # -6/x1^4 underflows to a division by zero
-    cfg = _metric_cfg(tmp_path, 2, "1 + 1/x1", (1e-100, 0), (2e-100, 1))
+    # 1/x1 at x1 ~ 1e-110 is finite, but its second-derivative coefficient
+    # 2/x1^3, which curvature reads, underflows to a division by zero (the
+    # third, -6/x1^4, is never computed for a metric's order-2 jets)
+    cfg = _metric_cfg(tmp_path, 2, "1 + 1/x1", (1e-110, 0), (2e-110, 1))
     assert main(["--target", cfg]) == 2
     assert "domain error in '/'" in capsys.readouterr().err
 
@@ -311,10 +312,9 @@ def _builtin_with(tmp_path, config: str, old: str, new: str) -> str:
     return str(p)
 
 
-def test_a_warping_function_first_nonpositive_in_the_second_block_exits_2(tmp_path, capsys):
-    # f <= 0 only near sample point 40 of 64 (the second block of 32); the
-    # message is the bytes that the point-by-point test gave, a Python float
-    # and the chart point
+def _assert_first_nonpositive_warping_point_exits_2(tmp_path, capsys):
+    # f <= 0 only near sample point 40 of 64; the message is the bytes that
+    # the point-by-point test gave, a Python float and the chart point
     cfg = _builtin_with(tmp_path, "s2_warped.cfg", 'f = "sin(x1)"',
                         'f = "(x1 - 2.4211)^2 - 0.0001"')
     assert main(["--target", cfg]) == 2
@@ -322,6 +322,19 @@ def test_a_warping_function_first_nonpositive_in_the_second_block_exits_2(tmp_pa
     assert out == "" and err == ("configuration error: warping function -9.999999983113038e-05"
                                  " <= 0 at [2.42110041 4.18049055]\n")
     assert main(["--target", cfg, "--points", "40"]) == 0
+
+
+def test_a_warping_function_first_nonpositive_in_the_second_block_exits_2(
+        tmp_path, capsys, monkeypatch):
+    # blocks of 32 points on the 2-dimensional chart put point 40 in the second
+    monkeypatch.setattr(jets, "BLOCK_ENTRIES", 32 * 2**4)
+    assert jets.block_points(2) == 32
+    _assert_first_nonpositive_warping_point_exits_2(tmp_path, capsys)
+
+
+def test_a_warping_function_first_nonpositive_in_a_one_block_sample_exits_2(tmp_path, capsys):
+    assert jets.block_points(2) >= 64
+    _assert_first_nonpositive_warping_point_exits_2(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("kind", ["metric", "warped", "structure", "ambient"])
@@ -402,6 +415,16 @@ def test_a_dependent_tangent_seed_exits_2(tmp_path, capsys):
     p.write_text(text.replace('f = "sin(x1)"', 'f = "1e-16*sin(x1)"'))
     assert main(["--target", str(p), "--points", "33"]) == 2
     assert capsys.readouterr().err == "configuration error: seed 1 is dependent on earlier seeds\n"
+
+
+def test_a_tiny_warping_function_fails_on_its_frame_not_on_ln(tmp_path, capsys):
+    # ln f is read to order 2, so its third coefficient 2/f^3, which
+    # underflows, is not computed; the error is the real one, g22 = f^2 ~ 1e-220
+    cfg = _builtin_with(tmp_path, "s2_warped.cfg", 'f = "sin(x1)"', 'f = "1e-110*exp(x1)"')
+    assert main(["--target", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "'ln'" not in err
+    assert err == "configuration error: seed 1 is dependent on earlier seeds\n"
 
 
 def test_frames_run_one_step_per_block_and_seed(monkeypatch):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import warpcheck
-from warpcheck import cli, ineq, riemann, structures, subman, warped
+from warpcheck import cli, ineq, jets, riemann, structures, subman, warped
 from warpcheck.errors import ConfigurationError
 from warpcheck.gallery import load_builtin
 from warpcheck.subman import ImmersionBlock
@@ -263,3 +263,19 @@ def test_every_tolerance_name_reaches_a_row():
 def test_every_row_tolerance_can_be_set_from_the_command_line():
     for name in {row.tol for row in cli.ROWS} - {None}:
         assert cli.parse_args(["--target", "e1", "--tol", f"{name}=0.5"]).tol(name) == 0.5
+
+
+def test_every_block_walk_names_the_dimension_that_sizes_its_blocks():
+    # a block's size follows the dimension of its largest arrays, which only
+    # the caller knows, so per_block has no default for it and every call
+    # passes one; only jets reads the size constants
+    assert inspect.signature(jets.per_block).parameters["dim"].default is inspect.Parameter.empty
+    calls = [(mod, len(node.args) + len(node.keywords))
+             for mod, tree in _package_trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "per_block"]
+    assert len(calls) == 6 and all(n == 3 for _, n in calls), calls
+    sizes = ("BLOCK_POINTS", "BLOCK_ENTRIES")
+    readers = {mod for mod, tree in _package_trees().items() for node in ast.walk(tree)
+               if getattr(node, "id", getattr(node, "attr", None)) in sizes
+               or isinstance(node, ast.alias) and node.name in sizes}
+    assert readers == {"jets"}

@@ -150,6 +150,27 @@ def test_coefficient_underflow_is_a_domain_error():
         jets.ln(jet_var(0, np.array([1e200])))
 
 
+@pytest.mark.parametrize("fn, v, top", [
+    (lambda u: 1.0 / u, 1e-100, 2), (jets.sqrt, 1e-200, 2), (jets.ln, 1e-160, 2),
+    (jets.ln, 1e-110, 2), (jets.ln, 1e200, 1), (lambda u: u ** -1.0, 1e-110, 1)])
+def test_coefficients_past_the_jet_order_are_not_computed(fn, v, top):
+    # a coefficient fails only a jet that carries its order: the order-3 jet
+    # raises as before, the lower ones pass with the slots through their order
+    x = jet_var(0, np.array([v]))
+    for order in range(4):
+        if order > top:
+            with pytest.raises(JetDomainError):
+                fn(x.truncated(order))
+        else:
+            assert fn(x.truncated(order)).order == order
+
+
+def test_truncated_coefficients_keep_their_bits():
+    v = 1e-110
+    j = jets.ln(jet_var(0, np.array([v])).truncated(2))
+    assert [j.value, j.d1[0], j.d2[0, 0]] == [math.log(v), 1.0 / v, -1.0 / v**2]
+
+
 def test_integer_power_at_zero_base():
     # x^2 at x=0: value 0, f'=0, f''=2, f'''=0
     j = jet_var(0, np.array([0.0])) ** 2

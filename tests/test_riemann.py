@@ -270,8 +270,10 @@ def test_frame_curvature_has_the_einsum_bits_on_every_builtins_inputs(monkeypatc
     for r4, c, got in seen:
         _assert_einsum_bits(r4, c, got)
     assert all(c.ndim == 3 for _, c, _ in stacks)
+    # 33 points are one block below a 6-dimensional ambient, and 32 + 1 in it
     assert {(len(c), c.shape[1:], bool(r4.any())) for r4, c, _ in stacks} >= {
-        (32, (2, 2), True), (1, (2, 2), True), (32, (3, 2), False), (32, (5, 4), True)}
+        (33, (2, 2), True), (1, (2, 2), True), (33, (3, 2), False), (33, (5, 4), True),
+        (32, (6, 3), False), (1, (6, 3), False)}
     for r4, c, got in stacks:
         for b in range(len(c)):
             _assert_einsum_bits(r4[b], c[b], got[b], layout=c.shape[2] <= 2)

@@ -563,13 +563,21 @@ def count_blocks(monkeypatch) -> list:
     return sizes
 
 
-def test_fold_sff_builds_one_block_per_32_points(monkeypatch):
+def test_fold_sff_builds_blocks_sized_by_the_ambient_dimension(monkeypatch):
+    # 66 points a block in a 5-dimensional ambient (its 4-dimensional sub
+    # chart would give 162), 32 in a 6-dimensional one
     sizes = count_blocks(monkeypatch)
     im = load_builtin("e5").subject
-    worst = fold_sff(im, sample_points(im, 40, 42), classification_residuals,
+    assert im.ambient_dim == 5
+    worst = fold_sff(im, sample_points(im, 70, 42), classification_residuals,
                      contact_cr_residuals)
-    assert sizes == [32, 8]
+    assert sizes == [66, 4]
     assert {"minimal", "cr-reeb-tangency"} <= set(worst)
+    sizes.clear()
+    im = load_builtin("e6").subject
+    assert im.ambient_dim == 6
+    fold_sff(im, sample_points(im, 40, 42), classification_residuals)
+    assert sizes == [32, 8]
 
 
 def test_gallery_gate_walks_its_sample_once(monkeypatch):
