@@ -28,8 +28,8 @@ from .report import CheckRecord, CheckReport
 from .riemann import (Curvature4, MetricField, christoffel, curvature, gradient,
                       laplacian, scalar_curvature, sectional)
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
-                         SpaceFormModel, complex_space_form, cosymplectic_space_form,
-                         fold_tensors, generalized_complex_space_form,
+                         SpaceFormModel, StructureBlock, complex_space_form,
+                         cosymplectic_space_form, generalized_complex_space_form,
                          kenmotsu_space_form, model_curvature, phi_sectional,
                          sasakian_space_form, structure_class_residuals)
 from .subman import (Immersion, ImmersionBlock, SFFData, WarpedDecl, fold_sff,
@@ -52,10 +52,10 @@ __all__ = [
     # warped products
     "WarpedMetric", "assemble", "mixed_sectional_sum", "warping_identity_residual",
     # structures and models
-    "AlmostComplexStructure", "AlmostContactStructure", "SpaceFormModel",
+    "AlmostComplexStructure", "AlmostContactStructure", "StructureBlock", "SpaceFormModel",
     "complex_space_form", "generalized_complex_space_form", "sasakian_space_form",
     "kenmotsu_space_form", "cosymplectic_space_form", "model_curvature",
-    "phi_sectional", "structure_class_residuals", "fold_tensors",
+    "phi_sectional", "structure_class_residuals",
     # submanifolds
     "Immersion", "ImmersionBlock", "WarpedDecl", "SFFData", "induced_metric", "fold_sff",
     "second_fundamental_form", "shape_operator", "gauss_residual_max",

@@ -26,11 +26,10 @@ from .expr import ParseError
 from .gallery import BUILTINS, builtin_names, load_builtin, sample_points
 from .ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
                    main_inequality, scalar_decomposition_residual, space_form_rhs)
-from .jets import per_block
-from .report import CheckReport, fold, format_number, nan_max, to_json_bytes
+from .report import CheckReport, format_number, nan_max, to_json_bytes
 from .riemann import Curvature4, MetricBlock, MetricField, fold_blocks
 from .structures import (CLASS_NAMES, CONTACT_IDENTITIES, AlmostComplexStructure,
-                         AlmostContactStructure, closed_eta_residuals, fold_tensors,
+                         AlmostContactStructure, StructureBlock, closed_eta_residuals,
                          fundamental_form_residuals, nijenhuis_normality_residuals,
                          structure_class_residuals)
 from .subman import (Immersion, ImmersionBlock, classification_residuals,
@@ -248,12 +247,9 @@ def records(worst: dict, n: int, groups, tols: dict, kind: str | None = None) ->
 def _metric_values(g: MetricField, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(g, rc.points, rc.seed)
     g.validate_at(points)
-
-    def walk(block):
-        symmetries = Curvature4(MetricBlock(g, block).curvature).max_symmetry_residual()
-        return ({"curvature-symmetries": r} for r in symmetries.tolist())
-
-    return fold(per_block(points, walk, g.dim)), len(points)
+    worst = fold_blocks(points, g.dim, lambda x: MetricBlock(g, x), lambda block: {
+        "curvature-symmetries": Curvature4(block.curvature).max_symmetry_residual()})
+    return worst, len(points)
 
 
 def _laws(klass: str | None) -> dict:
@@ -272,25 +268,26 @@ def _laws(klass: str | None) -> dict:
 
 
 def _structure_step(s, klass: str | None):
-    """Per-point values of the structure records, from a StructureTensors;
-    each contact law's values over the coordinate pairs (e_a, e_b), a < b."""
+    """The structure records' values over a StructureBlock's points; each
+    contact law's at [point, pair] over the coordinate pairs (e_a, e_b), a < b."""
     if isinstance(s, AlmostComplexStructure):
         return lambda t: s.residuals(t, require_kahler=True)
-    upper = np.triu_indices(s.dim, 1)
+    pairs = (slice(None),) + np.triu_indices(s.dim, 1)
 
     def step(t):
         out = s.identity_residuals(t)
         if klass:
-            out[f"class-{klass}"] = structure_class_residuals(t, klass)[upper].tolist()
+            out[f"class-{klass}"] = structure_class_residuals(t, klass)[pairs]
         for key, law in _laws(klass).items():
-            out[key] = law(t)[upper].tolist()
+            out[key] = law(t)[pairs]
         return out
     return step
 
 
 def _structure_values(s, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(s, rc.points, rc.seed)
-    return fold_tensors(s, points, _structure_step(s, s.klass)), len(points)
+    return fold_blocks(points, s.dim, lambda x: StructureBlock(s, x),
+                       _structure_step(s, s.klass)), len(points)
 
 
 def _warped_step(w: WarpedBlock) -> dict:
@@ -338,15 +335,6 @@ def _inequality_values(block: ImmersionBlock, rc: RunConfig) -> dict:
     return {**out, **leaf_mean_curvature(block), **fiber_lemma_residuals(block, rc.tol("cr"))}
 
 
-def _point_values(step):
-    """A block step from a step over each point's structure tensors: each
-    value an array over the points."""
-    def over_block(block: ImmersionBlock) -> dict:
-        values = [step(t) for t in block.structure_points]
-        return {key: np.array([v[key] for v in values]) for key in values[0]}
-    return over_block
-
-
 def _immersion_values(im: Immersion, groups, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(im, rc.points, rc.seed)
     s = im.structure
@@ -362,11 +350,11 @@ def _immersion_values(im: Immersion, groups, rc: RunConfig) -> tuple[dict, int]:
     worst = {}
     if steps:
         if structure:
-            steps.insert(0, _point_values(structure))
+            steps.insert(0, lambda block: structure(block.tensors))
         worst = fold_sff(im, points, *steps)
     elif structure:
-        worst = fold(per_block(points, lambda block: map(
-            structure, ImmersionBlock(im, block).tensors), im.ambient_dim))
+        worst = fold_blocks(points, im.ambient_dim, lambda x: ImmersionBlock(im, x).tensors,
+                            structure)
     if "inequalities" in groups:
         # the suite's skip record, or the seed's variant gap
         if im.warped is None:
@@ -467,16 +455,18 @@ def validate(cfg: BuiltConfig) -> CheckReport:
     points = sample_points(subject, GATE_POINTS, GATE_SEED)
     if isinstance(subject, MetricField):
         subject.validate_at(points)
-        worst = {"gate-metric": functools.reduce(
-            nan_max, (subject.symmetry_residual(x) for x in points))}
+        worst = fold_blocks(points, subject.dim, lambda x: x,
+                            lambda x: {"gate-metric": subject.symmetry_residual(x)})
     elif isinstance(subject, WarpedMetric):
         subject.validate_at(points)  # raises on f <= 0 or indefinite blocks
         worst = {"gate-warping-positive": 0.0}
     elif isinstance(subject, AlmostContactStructure):
-        worst = fold_tensors(subject, points, subject.identity_residuals)
+        worst = fold_blocks(points, subject.dim, lambda x: StructureBlock(subject, x),
+                            subject.identity_residuals)
         tols = {"structure": 1e-9}  # the gate holds the contact identities to 1e-9
     elif isinstance(subject, AlmostComplexStructure):
-        worst = fold_tensors(subject, points, lambda t: subject.residuals(t, False))
+        worst = fold_blocks(points, subject.dim, lambda x: StructureBlock(subject, x),
+                            lambda t: subject.residuals(t, False))
     else:  # an immersion: one walk gives the rank gate and the others' values
         steps = []
         if subject.warped is not None:

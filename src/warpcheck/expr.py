@@ -296,7 +296,7 @@ def evaluator(bindings: Sequence[Jet3], params: Sequence[float] = (), order: int
                 err.pos = getattr(e, "pos", None)
             batch = np.broadcast_shapes(*(b.batch for b in bindings))
             for k in np.ndindex(batch) if batch else ():
-                evaluator([b.at(k) for b in bindings], params, order)(e)
+                evaluator([b.take(k) for b in bindings], params, order)(e)
             raise
     return evaluate
 

@@ -142,11 +142,11 @@ def _kahler_gate(block: ImmersionBlock) -> None:
     s = block.im.structure
     if not isinstance(s, AlmostComplexStructure):
         raise ConfigurationError("main inequality needs a complex ambient structure")
-    for y, t in zip(block.components[0], block.structure_points):
-        resid = s.parallel_residual(t)
-        if resid > KAHLER_GATE_TOL:
-            raise ConfigurationError(
-                f"ambient structure is not parallel at {y} (residual {resid:.3e})")
+    resid = s.parallel_residual(block.tensors)
+    k = int(np.argmax(resid > KAHLER_GATE_TOL))  # the block's first non-parallel point
+    if resid[k] > KAHLER_GATE_TOL:
+        raise ConfigurationError(f"ambient structure is not parallel at "
+                                 f"{block.components[0][k]} (residual {resid[k]:.3e})")
 
 
 def main_inequality(block: ImmersionBlock, tol: float = SLACK_TOL_FLAT) -> InequalityResult:

@@ -136,7 +136,7 @@ class Jet3:
                     *(None if d is None else d[index + (slice(None),) * k]
                       for k, d in enumerate(self.derivs, 1)))
 
-    def at(self, k) -> "Jet3":
+    def take(self, k) -> "Jet3":
         """The jet at point (or boolean mask) k of its block, with its own
         arrays; a jet with batch shape () is the same at every point."""
         if not self.batch:
@@ -215,12 +215,12 @@ class Jet3:
         out = [np.empty(batch + (self.dim,) * k) for k in range(self.order + 1)]
         try:
             for mask in (const, ~const):
-                part = self.at(mask) ** other.at(mask)
+                part = self.take(mask) ** other.take(mask)
                 for slot, arr in zip(out, (part.value,) + part.derivs):
                     slot[mask] = arr
         except JetDomainError:
             for k in np.ndindex(batch):  # the first failing point raises alone
-                self.at(k) ** other.at(k)
+                self.take(k) ** other.take(k)
             raise
         return Jet3(self.dim, *out)
 
@@ -313,8 +313,8 @@ def block_points(dim: int) -> int:
 
 
 def per_block(points, fn: Callable[[np.ndarray], Iterable], dim: int) -> Iterator:
-    """The per-point results of ``fn(block)`` over consecutive blocks of at
-    most ``block_points(dim)`` points, each a (B, chart dim) array, in point
+    """The results ``fn(block)`` yields over consecutive blocks of at most
+    ``block_points(dim)`` points, each a (B, chart dim) array, in point
     order; ``dim`` is the dimension that bounds the block's arrays (an
     immersion's ambient one, say).
 
@@ -363,8 +363,10 @@ def _coefficients(op: str, fn, order: int, *values):
     past a jet's order cannot fail it.
 
     One point gives fn's floats; a block gives one array per coefficient.
-    An over- or underflow (a Python ArithmeticError) or a math domain error
-    in fn is a JetDomainError naming the point's first value.
+    An over- or underflow (a Python ArithmeticError), a math domain error in
+    fn, or a coefficient that is not finite (float division overflows to inf
+    silently) at finite values is a JetDomainError naming the point's first
+    value.
     """
     batch = np.broadcast_shapes(*map(np.shape, values))
     if not batch:
@@ -376,9 +378,12 @@ def _coefficients(op: str, fn, order: int, *values):
 
 def _at_point(op: str, fn, order: int, args):
     try:
-        return fn(order, *args)
+        f = fn(order, *args)
     except (ArithmeticError, ValueError):
         raise JetDomainError(op, args[0]) from None
+    if all(map(math.isfinite, f)) or not all(map(math.isfinite, args)):
+        return f
+    raise JetDomainError(op, args[0])
 
 
 # Each coefficient function gives f0..f_order, the derivatives of its

@@ -16,9 +16,10 @@ use, as batch-leading arrays, and applies its operators (the Laplacian) to
 the whole block too; the block of a coordinate sub-chart has no source, only
 sliced derivatives.
 A :class:`MetricPoint` is one point of a block (a lone point is a block of
-one) and returns views of the block's fields, with no formulas of its own.
-A block gives each point exactly the bits a block of one gives it, under two
-rules:
+one) and returns views of the block's fields, with no formulas of its own;
+a structure's tensors and laws have no point record at all, only their
+block (``structures.StructureBlock``).  A block gives each point exactly the
+bits a block of one gives it, under two rules:
 
 * Layout is part of the bits.  A batched einsum is the single-point
   subscript string with ``...`` prefixed on each operand, and records return
@@ -566,7 +567,8 @@ def fold_blocks(points: Sequence[Point], dim: int, make, *steps) -> dict:
     """The steps' values, merged and folded over the points by
     :func:`report.fold`, a block of points at a time (``jets.per_block`` of
     ``dim``) in the one object ``make(block)`` that each step reads, giving
-    arrays whose values run over its points in order.  A block is evaluated
+    arrays whose values run over its points in order: the one fold of every
+    subject kind's checks.  A block is evaluated
     by :func:`stacked`, so after a floating-point event each point is
     evaluated alone, in order, and warns as it does alone."""
     def walk(block):

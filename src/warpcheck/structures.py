@@ -1,6 +1,15 @@
 """Ambient geometric structures: almost complex and almost contact metric
 structures on chart metrics, plus closed-form space-form curvature models.
 
+A structure's tensors are read a block of chart points at a time, through a
+:class:`StructureBlock`, and every structure check (the defining identities,
+the class laws, normality and the form laws) is a function of that block,
+giving arrays over its points.  A block gives each point the bits a block of
+that point alone gives it: each batched product is the point's own with the
+block axis prefixed, a stacked ``np.matmul`` running each slice's kernel with
+that slice's strides, and a batched einsum the point's subscripts with
+``...`` prefixed, on C-ordered operands whose block axis is slowest.
+
 The space-form models evaluate constant-curvature-type tensors directly from
 the displayed closed forms; they are curvature models, not metrics.  Each
 ships with standard constant structure tensors (identity metric, block
@@ -12,15 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from . import expr as dsl
 from .errors import ConfigurationError, DegeneratePlaneError
-from .jets import Point, as_point, per_block
-from .report import fold
-from .riemann import MetricBlock, MetricField, MetricPoint, metric_norms
+from .riemann import MetricBlock, MetricField, metric_norms
 
 
 class _Structure:
@@ -32,9 +38,10 @@ class _Structure:
     def dim(self) -> int:
         return self.metric.dim
 
-    def at(self, x: Point) -> "StructureTensors":
-        """The structure's tensors at x: the record its per-point checks take."""
-        return StructureTensors(self, x)
+
+def _worst(a: np.ndarray) -> np.ndarray:
+    """The largest absolute entry (B,) at each point of a block's array (B, ...)."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -52,22 +59,16 @@ class AlmostComplexStructure(_Structure):
     params: tuple[float, ...] = ()
     name: str = ""
 
-    def square_residual(self, t: "StructureTensors") -> float:
-        j = t.op[0]
-        return float(np.max(np.abs(j @ j + np.eye(self.dim))))
+    def parallel_residual(self, t: "StructureBlock") -> np.ndarray:
+        """Max component of the covariant derivative of J at each point of
+        the block (zero iff Kahler there)."""
+        return _worst(t.nabla)
 
-    def compatibility_residual(self, t: "StructureTensors") -> float:
-        j, g = t.op[0], t.metric.value
-        return float(np.max(np.abs(j.T @ g @ j - g)))
-
-    def parallel_residual(self, t: "StructureTensors") -> float:
-        """Max component of the covariant derivative of J (zero iff Kahler at t.x)."""
-        return float(np.max(np.abs(t.nabla)))
-
-    def residuals(self, t: "StructureTensors", require_kahler: bool) -> dict[str, float]:
-        """Per-point values of the almost complex structure records."""
-        out = {"complex-square": self.square_residual(t),
-               "complex-compatibility": self.compatibility_residual(t)}
+    def residuals(self, t: "StructureBlock", require_kahler: bool) -> dict[str, np.ndarray]:
+        """The almost complex structure records' values over the block's points."""
+        j, g = t.op[0], t.metric.derivs[0]
+        out = {"complex-square": _worst(j @ j + np.eye(self.dim)),
+               "complex-compatibility": _worst(np.swapaxes(j, 1, 2) @ g @ j - g)}
         if require_kahler:
             out["kahler-parallel"] = self.parallel_residual(t)
         return out
@@ -95,17 +96,18 @@ class AlmostContactStructure(_Structure):
         if self.dim % 2 == 0:
             raise ConfigurationError("almost contact structures need odd dimension")
 
-    def identity_residuals(self, t: "StructureTensors") -> dict[str, float]:
-        """The six defining identities of an almost contact metric structure."""
-        n = self.dim
-        phi, xi, eta, g = t.op[0], t.xi, t.eta[0], t.metric.value
+    def identity_residuals(self, t: "StructureBlock") -> dict[str, np.ndarray]:
+        """The six defining identities of an almost contact metric structure,
+        over the block's points."""
+        phi, xi, eta, g = t.op[0], t.xi, t.eta[0], t.metric.derivs[0]
+        col, row = xi[..., None], eta[:, None]  # (B, n, 1) and (B, 1, n)
         return dict(zip(CONTACT_IDENTITIES, (
-            float(np.max(np.abs(phi @ phi + np.eye(n) - np.outer(xi, eta)))),
-            float(np.max(np.abs(phi @ xi))),
-            float(np.max(np.abs(eta @ phi))),
-            abs(float(eta @ xi) - 1.0),
-            float(np.max(np.abs(eta - g @ xi))),
-            float(np.max(np.abs(phi.T @ g @ phi - (g - np.outer(eta, eta))))),
+            _worst(phi @ phi + np.eye(self.dim) - col * row),
+            _worst(phi @ col),
+            _worst(row @ phi),
+            np.abs((row @ col)[:, 0, 0] - 1.0),
+            _worst(eta - (g @ col)[..., 0]),
+            _worst(np.swapaxes(phi, 1, 2) @ g @ phi - (g - eta[..., None] * row)),
         )))
 
 
@@ -115,8 +117,9 @@ CONTACT_IDENTITIES = ("phi_square", "phi_of_reeb", "dual_form_kills_phi",
 
 class StructureBlock:
     """A structure's tensors at a block of chart points (B, dim), evaluated
-    together for all of them on first use and read per point by the block's
-    :class:`StructureTensors` records."""
+    together for all of them on first use as C-ordered arrays with the block
+    axis first, with the block of its metric there (shared when one is
+    passed in)."""
 
     def __init__(self, s, points: np.ndarray, metric: MetricBlock | None = None):
         self.s = s
@@ -144,108 +147,75 @@ class StructureBlock:
 
     @property
     def op(self) -> list[np.ndarray]:
+        """J or phi (B, n, n) and its first partials D[b, k, i, j]."""
         return self._fields[0]
 
     @property
     def xi(self) -> np.ndarray:
-        return self._fields[1][0]
+        """The Reeb field (B, n)."""
+        return self._fields[1][0][:, 0]
 
     @property
-    def eta(self) -> list[np.ndarray]:
-        return self._fields[2]
-
-    def __getitem__(self, b: int) -> "StructureTensors":
-        return StructureTensors(self.s, self.points[b], self.metric[b], self, b)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.points)))
-
-
-class StructureTensors:
-    """A structure's tensors at one chart point, each evaluated on first use
-    (this point's slice of its block's, a block of one point when none is
-    given), with the record of its metric there (shared when one is passed in)."""
-
-    def __init__(self, s, x: Point, metric: MetricPoint | None = None,
-                 block: StructureBlock | None = None, index: int = 0):
-        self.s = s
-        self.x = as_point(x)
-        self._block = block if block is not None else StructureBlock(s, self.x[None])
-        self._index = index
-        self.metric = metric or self._block.metric[index]
-
-    @cached_property
-    def op(self) -> tuple[np.ndarray, np.ndarray]:
-        """J or phi and its first partials D[k,i,j]."""
-        return tuple(a[self._index].copy() for a in self._block.op)
-
-    @cached_property
-    def xi(self) -> np.ndarray:
-        return self._block.xi[self._index].copy()[0]
-
-    @cached_property
     def eta(self) -> tuple[np.ndarray, np.ndarray]:
-        """eta and its first partials D[k,i]."""
-        v, d = (a[self._index].copy() for a in self._block.eta)
-        return v[0], d[:, 0]
+        """eta (B, n) and its first partials D[b, k, i]."""
+        v, d = self._fields[2]
+        return v[:, 0], d[:, :, 0]
 
     @cached_property
     def nabla(self) -> np.ndarray:
-        """The covariant derivative of J or phi at [i, k, j]:
+        """The covariant derivative of J or phi at [b, i, k, j], for every
+        check that reads it:
         (nabla_i T)^k_j = d_i T^k_j + Gamma^k_im T^m_j - Gamma^m_ij T^k_m."""
         op, dop = self.op
         gam = self.metric.gamma
-        return dop + np.einsum("kim,mj->ikj", gam, op) - np.einsum("mij,km->ikj", gam, op)
-
-
-def fold_tensors(s, points: Sequence[Point], step) -> dict:
-    """step's per-point values folded over the points by :func:`report.fold`,
-    each block of points read through one StructureBlock."""
-    return fold(per_block(points, lambda block: map(step, StructureBlock(s, block)), s.dim))
+        return (dop + np.einsum("...kim,...mj->...ikj", gam, op)
+                - np.einsum("...mij,...km->...ikj", gam, op))
 
 
 CLASS_NAMES = ("sasakian", "kenmotsu", "cosymplectic", "nearly_cosymplectic")
 
 # Each law below is bilinear, so it vanishes iff it vanishes on every pair of
 # coordinate directions (e_a, e_b); each returns its values over the pairs at
-# [a, b].  They are the one-pair formulas contracted with one-hot X and Y,
-# which on finite tensors selects entries exactly, so each value keeps the
-# bits of its formula as long as every sum keeps its order: a vector-matrix
-# product runs as one slice of a stacked np.matmul on C-ordered operands, and
-# a norm through riemann.metric_norms.
+# [point, a, b].  They are the one-pair formulas contracted with one-hot X
+# and Y, which on finite tensors selects entries exactly, so each value keeps
+# the bits of its formula as long as every sum keeps its order: a
+# vector-matrix product runs as one slice of a stacked np.matmul on C-ordered
+# operands, and a norm through riemann.metric_norms.
 
 
-def _phi_g(t: StructureTensors) -> np.ndarray:
-    """Phi(e_a, e_b) = g(phi e_a, e_b) at [a, b]."""
-    return (np.ascontiguousarray(t.op[0].T)[:, None, :] @ t.metric.value)[:, 0]
+def _phi_g(t: StructureBlock) -> np.ndarray:
+    """Phi(e_a, e_b) = g(phi e_a, e_b) at [point, a, b]."""
+    rows = np.ascontiguousarray(np.swapaxes(t.op[0], 1, 2))[:, :, None, :]
+    return (rows @ t.metric.derivs[0][:, None])[:, :, 0]
 
 
-def _d_eta(t: StructureTensors) -> np.ndarray:
-    """d(eta)(e_a, e_b) = d_a eta_b - d_b eta_a at [a, b]."""
+def _d_eta(t: StructureBlock) -> np.ndarray:
+    """d(eta)(e_a, e_b) = d_a eta_b - d_b eta_a at [point, a, b]."""
     deta = t.eta[1]
-    return deta - deta.T
+    return deta - np.swapaxes(deta, 1, 2)
 
 
-def structure_class_residuals(t: StructureTensors, klass: str) -> np.ndarray:
+def structure_class_residuals(t: StructureBlock, klass: str) -> np.ndarray:
     """Metric norms of the defect of the class-defining covariant-derivative
-    law on each coordinate pair, at [a, b]."""
+    law on each coordinate pair, at [point, a, b]."""
     if klass not in CLASS_NAMES:
         raise ConfigurationError(f"unknown structure class {klass!r}")
-    phi, xi, eta, g = t.op[0], t.xi, t.eta[0], t.metric.value
-    # (nabla_{e_a} phi) e_b at [a, b, k]; eta[:, None] is eta(e_b) there
-    diff = np.ascontiguousarray(t.nabla.transpose(0, 2, 1))
+    phi, xi, eta, g = t.op[0], t.xi[:, None, None], t.eta[0], t.metric.derivs[0]
+    # (nabla_{e_a} phi) e_b at [point, a, b, k]; eta(e_b) and e_a there
+    diff = np.ascontiguousarray(np.swapaxes(t.nabla, 2, 3))
+    eta_b, e_a = eta[:, None, :, None], np.eye(t.s.dim)[:, None, :]
     if klass == "sasakian":  # -g(X, Y) xi + eta(Y) X
-        diff = diff - (-g[:, :, None] * xi + eta[:, None] * np.eye(len(g))[:, None, :])
+        diff = diff - (-g[..., None] * xi + eta_b * e_a)
     elif klass == "kenmotsu":  # g(phi X, Y) xi - eta(Y) phi X
-        diff = diff - (_phi_g(t)[:, :, None] * xi - eta[:, None] * phi.T[:, None, :])
+        diff = diff - (_phi_g(t)[..., None] * xi - eta_b * np.swapaxes(phi, 1, 2)[:, :, None])
     elif klass == "nearly_cosymplectic":  # the symmetrized derivative vanishes
-        diff = diff + diff.transpose(1, 0, 2)
-    return metric_norms(g, diff)
+        diff = diff + np.swapaxes(diff, 1, 2)
+    return metric_norms(g[:, None, None], diff)
 
 
-def nijenhuis_normality_residuals(t: StructureTensors) -> np.ndarray:
+def nijenhuis_normality_residuals(t: StructureBlock) -> np.ndarray:
     """Metric norms of the normality defect [phi, phi](X, Y) + d(eta)(X, Y) xi
-    on each coordinate pair, at [a, b].
+    on each coordinate pair, at [point, a, b].
 
     Convention note: with the halved exterior derivative
     d'eta(X,Y) = (X eta(Y) - Y eta(X) - eta([X,Y]))/2 common in the contact
@@ -258,23 +228,22 @@ def nijenhuis_normality_residuals(t: StructureTensors) -> np.ndarray:
     coordinate fields are valid; brackets reduce to first derivatives of the
     phi-images.
     """
-    (phi, dphi), xi = t.op, t.xi
-    # [phi e_a, phi e_b]'s first half, (phi e_a)^k d_k (phi e_b)^i, at [a, b, i]
-    lie = np.einsum("ka,kib->abi", phi, dphi)
-    # phi d_a (phi e_b) at [a, b]
-    inner = (phi @ np.ascontiguousarray(dphi.transpose(0, 2, 1))[..., None])[..., 0]
-    swap = (1, 0, 2)
-    nij = lie - lie.transpose(swap) - inner + inner.transpose(swap)
-    return metric_norms(t.metric.value, nij + _d_eta(t)[:, :, None] * xi)
+    (phi, dphi), xi, g = t.op, t.xi, t.metric.derivs[0]
+    # [phi e_a, phi e_b]'s first half, (phi e_a)^k d_k (phi e_b)^i, at [point, a, b, i]
+    lie = np.einsum("...ka,...kib->...abi", phi, dphi)
+    # phi d_a (phi e_b) at [point, a, b]
+    inner = (phi[:, None, None] @ np.ascontiguousarray(np.swapaxes(dphi, 2, 3))[..., None])[..., 0]
+    nij = lie - np.swapaxes(lie, 1, 2) - inner + np.swapaxes(inner, 1, 2)
+    return metric_norms(g[:, None, None], nij + _d_eta(t)[..., None] * xi[:, None, None])
 
 
-def closed_eta_residuals(t: StructureTensors) -> np.ndarray:
+def closed_eta_residuals(t: StructureBlock) -> np.ndarray:
     """|d(eta)(e_a, e_b)|: the form law of Kenmotsu and cosymplectic structures."""
     return np.abs(_d_eta(t))
 
 
-def fundamental_form_residuals(t: StructureTensors) -> np.ndarray:
-    """|Phi(e_a, e_b) - d(eta)(e_a, e_b)/2| (the contact metric law) at [a, b]."""
+def fundamental_form_residuals(t: StructureBlock) -> np.ndarray:
+    """|Phi(e_a, e_b) - d(eta)(e_a, e_b)/2| (the contact metric law) at [point, a, b]."""
     return np.abs(_phi_g(t) - 0.5 * _d_eta(t))
 
 

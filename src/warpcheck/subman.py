@@ -25,8 +25,7 @@ from .errors import (ConfigurationError, ImmersionDegenerateError,
 from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, jet_const, pack
 from .riemann import (MetricBlock, MetricField, _checked, fold_blocks, frame_curvature,
                       gram_schmidt, gram_schmidt_step, metric_norms, plane_sum, stacked)
-from .structures import (AlmostComplexStructure, AlmostContactStructure,
-                         StructureBlock, StructureTensors)
+from .structures import AlmostComplexStructure, AlmostContactStructure, StructureBlock
 from .warped import LeafScalars, WarpedBlock, WarpedMetric
 
 RANK_THRESHOLD = 1e-8
@@ -315,11 +314,6 @@ class ImmersionBlock:
         """The leaf scalars as arrays over the points."""
         return self.warped.scalars
 
-    @cached_property
-    def structure_points(self) -> list[StructureTensors]:
-        """Each point's structure tensors: the record its structure checks share."""
-        return list(self.tensors)
-
     def _frames(self, points: slice, watched) -> tuple:
         im, x = self.im, self.points[points]
         d2phi = np.ascontiguousarray(self.components[2][points])
@@ -512,8 +506,7 @@ def contact_cr_residuals(block: ImmersionBlock) -> dict:
         raise ConfigurationError("contact CR checks need a warped declaration")
     n1, n = decl.n1, im.dim
     f, t = block.frames, block.tensors
-    xi_sub, xi_resid = _tangency(f.g_induced, f.jacobian, f.g_ambient,
-                                 np.ascontiguousarray(t.xi[:, 0]))
+    xi_sub, xi_resid = _tangency(f.g_induced, f.jacobian, f.g_ambient, t.xi)
     on = ~(xi_resid > 1e-8)  # the rest of the suite is read where xi is tangent
     f, phi, xi_sub = SFFData(*(a[on] for a in f)), t.op[0][on], xi_sub[on]
     g, k = f.g_ambient, np.count_nonzero(on)

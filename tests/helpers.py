@@ -37,6 +37,42 @@ def standard_complex_structure(dim):
                                   _parse_rows(rows, dim))
 
 
+def _dense(n: int) -> tuple[str, MetricField]:
+    """A sum over every coordinate, and a metric with a distinct sin or cos
+    entry, in every coordinate, everywhere."""
+    w = " + ".join(f"0.{k + 1}*x{k + 1}" for k in range(n))
+    return w, MetricField.from_strings(
+        [[f"2 + 0.3*sin(x{i + 1} + {w})" if i == j else f"0.1*cos(x{i + 1}*x{j + 1} + {w})"
+          for j in range(n)] for i in range(n)])
+
+
+def _dense_op(n: int, w: str, signed_zeros: bool) -> list:
+    """phi or J with a distinct sin entry, in every coordinate, everywhere;
+    with signed zeros, the entries of even i + j are instead zeros whose sign,
+    and their partials', changes across the chart, so a product of two rows
+    of opposite parity sums zeros only and its sign shows its order."""
+    return _parse_rows([[f"-0*x{(i + j) % n + 1}" if signed_zeros and (i + j) % 2 == 0
+                         else f"sin({i + 1}*x{j + 1} - x{i + 1} + {w}) + 0.{j + 1}"
+                         for j in range(n)] for i in range(n)], n)
+
+
+def dense_contact(n=5, signed_zeros=False):
+    """A structure with a distinct sin, exp or sqrt entry, in every
+    coordinate, everywhere in g, phi, xi and eta: no law holds, and every sum
+    in a law has all its terms nonzero, so its order shows in the bits."""
+    w, metric = _dense(n)
+    return AlmostContactStructure(
+        metric, _dense_op(n, w, signed_zeros),
+        [parse(f"exp(0.{i + 1}*x{i + 1} + {w})", n) for i in range(n)],
+        [parse(f"0.{i + 1}*sqrt(3 + x{n - i} + {w})", n) for i in range(n)])
+
+
+def dense_complex(n, signed_zeros=False):
+    """An almost complex structure built as :func:`dense_contact` is."""
+    w, metric = _dense(n)
+    return AlmostComplexStructure(metric, _dense_op(n, w, signed_zeros))
+
+
 SASAKIAN_G_ROWS = [
     ["0.25 + 0.25*x3^2", "0.25*x3*x4", "0", "0", "-0.25*x3"],
     ["0.25*x3*x4", "0.25 + 0.25*x4^2", "0", "0", "-0.25*x4"],

@@ -17,6 +17,7 @@ from warpcheck.ineq import (generalized_rhs, leaf_mean_curvature, main_inequalit
 from warpcheck.cli import RunConfig, run, validate
 from warpcheck.jets import fd_partial
 from warpcheck.report import to_json_bytes
+from warpcheck.riemann import fold_blocks
 from warpcheck.sampling import halton_points
 from warpcheck.structures import (cosymplectic_space_form, kenmotsu_space_form,
                                   model_sectional, phi_sectional,
@@ -24,8 +25,7 @@ from warpcheck.structures import (cosymplectic_space_form, kenmotsu_space_form,
                                   generalized_complex_space_form,
                                   fundamental_form_residuals,
                                   nijenhuis_normality_residuals,
-                                  structure_class_residuals,
-                                  fold_tensors)
+                                  structure_class_residuals, StructureBlock)
 from warpcheck.subman import (ImmersionBlock, fold_sff, gauss_residual_max,
                               induced_metric, warped_geometry)
 from warpcheck.warped import WarpedPoint, warping_identity_residual
@@ -227,10 +227,11 @@ def test_criterion_7_space_form_models():
 def test_criterion_8_contact_suite():
     s = _gated("sasakian-r5").subject
     points = halton_points(s.metric.domain, 64, 42)
-    worst = max(fold_tensors(s, points, s.identity_residuals).values())
+    worst = max(fold_blocks(points, s.dim, lambda x: StructureBlock(s, x),
+                            s.identity_residuals).values())
     # each law over every pair of coordinate directions
     for x in points:
-        t = s.at(x)
+        t = StructureBlock(s, x[None])
         worst = max(worst, structure_class_residuals(t, "sasakian").max(),
                     nijenhuis_normality_residuals(t).max(), fundamental_form_residuals(t).max())
     ok = worst < 1e-8

@@ -4,8 +4,9 @@ memory layout (a per-point einsum downstream sums in an order that depends
 on the strides of its operands).  Also: a block raises the error of its
 first failing point, as the point-by-point walk does; a point's
 frame-contracted curvature, which several checks read, is the bits a fresh
-contraction gives and stays so after they read it; and a warped metric's
-block gives each point the values, and the warnings, of a block of one."""
+contraction gives and stays so after they read it; a warped metric's block
+gives each point the values, and the warnings, of a block of one; and so
+does a structure's block give each point every law's bits."""
 
 import warnings
 from functools import partial
@@ -13,6 +14,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from helpers import dense_complex, dense_contact
 
 from warpcheck import cli, jets
 from warpcheck.config import load_config, load_config_text
@@ -21,7 +23,10 @@ from warpcheck.gallery import builtin_names, load_builtin, sample_points
 from warpcheck.ineq import main_inequality
 from warpcheck.report import fold, to_json_bytes
 from warpcheck.riemann import MetricBlock, MetricField, MetricPoint, fold_blocks, frame_curvature
-from warpcheck.structures import AlmostComplexStructure, AlmostContactStructure
+from warpcheck.structures import (CLASS_NAMES, AlmostComplexStructure, AlmostContactStructure,
+                                  StructureBlock, closed_eta_residuals,
+                                  fundamental_form_residuals, nijenhuis_normality_residuals,
+                                  structure_class_residuals)
 from warpcheck.jets import block_points
 from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals, fold_sff,
                               gauss_residual_tensor, shape_operator, warped_block_defect)
@@ -218,6 +223,46 @@ def test_block_form_and_classes_equal_blocks_of_one(name, n, seed):
             if len(got) == len(block.points):
                 for b, a in enumerate(alone):
                     assert layout(got[b]) == layout(a[key][0]), (what, b)
+
+
+def structure_laws(t: StructureBlock) -> dict:
+    """Every array a structure walk reads or folds for the block, by name:
+    the covariant derivative, and each law of the structure's kind."""
+    s, out = t.s, {"nabla": t.nabla}
+    if isinstance(s, AlmostComplexStructure):
+        return {**out, **s.residuals(t, require_kahler=True)}
+    out.update(s.identity_residuals(t))
+    out.update({f"class-{klass}": structure_class_residuals(t, klass) for klass in CLASS_NAMES})
+    out.update({"normality": nijenhuis_normality_residuals(t),
+                "fundamental-form": fundamental_form_residuals(t),
+                "closed-eta": closed_eta_residuals(t)})
+    return out
+
+
+STRUCTURES = ([partial(dense_complex, n) for n in (2, 4, 6)]
+              + [partial(dense_contact, n) for n in (1, 3, 5, 7)]
+              + [partial(dense_complex, 4, signed_zeros=True),
+                 partial(dense_contact, 5, signed_zeros=True)])
+
+
+@pytest.mark.parametrize("make", STRUCTURES, ids=lambda m: "-".join(
+    [m.func.__name__, str(m.args[0])] + list(m.keywords)))
+def test_every_stacked_structure_law_has_each_points_bits(make):
+    # every law over blocks of 1, 3 and a walk's full size, against a block
+    # of each point alone; of the full block, which holds 2,592 points at
+    # n = 2 and 41,472 at n = 1, 32 points spread over it from the first to
+    # the last are read (every point at n = 6 and 7, whose blocks hold 32)
+    s = make()
+    size = block_points(s.dim)
+    points = np.random.default_rng(s.dim).uniform(-0.5, 0.5, (size, s.dim))
+    picked = sorted({0, 1, 2, *np.linspace(0, size - 1, 32).astype(int).tolist()})
+    alone = {b: structure_laws(StructureBlock(s, points[b:b + 1])) for b in picked}
+    for stop in (1, 3, size):
+        values = structure_laws(StructureBlock(s, points[:stop]))
+        for b in (b for b in picked if b < stop):
+            for key, got in values.items():
+                assert alone[b].keys() == values.keys()
+                assert_same_int64(got[b:b + 1], alone[b][key], f"{s.dim} {stop} {b} {key}")
 
 
 def test_a_non_parallel_structure_inside_a_block_raises_as_the_walk_does(tmp_path):

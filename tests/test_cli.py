@@ -263,6 +263,15 @@ def test_tiny_divisor_exits_2(tmp_path, capsys):
     assert "domain error in '/'" in capsys.readouterr().err
 
 
+def test_an_overflowing_jet_coefficient_exits_2(tmp_path, capsys):
+    # at x1 ~ 1e-104, 1/x1 and 1/x1^2 are finite, but 2/x1^3 divides by a
+    # subnormal and overflows to inf without a Python error; let through, it
+    # would reach the curvature as NaN and FAIL curvature-symmetries
+    cfg = _metric_cfg(tmp_path, 1, "1 + 1/x1", (1e-104,), (2e-104,))
+    assert main(["--target", cfg, "--points", "4"]) == 2
+    assert "domain error in '/'" in capsys.readouterr().err
+
+
 def test_sampling_errors_exit_2(tmp_path, capsys):
     cfg = _metric_cfg(tmp_path, 16, "1", [0] * 16, [1] * 16)
     assert main(["--target", cfg]) == 2
@@ -483,8 +492,8 @@ def test_library_checks_give_the_cli_records(target):
         im, points, subman.classification_residuals, ineq.leaf_mean_curvature,
         partial(ineq.fiber_lemma_residuals, tol=cr),
         subman.contact_cr_residuals if contact else subman.complex_cr_defects,
-        cli._point_values(s.identity_residuals if contact else partial(s.residuals,
-                                                                      require_kahler=True)))
+        lambda block: (s.identity_residuals(block.tensors) if contact
+                       else s.residuals(block.tensors, require_kahler=True)))
     rep = cli.records(worst, n, ("structure", "classify", "inequalities"), {}, s.kind)
     if not contact:
         # e6 fails the CR gate, so the CLI reports leaf minimality as information
@@ -593,10 +602,10 @@ def test_one_geometry_record_per_point(monkeypatch):
     assert calls["derivs"] <= 3 and calls["sff"] <= 3, calls
 
 
-def test_one_law_evaluation_per_point(monkeypatch):
-    # each contact law gives its values over every coordinate pair at once;
-    # the structure records and the main inequality's Kahler gate read one
-    # covariant derivative of J a point
+def test_one_law_evaluation_per_block(monkeypatch):
+    # each contact law gives its values over every coordinate pair and every
+    # point of a block at once; the structure records and the main
+    # inequality's Kahler gate read one covariant derivative of J a block
     calls = Counter()
 
     def counted(name, fn):
@@ -610,13 +619,13 @@ def test_one_law_evaluation_per_point(monkeypatch):
     for name in laws:
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     code, _, _ = run(RunConfig(target="sasakian-r5", points=3))
-    assert code == 0 and calls == {name: 3 for name in laws}, calls
+    assert code == 0 and calls == {name: 1 for name in laws}, calls
     calls.clear()
     einsum = np.einsum
     monkeypatch.setattr(np, "einsum", lambda subscripts, *operands, **kwargs: counted(
         subscripts, einsum)(subscripts, *operands, **kwargs))
     code, _, _ = run(RunConfig(target="e1", points=3))
-    assert code == 0 and calls["kim,mj->ikj"] == 3, calls
+    assert code == 0 and calls["...kim,...mj->...ikj"] == 1, calls
 
 
 @pytest.mark.parametrize("old, new", [

@@ -1,6 +1,6 @@
-"""Per-point checks take their point's record (StructureTensors), immersion
-and warped checks their block (a WarpedPoint is a view of its block's
-values, with no formulas of its own), and nothing that the record already
+"""Structure, immersion and warped checks take their block (a StructureBlock,
+an ImmersionBlock, a WarpedBlock; a WarpedPoint is a view of its block's
+values, with no formulas of its own), and nothing that the block already
 holds, and a structure law no vectors; every function and class the package
 defines is read by it or exported, and every parameter by its function; only
 the command-line module makes report records, in one loop over one table."""
@@ -18,7 +18,7 @@ from warpcheck.errors import ConfigurationError
 from warpcheck.gallery import load_builtin
 from warpcheck.subman import ImmersionBlock
 
-RECORD_NAMES = {"sff", "at", "tensors"}
+RECORD_NAMES = {"sff", "t", "tensors"}
 
 
 def _public_callables(mod):
@@ -273,7 +273,7 @@ def test_every_block_walk_names_the_dimension_that_sizes_its_blocks():
     calls = [(mod, len(node.args) + len(node.keywords))
              for mod, tree in _package_trees().items() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "per_block"]
-    assert len(calls) == 6 and all(n == 3 for _, n in calls), calls
+    assert len(calls) == 3 and all(n == 3 for _, n in calls), calls
     sizes = ("BLOCK_POINTS", "BLOCK_ENTRIES")
     readers = {mod for mod, tree in _package_trees().items() for node in ast.walk(tree)
                if getattr(node, "id", getattr(node, "attr", None)) in sizes

@@ -17,6 +17,7 @@ from warpcheck.gallery import BUILTINS, builtin_names, load_builtin
 from warpcheck.jets import DomainBox
 from warpcheck.report import to_json_bytes
 from warpcheck.riemann import MetricField
+from warpcheck.structures import StructureBlock
 from warpcheck.subman import Immersion, WarpedDecl, induced_metric
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_gallery_sasakian_structure_matches_fixture():
     s_cfg = loaded.subject
     s_direct = standard_sasakian_r5()
     x = np.array([0.3, -0.2, 0.5, 0.1, 0.4])
-    t_a, t_b = s_cfg.at(x), s_direct.at(x)
+    t_a, t_b = StructureBlock(s_cfg, x[None]), StructureBlock(s_direct, x[None])
     npt.assert_allclose(t_a.op[0], t_b.op[0])
     npt.assert_allclose(t_a.xi, t_b.xi)
     npt.assert_allclose(t_a.eta[0], t_b.eta[0])

@@ -10,35 +10,35 @@ from warpcheck.cli import records
 from warpcheck.errors import ConfigurationError, DegeneratePlaneError
 from warpcheck.expr import parse
 from warpcheck.report import CheckReport
-from warpcheck.riemann import MetricField, curvature_components, sectional
+from warpcheck.riemann import MetricField, curvature_components, fold_blocks, sectional
 from warpcheck.structures import (CLASS_NAMES, AlmostComplexStructure,
-                                  AlmostContactStructure, SpaceFormModel,
+                                  AlmostContactStructure, SpaceFormModel, StructureBlock,
                                   closed_eta_residuals, complex_space_form,
                                   cosymplectic_space_form, fundamental_form_residuals,
                                   generalized_complex_space_form, kenmotsu_space_form,
                                   model_curvature, model_sectional,
                                   model_symmetry_residual, nijenhuis_normality_residuals,
                                   phi_sectional, sasakian_space_form,
-                                  fold_tensors, structure_class_residuals)
+                                  structure_class_residuals)
 
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
 
 
-from helpers import standard_sasakian_r5
+from helpers import dense_contact, standard_sasakian_r5
 
 
-def identities(t):
-    """The defining identities of the point's almost contact structure."""
-    return t.s.identity_residuals(t)
+def fold_structure(s, points, step) -> dict:
+    """step's values over the points, folded a StructureBlock at a time."""
+    return fold_blocks(points, s.dim, lambda x: StructureBlock(s, x), step)
 
 
 def contact_records(s, points, tol=1e-10) -> CheckReport:
     """The identity records of an almost contact structure at the points, as
     the report makes them."""
-    return records(fold_tensors(s, points, identities), len(points), ("structure",),
-                   {"structure": tol})
+    return records(fold_structure(s, points, s.identity_residuals), len(points),
+                   ("structure",), {"structure": tol})
 
 
 def _parse_rows(rows, dim):
@@ -86,7 +86,8 @@ def test_degenerate_structure_fails_pairing():
 def test_perturbed_phi_reports_its_magnitude():
     s = standard_sasakian_r5()
     s.phi_entries[0][1] = parse("1e-3", 5)
-    worst = max(max(s.identity_residuals(s.at(x)).values()) for x in sample_points(2, n=4))
+    worst = max(max(v.max() for v in s.identity_residuals(StructureBlock(s, x[None])).values())
+                for x in sample_points(2, n=4))
     assert 1e-4 < worst < 1e-2
 
 
@@ -108,35 +109,36 @@ def test_even_dimension_rejected():
 def test_standard_structure_is_sasakian_class():
     s = standard_sasakian_r5()
     for x in sample_points(4, n=4):
-        assert structure_class_residuals(s.at(x), "sasakian").max() < 1e-8
+        assert structure_class_residuals(StructureBlock(s, x[None]), "sasakian").max() < 1e-8
 
 
 def test_standard_structure_is_not_cosymplectic():
     s = standard_sasakian_r5()
     x = np.array([0.3, -0.4, 0.2, 0.5, 0.1])
-    assert structure_class_residuals(s.at(x), "cosymplectic").max() > 0.1
+    assert structure_class_residuals(StructureBlock(s, x[None]), "cosymplectic").max() > 0.1
 
 
 def test_constant_phi_flat_metric_is_cosymplectic():
     s = trivial_cosymplectic_r3()
     points = sample_points(6, n=4, dim=3)
     assert contact_records(s, points).passed
-    assert structure_class_residuals(s.at(np.zeros(3)), "cosymplectic").max() == 0.0
+    assert structure_class_residuals(StructureBlock(s, np.zeros((1, 3))), "cosymplectic").max() == 0.0
     # cosymplectic implies nearly cosymplectic
-    assert structure_class_residuals(s.at(np.zeros(3)), "nearly_cosymplectic").max() == 0.0
+    assert structure_class_residuals(StructureBlock(s, np.zeros((1, 3))), "nearly_cosymplectic").max() == 0.0
 
 
 def test_sasakian_structure_fails_other_class_laws():
     s = standard_sasakian_r5()
     x = np.array([0.1, 0.4, -0.3, 0.2, 0.6])
-    assert structure_class_residuals(s.at(x), "kenmotsu").max() > 0.1
+    assert structure_class_residuals(StructureBlock(s, x[None]), "kenmotsu").max() > 0.1
     # the symmetrized law also fails: the defect is -2g(X,Y)xi + eta(Y)X + eta(X)Y
-    assert structure_class_residuals(s.at(x), "nearly_cosymplectic").max() > 0.1
+    assert structure_class_residuals(StructureBlock(s, x[None]), "nearly_cosymplectic").max() > 0.1
 
 
 def test_unknown_class_rejected():
     with pytest.raises(ConfigurationError):
-        structure_class_residuals(standard_sasakian_r5().at(np.zeros(5)), "nope")
+        structure_class_residuals(StructureBlock(standard_sasakian_r5(), np.zeros((1, 5))),
+                                  "nope")
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +149,13 @@ def test_unknown_class_rejected():
 def test_standard_sasakian_is_normal():
     s = standard_sasakian_r5()
     for x in sample_points(10, n=4):
-        assert nijenhuis_normality_residuals(s.at(x)).max() < 1e-8
+        assert nijenhuis_normality_residuals(StructureBlock(s, x[None])).max() < 1e-8
 
 
 def test_standard_sasakian_contact_metric_law():
     s = standard_sasakian_r5()
     for x in sample_points(12, n=4):
-        assert fundamental_form_residuals(s.at(x)).max() < 1e-8
+        assert fundamental_form_residuals(StructureBlock(s, x[None])).max() < 1e-8
 
 
 def test_contact_form_with_wrong_phi_breaks_normality():
@@ -168,30 +170,14 @@ def test_contact_form_with_wrong_phi_breaks_normality():
                  ["0", "0", "0", "0", "0"]]
     s.phi_entries = _parse_rows(wrong_phi, 5)
     # the pair (e_1, e_3)
-    assert nijenhuis_normality_residuals(s.at(np.zeros(5)))[0, 2] > 0.4
-
-
-def dense_contact(n=5):
-    """A structure with a distinct sin, exp or sqrt entry, in every
-    coordinate, everywhere in g, phi, xi and eta: no law holds, and every sum
-    in a law has all its terms nonzero, so its order shows in the bits."""
-    w = " + ".join(f"0.{k + 1}*x{k + 1}" for k in range(n))  # every coordinate
-    metric = MetricField.from_strings(
-        [[f"2 + 0.3*sin(x{i + 1} + {w})" if i == j else f"0.1*cos(x{i + 1}*x{j + 1} + {w})"
-          for j in range(n)] for i in range(n)])
-    phi = [[f"sin({i + 1}*x{j + 1} - x{i + 1} + {w}) + 0.{j + 1}" for j in range(n)]
-           for i in range(n)]
-    return AlmostContactStructure(
-        metric, _parse_rows(phi, n), [parse(f"exp(0.{i + 1}*x{i + 1} + {w})", n)
-                                      for i in range(n)],
-        [parse(f"0.{i + 1}*sqrt(3 + x{n - i} + {w})", n) for i in range(n)])
+    assert nijenhuis_normality_residuals(StructureBlock(s, np.zeros((1, 5))))[0, 0, 2] > 0.4
 
 
 def one_pair_laws(t, X, Y) -> dict:
-    """Each law on one vector pair by its one-pair formula: the reference for
-    the laws' values over the coordinate pairs."""
-    phi, dphi = t.op
-    xi, (eta, deta), g, gam = t.xi, t.eta, t.metric.value, t.metric.gamma
+    """Each law on one vector pair by its one-pair formula, at a block of one
+    point: the reference for the laws' values over the coordinate pairs."""
+    (phi, dphi), xi = (a[0] for a in t.op), t.xi[0]
+    (eta, deta), g, gam = (a[0] for a in t.eta), t.metric.derivs[0][0], t.metric.gamma[0]
 
     def nabla(X, Y):  # (nabla_X phi) Y
         term = np.einsum("i,ikm,m->k", X, dphi, Y)
@@ -224,7 +210,7 @@ def test_pair_values_have_the_bits_of_the_one_pair_formulas(structure):
     s = structure()
     n = s.dim
     for x in sample_points(41, n=3, dim=n, scale=0.8):
-        t = s.at(x)
+        t = StructureBlock(s, x[None])
         laws = {**{klass: structure_class_residuals(t, klass) for klass in CLASS_NAMES},
                 "normality": nijenhuis_normality_residuals(t),
                 "fundamental-form": fundamental_form_residuals(t),
@@ -233,7 +219,7 @@ def test_pair_values_have_the_bits_of_the_one_pair_formulas(structure):
             for b in range(n):
                 want = one_pair_laws(t, np.eye(n)[:, a], np.eye(n)[:, b])
                 for key, values in laws.items():
-                    assert np.float64(values[a, b]).tobytes() == \
+                    assert np.float64(values[0, a, b]).tobytes() == \
                         np.float64(want[key]).tobytes(), (key, a, b)
 
 
@@ -316,8 +302,8 @@ def test_sasakian_r5_curvature_matches_space_form_model():
     s = standard_sasakian_r5()
     for x in sample_points(29, n=3, scale=0.8):
         r4 = curvature_components(s.metric, x)
-        t = s.at(x)
-        phi, xi, eta = t.op[0], t.xi, t.eta[0]
+        t = StructureBlock(s, x[None])
+        phi, xi, eta = t.op[0][0], t.xi[0], t.eta[0][0]
         model = SpaceFormModel("sasakian", 5, -3.0, g=s.metric.value(x),
                                phi=phi, xi=xi, eta=eta)
         rng = np.random.default_rng(31)
@@ -331,8 +317,8 @@ def test_sasakian_r5_curvature_matches_space_form_model():
 def test_sasakian_r5_phi_sectional_is_minus_three():
     s = standard_sasakian_r5()
     x = np.array([0.2, -0.3, 0.4, 0.1, 0.5])
-    t = s.at(x)
-    phi, xi, eta = t.op[0], t.xi, t.eta[0]
+    t = StructureBlock(s, x[None])
+    phi, xi, eta = t.op[0][0], t.xi[0], t.eta[0][0]
     # X in the contact distribution (eta(X) = 0), plane span(X, phi X)
     X = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     assert abs(float(eta @ X)) < 1e-15
@@ -352,7 +338,7 @@ def test_flat_kahler_structure_validates():
               ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
     acs = AlmostComplexStructure(metric, _parse_rows(j_rows, 4))
     points = sample_points(33, n=4, dim=4)
-    rep = records(fold_tensors(acs, points, lambda t: acs.residuals(t, True)), len(points),
+    rep = records(fold_structure(acs, points, lambda t: acs.residuals(t, True)), len(points),
                   ("structure",), {})
     assert rep.passed
-    assert acs.parallel_residual(acs.at(np.zeros(4))) == 0.0
+    assert acs.parallel_residual(StructureBlock(acs, np.zeros((1, 4)))) == 0.0
