@@ -25,16 +25,15 @@ from .gallery import builtin_names, load_builtin
 from .ineq import InequalityResult, main_inequality, scalar_decomposition_residual
 from .jets import DomainBox, ExcludedBall, Jet3, fd_partial, jet_const, jet_var
 from .report import CheckRecord, CheckReport
-from .riemann import (Curvature4, MetricField, christoffel, curvature, gradient,
-                      laplacian, scalar_curvature, sectional)
+from .riemann import Curvature4, MetricField, christoffel, curvature_components, laplacian
 from .structures import (AlmostComplexStructure, AlmostContactStructure,
                          SpaceFormModel, StructureBlock, complex_space_form,
                          cosymplectic_space_form, generalized_complex_space_form,
                          kenmotsu_space_form, model_curvature, phi_sectional,
                          sasakian_space_form, structure_class_residuals)
 from .subman import (Immersion, ImmersionBlock, SFFData, WarpedDecl, fold_sff,
-                     gauss_residual_max, induced_metric, scalar_identity_residual,
-                     second_fundamental_form, shape_operator)
+                     gauss_residual_max, scalar_identity_residual, second_fundamental_form,
+                     shape_operator)
 from .warped import WarpedMetric, assemble, mixed_sectional_sum, warping_identity_residual
 
 __all__ = [
@@ -47,8 +46,7 @@ __all__ = [
     "Jet3", "DomainBox", "ExcludedBall", "jet_const", "jet_var",
     "fd_partial", "parse", "eval_expr", "pretty",
     # intrinsic geometry
-    "MetricField", "Curvature4", "christoffel", "curvature",
-    "sectional", "scalar_curvature", "gradient", "laplacian",
+    "MetricField", "Curvature4", "christoffel", "curvature_components", "laplacian",
     # warped products
     "WarpedMetric", "assemble", "mixed_sectional_sum", "warping_identity_residual",
     # structures and models
@@ -57,7 +55,7 @@ __all__ = [
     "kenmotsu_space_form", "cosymplectic_space_form", "model_curvature",
     "phi_sectional", "structure_class_residuals",
     # submanifolds
-    "Immersion", "ImmersionBlock", "WarpedDecl", "SFFData", "induced_metric", "fold_sff",
+    "Immersion", "ImmersionBlock", "WarpedDecl", "SFFData", "fold_sff",
     "second_fundamental_form", "shape_operator", "gauss_residual_max",
     "scalar_identity_residual",
     # inequalities

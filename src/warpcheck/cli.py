@@ -246,7 +246,6 @@ def records(worst: dict, n: int, groups, tols: dict, kind: str | None = None) ->
 
 def _metric_values(g: MetricField, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(g, rc.points, rc.seed)
-    g.validate_at(points)
     worst = fold_blocks(points, g.dim, lambda x: MetricBlock(g, x), lambda block: {
         "curvature-symmetries": Curvature4(block.curvature).max_symmetry_residual()})
     return worst, len(points)
@@ -302,7 +301,6 @@ def _warped_step(w: WarpedBlock) -> dict:
 
 def _warped_values(w: WarpedMetric, rc: RunConfig) -> tuple[dict, int]:
     points = sample_points(w, rc.points, rc.seed)
-    w.validate_at(points)
     return fold_blocks(points, w.dim, lambda x: WarpedBlock(w, x), _warped_step), len(points)
 
 
@@ -448,18 +446,28 @@ GATE_POINTS = 16
 GATE_SEED = 7
 
 
+def _metric_gate(block: MetricBlock) -> dict:
+    block.ginv  # raises where the metric is not symmetric, finite and positive definite
+    return {"gate-metric": block.metric.symmetry_residual(block.points)}
+
+
+def _warping_gate(w: WarpedBlock) -> dict:
+    w.total.ginv, w.scalars  # raise where the total metric is not valid, then where f <= 0
+    return {}
+
+
 def validate(cfg: BuiltConfig) -> CheckReport:
     """Run the example's validation gate, chosen by its subject kind; every
     record must pass before the example feeds any downstream check."""
     subject, tols = cfg.subject, {}
     points = sample_points(subject, GATE_POINTS, GATE_SEED)
     if isinstance(subject, MetricField):
-        subject.validate_at(points)
-        worst = fold_blocks(points, subject.dim, lambda x: x,
-                            lambda x: {"gate-metric": subject.symmetry_residual(x)})
+        worst = fold_blocks(points, subject.dim, lambda x: MetricBlock(subject, x),
+                            _metric_gate)
     elif isinstance(subject, WarpedMetric):
-        subject.validate_at(points)  # raises on f <= 0 or indefinite blocks
-        worst = {"gate-warping-positive": 0.0}
+        worst = {"gate-warping-positive": 0.0,
+                 **fold_blocks(points, subject.dim, lambda x: WarpedBlock(subject, x),
+                               _warping_gate)}
     elif isinstance(subject, AlmostContactStructure):
         worst = fold_blocks(points, subject.dim, lambda x: StructureBlock(subject, x),
                             subject.identity_residuals)

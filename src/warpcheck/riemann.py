@@ -1,29 +1,25 @@
 """Intrinsic Riemannian geometry of a chart-level metric field.
 
-Everything here is a pure function of (metric source, point).  A metric
-source is any object exposing ``dim`` and ``derivs(x) -> (g, dg, d2g)``
-where ``dg[k,i,j]`` and ``d2g[k,l,i,j]`` are first and second coordinate
-partials of the matrix entries (induced frames read ``value(x)``); x may be a
-block of points (B, dim), and then every array gains a leading block axis.
-:class:`MetricField` evaluates expression entries as jets, and induced
-metrics provide the same surface.
+A metric source is any object exposing ``dim`` and ``derivs(x) -> (g, dg,
+d2g)`` where ``dg[k,i,j]`` and ``d2g[k,l,i,j]`` are first and second
+coordinate partials of the matrix entries (induced frames read
+``value(x)``); x is a block of points (B, dim), and every array has a
+leading block axis.  :class:`MetricField` evaluates expression entries as
+jets, and induced metrics provide the same surface.
 
-The block is the unit of geometry.  A :class:`MetricBlock` holds a source
-at a block of points and computes each field (the derivatives, the inverse
-metric with its positive-definiteness check, the connection, the curvature,
-the frames and the curvature in them) once for the whole block, on first
-use, as batch-leading arrays, and applies its operators (the Laplacian) to
-the whole block too; the block of a coordinate sub-chart has no source, only
-sliced derivatives.
-A :class:`MetricPoint` is one point of a block (a lone point is a block of
-one) and returns views of the block's fields, with no formulas of its own;
-a structure's tensors and laws have no point record at all, only their
-block (``structures.StructureBlock``).  A block gives each point exactly the
-bits a block of one gives it, under two rules:
+The block is the one evaluation shape.  A :class:`MetricBlock` holds a
+source at a block of points and computes each field (the derivatives, the
+inverse metric after its checks of symmetry, finiteness and positive
+definiteness, the connection, the curvature, the frames and the curvature in
+them) once for the whole block, on first use, as batch-leading arrays, and
+applies its operators (the Laplacian) to the whole block too; the block of a
+coordinate sub-chart has no source, only sliced derivatives.  A lone point
+is a block of one, ``MetricBlock(g, x[None])``, read at index 0.  A block
+gives each point exactly the bits a block of one gives it, under two rules:
 
 * Layout is part of the bits.  A batched einsum is the single-point
-  subscript string with ``...`` prefixed on each operand, and records return
-  views, not copies: a view has the single-point output's strides, while a
+  subscript string with ``...`` prefixed on each operand, so a point's slice
+  of a block's field has the strides a block of one gives it, while a
   C-ordered copy would make a per-point einsum downstream (a frame
   contraction of the curvature) sum in another order.
 * A contraction to a scalar keeps its order of summation.  A sum over frame
@@ -74,19 +70,16 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import expr as dsl
-from .errors import (DegenerateMetricError, DegeneratePlaneError,
-                     DependentSeedsError)
+from .errors import DegenerateMetricError, DependentSeedsError
 from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, pack, per_block
 from .report import fold
 
 GS_PIVOT_THRESHOLD = 1e-12
-PLANE_GRAM_THRESHOLD = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +133,15 @@ class MetricField:
         return dsl.eval_matrix(self.entries, x, self.params, order=0, symmetric=True)[0]
 
     def symmetry_residual(self, x: Point):
-        g = dsl.eval_matrix(self.entries, x, self.params, order=0)[0]
-        return np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1))
-
-    def validate_at(self, points: Sequence[Point]) -> None:
-        """Check symmetry and positive definiteness at the given sample points."""
-        upper = np.triu(np.ones((self.dim, self.dim), dtype=bool))
-
-        def check(block):
-            g = dsl.eval_matrix(self.entries, block, self.params, order=0)[0]
-            gt = np.swapaxes(g, -1, -2)
-            asym = np.max(np.abs(g - gt), axis=(-2, -1)) > 1e-10
-            k = int(np.argmax(asym)) if asym.any() else len(block)
-            # the points before the first asymmetric one must be positive definite
-            _checked(np.where(upper, g, gt)[:k], block[:k], finite=True)
-            if k < len(block):
-                raise DegenerateMetricError(f"metric not symmetric at {block[k]}")
-            return ()
-        list(per_block(points, check, self.dim))
+        """max |g_ij - g_ji| at each point of x, evaluating only the pairs whose
+        two expressions differ: an equal pair is symmetric by construction."""
+        pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)
+                 if self.entries[i][j] != self.entries[j][i]]
+        if not pairs:
+            return np.zeros(np.shape(x)[:-1])
+        rows = [[self.entries[i][j] for i, j in pairs], [self.entries[j][i] for i, j in pairs]]
+        g = dsl.eval_matrix(rows, x, self.params, order=0)[0]
+        return np.max(np.abs(g[..., 0, :] - g[..., 1, :]), axis=-1)
 
 
 def _checked(g: np.ndarray, x, finite: bool = False) -> np.ndarray:
@@ -192,9 +176,8 @@ class MetricBlock:
 
     ``derivs`` and every field derived from it (``ginv``, ``lowered``,
     ``gamma``, ``curvature``) are computed on first use for the whole block
-    at once, as batch-leading arrays (B, ...), and read per point by the
-    block's :class:`MetricPoint` records as views; so are the frames, built
-    by :func:`stacked`, and the curvature contracted into them.  ``derivs``:
+    at once, as batch-leading arrays (B, ...); so are the frames, built by
+    :func:`stacked`, and the curvature contracted into them.  ``derivs``:
     a function returning the block's (g, dg, d2g) when the caller already
     holds what they are made from (the source's ``derivs`` at the points by
     default).  ``metric`` is None for the block of a coordinate sub-chart
@@ -216,9 +199,17 @@ class MetricBlock:
     @cached_property
     def ginv(self) -> np.ndarray:
         """Inverse metrics, after checking that each is positive definite
-        (and, for a chart metric, finite)."""
-        return np.linalg.inv(_checked(self.derivs[0], self.points,
-                                      finite=isinstance(self.metric, MetricField)))
+        and, for a chart metric, symmetric (past 1e-10) and finite; the
+        block's first failing point raises."""
+        g, x, k = self.derivs[0], self.points, len(self.points)
+        chart = isinstance(self.metric, MetricField)
+        if chart:
+            asym = self.metric.symmetry_residual(x) > 1e-10
+            k = int(np.argmax(asym)) if asym.any() else k
+        _checked(g[:k], x[:k], finite=chart)  # the points before an asymmetric one
+        if k < len(x):
+            raise DegenerateMetricError(f"metric not symmetric at {x[k]}")
+        return np.linalg.inv(g)
 
     @cached_property
     def lowered(self) -> np.ndarray:
@@ -254,14 +245,13 @@ class MetricBlock:
     def curvature_in_frame(self) -> np.ndarray:
         """The curvature contracted into each point's frame (B, n, n, n, n),
         once for every check that reads it."""
-        return frame_curvature(self.curvature, self.frame_at(range(len(self.points)))[1])
+        return frame_curvature(self.curvature, self.frame)
 
-    def laplacian(self, psi: Jet3, points=slice(None)) -> np.ndarray:
-        """Geometer's-sign Laplacians (B,) of a jet over the block's points
-        (or over ``points`` of them, the jet's own): minus the metric trace of
-        its Hessian, each with the bits of its point's
+    def laplacian(self, psi: Jet3) -> np.ndarray:
+        """Geometer's-sign Laplacians (B,) of a jet over the block's points:
+        minus the metric trace of its Hessian, each with the bits of its point's
         ``einsum("ij,kij,k->", ginv, Gamma, d1) - einsum("ij,ij->", ginv, d2)``."""
-        ginv, gamma = self.ginv[points], self.gamma[points]
+        ginv, gamma = self.ginv, self.gamma
         d1, d2 = np.broadcast_to(psi.d1, ginv.shape[:-1]), np.broadcast_to(psi.d2, ginv.shape)
         if ginv.shape[-1] != 2:
             first = np.einsum("...ij,...kij,...k->...", ginv, gamma, d1)
@@ -283,22 +273,19 @@ class MetricBlock:
         with the bits of its point's ``d1 @ ginv @ d1`` when d1 is C-ordered."""
         return (d1[..., None, :] @ self.ginv @ d1[..., None])[..., 0, 0]
 
-    def value_at(self, index: int) -> np.ndarray:
-        """Point ``index``'s matrix that its frame is orthonormal for."""
-        return self.frame_at(index)[0] if self._own_value else self.derivs[0][index]
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Each point's Gram-Schmidt frame over the coordinate directions
+        (B, n, n), built for the whole block by :func:`stacked`."""
+        return stacked(self._frames, len(self.points))[0]
 
-    def frame_at(self, index: int) -> list:
-        """Point ``index``'s value and Gram-Schmidt frame over the coordinate
-        directions, built for the whole block by :func:`stacked`."""
-        return stacked(self.__dict__, "frames", self._frames, index)
-
-    def _frames(self, points: slice, watched) -> tuple[np.ndarray, np.ndarray]:
+    def _frames(self, points: slice, watched) -> list[np.ndarray]:
         x = self.points[points]
         if not self._own_value:
             self.ginv  # the derivatives, evaluated and checked outside the watch
         with watched():
             g = _checked(self.metric.value(x), x) if self._own_value else self.derivs[0][points]
-            return g, gram_schmidt(g, np.eye(g.shape[-1]))
+            return [gram_schmidt(g, np.eye(g.shape[-1]))]
 
     def block(self, axes) -> "MetricBlock":
         """The block of a coordinate sub-chart: no source, and the in-block
@@ -310,103 +297,46 @@ class MetricBlock:
             np.ascontiguousarray(a[(...,) + np.ix_(*[ix] * (a.ndim - 1))])
             for a in self.derivs))
 
-    def __getitem__(self, b: int) -> "MetricPoint":
-        return MetricPoint(self.metric, self.points[b], self, b)
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.points)))
-
-
-class MetricPoint:
-    """A metric source at one chart point: views of its block's fields at
-    this point (a block of one point when none is given).
-
-    ``value`` is the matrix ``frame`` is orthonormal for: ``derivs[0]``,
-    except for an induced metric, whose J^T g J rounds differently from its
-    jets.
-    """
-
-    def __init__(self, metric, x: Point, block: MetricBlock | None = None,
-                 index: int = 0):
-        self._block = block if block is not None else MetricBlock(metric, as_point(x)[None])
-        self._index = index
-
-    @cached_property
-    def derivs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(a[self._index] for a in self._block.derivs)
-
-    @cached_property
-    def value(self) -> np.ndarray:
-        return self._block.value_at(self._index)
-
-    @property
-    def ginv(self) -> np.ndarray:
-        return self._block.ginv[self._index]
-
-    @property
-    def lowered(self) -> np.ndarray:
-        """Christoffel symbols of the first kind, Gamma_kij."""
-        return self._block.lowered[self._index]
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Levi-Civita connection coefficients Gamma[k,i,j]."""
-        return self._block.gamma[self._index]
-
-    @property
-    def curvature(self) -> np.ndarray:
-        """Covariant curvature R[i,j,k,l] = g(R(d_i,d_j)d_k, d_l) in chart coordinates."""
-        return self._block.curvature[self._index]
-
-    @cached_property
-    def frame(self) -> np.ndarray:
-        """Columns orthonormal for ``value``: Gram-Schmidt over the coordinate directions."""
-        return self._block.frame_at(self._index)[1]
-
-    @property
-    def curvature_in_frame(self) -> np.ndarray:
-        """The curvature contracted into ``frame``."""
-        return self._block.curvature_in_frame[self._index]
-
-    def scalar_curvature(self) -> float:
-        """Sum of sectional curvatures over orthonormal frame pairs."""
-        rf = self.curvature_in_frame
-        return float(plane_sum(rf, combinations(range(len(rf)), 2)))
-
-    def laplacian(self, psi: Jet3) -> float:
-        """Geometer's-sign Laplacian of a jet at this point."""
-        return float(self._block.laplacian(psi, slice(self._index, self._index + 1))[0])
+# christoffel, curvature_components and laplacian, with
+# subman.second_fundamental_form, are the point reads that BENCHMARK.json's
+# per-layer counters name
 
 
 def christoffel(g_like, x: Point) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma[k,i,j] at x."""
-    return MetricPoint(g_like, x).gamma
+    """Levi-Civita connection coefficients Gamma[k,i,j] at x: a block of one
+    point's."""
+    return MetricBlock(g_like, as_point(x)[None]).gamma[0]
 
 
 def curvature_components(g_like, x: Point) -> np.ndarray:
-    """Covariant curvature R[i,j,k,l] = g(R(d_i,d_j)d_k, d_l) in chart coordinates."""
-    return MetricPoint(g_like, x).curvature
+    """Covariant curvature R[i,j,k,l] at x: a block of one point's."""
+    return MetricBlock(g_like, as_point(x)[None]).curvature[0]
+
+
+def laplacian(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
+    """Geometer's-sign Laplacian at x of an expression, or of its jet there:
+    a block of one point's.  Flat chart: lap(x1^2) = -2."""
+    jet = psi if isinstance(psi, Jet3) else dsl.eval_expr(psi, x, params)
+    return float(MetricBlock(g_like, as_point(x)[None]).laplacian(jet)[0])
 
 
 @dataclass
 class Curvature4:
-    """Fully covariant curvature tensor at a point, or at each point of a
-    block (batch-leading ``comp``)."""
+    """Fully covariant curvature tensors at each point of a block
+    (batch-leading ``comp``)."""
 
-    comp: np.ndarray  # shape (..., n, n, n, n)
+    comp: np.ndarray  # shape (B, n, n, n, n)
 
     def symmetry_residuals(self) -> dict:
-        """Worst violation of each symmetry: a float at a point, an array (B,)
-        over a block."""
+        """Worst violation of each symmetry, an array (B,)."""
         r = self.comp
-        lead = tuple(range(r.ndim - 4))
 
         def perm(*axes):
-            return r.transpose(lead + tuple(len(lead) + a for a in axes))
+            return r.transpose((0,) + tuple(1 + a for a in axes))
 
         def worst(t):
-            m = np.max(np.abs(t), axis=(-4, -3, -2, -1))
-            return m if lead else float(m)
+            return np.max(np.abs(t), axis=(-4, -3, -2, -1))
         return {
             "antisymmetry_first_pair": worst(r + perm(1, 0, 2, 3)),
             "antisymmetry_second_pair": worst(r + perm(0, 1, 3, 2)),
@@ -414,30 +344,9 @@ class Curvature4:
             "first_bianchi": worst(r + perm(1, 2, 0, 3) + perm(2, 0, 1, 3)),
         }
 
-    def max_symmetry_residual(self):
+    def max_symmetry_residual(self) -> np.ndarray:
         """The worst of :meth:`symmetry_residuals`, a NaN in any of them winning."""
-        m = reduce(np.maximum, self.symmetry_residuals().values())
-        return m if np.ndim(m) else float(m)
-
-
-def curvature(g_like, x: Point) -> Curvature4:
-    return Curvature4(curvature_components(g_like, x))
-
-
-def sectional(g_like, x: Point, X, Y) -> float:
-    """Sectional curvature of span(X, Y); invariant under GL(2) changes of the pair."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    p = MetricPoint(g_like, x)
-    g = p.value
-    gxx = X @ g @ X
-    gyy = Y @ g @ Y
-    gxy = X @ g @ Y
-    den = gxx * gyy - gxy * gxy
-    if den <= PLANE_GRAM_THRESHOLD:
-        raise DegeneratePlaneError(f"vectors do not span a 2-plane at {x}")
-    num = np.einsum("ijkl,i,j,k,l->", p.curvature, X, Y, Y, X)
-    return float(num / den)
+        return reduce(np.maximum, self.symmetry_residuals().values())
 
 
 @cache
@@ -494,37 +403,6 @@ def plane_sum(rf: np.ndarray, pairs: Iterable[tuple[int, int]]):
     return total
 
 
-def scalar_curvature(g_like, x: Point) -> float:
-    """Sum of sectional curvatures over orthonormal frame pairs (frame independent)."""
-    return MetricPoint(g_like, x).scalar_curvature()
-
-
-# ---------------------------------------------------------------------------
-# Gradient and Laplacian
-# ---------------------------------------------------------------------------
-
-
-def _psi_jet(psi, x: Point, params) -> Jet3:
-    if isinstance(psi, Jet3):
-        return psi
-    return dsl.eval_expr(psi, x, params)
-
-
-def gradient(g_like, psi, x: Point, params: Sequence[float] = ()) -> np.ndarray:
-    """Gradient vector: the metric dual of d(psi), so g(grad psi, X) = X psi."""
-    j = _psi_jet(psi, x, params)
-    return MetricPoint(g_like, x).ginv @ j.d1
-
-
-def laplacian(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
-    """Geometer's-sign Laplacian: the negative of the metric trace of the Hessian.
-
-    Flat chart: lap(x1^2) = -2.
-    """
-    j = _psi_jet(psi, x, params)
-    return MetricPoint(g_like, x).laplacian(j)
-
-
 # ---------------------------------------------------------------------------
 # Orthonormal frames
 # ---------------------------------------------------------------------------
@@ -539,28 +417,20 @@ def watch():
     return (lambda: np.errstate(call=lambda *_: events.append(1), **observed)), events
 
 
-def stacked(cache: dict, key: str, build, index: int | range) -> list:
-    """Point ``index``'s slices of the arrays ``build(points, watched)``
-    returns (the whole arrays for the range of the block's points), built for
-    the whole block once and kept in ``cache[key]``.  ``build`` enters
+def stacked(build, count: int) -> list:
+    """The arrays ``build(points, watched)`` returns for a block's ``count``
+    points, built for the whole block at once.  ``build`` enters
     ``watched()`` (:func:`watch`) around the work whose floating-point events
     belong to single points; on an event each point builds its own,
-    unwatched, once and when first asked for, so no event comes from a point
-    the walk never reaches and a reached point warns as it does alone.  An
-    error raises for the block's first failing point (``jets.per_block``
-    reruns the block)."""
-    if key not in cache:
-        watched, events = watch()
-        built = build(slice(None), watched)
-        cache[key] = {} if events else built  # after an event, each point's own by index
-    built, whole = cache[key], isinstance(index, range)
-    if isinstance(built, dict):
-        for b in index if whole else [index]:
-            if b not in built:
-                built[b] = build(slice(b, b + 1), contextlib.nullcontext)
-        return ([np.concatenate(a) for a in zip(*map(built.get, index))] if whole
-                else [a[0] for a in built[index]])
-    return built if whole else [a[index] for a in built]
+    unwatched, in order, so a point warns as it does alone and no event
+    comes from a point after one that raises.  An error raises for the
+    block's first failing point (``jets.per_block`` reruns the block)."""
+    watched, events = watch()
+    built = build(slice(None), watched)
+    if not events:
+        return built
+    alone = [build(slice(b, b + 1), contextlib.nullcontext) for b in range(count)]
+    return [np.concatenate(a) for a in zip(*alone)]
 
 
 def fold_blocks(points: Sequence[Point], dim: int, make, *steps) -> dict:
@@ -580,7 +450,7 @@ def fold_blocks(points: Sequence[Point], dim: int, make, *steps) -> dict:
                 values = {k: v for step in steps for k, v in step(subject).items()}
             names[:] = values  # every build gives the same keys, in order
             return list(values.values())
-        yield dict(zip(names, stacked({}, "checks", build, range(len(block)))))
+        yield dict(zip(names, stacked(build, len(block))))
     return fold(per_block(points, walk, dim))
 
 

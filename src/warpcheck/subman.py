@@ -159,26 +159,22 @@ class InducedMetric:
         return np.swapaxes(jac, -1, -2) @ g @ jac
 
 
-def induced_metric(im: Immersion) -> InducedMetric:
-    """Pullback metric; positive definite wherever the rank condition holds."""
-    return InducedMetric(im)
-
-
 # ---------------------------------------------------------------------------
 # Second fundamental form
 # ---------------------------------------------------------------------------
 
 
 class SFFData(NamedTuple):
-    """Adapted frames and second-fundamental-form data at a point, or at each
-    point of a block as batch-leading arrays.  ``tangent_frame`` columns are
-    sub-chart vectors orthonormal for the induced metric (leaf block first
-    when a warped split is declared); ``normal_frame`` columns are ambient
-    vectors, the invariant complement's from ``nu_start`` on.  ``h_coord``
-    holds the normal-valued form on coordinate fields, ``h_frame`` on the
-    orthonormal tangent frame; ``coeffs[r, i, j]`` are its components in the
-    normal frame.  ``means`` holds the whole, leaf and fiber mean curvature
-    vectors as rows (the whole one alone without a warped declaration)."""
+    """Adapted frames and second-fundamental-form data at each point of a
+    block, as batch-leading arrays (the shapes below follow the block
+    axis).  ``tangent_frame`` columns are sub-chart vectors orthonormal for
+    the induced metric (leaf block first when a warped split is declared);
+    ``normal_frame`` columns are ambient vectors, the invariant complement's
+    from ``nu_start`` on.  ``h_coord`` holds the normal-valued form on
+    coordinate fields, ``h_frame`` on the orthonormal tangent frame;
+    ``coeffs[r, i, j]`` are its components in the normal frame.  ``means``
+    holds the whole, leaf and fiber mean curvature vectors as rows (the
+    whole one alone without a warped declaration)."""
 
     ambient_point: np.ndarray      # (m,)
     g_ambient: np.ndarray          # (m, m)
@@ -244,7 +240,7 @@ class ImmersionBlock:
     """An immersion over a block of sub-chart points (B, dim): the component
     values and partials, the ambient, induced, structure and warped blocks,
     the frames and the second fundamental form, each evaluated for all
-    points on first use, and read per point or whole."""
+    points on first use, and read whole."""
 
     def __init__(self, im: Immersion, points: np.ndarray):
         self.im = im
@@ -283,16 +279,11 @@ class ImmersionBlock:
     def warped(self) -> WarpedBlock:
         return WarpedBlock(warped_geometry(self.im), self.points, self.induced)
 
-    def frames_at(self, index: int | range) -> SFFData:
-        """Point ``index``'s frames and form (or the range of points'), built
-        for the whole block by :func:`riemann.stacked` with the bits the
-        point has alone."""
-        return SFFData._make(stacked(self.__dict__, "frames", self._frames, index))
-
-    @property
+    @cached_property
     def frames(self) -> SFFData:
-        """The whole block's frames and form."""
-        return self.frames_at(range(len(self.points)))
+        """The block's frames and form, built for the whole block by
+        :func:`riemann.stacked` with the bits each point has alone."""
+        return SFFData._make(stacked(self._frames, len(self.points)))
 
     @cached_property
     def frame_curvatures(self) -> tuple[np.ndarray, np.ndarray]:
@@ -359,10 +350,9 @@ class ImmersionBlock:
 
 
 def second_fundamental_form(im: Immersion, x: Point) -> SFFData:
-    """Second fundamental form via the ambient covariant derivative of the
-    pushed-forward coordinate frame, projected to the normal space, at one
-    point: views of the arrays of a block of the point alone."""
-    return ImmersionBlock(im, as_point(x)[None]).frames_at(0)
+    """Frames and second fundamental form at one point: a block of one
+    point's; BENCHMARK.json's per-layer counters name this read."""
+    return SFFData._make(a[0] for a in ImmersionBlock(im, as_point(x)[None]).frames)
 
 
 def fold_sff(im: Immersion, points: Sequence[Point], *steps) -> dict:

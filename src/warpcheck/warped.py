@@ -9,21 +9,25 @@ with the geometer's-sign Laplacian taken on the leaf factor.  Both sides are
 computed numerically and the residual is reported; the hyperbolic-plane and
 round-sphere presentations pin the sign convention (both sides -1 and +1
 respectively).
+
+A split is evaluated a block of points at a time: a :class:`WarpedBlock`
+holds the total metric's block, the leaf factor's block and the warping
+function's jets, and every check here takes the block and returns arrays
+over its points; a lone point is a block of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
 from . import expr as dsl
 from . import jets
 from .errors import InvalidWarpingError
-from .jets import DomainBox, ExcludedBall, Jet3, Point, as_point, coordinate_jets, per_block
+from .jets import DomainBox, ExcludedBall, Jet3, coordinate_jets
 from .riemann import MetricBlock, MetricField, plane_sum
 
 
@@ -74,17 +78,6 @@ class WarpedMetric:
     def is_trivial(self) -> bool:
         """Trivial warped product: constant warping function."""
         return _expr_max_var(self.f) < 0
-
-    def validate_at(self, points: Sequence[Point]) -> None:
-        """Check the total metric, unless induced (the rank gate checks it), and f > 0."""
-        if isinstance(self.metric, MetricField):
-            self.metric.validate_at(points)
-
-        def check(block):
-            f = dsl.eval_matrix([[self.f]], block[:, : self.n1], self.params, order=0)[0]
-            _positive(f[:, 0, 0], block)
-            return ()
-        list(per_block(points, check, self.dim))
 
 
 def _positive(f: np.ndarray, points: np.ndarray) -> None:
@@ -139,7 +132,7 @@ def assemble(g1: MetricField, g2: MetricField, f, name: str = "") -> WarpedMetri
 @dataclass(frozen=True)
 class LeafScalars:
     """Leaf-factor quantities entering the identities and inequalities, each
-    an array over a block's points (a float, or grad_f a vector, at a point)."""
+    an array over a block's points."""
 
     f_value: np.ndarray
     lap_f: np.ndarray          # geometer's sign
@@ -152,8 +145,9 @@ class WarpedBlock:
     """A warped split over a block of chart points (B, dim): the total
     metric's block, the leaf factor's block, the warping function's jets, the
     fiber metric and the leaf scalars, each evaluated for all points on first
-    use, and read whole by the checks or per point by the block's
-    :class:`WarpedPoint` records."""
+    use, and read whole by the checks.  The total block checks the metric
+    (symmetry, finiteness and definiteness, a chart metric's) and the leaf
+    scalars check f > 0, each raising for the block's first failing point."""
 
     def __init__(self, geom: WarpedMetric, points: np.ndarray,
                  total: MetricBlock | None = None):
@@ -188,41 +182,7 @@ class WarpedBlock:
     def scalars(self) -> LeafScalars:
         return leaf_scalars(self)
 
-    def __getitem__(self, b: int) -> "WarpedPoint":
-        return WarpedPoint(self.geom, self.points[b], self, b)
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.points)))
-
-
-class WarpedPoint:
-    """A warped split at one point of a block (a block of one point when
-    none is given): the total metric's record, and the point whose slices of
-    its block's values each warped check gives when passed the point."""
-
-    def __init__(self, geom: WarpedMetric, x: Point, block: WarpedBlock | None = None,
-                 index: int = 0):
-        self.geom = geom
-        self._block = block if block is not None else WarpedBlock(geom, as_point(x)[None])
-        self._index = index
-        self.total = self._block.total[index]
-
-
-def _also_at_a_point(check):
-    """A check of a WarpedBlock, which also takes a WarpedPoint and gives its
-    point's values of its block's."""
-    @wraps(check)
-    def values(w):
-        if isinstance(w, WarpedBlock):
-            return check(w)
-        out, b = check(w._block), w._index
-        if isinstance(out, LeafScalars):
-            return LeafScalars(**{k: v[b] for k, v in vars(out).items()})
-        return {k: v[b] for k, v in out.items()}
-    return values
-
-
-@_also_at_a_point
 def leaf_scalars(w: WarpedBlock) -> LeafScalars:
     """The leaf scalars at each point of the block; a point where f <= 0
     raises, the block's first."""
@@ -241,12 +201,11 @@ def leaf_scalars(w: WarpedBlock) -> LeafScalars:
 
 def mixed_sectional_sum(rf: np.ndarray, geom: WarpedMetric):
     """Sum of sectional curvatures over all mixed leaf/fiber frame planes of
-    the curvature rf in an adapted frame (leaf columns first), at one point
-    or at each of a block's (rf (B, n, n, n, n))."""
+    the curvature rf in an adapted frame (leaf columns first), at each point
+    of a block (rf (B, n, n, n, n))."""
     return plane_sum(rf, product(range(geom.n1), range(geom.n1, geom.dim)))
 
 
-@_also_at_a_point
 def warping_identity_residual(w: WarpedBlock) -> dict:
     """Both sides of the mixed-sectional identity and their difference at
     each point of the block."""
@@ -262,7 +221,6 @@ def warping_identity(rf: np.ndarray, geom: WarpedMetric, sc: LeafScalars) -> dic
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 
-@_also_at_a_point
 def block_second_form_residuals(w: WarpedBlock) -> dict:
     """Intrinsic second fundamental forms of the blocks inside the product,
     at each point of the block.

@@ -18,6 +18,12 @@ def block_at(im, *points) -> ImmersionBlock:
     return ImmersionBlock(im, np.array(points, dtype=float))
 
 
+def one_point(block, subject, x):
+    """``block(subject, points)`` for the one point x: a block of one, whose
+    fields are read at index 0."""
+    return block(subject, np.asarray(x, dtype=float)[None])
+
+
 def flat_metric(dim, name="flat"):
     rows = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
     return MetricField.from_strings(rows, name=name)

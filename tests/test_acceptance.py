@@ -26,9 +26,9 @@ from warpcheck.structures import (cosymplectic_space_form, kenmotsu_space_form,
                                   fundamental_form_residuals,
                                   nijenhuis_normality_residuals,
                                   structure_class_residuals, StructureBlock)
-from warpcheck.subman import (ImmersionBlock, fold_sff, gauss_residual_max,
-                              induced_metric, warped_geometry)
-from warpcheck.warped import WarpedPoint, warping_identity_residual
+from warpcheck.subman import (ImmersionBlock, InducedMetric, fold_sff, gauss_residual_max,
+                              warped_geometry)
+from warpcheck.warped import WarpedBlock, warping_identity_residual
 
 
 def _gated(name):
@@ -80,12 +80,13 @@ def test_criterion_2_warped_identity():
     im = _gated("e1").subject
     geom = warped_geometry(im)
     for x in _points(im, n=16):
-        worst = max(worst, warping_identity_residual(WarpedPoint(geom, x))["residual"])
+        r = warping_identity_residual(WarpedBlock(geom, x[None]))
+        worst = max(worst, r["residual"][0])
 
     for name, expected in (("e2", -1.0), ("s2-warped", 1.0)):
         w = _gated(name).subject
         for x in _points(w, n=16):
-            r = warping_identity_residual(WarpedPoint(w, x))
+            r = {k: v[0] for k, v in warping_identity_residual(WarpedBlock(w, x[None])).items()}
             worst = max(worst, r["residual"])
             worst_side = max(abs(r["lhs"] - expected), abs(r["rhs"] - expected))
             details.append(worst_side)
@@ -278,7 +279,7 @@ def test_criterion_10_oracle_concordance():
 
     # induced metric entries of e1 and its warping function
     im = _gated("e1").subject
-    ind = induced_metric(im)
+    ind = InducedMetric(im)
 
     def entry_jet(x):
         return ind.entry_jets(x)[2][2]

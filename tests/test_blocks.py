@@ -2,7 +2,7 @@
 point gives it: every MetricBlock field, bit for bit and with the same
 memory layout (a per-point einsum downstream sums in an order that depends
 on the strides of its operands).  Also: a block raises the error of its
-first failing point, as the point-by-point walk does; a point's
+first failing point, as blocks of one walked in order do; a point's
 frame-contracted curvature, which several checks read, is the bits a fresh
 contraction gives and stays so after they read it; a warped metric's block
 gives each point the values, and the warnings, of a block of one; and so
@@ -22,7 +22,7 @@ from warpcheck.errors import ConfigurationError, DegenerateMetricError, Warpchec
 from warpcheck.gallery import builtin_names, load_builtin, sample_points
 from warpcheck.ineq import main_inequality
 from warpcheck.report import fold, to_json_bytes
-from warpcheck.riemann import MetricBlock, MetricField, MetricPoint, fold_blocks, frame_curvature
+from warpcheck.riemann import MetricBlock, MetricField, fold_blocks, frame_curvature, plane_sum
 from warpcheck.structures import (CLASS_NAMES, AlmostComplexStructure, AlmostContactStructure,
                                   StructureBlock, closed_eta_residuals,
                                   fundamental_form_residuals, nijenhuis_normality_residuals,
@@ -75,15 +75,12 @@ def test_block_fields_equal_blocks_of_one(name):
         blocks = metric_blocks(subject, points[start:stop])
         for source, block in blocks.items():
             for b in range(stop - start):
-                one, at = alone[start + b][source][0], block[b]
+                one = alone[start + b][source]
                 what = f"{name} {source} block {start}:{stop} point {b}"
                 for k in range(3):
-                    assert_same(at.derivs[k], one.derivs[k], f"{what} derivs[{k}]")
+                    assert_same(block.derivs[k][b], one.derivs[k][0], f"{what} derivs[{k}]")
                 for field in FIELDS:
-                    assert_same(getattr(at, field), getattr(one, field), f"{what} {field}")
-                    # records are views of their block's arrays, not copies
-                    assert np.shares_memory(getattr(at, field), getattr(block, field)), \
-                        f"{what} {field}"
+                    assert_same(getattr(block, field)[b], getattr(one, field)[0], f"{what} {field}")
 
 
 # not positive definite where x1 <= 0
@@ -97,30 +94,34 @@ def error_of(fn) -> str:
     return str(err.value)
 
 
+def walk_alone(g: MetricField, points: np.ndarray) -> str:
+    """The error of the first failing point, the points' blocks of one read in order."""
+    return error_of(lambda: [MetricBlock(g, points[k:k + 1]).ginv for k in range(len(points))])
+
+
 def test_block_raises_the_first_failing_points_error():
-    walk = error_of(lambda: [MetricPoint(INDEFINITE, x).ginv for x in POINTS])
+    walk = walk_alone(INDEFINITE, POINTS)
     assert "[-0.25" in walk
     assert error_of(lambda: MetricBlock(INDEFINITE, POINTS).ginv) == walk
     assert error_of(lambda: MetricBlock(INDEFINITE, POINTS).curvature) == walk
-    assert error_of(lambda: INDEFINITE.validate_at(list(POINTS))) == walk
     # a frame of a chart metric is checked by its block's inverse
-    assert error_of(lambda: MetricBlock(INDEFINITE, POINTS)[4].frame) == walk
+    assert error_of(lambda: MetricBlock(INDEFINITE, POINTS).frame) == walk
 
 
 def test_validation_order_of_symmetry_and_definiteness():
-    # asymmetric where x2 != 0, not positive definite where x1 <= 0
+    # asymmetric where x2 != 0, not positive definite where x1 <= 0; the
+    # block checks symmetry, so no separate validation pass does
     g = MetricField.from_strings([["1", "x2"], ["0", "x1"]])
     fine, asym, indefinite, both = [1.0, 0.0], [1.0, 0.5], [-1.0, 0.0], [-1.0, 0.5]
-
-    def walk(points):
-        return error_of(lambda: [g.validate_at([x]) for x in points])
-
     for points, first in (([fine, indefinite, asym], "not positive definite"),
                           ([fine, asym, indefinite], "not symmetric"),
                           ([fine, both, indefinite], "not symmetric")):
         points = np.array(points)
-        assert first in walk(points)
-        assert error_of(lambda: g.validate_at(list(points))) == walk(points)
+        assert first in walk_alone(g, points)
+        assert error_of(lambda: MetricBlock(g, points).ginv) == walk_alone(g, points)
+        assert error_of(lambda: fold_blocks(points, g.dim, partial(MetricBlock, g),
+                                            lambda b: {"c": b.curvature[:, 0, 0, 0, 0]})) \
+            == walk_alone(g, points)
 
 
 # a constant matrix times x1: positive definite with finite entries, and at
@@ -137,27 +138,43 @@ OVERFLOWING = MetricField.from_strings([[f"{v!r}*x1" for v in row] for row in (
 QUIET, LOUD = np.array([0.25, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def frame_and_warnings(p: MetricPoint):
+def recorded(fn):
+    """fn's result, or its WarpcheckError's message, and the warnings it gave."""
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        frame = p.frame
-    return frame, [str(w.message) for w in seen]
+        try:
+            out = fn()
+        except WarpcheckError as err:
+            out = str(err)
+    return out, [str(w.message) for w in seen]
+
+
+def frame_and_warnings(points):
+    """The frames of a block of the points, and the warnings building them gave."""
+    return recorded(lambda: MetricBlock(OVERFLOWING, np.array(points)).frame)
 
 
 def test_no_warning_comes_from_a_chart_metric_point_the_walk_never_reaches():
-    # the block's frames overflow at LOUD; tier-1 turns any warning into an error
-    block = MetricBlock(OVERFLOWING, np.array([QUIET, LOUD]))
-    assert_same(block[0].frame, MetricPoint(OVERFLOWING, QUIET).frame, "quiet point")
+    # the block's frames overflow at LOUD, which follows a point that is not
+    # positive definite; the walk stops there; tier-1 turns any warning into an error
+    raising = -QUIET
+    message, seen = recorded(lambda: fold_blocks(
+        np.array([QUIET, raising, LOUD]), 4, partial(MetricBlock, OVERFLOWING),
+        lambda b: {"frame": b.frame[:, 0, 0]}))
+    assert message == f"metric not positive definite at {raising}" and seen == []
+    quiet, none = frame_and_warnings([QUIET])
+    assert none == []
+    frames, _ = frame_and_warnings([QUIET, LOUD])
+    assert_same(frames[0], quiet[0], "quiet point")
 
 
 def test_a_chart_metric_point_the_walk_reaches_warns_as_it_does_alone():
-    alone, seen = frame_and_warnings(MetricPoint(OVERFLOWING, LOUD))
+    alone, seen = frame_and_warnings([LOUD])
     assert seen == ["overflow encountered in matmul"] and np.isfinite(alone).all()
     for points in ([LOUD], [QUIET, LOUD]):
-        block = MetricBlock(OVERFLOWING, np.array(points))
-        frame, block_seen = frame_and_warnings(block[len(points) - 1])
+        frames, block_seen = frame_and_warnings(points)
         assert block_seen == seen
-        assert_same(frame, alone, f"{len(points)} points")
+        assert_same(frames[-1], alone[0], f"{len(points)} points")
 
 
 IMMERSIONS = [name for name in builtin_names()
@@ -363,7 +380,7 @@ def warped_steps(w: WarpedBlock) -> dict:
 def test_warped_values_equal_blocks_of_one(name, n, seed):
     # the leaf scalars, the block-form residuals, the curvature in the frame
     # and the identity at each point of a walk's blocks, against a block of
-    # that point alone, and each point's view of its block's
+    # that point alone
     w = warped_subject(name)
     points = np.array(sample_points(w, n, seed))
     size = block_points(w.dim)
@@ -375,12 +392,6 @@ def test_warped_values_equal_blocks_of_one(name, n, seed):
         for key, got in values.items():
             what = f"{name} {n} {seed} block {start} {key}"
             assert_same_int64(got, np.concatenate([a[key] for a in alone]), what)
-        for b, p in enumerate(block):
-            at = {**{f"scalars {k}": v for k, v in vars(leaf_scalars(p)).items()},
-                  **{f"identity {k}": v for k, v in warping_identity_residual(p).items()},
-                  "in frame": p.total.curvature_in_frame}
-            for key, got in at.items():
-                assert_same_int64(got, values[key][b], f"{name} {n} {seed} point {b} {key}")
 
 
 # at x1 = 0, n2 lap(f) / f overflows (f = 1e-12, lap(f) = -1e297, n2 = 2),
@@ -456,27 +467,28 @@ def assert_same_bits(a, b, what: str):
 @pytest.mark.parametrize("name", ["e5", "e6", "e2", "s2-warped"])
 def test_curvature_in_frame_is_a_fresh_contraction(name):
     # an immersion block's frame curvatures, after every check that reads
-    # them, and a warped metric point's, are the bits of a fresh contraction
+    # them, and a warped metric block's, are the bits of a fresh contraction
     subject = load_builtin(name).subject
     points = np.array(sample_points(subject, 35, 42))
     if isinstance(subject, Immersion):
         block = ImmersionBlock(subject, points)
         block_steps(block)
+        f = block.frames
         for b in range(len(points)):
-            f = block.frames_at(b)
             for got, r4, columns in zip(block.frame_curvatures,
                                         (block.induced.curvature, block.ambient.curvature),
                                         (f.tangent_frame, f.tangent_ambient)):
-                assert_same_bits(got[b], frame_curvature(r4[b], columns), f"{name} point {b}")
+                assert_same_bits(got[b], frame_curvature(r4[b], columns[b]), f"{name} point {b}")
         return
-    for b, wp in enumerate(WarpedBlock(subject, points)):
-        p, what = wp.total, f"{name} point {b}"
-        tau = p.scalar_curvature()
-        fresh = frame_curvature(p.curvature, p.frame)
-        assert_same_bits(p.curvature_in_frame, fresh, what)
-        mixed_sectional_sum(p.curvature_in_frame, wp.geom)
-        assert_same_bits(p.curvature_in_frame, fresh, what)
-        assert_same_bits(p.scalar_curvature(), tau, what)
+    total = WarpedBlock(subject, points).total
+    pairs = [(i, j) for i in range(subject.dim) for j in range(i + 1, subject.dim)]
+    tau = plane_sum(total.curvature_in_frame, pairs)
+    fresh = [frame_curvature(total.curvature[b], total.frame[b]) for b in range(len(points))]
+    mixed_sectional_sum(total.curvature_in_frame, subject)
+    for b in range(len(points)):
+        what = f"{name} point {b}"
+        assert_same_bits(total.curvature_in_frame[b], fresh[b], what)
+    assert_same_bits(plane_sum(total.curvature_in_frame, pairs), tau, name)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +539,7 @@ def stacked_frames(name: str, points: np.ndarray) -> list:
                 (block.ambient.curvature, f.tangent_ambient)]
     if isinstance(subject, WarpedMetric):
         total = WarpedBlock(subject, points).total
-        return [(total.curvature, total.frame_at(range(len(points)))[1])]
+        return [(total.curvature, total.frame)]
     return []
 
 

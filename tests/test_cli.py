@@ -581,25 +581,28 @@ def test_nan_residual_fails_its_record(tmp_path):
     assert code == 1 and math.isnan(rec["worst"]) and not rec["pass"]
 
 
-def test_one_geometry_record_per_point(monkeypatch):
-    calls = {"derivs": 0, "sff": 0}
-    derivs, sff = subman.InducedMetric.derivs, subman.second_fundamental_form
+def test_one_geometry_record_per_block(monkeypatch):
+    # each block of e6 (32 points, the 6-dimensional ambient's block size)
+    # builds its frames and form once and its induced metric's derivatives
+    # once, which every check reads: one block at 3 points, two at 64
+    calls = Counter()
+    frames, derivs = subman.ImmersionBlock._frames, subman.InducedMetric.derivs
+
+    def counted_frames(self, part, watched):
+        calls["frames"] += 1
+        return frames(self, part, watched)
 
     def counted_derivs(self, x, *phi):
         calls["derivs"] += 1
         return derivs(self, x, *phi)
 
-    def counted_sff(im, x, *block):
-        calls["sff"] += 1
-        return sff(im, x, *block)
-
+    monkeypatch.setattr(subman.ImmersionBlock, "_frames", counted_frames)
     monkeypatch.setattr(subman.InducedMetric, "derivs", counted_derivs)
-    for mod in [m for name, m in sys.modules.items() if name.startswith("warpcheck.")]:
-        if getattr(mod, "second_fundamental_form", None) is sff:
-            monkeypatch.setattr(mod, "second_fundamental_form", counted_sff)
-    code, _, _ = run(RunConfig(target="e6", points=3))
-    assert code == 0
-    assert calls["derivs"] <= 3 and calls["sff"] <= 3, calls
+    for points, blocks in ((3, 1), (64, 2)):
+        calls.clear()
+        code, _, _ = run(RunConfig(target="e6", points=points))
+        assert code == 0
+        assert calls == {"frames": blocks, "derivs": blocks}, (points, calls)
 
 
 def test_one_law_evaluation_per_block(monkeypatch):
@@ -646,6 +649,17 @@ def test_a_non_finite_structure_tensor_exits_2_naming_its_first_point(tmp_path, 
         if config == "sasakian_r5.cfg":  # an immersion names the ambient point
             first = sample_points(cli._resolve(p)[0].subject, 4, 42)[0]
             assert err == f"configuration error: structure tensors not finite at {first}\n"
+
+
+def test_an_asymmetric_ambient_exits_2_naming_its_first_image_point(tmp_path, capsys):
+    # the ambient's block checks symmetry as a chart metric's does; its
+    # derivatives read only the upper triangle, so the parent passed on it
+    p = _builtin_with(tmp_path, "e1_chen_cr.cfg", 'row_2 = "0", "1", "0", "0"',
+                      'row_2 = "0.5", "1", "0", "0"')
+    assert main(["--target", p, "--points", "4"]) == 2
+    im = cli._resolve(p)[0].subject
+    first = subman.ImmersionBlock(im, np.array(sample_points(im, 4, 42))).components[0][0]
+    assert capsys.readouterr().err == f"configuration error: metric not symmetric at {first}\n"
 
 
 @pytest.mark.parametrize("target, per_point", [("e5", 2), ("e6", 2), ("e2", 1)])

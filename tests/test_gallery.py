@@ -18,7 +18,7 @@ from warpcheck.jets import DomainBox
 from warpcheck.report import to_json_bytes
 from warpcheck.riemann import MetricField
 from warpcheck.structures import StructureBlock
-from warpcheck.subman import Immersion, WarpedDecl, induced_metric
+from warpcheck.subman import Immersion, InducedMetric, WarpedDecl
 
 # ---------------------------------------------------------------------------
 # Config reader
@@ -128,8 +128,8 @@ def test_gallery_e1_matches_direct_fixture():
     im_cfg = loaded.subject
     im_direct = chen_cr_immersion()
     for x in box_points(im_direct.domain, 3, seed=43):
-        g1 = induced_metric(im_cfg).value(x)
-        g2 = induced_metric(im_direct).value(x)
+        g1 = InducedMetric(im_cfg).value(x)
+        g2 = InducedMetric(im_direct).value(x)
         npt.assert_allclose(g1, g2, atol=1e-14)
 
 
@@ -138,8 +138,8 @@ def test_gallery_e5_matches_direct_fixture():
     im_cfg = loaded.subject
     im_direct = sasakian_cr_immersion()
     x = np.array([1.0, 0.8, 0.1, 0.7])
-    npt.assert_allclose(induced_metric(im_cfg).value(x),
-                        induced_metric(im_direct).value(x), atol=1e-14)
+    npt.assert_allclose(InducedMetric(im_cfg).value(x),
+                        InducedMetric(im_direct).value(x), atol=1e-14)
 
 
 def test_gallery_sasakian_structure_matches_fixture():

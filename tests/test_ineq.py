@@ -18,7 +18,7 @@ from warpcheck.ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_cu
 from warpcheck.report import CheckReport
 from warpcheck.structures import complex_space_form, model_curvature
 from warpcheck.subman import ImmersionBlock, fold_sff, warped_geometry
-from warpcheck.warped import WarpedPoint, leaf_scalars
+from warpcheck.warped import WarpedBlock, leaf_scalars
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_generalized_inequality_formula_values():
     im = chen_cr_immersion()
     x = np.array([0.8, 0.1, 0.6])
     geom = warped_geometry(im)
-    sc = leaf_scalars(WarpedPoint(geom, x))
+    sc = leaf_scalars(WarpedBlock(geom, x[None]))
     rhs = generalized_rhs(4.0, 1.0, geom.n1, geom.n2, sc.grad_lnf_sq, sc.lap_lnf)
     want = 2.0 * (sc.grad_lnf_sq - sc.lap_lnf + 3.5)
     npt.assert_allclose(rhs, want, rtol=1e-13)
@@ -226,7 +226,7 @@ def test_generalized_equality_at_zero_parameters_on_chen_cr():
     im = chen_cr_immersion()
     x = np.array([0.6, 0.8, 0.4])
     geom = warped_geometry(im)
-    sc = leaf_scalars(WarpedPoint(geom, x))
+    sc = leaf_scalars(WarpedBlock(geom, x[None]))
     rhs = generalized_rhs(0.0, 0.0, geom.n1, geom.n2, sc.grad_lnf_sq, sc.lap_lnf)
     assert abs(np.sum(block_at(im, x).frames.coeffs**2) - rhs) < 1e-8
 

@@ -1,20 +1,22 @@
-"""Intrinsic geometry tests: connection, curvature, gradient, Laplacian, frames."""
+"""Intrinsic geometry tests: connection, curvature, gradient, Laplacian,
+frames; a point's values are those of a block of one."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from helpers import one_point
 
-from warpcheck.errors import (DegenerateMetricError, DegeneratePlaneError,
-                              DependentSeedsError, JetDomainError)
+from warpcheck.errors import DegenerateMetricError, DependentSeedsError, JetDomainError
 from warpcheck.expr import eval_expr, parse
 from warpcheck.jets import Jet3, fd_partial
 from warpcheck.gallery import load_builtin
 from warpcheck import subman
-from warpcheck.riemann import (MetricBlock, MetricField, MetricPoint, christoffel,
-                               curvature, frame_curvature, gradient, gram_schmidt,
-                               gram_schmidt_step, laplacian, scalar_curvature, sectional)
+from warpcheck.riemann import (Curvature4, MetricBlock, MetricField, christoffel,
+                               curvature_components, fold_blocks, frame_curvature, gram_schmidt,
+                               gram_schmidt_step, laplacian, plane_sum)
 
 # ---------------------------------------------------------------------------
 # Fixture metrics
@@ -94,15 +96,15 @@ def test_degenerate_metric_raises():
 
 
 def test_flat_curvature_zero():
-    c = curvature(flat(3), np.array([1.0, 2.0, 3.0]))
-    assert np.max(np.abs(c.comp)) == 0.0
+    r4 = curvature_components(flat(3), np.array([1.0, 2.0, 3.0]))
+    assert np.max(np.abs(r4)) == 0.0
 
 
 def test_sphere_curvature_component():
     th = 1.1
-    c = curvature(round_s2(), np.array([th, 0.5]))
+    r4 = curvature_components(round_s2(), np.array([th, 0.5]))
     # R(d_theta, d_phi, d_phi, d_theta) = sin^2(theta) on the unit sphere
-    npt.assert_allclose(c.comp[0, 1, 1, 0], math.sin(th) ** 2, rtol=1e-12)
+    npt.assert_allclose(r4[0, 1, 1, 0], math.sin(th) ** 2, rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -111,12 +113,13 @@ def test_curvature_symmetries_random_metrics(seed):
     rng = np.random.default_rng(100 + seed)
     for _ in range(3):
         x = rng.uniform(0.2, 1.0, size=3)
-        c = curvature(g, x)
-        assert c.max_symmetry_residual() < 1e-9
+        c = Curvature4(one_point(MetricBlock, g, x).curvature)
+        assert c.max_symmetry_residual()[0] < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Sectional and scalar curvature
+# Sectional and scalar curvature: R(X, Y, Y, X) over the plane's Gram
+# determinant, and the sum of the frame's plane values
 # ---------------------------------------------------------------------------
 
 
@@ -126,11 +129,17 @@ def test_sphere_sectional_is_one():
     for _ in range(5):
         x = rng.uniform(0.3, 2.5, size=2)
         X, Y = rng.standard_normal(2), rng.standard_normal(2)
-        npt.assert_allclose(sectional(g, x, X, Y), 1.0, atol=1e-11)
+        p = one_point(MetricBlock, g, x)
+        r4, gm = p.curvature[0], p.derivs[0][0]
+        k = (np.einsum("ijkl,i,j,k,l->", r4, X, Y, Y, X)
+             / ((X @ gm @ X) * (Y @ gm @ Y) - (X @ gm @ Y) ** 2))
+        npt.assert_allclose(k, 1.0, atol=1e-11)
 
 
 def test_flat_sectional_zero():
-    assert sectional(flat(3), np.zeros(3), [1, 0, 0], [0, 1, 1]) == 0.0
+    X, Y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0])
+    r4 = curvature_components(flat(3), np.zeros(3))
+    assert np.einsum("ijkl,i,j,k,l->", r4, X, Y, Y, X) / ((X @ X) * (Y @ Y) - (X @ Y) ** 2) == 0.0
 
 
 def test_sectional_invariant_under_plane_basis_change():
@@ -138,28 +147,27 @@ def test_sectional_invariant_under_plane_basis_change():
     x = np.array([0.5, 0.8, 0.3])
     X = np.array([1.0, 0.2, -0.4])
     Y = np.array([0.1, -1.0, 0.7])
-    k0 = sectional(g, x, X, Y)
-    k1 = sectional(g, x, 2.0 * X + 0.5 * Y, -0.3 * X + 1.5 * Y)
+    p = one_point(MetricBlock, g, x)
+    r4, gm = p.curvature[0], p.derivs[0][0]
+    k0, k1 = (np.einsum("ijkl,i,j,k,l->", r4, u, v, v, u)
+              / ((u @ gm @ u) * (v @ gm @ v) - (u @ gm @ v) ** 2)
+              for u, v in ((X, Y), (2.0 * X + 0.5 * Y, -0.3 * X + 1.5 * Y)))
     assert abs(k0 - k1) < 1e-10
 
 
-def test_dependent_vectors_rejected():
-    with pytest.raises(DegeneratePlaneError):
-        sectional(flat(2), np.zeros(2), [1.0, 1.0], [2.0, 2.0])
-
-
 def test_scalar_curvature_flat_sphere2_sphere3():
-    assert scalar_curvature(flat(4), np.zeros(4)) == 0.0
-    npt.assert_allclose(scalar_curvature(round_s2(), np.array([1.2, 0.3])), 1.0,
-                        atol=1e-11)
-    npt.assert_allclose(scalar_curvature(round_s3(), np.array([1.2, 0.9, 0.4])), 3.0,
-                        atol=1e-10)
+    def tau(g, x):
+        rf = one_point(MetricBlock, g, x).curvature_in_frame
+        return plane_sum(rf, combinations(range(g.dim), 2))[0]
+    assert tau(flat(4), np.zeros(4)) == 0.0
+    npt.assert_allclose(tau(round_s2(), np.array([1.2, 0.3])), 1.0, atol=1e-11)
+    npt.assert_allclose(tau(round_s3(), np.array([1.2, 0.9, 0.4])), 3.0, atol=1e-10)
 
 
 def test_scalar_curvature_frame_independent():
     g = random_analytic_metric(5, dim=3)
     x = np.array([0.4, 0.9, 0.6])
-    r4 = curvature(g, x).comp
+    r4 = curvature_components(g, x)
     gm = g.value(x)
     tau = []
     for seeds in (np.eye(3), np.eye(3)[:, ::-1]):
@@ -284,16 +292,21 @@ def test_frame_curvature_has_the_einsum_bits_on_every_builtins_inputs(monkeypatc
 # ---------------------------------------------------------------------------
 
 
+def _gradient(g, psi, x):
+    """The metric dual of d(psi) at x, so g(grad psi, X) = X psi."""
+    return one_point(MetricBlock, g, x).dual(eval_expr(psi, x).d1[None])[0]
+
+
 def test_gradient_flat():
     psi = parse("x1", dim=2)
-    npt.assert_allclose(gradient(flat(2), psi, np.array([0.3, 0.4])), [1.0, 0.0])
+    npt.assert_allclose(_gradient(flat(2), psi, np.array([0.3, 0.4])), [1.0, 0.0])
 
 
 def test_gradient_polar_radial():
     g = polar_plane()
     psi = parse("x1", dim=2)
     x = np.array([2.0, 0.7])
-    npt.assert_allclose(gradient(g, psi, x), [1.0, 0.0])
+    npt.assert_allclose(_gradient(g, psi, x), [1.0, 0.0])
 
 
 def test_grad_norm_equals_frame_sum():
@@ -301,11 +314,10 @@ def test_grad_norm_equals_frame_sum():
     g = random_analytic_metric(17, dim=3)
     psi = parse("sin(x1)*x2 + exp(0.2*x3)", dim=3)
     x = np.array([0.7, 0.4, 0.9])
-    from warpcheck.expr import eval_expr
-    frame = MetricPoint(g, x).frame
+    frame = one_point(MetricBlock, g, x).frame[0]
     d1 = eval_expr(psi, x).d1
     frame_sum = sum(float(frame[:, i] @ d1) ** 2 for i in range(3))
-    grad = gradient(g, psi, x)
+    grad = _gradient(g, psi, x)
     assert abs(grad @ g.value(x) @ grad - frame_sum) < 1e-10
 
 
@@ -355,7 +367,7 @@ def _as_int64(a) -> np.ndarray:
 def test_block_laplacian_and_dual_terms_have_each_points_bits():
     # against each point's own einsums and matmuls, as int64 views: random
     # draws at n = 1..7 with signed zeros, inf and NaN, over blocks of 1, 3
-    # and 32 points, and a point of a block (a block of one, sliced)
+    # and 32 points, and each point's block of one
     rng = np.random.default_rng(2024)
     with np.errstate(all="ignore"):
         for n in range(1, 8):
@@ -370,8 +382,10 @@ def test_block_laplacian_and_dual_terms_have_each_points_bits():
                                - np.einsum("ij,ij->", ginv[k], d2[k]) for k in range(b)]
                         what = (n, kind, b, constant)
                         assert (_as_int64(block.laplacian(psi)) == _as_int64(lap)).all(), what
-                        at = [block[k].laplacian(Jet3(n, 1.0, d1[k], d2[k])) for k in range(b)]
-                        assert (_as_int64(at) == _as_int64(lap)).all(), what
+                        alone = [MetricBlock(None, block.points[k:k + 1], lambda k=k: tuple(
+                            a[k:k + 1] for a in block.derivs)).laplacian(
+                                Jet3(n, 1.0, d1[k], d2[k]))[0] for k in range(b)]
+                        assert (_as_int64(alone) == _as_int64(lap)).all(), what
                         dual = [ginv[k] @ d1[k] for k in range(b)]
                         assert (_as_int64(block.dual(d1)) == _as_int64(dual)).all(), what
                         sq = [d1[k] @ ginv[k] @ d1[k] for k in range(b)]
@@ -399,7 +413,6 @@ def test_log_radius_harmonic_in_plane():
 def test_flat_laplacian_equals_negative_trace():
     psi = parse("sin(x1)*exp(x2) + x1^2*x2", dim=2)
     x = np.array([0.5, 0.3])
-    from warpcheck.expr import eval_expr
     j = eval_expr(psi, x)
     assert laplacian(flat(2), psi, x) == -(j.d2[0, 0] + j.d2[1, 1])
 
@@ -416,8 +429,7 @@ def test_laplacian_matches_fd_oracle():
     # Laplace-Beltrami in coordinates, assembled from fd derivatives
     g0, dg, _ = g.derivs(x)
     ginv = np.linalg.inv(g0)
-    from warpcheck.riemann import christoffel as chr_
-    gam = chr_(g, x)
+    gam = christoffel(g, x)
     d1 = np.array([fd_partial(psi_val, x, (i,)) for i in range(2)])
     d2 = np.array([[fd_partial(psi_val, x, (i, j)) for j in range(2)] for i in range(2)])
     expected = float(np.einsum("ij,kij,k->", ginv, gam, d1) - np.einsum("ij,ij->", ginv, d2))
@@ -430,25 +442,26 @@ def test_laplacian_matches_fd_oracle():
 
 
 def test_flat_frame_is_coordinate_frame():
-    npt.assert_allclose(MetricPoint(flat(3), np.zeros(3)).frame, np.eye(3))
+    npt.assert_allclose(one_point(MetricBlock, flat(3), np.zeros(3)).frame[0], np.eye(3))
 
 
 def test_polar_frame_normalizes_angular_direction():
     r = 2.5
-    f = MetricPoint(polar_plane(), np.array([r, 0.0])).frame
+    f = one_point(MetricBlock, polar_plane(), np.array([r, 0.0])).frame[0]
     npt.assert_allclose(f[:, 0], [1.0, 0.0])
     npt.assert_allclose(f[:, 1], [0.0, 1.0 / r])
 
 
 def test_diagonal_metric_frame():
     g = MetricField.from_strings([["4", "0"], ["0", "9"]])
-    npt.assert_allclose(MetricPoint(g, np.zeros(2)).frame, [[0.5, 0.0], [0.0, 1.0 / 3.0]])
+    npt.assert_allclose(one_point(MetricBlock, g, np.zeros(2)).frame[0],
+                        [[0.5, 0.0], [0.0, 1.0 / 3.0]])
 
 
 def test_frame_orthonormality_residual():
     g = random_analytic_metric(23, dim=4)
     x = np.array([0.2, 0.5, 0.8, 0.3])
-    f = MetricPoint(g, x).frame
+    f = one_point(MetricBlock, g, x).frame[0]
     assert np.max(np.abs(f.T @ g.value(x) @ f - np.eye(4))) < 1e-10
 
 
@@ -737,23 +750,23 @@ def test_sliced_metric_restricts_block():
     anchor = np.array([0.5, 1.0, 2.0])
     leaf = MetricBlock(g, anchor[None]).block((0,))
     assert leaf.metric is None and leaf.points.shape == (1, 1)
-    g0, dg, d2g = leaf[0].derivs
-    npt.assert_allclose(g0, [[1.0]])
-    assert dg.shape == (1, 1, 1) and d2g.shape == (1, 1, 1, 1)
+    g0, dg, d2g = leaf.derivs
+    npt.assert_allclose(g0, [[[1.0]]])
+    assert dg.shape == (1, 1, 1, 1) and d2g.shape == (1, 1, 1, 1, 1)
     # Laplacian of f(x1)=x1^2 on the 1-d leaf: -2
-    assert leaf[0].laplacian(eval_expr(parse("x1^2", dim=1), np.array([0.5]))) == -2.0
+    assert leaf.laplacian(eval_expr(parse("x1^2", dim=1), np.array([0.5])))[0] == -2.0
 
 
 def test_sliced_metric_frame_is_gram_schmidt_of_its_block():
-    # a sub-chart record's value is the in-block entries of the base block's
+    # a sub-chart block's value is the in-block entries of the base block's
     g = load_builtin("e2").subject.metric
     for axes, x in (((0,), [0.5]), ((1,), [0.3]), ((0, 1), [0.3, 0.7])):
         full = np.array([0.5, 0.2])
         full[list(axes)] = x
         base = MetricBlock(g, full[None])
         leaf = base.block(axes)
-        npt.assert_array_equal(leaf[0].value, base.derivs[0][0][np.ix_(axes, axes)])
-        npt.assert_array_equal(leaf[0].frame,
+        npt.assert_array_equal(leaf.derivs[0][0], base.derivs[0][0][np.ix_(axes, axes)])
+        npt.assert_array_equal(leaf.frame[0],
                                gram_schmidt(leaf.derivs[0][0], np.eye(len(axes))))
 
 
@@ -762,7 +775,11 @@ def test_validation_reports_the_first_failing_point():
     # definite, the second is outside the domain of ln; the first point's
     # error is the one raised, as in a point-by-point walk
     g = MetricField.from_strings([["x1", "0"], ["0", "ln(x1 + 0.9)"]])
+
+    def walk(*points):
+        fold_blocks(np.array(points), g.dim, lambda x: MetricBlock(g, x),
+                    lambda block: {"ginv": block.ginv[:, 0, 0]})
     with pytest.raises(DegenerateMetricError):
-        g.validate_at([np.array([-0.5, 0.0]), np.array([-0.95, 0.0])])
+        walk([-0.5, 0.0], [-0.95, 0.0])
     with pytest.raises(JetDomainError):
-        g.validate_at([np.array([-0.95, 0.0]), np.array([-0.5, 0.0])])
+        walk([-0.95, 0.0], [-0.5, 0.0])

@@ -1,6 +1,7 @@
 """Almost contact / almost complex structures and space-form curvature models."""
 
 import math
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -9,9 +10,10 @@ import pytest
 from warpcheck.cli import records
 from warpcheck.errors import ConfigurationError, DegeneratePlaneError
 from warpcheck.expr import parse
+from warpcheck.jets import block_points
 from warpcheck.report import CheckReport
-from warpcheck.riemann import MetricField, curvature_components, fold_blocks, sectional
-from warpcheck.structures import (CLASS_NAMES, AlmostComplexStructure,
+from warpcheck.riemann import MetricField, curvature_components, fold_blocks
+from warpcheck.structures import (CLASS_NAMES, CONTACT_IDENTITIES, AlmostComplexStructure,
                                   AlmostContactStructure, SpaceFormModel, StructureBlock,
                                   closed_eta_residuals, complex_space_form,
                                   cosymplectic_space_form, fundamental_form_residuals,
@@ -26,7 +28,7 @@ from warpcheck.structures import (CLASS_NAMES, AlmostComplexStructure,
 # ---------------------------------------------------------------------------
 
 
-from helpers import dense_contact, standard_sasakian_r5
+from helpers import dense_complex, dense_contact, standard_sasakian_r5
 
 
 def fold_structure(s, points, step) -> dict:
@@ -223,6 +225,48 @@ def test_pair_values_have_the_bits_of_the_one_pair_formulas(structure):
                         np.float64(want[key]).tobytes(), (key, a, b)
 
 
+def point_values(t, b: int) -> dict:
+    """The contact identities', or the complex square and compatibility
+    records', values at point b of the block, recomputed from the point's
+    2-D slices with ``@``: the reference for the stacked products."""
+    g, eye = t.metric.derivs[0][b], np.eye(t.s.dim)
+    if isinstance(t.s, AlmostComplexStructure):
+        j = t.op[0][b]
+        return {"complex-square": np.abs(j @ j + eye).max(),
+                "complex-compatibility": np.abs(j.T @ g @ j - g).max()}
+    phi, xi, eta = t.op[0][b], t.xi[b], t.eta[0][b]
+    col, row = xi[:, None], eta[None]
+    return dict(zip(CONTACT_IDENTITIES, (
+        np.abs(phi @ phi + eye - col * row).max(),
+        np.abs(phi @ col).max(),
+        np.abs(row @ phi).max(),
+        abs((row @ col)[0, 0] - 1.0),
+        np.abs(eta - (g @ col)[:, 0]).max(),
+        np.abs(phi.T @ g @ phi - (g - eta[:, None] * row)).max())))
+
+
+@pytest.mark.parametrize("make", [dense_contact, partial(dense_contact, signed_zeros=True),
+                                  partial(dense_complex, 4),
+                                  partial(dense_complex, 4, signed_zeros=True)],
+                         ids=["contact-5", "contact-5-signed-zeros", "complex-4",
+                              "complex-4-signed-zeros"])
+def test_identity_values_have_the_bits_of_each_points_products(make):
+    # a full block, whose stacked matmuls run each point's 2-D kernel; every
+    # entry of these structures is nonzero (or a signed zero), so an einsum
+    # or any other order of summation shows in the values' bits
+    s = make()
+    points = np.random.default_rng(s.dim).uniform(-0.5, 0.5, (block_points(s.dim), s.dim))
+    t = StructureBlock(s, points)
+    values = (s.residuals(t, require_kahler=False) if isinstance(s, AlmostComplexStructure)
+              else s.identity_residuals(t))
+    for b in range(len(points)):
+        want = point_values(t, b)
+        assert want.keys() == values.keys()
+        for key, got in values.items():
+            assert np.float64(got[b]).view(np.int64) == np.float64(want[key]).view(np.int64), \
+                (key, b)
+
+
 # ---------------------------------------------------------------------------
 # Space-form curvature models
 # ---------------------------------------------------------------------------
@@ -322,7 +366,9 @@ def test_sasakian_r5_phi_sectional_is_minus_three():
     # X in the contact distribution (eta(X) = 0), plane span(X, phi X)
     X = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     assert abs(float(eta @ X)) < 1e-15
-    k = sectional(s.metric, x, X, phi @ X)
+    # the sectional curvature: R(X, Y, Y, X) over the plane's Gram determinant
+    Y, r4, g = phi @ X, curvature_components(s.metric, x), t.metric.derivs[0][0]
+    k = np.einsum("ijkl,i,j,k,l->", r4, X, Y, Y, X) / ((X @ g @ X) * (Y @ g @ Y) - (X @ g @ Y) ** 2)
     npt.assert_allclose(k, -3.0, atol=1e-9)
 
 

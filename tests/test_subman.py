@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from helpers import (block_at, box_points, chen_cr_immersion, cylinder_immersion,
-                     flat_metric, perturbed_chen_immersion, sasakian_cr_immersion,
+                     flat_metric, one_point, perturbed_chen_immersion, sasakian_cr_immersion,
                      sphere_immersion, torus_immersion, trivial_product_immersion)
 
 from warpcheck.cli import TOLERANCES, records, validate
@@ -19,13 +19,21 @@ from warpcheck.expr import Neg, matrix_jets, parse
 from warpcheck.gallery import load_builtin, sample_points
 from warpcheck.jets import Jet3, pack
 from warpcheck.report import CheckReport
-from warpcheck.riemann import MetricField, metric_norms, scalar_curvature
-from warpcheck.subman import (Immersion, ImmersionBlock, classification_residuals,
+from warpcheck.riemann import (MetricBlock, MetricField, curvature_components, frame_curvature,
+                               gram_schmidt, metric_norms, plane_sum)
+from warpcheck.subman import (Immersion, ImmersionBlock, InducedMetric, classification_residuals,
                               contact_cr_residuals, fold_sff,
-                              gauss_residual_max, gauss_residual_tensor, induced_metric,
+                              gauss_residual_max, gauss_residual_tensor,
                               scalar_identity_residual, second_fundamental_form,
                               shape_operator, warped_block_defect, warped_geometry)
-from warpcheck.warped import WarpedPoint, warping_identity_residual
+from warpcheck.warped import WarpedBlock, leaf_scalars, warping_identity_residual
+
+
+def tau(im, x) -> float:
+    """The induced metric's scalar curvature at x: the sum of its frame's
+    plane values, from a block of one."""
+    rf = one_point(MetricBlock, InducedMetric(im), x).curvature_in_frame
+    return plane_sum(rf, [(i, j) for i in range(im.dim) for j in range(i + 1, im.dim)])[0]
 
 # ---------------------------------------------------------------------------
 # Induced metrics
@@ -35,7 +43,7 @@ from warpcheck.warped import WarpedPoint, warping_identity_residual
 def test_identity_immersion_induces_flat_metric():
     im = Immersion(dim=2, components=[parse("x1", 2), parse("x2", 2)],
                    ambient=flat_metric(2), name="identity")
-    g, dg, d2g = induced_metric(im).derivs(np.array([0.3, 0.7]))
+    g, dg, d2g = InducedMetric(im).derivs(np.array([0.3, 0.7]))
     npt.assert_allclose(g, np.eye(2))
     assert not dg.any() and not d2g.any()
 
@@ -70,7 +78,7 @@ def test_induced_derivs_equal_the_full_product(name):
         x = points[:count]
         phi = im.component_jets(x)
         ref = pack(full_product_jets(im, phi), (count,), im.dim, (im.dim,) * 2, 2)
-        for k, got in enumerate(induced_metric(im).derivs(x, phi)):
+        for k, got in enumerate(InducedMetric(im).derivs(x, phi)):
             npt.assert_array_equal(got, ref[k], err_msg=f"{name} {count} derivs[{k}]")
             # where the bits differ, both are zeros of opposite sign
             differ = got.view(np.int64) != ref[k].view(np.int64)
@@ -91,7 +99,7 @@ def test_literal_ambient_entries_form_no_products(name, products, monkeypatch):
     calls = []
     mul = Jet3.__mul__
     monkeypatch.setattr(Jet3, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    induced_metric(im).derivs(x, phi)
+    InducedMetric(im).derivs(x, phi)
     assert len(calls) == products
 
 
@@ -99,7 +107,7 @@ def test_zero_ambient_induces_zeros():
     im = Immersion(dim=1, components=[parse("x1", 1), parse("x1^2", 1)],
                    ambient=MetricField.from_strings([["0", "0"], ["0", "0"]]))
     x = np.array([[0.3], [0.7]])
-    for got, ref in zip(induced_metric(im).derivs(x),
+    for got, ref in zip(InducedMetric(im).derivs(x),
                         pack(full_product_jets(im, im.component_jets(x)), (2,), 1, (1, 1), 2)):
         npt.assert_array_equal(got, ref)
 
@@ -107,14 +115,14 @@ def test_zero_ambient_induces_zeros():
 def test_circle_induces_unit_line_metric():
     im = Immersion(dim=1, components=[parse("cos(x1)", 1), parse("sin(x1)", 1)],
                    ambient=flat_metric(2), name="circle")
-    g = induced_metric(im).value(np.array([0.8]))
+    g = InducedMetric(im).value(np.array([0.8]))
     npt.assert_allclose(g, [[1.0]], rtol=1e-14)
 
 
 def test_chen_cr_induces_warped_block_metric():
     im = chen_cr_immersion()
     x = np.array([0.6, 0.8, 0.5])
-    g = induced_metric(im).value(x)
+    g = InducedMetric(im).value(x)
     want = np.diag([1.0, 1.0, 1.0])  # r^2 = 0.36 + 0.64 = 1
     npt.assert_allclose(g, want, atol=1e-14)
     assert fold_sff(im, [x, np.array([1.2, -0.3, 0.9])], block_form)["block"] < 1e-12
@@ -211,8 +219,8 @@ def test_a_leaf_point_holds_its_own_metric_value():
     # source: a point's value is its (n1, n1) slice of the block's derivatives
     im = load_builtin("e1").subject
     leaf = ImmersionBlock(im, np.array(sample_points(im, 5, 42))).warped.leaf
-    assert leaf[2].value.shape == (im.warped.n1, im.warped.n1)
-    npt.assert_array_equal(leaf[2].value, leaf.derivs[0][2])
+    assert leaf.derivs[0].shape == (5, im.warped.n1, im.warped.n1)
+    npt.assert_array_equal(leaf.frame[2], gram_schmidt(leaf.derivs[0][2], np.eye(im.warped.n1)))
 
 
 @pytest.mark.parametrize("name", ["e1", "e3", "e5", "e6", "e7"])
@@ -223,10 +231,10 @@ def test_block_frames_have_each_points_own_bits(name):
     points = np.array(sample_points(im, 32, 5))
     block = ImmersionBlock(im, points)
     for k in range(len(points)):
-        alone = ImmersionBlock(im, points[k:k + 1]).frames_at(0)
-        for a, b in zip(block.frames_at(k), alone, strict=True):
-            assert (a is None) == (b is None)
-            assert a is None or (a.tobytes() == b.tobytes() and a.strides == b.strides), k
+        alone = ImmersionBlock(im, points[k:k + 1]).frames
+        for a, b in zip(block.frames, alone, strict=True):
+            a, b = a[k], b[0]
+            assert a.tobytes() == b.tobytes() and a.strides == b.strides, k
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +353,7 @@ def test_sphere_gauss_recovers_unit_curvature():
     x = np.array([1.2, 0.8])
     sff = second_fundamental_form(im, x)
     # flat ambient: K = h_11 h_22 - h_12^2 = 1 for the unit sphere
-    from warpcheck.riemann import curvature_components, frame_curvature
-    r_ind = frame_curvature(curvature_components(induced_metric(im), x),
+    r_ind = frame_curvature(curvature_components(InducedMetric(im), x),
                             sff.tangent_frame)
     npt.assert_allclose(r_ind[0, 1, 1, 0], 1.0, atol=1e-10)
     assert abs(gauss_residual_tensor(block_at(im, x))[0, 0, 1, 1, 0]) < 1e-10
@@ -376,9 +383,8 @@ def test_sphere_scalar_identity_values():
     # 2 tau = 2 tau_ambient + n^2 |H|^2 - |h|^2 reads 2 = 0 + 4 - 2
     im = sphere_immersion()
     x = np.array([0.9, 1.5])
-    tau = scalar_curvature(induced_metric(im), x)
     sff = second_fundamental_form(im, x)
-    npt.assert_allclose(tau, 1.0, atol=1e-10)
+    npt.assert_allclose(tau(im, x), 1.0, atol=1e-10)
     npt.assert_allclose(norm(sff, sff.means[0]), 1.0, atol=1e-11)
     npt.assert_allclose(np.sum(sff.coeffs**2), 2.0, atol=1e-10)
 
@@ -394,7 +400,7 @@ def test_unit_s3_hypersurface_values():
     sff = second_fundamental_form(im, x)
     npt.assert_allclose(norm(sff, sff.means[0]), 1.0, atol=1e-10)
     npt.assert_allclose(np.sum(sff.coeffs**2), 3.0, atol=1e-9)
-    npt.assert_allclose(scalar_curvature(induced_metric(im), x), 3.0, atol=1e-9)
+    npt.assert_allclose(tau(im, x), 3.0, atol=1e-9)
     assert scalar_identity_residual(block_at(im, x))[0] < 1e-9
     assert gauss_residual_max(block_at(im, x))[0] < 1e-9
 
@@ -477,11 +483,11 @@ def test_chen_cr_mixed_sectional_identity():
     im = chen_cr_immersion()
     geom = warped_geometry(im)
     for x in box_points(im.domain, 3, seed=15):
-        r = warping_identity_residual(WarpedPoint(geom, x))
-        assert r["residual"] < 1e-8, x
+        r = warping_identity_residual(one_point(WarpedBlock, geom, x))
+        assert r["residual"][0] < 1e-8, x
         # both sides equal -1/r^2 for this warping
         rr = float(np.hypot(x[0], x[1]))
-        npt.assert_allclose(r["rhs"], -1.0 / rr**2, rtol=1e-10)
+        npt.assert_allclose(r["rhs"][0], -1.0 / rr**2, rtol=1e-10)
 
 
 def test_warped_geometry_requires_declaration():
@@ -490,12 +496,13 @@ def test_warped_geometry_requires_declaration():
 
 
 def test_an_induced_split_validates_its_warping_function():
-    # the induced metric has no validate_at of its own: the rank gate checks it
+    # the induced split's block checks f > 0 in its leaf scalars; the rank
+    # gate checks the induced metric
     w = warped_geometry(load_builtin("e1").subject)
-    x = sample_points(w.metric.im, 1, 42)
-    w.validate_at(x)
+    x = np.array(sample_points(w.metric.im, 1, 42))
+    leaf_scalars(WarpedBlock(w, x))
     with pytest.raises(InvalidWarpingError, match="<= 0"):
-        dataclasses.replace(w, f=Neg(w.f)).validate_at(x)
+        leaf_scalars(WarpedBlock(dataclasses.replace(w, f=Neg(w.f)), x))
 
 
 # ---------------------------------------------------------------------------
