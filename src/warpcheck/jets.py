@@ -318,19 +318,34 @@ def per_block(points, fn: Callable[[np.ndarray], Iterable], dim: int) -> Iterato
     order; ``dim`` is the dimension that bounds the block's arrays (an
     immersion's ambient one, say).
 
-    When a block raises a WarpcheckError its points run again one at a time,
-    so the first failing point raises exactly what it raises on its own.
+    The one rerun rule, so each point's verdict is its own: a block runs once
+    under a watch that records the floating-point events numpy's error state
+    does not ignore.  After a WarpcheckError or an event its points run again
+    alone, in order: a point that raises does so unwarned, and one that
+    records an event runs once more, unwatched, so it warns as it does alone.
     """
     size = block_points(dim)
     for start in range(0, len(points), size):
         block = np.array(points[start:start + size], dtype=float)
         try:
-            results = list(fn(block))
+            results = _watched(fn, block)
         except WarpcheckError:
+            results = None
+        if results is None:
+            results = []
             for k in range(len(block)):
-                list(fn(block[k:k + 1]))
-            raise
+                alone = _watched(fn, block[k:k + 1])
+                results += list(fn(block[k:k + 1])) if alone is None else alone
         yield from results
+
+
+def _watched(fn, block: np.ndarray) -> list | None:
+    """``fn(block)``'s results, or None when it records a floating-point event."""
+    events = []
+    observed = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
+    with np.errstate(call=lambda *_: events.append(1), **observed):
+        results = list(fn(block))
+    return None if events else results
 
 
 # ---------------------------------------------------------------------------

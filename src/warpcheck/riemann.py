@@ -2,20 +2,17 @@
 
 A metric source is any object exposing ``dim`` and ``derivs(x) -> (g, dg,
 d2g)`` where ``dg[k,i,j]`` and ``d2g[k,l,i,j]`` are first and second
-coordinate partials of the matrix entries (induced frames read
-``value(x)``); x is a block of points (B, dim), and every array has a
-leading block axis.  :class:`MetricField` evaluates expression entries as
-jets, and induced metrics provide the same surface.
+coordinate partials of the matrix entries; x is a block of points (B,
+dim), and every array has a leading block axis.  :class:`MetricField`
+evaluates expression entries as jets, and induced metrics provide the same
+surface.
 
 The block is the one evaluation shape.  A :class:`MetricBlock` holds a
-source at a block of points and computes each field (the derivatives, the
-inverse metric after its checks of symmetry, finiteness and positive
-definiteness, the connection, the curvature, the frames and the curvature in
-them) once for the whole block, on first use, as batch-leading arrays, and
-applies its operators (the Laplacian) to the whole block too; the block of a
-coordinate sub-chart has no source, only sliced derivatives.  A lone point
-is a block of one, ``MetricBlock(g, x[None])``, read at index 0.  A block
-gives each point exactly the bits a block of one gives it, under two rules:
+source at a block of points and computes each field once for the whole
+block, on first use, as batch-leading arrays, and applies its operators (the
+Laplacian) to the whole block too.  A lone point is a block of one,
+``MetricBlock(g, x[None])``, read at index 0.  A block gives each point
+exactly the bits a block of one gives it, under two rules:
 
 * Layout is part of the bits.  A batched einsum is the single-point
   subscript string with ``...`` prefixed on each operand, so a point's slice
@@ -67,7 +64,6 @@ Index conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from typing import Iterable, Sequence
@@ -176,21 +172,18 @@ class MetricBlock:
 
     ``derivs`` and every field derived from it (``ginv``, ``lowered``,
     ``gamma``, ``curvature``) are computed on first use for the whole block
-    at once, as batch-leading arrays (B, ...); so are the frames, built by
-    :func:`stacked`, and the curvature contracted into them.  ``derivs``:
-    a function returning the block's (g, dg, d2g) when the caller already
-    holds what they are made from (the source's ``derivs`` at the points by
-    default).  ``metric`` is None for the block of a coordinate sub-chart
-    (:meth:`block`), which holds only derivatives.
+    at once, as batch-leading arrays (B, ...); so are the frames, built from
+    the checked metric values ``g``, and the curvature contracted into them.
+    ``derivs``: a function returning the block's (g, dg, d2g) when the
+    caller already holds what they are made from (the source's ``derivs`` at
+    the points by default).  ``metric`` is None for the block of a
+    coordinate sub-chart (:meth:`block`), which holds only derivatives.
     """
 
     def __init__(self, metric, points: np.ndarray, derivs=None):
         self.metric = metric
         self.points = points
         self._derivs = derivs or (lambda: metric.derivs(points))
-        # frames are built from derivs[0], except for an induced metric,
-        # whose own J^T g J rounds differently from its jets
-        self._own_value = not (metric is None or isinstance(metric, MetricField))
 
     @cached_property
     def derivs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,19 +266,16 @@ class MetricBlock:
         with the bits of its point's ``d1 @ ginv @ d1`` when d1 is C-ordered."""
         return (d1[..., None, :] @ self.ginv @ d1[..., None])[..., 0, 0]
 
+    @property
+    def g(self) -> np.ndarray:
+        """The metric values (B, n, n), after ``ginv`` has checked them."""
+        self.ginv
+        return self.derivs[0]
+
     @cached_property
     def frame(self) -> np.ndarray:
-        """Each point's Gram-Schmidt frame over the coordinate directions
-        (B, n, n), built for the whole block by :func:`stacked`."""
-        return stacked(self._frames, len(self.points))[0]
-
-    def _frames(self, points: slice, watched) -> list[np.ndarray]:
-        x = self.points[points]
-        if not self._own_value:
-            self.ginv  # the derivatives, evaluated and checked outside the watch
-        with watched():
-            g = _checked(self.metric.value(x), x) if self._own_value else self.derivs[0][points]
-            return [gram_schmidt(g, np.eye(g.shape[-1]))]
+        """Each point's Gram-Schmidt frame over the coordinate directions (B, n, n)."""
+        return gram_schmidt(self.g, np.eye(self.g.shape[-1]))
 
     def block(self, axes) -> "MetricBlock":
         """The block of a coordinate sub-chart: no source, and the in-block
@@ -408,49 +398,15 @@ def plane_sum(rf: np.ndarray, pairs: Iterable[tuple[int, int]]):
 # ---------------------------------------------------------------------------
 
 
-def watch():
-    """A context factory, and the list in which the floating-point events that
-    numpy's error state reports (a warning, say) are recorded instead while
-    it is entered."""
-    events = []
-    observed = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
-    return (lambda: np.errstate(call=lambda *_: events.append(1), **observed)), events
-
-
-def stacked(build, count: int) -> list:
-    """The arrays ``build(points, watched)`` returns for a block's ``count``
-    points, built for the whole block at once.  ``build`` enters
-    ``watched()`` (:func:`watch`) around the work whose floating-point events
-    belong to single points; on an event each point builds its own,
-    unwatched, in order, so a point warns as it does alone and no event
-    comes from a point after one that raises.  An error raises for the
-    block's first failing point (``jets.per_block`` reruns the block)."""
-    watched, events = watch()
-    built = build(slice(None), watched)
-    if not events:
-        return built
-    alone = [build(slice(b, b + 1), contextlib.nullcontext) for b in range(count)]
-    return [np.concatenate(a) for a in zip(*alone)]
-
-
 def fold_blocks(points: Sequence[Point], dim: int, make, *steps) -> dict:
     """The steps' values, merged and folded over the points by
-    :func:`report.fold`, a block of points at a time (``jets.per_block`` of
-    ``dim``) in the one object ``make(block)`` that each step reads, giving
-    arrays whose values run over its points in order: the one fold of every
-    subject kind's checks.  A block is evaluated
-    by :func:`stacked`, so after a floating-point event each point is
-    evaluated alone, in order, and warns as it does alone."""
+    :func:`report.fold`, a block at a time (``jets.per_block`` of ``dim``,
+    the one rerun rule) in the one object ``make(block)`` that each step
+    reads, giving arrays whose values run over its points in order: the one
+    fold of every subject kind's checks."""
     def walk(block):
-        names = []
-
-        def build(part: slice, watched) -> list:
-            subject = make(block[part])
-            with watched():
-                values = {k: v for step in steps for k, v in step(subject).items()}
-            names[:] = values  # every build gives the same keys, in order
-            return list(values.values())
-        yield dict(zip(names, stacked(build, len(block))))
+        subject = make(block)
+        yield {k: v for step in steps for k, v in step(subject).items()}
     return fold(per_block(points, walk, dim))
 
 

@@ -29,7 +29,8 @@ def radical_inverses(indices: np.ndarray, base: int) -> np.ndarray:
 
 def halton_points(box: DomainBox, n: int, seed: int = 0) -> list[np.ndarray]:
     """First n Halton points inside the box, starting at sequence index
-    seed + 1 and rejecting excluded balls; at most 1000 n indices are drawn."""
+    seed + 1 and rejecting excluded balls; at most 1000 n indices are drawn,
+    and an index past int64 raises."""
     if box.dim > len(_PRIMES):
         raise ConfigurationError(f"halton sampler supports dim <= {len(_PRIMES)}")
     lo = np.array(box.lo)
@@ -39,7 +40,10 @@ def halton_points(box: DomainBox, n: int, seed: int = 0) -> list[np.ndarray]:
     while len(out) < n:
         if start == stop:
             raise ConfigurationError("excluded regions reject nearly all samples")
-        indices = np.arange(start, min(start + 2 * (n - len(out)) + 8, stop))
+        end = min(start + 2 * (n - len(out)) + 8, stop)
+        if end > 2**63:  # the radical inverses run on int64 indices
+            raise ConfigurationError(f"seed {seed} needs Halton index {end - 1}, past int64")
+        indices = np.arange(start, end)
         x = lo + span * np.stack([radical_inverses(indices, p) for p in _PRIMES[:box.dim]], 1)
         inside = ~((x < lo) | (x > np.array(box.hi))).any(axis=1)
         for ball in box.balls:
@@ -47,5 +51,5 @@ def halton_points(box: DomainBox, n: int, seed: int = 0) -> list[np.ndarray]:
             # each norm as np.linalg.norm takes it: the slice's own dot product
             inside &= ~(np.sqrt((d[:, None] @ d[..., None])[:, 0, 0]) <= ball.radius)
         out += list(x[inside][:n - len(out)])
-        start = indices[-1] + 1
+        start = int(indices[-1]) + 1
     return out

@@ -66,7 +66,7 @@ class AlmostComplexStructure(_Structure):
 
     def residuals(self, t: "StructureBlock", require_kahler: bool) -> dict[str, np.ndarray]:
         """The almost complex structure records' values over the block's points."""
-        j, g = t.op[0], t.metric.derivs[0]
+        j, g = t.op[0], t.metric.g
         out = {"complex-square": _worst(j @ j + np.eye(self.dim)),
                "complex-compatibility": _worst(np.swapaxes(j, 1, 2) @ g @ j - g)}
         if require_kahler:
@@ -99,7 +99,7 @@ class AlmostContactStructure(_Structure):
     def identity_residuals(self, t: "StructureBlock") -> dict[str, np.ndarray]:
         """The six defining identities of an almost contact metric structure,
         over the block's points."""
-        phi, xi, eta, g = t.op[0], t.xi, t.eta[0], t.metric.derivs[0]
+        phi, xi, eta, g = t.op[0], t.xi, t.eta[0], t.metric.g
         col, row = xi[..., None], eta[:, None]  # (B, n, 1) and (B, 1, n)
         return dict(zip(CONTACT_IDENTITIES, (
             _worst(phi @ phi + np.eye(self.dim) - col * row),
@@ -186,7 +186,7 @@ CLASS_NAMES = ("sasakian", "kenmotsu", "cosymplectic", "nearly_cosymplectic")
 def _phi_g(t: StructureBlock) -> np.ndarray:
     """Phi(e_a, e_b) = g(phi e_a, e_b) at [point, a, b]."""
     rows = np.ascontiguousarray(np.swapaxes(t.op[0], 1, 2))[:, :, None, :]
-    return (rows @ t.metric.derivs[0][:, None])[:, :, 0]
+    return (rows @ t.metric.g[:, None])[:, :, 0]
 
 
 def _d_eta(t: StructureBlock) -> np.ndarray:
@@ -200,7 +200,7 @@ def structure_class_residuals(t: StructureBlock, klass: str) -> np.ndarray:
     law on each coordinate pair, at [point, a, b]."""
     if klass not in CLASS_NAMES:
         raise ConfigurationError(f"unknown structure class {klass!r}")
-    phi, xi, eta, g = t.op[0], t.xi[:, None, None], t.eta[0], t.metric.derivs[0]
+    phi, xi, eta, g = t.op[0], t.xi[:, None, None], t.eta[0], t.metric.g
     # (nabla_{e_a} phi) e_b at [point, a, b, k]; eta(e_b) and e_a there
     diff = np.ascontiguousarray(np.swapaxes(t.nabla, 2, 3))
     eta_b, e_a = eta[:, None, :, None], np.eye(t.s.dim)[:, None, :]
@@ -228,7 +228,7 @@ def nijenhuis_normality_residuals(t: StructureBlock) -> np.ndarray:
     coordinate fields are valid; brackets reduce to first derivatives of the
     phi-images.
     """
-    (phi, dphi), xi, g = t.op, t.xi, t.metric.derivs[0]
+    (phi, dphi), xi, g = t.op, t.xi, t.metric.g
     # [phi e_a, phi e_b]'s first half, (phi e_a)^k d_k (phi e_b)^i, at [point, a, b, i]
     lie = np.einsum("...ka,...kib->...abi", phi, dphi)
     # phi d_a (phi e_b) at [point, a, b]

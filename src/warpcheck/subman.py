@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, ImmersionDegenerateError,
                      InvalidNormalError, NonFiniteImageError)
 from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, jet_const, pack
 from .riemann import (MetricBlock, MetricField, _checked, fold_blocks, frame_curvature,
-                      gram_schmidt, gram_schmidt_step, metric_norms, plane_sum, stacked)
+                      gram_schmidt, gram_schmidt_step, metric_norms, plane_sum)
 from .structures import AlmostComplexStructure, AlmostContactStructure, StructureBlock
 from .warped import LeafScalars, WarpedBlock, WarpedMetric
 
@@ -152,6 +152,9 @@ class InducedMetric:
         return tuple(pack(self._indexed_jets(x, phi), x.shape[:-1], n, (n, n), 2))
 
     def value(self, x: Point) -> np.ndarray:
+        """J^T g J of the components' partials and the ambient metric's value,
+        read by no block: the independent oracle of the induced jets that
+        ``test_gallery``, ``test_subman`` and ``test_acceptance`` read."""
         im = self.im
         y, d1 = dsl.eval_matrix([im.components], x, im.params, order=1)
         jac = np.ascontiguousarray(np.swapaxes(d1[..., 0, :], -1, -2))  # (..., m, n)
@@ -280,12 +283,6 @@ class ImmersionBlock:
         return WarpedBlock(warped_geometry(self.im), self.points, self.induced)
 
     @cached_property
-    def frames(self) -> SFFData:
-        """The block's frames and form, built for the whole block by
-        :func:`riemann.stacked` with the bits each point has alone."""
-        return SFFData._make(stacked(self._frames, len(self.points)))
-
-    @cached_property
     def frame_curvatures(self) -> tuple[np.ndarray, np.ndarray]:
         """The induced curvature in each point's tangent frame and the ambient
         one in its image, (B, n, n, n, n) each, for every check that reads
@@ -305,48 +302,45 @@ class ImmersionBlock:
         """The leaf scalars as arrays over the points."""
         return self.warped.scalars
 
-    def _frames(self, points: slice, watched) -> tuple:
-        im, x = self.im, self.points[points]
-        d2phi = np.ascontiguousarray(self.components[2][points])
-        jac = np.ascontiguousarray(self.components[1][points])
-        g_amb = self.ambient.derivs[0][points]
-        gam = self.ambient.gamma[points]  # verifies the ambient metric is positive definite
-        with watched():
-            g_ind = np.swapaxes(jac, 1, 2) @ g_amb @ jac
-            eigs = np.linalg.eigvalsh(g_ind)[:, 0]
-            low = eigs <= RANK_THRESHOLD**2
-            if low.any():
-                k = int(np.argmax(low))
-                raise ImmersionDegenerateError(
-                    f"immersion differential near rank-deficient at {x[k]} "
-                    f"(smallest singular value {math.sqrt(max(eigs[k], 0.0)):.3e})")
-            tangent = gram_schmidt(_checked(g_ind, x), np.eye(im.dim))
-            tangent_amb = jac @ tangent
-        phi = None
-        if isinstance(im.structure, AlmostContactStructure) and im.warped is not None:
-            phi = np.ascontiguousarray(self.tensors.op[0][points])
-        with watched():
-            # the image of the fiber (anti-invariant) frame under phi comes
-            # first, so the invariant complement of the normal bundle sits after it
-            priority = (tangent_amb[:, :, :0] if phi is None
-                        else phi @ tangent_amb[:, :, im.warped.n1:])
-            normal, n_priority = _normal_frames(g_amb, tangent_amb, priority)
-            # full ambient derivative of the coordinate frame: D[i,j,:] in ambient coords
-            d_full = (np.einsum("bkij->bijk", d2phi)
-                      + np.einsum("bklm,bli,bmj->bijk", gam, jac, jac))
-            # normal projection: subtract ambient-orthonormal tangent components
-            tang_comp = np.einsum("bijk,bkm,bma->bija", d_full, g_amb, tangent_amb)
-            h_coord = d_full - np.einsum("bija,bka->bijk", tang_comp, tangent_amb)
-            h_frame = np.einsum("bpqk,bpi,bqj->bijk", h_coord, tangent, tangent)
-            coeffs = np.einsum("bijk,bkm,bmr->brij", h_frame, g_amb, normal)
-            # the whole, leaf and fiber traces, each over its block's count
-            n, decl = im.dim, im.warped
-            spans = [(0, n, n)] + ([] if decl is None else
-                                   [(0, decl.n1, decl.n1), (decl.n1, n, decl.n2)])
-            means = np.stack([np.einsum("biik->bk", h_frame[:, a:b, a:b]) / count
-                              for a, b, count in spans], 1)
-            return (self.components[0][points], g_amb, g_ind, jac, tangent, tangent_amb,
-                    normal, n_priority, d_full, h_coord, h_frame, coeffs, means)
+    @cached_property
+    def frames(self) -> SFFData:
+        """The block's frames and form, with the bits each point has alone."""
+        im, x = self.im, self.points
+        d2phi = np.ascontiguousarray(self.components[2])
+        jac = np.ascontiguousarray(self.components[1])
+        g_amb, gam = self.ambient.g, self.ambient.gamma
+        g_ind = np.swapaxes(jac, 1, 2) @ g_amb @ jac
+        eigs = np.linalg.eigvalsh(g_ind)[:, 0]
+        low = eigs <= RANK_THRESHOLD**2
+        if low.any():
+            k = int(np.argmax(low))
+            raise ImmersionDegenerateError(
+                f"immersion differential near rank-deficient at {x[k]} "
+                f"(smallest singular value {math.sqrt(max(eigs[k], 0.0)):.3e})")
+        tangent = gram_schmidt(_checked(g_ind, x), np.eye(im.dim))
+        tangent_amb = jac @ tangent
+        # the image of the fiber (anti-invariant) frame under phi comes
+        # first, so the invariant complement of the normal bundle sits after it
+        contact = isinstance(im.structure, AlmostContactStructure) and im.warped is not None
+        priority = (np.ascontiguousarray(self.tensors.op[0]) @ tangent_amb[:, :, im.warped.n1:]
+                    if contact else tangent_amb[:, :, :0])
+        normal, n_priority = _normal_frames(g_amb, tangent_amb, priority)
+        # full ambient derivative of the coordinate frame: D[i,j,:] in ambient coords
+        d_full = (np.einsum("bkij->bijk", d2phi)
+                  + np.einsum("bklm,bli,bmj->bijk", gam, jac, jac))
+        # normal projection: subtract ambient-orthonormal tangent components
+        tang_comp = np.einsum("bijk,bkm,bma->bija", d_full, g_amb, tangent_amb)
+        h_coord = d_full - np.einsum("bija,bka->bijk", tang_comp, tangent_amb)
+        h_frame = np.einsum("bpqk,bpi,bqj->bijk", h_coord, tangent, tangent)
+        coeffs = np.einsum("bijk,bkm,bmr->brij", h_frame, g_amb, normal)
+        # the whole, leaf and fiber traces, each over its block's count
+        n, decl = im.dim, im.warped
+        spans = [(0, n, n)] + ([] if decl is None else
+                               [(0, decl.n1, decl.n1), (decl.n1, n, decl.n2)])
+        means = np.stack([np.einsum("biik->bk", h_frame[:, a:b, a:b]) / count
+                          for a, b, count in spans], 1)
+        return SFFData(self.components[0], g_amb, g_ind, jac, tangent, tangent_amb, normal,
+                       n_priority, d_full, h_coord, h_frame, coeffs, means)
 
 
 def second_fundamental_form(im: Immersion, x: Point) -> SFFData:

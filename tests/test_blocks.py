@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from helpers import dense_complex, dense_contact
 
-from warpcheck import cli, jets
+from warpcheck import cli, jets, riemann
 from warpcheck.config import load_config, load_config_text
 from warpcheck.errors import ConfigurationError, DegenerateMetricError, WarpcheckError
 from warpcheck.gallery import builtin_names, load_builtin, sample_points
@@ -175,6 +175,38 @@ def test_a_chart_metric_point_the_walk_reaches_warns_as_it_does_alone():
         frames, block_seen = frame_and_warnings(points)
         assert block_seen == seen
         assert_same(frames[-1], alone[0], f"{len(points)} points")
+
+
+# a quiet point that the step below refuses after its frame is built
+REFUSED = QUIET + np.array([0.0, 1.0, 0.0, 0.0])
+
+
+def refuse(block: MetricBlock) -> dict:
+    refused = block.points[:, 1] != 0
+    if refused.any():
+        raise ConfigurationError(f"refused at {block.points[np.argmax(refused)]}")
+    return {}
+
+
+@pytest.mark.parametrize("points, builds, warned, refused", [
+    # the block, once
+    ([QUIET, QUIET, QUIET], 1, 0, False),
+    # the block, then each point alone, and the loud one once more, unwatched
+    ([QUIET, LOUD, QUIET], 1 + 3 + 1, 1, False),
+    # the block, then the first point alone and the refused one, which stops
+    # the walk before the loud one
+    ([QUIET, REFUSED, LOUD], 1 + 2, 0, True),
+])
+def test_a_fold_reruns_a_block_point_by_point_once(monkeypatch, points, builds, warned, refused):
+    # jets.per_block alone reruns a block: no frame build watches or reruns again
+    count, gram_schmidt = [], riemann.gram_schmidt
+    monkeypatch.setattr(riemann, "gram_schmidt", lambda *a: count.append(1) or gram_schmidt(*a))
+    out, seen = recorded(lambda: fold_blocks(
+        np.array(points), 4, partial(MetricBlock, OVERFLOWING),
+        lambda b: {"frame": b.frame[:, 0, 0]}, refuse))
+    assert len(count) == builds
+    assert seen == ["overflow encountered in matmul"] * warned
+    assert (out == f"refused at {REFUSED}") == refused
 
 
 IMMERSIONS = [name for name in builtin_names()

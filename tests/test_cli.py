@@ -89,6 +89,21 @@ def test_negative_seed_exits_2(target, seed, points, capsys):
     assert capsys.readouterr().err == "configuration error: seed must be >= 0\n"
 
 
+@pytest.mark.parametrize("seed, index", [(2**63 - 1, 2**63 + 23), (2**64, 2**64 + 24)])
+def test_a_seed_past_the_int64_halton_indices_exits_2(seed, index, capsys):
+    # these used to end in a TypeError traceback (2**64) or to sample one
+    # point 8 times (2**63 - 1), once the indices left int64
+    assert main(["--target", "e2", "--seed", str(seed), "--points", "8"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: seed {seed} needs Halton index {index}, past int64\n")
+
+
+def test_a_seed_whose_halton_indices_fit_in_int64_samples():
+    points = sample_points(load_builtin("e2").subject, 8, 2**63 - 200)
+    assert len(np.unique(points, axis=0)) == 8
+    assert run(RunConfig(target="e2", points=8, seed=2**63 - 200))[0] == 0
+
+
 E3_BALL = 'domain_hi = 3.0415926, 6.1831853\nexclude_center = 1, 1\nexclude_radius = 0.1\n'
 
 
@@ -319,6 +334,33 @@ def _builtin_with(tmp_path, config: str, old: str, new: str) -> str:
     p.write_text(resources.files("warpcheck").joinpath("data", config).read_text()
                  .replace(old, new))
     return str(p)
+
+
+def _asymmetric_contact(tmp_path, config: str, declared: bool) -> str:
+    """A Sasakian builtin with g_14 = 0.3 but g_41 = 0, with or without its
+    declared class."""
+    text = resources.files("warpcheck").joinpath("data", config).read_text()
+    row = 'row_1 = "0.25 + 0.25*x3^2", "0.25*x3*x4", "0", "0", "-0.25*x3"'
+    assert row in text and "expected_class = sasakian\n" in text
+    text = text.replace(row, row.replace('"0", "0"', '"0", "0.3"'))
+    p = tmp_path / f"{'declared' if declared else 'bare'}-{config}"
+    p.write_text(text if declared else text.replace("expected_class = sasakian\n", ""))
+    return str(p)
+
+
+@pytest.mark.parametrize("declared", [True, False])
+@pytest.mark.parametrize("config, checks", [("sasakian_r5.cfg", "all"),
+                                            ("e5_sasakian_cr.cfg", "structure")])
+def test_a_contact_structures_checks_validate_its_metric(tmp_path, capsys, config, checks,
+                                                         declared):
+    # with no class law to read the connection, these checks used to read the
+    # metric unchecked and fail contact-phi_compatibility at 0.3 (exit 1)
+    assert main(["--target", _asymmetric_contact(tmp_path, config, True), "--points", "4"]) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith("configuration error: metric not symmetric at [")
+    target = _asymmetric_contact(tmp_path, config, declared)
+    assert main(["--target", target, "--points", "4", "--checks", checks]) == 2
+    assert capsys.readouterr().err == expected
 
 
 def _assert_first_nonpositive_warping_point_exits_2(tmp_path, capsys):
@@ -586,17 +628,17 @@ def test_one_geometry_record_per_block(monkeypatch):
     # builds its frames and form once and its induced metric's derivatives
     # once, which every check reads: one block at 3 points, two at 64
     calls = Counter()
-    frames, derivs = subman.ImmersionBlock._frames, subman.InducedMetric.derivs
+    normal_frames, derivs = subman._normal_frames, subman.InducedMetric.derivs
 
-    def counted_frames(self, part, watched):
+    def counted_frames(*args):  # one normal completion a build of the frames
         calls["frames"] += 1
-        return frames(self, part, watched)
+        return normal_frames(*args)
 
     def counted_derivs(self, x, *phi):
         calls["derivs"] += 1
         return derivs(self, x, *phi)
 
-    monkeypatch.setattr(subman.ImmersionBlock, "_frames", counted_frames)
+    monkeypatch.setattr(subman, "_normal_frames", counted_frames)
     monkeypatch.setattr(subman.InducedMetric, "derivs", counted_derivs)
     for points, blocks in ((3, 1), (64, 2)):
         calls.clear()
@@ -973,13 +1015,30 @@ GROUP_DIGESTS = {
 }
 
 
-def test_report_bytes_match_golden_digests():
+# the reports behind the digests, one file each, so a change of bytes shows
+# which number moved
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_runs():
+    """(file name, digest, run) of each report the digests pin."""
     for (name, points), digest in GOLDEN_DIGESTS.items():
-        _, doc, _ = run(RunConfig(target=name, points=points, seed=42))
-        assert hashlib.sha256(to_json_bytes(doc)).hexdigest() == digest, name
+        yield f"{name}-{points}-points.json", digest, RunConfig(target=name, points=points,
+                                                                 seed=42)
     for (name, checks), digest in GROUP_DIGESTS.items():
-        _, doc, _ = run(RunConfig(target=name, checks=(checks,), points=3, seed=42))
-        assert hashlib.sha256(to_json_bytes(doc)).hexdigest() == digest, (name, checks)
+        yield f"{name}-{checks}.json", digest, RunConfig(target=name, checks=(checks,),
+                                                         points=3, seed=42)
+
+
+def test_report_bytes_match_golden_digests():
+    # each committed report hashes to its digest, and a run gives its bytes
+    runs = list(_golden_runs())
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(file for file, _, _ in runs)
+    for file, digest, rc in runs:
+        golden = (GOLDEN / file).read_bytes()
+        assert hashlib.sha256(golden).hexdigest() == digest, file
+        _, doc, _ = run(rc)
+        assert to_json_bytes(doc) == golden, file
 
 
 CLASSES = ("sasakian", "kenmotsu", "cosymplectic", "nearly_cosymplectic")

@@ -116,21 +116,27 @@ def test_frames_are_built_only_by_the_stacked_step():
                                                 ("subman", "_complete")}
 
 
-def test_only_the_stacked_build_watches_for_floating_point_events():
-    assert _call_sites("watch") == {("riemann", "stacked")}
+def test_only_per_block_watches_for_floating_point_events():
+    # one rerun rule: jets.per_block watches each block, through one helper,
+    # and reruns it point by point; no frame build or fold watches again
+    watching = {(mod, fn.name) for mod, tree in _package_trees().items()
+                for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for call in ast.walk(fn) if isinstance(call, ast.Call)
+                and getattr(call.func, "attr", None) == "errstate"
+                and "call" in {k.arg for k in call.keywords}}
+    assert watching == {("jets", "_watched")}
+    assert not hasattr(riemann, "watch") and not hasattr(riemann, "stacked")
 
 
 def test_the_block_is_the_only_evaluation_shape():
     # one shape of the geometry, so the bit contract has no second one to
-    # keep equal to it: no point record, no block read by point index, and
-    # a stacked build over the whole block only
+    # keep equal to it: no point record and no block read by point index
     for mod, tree in _package_trees().items():
         classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
         assert not [c.name for c in classes if c.name.endswith("Point")], mod
         for cls in (c for c in classes if c.name.endswith("Block")):
             methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
             assert not methods & {"__getitem__", "__iter__"}, (mod, cls.name)
-    assert list(inspect.signature(riemann.stacked).parameters) == ["build", "count"]
 
 
 def test_a_point_form_is_sliced_from_its_block():
