@@ -150,7 +150,7 @@ def parse_config_text(text: str) -> list[Section]:
             head = line[1:-1].split()
             if len(head) == 1 and head[0] == "subject":
                 current = Section("subject", "", line_no)
-            elif len(head) == 2:
+            elif len(head) == 2 and head[0] != "subject":
                 current = Section(head[0], head[1], line_no)
             else:
                 raise ConfigurationError(f"line {line_no}: section header needs "
@@ -393,7 +393,12 @@ def build_config(sections: list[Section]) -> BuiltConfig:
 
 
 def load_config(path: str | Path) -> BuiltConfig:
-    text = Path(path).read_text(encoding="utf-8")
+    """The config in the UTF-8 file at path, a byte-order mark skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise ConfigurationError(f"cannot read config {str(path)!r}: {reason}") from None
     return build_config(parse_config_text(text))
 
 

@@ -19,6 +19,11 @@ Notes on binding:
 * ``-2^2`` parses as ``-(2^2) = -4``: exponentiation binds tighter than the
   unary minus of its base, matching common mathematical convention.
 * The exponent position accepts a signed factor, so ``2^-3`` is valid.
+* ``f ^ g`` takes its rule from the syntax of ``g``, once for every point.
+  With no variable in ``g`` (numbers and parameters only) it is a constant
+  power: an integer ``g`` takes any base (a zero base only for ``g >= 0``),
+  any other ``g`` a positive base.  With a variable in ``g`` it is
+  ``exp(g ln f)``, which needs ``f > 0``, whatever ``g``'s value.
 * There is no implicit multiplication; ``2x1`` is a parse error.
 
 Parsing is total: any non-grammatical input raises :class:`ParseError` with
@@ -284,19 +289,16 @@ def eval_jets(e: Expr, bindings: Sequence[Jet3], params: Sequence[float] = (),
 
 def evaluator(bindings: Sequence[Jet3], params: Sequence[float] = (), order: int = 3):
     """:func:`eval_jets` on these bindings as a function of the expression,
-    the bindings truncated to ``order`` once.  An exponent is evaluated on
-    the full bindings: ``**`` takes its branch from the exponent's d1-d3."""
-    low = [b.truncated(order) for b in bindings]
+    the bindings truncated to ``order`` once."""
+    bindings = [b.truncated(order) for b in bindings]
 
     def evaluate(e: Expr) -> Jet3:
         try:
-            return _eval(e, low, bindings, params)
-        except JetDomainError as err:
-            if err.pos is None:
-                err.pos = getattr(e, "pos", None)
+            return _eval(e, bindings, params)
+        except JetDomainError:
             batch = np.broadcast_shapes(*(b.batch for b in bindings))
-            for k in np.ndindex(batch) if batch else ():
-                evaluator([b.take(k) for b in bindings], params, order)(e)
+            for k in np.ndindex(batch) if batch else ():  # the first failing point raises alone
+                _eval(e, [b.view(k) if b.batch else b for b in bindings], params)
             raise
     return evaluate
 
@@ -305,27 +307,27 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
            "^": operator.pow}
 
 
-def _eval(e: Expr, bindings, full, params) -> Jet3:
+def _eval(e: Expr, bindings, params) -> Jet3:
     if isinstance(e, Var):
         return bindings[e.index]
     if isinstance(e, (Num, Param)):
         value = e.value if isinstance(e, Num) else float(params[e.index])
         return jet_const(value, bindings[0].dim, bindings[0].order)
     if isinstance(e, Neg):
-        return -_eval(e.arg, bindings, full, params)
+        return -_eval(e.arg, bindings, params)
     if isinstance(e, BinOp):
         fn = _BINARY[e.op]
-        args = (_eval(e.left, bindings, full, params),
-                _eval(e.right, full if e.op == "^" else bindings, full, params))
+        args = (_eval(e.left, bindings, params), _eval(e.right, bindings, params))
+        if e.op == "^" and max_var(e.right) < 0:
+            args = args[0], args[1].value  # no variable in the exponent: a constant power
     elif isinstance(e, Call):
-        fn, args = getattr(jets, e.func), (_eval(e.arg, bindings, full, params),)
+        fn, args = getattr(jets, e.func), (_eval(e.arg, bindings, params),)
     else:
         raise TypeError(f"not an expression node: {e!r}")
     try:
         return fn(*args)
     except JetDomainError as err:
-        if err.pos is None:
-            err.pos = e.pos
+        err.pos = e.pos
         raise
 
 
@@ -381,6 +383,20 @@ def pretty(e: Expr) -> str:
         return f"({pretty(e.left)} {e.op} {pretty(e.right)})"
     if isinstance(e, Call):
         return f"{e.func}({pretty(e.arg)})"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def max_var(e: Expr) -> int:
+    """Largest 0-based variable index used, or -1 for an expression in
+    numbers and parameters only."""
+    if isinstance(e, Var):
+        return e.index
+    if isinstance(e, (Num, Param)):
+        return -1
+    if isinstance(e, (Neg, Call)):
+        return max_var(e.arg)
+    if isinstance(e, BinOp):
+        return max(max_var(e.left), max_var(e.right))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -12,8 +12,7 @@ metric: curvature needs two derivatives of the metric, and an induced metric
 already consumes one derivative of the immersion.  Any other jet is
 evaluated only to the order its reader packs.  A slot of order k reads only
 slots of order <= k (Griewank & Walther, below, ch. 13), so the slots kept
-have a full evaluation's bits; but ``**`` takes its branch from d1-d3 of its
-exponent, so an exponent is always evaluated to order 3.
+have a full evaluation's bits.
 
 Slots are batch-leading: ``value`` has a batch shape, ``d1`` that shape plus
 ``(dim,)``, ``d2`` plus ``(dim, dim)`` and ``d3`` plus ``(dim, dim, dim)``.
@@ -25,12 +24,12 @@ block gives each point exactly the bits a single-point evaluation gives it:
 array operations are elementwise and keep the single-point order of
 operations, while the unary coefficients f0..f3 (of ``/``, ``exp``, ``ln``,
 ``sqrt``, ``sin``, ``cos`` and constant powers), each only through its
-operand's order, and every branch on a value (domain checks, the
-constant-exponent test of ``**``) are evaluated point by point with
-``math`` on Python floats, because ``np.exp``, ``np.log`` and ``np.power``
-round differently from ``math`` in the last bit.  Callers walk
-their sample points in blocks (:func:`per_block`) of :func:`block_points` of
-the chart dimension n that bounds the block's arrays: at least
+operand's order, and every branch on a value (the domain checks) are
+evaluated point by point with ``math`` on Python floats, because
+``np.exp``, ``np.log`` and ``np.power`` round differently from ``math`` in
+the last bit.  Callers walk their sample points in blocks
+(:func:`per_block`) of :func:`block_points` of the chart dimension n that
+bounds the block's arrays: at least
 ``BLOCK_POINTS``, and as many as keep a block's largest n**4 array (a
 metric's second derivatives, its curvature) within ``BLOCK_ENTRIES``
 entries, so a low-dimensional chart pays a block's fixed cost once per
@@ -136,15 +135,6 @@ class Jet3:
                     *(None if d is None else d[index + (slice(None),) * k]
                       for k, d in enumerate(self.derivs, 1)))
 
-    def take(self, k) -> "Jet3":
-        """The jet at point (or boolean mask) k of its block, with its own
-        arrays; a jet with batch shape () is the same at every point."""
-        if not self.batch:
-            return self
-        v = self.value[k]
-        return Jet3(self.dim, float(v) if np.ndim(v) == 0 else v,
-                    *(None if d is None else d[k].copy() for d in self.derivs))
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other) -> "Jet3":
@@ -197,38 +187,15 @@ class Jet3:
         return self._coerce(other) / self
 
     def __pow__(self, other) -> "Jet3":
+        """self**c for a float c, a constant power; for a jet exponent g,
+        exp(g ln self), which needs self > 0: the first point in order where
+        self <= 0 raises."""
         if not isinstance(other, Jet3):
             return _pow_const(self, float(other))
-        const = other.is_constant()
-        if np.all(const):
-            return _pow_const(self, other.value)
-        if not np.any(const):
-            # general exponent: f^g = exp(g ln f), needs f > 0; the first
-            # point in order where f <= 0 raises
-            bad = np.asarray(self.value) <= 0.0
-            if bad.any():
-                raise JetDomainError("pow", np.ravel(self.value)[np.argmax(bad)])
-            return exp(other * ln(self))
-        # the exponent is constant at some points of the block only: each
-        # point takes its own branch, and the parts are put back in order
-        batch = np.broadcast_shapes(self.batch, other.batch)
-        out = [np.empty(batch + (self.dim,) * k) for k in range(self.order + 1)]
-        try:
-            for mask in (const, ~const):
-                part = self.take(mask) ** other.take(mask)
-                for slot, arr in zip(out, (part.value,) + part.derivs):
-                    slot[mask] = arr
-        except JetDomainError:
-            for k in np.ndindex(batch):  # the first failing point raises alone
-                self.take(k) ** other.take(k)
-            raise
-        return Jet3(self.dim, *out)
-
-    def is_constant(self):
-        """Whether every derivative vanishes, per point of the batch, of a jet
-        of order 3 (lower slots cannot tell)."""
-        return (np.all(self.d1 == 0, axis=-1) & np.all(self.d2 == 0, axis=(-2, -1))
-                & np.all(self.d3 == 0, axis=(-3, -2, -1)))
+        bad = np.asarray(self.value) <= 0.0
+        if bad.any():
+            raise JetDomainError("pow", np.ravel(self.value)[np.argmax(bad)])
+        return exp(other * ln(self))
 
     # -- inspection -------------------------------------------------------
 
@@ -261,8 +228,8 @@ def jet_const(c: float, dim: int, order: int = 3) -> Jet3:
 
 def jet_var(i: int, x: Point, zeros: tuple[np.ndarray, np.ndarray] | None = None) -> Jet3:
     """Jet of the i-th coordinate function at x, one point (dim,) or a
-    block of points (..., dim).  ``zeros``: read-only zero d2 and d3 slots
-    to share, full-shaped, as the exponent rule reads them at any order."""
+    block of points (..., dim).  ``zeros``: read-only, full-shaped zero d2
+    and d3 slots to share."""
     x = as_point(x, block=True)
     dim = x.shape[-1]
     if not 0 <= i < dim:
@@ -504,8 +471,8 @@ def sqrt(u: Jet3) -> Jet3:
     return _lift(u, *_coefficients("sqrt", _sqrt, u.order, u.value))
 
 
-def _pow_const(u: Jet3, c) -> Jet3:
-    """u**c for an exponent constant at each point (c may vary by point)."""
+def _pow_const(u: Jet3, c: float) -> Jet3:
+    """u**c for a constant exponent c."""
     return _lift(u, *_coefficients("pow", _pow, u.order, u.value, c))
 
 

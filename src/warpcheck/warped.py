@@ -31,21 +31,6 @@ from .jets import DomainBox, ExcludedBall, Jet3, coordinate_jets
 from .riemann import MetricBlock, MetricField, plane_sum
 
 
-def _expr_max_var(e) -> int:
-    """Largest 0-based variable index used, or -1."""
-    if isinstance(e, dsl.Var):
-        return e.index
-    if isinstance(e, (dsl.Num, dsl.Param)):
-        return -1
-    if isinstance(e, dsl.Neg):
-        return _expr_max_var(e.arg)
-    if isinstance(e, dsl.BinOp):
-        return max(_expr_max_var(e.left), _expr_max_var(e.right))
-    if isinstance(e, dsl.Call):
-        return _expr_max_var(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
@@ -77,7 +62,7 @@ class WarpedMetric:
     @property
     def is_trivial(self) -> bool:
         """Trivial warped product: constant warping function."""
-        return _expr_max_var(self.f) < 0
+        return dsl.max_var(self.f) < 0
 
 
 def _positive(f: np.ndarray, points: np.ndarray) -> None:
@@ -110,7 +95,7 @@ def assemble(g1: MetricField, g2: MetricField, f, name: str = "") -> WarpedMetri
     into the product chart.
     """
     n1, n2 = g1.dim, g2.dim
-    if _expr_max_var(f) >= n1:
+    if dsl.max_var(f) >= n1:
         raise InvalidWarpingError("warping function may only use leaf coordinates")
     n = n1 + n2
     zero = dsl.const(0.0)

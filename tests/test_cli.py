@@ -25,6 +25,7 @@ from warpcheck.gallery import builtin_names, load_builtin, sample_points
 from warpcheck.report import CheckReport, fold, format_number, nan_max, to_json_bytes
 
 BAD_CFG = '[metric m]\ndim = 1\nrow_1 = "x1 +"\n\n[subject]\nkind = metric\ntarget = m\n'
+E2_CFG = resources.files("warpcheck").joinpath("data", "e2_hyperbolic.cfg").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,48 @@ def test_a_repeated_section_exits_2(tmp_path, capsys, extra, header):
     assert capsys.readouterr().err == (
         f"configuration error: line {len(rows) + 2}: duplicate section {header} "
         f"(first at line {rows.index(header) + 1})\n")
+
+
+TWO_METRICS = '[metric a]\ndim = 1\nrow_1 = "1"\n[metric b]\ndim = 1\nrow_1 = "-1"\n'
+
+
+@pytest.mark.parametrize("header, line", [
+    ("[subject]\nkind = metric\ntarget = b\n[subject second]", 10),
+    ("[subject b]", 7),
+    ("[metric]", 7),
+    ("[metric c d]", 7),
+], ids=["named-second-subject", "named-subject", "unnamed-metric", "three-words"])
+def test_a_malformed_section_header_exits_2(tmp_path, capsys, header, line):
+    # a named [subject second] used to replace the declared subject: the run
+    # checked metric a and passed, where metric b alone exits 2
+    p = tmp_path / "header.cfg"
+    p.write_text(f"{TWO_METRICS}{header}\nkind = metric\ntarget = a\n")
+    assert main(["--target", str(p), "--points", "3"]) == 2
+    assert capsys.readouterr().err == (f"configuration error: line {line}: section header "
+                                       f"needs '[kind name]' or '[subject]'\n")
+
+
+def test_an_unreadable_target_exits_2(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8, used to end in a traceback
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"# caf\xe9\n" + E2_CFG.encode())
+    for target, reason in ((tmp_path, "Is a directory"),
+                           (latin, "'utf-8' codec can't decode byte 0xe9 in position 5: "
+                                   "invalid continuation byte")):
+        assert main(["--target", str(target), "--points", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot read config {str(target)!r}: {reason}\n")
+
+
+def test_a_byte_order_mark_is_not_part_of_the_config(tmp_path):
+    # it was read as part of line 1: 'line 1: key outside any section'
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(E2_CFG)
+    marked.write_bytes(b"\xef\xbb\xbf" + E2_CFG.encode())
+    (code, doc, _), (marked_code, marked_doc, _) = (
+        run(RunConfig(target=str(p), points=3)) for p in (plain, marked))
+    assert code == marked_code == 0
+    assert doc["checks"] == marked_doc["checks"]
 
 
 def _metric_cfg(tmp_path, dim, row_last, lo, hi, extra=""):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import warpcheck
-from warpcheck import cli, ineq, jets, riemann, structures, subman, warped
+from warpcheck import cli, expr, ineq, jets, riemann, structures, subman, warped
 from warpcheck.errors import ConfigurationError
 from warpcheck.gallery import load_builtin
 from warpcheck.subman import ImmersionBlock
@@ -126,6 +126,14 @@ def test_only_per_block_watches_for_floating_point_events():
                 and "call" in {k.arg for k in call.keywords}}
     assert watching == {("jets", "_watched")}
     assert not hasattr(riemann, "watch") and not hasattr(riemann, "stacked")
+
+
+def test_an_exponent_is_evaluated_on_the_bindings_of_its_power():
+    # '^' takes its rule from the exponent's syntax, so no jet is tested for
+    # constancy point by point, no block is split by point, and the
+    # evaluator walks the tree on one bindings list, truncated to its order
+    assert not hasattr(jets.Jet3, "is_constant") and not hasattr(jets.Jet3, "take")
+    assert list(inspect.signature(expr._eval).parameters) == ["e", "bindings", "params"]
 
 
 def test_the_block_is_the_only_evaluation_shape():

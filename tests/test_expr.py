@@ -145,15 +145,15 @@ def test_shift_vars():
 # ---------------------------------------------------------------------------
 
 
-def _asts(dim=3, n_params=2):
+def _asts(dim=3, n_params=2, numbers=None):
     """Strategy generating parser-shaped ASTs (non-negative literals only,
-    since the lexer never produces a negative number token)."""
-    leaves = st.one_of(
-        st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
-                  allow_infinity=False).map(Num),
-        st.integers(0, dim - 1).map(Var),
-        st.integers(0, n_params - 1).map(Param),
-    )
+    since the lexer never produces a negative number token); ``numbers``
+    draws further literals, and n_params = 0 gives no parameter."""
+    leaves = [st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+                        allow_infinity=False).map(Num),
+              st.integers(0, dim - 1).map(Var)]
+    leaves += [st.integers(0, n_params - 1).map(Param)] if n_params else []
+    leaves = st.one_of(leaves + ([numbers.map(Num)] if numbers is not None else []))
 
     def extend(children):
         return st.one_of(
@@ -230,22 +230,36 @@ def test_block_evaluation_equals_points(ast, coords, params):
     _assert_block_matches_points(e, np.array(coords), params)
 
 
-def test_block_power_branches_per_point():
-    # x2^4 and x2^4 - 1 are constant (all partials vanish) at x2 = 0 only,
-    # so the points of one block take different branches of '^'
+def test_the_exponent_syntax_picks_the_power_rule():
+    # '^' takes its rule from its exponent's syntax, once for every point: an
+    # exponent with a variable is exp(g ln f) and needs a positive base even
+    # where all its partials vanish (x2^4 at x2 = 0) or its value underflows
+    # to 0 (exp(-1000) at x2 = 1), alone and in a block
+    for src, point in (("x1^(x2^4)", [-1.0, 0.0]), ("x1^(x2 - x2)", [-1.0, 0.5]),
+                       ("x1^(0*x2)", [-1.0, 0.5]), ("x1^(exp(-1000*x2^2))", [-1.0, 1.0])):
+        e = parse(src, dim=2)
+        for block in ([point], [[2.0, 0.7], point]):
+            with pytest.raises(JetDomainError) as ei:
+                eval_jets(e, coordinate_jets(np.array(block)))
+            assert (ei.value.op, ei.value.value, ei.value.pos) == ("pow", -1.0, 2)
+    # a positive base takes exp(g ln f) at every point of a block, those
+    # where g's partials vanish included, with the bits of the spelt-out form
     block = np.array([[2.0, 0.0], [2.0, 0.7], [0.5, 0.0], [3.0, -1.2]])
-    for src in ("x1 ^ (x2*x2*x2*x2)", "(x1 - 1) ^ (x2^4 + x1)", "x1 ^ (x2^4 - 1)"):
+    for src, spelt in (("x1^(x2^4)", "exp(x2^4*ln(x1))"),
+                       ("x1^(x2^4 - 1)", "exp((x2^4 - 1)*ln(x1))")):
+        got = eval_jets(parse(src, dim=2), coordinate_jets(block))
+        want = eval_jets(parse(spelt, dim=2), coordinate_jets(block))
+        for slot in ("value", "d1", "d2", "d3"):
+            npt.assert_array_equal(getattr(got, slot), getattr(want, slot), err_msg=slot)
         _assert_block_matches_points(parse(src, dim=2), block, ())
-    # the failing point that comes first names the error, whichever branch
-    # fails: base 0 with a constant negative exponent, or a negative base
-    # with a varying exponent
-    e = parse("(x1 - 1) ^ (x2^4 - 1)", dim=2)
-    for block in ([[1.0, 0.0], [0.5, 0.3]], [[0.5, 0.3], [1.0, 0.0]]):
-        block = np.array(block)
-        with pytest.raises(JetDomainError) as ei:
-            eval_jets(e, coordinate_jets(block))
-        assert ei.value.value == block[0, 0] - 1.0
-        _assert_block_matches_points(e, block, ())
+    # an exponent in numbers and parameters only is a constant power: an
+    # integer one takes a negative base, and a zero base fails only below 0
+    e = parse("x1^(2*p1 - 1)", dim=2, n_params=1)
+    assert eval_jets(e, coordinate_jets(np.array([-2.0, 0.0])), (2.0,)).value == -8.0
+    with pytest.raises(JetDomainError) as ei:
+        eval_jets(e, coordinate_jets(np.array([[1.0, 0.0], [0.0, 1.0]])), (0.0,))
+    assert (ei.value.op, ei.value.value, ei.value.pos) == ("pow", 0.0, 2)
+    _assert_block_matches_points(e, np.array([[-2.0, 0.0], [0.5, 1.0]]), (2.0,))
 
 
 def test_block_error_names_first_failing_point():

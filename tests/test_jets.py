@@ -68,7 +68,8 @@ def test_coordinate_jets_have_full_zero_slots(x):
             assert got.shape == x.shape[:-1] + (3,) * k and not got.any()
             assert not got.flags.writeable
     assert all(j.d2 is seeds[0].d2 and j.d3 is seeds[0].d3 for j in seeds)
-    # the exponent rule still reads the shared d3 of x2^3 at x2 = 0
+    # x2^3 names a variable, so x1^(x2^3) needs x1 > 0 at any order, alone
+    # or in a block, although every slot of x2^3 at x2 = 0 but d3 is zero
     point = np.array([-1.0, 0.0])
     for at in (point, np.stack([point, [2.0, 1.0]])):
         with pytest.raises(JetDomainError):
