@@ -9,11 +9,11 @@ order is fixed, and numbers are serialized with 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
 from pathlib import Path
 
@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .config import BuiltConfig, load_config
-from .errors import WarpcheckError
+from .errors import (DegenerateMetricError, DependentSeedsError, ImmersionDegenerateError,
+                     WarpcheckError)
 from .expr import ParseError
 from .gallery import BUILTINS, builtin_names, load_builtin, sample_points
 from .ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
@@ -69,6 +70,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if not self.checks:
+            raise WarpcheckError("no check group requested")
         if self.points < 1:
             raise WarpcheckError("points must be >= 1")
         if self.seed < 0:
@@ -129,9 +132,11 @@ ROWS = (
     Row("complex-compatibility", "almost-complex-compatibility", STRUCTURE + VALIDATION,
         "structure", 1e-10),
     Row("kahler-parallel", "kahler-parallel-structure", STRUCTURE, "structure"),
-    # the defining identities of an almost contact metric structure
-    *(Row(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}",
-          STRUCTURE + VALIDATION, "structure", key=key) for key in CONTACT_IDENTITIES),
+    # the defining identities of an almost contact metric structure, which
+    # the gate holds to 1e-9
+    *(Row(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}", groups, "structure",
+          default, key=key) for key in CONTACT_IDENTITIES
+      for groups, default in ((STRUCTURE, None), (VALIDATION, 1e-9))),
     *(Row(f"class-{klass}", "structure-class-law", STRUCTURE, "structure")
       for klass in CLASS_NAMES),
     Row("normality", "normality-defect", STRUCTURE, "structure"),
@@ -240,53 +245,41 @@ def records(worst: dict, n: int, groups, tols: dict, kind: str | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# Value folds per subject kind
+# The check table: each subject kind's block and steps
 # ---------------------------------------------------------------------------
 
 
-def _metric_values(g: MetricField, rc: RunConfig) -> tuple[dict, int]:
-    points = sample_points(g, rc.points, rc.seed)
-    worst = fold_blocks(points, g.dim, lambda x: MetricBlock(g, x), lambda block: {
-        "curvature-symmetries": Curvature4(block.curvature).max_symmetry_residual()})
-    return worst, len(points)
+def _checks(subject, rc: RunConfig) -> tuple[Callable, dict]:
+    """The subject's fold, ``fold(points, *steps)``, and {group: step} of each
+    check group that applies to it and of "validation", its gate: the one
+    place where a subject kind picks its block and its checks.  An
+    immersion's fold builds and verifies every point's frames first."""
+    if isinstance(subject, Immersion):
+        steps = {"identities": _identity_values, "classify": classification_residuals,
+                 "inequalities": lambda block: _inequality_values(block, rc),
+                 "validation": _immersion_gate}
+        if subject.structure is not None:  # the ambient structure where it lives
+            structure = _structure_step(subject.structure, None)
+            steps["structure"] = lambda block: structure(block.tensors)
+        return (lambda points, *chosen: fold_sff(subject, points, *chosen)), steps
+    if isinstance(subject, MetricField):
+        make, steps = MetricBlock, {"identities": lambda block: {
+            "curvature-symmetries": Curvature4(block.curvature).max_symmetry_residual()},
+            "validation": _metric_gate}
+    elif isinstance(subject, WarpedMetric):
+        make, steps = WarpedBlock, {"identities": _warped_step, "validation": _warping_gate}
+    elif isinstance(subject, (AlmostComplexStructure, AlmostContactStructure)):
+        make, steps = StructureBlock, {"structure": _structure_step(subject, subject.klass),
+                                       "validation": subject.identity_residuals}
+    else:
+        raise WarpcheckError(f"cannot check subject of type {type(subject)}")
+    return (lambda points, *chosen: fold_blocks(points, subject.dim, lambda x: make(subject, x),
+                                                *chosen)), steps
 
 
-def _laws(klass: str | None) -> dict:
-    """{key: residual} of the laws a contact structure of the class obeys
-    besides its class law: normality, and the law of the fundamental form
-    Phi, Phi = d(eta)/2 on a contact metric structure (Sasakian, or no class
-    declared) and d(eta) = 0 on a Kenmotsu or cosymplectic one.  None on a
-    nearly cosymplectic one: a normal nearly cosymplectic structure is
-    cosymplectic (Blair 1971), and neither form law holds across the class."""
-    if klass == "nearly_cosymplectic":
-        return {}
-    normality = {"normality": nijenhuis_normality_residuals}
-    if klass in ("kenmotsu", "cosymplectic"):
-        return {**normality, "closed-eta": closed_eta_residuals}
-    return {**normality, "fundamental-form": fundamental_form_residuals}
-
-
-def _structure_step(s, klass: str | None):
-    """The structure records' values over a StructureBlock's points; each
-    contact law's at [point, pair] over the coordinate pairs (e_a, e_b), a < b."""
-    if isinstance(s, AlmostComplexStructure):
-        return lambda t: s.residuals(t, require_kahler=True)
-    pairs = (slice(None),) + np.triu_indices(s.dim, 1)
-
-    def step(t):
-        out = s.identity_residuals(t)
-        if klass:
-            out[f"class-{klass}"] = structure_class_residuals(t, klass)[pairs]
-        for key, law in _laws(klass).items():
-            out[key] = law(t)[pairs]
-        return out
-    return step
-
-
-def _structure_values(s, rc: RunConfig) -> tuple[dict, int]:
-    points = sample_points(s, rc.points, rc.seed)
-    return fold_blocks(points, s.dim, lambda x: StructureBlock(s, x),
-                       _structure_step(s, s.klass)), len(points)
+def _metric_gate(block: MetricBlock) -> dict:
+    block.ginv  # raises where the metric is not symmetric, finite and positive definite
+    return {"gate-metric": block.metric.symmetry_residual(block.points)}
 
 
 def _warped_step(w: WarpedBlock) -> dict:
@@ -299,9 +292,40 @@ def _warped_step(w: WarpedBlock) -> dict:
             "curvature-symmetries": symmetries}
 
 
-def _warped_values(w: WarpedMetric, rc: RunConfig) -> tuple[dict, int]:
-    points = sample_points(w, rc.points, rc.seed)
-    return fold_blocks(points, w.dim, lambda x: WarpedBlock(w, x), _warped_step), len(points)
+def _warping_gate(w: WarpedBlock) -> dict:
+    w.total.ginv, w.scalars  # raise where the total metric is not valid, then where f <= 0
+    return {"gate-warping-positive": np.zeros(len(w.points))}
+
+
+def _laws(s, klass: str | None) -> dict:
+    """{key: law} of the laws besides its defining identities that a
+    structure of the class obeys, each giving its values over a
+    StructureBlock's points.  A complex structure's is the parallel J of a
+    Kahler one.  A contact structure's, each at [point, pair] over the
+    coordinate pairs (e_a, e_b), a < b, are its class law, normality, and the
+    law of the fundamental form Phi: Phi = d(eta)/2 on a contact metric
+    structure (Sasakian, or no class declared), d(eta) = 0 on a Kenmotsu or
+    cosymplectic one.  A nearly cosymplectic one has only its class law: a
+    normal nearly cosymplectic structure is cosymplectic (Blair 1971), and
+    neither form law holds across the class."""
+    if s.kind == "complex":
+        return {"kahler-parallel": s.parallel_residual}
+    laws = {f"class-{klass}": lambda t: structure_class_residuals(t, klass)} if klass else {}
+    if klass in ("kenmotsu", "cosymplectic"):
+        laws.update({"normality": nijenhuis_normality_residuals,
+                     "closed-eta": closed_eta_residuals})
+    elif klass != "nearly_cosymplectic":
+        laws.update({"normality": nijenhuis_normality_residuals,
+                     "fundamental-form": fundamental_form_residuals})
+    pairs = (slice(None),) + np.triu_indices(s.dim, 1)
+    return {key: lambda t, law=law: law(t)[pairs] for key, law in laws.items()}
+
+
+def _structure_step(s, klass: str | None):
+    """The structure records' values over a StructureBlock's points: the
+    defining identities, then the laws of the class."""
+    laws = _laws(s, klass)
+    return lambda t: {**s.identity_residuals(t), **{key: law(t) for key, law in laws.items()}}
 
 
 def _identity_values(block: ImmersionBlock) -> dict:
@@ -319,8 +343,13 @@ def _identity_values(block: ImmersionBlock) -> dict:
 
 
 def _inequality_values(block: ImmersionBlock, rc: RunConfig) -> dict:
-    s, out = block.im.structure, {}
-    if isinstance(s, AlmostComplexStructure):
+    """The inequality suite's values over the block's points, the seed's
+    variant gap among them; without a warped split, its skip record's."""
+    im, n = block.im, len(block.points)
+    if im.warped is None:
+        return {"inequalities": np.zeros(n)}
+    kind, out = getattr(im.structure, "kind", None), {}
+    if kind == "complex":
         res = main_inequality(block, tol=rc.tol("slack"))
         geom, sc = block.warped.geom, block.scalars
         flat_rhs = space_form_rhs(0.0, geom.n1, geom.n2, sc.grad_lnf_sq, sc.lap_lnf)
@@ -328,41 +357,24 @@ def _inequality_values(block: ImmersionBlock, rc: RunConfig) -> dict:
                "equality-diagnostics": np.stack(list(res.diagnostics.values()), 1),
                "space-form-consistency": abs(flat_rhs - res.rhs),
                **complex_cr_defects(block)}
-    elif isinstance(s, AlmostContactStructure):
+    elif kind == "contact":
         out = contact_cr_residuals(block)
-    return {**out, **leaf_mean_curvature(block), **fiber_lemma_residuals(block, rc.tol("cr"))}
+    return {**out, **leaf_mean_curvature(block), **fiber_lemma_residuals(block, rc.tol("cr")),
+            "variant-reduction": np.full(n, _variant_gap(rc.seed))}
 
 
-def _immersion_values(im: Immersion, groups, rc: RunConfig) -> tuple[dict, int]:
-    points = sample_points(im, rc.points, rc.seed)
-    s = im.structure
-    steps = []
-    if "identities" in groups:
-        steps.append(_identity_values)
-    if "classify" in groups:
-        steps.append(classification_residuals)
-    if "inequalities" in groups and im.warped is not None:
-        steps.append(lambda block: _inequality_values(block, rc))
-    # validate the ambient structure where the immersion lives
-    structure = _structure_step(s, None) if "structure" in groups and s is not None else None
-    worst = {}
-    if steps:
-        if structure:
-            steps.insert(0, lambda block: structure(block.tensors))
-        worst = fold_sff(im, points, *steps)
-    elif structure:
-        worst = fold_blocks(points, im.ambient_dim, lambda x: ImmersionBlock(im, x).tensors,
-                            structure)
-    if "inequalities" in groups:
-        # the suite's skip record, or the seed's variant gap
-        if im.warped is None:
-            worst["inequalities"] = 0.0
-        else:
-            worst["variant-reduction"] = _variant_gap(rc.seed)
-    return worst, len(points)
+def _immersion_gate(block: ImmersionBlock) -> dict:
+    """The rank gate, which a point passes once its frames are built, and with
+    a warped split the induced block form and a contact ambient's CR gate."""
+    im, out = block.im, {"gate-rank": np.zeros(len(block.points))}
+    if im.warped is not None:
+        out["warped-block-form"] = warped_block_defect(block)
+        if getattr(im.structure, "kind", None) == "contact":
+            out.update(contact_cr_residuals(block))
+    return out
 
 
-@functools.cache
+@cache
 def _variant_gap(seed: int) -> float:
     """Worst gap between the generalized bound at gamma = 0 and twice the
     space-form bound over the seed's 1,000 draws; it depends on nothing else."""
@@ -446,46 +458,21 @@ GATE_POINTS = 16
 GATE_SEED = 7
 
 
-def _metric_gate(block: MetricBlock) -> dict:
-    block.ginv  # raises where the metric is not symmetric, finite and positive definite
-    return {"gate-metric": block.metric.symmetry_residual(block.points)}
-
-
-def _warping_gate(w: WarpedBlock) -> dict:
-    w.total.ginv, w.scalars  # raise where the total metric is not valid, then where f <= 0
-    return {}
-
-
 def validate(cfg: BuiltConfig) -> CheckReport:
-    """Run the example's validation gate, chosen by its subject kind; every
-    record must pass before the example feeds any downstream check."""
-    subject, tols = cfg.subject, {}
+    """Fold the example's validation step at the gate's points; every record
+    must pass before the example feeds any downstream check.  An immersion
+    whose frames cannot be built, for its rank or a metric's definiteness,
+    reports its rank gate alone: the other gates read the walk that stopped."""
+    subject = cfg.subject
+    fold, steps = _checks(subject, RunConfig("", points=GATE_POINTS, seed=GATE_SEED))
     points = sample_points(subject, GATE_POINTS, GATE_SEED)
-    if isinstance(subject, MetricField):
-        worst = fold_blocks(points, subject.dim, lambda x: MetricBlock(subject, x),
-                            _metric_gate)
-    elif isinstance(subject, WarpedMetric):
-        worst = {"gate-warping-positive": 0.0,
-                 **fold_blocks(points, subject.dim, lambda x: WarpedBlock(subject, x),
-                               _warping_gate)}
-    elif isinstance(subject, AlmostContactStructure):
-        worst = fold_blocks(points, subject.dim, lambda x: StructureBlock(subject, x),
-                            subject.identity_residuals)
-        tols = {"structure": 1e-9}  # the gate holds the contact identities to 1e-9
-    elif isinstance(subject, AlmostComplexStructure):
-        worst = fold_blocks(points, subject.dim, lambda x: StructureBlock(subject, x),
-                            lambda t: subject.residuals(t, False))
-    else:  # an immersion: one walk gives the rank gate and the others' values
-        steps = []
-        if subject.warped is not None:
-            steps.append(lambda block: {"warped-block-form": warped_block_defect(block)})
-            if isinstance(subject.structure, AlmostContactStructure):
-                steps.append(contact_cr_residuals)
-        try:
-            worst = {"gate-rank": 0.0, **fold_sff(subject, points, *steps)}
-        except WarpcheckError:  # rank or definiteness failure
-            worst = {"gate-rank": 1.0}
-    return records(worst, len(points), VALIDATION, tols)
+    try:
+        worst = fold(points, steps["validation"])
+    except (ImmersionDegenerateError, DegenerateMetricError, DependentSeedsError):
+        if not isinstance(subject, Immersion):
+            raise
+        worst = {"gate-rank": 1.0}
+    return records(worst, len(points), VALIDATION, {})
 
 
 # ---------------------------------------------------------------------------
@@ -508,25 +495,13 @@ def run(rc: RunConfig) -> tuple[int, dict, str]:
     """Execute the requested checks; returns (exit code, report doc, text)."""
     try:
         cfg, resolved = _resolve(rc.target)
-        subject = cfg.subject
         groups = CHECK_GROUPS if "all" in rc.checks else rc.checks
-
-        worst, n, kind = {}, 0, None
-        if isinstance(subject, MetricField):
-            if "identities" in groups:
-                worst, n = _metric_values(subject, rc)
-        elif isinstance(subject, (AlmostComplexStructure, AlmostContactStructure)):
-            if "structure" in groups:
-                worst, n = _structure_values(subject, rc)
-        elif isinstance(subject, WarpedMetric):
-            if "identities" in groups:
-                worst, n = _warped_values(subject, rc)
-        elif isinstance(subject, Immersion):
-            worst, n = _immersion_values(subject, groups, rc)
-            kind = getattr(subject.structure, "kind", None)
-        else:
-            raise WarpcheckError(f"cannot check subject of type {type(subject)}")
-        rep = records(worst, n, groups, rc.tols, kind)
+        fold, steps = _checks(cfg.subject, rc)
+        points = sample_points(cfg.subject, rc.points, rc.seed)
+        chosen = [steps[group] for group in CHECK_GROUPS if group in groups and group in steps]
+        worst = fold(points, *chosen) if chosen else {}  # no step, no walk
+        rep = records(worst, len(points), groups, rc.tols,
+                      getattr(getattr(cfg.subject, "structure", None), "kind", None))
     except (ParseError, WarpcheckError) as err:
         return 2, {}, f"configuration error: {err}"
 

@@ -2,8 +2,9 @@
 
 Built-ins ship as config files in the package data directory, in the same
 format user configs use.  Each has a machine-checkable validation gate,
-:func:`warpcheck.cli.validate`, which the test suite runs on every builtin;
-a run of the command line does not.
+:func:`warpcheck.cli.validate`, the ``validation`` step of the check table
+(``cli._checks``), which the test suite runs on every builtin; a run of the
+command line does not.
 """
 
 from __future__ import annotations

@@ -64,14 +64,12 @@ class AlmostComplexStructure(_Structure):
         the block (zero iff Kahler there)."""
         return _worst(t.nabla)
 
-    def residuals(self, t: "StructureBlock", require_kahler: bool) -> dict[str, np.ndarray]:
-        """The almost complex structure records' values over the block's points."""
+    def identity_residuals(self, t: "StructureBlock") -> dict[str, np.ndarray]:
+        """The two defining identities of an almost Hermitian structure, over
+        the block's points."""
         j, g = t.op[0], t.metric.g
-        out = {"complex-square": _worst(j @ j + np.eye(self.dim)),
-               "complex-compatibility": _worst(np.swapaxes(j, 1, 2) @ g @ j - g)}
-        if require_kahler:
-            out["kahler-parallel"] = self.parallel_residual(t)
-        return out
+        return {"complex-square": _worst(j @ j + np.eye(self.dim)),
+                "complex-compatibility": _worst(np.swapaxes(j, 1, 2) @ g @ j - g)}
 
 
 # ---------------------------------------------------------------------------

@@ -274,12 +274,34 @@ def test_block_form_and_classes_equal_blocks_of_one(name, n, seed):
                     assert layout(got[b]) == layout(a[key][0]), (what, b)
 
 
+BLOCK_OF = {MetricField: MetricBlock, WarpedMetric: WarpedBlock, Immersion: ImmersionBlock,
+            AlmostComplexStructure: StructureBlock, AlmostContactStructure: StructureBlock}
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_every_step_of_the_check_table_runs_over_the_blocks_points(name):
+    # every group's step and the gate's, the skip record, the variant gap and
+    # the gates' constant values among them, gives at a block's points the
+    # values that blocks of each point alone give, in point order
+    subject = load_builtin(name).subject
+    _, steps = cli._checks(subject, cli.RunConfig(target=name))
+    points = np.array(sample_points(subject, 5, 42))
+    make = BLOCK_OF[type(subject)]
+    for group, step in steps.items():
+        values = step(make(subject, points))
+        alone = [step(make(subject, points[b:b + 1])) for b in range(len(points))]
+        for key, got in values.items():
+            assert all(a.keys() == values.keys() for a in alone), (name, group)
+            assert_same_int64(got, np.concatenate([a[key] for a in alone]),
+                              f"{name} {group} {key}")
+
+
 def structure_laws(t: StructureBlock) -> dict:
     """Every array a structure walk reads or folds for the block, by name:
     the covariant derivative, and each law of the structure's kind."""
     s, out = t.s, {"nabla": t.nabla}
     if isinstance(s, AlmostComplexStructure):
-        return {**out, **s.residuals(t, require_kahler=True)}
+        return {**out, **s.identity_residuals(t), "kahler-parallel": s.parallel_residual(t)}
     out.update(s.identity_residuals(t))
     out.update({f"class-{klass}": structure_class_residuals(t, klass) for klass in CLASS_NAMES})
     out.update({"normality": nijenhuis_normality_residuals(t),

@@ -558,7 +558,9 @@ def test_immersion_components_evaluated_once_per_block(monkeypatch):
         return eval_jets(e, bindings, params)
 
     monkeypatch.setattr(expr, "eval_jets", counted)
-    worst, n = cli._immersion_values(im, cli.CHECK_GROUPS, RunConfig(target="e6", points=3))
+    fold, steps = cli._checks(im, RunConfig(target="e6", points=3))
+    points = sample_points(im, 3, 42)
+    worst, n = fold(points, *(steps[group] for group in cli.CHECK_GROUPS)), len(points)
     rep = cli.records(worst, n, cli.CHECK_GROUPS, {}, im.structure.kind)
     assert rep.passed
     assert [counts[id(c)] for c in im.components] == [1] * len(im.components)
@@ -577,8 +579,8 @@ def test_library_checks_give_the_cli_records(target):
         im, points, subman.classification_residuals, ineq.leaf_mean_curvature,
         partial(ineq.fiber_lemma_residuals, tol=cr),
         subman.contact_cr_residuals if contact else subman.complex_cr_defects,
-        lambda block: (s.identity_residuals(block.tensors) if contact
-                       else s.residuals(block.tensors, require_kahler=True)))
+        lambda block: {**s.identity_residuals(block.tensors), **({} if contact else {
+            "kahler-parallel": s.parallel_residual(block.tensors)})})
     rep = cli.records(worst, n, ("structure", "classify", "inequalities"), {}, s.kind)
     if not contact:
         # e6 fails the CR gate, so the CLI reports leaf minimality as information
@@ -969,6 +971,45 @@ def test_run_config_guards():
         RunConfig(target="e4", points=0)
     with pytest.raises(WarpcheckError):
         RunConfig(target="e4", tols={"gauss": -1.0})
+
+
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_an_empty_check_selection_exits_2(capsys, checks):
+    # it used to print 'VERDICT: pass' with no record and exit 0
+    assert main(["--target", "e1", "--checks", checks]) == 2
+    assert capsys.readouterr() == ("", "configuration error: no check group requested\n")
+
+
+@pytest.mark.parametrize("checks", ["structure", "classify", "inequalities"])
+def test_a_subject_without_a_domain_box_exits_2_on_any_selection(tmp_path, capsys, checks):
+    # a metric was sampled only for its identities; on another selection it
+    # used to print 'VERDICT: pass' with no record
+    p = tmp_path / "boxless.cfg"
+    p.write_text('[metric m]\ndim = 1\nrow_1 = "1"\n\n[subject]\nkind = metric\ntarget = m\n')
+    assert main(["--target", str(p), "--points", "4", "--checks", checks]) == 2
+    assert capsys.readouterr().err == ("configuration error: subject declares no domain box "
+                                       "to sample\n")
+
+
+def test_an_immersions_structure_records_follow_its_frames(tmp_path, capsys):
+    # every immersion group builds the frames first; --checks structure
+    # used to walk the ambient structure alone and pass this collapsed map
+    p = tmp_path / "collapsed.cfg"
+    p.write_text(_flat_complex(4) + '[immersion s]\ndim = 2\nambient = flat4\nstructure = j4\n'
+                 'components = "x1", "x1", "0", "0"\ndomain_lo = 0.1, 0.1\n'
+                 'domain_hi = 1, 1\n\n[subject]\nkind = immersion\ntarget = s\n')
+    assert main(["--target", str(p), "--points", "4", "--checks", "structure"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: immersion differential near rank-deficient at ")
+
+
+def test_an_unwarped_immersions_inequalities_fold_its_blocks(tmp_path, capsys):
+    # the ambient g33 = x3 is negative where x1 < 0.5; the suite's skip
+    # record used to pass without a walk, exit 0
+    p = _surface_cfg(tmp_path, '"x1", "x2", "x1 - 0.5"', g33="x3")
+    assert main(["--target", p, "--points", "4", "--checks", "inequalities"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: metric not positive definite at ")
 
 
 def test_parse_args_roundtrip():

@@ -1,5 +1,6 @@
-"""Config fuzz: a grammar-generated metric, warped or immersion config makes
-the command line exit 0, 1 or 2, and never raise.
+"""Config fuzz: a grammar-generated metric, warped, structure or immersion
+config makes the command line exit 0, 1 or 2, and never raise; it exits 1
+exactly when its report has a FAIL line.
 
 The expressions come from the expression tests' AST strategy, with the
 literals 0, 1e-200 and 1e200 among the numbers, so '^' meets exponents with
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from test_expr import _asts
 from warpcheck.cli import CHECK_GROUPS, main
 from warpcheck.expr import pretty
+from warpcheck.structures import CLASS_NAMES
 
 EDGE_NUMBERS = st.sampled_from([0.0, 1e-200, 1e200])
 
@@ -79,3 +81,63 @@ def test_a_generated_config_exits_0_1_or_2(tmp_path_factory, text, checks):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["--target", str(path), "--points", "2", "--checks", checks])
     assert code in (0, 1, 2), text
+
+
+def _standard(kind, m):
+    """The standard structure's entries on R^m by config key: J, or phi, xi
+    and eta, with phi the rotation of the first m - 1 coordinates and
+    xi = eta = e_m."""
+    rot = [["0"] * m for _ in range(m)]
+    for k in range(0, m - 1, 2):
+        rot[k + 1][k], rot[k][k + 1] = "1", "-1"
+    rows = {f"{'j' if kind == 'complex' else 'phi'}_row_{i + 1}": row for i, row in enumerate(rot)}
+    e_m = ["0"] * (m - 1) + ["1"]
+    return rows if kind == "complex" else {**rows, "xi": e_m, "eta": list(e_m)}
+
+
+@st.composite
+def structured_configs(draw):
+    """A complex (dim 2, 4) or contact (dim 3, 5) structure, standard or with
+    one fuzzed entry, over an identity or a fuzzed symmetric metric, and as
+    the subject either it or an immersion into it, warped or not."""
+    kind = draw(st.sampled_from(["complex", "contact"]))
+    m = draw(st.sampled_from([2, 4] if kind == "complex" else [3, 5]))
+    if draw(st.booleans()):
+        text = _metric(draw, "ambient", m)
+    else:
+        rows = "".join(f"row_{i + 1} = " + ", ".join('"1"' if j == i else '"0"' for j in range(m))
+                       + "\n" for i in range(m))
+        text = f"[metric ambient]\ndim = {m}\n{rows}{_domain(draw, m)}\n"
+    entries = _standard(kind, m)
+    if draw(st.booleans()):
+        key, j = draw(st.sampled_from(sorted(entries))), draw(st.integers(0, m - 1))
+        entries[key][j] = draw(_quoted(m))[1:-1]
+    text += f"[structure s]\nkind = {kind}\nmetric = ambient\n" + "".join(
+        f"{key} = " + ", ".join(f'"{e}"' for e in row) + "\n" for key, row in entries.items())
+    klass = draw(st.sampled_from((None,) + CLASS_NAMES)) if kind == "contact" else None
+    text += f"expected_class = {klass}\n" if klass else ""
+    if m < 3 or draw(st.booleans()):
+        return text + "\n[subject]\nkind = structure\ntarget = s\n"
+    dim = draw(st.integers(2, m - 1))
+    components = ", ".join(draw(_quoted(dim)) for _ in range(m))
+    text += (f"\n[immersion im]\ndim = {dim}\nambient = ambient\nstructure = s\n"
+             f"components = {components}\n{_domain(draw, dim)}")
+    if draw(st.booleans()):
+        n1 = draw(st.integers(1, dim - 1))
+        text += f"warp_n1 = {n1}\nwarp_n2 = {dim - n1}\nwarp_f = {draw(_quoted(n1))}\n"
+    return text + "\n[subject]\nkind = immersion\ntarget = im\n"
+
+
+@given(structured_configs(), st.sampled_from(("all",) + CHECK_GROUPS))
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_a_generated_structure_config_exits_1_exactly_on_a_failed_record(tmp_path_factory,
+                                                                         text, checks):
+    path = tmp_path_factory.getbasetemp() / "fuzz-structure.cfg"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--target", str(path), "--points", "2", "--checks", checks])
+    assert code in (0, 1, 2), text
+    failed = any(line.startswith("FAIL ") for line in out.getvalue().splitlines())
+    assert (code == 1) == failed, text

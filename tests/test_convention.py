@@ -136,6 +136,32 @@ def test_an_exponent_is_evaluated_on_the_bindings_of_its_power():
     assert list(inspect.signature(expr._eval).parameters) == ["e", "bindings", "params"]
 
 
+def test_no_function_takes_a_require_kahler_flag():
+    # a complex structure's parallelism is one of its class's laws, so the
+    # report and the gate pick its records by group, not by a flag
+    for mod, tree in _package_trees().items():
+        assert "require_kahler" not in ast.unparse(tree), mod
+
+
+def test_run_and_validate_reach_the_steps_only_through_the_check_table():
+    # one table picks each subject kind's block and steps, for the report
+    # and the gate alike; no per-kind wrapper and no dispatch chain is left
+    wrappers = {"_metric_values", "_structure_values", "_warped_values", "_immersion_values"}
+    assert not wrappers & set(vars(cli))
+    tree = ast.parse(Path(cli.__file__).read_text())
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    folds = {name for name, fn in fns.items()
+             if _references([fn]) & {"fold_sff", "fold_blocks"}}
+    assert folds == {"_checks"}
+    blocks = {"MetricBlock", "WarpedBlock", "StructureBlock", "ImmersionBlock", "MetricField",
+              "WarpedMetric", "AlmostComplexStructure", "AlmostContactStructure"}
+    steps = _references([fns["_checks"]]) & set(fns)
+    for name in ("run", "validate"):
+        read = _references([fns[name]])
+        assert "_checks" in read and not read & (blocks | steps), name
+    assert "isinstance" not in _references([fns["run"]])
+
+
 def test_the_block_is_the_only_evaluation_shape():
     # one shape of the geometry, so the bit contract has no second one to
     # keep equal to it: no point record and no block read by point index

@@ -2,6 +2,7 @@
 and agrees with the directly-built fixtures."""
 
 import hashlib
+from importlib import resources
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +12,7 @@ from helpers import (box_points, chen_cr_immersion, flat_metric, sasakian_cr_imm
 
 from warpcheck.cli import validate
 from warpcheck.config import BuiltConfig, load_config_text, parse_config_text
-from warpcheck.errors import ConfigurationError
+from warpcheck.errors import ConfigurationError, JetDomainError
 from warpcheck.expr import parse
 from warpcheck.gallery import BUILTINS, builtin_names, load_builtin
 from warpcheck.jets import DomainBox
@@ -161,3 +162,14 @@ def test_rank_failure_reports_only_the_rank_gate():
                    domain=DomainBox((0.0, 0.0), (1.0, 1.0)), name="collapsed")
     rep = validate(BuiltConfig(im))
     assert [(r.name, r.passed) for r in rep.records] == [("gate-rank", False)]
+
+
+
+def test_a_domain_error_in_the_gate_walk_is_not_a_rank_failure():
+    # ln(x1) is negative where x1 < 0; the gate used to read this as the
+    # rank failure [('gate-rank', 1.0, False)], where the rank is fine
+    text = resources.files("warpcheck").joinpath("data", "e1_chen_cr.cfg").read_text()
+    cfg = load_config_text(text.replace('warp_f = "sqrt(x1^2 + x2^2)"', 'warp_f = "ln(x1)"'))
+    with pytest.raises(JetDomainError, match=r"^domain error in 'ln' \(argument value "
+                                             r"-1\.925\d*\) at offset 0$"):
+        validate(cfg)

@@ -257,8 +257,7 @@ def test_identity_values_have_the_bits_of_each_points_products(make):
     s = make()
     points = np.random.default_rng(s.dim).uniform(-0.5, 0.5, (block_points(s.dim), s.dim))
     t = StructureBlock(s, points)
-    values = (s.residuals(t, require_kahler=False) if isinstance(s, AlmostComplexStructure)
-              else s.identity_residuals(t))
+    values = s.identity_residuals(t)
     for b in range(len(points)):
         want = point_values(t, b)
         assert want.keys() == values.keys()
@@ -384,7 +383,8 @@ def test_flat_kahler_structure_validates():
               ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
     acs = AlmostComplexStructure(metric, _parse_rows(j_rows, 4))
     points = sample_points(33, n=4, dim=4)
-    rep = records(fold_structure(acs, points, lambda t: acs.residuals(t, True)), len(points),
-                  ("structure",), {})
+    rep = records(fold_structure(acs, points, lambda t: {
+        **acs.identity_residuals(t), "kahler-parallel": acs.parallel_residual(t)}),
+        len(points), ("structure",), {})
     assert rep.passed
     assert acs.parallel_residual(StructureBlock(acs, np.zeros((1, 4)))) == 0.0
