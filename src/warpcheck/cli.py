@@ -28,12 +28,12 @@ from .gallery import BUILTINS, builtin_names, load_builtin, sample_points
 from .ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
                    main_inequality, scalar_decomposition_residual, space_form_rhs)
 from .report import CheckReport, format_number, nan_max, to_json_bytes
-from .riemann import Curvature4, MetricBlock, MetricField, fold_blocks
+from .riemann import SYMMETRY_THRESHOLD, Curvature4, MetricBlock, MetricField, fold_blocks
 from .structures import (CLASS_NAMES, CONTACT_IDENTITIES, AlmostComplexStructure,
                          AlmostContactStructure, StructureBlock, closed_eta_residuals,
                          fundamental_form_residuals, nijenhuis_normality_residuals,
                          structure_class_residuals)
-from .subman import (Immersion, ImmersionBlock, classification_residuals,
+from .subman import (REEB_TANGENCY_THRESHOLD, Immersion, ImmersionBlock, classification_residuals,
                      complex_cr_defects, contact_cr_residuals, fold_sff, gauss_residual_max,
                      scalar_identity_residual, shape_operator, warped_block_defect)
 from .warped import (WarpedBlock, WarpedMetric, block_second_form_residuals, warping_identity,
@@ -121,7 +121,7 @@ INEQUALITIES, VALIDATION = ("inequalities",), ("validation",)
 
 # a report's records come in the order of their rows
 ROWS = (
-    Row("gate-metric", "metric-validity", VALIDATION, None, 1e-10),
+    Row("gate-metric", "metric-validity", VALIDATION, None, SYMMETRY_THRESHOLD),
     Row("gate-warping-positive", "warping-positivity", VALIDATION, None, 1.0,
         note="positivity verified pointwise"),
     Row("gate-rank", "immersion-rank", VALIDATION, None, 0.5),
@@ -174,7 +174,8 @@ ROWS = (
     # the contact CR suite: the Reeb tangency, a precondition of the rest,
     # its gate (invariance of the leaf block, anti-invariance of the fiber
     # block), then the form's laws
-    Row("cr-reeb-tangency", "contact-cr-reeb-tangency", INEQUALITIES + VALIDATION, "cr", 1e-8,
+    Row("cr-reeb-tangency", "contact-cr-reeb-tangency", INEQUALITIES + VALIDATION, "cr",
+        REEB_TANGENCY_THRESHOLD,
         note=lambda w, _n: "precondition failed at some points"
         if w.get("cr-reeb-not-tangent") else ""),
     Row("cr-leaf-invariance", "contact-cr-leaf-invariance", INEQUALITIES + VALIDATION, "cr",

@@ -11,7 +11,7 @@ identically in future versions)::
 
     number := digits ['.' digits?] [('e'|'E') ['+'|'-'] digits]
             | '.' digits [('e'|'E') ['+'|'-'] digits]
-    ident  := 'x' digits | 'p' digits     # variables x1..xn, parameters p1..pk
+    ident  := 'x' digits                 # variables x1..xn
     func   := 'sin' | 'cos' | 'exp' | 'ln' | 'sqrt'
 
 Notes on binding:
@@ -20,10 +20,10 @@ Notes on binding:
   unary minus of its base, matching common mathematical convention.
 * The exponent position accepts a signed factor, so ``2^-3`` is valid.
 * ``f ^ g`` takes its rule from the syntax of ``g``, once for every point.
-  With no variable in ``g`` (numbers and parameters only) it is a constant
-  power: an integer ``g`` takes any base (a zero base only for ``g >= 0``),
-  any other ``g`` a positive base.  With a variable in ``g`` it is
-  ``exp(g ln f)``, which needs ``f > 0``, whatever ``g``'s value.
+  With no variable in ``g`` (numbers only) it is a constant power: an
+  integer ``g`` takes any base (a zero base only for ``g >= 0``), any other
+  ``g`` a positive base.  With a variable in ``g`` it is ``exp(g ln f)``,
+  which needs ``f > 0``, whatever ``g``'s value.
 * There is no implicit multiplication; ``2x1`` is a parse error.
 
 Parsing is total: any non-grammatical input raises :class:`ParseError` with
@@ -73,12 +73,6 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Param:
-    index: int  # 0-based; source form is p<index+1>
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
 class Neg:
     arg: "Expr"
     pos: int = field(default=0, compare=False)
@@ -99,7 +93,7 @@ class Call:
     pos: int = field(default=0, compare=False)
 
 
-Expr = Union[Num, Var, Param, Neg, BinOp, Call]
+Expr = Union[Num, Var, Neg, BinOp, Call]
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +166,10 @@ def _describe(text: str, i: int) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], dim: int, n_params: int):
+    def __init__(self, tokens: list[_Token], dim: int):
         self.toks = tokens
         self.i = 0
         self.dim = dim
-        self.n_params = n_params
 
     @property
     def cur(self) -> _Token:
@@ -253,20 +246,17 @@ class _Parser:
                     raise self.fail("')'")
                 self.advance()
                 return Call(name, arg, pos=t.pos)
-            if name[0] in "xp" and name[1:].isascii() and name[1:].isdigit():
-                k = int(name[1:])
-                bound = self.dim if name[0] == "x" else self.n_params
-                label = "variable" if name[0] == "x" else "parameter"
-                if not 1 <= k <= bound:
-                    raise ParseError(t.pos, f"{label} index in 1..{bound}", repr(name))
-                return (Var if name[0] == "x" else Param)(k - 1, pos=t.pos)
+            if name[0] == "x" and name[1:].isascii() and name[1:].isdigit():
+                if not 1 <= int(name[1:]) <= self.dim:
+                    raise ParseError(t.pos, f"variable index in 1..{self.dim}", repr(name))
+                return Var(int(name[1:]) - 1, pos=t.pos)
             raise ParseError(t.pos, "known identifier", repr(name))
         raise self.fail("atom")
 
 
-def parse(text: str, dim: int, n_params: int = 0) -> Expr:
-    """Parse ``text`` against a chart of ``dim`` variables and ``n_params`` parameters."""
-    return _Parser(_tokenize(text), dim, n_params).parse()
+def parse(text: str, dim: int) -> Expr:
+    """Parse ``text`` against a chart of ``dim`` variables."""
+    return _Parser(_tokenize(text), dim).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +264,7 @@ def parse(text: str, dim: int, n_params: int = 0) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def eval_jets(e: Expr, bindings: Sequence[Jet3], params: Sequence[float] = (),
-              order: int = 3) -> Jet3:
+def eval_jets(e: Expr, bindings: Sequence[Jet3], order: int = 3) -> Jet3:
     """Evaluate with jet-valued variable bindings (exact chain rule) to ``order``.
 
     ``bindings[i]`` is the jet of variable ``x<i+1>``.  Binding variables to
@@ -284,21 +273,21 @@ def eval_jets(e: Expr, bindings: Sequence[Jet3], params: Sequence[float] = (),
     the tree once for the whole block; a domain error is then the one the
     first failing point raises on its own.
     """
-    return evaluator(bindings, params, order)(e)
+    return evaluator(bindings, order)(e)
 
 
-def evaluator(bindings: Sequence[Jet3], params: Sequence[float] = (), order: int = 3):
+def evaluator(bindings: Sequence[Jet3], order: int = 3):
     """:func:`eval_jets` on these bindings as a function of the expression,
     the bindings truncated to ``order`` once."""
     bindings = [b.truncated(order) for b in bindings]
 
     def evaluate(e: Expr) -> Jet3:
         try:
-            return _eval(e, bindings, params)
+            return _eval(e, bindings)
         except JetDomainError:
             batch = np.broadcast_shapes(*(b.batch for b in bindings))
             for k in np.ndindex(batch) if batch else ():  # the first failing point raises alone
-                _eval(e, [b.view(k) if b.batch else b for b in bindings], params)
+                _eval(e, [b.view(k) if b.batch else b for b in bindings])
             raise
     return evaluate
 
@@ -307,21 +296,20 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
            "^": operator.pow}
 
 
-def _eval(e: Expr, bindings, params) -> Jet3:
+def _eval(e: Expr, bindings) -> Jet3:
     if isinstance(e, Var):
         return bindings[e.index]
-    if isinstance(e, (Num, Param)):
-        value = e.value if isinstance(e, Num) else float(params[e.index])
-        return jet_const(value, bindings[0].dim, bindings[0].order)
+    if isinstance(e, Num):
+        return jet_const(e.value, bindings[0].dim, bindings[0].order)
     if isinstance(e, Neg):
-        return -_eval(e.arg, bindings, params)
+        return -_eval(e.arg, bindings)
     if isinstance(e, BinOp):
         fn = _BINARY[e.op]
-        args = (_eval(e.left, bindings, params), _eval(e.right, bindings, params))
+        args = (_eval(e.left, bindings), _eval(e.right, bindings))
         if e.op == "^" and max_var(e.right) < 0:
             args = args[0], args[1].value  # no variable in the exponent: a constant power
     elif isinstance(e, Call):
-        fn, args = getattr(jets, e.func), (_eval(e.arg, bindings, params),)
+        fn, args = getattr(jets, e.func), (_eval(e.arg, bindings),)
     else:
         raise TypeError(f"not an expression node: {e!r}")
     try:
@@ -331,28 +319,26 @@ def _eval(e: Expr, bindings, params) -> Jet3:
         raise
 
 
-def eval_expr(e: Expr, x: Point, params: Sequence[float] = ()) -> Jet3:
+def eval_expr(e: Expr, x: Point) -> Jet3:
     """Jet of the denoted function at chart point x."""
-    return eval_jets(e, coordinate_jets(jets.as_point(x)), params)
+    return eval_jets(e, coordinate_jets(jets.as_point(x)))
 
 
-def eval_value(e: Expr, x: Point, params: Sequence[float] = ()) -> float:
-    return eval_expr(e, x, params).value
+def eval_value(e: Expr, x: Point) -> float:
+    return eval_expr(e, x).value
 
 
-def matrix_jets(entries, bindings: Sequence[Jet3], params: Sequence[float] = (),
-                symmetric: bool = False, order: int = 3):
+def matrix_jets(entries, bindings: Sequence[Jet3], symmetric: bool = False, order: int = 3):
     """(indices, jet) for each entry of a matrix of expressions, row by row,
     one evaluation to ``order`` per entry; ``symmetric`` evaluates the upper
     triangle and places each jet at (i, j) and (j, i)."""
-    evaluate = evaluator(bindings, params, order)
+    evaluate = evaluator(bindings, order)
     for i, row in enumerate(entries):
         for j in range(i if symmetric else 0, len(row)):
             yield {(i, j), (j, i)} if symmetric else {(i, j)}, evaluate(row[j])
 
 
-def eval_matrix(entries, x, params: Sequence[float] = (), order: int = 2,
-                symmetric: bool = False) -> list[np.ndarray]:
+def eval_matrix(entries, x, order: int = 2, symmetric: bool = False) -> list[np.ndarray]:
     """Values and partials ``[V, D1, ..., D_order]`` of a matrix of
     expressions at chart points x, one point (dim,) or a block (B, dim).
 
@@ -360,7 +346,7 @@ def eval_matrix(entries, x, params: Sequence[float] = (), order: int = 2,
     partials; each entry is evaluated to ``order`` and packed at once.
     """
     x = jets.as_point(x, block=True)
-    return jets.pack(matrix_jets(entries, coordinate_jets(x), params, symmetric, order),
+    return jets.pack(matrix_jets(entries, coordinate_jets(x), symmetric, order),
                      x.shape[:-1], x.shape[-1], (len(entries), len(entries[0])), order)
 
 
@@ -375,8 +361,6 @@ def pretty(e: Expr) -> str:
         return repr(e.value)
     if isinstance(e, Var):
         return f"x{e.index + 1}"
-    if isinstance(e, Param):
-        return f"p{e.index + 1}"
     if isinstance(e, Neg):
         return f"(-{pretty(e.arg)})"
     if isinstance(e, BinOp):
@@ -388,10 +372,10 @@ def pretty(e: Expr) -> str:
 
 def max_var(e: Expr) -> int:
     """Largest 0-based variable index used, or -1 for an expression in
-    numbers and parameters only."""
+    numbers only."""
     if isinstance(e, Var):
         return e.index
-    if isinstance(e, (Num, Param)):
+    if isinstance(e, Num):
         return -1
     if isinstance(e, (Neg, Call)):
         return max_var(e.arg)
@@ -405,7 +389,7 @@ def shift_vars(e: Expr, offset: int) -> Expr:
     into a product chart)."""
     if isinstance(e, Var):
         return Var(e.index + offset, pos=e.pos)
-    if isinstance(e, (Num, Param)):
+    if isinstance(e, Num):
         return e
     if isinstance(e, Neg):
         return Neg(shift_vars(e.arg, offset), pos=e.pos)

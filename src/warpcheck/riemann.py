@@ -76,6 +76,7 @@ from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, pack, per_b
 from .report import fold
 
 GS_PIVOT_THRESHOLD = 1e-12
+SYMMETRY_THRESHOLD = 1e-10  # a chart metric's largest |g_ij - g_ji|
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,6 @@ class MetricField:
     dim: int
     entries: list  # dim x dim nested list of Expr, symmetric
     domain: DomainBox | None = None
-    params: tuple[float, ...] = ()
     name: str = ""
 
     def __post_init__(self):
@@ -100,16 +100,14 @@ class MetricField:
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]], domain: DomainBox | None = None,
-                     params: tuple[float, ...] = (), n_params: int = 0,
                      name: str = "") -> "MetricField":
         n = len(rows)
-        entries = [[dsl.parse(s, n, n_params or len(params)) for s in row] for row in rows]
-        return cls(n, entries, domain=domain, params=tuple(params), name=name)
+        entries = [[dsl.parse(s, n) for s in row] for row in rows]
+        return cls(n, entries, domain=domain, name=name)
 
     def _indexed_jets(self, x: Point):
         """The upper triangle's jets to order 2, each at (i, j) and (j, i)."""
-        return dsl.matrix_jets(self.entries, coordinate_jets(x), self.params, symmetric=True,
-                               order=2)
+        return dsl.matrix_jets(self.entries, coordinate_jets(x), symmetric=True, order=2)
 
     def entry_jets(self, x: Point) -> list[list[Jet3]]:
         out: list[list[Jet3]] = [[None] * self.dim for _ in range(self.dim)]
@@ -126,7 +124,7 @@ class MetricField:
         return tuple(pack(self._indexed_jets(x), x.shape[:-1], n, (n, n), 2))
 
     def value(self, x: Point) -> np.ndarray:
-        return dsl.eval_matrix(self.entries, x, self.params, order=0, symmetric=True)[0]
+        return dsl.eval_matrix(self.entries, x, order=0, symmetric=True)[0]
 
     def symmetry_residual(self, x: Point):
         """max |g_ij - g_ji| at each point of x, evaluating only the pairs whose
@@ -136,7 +134,7 @@ class MetricField:
         if not pairs:
             return np.zeros(np.shape(x)[:-1])
         rows = [[self.entries[i][j] for i, j in pairs], [self.entries[j][i] for i, j in pairs]]
-        g = dsl.eval_matrix(rows, x, self.params, order=0)[0]
+        g = dsl.eval_matrix(rows, x, order=0)[0]
         return np.max(np.abs(g[..., 0, :] - g[..., 1, :]), axis=-1)
 
 
@@ -192,12 +190,12 @@ class MetricBlock:
     @cached_property
     def ginv(self) -> np.ndarray:
         """Inverse metrics, after checking that each is positive definite
-        and, for a chart metric, symmetric (past 1e-10) and finite; the
-        block's first failing point raises."""
+        and, for a chart metric, symmetric (to SYMMETRY_THRESHOLD) and
+        finite; the block's first failing point raises."""
         g, x, k = self.derivs[0], self.points, len(self.points)
         chart = isinstance(self.metric, MetricField)
         if chart:
-            asym = self.metric.symmetry_residual(x) > 1e-10
+            asym = self.metric.symmetry_residual(x) > SYMMETRY_THRESHOLD
             k = int(np.argmax(asym)) if asym.any() else k
         _checked(g[:k], x[:k], finite=chart)  # the points before an asymmetric one
         if k < len(x):
@@ -304,10 +302,10 @@ def curvature_components(g_like, x: Point) -> np.ndarray:
     return MetricBlock(g_like, as_point(x)[None]).curvature[0]
 
 
-def laplacian(g_like, psi, x: Point, params: Sequence[float] = ()) -> float:
+def laplacian(g_like, psi, x: Point) -> float:
     """Geometer's-sign Laplacian at x of an expression, or of its jet there:
     a block of one point's.  Flat chart: lap(x1^2) = -2."""
-    jet = psi if isinstance(psi, Jet3) else dsl.eval_expr(psi, x, params)
+    jet = psi if isinstance(psi, Jet3) else dsl.eval_expr(psi, x)
     return float(MetricBlock(g_like, as_point(x)[None]).laplacian(jet)[0])
 
 

@@ -56,7 +56,6 @@ class AlmostComplexStructure(_Structure):
     kind = "complex"  # as a config's structure section names it
     metric: MetricField
     j_entries: list  # dim x dim Exprs, (J v)^i = J[i][j] v^j
-    params: tuple[float, ...] = ()
     name: str = ""
 
     def parallel_residual(self, t: "StructureBlock") -> np.ndarray:
@@ -86,7 +85,6 @@ class AlmostContactStructure(_Structure):
     phi_entries: list   # dim x dim Exprs
     xi_entries: list    # dim Exprs (vector components)
     eta_entries: list   # dim Exprs (covector components)
-    params: tuple[float, ...] = ()
     name: str = ""
     klass: str | None = None  # declared class, one of CLASS_NAMES
 
@@ -131,11 +129,11 @@ class StructureBlock:
         finite there; the first point where one is not raises."""
         s, x = self.s, self.points
         if isinstance(s, AlmostComplexStructure):
-            fields = [dsl.eval_matrix(s.j_entries, x, s.params, order=1)]
+            fields = [dsl.eval_matrix(s.j_entries, x, order=1)]
         else:
-            fields = [dsl.eval_matrix(s.phi_entries, x, s.params, order=1),
-                      dsl.eval_matrix([s.xi_entries], x, s.params, order=0),
-                      dsl.eval_matrix([s.eta_entries], x, s.params, order=1)]
+            fields = [dsl.eval_matrix(s.phi_entries, x, order=1),
+                      dsl.eval_matrix([s.xi_entries], x, order=0),
+                      dsl.eval_matrix([s.eta_entries], x, order=1)]
         bad = np.zeros(len(x), dtype=bool)
         for a in (a for field in fields for a in field):
             bad |= ~np.isfinite(a.reshape(len(x), -1)).all(axis=1)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import expr as dsl
-from .errors import (ConfigurationError, ImmersionDegenerateError,
+from .errors import (ConfigurationError, DegenerateMetricError, ImmersionDegenerateError,
                      InvalidNormalError, NonFiniteImageError)
 from .jets import DomainBox, Jet3, Point, as_point, coordinate_jets, jet_const, pack
 from .riemann import (MetricBlock, MetricField, _checked, fold_blocks, frame_curvature,
@@ -30,6 +30,7 @@ from .warped import LeafScalars, WarpedBlock, WarpedMetric
 
 RANK_THRESHOLD = 1e-8
 NORMAL_COMPLETION_THRESHOLD = 1e-8
+REEB_TANGENCY_THRESHOLD = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,6 @@ class Immersion:
     structure: AlmostComplexStructure | AlmostContactStructure | None = None
     warped: WarpedDecl | None = None
     domain: DomainBox | None = None
-    params: tuple[float, ...] = ()
     name: str = ""
 
     @property
@@ -69,7 +69,7 @@ class Immersion:
         first sample point whose image, then whose partials (slots d1-d3),
         are not finite raises."""
         seeds = coordinate_jets(x)
-        phi = [dsl.eval_jets(c, seeds, self.params) for c in self.components]
+        phi = [dsl.eval_jets(c, seeds) for c in self.components]
         batch = np.shape(x)[:-1]
         _finite_images(np.stack([np.broadcast_to(j.value, batch) for j in phi], -1), x)
         bad = np.zeros(batch, dtype=bool)
@@ -118,7 +118,7 @@ class InducedMetric:
         im = self.im
         n, m = im.dim, im.ambient_dim
         phi = phi or im.component_jets(x)
-        evaluate = dsl.evaluator(phi, im.ambient.params, 2)
+        evaluate = dsl.evaluator(phi, 2)
         amb = {}  # (k, l) -> jet, or None for a literal 1; a literal 0 is absent
         for k, row in enumerate(im.ambient.entries):
             for l in range(k, m):
@@ -156,7 +156,7 @@ class InducedMetric:
         read by no block: the independent oracle of the induced jets that
         ``test_gallery``, ``test_subman`` and ``test_acceptance`` read."""
         im = self.im
-        y, d1 = dsl.eval_matrix([im.components], x, im.params, order=1)
+        y, d1 = dsl.eval_matrix([im.components], x, order=1)
         jac = np.ascontiguousarray(np.swapaxes(d1[..., 0, :], -1, -2))  # (..., m, n)
         g = im.ambient.value(_finite_images(y[..., 0, :], x))
         return np.swapaxes(jac, -1, -2) @ g @ jac
@@ -310,10 +310,13 @@ class ImmersionBlock:
         jac = np.ascontiguousarray(self.components[1])
         g_amb, gam = self.ambient.g, self.ambient.gamma
         g_ind = np.swapaxes(jac, 1, 2) @ g_amb @ jac
-        eigs = np.linalg.eigvalsh(g_ind)[:, 0]
-        low = eigs <= RANK_THRESHOLD**2
+        finite = np.isfinite(g_ind).all(axis=(1, 2))  # eigvalsh may not converge on inf
+        eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], g_ind, np.eye(im.dim)))[:, 0]
+        low = ~finite | (eigs <= RANK_THRESHOLD**2)
         if low.any():
             k = int(np.argmax(low))
+            if not finite[k]:
+                raise DegenerateMetricError(f"metric not finite at {x[k]}")
             raise ImmersionDegenerateError(
                 f"immersion differential near rank-deficient at {x[k]} "
                 f"(smallest singular value {math.sqrt(max(eigs[k], 0.0)):.3e})")
@@ -448,8 +451,7 @@ def warped_geometry(im: Immersion) -> WarpedMetric:
     decl = im.warped
     if decl is None:
         raise ConfigurationError("immersion has no warped declaration")
-    return WarpedMetric(InducedMetric(im), decl.n1, decl.n2, decl.f, im.params,
-                        fiber=decl.g2)
+    return WarpedMetric(InducedMetric(im), decl.n1, decl.n2, decl.f, decl.g2)
 
 
 def warped_block_defect(block: ImmersionBlock) -> np.ndarray:
@@ -491,7 +493,7 @@ def contact_cr_residuals(block: ImmersionBlock) -> dict:
     n1, n = decl.n1, im.dim
     f, t = block.frames, block.tensors
     xi_sub, xi_resid = _tangency(f.g_induced, f.jacobian, f.g_ambient, t.xi)
-    on = ~(xi_resid > 1e-8)  # the rest of the suite is read where xi is tangent
+    on = ~(xi_resid > REEB_TANGENCY_THRESHOLD)  # the rest of the suite is read where xi is tangent
     f, phi, xi_sub = SFFData(*(a[on] for a in f)), t.op[0][on], xi_sub[on]
     g, k = f.g_ambient, np.count_nonzero(on)
 

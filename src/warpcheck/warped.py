@@ -11,7 +11,7 @@ round-sphere presentations pin the sign convention (both sides -1 and +1
 respectively).
 
 A split is evaluated a block of points at a time: a :class:`WarpedBlock`
-holds the total metric's block, the leaf factor's block and the warping
+holds the total metric's block, its leading leaf block and the warping
 function's jets, and every check here takes the block and returns arrays
 over its points; a lone point is a block of one.
 """
@@ -40,19 +40,15 @@ from .riemann import MetricBlock, MetricField, plane_sum
 class WarpedMetric:
     """A metric split as g1 + f^2 g2 on the product chart, leaf coordinates
     first: the total metric, the block sizes and the warping function f over
-    the leaf chart, with its parameters.
-
-    ``leaf`` is the leaf factor's metric; None means the leading n1 x n1
-    block of the total metric at the point (how induced metrics are split).
-    ``fiber`` is the declared fiber metric; None means the identity.
+    the leaf chart.  The leaf metric g1 is the leading n1 x n1 block of the
+    total metric.  ``fiber`` is the declared fiber metric g2; None means the
+    identity.
     """
 
     metric: object
     n1: int
     n2: int
     f: object  # Expr over the leaf chart
-    params: tuple
-    leaf: MetricField | None = None
     fiber: MetricField | None = None
 
     @property
@@ -108,10 +104,9 @@ def assemble(g1: MetricField, g2: MetricField, f, name: str = "") -> WarpedMetri
         for j in range(n2):
             shifted = dsl.shift_vars(g2.entries[i][j], n1)
             entries[n1 + i][n1 + j] = dsl.BinOp("*", f_sq, shifted)
-    params = tuple(g1.params) or tuple(g2.params)
     assembled = MetricField(n, entries, domain=_product_domain(g1.domain, g2.domain, n1),
-                            params=params, name=name or f"warped({g1.name},{g2.name})")
-    return WarpedMetric(assembled, n1, n2, f, params, leaf=g1, fiber=g2)
+                            name=name or f"warped({g1.name},{g2.name})")
+    return WarpedMetric(assembled, n1, n2, f, g2)
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ class LeafScalars:
 
 class WarpedBlock:
     """A warped split over a block of chart points (B, dim): the total
-    metric's block, the leaf factor's block, the warping function's jets, the
+    metric's block, its leading leaf block, the warping function's jets, the
     fiber metric and the leaf scalars, each evaluated for all points on first
     use, and read whole by the checks.  The total block checks the metric
     (symmetry, finiteness and definiteness, a chart metric's) and the leaf
@@ -142,16 +137,13 @@ class WarpedBlock:
 
     @cached_property
     def leaf(self) -> MetricBlock:
-        n1 = self.geom.n1
-        if self.geom.leaf is None:
-            return self.total.block(range(n1))
-        return MetricBlock(self.geom.leaf, self.points[:, :n1])
+        return self.total.block(range(self.geom.n1))
 
     @cached_property
     def f(self) -> Jet3:
         """Jets of the warping function at the leaf coordinates, to order 2."""
         g = self.geom
-        return dsl.evaluator(coordinate_jets(self.points[:, : g.n1]), g.params, 2)(g.f)
+        return dsl.evaluator(coordinate_jets(self.points[:, : g.n1]), 2)(g.f)
 
     @cached_property
     def lnf(self) -> Jet3:

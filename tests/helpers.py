@@ -29,6 +29,26 @@ def flat_metric(dim, name="flat"):
     return MetricField.from_strings(rows, name=name)
 
 
+def flat_immersion_config(components, lo, hi) -> str:
+    """Config text whose subject immerses the box [lo, hi] into flat R^m by
+    these m components."""
+    m = len(components)
+    rows = "".join(f"row_{i + 1} = " + ", ".join('"1"' if j == i else '"0"' for j in range(m))
+                   + "\n" for i in range(m))
+    quoted = ", ".join(f'"{c}"' for c in components)
+    return (f"[metric flat]\ndim = {m}\n{rows}\n[immersion im]\ndim = {len(lo)}\n"
+            f"ambient = flat\ncomponents = {quoted}\n"
+            f"domain_lo = {', '.join(map(str, lo))}\ndomain_hi = {', '.join(map(str, hi))}\n"
+            "\n[subject]\nkind = immersion\ntarget = im\n")
+
+
+# components and box of an immersion into flat R^5 with finite partials whose
+# J^T g J overflows to inf at every sample point, where eigvalsh once failed
+# to converge
+OVERFLOWING_INDUCED_METRIC = (("x4", "1e200*x3", "exp(-x3)", "358280.5888127115*x3", "0"),
+                              (-2, -2, -2, 0), (-1, 1, 1, 1))
+
+
 def _parse_rows(rows, dim):
     return [[parse(s, dim) for s in row] for row in rows]
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from helpers import OVERFLOWING_INDUCED_METRIC, flat_immersion_config
 
 from warpcheck import cli, expr, ineq, jets, report, riemann, structures, subman
 from warpcheck.cli import (TOLERANCES, RunConfig, main, parse_args, render_text,
@@ -372,6 +373,21 @@ def test_non_finite_immersion_derivatives_exit_2(tmp_path, capsys):
         assert f"immersion derivatives not finite at {first}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("components, lo, hi", [
+    OVERFLOWING_INDUCED_METRIC, (("x1", "1e200*x2", "0"), (0, 0), (1, 1))])
+def test_a_non_finite_induced_metric_exits_2(tmp_path, capsys, components, lo, hi):
+    # the components and their partials are finite, but J^T g J overflows to
+    # inf at every sample point; its eigenvalues used to fail to converge (a
+    # traceback) or come out NaN (FAIL flag-* worst="nan")
+    path = tmp_path / "flat_immersion.cfg"
+    path.write_text(flat_immersion_config(components, lo, hi))
+    p = str(path)
+    first = sample_points(cli._resolve(p)[0].subject, 1, 42)[0]
+    for checks in ("all", "classify"):
+        assert main(["--target", p, "--points", "2", "--checks", checks]) == 2
+        assert capsys.readouterr() == ("", f"configuration error: metric not finite at {first}\n")
+
+
 def _builtin_with(tmp_path, config: str, old: str, new: str) -> str:
     p = tmp_path / config
     p.write_text(resources.files("warpcheck").joinpath("data", config).read_text()
@@ -553,9 +569,9 @@ def test_immersion_components_evaluated_once_per_block(monkeypatch):
     counts = Counter()
     eval_jets = expr.eval_jets
 
-    def counted(e, bindings, params=()):
+    def counted(e, bindings):
         counts[id(e)] += 1
-        return eval_jets(e, bindings, params)
+        return eval_jets(e, bindings)
 
     monkeypatch.setattr(expr, "eval_jets", counted)
     fold, steps = cli._checks(im, RunConfig(target="e6", points=3))

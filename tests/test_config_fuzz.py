@@ -11,9 +11,10 @@ Examples are derandomized, so every run of the suite draws the same configs.
 import contextlib
 import io
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import OVERFLOWING_INDUCED_METRIC, flat_immersion_config
 from test_expr import _asts
 from warpcheck.cli import CHECK_GROUPS, main
 from warpcheck.expr import pretty
@@ -24,7 +25,7 @@ EDGE_NUMBERS = st.sampled_from([0.0, 1e-200, 1e200])
 
 def _quoted(dim):
     """A quoted config expression in x1..x_dim."""
-    return _asts(dim, 0, EDGE_NUMBERS).map(lambda e: f'"{pretty(e)}"')
+    return _asts(dim, EDGE_NUMBERS).map(lambda e: f'"{pretty(e)}"')
 
 
 def _rows(draw, dim):
@@ -73,6 +74,7 @@ def configs(draw):
 
 
 @given(configs(), st.sampled_from(("all",) + CHECK_GROUPS))
+@example(text=flat_immersion_config(*OVERFLOWING_INDUCED_METRIC), checks="classify")
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_a_generated_config_exits_0_1_or_2(tmp_path_factory, text, checks):

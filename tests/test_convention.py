@@ -133,7 +133,23 @@ def test_an_exponent_is_evaluated_on_the_bindings_of_its_power():
     # constancy point by point, no block is split by point, and the
     # evaluator walks the tree on one bindings list, truncated to its order
     assert not hasattr(jets.Jet3, "is_constant") and not hasattr(jets.Jet3, "take")
-    assert list(inspect.signature(expr._eval).parameters) == ["e", "bindings", "params"]
+    assert list(inspect.signature(expr._eval).parameters) == ["e", "bindings"]
+
+
+def test_expressions_take_no_parameters():
+    # an expression is in the chart's variables x1..xn alone: no function
+    # takes parameter values or a parameter count, no class holds either,
+    # and a warped split reads its leaf metric from the total one
+    for mod, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+                assert not names & {"params", "n_params"}, (mod, getattr(node, "name", None))
+            elif isinstance(node, ast.ClassDef):
+                fields = {s.target.id for s in node.body if isinstance(s, ast.AnnAssign)}
+                assert not fields & {"params", "leaf"}, (mod, node.name)
+    assert not hasattr(expr, "Param")
 
 
 def test_no_function_takes_a_require_kahler_flag():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpcheck.errors import JetDomainError
-from warpcheck.expr import (BinOp, Call, Neg, Num, Param, ParseError, Var, eval_expr,
+from warpcheck.expr import (BinOp, Call, Neg, Num, ParseError, Var, eval_expr,
                             eval_jets, eval_value, matrix_jets, parse, pretty, shift_vars)
 from warpcheck.gallery import builtin_names, load_builtin, sample_points
 from warpcheck.jets import coordinate_jets
@@ -51,8 +51,9 @@ def test_variable_index_out_of_range():
         parse("x3", dim=2)
     with pytest.raises(ParseError):
         parse("x0", dim=2)
-    with pytest.raises(ParseError):
-        parse("p1", dim=2, n_params=0)
+    with pytest.raises(ParseError) as ei:
+        parse("p1", dim=2)  # no parameters: p1 is no identifier
+    assert ei.value.expected == "known identifier"
 
 
 def test_unbalanced_parentheses():
@@ -109,12 +110,6 @@ def test_square_jet():
     npt.assert_allclose([j.value, j.d1[0], j.d2[0, 0]], [9.0, 6.0, 2.0])
 
 
-def test_parameter_is_constant():
-    j = eval_expr(parse("p1", dim=2, n_params=1), np.array([5.0, 7.0]), params=(7.0,))
-    assert j.value == 7.0
-    assert not j.d1.any() and not j.d2.any() and not j.d3.any()
-
-
 def test_log_singularity_carries_position():
     e = parse("2 + ln(x1)", dim=1)
     with pytest.raises(JetDomainError) as ei:
@@ -145,14 +140,13 @@ def test_shift_vars():
 # ---------------------------------------------------------------------------
 
 
-def _asts(dim=3, n_params=2, numbers=None):
+def _asts(dim=3, numbers=None):
     """Strategy generating parser-shaped ASTs (non-negative literals only,
     since the lexer never produces a negative number token); ``numbers``
-    draws further literals, and n_params = 0 gives no parameter."""
+    draws further literals."""
     leaves = [st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                         allow_infinity=False).map(Num),
               st.integers(0, dim - 1).map(Var)]
-    leaves += [st.integers(0, n_params - 1).map(Param)] if n_params else []
     leaves = st.one_of(leaves + ([numbers.map(Num)] if numbers is not None else []))
 
     def extend(children):
@@ -171,17 +165,17 @@ def _asts(dim=3, n_params=2, numbers=None):
 @settings(max_examples=200, deadline=None)
 def test_pretty_print_round_trip(ast):
     src = pretty(ast)
-    reparsed = parse(src, dim=3, n_params=2)
+    reparsed = parse(src, dim=3)
     assert reparsed == ast
 
 
 @given(st.text(max_size=30))
-@example("p\u00b2")  # a non-ASCII digit: isdigit() holds, int() fails
+@example("x\u00b2")  # a non-ASCII digit: isdigit() holds, int() fails
 @settings(max_examples=300, deadline=None)
 def test_parse_is_total(junk):
     """Arbitrary input either parses or raises ParseError, nothing else."""
     try:
-        parse(junk, dim=2, n_params=1)
+        parse(junk, dim=2)
     except ParseError as err:
         assert 0 <= err.offset <= len(junk)
 
@@ -195,20 +189,20 @@ _COORDS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1e-200, 1e200]),
                     st.floats(min_value=-3.0, max_value=3.0))
 
 
-def _evaluate(e, x, params, order=3):
+def _evaluate(e, x, order=3):
     try:
-        return eval_jets(e, coordinate_jets(x), params, order), None
+        return eval_jets(e, coordinate_jets(x), order), None
     except JetDomainError as err:
         return None, err
 
 
-def _assert_block_matches_points(e, block, params):
+def _assert_block_matches_points(e, block):
     """The block's slots equal the stacked single-point slots, bit for bit,
     and a block fails iff some point fails alone, with that first point's
     error."""
     with np.errstate(all="ignore"):
-        got, err = _evaluate(e, block, params)
-        singles = [_evaluate(e, x, params) for x in block]
+        got, err = _evaluate(e, block)
+        singles = [_evaluate(e, x) for x in block]
     first = next((e for _, e in singles if e is not None), None)
     if first is not None or err is not None:
         assert err is not None and first is not None
@@ -222,12 +216,11 @@ def _assert_block_matches_points(e, block, params):
         np.testing.assert_array_equal(have, want, err_msg=slot)
 
 
-@given(_asts(), st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1, max_size=6),
-       st.tuples(_COORDS, _COORDS))
+@given(_asts(), st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1, max_size=6))
 @settings(max_examples=300, deadline=None)
-def test_block_evaluation_equals_points(ast, coords, params):
-    e = parse(pretty(ast), dim=3, n_params=2)  # real source offsets
-    _assert_block_matches_points(e, np.array(coords), params)
+def test_block_evaluation_equals_points(ast, coords):
+    e = parse(pretty(ast), dim=3)  # real source offsets
+    _assert_block_matches_points(e, np.array(coords))
 
 
 def test_the_exponent_syntax_picks_the_power_rule():
@@ -251,15 +244,15 @@ def test_the_exponent_syntax_picks_the_power_rule():
         want = eval_jets(parse(spelt, dim=2), coordinate_jets(block))
         for slot in ("value", "d1", "d2", "d3"):
             npt.assert_array_equal(getattr(got, slot), getattr(want, slot), err_msg=slot)
-        _assert_block_matches_points(parse(src, dim=2), block, ())
-    # an exponent in numbers and parameters only is a constant power: an
-    # integer one takes a negative base, and a zero base fails only below 0
-    e = parse("x1^(2*p1 - 1)", dim=2, n_params=1)
-    assert eval_jets(e, coordinate_jets(np.array([-2.0, 0.0])), (2.0,)).value == -8.0
+        _assert_block_matches_points(parse(src, dim=2), block)
+    # an exponent in numbers only is a constant power: an integer one takes
+    # a negative base, and a zero base fails only below 0
+    e = parse("x1^(2*2 - 1)", dim=2)
+    assert eval_jets(e, coordinate_jets(np.array([-2.0, 0.0]))).value == -8.0
     with pytest.raises(JetDomainError) as ei:
-        eval_jets(e, coordinate_jets(np.array([[1.0, 0.0], [0.0, 1.0]])), (0.0,))
+        eval_jets(parse("x1^(2*0 - 1)", dim=2), coordinate_jets(np.array([[1.0, 0.0], [0.0, 1.0]])))
     assert (ei.value.op, ei.value.value, ei.value.pos) == ("pow", 0.0, 2)
-    _assert_block_matches_points(e, np.array([[-2.0, 0.0], [0.5, 1.0]]), (2.0,))
+    _assert_block_matches_points(e, np.array([[-2.0, 0.0], [0.5, 1.0]]))
 
 
 def test_block_error_names_first_failing_point():
@@ -270,7 +263,7 @@ def test_block_error_names_first_failing_point():
     with pytest.raises(JetDomainError) as ei:
         eval_jets(e, coordinate_jets(block))
     assert (ei.value.op, ei.value.value, ei.value.pos) == ("sqrt", -1.0, 9)
-    _assert_block_matches_points(e, block, ())
+    _assert_block_matches_points(e, block)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +281,18 @@ def _assert_same_slots(low, full, order, label=""):
 
 
 @given(_asts(), st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1, max_size=4),
-       st.tuples(_COORDS, _COORDS), st.integers(0, 2))
+       st.integers(0, 2))
 @settings(max_examples=200, deadline=None)
-def test_truncated_evaluation_keeps_the_full_slots(ast, coords, params, order):
+def test_truncated_evaluation_keeps_the_full_slots(ast, coords, order):
     # a lower order computes no unary coefficient above it, so it may pass
     # where a higher order fails on one (an underflowing -1/v**2 of ln, say);
     # where a higher order passes, the lower passes with its bits, and where
     # the lower fails, every higher order fails
-    e = parse(pretty(ast), dim=3, n_params=2)
+    e = parse(pretty(ast), dim=3)
     with np.errstate(all="ignore"):
-        low, err = _evaluate(e, np.array(coords), params, order)
+        low, err = _evaluate(e, np.array(coords), order)
         for high in range(order + 1, 4):
-            full, high_err = _evaluate(e, np.array(coords), params, high)
+            full, high_err = _evaluate(e, np.array(coords), high)
             if err is not None:
                 assert high_err is not None, high
             elif high_err is None:
@@ -317,36 +310,34 @@ def test_an_exponent_takes_its_branch_at_full_order(order):
 
 
 def _expression_fields(subject, x):
-    """(label, matrix of expressions, bindings, params) for each field that a
-    check evaluates at the sample points x of the subject."""
+    """(label, matrix of expressions, bindings) for each field that a check
+    evaluates at the sample points x of the subject."""
     if isinstance(subject, MetricField):
-        return [(subject.name, subject.entries, coordinate_jets(x), subject.params)]
+        return [(subject.name, subject.entries, coordinate_jets(x))]
     if isinstance(subject, WarpedMetric):
-        n1, leaf = subject.n1, x[:, :subject.n1]
-        fields = [("f", [[subject.f]], coordinate_jets(leaf), subject.params)]
+        n1 = subject.n1
+        fields = [("f", [[subject.f]], coordinate_jets(x[:, :n1]))]
         fields += _expression_fields(subject.metric, x)
-        if subject.leaf is not None:
-            fields += _expression_fields(subject.leaf, leaf)
         if subject.fiber is not None:
             fields += _expression_fields(subject.fiber, x[:, n1:])
         return fields
     if isinstance(subject, AlmostComplexStructure):
-        return ([("J", subject.j_entries, coordinate_jets(x), subject.params)]
+        return ([("J", subject.j_entries, coordinate_jets(x))]
                 + _expression_fields(subject.metric, x))
     if isinstance(subject, AlmostContactStructure):
-        return ([(label, rows, coordinate_jets(x), subject.params) for label, rows in
+        return ([(label, rows, coordinate_jets(x)) for label, rows in
                  (("phi", subject.phi_entries), ("xi", [subject.xi_entries]),
                   ("eta", [subject.eta_entries]))]
                 + _expression_fields(subject.metric, x))
     phi = subject.component_jets(x)  # an immersion
     image = np.stack([np.broadcast_to(p.value, x.shape[:-1]) for p in phi], -1)
-    fields = [("ambient at the immersion", subject.ambient.entries, phi, subject.ambient.params)]
+    fields = [("ambient at the immersion", subject.ambient.entries, phi)]
     fields += _expression_fields(subject.ambient, image)
     if subject.structure is not None:
         fields += _expression_fields(subject.structure, image)
     if subject.warped is not None:
         decl = subject.warped
-        fields.append(("f", [[decl.f]], coordinate_jets(x[:, :decl.n1]), subject.params))
+        fields.append(("f", [[decl.f]], coordinate_jets(x[:, :decl.n1])))
         if decl.g2 is not None:
             fields += _expression_fields(decl.g2, x[:, decl.n1:])
     return fields
@@ -358,9 +349,9 @@ def test_every_field_at_a_lower_order_keeps_its_full_slots(name):
     x = np.array(sample_points(subject, 33, 42))
     fields = _expression_fields(subject, x)
     assert fields
-    for label, entries, bindings, params in fields:
-        full = [jet for _, jet in matrix_jets(entries, bindings, params, order=3)]
+    for label, entries, bindings in fields:
+        full = [jet for _, jet in matrix_jets(entries, bindings, order=3)]
         for order in (0, 1, 2):
-            low = [jet for _, jet in matrix_jets(entries, bindings, params, order=order)]
+            low = [jet for _, jet in matrix_jets(entries, bindings, order=order)]
             for k, (a, b) in enumerate(zip(low, full)):
                 _assert_same_slots(a, b, order, f"{name} {label} entry {k} order {order}")

@@ -13,7 +13,7 @@ from helpers import (block_at, box_points, chen_cr_immersion, cylinder_immersion
                      sphere_immersion, torus_immersion, trivial_product_immersion)
 
 from warpcheck.cli import TOLERANCES, records, validate
-from warpcheck.errors import (ConfigurationError, ImmersionDegenerateError,
+from warpcheck.errors import (ConfigurationError, DegenerateMetricError, ImmersionDegenerateError,
                               InvalidNormalError, InvalidWarpingError)
 from warpcheck.expr import Neg, matrix_jets, parse
 from warpcheck.gallery import load_builtin, sample_points
@@ -56,8 +56,7 @@ def full_product_jets(im, phi):
     dphi = [[Jet3(n, p.d1[..., i], p.d2[..., i, :], p.d3[..., i, :, :]) for i in range(n)]
             for p in phi]
     amb = [[None] * m for _ in range(m)]
-    for indices, jet in matrix_jets(im.ambient.entries, phi, im.ambient.params,
-                                    symmetric=True):
+    for indices, jet in matrix_jets(im.ambient.entries, phi, symmetric=True):
         for k, l in indices:
             amb[k][l] = jet
     for i in range(n):
@@ -162,15 +161,16 @@ def test_no_warning_comes_from_a_point_the_walk_never_reaches():
 
 
 @pytest.mark.parametrize("points", [[[1.0, 1.0]], [[0.5, 0.0], [1.0, 1.0]]])
-def test_a_point_the_walk_reaches_warns_as_it_does_alone(points):
-    # the warnings of the point-by-point frames, in order
+def test_a_point_whose_induced_metric_overflows_raises_unwarned(points):
+    # J^T g J is inf at (1, 1), where its eigenvalues may not converge: the
+    # point raises as a non-finite chart metric does, alone and in a block,
+    # and a point that raises does so unwarned
     im = _overflowing_surface()
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        worst = fold_sff(im, np.array(points), classification_residuals)
-    assert [str(w.message) for w in seen] == ["overflow encountered in matmul",
-                                              "invalid value encountered in matmul"]
-    assert math.isnan(worst["minimal"])
+        with pytest.raises(DegenerateMetricError, match=r"^metric not finite at \[1\. 1\.\]$"):
+            fold_sff(im, np.array(points), classification_residuals)
+    assert seen == []
 
 
 def _loud_form_surface():
