@@ -8,14 +8,12 @@ products from :mod:`warpcheck.warped`, ambient structures and space-form
 curvature models from :mod:`warpcheck.structures`, extrinsic geometry from
 :mod:`warpcheck.subman`, and the inequality evaluators from
 :mod:`warpcheck.ineq`.  Examples live in :mod:`warpcheck.gallery`;
-:mod:`warpcheck.cli` is the command-line front door, the one module that
-turns checked values into report records, and holds the examples'
-validation gate.
+:mod:`warpcheck.cli` is the command-line front door and the one module that
+turns checked values into report records.
 """
 
 __version__ = "0.1.0"
 
-from .cli import validate
 from .errors import (ConfigurationError, DegenerateMetricError,
                      DegeneratePlaneError, ImmersionDegenerateError,
                      InvalidNormalError, InvalidWarpingError, JetDomainError,
@@ -61,5 +59,5 @@ __all__ = [
     # inequalities
     "InequalityResult", "main_inequality", "scalar_decomposition_residual",
     # gallery and reports
-    "builtin_names", "load_builtin", "validate", "CheckRecord", "CheckReport",
+    "builtin_names", "load_builtin", "CheckRecord", "CheckReport",
 ]

@@ -21,14 +21,13 @@ import numpy as np
 
 from . import __version__
 from .config import BuiltConfig, load_config
-from .errors import (DegenerateMetricError, DependentSeedsError, ImmersionDegenerateError,
-                     WarpcheckError)
+from .errors import WarpcheckError
 from .expr import ParseError
 from .gallery import BUILTINS, builtin_names, load_builtin, sample_points
 from .ineq import (fiber_lemma_residuals, generalized_rhs, leaf_mean_curvature,
                    main_inequality, scalar_decomposition_residual, space_form_rhs)
 from .report import CheckReport, format_number, nan_max, to_json_bytes
-from .riemann import SYMMETRY_THRESHOLD, Curvature4, MetricBlock, MetricField, fold_blocks
+from .riemann import Curvature4, MetricBlock, MetricField, fold_blocks
 from .structures import (CLASS_NAMES, CONTACT_IDENTITIES, AlmostComplexStructure,
                          AlmostContactStructure, StructureBlock, closed_eta_residuals,
                          fundamental_form_residuals, nijenhuis_normality_residuals,
@@ -91,10 +90,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Row:
-    """One report record.  A run of one of its groups ("validation": the
-    examples' gate) makes it when the fold holds ``when`` (else its key, else
-    its name), from ``value(worst)`` or else the fold's value under the key
-    (0.0 if none), at ``--tol tol``, else ``default``, else the name's default.
+    """One report record.  A run of its group, one of CHECK_GROUPS, makes it
+    when the fold holds ``when`` (else its key, else its name), from
+    ``value(worst)`` or else the fold's value under the key (0.0 if none), at
+    ``--tol tol``, else ``default``, else the name's default.
     ``role``: a "gate" passes at value <= tol, a "strict" one below tol; an
     "info" record and a "flag" always pass, a flag's note pair saying whether
     value < tol (holds, fails); any other role names an earlier record that
@@ -104,7 +103,7 @@ class Row:
 
     name: str
     anchor: str
-    groups: tuple[str, ...]
+    group: str
     tol: str | None  # None for a fixed tolerance, its default
     default: float | None = None
     key: str | None = None
@@ -116,114 +115,101 @@ class Row:
     kinds: tuple = ()
 
 
-STRUCTURE, IDENTITIES, CLASSIFY = ("structure",), ("identities",), ("classify",)
-INEQUALITIES, VALIDATION = ("inequalities",), ("validation",)
-
 # a report's records come in the order of their rows
 ROWS = (
-    Row("gate-metric", "metric-validity", VALIDATION, None, SYMMETRY_THRESHOLD),
-    Row("gate-warping-positive", "warping-positivity", VALIDATION, None, 1.0,
-        note="positivity verified pointwise"),
-    Row("gate-rank", "immersion-rank", VALIDATION, None, 0.5),
-    Row("gate-warped-block", "induced-warped-block-form", VALIDATION, "warped-block",
-        key="warped-block-form"),
-
-    Row("complex-square", "almost-complex-square", STRUCTURE + VALIDATION, "structure", 1e-10),
-    Row("complex-compatibility", "almost-complex-compatibility", STRUCTURE + VALIDATION,
-        "structure", 1e-10),
-    Row("kahler-parallel", "kahler-parallel-structure", STRUCTURE, "structure"),
-    # the defining identities of an almost contact metric structure, which
-    # the gate holds to 1e-9
-    *(Row(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}", groups, "structure",
-          default, key=key) for key in CONTACT_IDENTITIES
-      for groups, default in ((STRUCTURE, None), (VALIDATION, 1e-9))),
-    *(Row(f"class-{klass}", "structure-class-law", STRUCTURE, "structure")
+    Row("complex-square", "almost-complex-square", "structure", "structure", 1e-10),
+    Row("complex-compatibility", "almost-complex-compatibility", "structure", "structure", 1e-10),
+    Row("kahler-parallel", "kahler-parallel-structure", "structure", "structure"),
+    # the defining identities of an almost contact metric structure
+    *(Row(f"contact-{key}", f"almost-contact-{key.replace('_', '-')}", "structure", "structure",
+          key=key) for key in CONTACT_IDENTITIES),
+    *(Row(f"class-{klass}", "structure-class-law", "structure", "structure")
       for klass in CLASS_NAMES),
-    Row("normality", "normality-defect", STRUCTURE, "structure"),
-    Row("fundamental-form", "contact-metric-form-law", STRUCTURE, "structure"),
-    Row("closed-eta", "closed-contact-form-law", STRUCTURE, "structure"),
+    Row("normality", "normality-defect", "structure", "structure"),
+    Row("fundamental-form", "contact-metric-form-law", "structure", "structure"),
+    Row("closed-eta", "closed-contact-form-law", "structure", "structure"),
 
-    Row("gauss-equation", "gauss-curvature-relation", IDENTITIES, "gauss"),
-    Row("scalar-identity", "traced-curvature-relation", IDENTITIES, "scalar-identity"),
-    Row("shape-duality", "shape-operator-duality", IDENTITIES, "duality"),
-    Row("warped-block-form", "induced-warped-block-form", IDENTITIES, "warped-block"),
-    Row("warped-identity", "warped-mixed-sectional-identity", IDENTITIES, "warped-identity"),
-    Row("scalar-split", "scalar-curvature-split", IDENTITIES, "scalar-split"),
-    Row("leaf-geodesic", "warped-leaf-geodesic", IDENTITIES, "warped-block"),
-    Row("fiber-umbilical-shape", "warped-fiber-umbilical-shape", IDENTITIES, "warped-block"),
-    Row("curvature-symmetries", "curvature-tensor-symmetries", IDENTITIES,
+    Row("gauss-equation", "gauss-curvature-relation", "identities", "gauss"),
+    Row("scalar-identity", "traced-curvature-relation", "identities", "scalar-identity"),
+    Row("shape-duality", "shape-operator-duality", "identities", "duality"),
+    Row("warped-block-form", "induced-warped-block-form", "identities", "warped-block"),
+    Row("warped-identity", "warped-mixed-sectional-identity", "identities", "warped-identity"),
+    Row("scalar-split", "scalar-curvature-split", "identities", "scalar-split"),
+    Row("leaf-geodesic", "warped-leaf-geodesic", "identities", "warped-block"),
+    Row("fiber-umbilical-shape", "warped-fiber-umbilical-shape", "identities", "warped-block"),
+    Row("curvature-symmetries", "curvature-tensor-symmetries", "identities",
         "curvature-symmetry"),
 
     # a predicate holds iff its residual stays below tol at every point
-    *(Row(f"flag-{name}", "classification-flag", CLASSIFY, "classify", key=key, role="flag",
+    *(Row(f"flag-{name}", "classification-flag", "classify", "classify", key=key, role="flag",
           note=("holds: true", "holds: false")) for key, name in (
         ("geodesic", "totally-geodesic"), ("umbilical", "totally-umbilical"),
         ("minimal", "minimal"), ("mixed_geodesic", "mixed-totally-geodesic"),
         ("d1_geodesic", "leaf-totally-geodesic"), ("d1_minimal", "leaf-minimal"),
         ("d2_minimal", "fiber-minimal"), ("d2_umbilical", "fiber-totally-umbilical"))),
 
-    Row("inequalities", "inequality-suite", INEQUALITIES, None, 1.0, role="info", points=0,
+    Row("inequalities", "inequality-suite", "inequalities", None, 1.0, role="info", points=0,
         note="skipped: no warped declaration"),
-    Row("main-inequality", "main-curvature-sum-bound", INEQUALITIES, "slack",
+    Row("main-inequality", "main-curvature-sum-bound", "inequalities", "slack",
         key="negative-slack", value=lambda w: nan_max(0.0, w["negative-slack"]),
         note=lambda w, n: f"min slack {format_number(-w['negative-slack'])}; equality at "
                           f"{w['equality']}/{n} points"),
-    Row("equality-diagnostics", "equality-case-diagnostics", INEQUALITIES, "slack",
+    Row("equality-diagnostics", "equality-case-diagnostics", "inequalities", "slack",
         role="info", note="informational: worst equality-condition residual"),
-    Row("space-form-consistency", "flat-space-form-reduction", INEQUALITIES, "slack"),
+    Row("space-form-consistency", "flat-space-form-reduction", "inequalities", "slack"),
     # the contact CR suite: the Reeb tangency, a precondition of the rest,
     # its gate (invariance of the leaf block, anti-invariance of the fiber
     # block), then the form's laws
-    Row("cr-reeb-tangency", "contact-cr-reeb-tangency", INEQUALITIES + VALIDATION, "cr",
+    Row("cr-reeb-tangency", "contact-cr-reeb-tangency", "inequalities", "cr",
         REEB_TANGENCY_THRESHOLD,
         note=lambda w, _n: "precondition failed at some points"
         if w.get("cr-reeb-not-tangent") else ""),
-    Row("cr-leaf-invariance", "contact-cr-leaf-invariance", INEQUALITIES + VALIDATION, "cr",
+    Row("cr-leaf-invariance", "contact-cr-leaf-invariance", "inequalities", "cr",
         when="cr-reeb-tangency"),
-    Row("cr-fiber-anti-invariance", "contact-cr-fiber-anti-invariance",
-        INEQUALITIES + VALIDATION, "cr", when="cr-reeb-tangency"),
-    Row("cr-form-on-reeb-pairs", "contact-cr-form-on-reeb-pairs", INEQUALITIES, "cr",
+    Row("cr-fiber-anti-invariance", "contact-cr-fiber-anti-invariance", "inequalities", "cr",
         when="cr-reeb-tangency"),
-    Row("cr-leaf-vs-fiber-image", "contact-cr-leaf-vs-fiber-image", INEQUALITIES, "cr",
+    Row("cr-form-on-reeb-pairs", "contact-cr-form-on-reeb-pairs", "inequalities", "cr",
         when="cr-reeb-tangency"),
-    Row("cr-invariant-flip", "contact-cr-invariant-flip", INEQUALITIES, "cr",
+    Row("cr-leaf-vs-fiber-image", "contact-cr-leaf-vs-fiber-image", "inequalities", "cr",
         when="cr-reeb-tangency"),
-    Row("cr-invariance-gate", "complex-cr-invariance", INEQUALITIES, "cr",
+    Row("cr-invariant-flip", "contact-cr-invariant-flip", "inequalities", "cr",
+        when="cr-reeb-tangency"),
+    Row("cr-invariance-gate", "complex-cr-invariance", "inequalities", "cr",
         when="leaf_invariance", role="flag",
         value=lambda w: nan_max(w.get("leaf_invariance", 0.0),
                                 w.get("fiber_anti_invariance", 0.0)),
         note=("CR gate holds (informational)", "CR gate fails (informational)")),
-    Row("leaf-mean-curvature", "leaf-partial-mean-curvature", INEQUALITIES, "leaf-minimality",
+    Row("leaf-mean-curvature", "leaf-partial-mean-curvature", "inequalities", "leaf-minimality",
         1e-7, kinds=("contact",)),
     # leaf-minimality is a theorem about CR-warped products: enforce it only
     # where the machine-checked CR gate holds, report it otherwise
-    Row("leaf-mean-curvature", "leaf-partial-mean-curvature", INEQUALITIES, "leaf-minimality",
+    Row("leaf-mean-curvature", "leaf-partial-mean-curvature", "inequalities", "leaf-minimality",
         role="cr-invariance-gate", kinds=("complex", None),
         note=("", "informational: not a CR-warped product, theorem not applicable")),
     # the fiber lemma's hypotheses, reported, and its conclusion, which gates
     # only the points where both hold
-    Row("fiber-minimal-hypothesis", "fiber-partial-mean-curvature", INEQUALITIES, "cr",
+    Row("fiber-minimal-hypothesis", "fiber-partial-mean-curvature", "inequalities", "cr",
         role="info", note="hypothesis residual, not a gate"),
-    Row("fiber-umbilical-hypothesis", "fiber-umbilicity", INEQUALITIES, "cr",
+    Row("fiber-umbilical-hypothesis", "fiber-umbilicity", "inequalities", "cr",
         role="info", note="hypothesis residual, not a gate"),
-    Row("fiber-geodesic-conclusion", "fiber-lemma-conclusion", INEQUALITIES, "cr",
+    Row("fiber-geodesic-conclusion", "fiber-lemma-conclusion", "inequalities", "cr",
         when="fiber-lemma-tested", role="strict", points="fiber-lemma-tested",
         note=lambda w, n: f"implication tested at {w['fiber-lemma-tested']}/{n} points"
         + (" (hypotheses fail everywhere; vacuous)" if w["fiber-lemma-tested"] == 0 else "")),
-    Row("variant-reduction", "generalized-bound-reduction", INEQUALITIES, "reduction",
+    Row("variant-reduction", "generalized-bound-reduction", "inequalities", "reduction",
         points=1000),
 )
 
 
 def records(worst: dict, n: int, groups, tols: dict, kind: str | None = None) -> CheckReport:
-    """The records, in table order, of the rows in any of the groups, for
+    """The records, in table order, of the rows in the groups, for
     the kind of the subject's structure (an immersion's ambient one), whose
     ``when`` key ``worst``, a fold over n points, holds; at the tolerances
     ``tols`` overrides, else at each row's default."""
     rep, holds = CheckReport(), {}
     for row in ROWS:
         key = row.key or row.name
-        if ((row.when or key) not in worst or not set(groups) & set(row.groups)
+        if ((row.when or key) not in worst or row.group not in groups
                 or row.kinds and kind not in row.kinds):
             continue
         value = row.value(worst) if row.value else worst.get(key, 0.0)
@@ -252,35 +238,27 @@ def records(worst: dict, n: int, groups, tols: dict, kind: str | None = None) ->
 
 def _checks(subject, rc: RunConfig) -> tuple[Callable, dict]:
     """The subject's fold, ``fold(points, *steps)``, and {group: step} of each
-    check group that applies to it and of "validation", its gate: the one
-    place where a subject kind picks its block and its checks.  An
-    immersion's fold builds and verifies every point's frames first."""
+    check group that applies to it: the one place where a subject kind picks
+    its block and its checks.  An immersion's fold builds and verifies every
+    point's frames first."""
     if isinstance(subject, Immersion):
         steps = {"identities": _identity_values, "classify": classification_residuals,
-                 "inequalities": lambda block: _inequality_values(block, rc),
-                 "validation": _immersion_gate}
+                 "inequalities": lambda block: _inequality_values(block, rc)}
         if subject.structure is not None:  # the ambient structure where it lives
             structure = _structure_step(subject.structure, None)
             steps["structure"] = lambda block: structure(block.tensors)
         return (lambda points, *chosen: fold_sff(subject, points, *chosen)), steps
     if isinstance(subject, MetricField):
         make, steps = MetricBlock, {"identities": lambda block: {
-            "curvature-symmetries": Curvature4(block.curvature).max_symmetry_residual()},
-            "validation": _metric_gate}
+            "curvature-symmetries": Curvature4(block.curvature).max_symmetry_residual()}}
     elif isinstance(subject, WarpedMetric):
-        make, steps = WarpedBlock, {"identities": _warped_step, "validation": _warping_gate}
+        make, steps = WarpedBlock, {"identities": _warped_step}
     elif isinstance(subject, (AlmostComplexStructure, AlmostContactStructure)):
-        make, steps = StructureBlock, {"structure": _structure_step(subject, subject.klass),
-                                       "validation": subject.identity_residuals}
+        make, steps = StructureBlock, {"structure": _structure_step(subject, subject.klass)}
     else:
         raise WarpcheckError(f"cannot check subject of type {type(subject)}")
     return (lambda points, *chosen: fold_blocks(points, subject.dim, lambda x: make(subject, x),
                                                 *chosen)), steps
-
-
-def _metric_gate(block: MetricBlock) -> dict:
-    block.ginv  # raises where the metric is not symmetric, finite and positive definite
-    return {"gate-metric": block.metric.symmetry_residual(block.points)}
 
 
 def _warped_step(w: WarpedBlock) -> dict:
@@ -291,11 +269,6 @@ def _warped_step(w: WarpedBlock) -> dict:
             "leaf-geodesic": blocks["leaf_geodesic"],
             "fiber-umbilical-shape": blocks["fiber_umbilical_shape"],
             "curvature-symmetries": symmetries}
-
-
-def _warping_gate(w: WarpedBlock) -> dict:
-    w.total.ginv, w.scalars  # raise where the total metric is not valid, then where f <= 0
-    return {"gate-warping-positive": np.zeros(len(w.points))}
 
 
 def _laws(s, klass: str | None) -> dict:
@@ -362,17 +335,6 @@ def _inequality_values(block: ImmersionBlock, rc: RunConfig) -> dict:
         out = contact_cr_residuals(block)
     return {**out, **leaf_mean_curvature(block), **fiber_lemma_residuals(block, rc.tol("cr")),
             "variant-reduction": np.full(n, _variant_gap(rc.seed))}
-
-
-def _immersion_gate(block: ImmersionBlock) -> dict:
-    """The rank gate, which a point passes once its frames are built, and with
-    a warped split the induced block form and a contact ambient's CR gate."""
-    im, out = block.im, {"gate-rank": np.zeros(len(block.points))}
-    if im.warped is not None:
-        out["warped-block-form"] = warped_block_defect(block)
-        if getattr(im.structure, "kind", None) == "contact":
-            out.update(contact_cr_residuals(block))
-    return out
 
 
 @cache
@@ -449,31 +411,6 @@ def _variant_draws(seed: int) -> tuple[np.ndarray, ...]:
     u = (raw[:, [0, 2, 3]] >> 11) * 2.0**-53
     n1, n2 = 1 + ((halves * 5) >> 32).astype(np.int64)
     return -8 + 16 * u[:, 0], n1, n2, 50 * u[:, 1], -50 + 100 * u[:, 2]
-
-
-# ---------------------------------------------------------------------------
-# Validation gates
-# ---------------------------------------------------------------------------
-
-GATE_POINTS = 16
-GATE_SEED = 7
-
-
-def validate(cfg: BuiltConfig) -> CheckReport:
-    """Fold the example's validation step at the gate's points; every record
-    must pass before the example feeds any downstream check.  An immersion
-    whose frames cannot be built, for its rank or a metric's definiteness,
-    reports its rank gate alone: the other gates read the walk that stopped."""
-    subject = cfg.subject
-    fold, steps = _checks(subject, RunConfig("", points=GATE_POINTS, seed=GATE_SEED))
-    points = sample_points(subject, GATE_POINTS, GATE_SEED)
-    try:
-        worst = fold(points, steps["validation"])
-    except (ImmersionDegenerateError, DegenerateMetricError, DependentSeedsError):
-        if not isinstance(subject, Immersion):
-            raise
-        worst = {"gate-rank": 1.0}
-    return records(worst, len(points), VALIDATION, {})
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ Notes on binding:
 * There is no implicit multiplication; ``2x1`` is a parse error.
 
 Parsing is total: any non-grammatical input raises :class:`ParseError` with
-the byte offset of the offending token, never any other exception.
+the byte offset of the offending token, never any other exception.  So does
+nesting past ``MAX_DEPTH`` levels, in the source or in the tree it parses to.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import JetDomainError, WarpcheckError
 from .jets import Jet3, Point, coordinate_jets, jet_const
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
+MAX_DEPTH = 100  # bounds the recursion of the parser and of every walk of a tree
 
 
 class ParseError(WarpcheckError):
@@ -170,6 +172,7 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.dim = dim
+        self.depth = 0  # the factors being parsed, each inside the last
 
     @property
     def cur(self) -> _Token:
@@ -189,7 +192,13 @@ class _Parser:
         e = self.expr()
         if self.cur.kind != "end":
             raise self.fail("operator or end of input")
-        return e
+        level = [e]
+        for _ in range(MAX_DEPTH):  # the tree's levels, top down
+            level = [c for n in level if not isinstance(n, (Num, Var))
+                     for c in ((n.left, n.right) if isinstance(n, BinOp) else (n.arg,))]
+            if not level:
+                return e
+        raise ParseError(level[0].pos, f"at most {MAX_DEPTH} levels of nesting", "a deeper tree")
 
     def expr(self) -> Expr:
         e = self.term()
@@ -206,10 +215,13 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
-        if self.cur.kind == "op" and self.cur.text == "-":
-            t = self.advance()
-            return Neg(self.factor(), pos=t.pos)
-        return self.power()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.fail(f"at most {MAX_DEPTH} levels of nesting")
+        t = self.advance() if self.cur.text == "-" else None  # no other token's text is "-"
+        e = Neg(self.factor(), pos=t.pos) if t else self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -356,7 +368,7 @@ def eval_matrix(entries, x, order: int = 2, symmetric: bool = False) -> list[np.
 
 
 def pretty(e: Expr) -> str:
-    """Fully parenthesized source form; reparses to an equal AST."""
+    """Fully parenthesized source form; reparses to an equal AST if it nests <= MAX_DEPTH."""
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):

@@ -1,10 +1,9 @@
 """Curated example instances anchoring the acceptance suite.
 
 Built-ins ship as config files in the package data directory, in the same
-format user configs use.  Each has a machine-checkable validation gate,
-:func:`warpcheck.cli.validate`, the ``validation`` step of the check table
-(``cli._checks``), which the test suite runs on every builtin; a run of the
-command line does not.
+format user configs use.  Each is gated by its own report at 16 points and
+seed 7, which the test suite runs on every builtin: a builtin whose report at
+that sample does not exit 0 is not a fixture to test anything with.
 """
 
 from __future__ import annotations

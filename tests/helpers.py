@@ -6,6 +6,7 @@ config-loaded objects agree with these builders numerically.
 
 import numpy as np
 
+from warpcheck.cli import RunConfig, run
 from warpcheck.expr import parse
 from warpcheck.jets import DomainBox, ExcludedBall
 from warpcheck.riemann import MetricField
@@ -24,6 +25,14 @@ def one_point(block, subject, x):
     return block(subject, np.asarray(x, dtype=float)[None])
 
 
+def gate_report(name: str) -> tuple[int, dict]:
+    """(exit code, report) of a builtin's gate: its own full report at 16
+    points and seed 7, which must exit 0 before the builtin serves as a
+    fixture."""
+    code, doc, _ = run(RunConfig(name, points=16, seed=7))
+    return code, doc
+
+
 def flat_metric(dim, name="flat"):
     rows = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
     return MetricField.from_strings(rows, name=name)
@@ -40,6 +49,21 @@ def flat_immersion_config(components, lo, hi) -> str:
             f"ambient = flat\ncomponents = {quoted}\n"
             f"domain_lo = {', '.join(map(str, lo))}\ndomain_hi = {', '.join(map(str, hi))}\n"
             "\n[subject]\nkind = immersion\ntarget = im\n")
+
+
+def line_metric_config(row: str) -> str:
+    """Config text whose subject is the metric ``row`` dx1^2 on [0.1, 1]."""
+    return (f'[metric m]\ndim = 1\nrow_1 = "{row}"\ndomain_lo = 0.1\ndomain_hi = 1\n'
+            "\n[subject]\nkind = metric\ntarget = m\n")
+
+
+# expressions nested past expr.MAX_DEPTH, each of which once exhausted
+# Python's stack: in parentheses, in calls, under unary minus, and in a chain
+# of sums whose tree, not its source, is deep
+DEEP_EXPRESSIONS = {"parentheses": "(" * 300 + "x1" + ")" * 300,
+                    "calls": "sin(" * 300 + "x1" + ")" * 300,
+                    "minus": "-" * 1000 + "x1",
+                    "sum": "+".join(["x1"] * 1500)}
 
 
 # components and box of an immersion into flat R^5 with finite partials whose

@@ -2,19 +2,21 @@
 
 Each test prints one PASS/FAIL line (visible with `pytest -s` or in the
 captured output of a failing run).  Gallery examples are loaded through
-their config files and pass their validation gates before use; a gate
-failure aborts the criterion rather than skipping it.
+their config files and pass their gates, their own reports at 16 points and
+seed 7, before use; a gate failure aborts the criterion rather than skipping
+it.
 """
 
 import time
 
 import numpy as np
 import pytest
+from helpers import gate_report
 
 from warpcheck.gallery import load_builtin
 from warpcheck.ineq import (generalized_rhs, leaf_mean_curvature, main_inequality,
                             scalar_decomposition_residual, space_form_rhs)
-from warpcheck.cli import RunConfig, run, validate
+from warpcheck.cli import RunConfig, run
 from warpcheck.jets import fd_partial
 from warpcheck.report import to_json_bytes
 from warpcheck.riemann import fold_blocks
@@ -32,11 +34,10 @@ from warpcheck.warped import WarpedBlock, warping_identity_residual
 
 
 def _gated(name):
-    loaded = load_builtin(name)
-    gate = validate(loaded)
-    assert gate.passed, f"validation gate failed for {name}: " \
-        f"{[(r.name, r.worst) for r in gate.records if not r.passed]}"
-    return loaded
+    code, doc = gate_report(name)
+    assert code == 0, f"gate failed for {name}: " \
+        f"{[(r['name'], r['worst']) for r in doc['checks'] if not r['pass']]}"
+    return load_builtin(name)
 
 
 def _points(subject, n=64, seed=42):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from helpers import OVERFLOWING_INDUCED_METRIC, flat_immersion_config
+from helpers import (DEEP_EXPRESSIONS, OVERFLOWING_INDUCED_METRIC, flat_immersion_config,
+                     line_metric_config)
 
 from warpcheck import cli, expr, ineq, jets, report, riemann, structures, subman
 from warpcheck.cli import (TOLERANCES, RunConfig, main, parse_args, render_text,
@@ -311,6 +312,22 @@ def test_float_overflow_exits_2(tmp_path, capsys):
     assert main(["--target", cfg]) == 2
     err = capsys.readouterr().err
     assert "domain error in 'exp'" in err and "at offset 0" in err
+
+
+@pytest.mark.parametrize("shape, offset, found", [
+    ("parentheses", 106, "'('"), ("calls", 403, "'sin'"), ("minus", 106, "'-'"),
+    ("sum", 4209, "a deeper tree")])
+def test_a_too_deeply_nested_expression_exits_2_naming_an_offset(tmp_path, capsys, shape,
+                                                                 offset, found):
+    # each ended in a RecursionError traceback, exit 1, in the parser or in
+    # the first walk of the tree it built
+    p = tmp_path / "deep.cfg"
+    p.write_text(line_metric_config(f"1 + 0*({DEEP_EXPRESSIONS[shape]})"))
+    assert main(["--target", str(p), "--points", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"configuration error: [metric m] key 'row_1' (line 3): at "
+                                 f"offset {offset}: expected at most 100 levels of nesting, "
+                                 f"found {found}\n")
 
 
 def test_tiny_divisor_exits_2(tmp_path, capsys):

@@ -14,7 +14,8 @@ import io
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import OVERFLOWING_INDUCED_METRIC, flat_immersion_config
+from helpers import (DEEP_EXPRESSIONS, OVERFLOWING_INDUCED_METRIC, flat_immersion_config,
+                     line_metric_config)
 from test_expr import _asts
 from warpcheck.cli import CHECK_GROUPS, main
 from warpcheck.expr import pretty
@@ -75,6 +76,7 @@ def configs(draw):
 
 @given(configs(), st.sampled_from(("all",) + CHECK_GROUPS))
 @example(text=flat_immersion_config(*OVERFLOWING_INDUCED_METRIC), checks="classify")
+@example(text=line_metric_config(f"1 + 0*({DEEP_EXPRESSIONS['sum']})"), checks="all")
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_a_generated_config_exits_0_1_or_2(tmp_path_factory, text, checks):

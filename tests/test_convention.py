@@ -12,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import flat_metric, standard_complex_structure
 
 import warpcheck
 from warpcheck import cli, expr, ineq, jets, riemann, structures, subman, warped
 from warpcheck.errors import ConfigurationError
-from warpcheck.gallery import load_builtin
+from warpcheck.gallery import builtin_names, load_builtin
 from warpcheck.subman import ImmersionBlock
 
 RECORD_NAMES = {"sff", "t", "tensors"}
@@ -159,9 +160,9 @@ def test_no_function_takes_a_require_kahler_flag():
         assert "require_kahler" not in ast.unparse(tree), mod
 
 
-def test_run_and_validate_reach_the_steps_only_through_the_check_table():
-    # one table picks each subject kind's block and steps, for the report
-    # and the gate alike; no per-kind wrapper and no dispatch chain is left
+def test_run_reaches_the_steps_only_through_the_check_table():
+    # one table picks each subject kind's block and steps; no per-kind
+    # wrapper and no dispatch chain is left
     wrappers = {"_metric_values", "_structure_values", "_warped_values", "_immersion_values"}
     assert not wrappers & set(vars(cli))
     tree = ast.parse(Path(cli.__file__).read_text())
@@ -172,10 +173,22 @@ def test_run_and_validate_reach_the_steps_only_through_the_check_table():
     blocks = {"MetricBlock", "WarpedBlock", "StructureBlock", "ImmersionBlock", "MetricField",
               "WarpedMetric", "AlmostComplexStructure", "AlmostContactStructure"}
     steps = _references([fns["_checks"]]) & set(fns)
-    for name in ("run", "validate"):
-        read = _references([fns[name]])
-        assert "_checks" in read and not read & (blocks | steps), name
-    assert "isinstance" not in _references([fns["run"]])
+    read = _references([fns["run"]])
+    assert "_checks" in read and not read & (blocks | steps | {"isinstance"})
+
+
+def test_every_row_and_step_belongs_to_one_check_group():
+    # the records come from one table whose groups are the report's, so no
+    # second record group (an examples' gate, say) can grow beside it
+    assert all(isinstance(row.group, str) and row.group in cli.CHECK_GROUPS for row in cli.ROWS)
+    subjects = [load_builtin(name).subject for name in builtin_names()]
+    subjects += [flat_metric(2), standard_complex_structure(2)]  # kinds no builtin has
+    assert {type(s).__name__ for s in subjects} == {
+        "Immersion", "MetricField", "WarpedMetric", "AlmostComplexStructure",
+        "AlmostContactStructure"}
+    for subject in subjects:
+        _, steps = cli._checks(subject, cli.RunConfig("any"))
+        assert set(steps) <= set(cli.CHECK_GROUPS), subject
 
 
 def test_the_block_is_the_only_evaluation_shape():
@@ -227,7 +240,6 @@ EXPORTED_FOR_CALLERS = {
     "christoffel": BENCH_NAMED,
     "curvature_components": BENCH_NAMED,
     "second_fundamental_form": BENCH_NAMED,
-    "validate": "test helper: the examples' validation gate, run by tests, not by a report",
     "fd_partial": "oracle: finite differences that acceptance criterion 10 holds jets to",
     "complex_space_form": "oracle: a closed-form curvature model to compare charts with",
     "generalized_complex_space_form": "oracle: a closed-form curvature model",

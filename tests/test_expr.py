@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpcheck.errors import JetDomainError
-from warpcheck.expr import (BinOp, Call, Neg, Num, ParseError, Var, eval_expr,
-                            eval_jets, eval_value, matrix_jets, parse, pretty, shift_vars)
+from warpcheck.expr import (MAX_DEPTH, BinOp, Call, Neg, Num, ParseError, Var, eval_expr,
+                            eval_jets, eval_value, matrix_jets, max_var, parse, pretty,
+                            shift_vars)
 from warpcheck.gallery import builtin_names, load_builtin, sample_points
 from warpcheck.jets import coordinate_jets
 from warpcheck.riemann import MetricField
@@ -167,6 +168,26 @@ def test_pretty_print_round_trip(ast):
     src = pretty(ast)
     reparsed = parse(src, dim=3)
     assert reparsed == ast
+
+
+# the deepest source of each shape that parses, and one level more: each
+# parenthesis, call, unary minus and '^' nests a factor in the source, and
+# each '+' of a chain a level of the tree
+K = MAX_DEPTH - 1
+NESTED = {"parentheses": lambda k: "(" * k + "x1" + ")" * k,
+          "calls": lambda k: "sin(" * k + "x1" + ")" * k,
+          "minus": lambda k: "-" * k + "x1",
+          "powers": lambda k: "x1^" * k + "x1",
+          "sum": lambda k: "+".join(["x1"] * (k + 1))}
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_nesting_is_bounded_where_every_walk_of_the_tree_still_finishes(shape):
+    e = parse(NESTED[shape](K), dim=1)
+    assert math.isfinite(eval_value(e, [0.5]))
+    assert max_var(e) == 0 and max_var(shift_vars(e, 2)) == 2 and pretty(e)
+    with pytest.raises(ParseError, match=f"expected at most {MAX_DEPTH} levels of nesting"):
+        parse(NESTED[shape](K + 1), dim=1)
 
 
 @given(st.text(max_size=30))
